@@ -283,48 +283,18 @@ func (o Options) ranks() (int, error) {
 	return p, nil
 }
 
-// rebuildFraction validates and resolves the staleness threshold.
-func (o Options) rebuildFraction() (float64, error) {
-	f := o.RebuildFraction
+// fraction validates one policy threshold of Options — a share in [0, 1),
+// where 0 selects def — naming the field and the switch that turns the policy
+// off in the error.
+func fraction(field string, f, def float64, off string) (float64, error) {
 	if math.IsNaN(f) {
-		return 0, fmt.Errorf("tc2d: RebuildFraction is NaN")
+		return 0, fmt.Errorf("tc2d: %s is NaN", field)
 	}
 	if f < 0 || f >= 1 {
-		return 0, fmt.Errorf("tc2d: RebuildFraction=%v out of range [0, 1) — use DisableAutoRebuild to turn staleness rebuilds off", f)
+		return 0, fmt.Errorf("tc2d: %s=%v out of range [0, 1) — use %s", field, f, off)
 	}
 	if f == 0 {
-		return 0.25, nil
-	}
-	return f, nil
-}
-
-// incrementalRebuildFraction validates and resolves the incremental-rebuild
-// eligibility threshold.
-func (o Options) incrementalRebuildFraction() (float64, error) {
-	f := o.IncrementalRebuildFraction
-	if math.IsNaN(f) {
-		return 0, fmt.Errorf("tc2d: IncrementalRebuildFraction is NaN")
-	}
-	if f < 0 || f >= 1 {
-		return 0, fmt.Errorf("tc2d: IncrementalRebuildFraction=%v out of range [0, 1) — use DisableIncrementalRebuild to always run the full pipeline", f)
-	}
-	if f == 0 {
-		return 0.1, nil
-	}
-	return f, nil
-}
-
-// snapshotFraction validates and resolves the auto-snapshot threshold.
-func (o Options) snapshotFraction() (float64, error) {
-	f := o.SnapshotFraction
-	if math.IsNaN(f) {
-		return 0, fmt.Errorf("tc2d: SnapshotFraction is NaN")
-	}
-	if f < 0 || f >= 1 {
-		return 0, fmt.Errorf("tc2d: SnapshotFraction=%v out of range [0, 1) — use DisableAutoSnapshot to snapshot only explicitly", f)
-	}
-	if f == 0 {
-		return 0.5, nil
+		return def, nil
 	}
 	return f, nil
 }

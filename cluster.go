@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tc2d/internal/core"
-	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
@@ -147,21 +146,28 @@ type ClusterInfo struct {
 // queue, waits out in-flight queries, and is idempotent; late callers get
 // ErrClosed.
 type Cluster struct {
-	world *mpi.World
-	// remote replaces world on coordinator clusters (NewClusterCoordinator):
-	// epochs run on worker processes over TCP instead of in-process
-	// goroutines, and prep stays nil — the resident state lives in the
-	// workers. Exactly one of world and remote is non-nil.
+	// eng runs the cluster's epoch ops (ops.go) wherever its ranks live: an
+	// in-process world (localEngine) or worker processes over TCP
+	// (remoteBackend). remote is eng again on coordinator clusters, nil
+	// otherwise; only the identity accessors and worker recovery look at it.
+	eng       engine
 	remote    *remoteBackend
 	enum      Enumeration
 	ranks     int
 	transport Transport
 
-	// sched admits reads concurrently and writes exclusively; prep is
-	// replaced wholesale by rebuilds under sched.gate held exclusively and
+	// sched admits reads concurrently and writes exclusively; the resident
+	// state behind eng only changes under sched.gate held exclusively and is
 	// read under it held shared.
 	sched *scheduler
-	prep  []*core.Prepared // per-rank resident state, indexed by rank
+
+	// meta caches the graph metadata of the newest rank-0 op reply.
+	metaMu sync.Mutex
+	meta   wireMeta
+
+	// logf, when non-nil, receives non-fatal diagnostics
+	// (CoordinatorOptions.Logf on coordinator clusters).
+	logf func(format string, args ...any)
 
 	queries     atomic.Int64
 	readEpochs  atomic.Int64
@@ -216,107 +222,201 @@ type Cluster struct {
 // opt.ForceSUMMA) the SUMMA schedule; opt.Transport selects in-process
 // channels or loopback TCP. The caller must Close the cluster.
 func NewCluster(g *Graph, opt Options) (*Cluster, error) {
-	return newCluster(dgraph.ScatterInput{Graph: g}, opt)
+	return buildCluster(opt, (*resolvedOptions).newLocalEngine, &wireBuild{graph: g})
 }
 
 // NewClusterRMAT builds a resident cluster whose graph is generated in
 // parallel on the ranks themselves (as the paper does for its g500 inputs),
 // so no rank ever holds the full edge list.
 func NewClusterRMAT(params RMATParams, scale, edgeFactor int, seed uint64, opt Options) (*Cluster, error) {
-	in := dgraph.RMATInput{Params: params, Scale: scale, EdgeFactor: edgeFactor, Seed: seed}
-	return newCluster(in, opt)
+	rm := &wireRMAT{Params: params, Scale: scale, EdgeFactor: edgeFactor, Seed: seed}
+	return buildCluster(opt, (*resolvedOptions).newLocalEngine, &wireBuild{RMAT: rm})
 }
 
-func newCluster(in dgraph.Input, opt Options) (*Cluster, error) {
+// resolvedOptions is Options validated once, with every default filled in —
+// the one place the cluster constructors read policy knobs from.
+type resolvedOptions struct {
+	Options
+	frac, snapFrac, incFrac float64
+	metrics                 *clusterMetrics
+}
+
+func (o Options) resolve() (*resolvedOptions, error) {
+	res := &resolvedOptions{Options: o}
+	var err error
+	if res.frac, err = fraction("RebuildFraction", o.RebuildFraction, 0.25,
+		"DisableAutoRebuild to turn staleness rebuilds off"); err != nil {
+		return nil, err
+	}
+	if res.snapFrac, err = fraction("SnapshotFraction", o.SnapshotFraction, 0.5,
+		"DisableAutoSnapshot to snapshot only explicitly"); err != nil {
+		return nil, err
+	}
+	if res.incFrac, err = fraction("IncrementalRebuildFraction", o.IncrementalRebuildFraction, 0.1,
+		"DisableIncrementalRebuild to always run the full pipeline"); err != nil {
+		return nil, err
+	}
+	if o.DisableIncrementalRebuild {
+		res.incFrac = 0
+	}
+	if o.MaxVertices < 0 {
+		return nil, fmt.Errorf("tc2d: MaxVertices=%d must be non-negative", o.MaxVertices)
+	}
+	if _, err = o.kernelThreads(); err != nil {
+		return nil, err
+	}
+	// Resident clusters are always observable: without a caller-provided
+	// registry they get a private one, which the world (epoch/per-rank
+	// series) and the rank store (kernel pools) publish into too.
+	if res.Metrics == nil {
+		res.Metrics = obs.NewRegistry()
+	}
+	res.metrics = newClusterMetrics(res.Metrics)
+	return res, nil
+}
+
+// engine runs epoch ops on a cluster's ranks. run executes the named entry of
+// the op table on every rank and returns the replies indexed by rank (nil
+// where a rank stayed silent).
+type engine interface {
+	run(op string, args any) ([]*opReply, error)
+	close() error
+}
+
+// localEngine hosts every rank as a goroutine of one in-process world; an op
+// receives its typed args by pointer, nothing is serialized.
+type localEngine struct {
+	world *mpi.World
+	store *rankStore
+}
+
+func (res *resolvedOptions) newLocalEngine(p int) (engine, error) {
+	world, err := res.newWorld(p)
+	if err != nil {
+		return nil, err
+	}
+	return &localEngine{world: world, store: newRankStore(res.Metrics)}, nil
+}
+
+func (e *localEngine) run(name string, args any) ([]*opReply, error) {
+	op := ops[name]
+	epoch := e.world.Run
+	if op.read {
+		epoch = e.world.RunRead
+	}
+	results, err := epoch(func(c *mpi.Comm) (any, error) { return op.run(c, e.store, args) })
+	if err != nil {
+		return nil, err
+	}
+	replies := make([]*opReply, len(results))
+	for r, v := range results {
+		replies[r], _ = v.(*opReply)
+	}
+	return replies, nil
+}
+
+func (e *localEngine) close() error { return e.world.Close() }
+
+// newClusterOn is the one place a Cluster value is made: an idle shell over
+// eng, holding no resident state yet. The caller builds or restores through
+// cl.run, fills the counters that come out of that, and calls start.
+func newClusterOn(eng engine, res *resolvedOptions, ranks int, enum Enumeration) *Cluster {
+	cl := &Cluster{
+		eng:                 eng,
+		enum:                enum,
+		ranks:               ranks,
+		transport:           res.Transport,
+		sched:               newScheduler(),
+		rebuildFraction:     res.frac,
+		incrementalFraction: res.incFrac,
+		autoRebuild:         !res.DisableAutoRebuild,
+		maxVertices:         res.MaxVertices,
+		kernelThreads:       res.KernelThreads,
+		noAdaptive:          res.NoAdaptiveIntersect,
+		metrics:             res.metrics,
+	}
+	cl.lastTri.Store(-1)
+	if rb, ok := eng.(*remoteBackend); ok {
+		cl.remote, cl.logf = rb, rb.logf
+	}
+	return cl
+}
+
+// start publishes the cluster: graph gauges current, writer goroutine up,
+// and — on a coordinator — worker recovery able to find it. Until here a
+// lost worker fails the constructor instead.
+func (cl *Cluster) start() *Cluster {
+	cl.syncGraphMetrics()
+	go cl.writeLoop()
+	if rb := cl.remote; rb != nil {
+		rb.cl.Store(cl)
+	}
+	return cl
+}
+
+// buildCluster is the constructor behind NewCluster* and
+// NewClusterCoordinator*: stand the engine up, run the build op, and — for
+// durable clusters — publish the initial snapshot.
+func buildCluster(opt Options, newEngine func(res *resolvedOptions, p int) (engine, error), build *wireBuild) (*Cluster, error) {
 	p, err := opt.ranks()
 	if err != nil {
 		return nil, err
 	}
-	frac, err := opt.rebuildFraction()
+	res, err := opt.resolve()
 	if err != nil {
 		return nil, err
 	}
-	snapFrac, err := opt.snapshotFraction()
+	eng, err := newEngine(res, p)
 	if err != nil {
 		return nil, err
 	}
-	incFrac, err := opt.incrementalRebuildFraction()
-	if err != nil {
+	cl := newClusterOn(eng, res, p, opt.Enumeration)
+	build.SUMMA = opt.useSUMMA(p)
+	build.Kernel = wireKernelOf(opt.coreOptions())
+	build.KThreads, build.NoAdaptive = opt.KernelThreads, opt.NoAdaptiveIntersect
+	build.Track = opt.PersistDir != ""
+	if _, err := cl.run(opBuild, build); err != nil {
+		eng.close()
 		return nil, err
 	}
-	if opt.DisableIncrementalRebuild {
-		incFrac = 0
-	}
-	if opt.MaxVertices < 0 {
-		return nil, fmt.Errorf("tc2d: MaxVertices=%d must be non-negative", opt.MaxVertices)
-	}
-	kthreads, err := opt.kernelThreads()
-	if err != nil {
-		return nil, err
-	}
-	// Resident clusters are always observable: without a caller-provided
-	// registry they get a private one. Setting opt.Metrics here threads the
-	// registry into the world (epoch/per-rank series) and, via coreOptions,
-	// into the preparation pipeline's kernel pools.
-	if opt.Metrics == nil {
-		opt.Metrics = obs.NewRegistry()
-	}
-	world, err := opt.newWorld(p)
-	if err != nil {
-		return nil, err
-	}
-	summa := opt.useSUMMA(p)
-	copt := opt.coreOptions()
-	prep := make([]*core.Prepared, p)
-	_, err = world.Run(func(c *mpi.Comm) (any, error) {
-		d, err := in.Build(c)
-		if err != nil {
-			return nil, err
-		}
-		var pr *core.Prepared
-		if summa {
-			pr, err = core.PrepareSUMMA(c, d, copt)
-		} else {
-			pr, err = core.Prepare(c, d, copt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		pr.SetKernelConfig(kthreads, opt.NoAdaptiveIntersect)
-		prep[c.Rank()] = pr
-		return nil, nil
-	})
-	if err != nil {
-		world.Close()
-		return nil, err
-	}
-	cl := &Cluster{
-		world:               world,
-		prep:                prep,
-		enum:                opt.Enumeration,
-		ranks:               p,
-		transport:           opt.Transport,
-		sched:               newScheduler(),
-		rebuildFraction:     frac,
-		incrementalFraction: incFrac,
-		autoRebuild:         !opt.DisableAutoRebuild,
-		maxVertices:         opt.MaxVertices,
-		baseM:               prep[0].M(),
-		fullPreOps:          prep[0].PreOps(),
-		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
-		metrics:             newClusterMetrics(opt.Metrics),
-	}
-	cl.lastTri.Store(-1)
-	cl.syncGraphMetrics()
+	meta := cl.metaNow()
+	cl.baseM, cl.fullPreOps = meta.M, meta.PreOps
 	if opt.PersistDir != "" {
-		if err := cl.initPersist(opt, snapFrac); err != nil {
-			world.Close()
+		if err := cl.initPersist(res); err != nil {
+			eng.close()
 			return nil, err
 		}
 	}
-	go cl.writeLoop()
-	return cl, nil
+	return cl.start(), nil
+}
+
+// run executes one entry of the op table on every rank, wherever the ranks
+// live, and refreshes the metadata cache from rank 0's reply. Every epoch the
+// cluster runs goes through here. The caller holds sched.gate — exclusively
+// unless the op is a read op — or has not published the cluster yet.
+func (cl *Cluster) run(op string, args any) ([]*opReply, error) {
+	replies, err := cl.eng.run(op, args)
+	if err != nil {
+		return nil, err
+	}
+	if rep := replies[0]; rep != nil && rep.Meta != nil {
+		cl.metaMu.Lock()
+		cl.meta = *rep.Meta
+		cl.metaMu.Unlock()
+	}
+	return replies, nil
+}
+
+// run0 is run for ops whose answer is rank 0's reply.
+func (cl *Cluster) run0(op string, args any) (*opReply, error) {
+	replies, err := cl.run(op, args)
+	if err != nil {
+		return nil, err
+	}
+	if replies[0] == nil {
+		return nil, fmt.Errorf("tc2d: %s epoch returned no reply", op)
+	}
+	return replies[0], nil
 }
 
 // Count answers one triangle counting query against the resident blocks. No
@@ -409,32 +509,20 @@ func (cl *Cluster) countShared(q QueryOptions) (*Result, error) {
 	return resultCopy(f.res), f.err
 }
 
-// countEpoch runs one counting epoch as a read epoch on the world. The
-// caller holds sched.gate. A non-nil parent span collects one per-rank
-// child span tree (see core.CountPrepared); kernel counters always land in
-// the cluster registry.
+// countEpoch runs one counting epoch as a read epoch. The caller holds
+// sched.gate. A non-nil parent span collects one per-rank child span tree
+// (see core.CountPrepared) when the ranks are in-process; kernel counters
+// always land in the registry of the process hosting the rank.
 func (cl *Cluster) countEpoch(q QueryOptions, parent *obs.Span) (*Result, error) {
-	copt := cl.queryCoreOptions(q)
-	var res *core.Result
-	if cl.remote != nil {
-		// Worker processes run the epoch; per-rank traces and kernel
-		// counters stay in the workers' own registries.
-		var err error
-		res, err = cl.remote.count(copt)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		copt.Metrics = cl.metrics.registry()
-		copt.Trace = parent
-		prep := cl.prep
-		results, err := cl.world.RunRead(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, prep[c.Rank()], copt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		res = results[0].(*core.Result)
+	k := wireKernelOf(cl.queryCoreOptions(q))
+	k.trace = parent
+	rep, err := cl.run0(opCount, &k)
+	if err != nil {
+		return nil, err
+	}
+	res := rep.Count
+	if res == nil {
+		return nil, fmt.Errorf("tc2d: count epoch returned no result")
 	}
 	cl.lastTri.Store(res.Triangles)
 	cl.mapTasks.Add(res.MapTasks)
@@ -442,16 +530,13 @@ func (cl *Cluster) countEpoch(q QueryOptions, parent *obs.Span) (*Result, error)
 	return res, nil
 }
 
-// metaNow reads the cluster's graph metadata: rank 0's resident state
-// in-process, the piggybacked cache of the newest epoch reply on
-// coordinator clusters. Every metadata consumer (Info, staleness checks,
-// coalescing, metrics) goes through this seam so it cannot care where the
-// ranks live.
+// metaNow reads the cluster's graph metadata from the cache run maintains.
+// Every metadata consumer (Info, staleness checks, coalescing, metrics) goes
+// through this seam so it cannot care where the ranks live.
 func (cl *Cluster) metaNow() wireMeta {
-	if cl.remote != nil {
-		return cl.remote.metaNow()
-	}
-	return metaOf(cl.prep[0])
+	cl.metaMu.Lock()
+	defer cl.metaMu.Unlock()
+	return cl.meta
 }
 
 // resultCopy gives each caller of a shared flight its own Result value,
@@ -545,11 +630,7 @@ func (cl *Cluster) Close() error {
 		<-s.drainedCh
 		s.gate.Lock()
 		cl.closed.Store(true)
-		if cl.remote != nil {
-			cl.closeErr = cl.remote.close()
-		} else {
-			cl.closeErr = cl.world.Close()
-		}
+		cl.closeErr = cl.eng.close()
 		cl.closePersist()
 		s.gate.Unlock()
 	})

@@ -39,9 +39,17 @@ func TestClusterReuseSkipsPreprocessing(t *testing.T) {
 
 	// The resident per-rank state is built exactly once; queries must not
 	// replace it.
-	stateBefore := make([]any, len(cl.prep))
-	for i, p := range cl.prep {
-		stateBefore[i] = p
+	eng := cl.eng.(*localEngine)
+	resident := func(rank int) any {
+		pr, err := eng.store.get(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	stateBefore := make([]any, cl.ranks)
+	for i := range stateBefore {
+		stateBefore[i] = resident(i)
 	}
 
 	var results []*Result
@@ -66,8 +74,8 @@ func TestClusterReuseSkipsPreprocessing(t *testing.T) {
 			t.Errorf("query %d: TotalTime=%v != CountTime=%v", q, res.TotalTime, res.CountTime)
 		}
 	}
-	for i, p := range cl.prep {
-		if stateBefore[i] != any(p) {
+	for i := range stateBefore {
+		if stateBefore[i] != resident(i) {
 			t.Errorf("rank %d: prepared state was rebuilt between queries", i)
 		}
 	}
@@ -83,7 +91,7 @@ func TestClusterReuseSkipsPreprocessing(t *testing.T) {
 		t.Errorf("Info N=%d M=%d, one-shot N=%d M=%d", info.N, info.M, oneShot.N, oneShot.M)
 	}
 	// Prepare + 3 queries = 4 epochs on the resident world.
-	if e := cl.world.Epochs(); e != 4 {
+	if e := eng.world.Epochs(); e != 4 {
 		t.Errorf("world ran %d epochs, want 4 (1 prepare + 3 queries)", e)
 	}
 }

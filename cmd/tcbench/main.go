@@ -41,8 +41,7 @@
 // process — peak heap, allocation volume, GC cycles/pauses, and (for the
 // concurrent and maintenance scenarios' resident clusters) the
 // metric-registry delta — into the JSON document's runtime section.
-// Modeled parallel times come from the runtime's LogGP-style virtual clocks;
-// see DESIGN.md for the calibration discussion.
+// Modeled parallel times come from the runtime's LogGP-style virtual clocks.
 package main
 
 import (

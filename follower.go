@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"tc2d/internal/delta"
-	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 	"tc2d/internal/repl"
 	"tc2d/internal/snapshot"
@@ -168,23 +167,9 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 	if opt.PersistDir != "" {
 		return nil, fmt.Errorf("tc2d: followers do not persist locally — unset PersistDir (the primary's chain is the durable state)")
 	}
-	frac, err := opt.rebuildFraction()
+	res, err := opt.resolve()
 	if err != nil {
 		return nil, err
-	}
-	incFrac, err := opt.incrementalRebuildFraction()
-	if err != nil {
-		return nil, err
-	}
-	if opt.DisableIncrementalRebuild {
-		incFrac = 0
-	}
-	kthreads, err := opt.kernelThreads()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Metrics == nil {
-		opt.Metrics = obs.NewRegistry()
 	}
 
 	client := repl.NewClient(primaryURL)
@@ -206,40 +191,20 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 		cancel()
 		return nil, fmt.Errorf("tc2d: primary enumerates %v, Options ask for %v", Enumeration(m.Enum), opt.Enumeration)
 	}
-	world, err := opt.newWorld(m.Ranks)
+	eng, err := res.newLocalEngine(m.Ranks)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	prep, err := decodeChain(world, chain, blobs.fetch, kthreads, opt.NoAdaptiveIntersect, false)
-	if err != nil {
-		world.Close()
+	cl := newClusterOn(eng, res, m.Ranks, Enumeration(m.Enum))
+	cl.readOnly = true
+	if err := cl.adoptChain(chain, blobs); err != nil {
+		eng.close()
 		cancel()
 		return nil, fmt.Errorf("tc2d: follower bootstrap from %s: %w", primaryURL, err)
 	}
-
-	cl := &Cluster{
-		world:               world,
-		prep:                prep,
-		enum:                Enumeration(m.Enum),
-		ranks:               m.Ranks,
-		transport:           opt.Transport,
-		sched:               newScheduler(),
-		rebuildFraction:     frac,
-		incrementalFraction: incFrac,
-		autoRebuild:         !opt.DisableAutoRebuild,
-		maxVertices:         opt.MaxVertices,
-		baseM:               m.BaseM,
-		appliedEdges:        m.AppliedEdges,
-		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
-		readOnly:            true,
-		metrics:             newClusterMetrics(opt.Metrics),
-	}
-	cl.lastTri.Store(m.Triangles)
 	cl.metrics.setRole("follower")
-	cl.syncGraphMetrics()
-	go cl.writeLoop()
+	cl.start()
 
 	f.cl = cl
 	f.appliedSeq.Store(m.AppliedSeq)
@@ -262,6 +227,21 @@ func (b chainBlobs) fetch(m *snapshot.Manifest, rank int) ([]byte, error) {
 	return blobs[rank], nil
 }
 
+// adoptChain installs a prefetched chain as the follower cluster's resident
+// state — through the same restore op OpenCluster uses, so no preprocessing
+// re-runs — and takes over the terminal manifest's cluster-level totals. A
+// failed restore leaves the previous state serving. Followers write no
+// snapshots, hence no dirty tracking.
+func (cl *Cluster) adoptChain(chain []*snapshot.Manifest, blobs chainBlobs) error {
+	if err := cl.restoreChain(chain, blobs.fetch, false); err != nil {
+		return err
+	}
+	m := chain[len(chain)-1]
+	cl.lastTri.Store(m.Triangles)
+	cl.baseM, cl.appliedEdges = m.BaseM, m.AppliedEdges
+	return nil
+}
+
 // fetchChain resolves the primary's newest snapshot chain and prefetches
 // every rank blob into memory. Nothing of the local state is touched: a
 // fetch failure (or a chain pruned mid-walk) leaves the follower serving
@@ -278,21 +258,9 @@ func (f *Follower) fetchChain(ctx context.Context) ([]*snapshot.Manifest, chainB
 	if err != nil {
 		return nil, nil, err
 	}
-	chain := []*snapshot.Manifest{term}
-	for chain[0].IsDelta() {
-		if len(chain) > snapshotChainLimit+1 {
-			return nil, nil, fmt.Errorf("snapshot %d has a delta chain longer than %d: %w",
-				term.AppliedSeq, snapshotChainLimit, ErrSnapshotCorrupt)
-		}
-		parent, err := f.client.Manifest(ctx, chain[0].ParentSeq)
-		if err != nil {
-			return nil, nil, err
-		}
-		if parent.Ranks != term.Ranks || parent.SUMMA != term.SUMMA || parent.Enum != term.Enum {
-			return nil, nil, fmt.Errorf("snapshot %d and its parent %d disagree on the world shape: %w",
-				chain[0].AppliedSeq, parent.AppliedSeq, ErrSnapshotCorrupt)
-		}
-		chain = append([]*snapshot.Manifest{parent}, chain...)
+	chain, err := loadChain(term, func(seq uint64) (*snapshot.Manifest, error) { return f.client.Manifest(ctx, seq) })
+	if err != nil {
+		return nil, nil, err
 	}
 	blobs := make(chainBlobs, len(chain))
 	for _, m := range chain {
@@ -423,16 +391,11 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 		}
 	}
 	for i, batch := range batches {
-		prep := cl.prep
-		results, err := cl.world.Run(func(c *mpi.Comm) (any, error) {
-			return delta.Apply(c, prep[c.Rank()], batch)
-		})
+		res, err := cl.applyEpoch(batch)
 		if err != nil {
 			return fmt.Errorf("replicated apply of batch %d: %w", frame.Records[i].Seq, err)
 		}
-		res := results[0].(*delta.Result)
-		cl.lastTri.Add(res.DeltaTriangles)
-		cl.appliedEdges += int64(res.Inserted + res.Deleted)
+		cl.commitApply(res)
 		cl.updates.Add(1)
 		cl.sched.writeEpochs.Add(1)
 		f.appliedSeq.Store(frame.Records[i].Seq)
@@ -448,11 +411,7 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 	// one rebuild per frame, under the gate we already hold. A rebuild
 	// failure is not fatal to replication (counts stay exact on the stale
 	// layout); it surfaces through LastError.
-	stale := float64(cl.appliedEdges) > cl.rebuildFraction*float64(cl.baseM)
-	if sp := cl.prep[0].Space(); float64(sp.OverflowN()) > cl.rebuildFraction*float64(sp.BaseN) {
-		stale = true
-	}
-	if cl.autoRebuild && stale {
+	if cl.autoRebuild && cl.stale() {
 		if err := cl.rebuildLocked(); err != nil {
 			f.lastErr.Store(fmt.Sprintf("staleness rebuild: %v", err))
 		}
@@ -485,17 +444,12 @@ func (f *Follower) rebootstrap() error {
 		return fmt.Errorf("primary changed world shape (now %d ranks, %v): follower must be restarted",
 			m.Ranks, Enumeration(m.Enum))
 	}
-	if _, _, summa := cl.prep[0].GridShape(); summa != m.SUMMA {
+	if cl.metaNow().SUMMA != m.SUMMA {
 		return fmt.Errorf("primary changed grid schedule: follower must be restarted")
 	}
-	prep, err := decodeChain(cl.world, chain, blobs.fetch, cl.kernelThreads, cl.noAdaptive, false)
-	if err != nil {
+	if err := cl.adoptChain(chain, blobs); err != nil {
 		return err
 	}
-	cl.prep = prep
-	cl.lastTri.Store(m.Triangles)
-	cl.baseM = m.BaseM
-	cl.appliedEdges = m.AppliedEdges
 	cl.syncGraphMetrics()
 	f.appliedSeq.Store(m.AppliedSeq)
 	if f.primarySeq.Load() < m.AppliedSeq {

@@ -1,6 +1,6 @@
 // Package harness contains the experiment drivers that regenerate every
 // table and figure of the paper's evaluation section at a scale this host
-// can hold (the DESIGN.md substitution table documents the mapping):
+// can hold:
 //
 //	Table 1  — dataset inventory                     (Table1)
 //	Table 2  — ppt/tct/overall scaling, 16–169 ranks (Table2)

@@ -254,12 +254,12 @@ func (g *Gauge) Value() float64 {
 // Histogram counts observations into fixed buckets (cumulative exposition,
 // like Prometheus: bucket i counts observations ≤ bound i, with an implicit
 // +Inf bucket). Observation is lock-free: one atomic add on the owning
-// bucket, one on the count, one CAS loop on the sum. All methods are
-// nil-safe.
+// bucket, one CAS loop on the sum. The total count is the sum of the buckets
+// — never a separate atomic — so a reader racing Observe always sees _count
+// equal to the +Inf bucket. All methods are nil-safe.
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // per-bucket (non-cumulative) counts; last = +Inf
-	count   atomic.Int64
 	sumBits atomic.Uint64
 }
 
@@ -301,7 +301,6 @@ func (h *Histogram) Observe(v float64) {
 	// Binary search for the first bound ≥ v.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -315,7 +314,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -405,7 +408,7 @@ func (r *Registry) Expose(w io.Writer) (series int, err error) {
 				cum += s.counts[len(s.bounds)].Load()
 				writeSeries(&b, f.name+"_bucket", key, `le="+Inf"`, float64(cum))
 				writeSeries(&b, f.name+"_sum", key, "", s.Sum())
-				writeSeries(&b, f.name+"_count", key, "", float64(s.count.Load()))
+				writeSeries(&b, f.name+"_count", key, "", float64(cum))
 				series += 3
 			}
 		}

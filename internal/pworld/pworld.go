@@ -198,6 +198,10 @@ type Coordinator struct {
 	free    []span
 	nextID  int
 	gen     int
+	// unbuilt is set by every membership change (join, loss) and cleared by
+	// the mesh start that covers it, so one assembly starts one build no
+	// matter how many joins complete it at once.
+	unbuilt bool
 	ready   bool
 	epoch   int
 	calls   map[int]*call
@@ -375,6 +379,11 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 		return
 	}
 	m := &member{conn: conn, enc: gob.NewEncoder(conn), addr: join.MeshAddr}
+	// The welcome must be the first message the worker reads, yet from the
+	// moment the member is published a concurrent joiner that completes the
+	// world may send it a mesh start: hold the member's send lock from before
+	// publication until the welcome is written.
+	m.encMu.Lock()
 	reject := ""
 	c.mu.Lock()
 	switch {
@@ -394,16 +403,18 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 			m.ranks = ranks
 			m.pong()
 			c.members[m.id] = m
+			c.unbuilt = true
 			c.joins++
 		}
 	}
 	c.mu.Unlock()
+	err := m.enc.Encode(&wireMsg{Kind: "welcome", WorkerID: m.id, World: c.cfg.World, Reject: reject})
+	m.encMu.Unlock()
 	if reject != "" {
-		m.send(&wireMsg{Kind: "welcome", Reject: reject})
 		conn.Close()
 		return
 	}
-	if err := m.send(&wireMsg{Kind: "welcome", WorkerID: m.id, World: c.cfg.World}); err != nil {
+	if err != nil {
 		c.markLost(m, "welcome write: "+err.Error(), false)
 		return
 	}
@@ -431,13 +442,17 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 	}
 }
 
-// maybeStartMesh kicks off a mesh build when every rank is claimed.
+// maybeStartMesh kicks off a mesh build when every rank is claimed and the
+// membership changed since the last build was started. Every joining
+// worker's goroutine calls it; the decision is taken under c.mu, so exactly
+// one of several concurrent last joiners starts the generation.
 func (c *Coordinator) maybeStartMesh() {
 	c.mu.Lock()
-	if c.closed || len(c.free) != 0 {
+	if c.closed || len(c.free) != 0 || !c.unbuilt {
 		c.mu.Unlock()
 		return
 	}
+	c.unbuilt = false
 	c.gen++
 	gen := c.gen
 	peers := make([]PeerInfo, 0, len(c.members))
@@ -488,6 +503,7 @@ func (c *Coordinator) markLost(m *member, reason string, timeout bool) {
 	}
 	delete(c.members, m.id)
 	c.freeRanks(m.ranks)
+	c.unbuilt = true
 	wasReady := c.ready
 	c.ready = false
 	c.losses++

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,5 +254,55 @@ func TestJoinRejections(t *testing.T) {
 	waitReady(t, c, true)
 	if r := dialJoin(1, 1); r == "" {
 		t.Fatal("join into full world not rejected")
+	}
+}
+
+// TestConcurrentJoinsStartOneBuild releases all of a world's workers from a
+// barrier, so their join handshakes complete together, and checks that the
+// assembly started exactly one mesh generation, built once by every worker,
+// and that the world it built runs an epoch: two last joiners must not each
+// start a generation, and one joiner's start must not reach another before
+// that one's welcome.
+func TestConcurrentJoinsStartOneBuild(t *testing.T) {
+	const workers = 4
+	for round := 0; round < 200; round++ {
+		c := startCoordinator(t, workers, nil)
+		var builds atomic.Int64
+		ctx, cancel := context.WithCancel(context.Background())
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-release
+				RunWorker(ctx, WorkerConfig{
+					Coordinator: c.ln.Addr().String(),
+					Format:      1,
+					MPI:         mpi.Config{Model: mpi.ZeroCostModel()},
+					Dispatch:    sumDispatch,
+					OnReady:     func([]int) { builds.Add(1) },
+				})
+			}()
+		}
+		close(release)
+		waitReady(t, c, true)
+		got, err := c.Run(false, "sum", nil, nil)
+		if err != nil {
+			t.Fatalf("round %d: first epoch on the assembled world: %v", round, err)
+		}
+		if v := int64(binary.LittleEndian.Uint64(got[0])); v != 0+1+2+3 {
+			t.Fatalf("round %d: sum %d, want 6", round, v)
+		}
+		c.mu.Lock()
+		gen := c.gen
+		c.mu.Unlock()
+		if gen != 1 || builds.Load() != workers {
+			t.Fatalf("round %d: %d mesh generations started and %d worker builds for one assembly of %d workers, want 1 and %d",
+				round, gen, builds.Load(), workers, workers)
+		}
+		cancel()
+		wg.Wait()
+		c.Close()
 	}
 }

@@ -30,9 +30,7 @@ import (
 	"sync"
 	"time"
 
-	"tc2d/internal/core"
 	"tc2d/internal/delta"
-	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 	"tc2d/internal/snapshot"
 )
@@ -210,48 +208,56 @@ func decodeBatch(b []byte) ([]delta.Update, error) {
 // instead — silently overwriting another cluster's snapshots would be data
 // loss), the WAL opens at sequence 0, and the initial snapshot of the
 // just-prepared state is published so a restart never re-runs the pipeline.
-func (cl *Cluster) initPersist(opt Options, snapFrac float64) error {
-	seqs, err := snapshot.List(opt.PersistDir)
+func (cl *Cluster) initPersist(res *resolvedOptions) error {
+	dir := res.PersistDir
+	seqs, err := snapshot.List(dir)
 	if err != nil {
 		return err
 	}
 	if len(seqs) > 0 {
-		return fmt.Errorf("tc2d: PersistDir %s already holds cluster state; use OpenCluster to restore it", opt.PersistDir)
+		return fmt.Errorf("tc2d: PersistDir %s already holds cluster state; use OpenCluster to restore it", dir)
 	}
 	// No published snapshot: anything else in the directory (a WAL segment,
 	// a snapshot temp dir) is the artifact of a first boot that crashed
 	// before its initial snapshot landed — there is nothing to restore from
 	// it, so clear it and build fresh rather than brick the directory.
-	if err := snapshot.RemoveBootArtifacts(opt.PersistDir); err != nil {
+	if err := snapshot.RemoveBootArtifacts(dir); err != nil {
 		return err
 	}
-	wal, err := snapshot.CreateWAL(opt.PersistDir, 0, 0, !opt.NoWALSync)
+	// The build op enabled per-row/label dirty tracking (wireBuild.Track), so
+	// every snapshot after this initial base can be a churn-proportional
+	// delta.
+	p, err := cl.newPersister(res, dir, 0, 0)
 	if err != nil {
 		return err
 	}
-	wal.SetObserver(cl.metrics.walObserver())
-	// Track per-row/label dirtiness from the start, so every snapshot after
-	// the initial base can be a churn-proportional delta. Coordinator
-	// clusters enabled tracking worker-side in the build epoch instead.
-	if cl.remote == nil {
-		for _, pr := range cl.prep {
-			pr.EnableSnapshotTracking()
-		}
-	}
-	cl.persist = &persister{
-		dir:       opt.PersistDir,
-		snapFrac:  snapFrac,
-		autoSnap:  !opt.DisableAutoSnapshot,
-		deltaSnap: !opt.DisableDeltaSnapshot,
-		wal:       wal,
-		seqWait:   make(chan struct{}),
-	}
+	cl.persist = p
 	if _, err := cl.snapshotShared(); err != nil {
-		wal.Close()
+		p.wal.Close()
 		cl.persist = nil
 		return fmt.Errorf("tc2d: initial snapshot: %w", err)
 	}
 	return nil
+}
+
+// newPersister opens the write-ahead log under dir for appending after
+// lastSeq and returns the durability state of a cluster with no snapshot
+// yet; openCluster advances the counters to what it restored.
+func (cl *Cluster) newPersister(res *resolvedOptions, dir string, base, lastSeq uint64) (*persister, error) {
+	wal, err := snapshot.CreateWAL(dir, base, lastSeq, !res.NoWALSync)
+	if err != nil {
+		return nil, err
+	}
+	wal.SetObserver(cl.metrics.walObserver())
+	return &persister{
+		dir:       dir,
+		snapFrac:  res.snapFrac,
+		autoSnap:  !res.DisableAutoSnapshot,
+		deltaSnap: !res.DisableDeltaSnapshot,
+		wal:       wal,
+		seqWait:   make(chan struct{}),
+		seq:       lastSeq,
+	}, nil
 }
 
 // logCommitted appends one committed super-batch to the WAL. Called on the
@@ -453,45 +459,30 @@ func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error)
 	if err != nil {
 		return nil, err
 	}
+	// Every rank encodes its blob inside one read epoch; the files are
+	// written here, concurrently, to this process's disk — on a coordinator
+	// that is what keeps the durable state with the coordinator and makes
+	// worker recovery and replacement possible.
 	encodeSpan := parent.StartChild("encode_write")
 	var bytes int64
-	if cl.remote != nil {
-		// The workers encode their blobs inside one read epoch; the
-		// coordinator writes them to its own disk (the durable state lives
-		// with the coordinator, which is what makes worker recovery and
-		// replacement possible).
-		blobs, rerr := cl.remote.encodeSnap(useDelta)
-		if rerr == nil {
-			for r := 0; r < cl.ranks; r++ {
-				if rerr = w.WriteRank(r, blobs[r]); rerr != nil {
-					break
-				}
-				bytes += int64(len(blobs[r]))
+	replies, err := cl.run(opEncodeSnap, &wireSnap{Delta: useDelta})
+	if err == nil {
+		errs := make([]error, len(replies))
+		var wg sync.WaitGroup
+		for r, rep := range replies {
+			if rep == nil {
+				errs[r] = fmt.Errorf("tc2d: snapshot epoch: rank %d returned no blob", r)
+				continue
 			}
+			bytes += int64(len(rep.Blob))
+			wg.Add(1)
+			go func(r int, blob []byte) {
+				defer wg.Done()
+				errs[r] = w.WriteRank(r, blob)
+			}(r, rep.Blob)
 		}
-		err = rerr
-	} else {
-		prep := cl.prep
-		results, rerr := cl.world.RunRead(func(c *mpi.Comm) (any, error) {
-			var blob []byte
-			c.Compute(func() {
-				if useDelta {
-					blob = core.EncodePreparedDelta(prep[c.Rank()])
-				} else {
-					blob = core.EncodePrepared(prep[c.Rank()])
-				}
-			})
-			if err := w.WriteRank(c.Rank(), blob); err != nil {
-				return nil, err
-			}
-			return int64(len(blob)), nil
-		})
-		if rerr == nil {
-			for _, r := range results {
-				bytes += r.(int64)
-			}
-		}
-		err = rerr
+		wg.Wait()
+		err = errors.Join(errs...)
 	}
 	encodeSpan.End()
 	if err != nil {
@@ -526,20 +517,11 @@ func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error)
 		return nil, err
 	}
 	commitSpan.End()
-	// The snapshot is durable: the dirty row/label sets it consumed reset,
-	// so the NEXT delta carries only churn from here on. Safe without the
-	// epoch in-process: the caller's gate excludes writers, and readers
-	// never touch the tracking maps. Worker-resident state needs an epoch
-	// to reach; a failure there is not fatal (the next delta merely carries
-	// stale dirtiness, i.e. is larger than necessary).
-	if cl.remote != nil {
-		if rerr := cl.remote.snapDone(); rerr != nil && cl.remote.logf != nil {
-			cl.remote.log("tc2d: snapshot dirty-reset epoch failed (next delta will over-approximate): %v", rerr)
-		}
-	} else {
-		for _, pr := range cl.prep {
-			pr.ResetSnapshotDirty()
-		}
+	// The snapshot is durable: the dirty row/label sets it consumed reset. A
+	// failure there is not fatal — the next delta merely carries stale
+	// dirtiness, i.e. is larger than necessary.
+	if _, rerr := cl.run(opSnapDone, nil); rerr != nil && cl.logf != nil {
+		cl.logf("tc2d: snapshot dirty-reset epoch failed (next delta will over-approximate): %v", rerr)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -665,82 +647,191 @@ func (cl *Cluster) closePersist() {
 // opt.PersistDir is ignored: dir is the persistence directory, and the
 // reopened cluster continues appending to its WAL.
 func OpenCluster(dir string, opt Options) (*Cluster, error) {
-	frac, err := opt.rebuildFraction()
+	return openCluster(dir, opt, (*resolvedOptions).newLocalEngine)
+}
+
+// openCluster is the constructor behind OpenCluster and
+// OpenClusterCoordinator: the newest loadable manifest names the world shape
+// the engine is stood up for, the newest snapshot chain that validates is
+// installed through the restore op, and the WAL tail replays through the
+// apply op.
+func openCluster(dir string, opt Options, newEngine func(res *resolvedOptions, p int) (engine, error)) (*Cluster, error) {
+	res, err := opt.resolve()
 	if err != nil {
 		return nil, err
 	}
-	snapFrac, err := opt.snapshotFraction()
+	shape, err := snapshot.LoadNewest(dir)
 	if err != nil {
 		return nil, err
 	}
-	incFrac, err := opt.incrementalRebuildFraction()
-	if err != nil {
-		return nil, err
-	}
-	if opt.DisableIncrementalRebuild {
-		incFrac = 0
-	}
-	if opt.MaxVertices < 0 {
-		return nil, fmt.Errorf("tc2d: MaxVertices=%d must be non-negative", opt.MaxVertices)
-	}
-	seqs, err := snapshot.List(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) == 0 {
+	if shape == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, dir)
 	}
+	if opt.Ranks != 0 && opt.Ranks != shape.Ranks {
+		return nil, fmt.Errorf("tc2d: snapshot was taken on %d ranks, Options.Ranks=%d", shape.Ranks, opt.Ranks)
+	}
+	if opt.Enumeration != 0 && int(opt.Enumeration) != shape.Enum {
+		return nil, fmt.Errorf("tc2d: snapshot was prepared for %v, Options ask for %v",
+			Enumeration(shape.Enum), opt.Enumeration)
+	}
+	eng, err := newEngine(res, shape.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	cl := newClusterOn(eng, res, shape.Ranks, Enumeration(shape.Enum))
+	if err := cl.restoreDir(res, dir); err != nil {
+		eng.close()
+		return nil, err
+	}
+	return cl.start(), nil
+}
 
-	// Newest valid snapshot: try manifests newest-first; a candidate whose
-	// manifest, delta chain or rank blobs fail validation falls through to
-	// the one before — and is deleted, so the retention policy never counts
-	// a known-corrupt snapshot toward its quota (keeping it could evict the
-	// valid fallback on the next Prune). Its data is unreadable by
-	// construction (failed checksums), so nothing recoverable is lost. A
-	// delta terminal restores through its whole chain (base blobs first,
-	// then each delta in order); a corrupt chain member fails the terminal,
-	// and the walk eventually reaches an intact prefix of the chain — or
-	// the base itself — whose longer WAL tail replays the difference.
-	var lastErr error
+// restoreDir brings an idle cluster to the durable state under dir and
+// resumes its WAL there.
+func (cl *Cluster) restoreDir(res *resolvedOptions, dir string) error {
+	m, chain, err := cl.restoreNewest(dir, true)
+	if err != nil {
+		return err
+	}
+	// The terminal manifest carries the cluster-level totals.
+	cl.lastTri.Store(m.Triangles)
+	cl.baseM, cl.appliedEdges = m.BaseM, m.AppliedEdges
+
+	// Layout refreshes (rebuilds) are deliberately NOT replayed — delta
+	// counting is exact on any layout — so restore performs zero
+	// preprocessing; the carried-over staleness counters let the next live
+	// write drain trigger a rebuild if one is due.
+	var replayed, walEdges int64
+	last, newestBase, haveSegments, err := cl.replayWAL(dir, m.AppliedSeq, func(res *delta.Result) {
+		walEdges += cl.commitApply(res)
+		replayed++
+	})
+	if err != nil {
+		return err
+	}
+	if !haveSegments {
+		newestBase = m.AppliedSeq
+	}
+	p, err := cl.newPersister(res, dir, newestBase, last)
+	if err != nil {
+		return err
+	}
+	cl.metrics.walReplayed.Add(float64(replayed))
+	restoredInfo := infoFromManifest(dir, m)
+	p.snapSeq, p.walEdges, p.replayed, p.lastInfo = m.AppliedSeq, walEdges, replayed, &restoredInfo
+	// Resume the compaction policy where the previous process left off: the
+	// chain's base, its current length, and the churn accumulated since the
+	// base — including what the WAL replay just re-applied.
+	p.baseSeq, p.haveBase = chain[0].AppliedSeq, true
+	p.chainLen, p.churnBase = len(chain)-1, m.ChurnSinceBase+walEdges
+	cl.persist = p
+	return nil
+}
+
+// restoreNewest installs the newest snapshot under dir that validates, trying
+// manifests newest-first: a candidate whose manifest, delta chain or rank
+// blobs fail validation falls through to the one before. A delta terminal
+// restores through its whole chain; a corrupt chain member fails the
+// terminal, and the walk eventually reaches an intact prefix of the chain —
+// or the base itself — whose longer WAL tail replays the difference. With
+// prune, a rejected candidate is deleted once a fallback remains, so the
+// retention policy never counts a known-corrupt snapshot toward its quota
+// (keeping it could evict the valid fallback on the next Prune; its data
+// fails its checksums, so nothing recoverable is lost), while a sole corrupt
+// snapshot is kept for post-mortem. Only damage walks on: a lost worker or a
+// degraded world is not a data problem and aborts the walk.
+func (cl *Cluster) restoreNewest(dir string, prune bool) (m *snapshot.Manifest, chain []*snapshot.Manifest, err error) {
+	seqs, err := snapshot.List(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(seqs) == 0 {
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoSnapshot, dir)
+	}
+	load := func(seq uint64) (*snapshot.Manifest, error) { return snapshot.Load(dir, seq) }
+	fetch := func(cm *snapshot.Manifest, rank int) ([]byte, error) { return snapshot.ReadRank(dir, cm, rank) }
 	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := snapshot.Load(dir, seqs[i])
-		if err == nil {
-			var chain []*snapshot.Manifest
-			chain, err = loadChain(dir, m)
-			if err == nil {
-				var cl *Cluster
-				cl, err = openFromChain(dir, chain, opt, frac, snapFrac, incFrac)
-				if err == nil {
-					return cl, nil
-				}
-				if !errors.Is(err, ErrSnapshotCorrupt) {
-					return nil, err
+		if m, err = load(seqs[i]); err == nil {
+			if chain, err = loadChain(m, load); err == nil {
+				if err = cl.restoreChain(chain, fetch, true); err == nil {
+					return m, chain, nil
 				}
 			}
 		}
-		lastErr = err
-		if i > 0 {
-			// Only once a fallback remains: a sole corrupt snapshot is
-			// kept for post-mortem rather than silently erased.
+		if !errors.Is(err, ErrSnapshotCorrupt) {
+			return nil, nil, err
+		}
+		if prune && i > 0 {
 			snapshot.Remove(dir, seqs[i])
 		}
 	}
-	return nil, lastErr
+	return nil, nil, err
+}
+
+// restoreChain installs one validated chain (base manifest first, deltas in
+// application order, the terminal last) through the restore op, one exclusive
+// epoch per member; nothing replaces the resident state until the terminal
+// installed on every rank. fetch returns the verified blob of one chain
+// member for one rank — disk for a restore, the primary's HTTP surface for a
+// follower bootstrap. track enables dirty-row tracking for clusters that
+// will write delta snapshots of their own (followers don't). Any failure
+// that is not a lost worker or a degraded world means the chain cannot be
+// trusted and surfaces as ErrSnapshotCorrupt, whichever process detected it.
+func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), track bool) error {
+	term := chain[len(chain)-1]
+	if term.Ranks != cl.ranks || Enumeration(term.Enum) != cl.enum {
+		return fmt.Errorf("tc2d: snapshot %d is of a %d-rank %v world, this cluster runs %d ranks, %v: %w",
+			term.AppliedSeq, term.Ranks, Enumeration(term.Enum), cl.ranks, cl.enum, ErrSnapshotCorrupt)
+	}
+	for i, m := range chain {
+		_, err := cl.run(opRestore, &wireRestore{
+			Delta: i > 0, Final: m == term,
+			Ranks: cl.ranks, Track: track, KThreads: cl.kernelThreads, NoAdaptive: cl.noAdaptive,
+			fetch: func(rank int) ([]byte, error) { return fetch(m, rank) },
+		})
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrWorkerLost), errors.Is(err, ErrDegraded), errors.Is(err, ErrSnapshotCorrupt):
+			return err
+		default:
+			return fmt.Errorf("%w: restoring snapshot %d: %v", ErrSnapshotCorrupt, m.AppliedSeq, err)
+		}
+	}
+	return nil
+}
+
+// replayWAL re-applies every WAL record after seq through the apply op,
+// handing each epoch's result to each. The records were committed once, so
+// the replay only fails on damage or on an engine that cannot run epochs.
+func (cl *Cluster) replayWAL(dir string, after uint64, each func(*delta.Result)) (last, newestBase uint64, haveSegments bool, err error) {
+	return snapshot.Replay(dir, after, func(seq uint64, payload []byte) error {
+		batch, err := decodeBatch(payload)
+		if err != nil {
+			return err
+		}
+		res, err := cl.applyEpoch(batch)
+		if err != nil {
+			return fmt.Errorf("tc2d: WAL replay of batch %d: %w", seq, err)
+		}
+		each(res)
+		return nil
+	})
 }
 
 // loadChain resolves the restore chain of a terminal manifest: the base
 // snapshot first, then every delta in application order, ending at the
-// terminal. A base terminal is a chain of one. A missing, unreadable or
-// inconsistent parent makes the whole terminal corrupt — the caller falls
-// back to an older snapshot.
-func loadChain(dir string, m *snapshot.Manifest) ([]*snapshot.Manifest, error) {
+// terminal. A base terminal is a chain of one. load reads one manifest —
+// from disk for a restore, from the primary for a follower bootstrap. A
+// missing, unreadable or inconsistent parent makes the whole terminal
+// corrupt — the caller falls back to an older snapshot.
+func loadChain(m *snapshot.Manifest, load func(seq uint64) (*snapshot.Manifest, error)) ([]*snapshot.Manifest, error) {
 	chain := []*snapshot.Manifest{m}
 	for chain[0].IsDelta() {
 		if len(chain) > snapshotChainLimit+1 {
 			return nil, fmt.Errorf("tc2d: snapshot %d has a delta chain longer than %d: %w",
 				m.AppliedSeq, snapshotChainLimit, ErrSnapshotCorrupt)
 		}
-		parent, err := snapshot.Load(dir, chain[0].ParentSeq)
+		parent, err := load(chain[0].ParentSeq)
 		if err != nil {
 			return nil, fmt.Errorf("tc2d: snapshot %d needs parent %d: %w",
 				chain[0].AppliedSeq, chain[0].ParentSeq, err)
@@ -752,171 +843,4 @@ func loadChain(dir string, m *snapshot.Manifest) ([]*snapshot.Manifest, error) {
 		chain = append([]*snapshot.Manifest{parent}, chain...)
 	}
 	return chain, nil
-}
-
-// decodeChain materializes one validated chain (base manifest first, deltas
-// in application order) into per-rank prepared state, inside one exclusive
-// epoch of world: every rank fetches and decodes its base blob and applies
-// each delta blob on top, in parallel. fetch returns the verified blob of
-// one chain member for one rank — disk for OpenCluster, the primary's HTTP
-// surface for a follower bootstrap. track enables dirty-row tracking for
-// clusters that will write delta snapshots of their own (followers don't).
-func decodeChain(world *mpi.World, chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), kthreads int, noAdaptive, track bool) ([]*core.Prepared, error) {
-	m := chain[len(chain)-1]
-	prep := make([]*core.Prepared, m.Ranks)
-	_, err := world.Run(func(c *mpi.Comm) (any, error) {
-		blob, err := fetch(chain[0], c.Rank())
-		if err != nil {
-			return nil, err
-		}
-		var pr *core.Prepared
-		var derr error
-		c.Compute(func() { pr, derr = core.DecodePrepared(blob, c.Rank(), m.Ranks) })
-		if derr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
-		}
-		for _, dm := range chain[1:] {
-			dblob, err := fetch(dm, c.Rank())
-			if err != nil {
-				return nil, err
-			}
-			var aerr error
-			c.Compute(func() { aerr = core.ApplyPreparedDelta(pr, dblob, c.Rank(), m.Ranks) })
-			if aerr != nil {
-				return nil, fmt.Errorf("%w: applying delta snapshot %d: %v", ErrSnapshotCorrupt, dm.AppliedSeq, aerr)
-			}
-		}
-		// Track dirtiness from the restored state on, so the next snapshot
-		// can continue the chain as a delta.
-		if track {
-			pr.EnableSnapshotTracking()
-		}
-		pr.SetKernelConfig(kthreads, noAdaptive)
-		prep[c.Rank()] = pr
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return prep, nil
-}
-
-// openFromChain restores from one validated chain (base manifest first,
-// deltas in application order, the terminal last): every rank decodes its
-// base blob and applies each delta blob on top in parallel, the WAL tail
-// beyond the terminal replays, and a serving cluster comes back.
-func openFromChain(dir string, chain []*snapshot.Manifest, opt Options, frac, snapFrac, incFrac float64) (*Cluster, error) {
-	m := chain[len(chain)-1] // the terminal carries the cluster-level totals
-	if opt.Ranks != 0 && opt.Ranks != m.Ranks {
-		return nil, fmt.Errorf("tc2d: snapshot was taken on %d ranks, Options.Ranks=%d", m.Ranks, opt.Ranks)
-	}
-	if opt.Enumeration != 0 && int(opt.Enumeration) != m.Enum {
-		return nil, fmt.Errorf("tc2d: snapshot was prepared for %v, Options ask for %v",
-			Enumeration(m.Enum), opt.Enumeration)
-	}
-	kthreads, err := opt.kernelThreads()
-	if err != nil {
-		return nil, err
-	}
-	// Restored clusters are observable like fresh ones: resolve the registry
-	// before the world is built so the runtime's series land in it too.
-	if opt.Metrics == nil {
-		opt.Metrics = obs.NewRegistry()
-	}
-	world, err := opt.newWorld(m.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := decodeChain(world, chain, func(cm *snapshot.Manifest, rank int) ([]byte, error) {
-		return snapshot.ReadRank(dir, cm, rank)
-	}, kthreads, opt.NoAdaptiveIntersect, true)
-	if err != nil {
-		world.Close()
-		return nil, err
-	}
-
-	cl := &Cluster{
-		world:               world,
-		prep:                prep,
-		enum:                Enumeration(m.Enum),
-		ranks:               m.Ranks,
-		transport:           opt.Transport,
-		sched:               newScheduler(),
-		rebuildFraction:     frac,
-		incrementalFraction: incFrac,
-		autoRebuild:         !opt.DisableAutoRebuild,
-		maxVertices:         opt.MaxVertices,
-		baseM:               m.BaseM,
-		appliedEdges:        m.AppliedEdges,
-		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
-		metrics:             newClusterMetrics(opt.Metrics),
-	}
-	cl.lastTri.Store(m.Triangles)
-
-	// Replay the WAL tail through the ordinary delta-apply path. Layout
-	// refreshes (rebuilds) are deliberately NOT replayed — delta counting
-	// is exact on any layout — so restore performs zero preprocessing; the
-	// carried-over staleness counters let the next live write drain trigger
-	// a rebuild if one is due.
-	var replayed, walEdges int64
-	last, newestBase, haveSegments, err := snapshot.Replay(dir, m.AppliedSeq, func(seq uint64, payload []byte) error {
-		batch, err := decodeBatch(payload)
-		if err != nil {
-			return err
-		}
-		results, err := world.Run(func(c *mpi.Comm) (any, error) {
-			return delta.Apply(c, prep[c.Rank()], batch)
-		})
-		if err != nil {
-			return fmt.Errorf("tc2d: WAL replay of batch %d: %w", seq, err)
-		}
-		res := results[0].(*delta.Result)
-		if cl.lastTri.Load() >= 0 {
-			cl.lastTri.Add(res.DeltaTriangles)
-		}
-		eff := int64(res.Inserted + res.Deleted)
-		cl.appliedEdges += eff
-		walEdges += eff
-		replayed++
-		return nil
-	})
-	if err != nil {
-		world.Close()
-		return nil, err
-	}
-	if !haveSegments {
-		newestBase = m.AppliedSeq
-	}
-	wal, err := snapshot.CreateWAL(dir, newestBase, last, !opt.NoWALSync)
-	if err != nil {
-		world.Close()
-		return nil, err
-	}
-	wal.SetObserver(cl.metrics.walObserver())
-	cl.metrics.walReplayed.Add(float64(replayed))
-	cl.syncGraphMetrics()
-	restoredInfo := infoFromManifest(dir, m)
-	cl.persist = &persister{
-		dir:       dir,
-		snapFrac:  snapFrac,
-		autoSnap:  !opt.DisableAutoSnapshot,
-		deltaSnap: !opt.DisableDeltaSnapshot,
-		wal:       wal,
-		seqWait:   make(chan struct{}),
-		seq:       last,
-		snapSeq:   m.AppliedSeq,
-		walEdges:  walEdges,
-		replayed:  replayed,
-		lastInfo:  &restoredInfo,
-		// Resume the compaction policy where the previous process left off:
-		// the chain's base, its current length, and the churn accumulated
-		// since the base — including what the WAL replay just re-applied.
-		baseSeq:   chain[0].AppliedSeq,
-		haveBase:  true,
-		chainLen:  len(chain) - 1,
-		churnBase: m.ChurnSinceBase + walEdges,
-	}
-	go cl.writeLoop()
-	return cl, nil
 }

@@ -33,7 +33,7 @@ func (cl *Cluster) killForTest() {
 	<-s.drainedCh
 	s.gate.Lock()
 	cl.closed.Store(true)
-	cl.world.Close()
+	cl.eng.close()
 	if cl.persist != nil {
 		cl.persist.wal.Close()
 	}

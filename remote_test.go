@@ -7,14 +7,18 @@ package tc2d
 // OS process and SIGKILLs it mid-write-stream.
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"tc2d/internal/delta"
+	"tc2d/internal/snapshot"
 )
 
 // testCoordinatorOptions are fast-heartbeat settings for tests.
@@ -463,4 +467,174 @@ func TestOpenClusterCoordinator(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt for debugging edits
+// comparable strips what legitimately differs between two runs of one op —
+// measured and modelled times — from a reply, leaving every payload the op
+// contract fixes: counts, per-entry results, rebuild stats, blob bytes,
+// metadata.
+func comparableReply(rep *opReply) *opReply {
+	if rep == nil {
+		return nil
+	}
+	cp := *rep
+	if rep.Meta != nil {
+		m := *rep.Meta
+		m.PreprocessTime, m.CommFracPre = 0, 0
+		cp.Meta = &m
+	}
+	if rep.Count != nil {
+		c := *rep.Count
+		c.PreprocessTime, c.CountTime, c.TotalTime = 0, 0, 0
+		c.CommFracPre, c.CommFracCount = 0, 0
+		c.LocalKernelTime, c.LocalPerShift = 0, nil
+		cp.Count = &c
+	}
+	if rep.Apply != nil {
+		a := *rep.Apply
+		a.ApplyTime, a.CommFrac = 0, 0
+		cp.Apply = &a
+	}
+	return &cp
+}
+
+// TestOpTableEnginesAgree is the test behind "one body per op": it walks the
+// op table and drives every entry through the in-process engine and through
+// a coordinator with real RunWorker rank hosts, on the same graph and update
+// stream, and requires equal replies from every rank — counts, delta results,
+// rebuild stats, snapshot blob bytes, metadata. An op added to the table
+// without a step here fails the coverage check at the end.
+func TestOpTableEnginesAgree(t *testing.T) {
+	const ranks = 4
+	g := testClusterGraph(t)
+	opt := Options{Ranks: ranks}
+	newSide := func(newEngine func(*resolvedOptions, int) (engine, error)) *Cluster {
+		res, err := opt.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := newEngine(res, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.close() })
+		return newClusterOn(eng, res, ranks, opt.Enumeration)
+	}
+	local := newSide((*resolvedOptions).newLocalEngine)
+	var stopWorkers []context.CancelFunc
+	coord := newSide(testCoordinatorOptions(t, func(addr string) {
+		stopWorkers, _ = launchWorkers(t, addr, []int{2, 2})
+	}).newEngine)
+
+	// blobs[side][kind][rank]: the snapshot blobs each side encoded, restored
+	// into that same side further down.
+	type side struct {
+		cl    *Cluster
+		blobs map[bool][][]byte
+	}
+	sides := []*side{{cl: local, blobs: map[bool][][]byte{}}, {cl: coord, blobs: map[bool][][]byte{}}}
+	restore := func(useDelta, final bool) func(*side) any {
+		return func(s *side) any {
+			blobs := s.blobs[useDelta]
+			return &wireRestore{Delta: useDelta, Final: final, Ranks: ranks, Track: true,
+				fetch: func(rank int) ([]byte, error) { return blobs[rank], nil }}
+		}
+	}
+	fixed := func(args any) func(*side) any { return func(*side) any { return args } }
+	count := fixed(&wireKernel{Enumeration: int(opt.Enumeration)})
+	steps := []struct {
+		op   string
+		args func(*side) any
+	}{
+		{opBuild, func(*side) any {
+			return &wireBuild{graph: g, Track: true, Kernel: wireKernelOf(opt.coreOptions())}
+		}},
+		{opCount, count},
+		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 2, V: 777, Op: UpdateInsert}})},
+		{opEncodeSnap, fixed(&wireSnap{})},
+		{opSnapDone, fixed(nil)},
+		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateDelete}, {U: 1200, V: 1300, Op: UpdateInsert}, {U: 1200, V: 1400, Op: UpdateInsert}, {U: 1300, V: 1400, Op: UpdateInsert}})},
+		{opEncodeSnap, fixed(&wireSnap{Delta: true})},
+		{opCount, count},
+		{opRebuildInc, fixed(nil)},
+		{opCount, count},
+		{opRebuildFull, fixed(&wireBuild{Track: true})},
+		{opCount, count},
+		{opRestore, restore(false, false)},
+		{opRestore, restore(true, true)},
+		{opCount, count},
+	}
+	covered := map[string]bool{}
+	var counts []int64
+	for i, step := range steps {
+		covered[step.op] = true
+		var replies [2][]*opReply
+		for j, s := range sides {
+			var err error
+			if replies[j], err = s.cl.run(step.op, step.args(s)); err != nil {
+				t.Fatalf("step %d %s on side %d: %v", i, step.op, j, err)
+			}
+			if len(replies[j]) != ranks {
+				t.Fatalf("step %d %s on side %d: %d replies for %d ranks", i, step.op, j, len(replies[j]), ranks)
+			}
+		}
+		for r := 0; r < ranks; r++ {
+			a, b := comparableReply(replies[0][r]), comparableReply(replies[1][r])
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("step %d %s rank %d: in-process reply %+v != coordinator reply %+v", i, step.op, r, a, b)
+			}
+		}
+		switch step.op {
+		case opEncodeSnap:
+			useDelta := step.args(nil).(*wireSnap).Delta
+			for j, s := range sides {
+				for r, rep := range replies[j] {
+					if rep == nil || len(rep.Blob) == 0 {
+						t.Fatalf("step %d encode_snap side %d rank %d: no blob", i, j, r)
+					}
+					s.blobs[useDelta] = append(s.blobs[useDelta], rep.Blob)
+				}
+			}
+			if !bytes.Equal(sides[0].blobs[useDelta][ranks-1], sides[1].blobs[useDelta][ranks-1]) {
+				t.Fatalf("step %d: snapshot blob bytes differ between engines", i)
+			}
+		case opCount:
+			counts = append(counts, replies[0][0].Count.Triangles)
+		}
+		if m0, m1 := local.metaNow(), coord.metaNow(); m0.N != m1.N || m0.M != m1.M || m0.Wedges != m1.Wedges || m0.DegreeDirty != m1.DegreeDirty {
+			t.Fatalf("step %d %s: cached metadata diverged: %+v vs %+v", i, step.op, m0, m1)
+		}
+	}
+	for name := range ops {
+		if !covered[name] {
+			t.Errorf("op %q is in the table but no step of this test drives it through both engines", name)
+		}
+	}
+	// Layout refreshes and the snapshot round trip never change the count.
+	for i := 2; i < len(counts); i++ {
+		if counts[i] != counts[1] {
+			t.Fatalf("count %d = %d, want %d (the count after the second batch)", i, counts[i], counts[1])
+		}
+	}
+
+	// A chain that does not decode is ErrSnapshotCorrupt from either engine,
+	// whichever process detected it, and leaves the resident state serving.
+	bad := []*snapshot.Manifest{{AppliedSeq: 9, Ranks: ranks, Enum: int(opt.Enumeration)}}
+	garbage := func(*snapshot.Manifest, int) ([]byte, error) { return []byte("not a snapshot blob"), nil }
+	for j, s := range sides {
+		if err := s.cl.restoreChain(bad, garbage, true); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("side %d: restoring a garbage chain: err=%v, want ErrSnapshotCorrupt", j, err)
+		}
+		rep, err := s.cl.run0(opCount, count(nil))
+		if err != nil || rep.Count.Triangles != counts[1] {
+			t.Fatalf("side %d: count after the failed restore: %v, err=%v, want %d", j, rep, err, counts[1])
+		}
+	}
+	// A world that lost a worker is not a data problem: the same restore then
+	// fails with the membership error, so no caller walks on to older
+	// snapshots (or deletes this one) because of it.
+	stopWorkers[1]()
+	waitDegraded(t, coord, true)
+	err := coord.restoreChain(bad, garbage, true)
+	if errors.Is(err, ErrSnapshotCorrupt) || !(errors.Is(err, ErrDegraded) || errors.Is(err, ErrWorkerLost)) {
+		t.Fatalf("restore on a degraded world: err=%v, want ErrDegraded or ErrWorkerLost and not ErrSnapshotCorrupt", err)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tc2d/internal/delta"
-	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
 
@@ -336,6 +335,42 @@ func spanAll(accepted []*writeReq, name string) func() {
 	}
 }
 
+// applyEpoch runs one batch through the apply op as an exclusive write epoch.
+// It touches no cluster counter: a live write, a WAL replay and a follower
+// apply commit the result (commitApply), a replay onto recovered workers
+// must not. sched.gate is held exclusively, or the cluster is unpublished.
+func (cl *Cluster) applyEpoch(batch []delta.Update) (*delta.Result, error) {
+	rep, err := cl.run0(opApply, batch)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Apply == nil {
+		return nil, fmt.Errorf("tc2d: apply epoch returned no result")
+	}
+	return rep.Apply, nil
+}
+
+// commitApply folds one applied batch into the maintained triangle total
+// (once a base count exists) and the staleness counter, and returns the
+// batch's effective edge mutations.
+func (cl *Cluster) commitApply(res *delta.Result) int64 {
+	if cl.lastTri.Load() >= 0 {
+		cl.lastTri.Add(res.DeltaTriangles)
+	}
+	eff := int64(res.Inserted + res.Deleted)
+	cl.appliedEdges += eff
+	return eff
+}
+
+// stale reports whether the layout is due for a rebuild. Both edge churn and
+// vertex-space overflow count — an overflow region past the threshold means
+// too many labels sit outside the degree order.
+func (cl *Cluster) stale() bool {
+	meta := cl.metaNow()
+	return float64(cl.appliedEdges) > cl.rebuildFraction*float64(cl.baseM) ||
+		float64(meta.OverflowN) > cl.rebuildFraction*float64(meta.BaseN)
+}
+
 // applyMerged runs the one write epoch of a drain and resolves every
 // accepted request. sched.gate is held exclusively.
 func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
@@ -371,26 +406,11 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	}
 	epochStart := time.Now()
 	endEpoch := spanAll(accepted, "write_epoch")
-	var epochRes *delta.Result
-	if cl.remote != nil {
-		var err error
-		epochRes, err = cl.remote.apply(super)
-		endEpoch()
-		if err != nil {
-			failAll(err)
-			return
-		}
-	} else {
-		prep := cl.prep
-		results, err := cl.world.Run(func(c *mpi.Comm) (any, error) {
-			return delta.Apply(c, prep[c.Rank()], super)
-		})
-		endEpoch()
-		if err != nil {
-			failAll(err)
-			return
-		}
-		epochRes = results[0].(*delta.Result)
+	epochRes, err := cl.applyEpoch(super)
+	endEpoch()
+	if err != nil {
+		failAll(err)
+		return
 	}
 	cl.sched.writeEpochs.Add(1)
 	cl.sched.absorbed.Add(int64(len(accepted)))
@@ -399,8 +419,8 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	cl.metrics.writeEpochSec.Observe(time.Since(epochStart).Seconds())
 	cl.metrics.absorbed.Add(float64(len(accepted)))
 	cl.metrics.coalesceSize.Observe(float64(len(accepted)))
-	total := cl.lastTri.Add(epochRes.DeltaTriangles)
-	cl.appliedEdges += int64(epochRes.Inserted + epochRes.Deleted)
+	effEdges := cl.commitApply(epochRes)
+	total := cl.lastTri.Load()
 	cl.syncGraphMetrics()
 
 	// Durability barrier: the committed super-batch must be in the WAL
@@ -410,13 +430,10 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	// durability cannot be promised) and the persister retires itself.
 	if cl.persist != nil {
 		endWAL := spanAll(accepted, "wal_append")
-		perr := cl.logCommitted(super, int64(epochRes.Inserted+epochRes.Deleted))
+		perr := cl.logCommitted(super, effEdges)
 		endWAL()
 		if perr != nil {
-			for _, req := range accepted {
-				req.err = perr
-				req.finish()
-			}
+			failAll(perr)
 			return
 		}
 	}
@@ -472,15 +489,9 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	}
 
 	// Staleness: at most one rebuild per drain, no matter how many batches
-	// it coalesced. Both edge churn and vertex-space overflow count — an
-	// overflow region past the threshold means too many labels sit outside
-	// the degree order.
-	stale := float64(cl.appliedEdges) > cl.rebuildFraction*float64(cl.baseM)
-	if meta := cl.metaNow(); float64(meta.OverflowN) > cl.rebuildFraction*float64(meta.BaseN) {
-		stale = true
-	}
+	// it coalesced.
 	var rebuildErr error
-	if cl.autoRebuild && stale {
+	if cl.autoRebuild && cl.stale() {
 		endRebuild := spanAll(accepted, "rebuild")
 		err := cl.rebuildLocked()
 		endRebuild()

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"tc2d/internal/core"
 	"tc2d/internal/delta"
-	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
 
@@ -182,28 +180,13 @@ func (cl *Cluster) rebuildLocked() error {
 // rebuildIncrementalLocked re-sorts only the degree-dirty labels, mutating
 // the resident state in place. sched.gate is held exclusively.
 func (cl *Cluster) rebuildIncrementalLocked() error {
-	var st *delta.RebuildStats
-	if cl.remote != nil {
-		var err error
-		st, err = cl.remote.rebuildIncremental()
-		if err != nil {
-			return err
-		}
-	} else {
-		prep := cl.prep
-		stats := make([]*delta.RebuildStats, cl.ranks)
-		_, err := cl.world.Run(func(c *mpi.Comm) (any, error) {
-			s, err := delta.RebuildIncremental(c, prep[c.Rank()])
-			if err != nil {
-				return nil, err
-			}
-			stats[c.Rank()] = s
-			return nil, nil
-		})
-		if err != nil {
-			return err
-		}
-		st = stats[0]
+	rep, err := cl.run0(opRebuildInc, nil)
+	if err != nil {
+		return err
+	}
+	st := rep.Stats
+	if st == nil {
+		return fmt.Errorf("tc2d: incremental rebuild epoch returned no stats")
 	}
 	cl.appliedEdges = 0
 	cl.baseM = cl.metaNow().M
@@ -221,37 +204,8 @@ func (cl *Cluster) rebuildIncrementalLocked() error {
 // rebuildFullLocked swaps the resident state for a freshly prepared one.
 // sched.gate is held exclusively.
 func (cl *Cluster) rebuildFullLocked() error {
-	if cl.remote != nil {
-		// The workers swap in their freshly prepared state themselves; the
-		// Track flag re-enables dirty tracking on it (the coordinator cannot
-		// reach into worker memory afterwards).
-		if err := cl.remote.rebuildFull(cl.persist != nil); err != nil {
-			return err
-		}
-	} else {
-		prep := cl.prep
-		newPrep := make([]*core.Prepared, cl.ranks)
-		_, err := cl.world.Run(func(c *mpi.Comm) (any, error) {
-			np, err := delta.Rebuild(c, prep[c.Rank()])
-			if err != nil {
-				return nil, err
-			}
-			newPrep[c.Rank()] = np
-			return nil, nil
-		})
-		if err != nil {
-			return err
-		}
-		cl.prep = newPrep
-		// The replacement state shares nothing with what any snapshot
-		// captured: delta snapshots cannot express the swap, so the next
-		// snapshot must be a fresh base — and the new state needs its own
-		// dirty tracking.
-		if cl.persist != nil {
-			for _, pr := range newPrep {
-				pr.EnableSnapshotTracking()
-			}
-		}
+	if _, err := cl.run(opRebuildFull, &wireBuild{Track: cl.persist != nil}); err != nil {
+		return err
 	}
 	meta := cl.metaNow()
 	cl.appliedEdges = 0
@@ -259,6 +213,7 @@ func (cl *Cluster) rebuildFullLocked() error {
 	cl.fullPreOps = meta.PreOps
 	cl.rebuilds.Add(1)
 	cl.metrics.observeRebuild("full", 0, 0)
+	// Delta snapshots cannot express the swap: the next one must be a base.
 	if cl.persist != nil {
 		cl.persist.noteFullRebuild()
 	}
