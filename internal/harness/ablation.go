@@ -15,8 +15,8 @@ import (
 // enumeration versus ⟨i,j,k⟩ — each measured by disabling just that
 // optimization at every rank count in the list.
 func Ablation(w io.Writer, spec Spec, rankList []int, cfg Config) error {
-	fprintf(w, "Section 7.3: %s tct change when disabling each optimization\n", spec.Name)
-	fprintf(w, "(positive %% = the optimization helps; paper: doubly-sparse 10-15%%, hashing 1.2-8.7%%, jik vs ijk 72.8%%).\n\n")
+	header(w, "Section 7.3: %s tct change when disabling each optimization\n"+
+		"(positive %% = the optimization helps; paper: doubly-sparse 10-15%%, hashing 1.2-8.7%%, jik vs ijk 72.8%%).", spec.Name)
 
 	variants := []struct {
 		name string

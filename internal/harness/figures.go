@@ -11,7 +11,7 @@ import (
 // preprocessing phase, the triangle counting phase and the overall runtime,
 // relative to the first rank count of the schedule.
 func Figure1(w io.Writer, rows []ScalingRow) error {
-	fprintf(w, "Figure 1: Efficiency relative to the %d-rank baseline (1.0 = perfect).\n\n", firstRanks(rows))
+	header(w, "Figure 1: Efficiency relative to the %d-rank baseline (1.0 = perfect).", firstRanks(rows))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dataset\tranks\tppt eff\ttct eff\toverall eff\t")
 	prev := ""
@@ -39,7 +39,7 @@ func firstRanks(rows []ScalingRow) int {
 // operations) and the triangle counting phase (hash probes) per rank count,
 // for one dataset.
 func Figure2(w io.Writer, rows []ScalingRow, dataset string) error {
-	fprintf(w, "Figure 2: %s operation rate (kOps/s) of ppt and tct phases.\n\n", dataset)
+	header(w, "Figure 2: %s operation rate (kOps/s) of ppt and tct phases.", dataset)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "ranks\tppt kOps/s\ttct kOps/s\t")
 	for _, r := range rows {
@@ -57,7 +57,7 @@ func Figure2(w io.Writer, rows []ScalingRow, dataset string) error {
 // the percentage of each phase spent in communication, per rank count, for
 // one dataset.
 func Figure3(w io.Writer, rows []ScalingRow, dataset string) error {
-	fprintf(w, "Figure 3: %s fraction of time spent in communication (%%).\n\n", dataset)
+	header(w, "Figure 3: %s fraction of time spent in communication (%%).", dataset)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "ranks\tppt comm %\ttct comm %\t")
 	for _, r := range rows {

@@ -1,6 +1,6 @@
-// Package harness contains the experiment drivers that regenerate every
-// table and figure of the paper's evaluation section at a scale this host
-// can hold:
+// Package harness holds the drivers behind cmd/tcpaper: they regenerate
+// every table and figure of the paper's evaluation section at a scale this
+// host can hold, and nothing else:
 //
 //	Table 1  — dataset inventory                     (Table1)
 //	Table 2  — ppt/tct/overall scaling, 16–169 ranks (Table2)
@@ -12,17 +12,20 @@
 //	§7.3     — optimization ablations                (Ablation)
 //	Table 5  — comparison against Havoq              (Table5)
 //	Table 6  — comparison against 1D algorithms      (Table6)
+//	§7.1     — probe-count comparison                (Probes71)
 //
-// All experiments report modeled parallel time (the runtime's virtual
-// clocks): compute sections are measured on dedicated slots and
-// communication is charged by the LogGP-style cost model, so the scaling
-// shape is meaningful even with more ranks than physical cores.
+// Everything here is simulator output. Times are modeled parallel time (the
+// runtime's virtual clocks): compute sections are measured on dedicated
+// slots and communication is charged by the LogGP-style cost model, so the
+// scaling shape is meaningful even with more ranks than physical cores, but
+// no figure is a wall-clock measurement of this host — every exhibit says
+// so under its title (simNote). Wall-clock numbers for the resident service
+// come from the benchmark in bench/.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"tc2d/internal/core"
 	"tc2d/internal/dgraph"
@@ -58,15 +61,12 @@ func DefaultSpecs(scaleDelta int) []Spec {
 	}
 }
 
-// PaperRanks is the rank schedule of the paper's Table 2.
-var PaperRanks = []int{16, 25, 36, 49, 64, 81, 100, 121, 144, 169}
-
 // Config tunes how experiments execute.
 type Config struct {
 	// Model is the communication cost model (default: DefaultCostModel).
 	Model mpi.CostModel
-	// Ranks is the rank schedule for scaling experiments (default
-	// PaperRanks).
+	// Ranks is the rank schedule for scaling experiments (the paper's
+	// Table 2 used 16, 25, …, 169; cmd/tcpaper defaults to that).
 	Ranks []int
 	// Options are the algorithm options applied to core runs.
 	Options core.Options
@@ -90,13 +90,6 @@ func (c Config) model() mpi.CostModel {
 	return c.Model
 }
 
-func (c Config) ranks() []int {
-	if len(c.Ranks) == 0 {
-		return PaperRanks
-	}
-	return c.Ranks
-}
-
 // mpiConfig builds the runtime config for measured runs: one compute slot so
 // virtual-time measurements are contention-free.
 func (c Config) mpiConfig() mpi.Config {
@@ -107,12 +100,11 @@ func (c Config) mpiConfig() mpi.Config {
 // kernel-time aggregates for the load-imbalance analysis.
 type AggResult struct {
 	core.Result
-	Ranks        int
-	MaxKernel    float64 // max over ranks of local kernel compute time
-	AvgKernel    float64 // average over ranks
-	MaxShift     []float64
-	AvgShift     []float64
-	WallTotalSec float64 // real seconds the whole SPMD run took
+	Ranks     int
+	MaxKernel float64 // max over ranks of local kernel compute time
+	AvgKernel float64 // average over ranks
+	MaxShift  []float64
+	AvgShift  []float64
 }
 
 // RunCore executes one measured run of the 2D algorithm, repeating per
@@ -133,7 +125,6 @@ func RunCore(spec Spec, p int, cfg Config) (*AggResult, error) {
 
 func runCoreOnce(spec Spec, p int, cfg Config) (*AggResult, error) {
 	opt := cfg.Options
-	t0 := time.Now()
 	results, err := mpi.Run(p, cfg.mpiConfig(), func(c *mpi.Comm) (any, error) {
 		in, err := spec.Input().Build(c)
 		if err != nil {
@@ -141,11 +132,10 @@ func runCoreOnce(spec Spec, p int, cfg Config) (*AggResult, error) {
 		}
 		return core.Count(c, in, opt)
 	})
-	wall := time.Since(t0).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %d ranks: %w", spec.Name, p, err)
 	}
-	agg := &AggResult{Result: *(results[0].(*core.Result)), Ranks: p, WallTotalSec: wall}
+	agg := &AggResult{Result: *(results[0].(*core.Result)), Ranks: p}
 	var sum float64
 	for _, r := range results {
 		res := r.(*core.Result)
@@ -184,6 +174,10 @@ func fmtSecs(s float64) string {
 	}
 }
 
-func fprintf(w io.Writer, format string, args ...any) {
-	fmt.Fprintf(w, format, args...)
+// simNote is the line under every exhibit's title.
+const simNote = "(simulator output: times are modeled parallel time from the LogGP virtual clock, not wall-clock; for wall-clock see bench/)"
+
+// header writes an exhibit's title followed by simNote and a blank line.
+func header(w io.Writer, format string, args ...any) {
+	fmt.Fprintf(w, format+"\n"+simNote+"\n\n", args...)
 }

@@ -13,7 +13,7 @@ import (
 // and reports each dataset's probes relative to the last (friendster-like)
 // dataset.
 func Probes71(w io.Writer, specs []Spec, p int, cfg Config) error {
-	fprintf(w, "Section 7.1: kernel probe counts at %d ranks (paper: twitter probes ≈ 1.68x friendster's).\n\n", p)
+	header(w, "Section 7.1: kernel probe counts at %d ranks (paper: twitter probes ≈ 1.68x friendster's).", p)
 	type row struct {
 		name   string
 		probes int64

@@ -17,7 +17,7 @@ import (
 // and exact triangle counts of every dataset, computed with the sequential
 // reference counter.
 func Table1(w io.Writer, specs []Spec) error {
-	fprintf(w, "Table 1: Datasets used in the experiments.\n\n")
+	header(w, "Table 1: Datasets used in the experiments.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Graph\t#vertices\t#edges\t#triangles")
 	for _, s := range specs {
@@ -48,10 +48,6 @@ type ScalingRow struct {
 	FracPre  float64
 	FracTCT  float64
 	MapTasks int64
-	// Machine-readable extras for the -json trajectory record:
-	Triangles int64
-	N, M      int64
-	WallSec   float64 // real seconds of the whole SPMD run
 }
 
 // RunScaling measures every dataset at every rank count: the data behind
@@ -60,7 +56,7 @@ func RunScaling(specs []Spec, cfg Config) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for _, spec := range specs {
 		var base *AggResult
-		for _, p := range cfg.ranks() {
+		for _, p := range cfg.Ranks {
 			agg, err := RunCore(spec, p, cfg)
 			if err != nil {
 				return nil, err
@@ -70,24 +66,20 @@ func RunScaling(specs []Spec, cfg Config) ([]ScalingRow, error) {
 			}
 			p0 := float64(base.Ranks)
 			rows = append(rows, ScalingRow{
-				Dataset:   spec.Name,
-				Ranks:     p,
-				Expected:  float64(p) / p0,
-				PPT:       agg.PreprocessTime,
-				TCT:       agg.CountTime,
-				Overall:   agg.TotalTime,
-				SpeedPPT:  base.PreprocessTime / agg.PreprocessTime,
-				SpeedTCT:  base.CountTime / agg.CountTime,
-				SpeedAll:  base.TotalTime / agg.TotalTime,
-				PreOps:    agg.PreOps,
-				Probes:    agg.Probes,
-				FracPre:   agg.CommFracPre,
-				FracTCT:   agg.CommFracCount,
-				MapTasks:  agg.MapTasks,
-				Triangles: agg.Triangles,
-				N:         agg.N,
-				M:         agg.M,
-				WallSec:   agg.WallTotalSec,
+				Dataset:  spec.Name,
+				Ranks:    p,
+				Expected: float64(p) / p0,
+				PPT:      agg.PreprocessTime,
+				TCT:      agg.CountTime,
+				Overall:  agg.TotalTime,
+				SpeedPPT: base.PreprocessTime / agg.PreprocessTime,
+				SpeedTCT: base.CountTime / agg.CountTime,
+				SpeedAll: base.TotalTime / agg.TotalTime,
+				PreOps:   agg.PreOps,
+				Probes:   agg.Probes,
+				FracPre:  agg.CommFracPre,
+				FracTCT:  agg.CommFracCount,
+				MapTasks: agg.MapTasks,
 			})
 		}
 	}
@@ -97,7 +89,7 @@ func RunScaling(specs []Spec, cfg Config) ([]ScalingRow, error) {
 // Table2 renders the scaling measurements in the layout of the paper's
 // Table 2.
 func Table2(w io.Writer, rows []ScalingRow) error {
-	fprintf(w, "Table 2: Parallel performance (modeled parallel seconds) across MPI ranks.\n\n")
+	header(w, "Table 2: Parallel performance (modeled parallel seconds) across MPI ranks.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dataset\tranks\texpected\tppt\tppt\ttct\ttct\toverall\toverall\t")
 	fmt.Fprintln(tw, "\t\tspeedup\ttime\tspeedup\ttime\tspeedup\truntime\tspeedup\t")
@@ -125,7 +117,7 @@ func Table2(w io.Writer, rows []ScalingRow) error {
 // Table3 regenerates the per-shift load-imbalance analysis (paper Table 3):
 // maximum vs average kernel compute time over ranks, per dataset run.
 func Table3(w io.Writer, spec Spec, rankList []int, cfg Config) error {
-	fprintf(w, "Table 3: %s maximum kernel runtime and load imbalance per shift.\n\n", spec.Name)
+	header(w, "Table 3: %s maximum kernel runtime and load imbalance per shift.", spec.Name)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "ranks\tmax kernel s\tavg kernel s\tload imbalance\t")
 	cfg.Options.TrackPerShift = true
@@ -146,7 +138,7 @@ func Table3(w io.Writer, spec Spec, rankList []int, cfg Config) error {
 // Table4 regenerates the redundant-work analysis (paper Table 4): map-based
 // intersection task counts as the grid grows.
 func Table4(w io.Writer, spec Spec, rankList []int, cfg Config) error {
-	fprintf(w, "Table 4: %s task count growth with respect to the number of ranks.\n\n", spec.Name)
+	header(w, "Table 4: %s task count growth with respect to the number of ranks.", spec.Name)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "ranks\ttask counts\tincrease vs previous\t")
 	var prev int64
@@ -170,7 +162,7 @@ func Table4(w io.Writer, spec Spec, rankList []int, cfg Config) error {
 // 2-core and wedge-counting phase times against our triangle counting time,
 // on the same runtime and cost model.
 func Table5(w io.Writer, specs []Spec, pOurs, pHavoq int, cfg Config) error {
-	fprintf(w, "Table 5: Havoq-style wedge counting (%d ranks) vs our tct (%d ranks), modeled seconds.\n\n",
+	header(w, "Table 5: Havoq-style wedge counting (%d ranks) vs our tct (%d ranks), modeled seconds.",
 		pHavoq, pOurs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dataset\t2core\twedge count\thavoq total\tour tct\tspeedup\ttriangles agree\t")
@@ -211,7 +203,7 @@ func runHavoq(spec Spec, p int, cfg Config) (*havoq.Result, error) {
 // the identical runtime (a fairer setting than the paper's, which quoted
 // runtimes from different machines).
 func Table6(w io.Writer, spec Spec, p int, cfg Config) error {
-	fprintf(w, "Table 6: %s runtime (modeled seconds, %d ranks) across distributed algorithms.\n\n",
+	header(w, "Table 6: %s runtime (modeled seconds, %d ranks) across distributed algorithms.",
 		spec.Name, p)
 	ours, err := RunCore(spec, p, cfg)
 	if err != nil {
