@@ -17,7 +17,7 @@
 package aop
 
 import (
-	"sort"
+	"slices"
 
 	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
@@ -76,7 +76,7 @@ func CountAOP(c *mpi.Comm, in *dgraph.Dist1D) (*Result, error) {
 		}
 		for r := range reqs {
 			q := reqs[r]
-			sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
+			slices.Sort(q)
 			w := 0
 			for i, u := range q {
 				if i > 0 && u == q[i-1] {

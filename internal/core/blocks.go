@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tc2d/internal/mpi"
 )
@@ -42,33 +42,114 @@ type cscBlock struct {
 
 func (b *cscBlock) col(i int32) []int32 { return b.adj[b.xadj[i]:b.xadj[i+1]] }
 
-// buildCSR constructs a csrBlock with the given number of rows from (row,
-// value) pairs; each row's values are sorted ascending.
-func buildCSR(rows int32, pairs [][]int32) csrBlock {
-	blk := csrBlock{rows: rows, xadj: make([]int32, rows+1)}
-	for _, part := range pairs {
-		for i := 0; i < len(part); i += 2 {
-			blk.xadj[part[i]+1]++
+// transposeInto scatters a compressed block — list i holds the values
+// adj[xadj[i]:xadj[i+1]] — into lists keyed by those values: entry (i, v)
+// is written as i at out[next[v]], and next[v] advances. The lists are
+// swept in ascending i, so every output list comes out ascending whatever
+// the order inside the input lists: bucketing entries by one coordinate and
+// transposing yields sorted rows without a comparison sort (the two passes
+// of an LSD radix sort on (row, column)). next holds each output list's
+// write position and is consumed.
+func transposeInto(xadj, adj, next, out []int32) {
+	for i := 0; i+1 < len(xadj); i++ {
+		for _, v := range adj[xadj[i]:xadj[i+1]] {
+			out[next[v]] = int32(i)
+			next[v]++
 		}
 	}
-	for a := int32(0); a < rows; a++ {
-		blk.xadj[a+1] += blk.xadj[a]
+}
+
+// prefixSum turns per-list counts stored at x[i+1] into list offsets.
+func prefixSum(x []int32) {
+	for i := 1; i < len(x); i++ {
+		x[i] += x[i-1]
 	}
-	blk.adj = make([]int32, blk.xadj[rows])
-	next := make([]int32, rows)
-	copy(next, blk.xadj[:rows])
-	for _, part := range pairs {
-		for i := 0; i < len(part); i += 2 {
-			a := part[i]
-			blk.adj[next[a]] = part[i+1]
-			next[a]++
+}
+
+// buildBlocks is the block builder of the 2D redistribution: from the
+// received directed pairs (wv, wu) — wv in this rank's row class mod qr, wu
+// in its column class mod qc — it forms the U block (CSR, rows wv/qr →
+// sorted wu/qc, the pairs with wu > wv), the L block (CSC, columns wu/qc →
+// sorted wv/qr, the pairs with wu < wv) and the task block of the
+// enumeration rule, by count → prefix-sum → place with every array
+// allocated once at its final size. The pairs are bucketed on the
+// coordinate that will be the VALUE (U by column, L by row) and transposed
+// into place, which sorts each list; the ⟨j,i,k⟩ task block is the L block
+// transposed once more, the ⟨i,j,k⟩ one a copy of the U block (a copy, not
+// an alias: the write path splices task and operand blocks separately).
+func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock) {
+	// Count: the bucket sizes and, in the same sweep, the final list sizes.
+	uByCol := make([]int32, nCols+1)
+	lByRow := make([]int32, nRows+1)
+	u = csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
+	l = cscBlock{cols: nCols, xadj: make([]int32, nCols+1)}
+	for _, part := range got {
+		for i := 0; i+1 < len(part); i += 2 {
+			wv, wu := part[i], part[i+1]
+			lr, lc := wv/qr, wu/qc
+			if wu > wv {
+				uByCol[lc+1]++
+				u.xadj[lr+1]++
+			} else {
+				lByRow[lr+1]++
+				l.xadj[lc+1]++
+			}
 		}
 	}
-	for a := int32(0); a < rows; a++ {
-		row := blk.adj[blk.xadj[a]:blk.xadj[a+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+	prefixSum(uByCol)
+	prefixSum(lByRow)
+	prefixSum(u.xadj)
+	prefixSum(l.xadj)
+
+	// Place into the buckets, in arrival order.
+	uRowOf := make([]int32, uByCol[nCols]) // U entries by column, holding rows
+	lColOf := make([]int32, lByRow[nRows]) // L entries by row, holding columns
+	colNext, rowNext := make([]int32, nCols), make([]int32, nRows)
+	copy(colNext, uByCol)
+	copy(rowNext, lByRow)
+	for _, part := range got {
+		for i := 0; i+1 < len(part); i += 2 {
+			wv, wu := part[i], part[i+1]
+			lr, lc := wv/qr, wu/qc
+			if wu > wv {
+				uRowOf[colNext[lc]] = lr
+				colNext[lc]++
+			} else {
+				lColOf[rowNext[lr]] = lc
+				rowNext[lr]++
+			}
+		}
 	}
-	return blk
+
+	// Transpose the buckets into the sorted blocks.
+	u.adj = make([]int32, len(uRowOf))
+	copy(rowNext, u.xadj)
+	transposeInto(uByCol, uRowOf, rowNext, u.adj)
+	l.adj = make([]int32, len(lColOf))
+	copy(colNext, l.xadj)
+	transposeInto(lByRow, lColOf, colNext, l.adj)
+
+	if enum == EnumIJK {
+		task = csrBlock{rows: nRows, xadj: slices.Clone(u.xadj), adj: slices.Clone(u.adj)}
+	} else {
+		// The row bucket already has the task block's shape; only its rows
+		// are unsorted. Refill it from the finished L block.
+		task = csrBlock{rows: nRows, xadj: lByRow, adj: lColOf}
+		copy(rowNext, lByRow)
+		transposeInto(l.xadj, l.adj, rowNext, task.adj)
+	}
+	return task, u, l
+}
+
+// maxRow returns the longest row of b.
+func (b *csrBlock) maxRow() int64 {
+	var max int32
+	for a := int32(0); a < b.rows; a++ {
+		if n := b.xadj[a+1] - b.xadj[a]; n > max {
+			max = n
+		}
+	}
+	return int64(max)
 }
 
 // Block blob layout (§5.2 "reducing overheads associated with
@@ -83,11 +164,11 @@ const (
 )
 
 func encodeCSRBlob(kind int32, dim int32, xadj, adj []int32) []byte {
-	blob := make([]int32, 0, 4+len(xadj)+len(adj))
-	blob = append(blob, blobMagic, kind, dim, int32(len(adj)))
-	blob = append(blob, xadj...)
-	blob = append(blob, adj...)
-	return mpi.Int32sToBytes(blob)
+	blob := make([]int32, 4+len(xadj)+len(adj))
+	blob[0], blob[1], blob[2], blob[3] = blobMagic, kind, dim, int32(len(adj))
+	copy(blob[4:], xadj)
+	copy(blob[4+len(xadj):], adj)
+	return mpi.Int32sAsBytes(blob)
 }
 
 func decodeCSRBlob(b []byte, wantKind int32) (dim int32, xadj, adj []int32) {

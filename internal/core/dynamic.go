@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tc2d/internal/mpi"
@@ -59,55 +60,78 @@ func (p *Prepared) Labels() (beg int32, labels []int32) { return p.labelBeg, p.l
 // composition deep no matter how many rebuilds have run.
 func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels = beg, labels }
 
+// operandClasses returns the resident operand entries in the form both
+// schedules share: U blocks (rows → keys) and L blocks (columns → keys) by
+// class t, where key k of class t is label k·L + t. The square grid is the
+// one-class case — L = q, the U block is class y, the L block class x.
+func (p *Prepared) operandClasses() (qr, qc, L, nRows int32, u map[int]csrBlock, l map[int]cscBlock) {
+	if b := p.blk; b != nil {
+		q := int32(b.q)
+		return q, q, q, b.nRowsX, map[int]csrBlock{b.y: b.ublk}, map[int]cscBlock{b.x: b.lblk}
+	}
+	return int32(p.qr), int32(p.qc), int32(p.lc), p.sblk.nRows, p.sblk.uBucket, p.sblk.lBucket
+}
+
 // EnsureAdjacency builds the row-adjacency mirror from the resident blocks
 // if it does not exist yet. Purely local work (no communication); charged
 // as compute.
+//
+// A mirror row is the row's L part (labels below the row vertex) followed
+// by its U part (labels above). Rows are counted, then the L columns are
+// transposed in — ascending, see transposeInto; a row's L entries all sit in
+// one class — and the U rows appended. Only a rank holding several U classes
+// has to sort, and only the U parts.
 func (p *Prepared) EnsureAdjacency(c *mpi.Comm) {
 	if p.mirror != nil {
 		return
 	}
-	m := &rowMirror{}
+	qr, qc, L, nRows, uBucket, lBucket := p.operandClasses()
+	m := &rowMirror{rowMod: int(qr), colMod: int(qc), rowRes: c.Rank() / int(qc), colRes: c.Rank() % int(qc)}
 	c.Compute(func() {
-		var pairs []int32
-		if p.blk != nil {
-			q, y := int32(p.blk.q), int32(p.blk.y)
-			m.rowMod, m.colMod = p.blk.q, p.blk.q
-			m.rowRes, m.colRes = p.blk.x, p.blk.y
-			for a := int32(0); a < p.blk.ublk.rows; a++ {
-				for _, lc := range p.blk.ublk.row(a) {
-					pairs = append(pairs, a, lc*q+y)
-				}
+		blk := csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
+		// An L key k of class t is the row label k·L + t, so local row
+		// k·(L/qr) + t/qr.
+		step := L / qr
+		for t, b := range lBucket {
+			off := int32(t) / qr
+			for _, k := range b.adj {
+				blk.xadj[k*step+off+1]++
 			}
-			for i := int32(0); i < p.blk.lblk.cols; i++ {
-				gu := i*q + y
-				for _, lr := range p.blk.lblk.col(i) {
-					pairs = append(pairs, lr, gu)
-				}
-			}
-			m.blk = buildCSR(p.blk.nRowsX, [][]int32{pairs})
-		} else {
-			qr, qc, L := int32(p.qr), int32(p.qc), int32(p.lc)
-			m.rowMod, m.colMod = p.qr, p.qc
-			m.rowRes, m.colRes = c.Rank()/p.qc, c.Rank()%p.qc
-			y := int32(m.colRes)
-			for t, b := range p.sblk.uBucket {
-				for a := int32(0); a < b.rows; a++ {
-					for _, k := range b.row(a) {
-						pairs = append(pairs, a, k*L+int32(t))
-					}
-				}
-			}
-			for t, b := range p.sblk.lBucket {
-				for ci := int32(0); ci < b.cols; ci++ {
-					gu := ci*qc + y
-					for _, k := range b.col(ci) {
-						wv := k*L + int32(t)
-						pairs = append(pairs, wv/qr, gu)
-					}
-				}
-			}
-			m.blk = buildCSR(p.sblk.nRows, [][]int32{pairs})
 		}
+		for _, b := range uBucket {
+			for a := int32(0); a < b.rows; a++ {
+				blk.xadj[a+1] += b.xadj[a+1] - b.xadj[a]
+			}
+		}
+		prefixSum(blk.xadj)
+		blk.adj = make([]int32, blk.xadj[nRows])
+		next := slices.Clone(blk.xadj[:nRows])
+		for t, b := range lBucket {
+			off := int32(t) / qr
+			for i := int32(0); i < b.cols; i++ {
+				for _, k := range b.col(i) {
+					r := k*step + off
+					blk.adj[next[r]] = i*qc + int32(m.colRes)
+					next[r]++
+				}
+			}
+		}
+		var uBeg []int32 // where each row's U part starts, if it needs sorting
+		if len(uBucket) > 1 {
+			uBeg = slices.Clone(next)
+		}
+		for t, b := range uBucket {
+			for a := int32(0); a < b.rows; a++ {
+				for _, k := range b.row(a) {
+					blk.adj[next[a]] = k*L + int32(t)
+					next[a]++
+				}
+			}
+		}
+		for a, beg := range uBeg {
+			slices.Sort(blk.adj[beg:blk.xadj[a+1]])
+		}
+		m.blk = blk
 	})
 	p.mirror = m
 }
@@ -389,21 +413,12 @@ func (p *Prepared) ValidateKernelSizing(c *mpi.Comm) error {
 // localMaxURow scans the resident U structure for the longest row — the
 // quantity kernelCapHint sizes the intersection maps by.
 func (p *Prepared) localMaxURow() int64 {
-	var max int64
-	scan := func(b *csrBlock) {
-		for a := int32(0); a < b.rows; a++ {
-			if l := int64(b.xadj[a+1] - b.xadj[a]); l > max {
-				max = l
-			}
-		}
-	}
 	if p.blk != nil {
-		scan(&p.blk.ublk)
-	} else {
-		for t := range p.sblk.uBucket {
-			b := p.sblk.uBucket[t]
-			scan(&b)
-		}
+		return p.blk.ublk.maxRow()
 	}
-	return max
+	var longest int64
+	for _, b := range p.sblk.uBucket {
+		longest = max(longest, b.maxRow())
+	}
+	return longest
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tc2d/internal/mpi"
@@ -109,8 +110,8 @@ func TestKernelPartitionLPT(t *testing.T) {
 			uPairs = append(uPairs, int32(a), int32(k))
 		}
 	}
-	task := buildCSR(6, [][]int32{taskPairs})
-	u := buildCSR(6, [][]int32{uPairs})
+	task := csrFromPairs(6, taskPairs)
+	u := csrFromPairs(6, uPairs)
 	l := cscBlock{cols: 1, xadj: []int32{0, 8}, adj: []int32{0, 1, 2, 3, 4, 5, 6, 7}}
 	rows := []int32{0, 1, 2, 3, 4, 5}
 	buckets, reported := partitionLPT(rows, &task, &u, &l, 2)
@@ -141,11 +142,27 @@ func TestKernelPartitionLPT(t *testing.T) {
 	}
 
 	// Zero-weight rows (empty U row or all-empty task columns) are dropped.
-	emptyU := buildCSR(6, nil)
+	emptyU := csrFromPairs(6, nil)
 	noRows, _ := partitionLPT(rows, &task, &emptyU, &l, 2)
 	for _, bucket := range noRows {
 		if len(bucket) != 0 {
 			t.Errorf("zero-weight rows were assigned: %v", bucket)
 		}
 	}
+}
+
+// csrFromPairs builds a block from (row, value) pairs for hand-made test
+// inputs; rows come out sorted.
+func csrFromPairs(rows int32, pairs []int32) csrBlock {
+	lists := make([][]int32, rows)
+	for i := 0; i < len(pairs); i += 2 {
+		lists[pairs[i]] = append(lists[pairs[i]], pairs[i+1])
+	}
+	blk := csrBlock{rows: rows, xadj: make([]int32, rows+1)}
+	for a, row := range lists {
+		slices.Sort(row)
+		blk.adj = append(blk.adj, row...)
+		blk.xadj[a+1] = int32(len(blk.adj))
+	}
+	return blk
 }

@@ -1,0 +1,82 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"tc2d/internal/mpi"
+	"tc2d/internal/rmat"
+)
+
+// mirrorOracle lists this rank's (row, label) mirror entries straight from
+// the block definitions — every U and L entry converted back to global
+// labels — and sorts them with a comparison sort.
+func mirrorOracle(p *Prepared, rank int) [][2]int32 {
+	var out [][2]int32
+	if b := p.blk; b != nil {
+		q, y := int32(b.q), int32(b.y)
+		for a := int32(0); a < b.ublk.rows; a++ {
+			for _, lc := range b.ublk.row(a) {
+				out = append(out, [2]int32{a, lc*q + y})
+			}
+		}
+		for i := int32(0); i < b.lblk.cols; i++ {
+			for _, lr := range b.lblk.col(i) {
+				out = append(out, [2]int32{lr, i*q + y})
+			}
+		}
+	} else {
+		qr, qc, L := int32(p.qr), int32(p.qc), int32(p.lc)
+		y := int32(rank % p.qc)
+		for t, b := range p.sblk.uBucket {
+			for a := int32(0); a < b.rows; a++ {
+				for _, k := range b.row(a) {
+					out = append(out, [2]int32{a, k*L + int32(t)})
+				}
+			}
+		}
+		for t, b := range p.sblk.lBucket {
+			for i := int32(0); i < b.cols; i++ {
+				for _, k := range b.col(i) {
+					out = append(out, [2]int32{(k*L + int32(t)) / qr, i*qc + y})
+				}
+			}
+		}
+	}
+	sortEdits(out)
+	return out
+}
+
+// TestMirrorMatchesBlocks checks EnsureAdjacency against the definition of
+// the mirror on every schedule shape: one class per rank (Cannon), several
+// U classes (4×2), several L classes (2×4), several of both (2×3, 1×5).
+func TestMirrorMatchesBlocks(t *testing.T) {
+	g := mustRMAT(t, rmat.G500, 9, 8, 5)
+	for _, w := range []struct{ p, qr, qc int }{{4, 0, 0}, {9, 0, 0}, {6, 2, 3}, {8, 4, 2}, {8, 2, 4}, {5, 1, 5}} {
+		for _, enum := range []Enumeration{EnumJIK, EnumIJK} {
+			name := fmt.Sprintf("p%d-%dx%d-%v", w.p, w.qr, w.qc, enum)
+			_, err := mpi.Run(w.p, testCfg(), func(c *mpi.Comm) (any, error) {
+				prep, err := prepareOn(c, g, w.qr, w.qc, enum)
+				if err != nil {
+					return nil, err
+				}
+				prep.EnsureAdjacency(c)
+				var got [][2]int32
+				m := &prep.mirror.blk
+				for a := int32(0); a < m.rows; a++ {
+					for _, u := range m.row(a) {
+						got = append(got, [2]int32{a, u})
+					}
+				}
+				if want := mirrorOracle(prep, c.Rank()); !slices.Equal(got, want) {
+					t.Errorf("%s rank %d: mirror has %d entries in row-major order, the blocks define %d", name, c.Rank(), len(got), len(want))
+				}
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}

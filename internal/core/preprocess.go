@@ -43,7 +43,9 @@ func CyclicOffsets(n int64, p int) []int64 {
 // to route batches given in original ids without any retained per-vertex
 // map.
 func CyclicID(offset []int64, v int32, p int) int32 {
-	return int32(offset[int(v)%p] + int64(v)/int64(p))
+	// One 32-bit divide yields both parts; this runs per adjacency entry.
+	q, r := uint32(v)/uint32(p), uint32(v)%uint32(p)
+	return int32(offset[r] + int64(q))
 }
 
 // cyclicRedistribute implements step (i): vertex v moves to rank v mod p and
@@ -57,50 +59,31 @@ func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *dgraph.Dist
 
 	sendbuf := make([][]int32, p)
 	c.Compute(func() {
+		// Size every destination from the row lengths, then fill.
+		need := make([]int, p)
+		for v := in.VBeg; v < in.VEnd; v++ {
+			need[int(v)%p] += 2 + len(in.Neighbors(v))
+		}
+		for dst := range sendbuf {
+			sendbuf[dst] = make([]int32, 0, need[dst])
+		}
 		for v := in.VBeg; v < in.VEnd; v++ {
 			dst := int(v) % p
 			row := in.Neighbors(v)
-			buf := sendbuf[dst]
-			buf = append(buf, newid(v), int32(len(row)))
+			buf := append(sendbuf[dst], newid(v), int32(len(row)))
 			for _, u := range row {
 				buf = append(buf, newid(u))
 			}
 			sendbuf[dst] = buf
-			*ops += int64(len(row)) + 1
 		}
+		*ops += int64(len(in.Adj)) + int64(in.NumLocal())
 	})
 	got := c.AlltoallvInt32(sendbuf)
 
-	out := &dgraph.Dist1D{N: n, VBeg: int32(offset[c.Rank()]), VEnd: int32(offset[c.Rank()+1])}
+	var out *dgraph.Dist1D
 	c.Compute(func() {
-		nloc := int(out.VEnd - out.VBeg)
-		deg := make([]int64, nloc+1)
-		for _, part := range got {
-			i := 0
-			for i < len(part) {
-				lv := part[i] - out.VBeg
-				d := part[i+1]
-				deg[lv+1] = int64(d)
-				i += 2 + int(d)
-			}
-		}
-		xadj := make([]int64, nloc+1)
-		for v := 0; v < nloc; v++ {
-			xadj[v+1] = xadj[v] + deg[v+1]
-		}
-		adj := make([]int32, xadj[nloc])
-		for _, part := range got {
-			i := 0
-			for i < len(part) {
-				lv := part[i] - out.VBeg
-				d := int(part[i+1])
-				copy(adj[xadj[lv]:xadj[lv]+int64(d)], part[i+2:i+2+d])
-				i += 2 + d
-				*ops += int64(d)
-			}
-		}
-		out.Xadj = xadj
-		out.Adj = adj
+		out = dgraph.AssembleRows(n, int32(offset[c.Rank()]), int32(offset[c.Rank()+1]), got)
+		*ops += int64(len(out.Adj))
 	})
 	return out
 }
@@ -142,73 +125,57 @@ type blocks struct {
 	maxURow int64
 }
 
+// routePairs is the sending half of the 2D redistribution: every directed
+// pair (w_v → w_u) of the relabeled graph goes to the grid rank at (w_v mod
+// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the row-major
+// numbering of both grid types. A counting pass sizes each destination
+// buffer exactly; the buffers are handed to the all-to-all, and the received
+// ones (indexed by source rank) returned.
+func routePairs(c *mpi.Comm, qr, qc int, rl *relabeled, ops *int64) [][]int32 {
+	sendbuf := make([][]int32, c.Size())
+	c.Compute(func() {
+		qr, qc := int32(qr), int32(qc) // 32-bit divides in the per-entry loops
+		need := make([]int, len(sendbuf))
+		for lv, wv := range rl.labels {
+			base := wv % qr * qc
+			for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
+				need[base+wu%qc] += 2
+			}
+		}
+		for dst := range sendbuf {
+			sendbuf[dst] = make([]int32, 0, need[dst])
+		}
+		for lv, wv := range rl.labels {
+			base := wv % qr * qc
+			for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
+				dst := base + wu%qc
+				sendbuf[dst] = append(sendbuf[dst], wv, wu)
+			}
+		}
+		*ops += int64(len(rl.adj))
+	})
+	return c.AlltoallvInt32(sendbuf)
+}
+
 // build2D implements steps (iii)+(iv): every directed pair (w_v → w_u) of
 // the relabeled graph is routed to grid rank (w_v mod q, w_u mod q); pairs
 // with w_u > w_v form U entries, pairs with w_u < w_v form L entries. The
 // task block is the L pattern for ⟨j,i,k⟩ and the U pattern for ⟨i,j,k⟩.
 func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, enum Enumeration, ops *int64) *blocks {
 	q := grid.Q()
-	p := c.Size()
-
-	sendbuf := make([][]int32, p)
-	c.Compute(func() {
-		nloc := len(rl.labels)
-		for lv := 0; lv < nloc; lv++ {
-			wv := rl.labels[lv]
-			row := rl.adj[rl.xadj[lv]:rl.xadj[lv+1]]
-			for _, wu := range row {
-				dst := int(wv)%q*q + int(wu)%q
-				sendbuf[dst] = append(sendbuf[dst], wv, wu)
-				*ops++
-			}
-		}
-	})
-	got := c.AlltoallvInt32(sendbuf)
+	got := routePairs(c, q, q, rl, ops)
 
 	blk := &blocks{
 		q: q, x: grid.Row(), y: grid.Col(), n: rl.n,
 		nRowsX: numWithResidue(rl.n, q, grid.Row()),
 		nColsY: numWithResidue(rl.n, q, grid.Col()),
 	}
-	c.Compute(func() {
-		qi := int32(q)
-		// Split received pairs into U entries and L entries, converting to
-		// local indices.
-		var uPairs, lByCol, taskPairs []int32
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
-				wv, wu := part[i], part[i+1]
-				lr, lc := wv/qi, wu/qi
-				if wu > wv {
-					// U entry (row wv, col wu).
-					uPairs = append(uPairs, lr, lc)
-					if enum == EnumIJK {
-						taskPairs = append(taskPairs, lr, lc)
-					}
-				} else {
-					// L entry (row wv=j, col wu=i): CSC keyed by column.
-					lByCol = append(lByCol, lc, lr)
-					if enum == EnumJIK {
-						taskPairs = append(taskPairs, lr, lc)
-					}
-				}
-				*ops++
-			}
-		}
-		blk.ublk = buildCSR(blk.nRowsX, [][]int32{uPairs})
-		lcsr := buildCSR(blk.nColsY, [][]int32{lByCol})
-		blk.lblk = cscBlock{cols: lcsr.rows, xadj: lcsr.xadj, adj: lcsr.adj}
-		blk.task = buildCSR(blk.nRowsX, [][]int32{taskPairs})
-		blk.taskRows = blk.task.nonEmptyRows()
-	})
-
 	var maxRow int64
 	c.Compute(func() {
-		for a := int32(0); a < blk.ublk.rows; a++ {
-			if l := int64(blk.ublk.xadj[a+1] - blk.ublk.xadj[a]); l > maxRow {
-				maxRow = l
-			}
-		}
+		blk.task, blk.ublk, blk.lblk = buildBlocks(got, int32(q), int32(q), blk.nRowsX, blk.nColsY, enum)
+		blk.taskRows = blk.task.nonEmptyRows()
+		*ops += blk.ublk.nnz() + int64(len(blk.lblk.adj))
+		maxRow = blk.ublk.maxRow()
 	})
 	blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
 	return blk

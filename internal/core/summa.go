@@ -70,28 +70,16 @@ type summaBlocks struct {
 // correct because the operand's row residue class mod qr equals the owner's
 // grid row. Buckets pre-store k div L keys so broadcast receivers can use
 // them directly.
+//
+// The blocks are built exactly as on the square grid (buildBlocks) and then
+// split: with k = c·qc + y the local column c of a U entry determines both
+// its class, (c mod L/qc)·qc + y, and its key k div L = c div (L/qc) —
+// likewise the local row of an L entry with L/qr — so a bucket is every
+// (L/qc)-th value of the U rows (every (L/qr)-th of the L columns), still
+// ascending. Only non-empty buckets exist.
 func buildSUMMA(c *mpi.Comm, grid *mpi.RectGrid, rl *relabeled, L int, enum Enumeration, ops *int64) *summaBlocks {
 	qr, qc := grid.Rows(), grid.Cols()
-	p := c.Size()
-
-	// Route both triangular parts: the destination of a directed pair
-	// (wv → wu) depends on its role. U entries (wu > wv): (wv%qr, wu%qc).
-	// L entries (wu < wv): (wv%qr, wu%qc) — task position and operand
-	// bucket coincide (see doc comment).
-	sendbuf := make([][]int32, p)
-	c.Compute(func() {
-		nloc := len(rl.labels)
-		for lv := 0; lv < nloc; lv++ {
-			wv := rl.labels[lv]
-			row := rl.adj[rl.xadj[lv]:rl.xadj[lv+1]]
-			for _, wu := range row {
-				dst := grid.RankAt(int(wv)%qr, int(wu)%qc)
-				sendbuf[dst] = append(sendbuf[dst], wv, wu)
-				*ops++
-			}
-		}
-	})
-	got := c.AlltoallvInt32(sendbuf)
+	got := routePairs(c, qr, qc, rl, ops)
 
 	blk := &summaBlocks{
 		nRows:   numWithResidue(rl.n, qr, grid.Row()),
@@ -101,61 +89,54 @@ func buildSUMMA(c *mpi.Comm, grid *mpi.RectGrid, rl *relabeled, L int, enum Enum
 	}
 	var maxRow int64
 	c.Compute(func() {
-		qri, qci, Li := int32(qr), int32(qc), int32(L)
-		uPairs := make(map[int][]int32) // class t → (row j/qr, key k/L)
-		lPairs := make(map[int][]int32) // class t → (col i/qc, key k/L)
-		var taskPairs []int32
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
-				wv, wu := part[i], part[i+1]
-				if wu > wv {
-					// U entry: row j=wv, inner k=wu.
-					t := int(wu % Li)
-					uPairs[t] = append(uPairs[t], wv/qri, wu/Li)
-					if enum == EnumIJK {
-						taskPairs = append(taskPairs, wv/qri, wu/qci)
-					}
-				} else {
-					// L entry: task (j=wv, i=wu); operand row k=wv.
-					t := int(wv % Li)
-					lPairs[t] = append(lPairs[t], wu/qci, wv/Li)
-					if enum == EnumJIK {
-						taskPairs = append(taskPairs, wv/qri, wu/qci)
-					}
-				}
-				*ops++
+		task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
+		*ops += u.nnz() + int64(len(l.adj))
+		blk.task = task
+		blk.rows = task.nonEmptyRows()
+		for cls, b := range splitClasses(u, int32(L/qc)) {
+			if b.nnz() > 0 {
+				blk.uBucket[cls*qc+grid.Col()] = b
+				maxRow = max(maxRow, b.maxRow())
 			}
 		}
-		for t, pairs := range uPairs {
-			b := buildCSR(blk.nRows, [][]int32{pairs})
-			blk.uBucket[t] = b
-			for a := int32(0); a < b.rows; a++ {
-				if l := int64(b.xadj[a+1] - b.xadj[a]); l > maxRow {
-					maxRow = l
-				}
+		for cls, b := range splitClasses(csrBlock{rows: l.cols, xadj: l.xadj, adj: l.adj}, int32(L/qr)) {
+			if b.nnz() > 0 {
+				blk.lBucket[cls*qr+grid.Row()] = cscBlock{cols: b.rows, xadj: b.xadj, adj: b.adj}
 			}
 		}
-		for t, pairs := range lPairs {
-			b := buildCSR(blk.nCols, [][]int32{pairs})
-			blk.lBucket[t] = cscBlock{cols: b.rows, xadj: b.xadj, adj: b.adj}
-		}
-		blk.task = buildCSR(blk.nRows, [][]int32{taskPairs})
-		blk.rows = blk.task.nonEmptyRows()
 	})
 	blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
-
-	// Sanity: buckets must only exist for classes this rank broadcasts.
-	for t := range blk.uBucket {
-		if t%qc != grid.Col() {
-			panic("core: summa U bucket landed on wrong column")
-		}
-	}
-	for t := range blk.lBucket {
-		if t%qr != grid.Row() {
-			panic("core: summa L bucket landed on wrong row")
-		}
-	}
 	return blk
+}
+
+// splitClasses splits a block into s blocks of the same row dimension: a
+// value v lands in block v mod s as v div s, in row order, so sorted rows
+// stay sorted. Count, then fill; s == 1 returns the block itself.
+func splitClasses(b csrBlock, s int32) []csrBlock {
+	if s == 1 {
+		return []csrBlock{b}
+	}
+	out := make([]csrBlock, s)
+	for cls := range out {
+		out[cls] = csrBlock{rows: b.rows, xadj: make([]int32, b.rows+1)}
+	}
+	for a := int32(0); a < b.rows; a++ {
+		for _, v := range b.row(a) {
+			out[v%s].xadj[a+1]++
+		}
+	}
+	for cls := range out {
+		prefixSum(out[cls].xadj)
+		out[cls].adj = make([]int32, out[cls].xadj[b.rows])
+	}
+	// Rows are visited in order, so each block's write position simply
+	// runs on from row to row.
+	fill := make([]int32, s)
+	for _, v := range b.adj {
+		out[v%s].adj[fill[v%s]] = v / s
+		fill[v%s]++
+	}
+	return out
 }
 
 // summaCount runs the lcm(qr,qc) broadcast-and-multiply steps.

@@ -2,7 +2,7 @@ package delta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tc2d/internal/core"
 	"tc2d/internal/dgraph"
@@ -42,20 +42,18 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	// (1) Reassemble the current graph as a 1D block distribution over the
 	// current labels: each rank's mirror holds one column-class slice of
 	// each of its rows, routed to the block owner of the row vertex.
-	send := mpi.SendBufs(p)
+	send := make([][]int32, p)
 	c.Compute(func() {
 		// Counting pre-pass so each destination buffer is allocated exactly
 		// once instead of growing through repeated appends.
 		need := make([]int, p)
 		for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
-			row := prep.AdjRow(la)
-			if len(row) == 0 {
-				continue
+			if row := prep.AdjRow(la); len(row) > 0 {
+				need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
 			}
-			need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
 		}
 		for dst := range send {
-			send[dst] = growCap(send[dst], need[dst])
+			send[dst] = make([]int32, 0, need[dst])
 		}
 		for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
 			row := prep.AdjRow(la)
@@ -69,39 +67,12 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	})
 	got := c.AlltoallvInt32(send)
 	beg, end := dgraph.BlockRange(c.Rank(), n, p)
-	dist := &dgraph.Dist1D{N: n, VBeg: beg, VEnd: end}
+	var dist *dgraph.Dist1D
 	c.Compute(func() {
-		nloc := int(end - beg)
-		sizes := make([]int64, nloc+1)
-		for _, part := range got {
-			for i := 0; i < len(part); {
-				lv := part[i] - beg
-				cnt := int(part[i+1])
-				sizes[lv+1] += int64(cnt)
-				i += 2 + cnt
-			}
+		dist = dgraph.AssembleRows(n, beg, end, got)
+		for v := beg; v < end; v++ {
+			slices.Sort(dist.Neighbors(v))
 		}
-		xadj := make([]int64, nloc+1)
-		for v := 0; v < nloc; v++ {
-			xadj[v+1] = xadj[v] + sizes[v+1]
-		}
-		adj := make([]int32, xadj[nloc])
-		next := make([]int64, nloc)
-		copy(next, xadj[:nloc])
-		for _, part := range got {
-			for i := 0; i < len(part); {
-				lv := part[i] - beg
-				cnt := int(part[i+1])
-				copy(adj[next[lv]:next[lv]+int64(cnt)], part[i+2:i+2+cnt])
-				next[lv] += int64(cnt)
-				i += 2 + cnt
-			}
-		}
-		for v := 0; v < nloc; v++ {
-			row := adj[xadj[v]:xadj[v+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		}
-		dist.Xadj, dist.Adj = xadj, adj
 	})
 
 	// (2) The ordinary pipeline, same grid shape and enumeration.
@@ -182,12 +153,4 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	np.SetSpaceVersion(prep.Space().Version + 1)
 	np.SetKernelConfig(prep.KernelConfig())
 	return np, nil
-}
-
-// growCap returns buf emptied, with capacity at least need.
-func growCap(buf []int32, need int) []int32 {
-	if cap(buf) < need {
-		return make([]int32, 0, need)
-	}
-	return buf[:0]
 }

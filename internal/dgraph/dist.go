@@ -6,7 +6,7 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
@@ -62,6 +62,36 @@ func BlockRange(r int, n int64, p int) (int32, int32) {
 		end++
 	}
 	return int32(beg), int32(end)
+}
+
+// AssembleRows builds the block [beg, end) of an n-vertex 1D distribution
+// from received row chunks — the receiving half of every row-routing
+// all-to-all. Each part is a sequence of chunks [id, count, count values];
+// a vertex may arrive as one chunk or as several (from any sources), which
+// are laid out in arrival order, unsorted. Count → prefix-sum → fill: two
+// passes over the parts, each output array allocated once at its final size.
+func AssembleRows(n int64, beg, end int32, got [][]int32) *Dist1D {
+	nloc := int(end - beg)
+	xadj := make([]int64, nloc+1)
+	for _, part := range got {
+		for i := 0; i < len(part); i += 2 + int(part[i+1]) {
+			xadj[part[i]-beg+1] += int64(part[i+1])
+		}
+	}
+	for v := 0; v < nloc; v++ {
+		xadj[v+1] += xadj[v]
+	}
+	adj := make([]int32, xadj[nloc])
+	next := make([]int64, nloc)
+	copy(next, xadj)
+	for _, part := range got {
+		for i := 0; i < len(part); {
+			lv, cnt := part[i]-beg, int(part[i+1])
+			next[lv] += int64(copy(adj[next[lv]:], part[i+2:i+2+cnt]))
+			i += 2 + cnt
+		}
+	}
+	return &Dist1D{N: n, VBeg: beg, VEnd: end, Xadj: xadj, Adj: adj}
 }
 
 // ScatterGraph distributes a full graph held at root into 1D blocks. Other
@@ -192,7 +222,7 @@ func assemble1D(c *mpi.Comm, n int64, edges []graph.Edge) (*Dist1D, error) {
 		w := int64(0)
 		for v := 0; v < nloc; v++ {
 			row := adj[counts[v]:counts[v+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			slices.Sort(row)
 			var prev int32 = -1
 			for _, u := range row {
 				if u == prev {

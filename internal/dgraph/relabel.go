@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"slices"
 	"sort"
 
 	"tc2d/internal/mpi"
@@ -33,8 +34,8 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 			if d > dmaxLoc {
 				dmaxLoc = d
 			}
-			*ops++
 		}
+		*ops += int64(nloc)
 	})
 	dmax := c.AllreduceInt64(dmaxLoc, mpi.OpMax)
 
@@ -62,67 +63,50 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 		}
 	})
 
-	// Resolve neighbour labels: unique sorted requests per owner rank.
+	// Resolve neighbour labels. Every rank owns one contiguous id range, so
+	// the unique ids to ask owner r for are the marked bits of that range —
+	// scanning the bitmap emits them already sorted — and the position of
+	// id u among ALL marked ids indexes the answers laid end to end in owner
+	// order: no request list is sorted, searched or kept.
+	asks := newIDSet(in.N)
+	base := make([]int32, p+1) // marked ids below owner r's range
 	reqs := make([][]int32, p)
 	c.Compute(func() {
 		for _, u := range in.Adj {
-			r := BlockOwner(u, in.N, p)
-			reqs[r] = append(reqs[r], u)
-			*ops++
+			asks.add(u)
 		}
-		for r := range reqs {
-			q := reqs[r]
-			sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
-			w := 0
-			for i, u := range q {
-				if i > 0 && u == q[i-1] {
-					continue
-				}
-				q[w] = u
-				w++
-			}
-			reqs[r] = q[:w]
+		*ops += int64(len(in.Adj))
+		asks.index()
+		for r := 0; r < p; r++ {
+			beg, end := BlockRange(r, in.N, p)
+			base[r+1] = asks.pos(end)
+			reqs[r] = asks.appendRange(make([]int32, 0, base[r+1]-base[r]), beg, end)
 		}
 	})
-	// AlltoallvInt32 takes ownership of (and recycles) its send buffers,
-	// and the binary-search rewrite below still needs reqs — send copies.
-	askCopies := make([][]int32, p)
-	for r := range reqs {
-		askCopies[r] = append([]int32(nil), reqs[r]...)
-	}
-	asked := c.AlltoallvInt32(askCopies)
+	asked := c.AlltoallvInt32(reqs)
 	resp := make([][]int32, p)
 	c.Compute(func() {
 		for r := range asked {
 			out := make([]int32, len(asked[r]))
 			for i, u := range asked[r] {
 				out[i] = labels[u-in.VBeg]
-				*ops++
 			}
+			*ops += int64(len(out))
 			resp[r] = out
 		}
 	})
 	answers := c.AlltoallvInt32(resp)
 
-	// Rewrite the adjacency via binary search into the request lists
-	// (answers are aligned with requests).
 	c.Compute(func() {
+		flat := make([]int32, base[p])
+		for r := range answers {
+			copy(flat[base[r]:base[r+1]], answers[r])
+		}
 		newAdj = make([]int32, len(in.Adj))
 		for i, u := range in.Adj {
-			r := BlockOwner(u, in.N, p)
-			q := reqs[r]
-			lo, hi := 0, len(q)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if q[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			newAdj[i] = answers[r][lo]
-			*ops++
+			newAdj[i] = flat[asks.pos(u)]
 		}
+		*ops += int64(len(in.Adj))
 	})
 	return labels, newAdj
 }
@@ -142,50 +126,27 @@ func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
 	// id, with lists sorted for downstream merge intersections.
 	sendbuf := make([][]int32, p)
 	c.Compute(func() {
+		need := make([]int, p)
+		for lv := 0; lv < nloc; lv++ {
+			need[BlockOwner(labels[lv], in.N, p)] += 2 + int(in.Xadj[lv+1]-in.Xadj[lv])
+		}
+		for dst := range sendbuf {
+			sendbuf[dst] = make([]int32, 0, need[dst])
+		}
 		for lv := 0; lv < nloc; lv++ {
 			w := labels[lv]
 			dst := BlockOwner(w, in.N, p)
 			row := newAdj[in.Xadj[lv]:in.Xadj[lv+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			buf := sendbuf[dst]
-			buf = append(buf, w, int32(len(row)))
-			buf = append(buf, row...)
-			sendbuf[dst] = buf
+			slices.Sort(row)
+			buf := append(sendbuf[dst], w, int32(len(row)))
+			sendbuf[dst] = append(buf, row...)
 		}
 	})
 	got := c.AlltoallvInt32(sendbuf)
 
 	beg, end := BlockRange(c.Rank(), in.N, p)
-	out := &Dist1D{N: in.N, VBeg: beg, VEnd: end}
-	c.Compute(func() {
-		nout := int(end - beg)
-		sizes := make([]int64, nout+1)
-		for _, part := range got {
-			i := 0
-			for i < len(part) {
-				lv := part[i] - beg
-				d := part[i+1]
-				sizes[lv+1] = int64(d)
-				i += 2 + int(d)
-			}
-		}
-		xadj := make([]int64, nout+1)
-		for v := 0; v < nout; v++ {
-			xadj[v+1] = xadj[v] + sizes[v+1]
-		}
-		adj := make([]int32, xadj[nout])
-		for _, part := range got {
-			i := 0
-			for i < len(part) {
-				lv := part[i] - beg
-				d := int(part[i+1])
-				copy(adj[xadj[lv]:xadj[lv]+int64(d)], part[i+2:i+2+d])
-				i += 2 + d
-			}
-		}
-		out.Xadj = xadj
-		out.Adj = adj
-	})
+	var out *Dist1D
+	c.Compute(func() { out = AssembleRows(in.N, beg, end, got) })
 	return out
 }
 

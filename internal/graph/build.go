@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is one undirected edge. Orientation carries no meaning; builders
@@ -55,7 +55,7 @@ func FromEdges(n int32, edges []Edge) (*Graph, error) {
 	w := int64(0)
 	for v := int32(0); v < n; v++ {
 		row := adj[xadj[v]:xadj[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		start := w
 		var prev int32 = -1
 		for _, u := range row {
@@ -107,7 +107,7 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 		for i, u := range g.Neighbors(v) {
 			row[i] = perm[u]
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 	}
 	return &Graph{N: g.N, Xadj: xadj, Adj: adj}, nil
 }

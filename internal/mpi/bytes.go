@@ -29,6 +29,15 @@ func Int32sToBytes(v []int32) []byte {
 	return b
 }
 
+// Int32sAsBytes reinterprets v as its byte payload without copying; the
+// result aliases v.
+func Int32sAsBytes(v []int32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
 // BytesToInt32s reinterprets b as []int32, copying only if misaligned.
 func BytesToInt32s(b []byte) []int32 {
 	if len(b)%4 != 0 {

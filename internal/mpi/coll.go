@@ -303,16 +303,19 @@ func (c *Comm) Alltoallv(send [][]byte) [][]byte {
 }
 
 // AlltoallvInt32 is Alltoallv over int32 payloads. Ownership of the send
-// buffers transfers to the runtime: their contents are copied to the wire
-// staging and the buffers recycled into the send pool (see SendBufs), so
-// callers must not read them after the call.
+// buffers transfers to the runtime and on to the receivers: each buffer goes
+// to the wire as is, reinterpreted as bytes, so on the in-process transport
+// the receiver's slice IS the sender's array. Callers must neither read nor
+// write a buffer after the call (the entries are nilled), and must size the
+// buffers themselves — nothing here is pooled. The returned slices belong to
+// the caller, who may overwrite them.
 func (c *Comm) AlltoallvInt32(send [][]int32) [][]int32 {
 	p := c.world.size
 	bufs := make([][]byte, p)
 	for d := range send {
-		bufs[d] = Int32sToBytes(send[d])
+		bufs[d] = Int32sAsBytes(send[d])
+		send[d] = nil
 	}
-	recycleSendBufs(send)
 	got := c.Alltoallv(bufs)
 	out := make([][]int32, p)
 	for s := range got {
@@ -361,9 +364,10 @@ func (c *Comm) AlltoallvSparse(send [][]byte) [][]byte {
 	return recv
 }
 
-// AlltoallvSparseInt32 is AlltoallvSparse over int32 payloads. Like
-// AlltoallvInt32 it takes ownership of the send buffers and recycles them
-// into the send pool; callers must not read them after the call.
+// AlltoallvSparseInt32 is AlltoallvSparse over int32 payloads. It takes
+// ownership of the send buffers: their contents are copied to the wire
+// staging and the buffers recycled into the send pool (see SendBufs), so
+// callers must not read them after the call.
 func (c *Comm) AlltoallvSparseInt32(send [][]int32) [][]int32 {
 	p := c.world.size
 	bufs := make([][]byte, p)

@@ -2,18 +2,19 @@ package mpi
 
 import "sync"
 
-// sendPool recycles the per-destination []int32 staging buffers the int32
-// collectives consume. The write path of the dynamic-update subsystem runs
+// sendPool recycles the per-destination []int32 staging buffers the sparse
+// int32 collective consumes. The write path of the dynamic-update subsystem runs
 // one or more all-to-alls per epoch, each staging its payloads in freshly
 // appended buffers; recycling them caps steady-state allocation volume at
 // the high-water mark instead of re-allocating every epoch.
 var sendPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // SendBufs returns p empty int32 send buffers drawn from the process-wide
-// send pool. Pass the slice to AlltoallvInt32 or AlltoallvSparseInt32 —
-// those collectives recycle every send buffer (pooled or not) once its
-// contents are staged for the wire, so epochs that draw their staging
-// memory here stop allocating it. The buffers start empty with arbitrary
+// send pool. Pass the slice to AlltoallvSparseInt32 — it recycles every
+// send buffer (pooled or not) once its contents are staged for the wire, so
+// epochs that draw their staging memory here stop allocating it. (The dense
+// AlltoallvInt32 hands its buffers to the receivers instead; pooled buffers
+// given to it just leave the pool.) The buffers start empty with arbitrary
 // capacity; fill them with append.
 func SendBufs(p int) [][]int32 {
 	out := make([][]int32, p)

@@ -331,8 +331,8 @@ func (h *Histogram) Sum() float64 {
 
 // Snapshot returns every series' current value as a flat map: plain
 // "name{labels}" → value for counters and gauges; histograms contribute
-// "name_count{labels}" and "name_sum{labels}". The tcbench self-observation
-// records deltas of these maps across a run.
+// "name_count{labels}" and "name_sum{labels}". The benchmark (bench/)
+// records deltas of these maps across a traced pass.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -454,7 +454,8 @@ func formatFloat(v float64) string {
 }
 
 // Ratio guards a division against a zero denominator — the shared helper
-// for coalescing factors and merge fractions reported by tcd and tcbench.
+// for coalescing factors and merge fractions reported by tcd (bench/, the
+// successor of the old tcbench reports, computes its ratios itself).
 func Ratio(num, den int64) float64 {
 	if den == 0 {
 		return 0
