@@ -115,10 +115,6 @@ type Options struct {
 	NoDirectHash   bool
 	NoEarlyBreak   bool
 	NoBlob         bool
-	// NoAdaptiveIntersect disables the per-(row, col) merge/hash selection
-	// of the intersection kernel and always uses the hash probe — the new
-	// ablation toggle, in the same kill-switch style as the paper's four.
-	NoAdaptiveIntersect bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 
@@ -126,14 +122,17 @@ type Options struct {
 	// compute step's intersection work across, on top of the inter-rank 2D
 	// decomposition: task rows are split into weight-balanced buckets
 	// (weight = Σ min(|U-row|, |L-col|) over the row's tasks, assigned
-	// longest-processing-time first) and every worker owns a pooled hash
-	// set plus private counters summed deterministically afterwards, so
-	// the triangle count and every Result counter are exact at any thread
-	// count. 0 (the default) selects min(GOMAXPROCS, NumCPU); 1 runs the
-	// sequential kernel; negative values are rejected. For resident
-	// clusters the value also becomes the write path's delta-pass
-	// parallelism. For contention-free virtual-time measurements combine
-	// KernelThreads=1 with ComputeSlots=1.
+	// longest-processing-time first) and every worker owns a bitmap plus
+	// private counters summed deterministically afterwards, so the
+	// triangle count and every Result counter are exact at any thread
+	// count. 1 runs the rows on the rank's own goroutine; negative values
+	// are rejected. 0 (the default) shares the host among the ranks that
+	// compute side by side: P / min(ranks hosted by the process,
+	// ComputeSlots), at least 1, with P = min(GOMAXPROCS, NumCPU) — four
+	// ranks on two CPUs run one worker each, a one-rank tcworker on a
+	// 16-core host runs 16. For resident clusters the write path's delta
+	// pass inherits the same value. For contention-free virtual-time
+	// measurements combine KernelThreads=1 with ComputeSlots=1.
 	KernelThreads int
 
 	// RebuildFraction controls write-path staleness for resident clusters:
@@ -234,22 +233,21 @@ type Options struct {
 
 func (o Options) coreOptions() core.Options {
 	return core.Options{
-		Enumeration:         o.Enumeration,
-		NoDoublySparse:      o.NoDoublySparse,
-		NoDirectHash:        o.NoDirectHash,
-		NoEarlyBreak:        o.NoEarlyBreak,
-		NoBlob:              o.NoBlob,
-		NoAdaptiveIntersect: o.NoAdaptiveIntersect,
-		TrackPerShift:       o.TrackPerShift,
-		KernelThreads:       o.KernelThreads,
-		Metrics:             o.Metrics,
+		Enumeration:    o.Enumeration,
+		NoDoublySparse: o.NoDoublySparse,
+		NoDirectHash:   o.NoDirectHash,
+		NoEarlyBreak:   o.NoEarlyBreak,
+		NoBlob:         o.NoBlob,
+		TrackPerShift:  o.TrackPerShift,
+		KernelThreads:  o.KernelThreads,
+		Metrics:        o.Metrics,
 	}
 }
 
 // kernelThreads validates Options.KernelThreads (0 = host default).
 func (o Options) kernelThreads() (int, error) {
 	if o.KernelThreads < 0 {
-		return 0, fmt.Errorf("tc2d: KernelThreads=%d must be non-negative (0 = min(GOMAXPROCS, NumCPU))", o.KernelThreads)
+		return 0, fmt.Errorf("tc2d: KernelThreads=%d must be non-negative (0 = the host's share)", o.KernelThreads)
 	}
 	return o.KernelThreads, nil
 }

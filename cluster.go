@@ -24,15 +24,11 @@ var ErrClusterClosed = ErrClosed
 // cost model) is fixed at NewCluster time. The zero value runs the paper's
 // fully optimized kernel.
 type QueryOptions struct {
-	// Optimization kill switches, as in Options. NoAdaptiveIntersect
-	// composes with the cluster's standing default: it can disable the
-	// adaptive intersection for one query but not re-enable it on a
-	// cluster built with Options.NoAdaptiveIntersect.
-	NoDoublySparse      bool
-	NoDirectHash        bool
-	NoEarlyBreak        bool
-	NoBlob              bool
-	NoAdaptiveIntersect bool
+	// Optimization kill switches, as in Options.
+	NoDoublySparse bool
+	NoDirectHash   bool
+	NoEarlyBreak   bool
+	NoBlob         bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 	// KernelThreads overrides the cluster's intra-rank kernel parallelism
@@ -50,14 +46,13 @@ func (cl *Cluster) queryCoreOptions(q QueryOptions) core.Options {
 		threads = cl.kernelThreads
 	}
 	return core.Options{
-		Enumeration:         cl.enum,
-		NoDoublySparse:      q.NoDoublySparse,
-		NoDirectHash:        q.NoDirectHash,
-		NoEarlyBreak:        q.NoEarlyBreak,
-		NoBlob:              q.NoBlob,
-		NoAdaptiveIntersect: q.NoAdaptiveIntersect || cl.noAdaptive,
-		TrackPerShift:       q.TrackPerShift,
-		KernelThreads:       threads,
+		Enumeration:    cl.enum,
+		NoDoublySparse: q.NoDoublySparse,
+		NoDirectHash:   q.NoDirectHash,
+		NoEarlyBreak:   q.NoEarlyBreak,
+		NoBlob:         q.NoBlob,
+		TrackPerShift:  q.TrackPerShift,
+		KernelThreads:  threads,
 	}
 }
 
@@ -107,13 +102,10 @@ type ClusterInfo struct {
 	CoalescedBatches int64
 	QueueDepth       int64
 	// KernelThreads is the resolved per-rank kernel worker count queries
-	// and write epochs default to; MapTasks and MergeTasks accumulate the
-	// intersection-pair counts of completed count epochs (MergeTasks pairs
-	// took the sorted-merge path, MapTasks - MergeTasks the hash path), so
-	// their ratio is the cluster's observed merge/hash task split.
+	// and write epochs default to; MapTasks accumulates the
+	// intersection-pair counts of completed count epochs.
 	KernelThreads int
 	MapTasks      int64
-	MergeTasks    int64
 	// PreOps and PreprocessTime describe the one-time preprocessing that
 	// built the resident state; CommFracPre its communication fraction.
 	// Both are zero on a cluster restored by OpenCluster: a restore decodes
@@ -175,13 +167,11 @@ type Cluster struct {
 	rebuilds    atomic.Int64
 	incRebuilds atomic.Int64 // the subset of rebuilds that ran incrementally
 	mapTasks    atomic.Int64 // intersection pairs of completed count epochs
-	mergeTasks  atomic.Int64 // the subset that took the merge path
 
-	// Standing kernel defaults from Options, immutable after construction:
-	// queries resolve KernelThreads=0 against kernelThreads, and the write
-	// path's delta passes read the same config off each Prepared value.
+	// Standing Options.KernelThreads, immutable after construction: queries
+	// resolve KernelThreads=0 against it, and the write path's delta passes
+	// read the same value off each Prepared value.
 	kernelThreads int
-	noAdaptive    bool
 	// readOnly marks a follower's cluster: the public write path rejects
 	// with ErrFollowerReadOnly, and only the replication apply loop mutates
 	// the resident state (under the exclusive gate, like any write).
@@ -332,7 +322,6 @@ func newClusterOn(eng engine, res *resolvedOptions, ranks int, enum Enumeration)
 		autoRebuild:         !res.DisableAutoRebuild,
 		maxVertices:         res.MaxVertices,
 		kernelThreads:       res.KernelThreads,
-		noAdaptive:          res.NoAdaptiveIntersect,
 		metrics:             res.metrics,
 	}
 	cl.lastTri.Store(-1)
@@ -373,7 +362,6 @@ func buildCluster(opt Options, newEngine func(res *resolvedOptions, p int) (engi
 	cl := newClusterOn(eng, res, p, opt.Enumeration)
 	build.SUMMA = opt.useSUMMA(p)
 	build.Kernel = wireKernelOf(opt.coreOptions())
-	build.KThreads, build.NoAdaptive = opt.KernelThreads, opt.NoAdaptiveIntersect
 	build.Track = opt.PersistDir != ""
 	if _, err := cl.run(opBuild, build); err != nil {
 		eng.close()
@@ -526,7 +514,6 @@ func (cl *Cluster) countEpoch(q QueryOptions, parent *obs.Span) (*Result, error)
 	}
 	cl.lastTri.Store(res.Triangles)
 	cl.mapTasks.Add(res.MapTasks)
-	cl.mergeTasks.Add(res.MergeTasks)
 	return res, nil
 }
 
@@ -603,7 +590,6 @@ func (cl *Cluster) Info() ClusterInfo {
 		QueueDepth:          cl.sched.depth.Load(),
 		KernelThreads:       meta.KernelWorkers,
 		MapTasks:            cl.mapTasks.Load(),
-		MergeTasks:          cl.mergeTasks.Load(),
 		PreOps:              meta.PreOps,
 		PreprocessTime:      meta.PreprocessTime,
 		CommFracPre:         meta.CommFracPre,

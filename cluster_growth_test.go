@@ -358,6 +358,62 @@ func TestClusterGrowthFold(t *testing.T) {
 	}
 }
 
+// TestClusterGrowthPastBitmapWords: the kernel sizes its bitmaps from the
+// vertex count at the time of each count, never from the build. Starting from
+// 64 vertices (one bitmap word per worker on both grids), each step admits
+// ids up to a new top — overflow ids keep their id as label, so the top ids
+// are the top intersection keys — and closes triangles through them, carrying
+// the local key range past 64, 128 and 256 on the Cannon grid (keys k div 2)
+// and past 64 and 128 on the SUMMA grid (keys k div 6). Every count over the
+// grown blocks, and over the folded ones after a rebuild, must match the
+// oracle.
+func TestClusterGrowthPastBitmapWords(t *testing.T) {
+	for _, ranks := range []int{4, 6} { // Cannon 2×2, SUMMA 2×3
+		g, err := GenerateRMAT(G500, 6, 8, 94)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewCluster(g, Options{Ranks: ranks, DisableAutoRebuild: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newGrowOracle(g)
+		count := func(tag string) {
+			t.Helper()
+			want := CountSequential(o.graph(t))
+			for _, q := range []QueryOptions{{}, {KernelThreads: 3}, {NoDirectHash: true}} {
+				res, err := cl.Count(q)
+				if err != nil {
+					t.Fatalf("ranks=%d %s %+v: %v", ranks, tag, q, err)
+				}
+				if res.Triangles != want || res.N != o.n {
+					t.Fatalf("ranks=%d %s %+v: %d triangles over %d vertices, oracle %d over %d",
+						ranks, tag, q, res.Triangles, res.N, want, o.n)
+				}
+			}
+		}
+		for _, top := range []int32{100, 140, 300, 800} {
+			a, b, c := top-1, top-2, top-3
+			batch := []EdgeUpdate{{U: a, V: b}, {U: b, V: c}, {U: a, V: c}}
+			for v := int32(0); v < 8; v++ {
+				batch = append(batch, EdgeUpdate{U: a, V: v}, EdgeUpdate{U: b, V: v})
+			}
+			res, err := cl.ApplyUpdates(batch)
+			if err != nil {
+				t.Fatalf("ranks=%d grow to %d: %v", ranks, top, err)
+			}
+			o.apply(batch)
+			checkGrowthState(t, "grow", cl, o, res)
+			count("grown")
+		}
+		if err := cl.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		count("folded")
+		cl.Close()
+	}
+}
+
 // TestClusterGrowthAutoFold checks that vertex-space overflow alone trips
 // the staleness rebuild: pure vertex arrival (few edge churns) must
 // eventually fold automatically.

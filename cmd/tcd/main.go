@@ -64,8 +64,8 @@
 // Endpoints:
 //
 //	GET  /count        — triangle count (query params: nodoublysparse,
-//	                     nodirecthash, noearlybreak, noblob,
-//	                     noadaptiveintersect, any of =1/true;
+//	                     nodirecthash, noearlybreak, noblob, any of
+//	                     =1/true;
 //	                     kernelthreads=N overrides the per-rank kernel
 //	                     worker count for this query; trace=1 additionally
 //	                     returns the span tree of this query — admission,
@@ -139,7 +139,7 @@ func main() {
 		coord    = flag.String("coordinator", "", "run as a multi-process coordinator: host no ranks, accept tcworker processes on this address (e.g. :7271)")
 		wwait    = flag.Duration("worker-wait", time.Minute, "how long a booting coordinator waits for workers to cover every rank")
 		noSync   = flag.Bool("no-wal-sync", false, "skip the per-commit WAL fsync (crash-safe but not power-loss-safe)")
-		kthr     = flag.Int("kernel-threads", 0, "intra-rank kernel workers per rank (0 = min(GOMAXPROCS, NumCPU))")
+		kthr     = flag.Int("kernel-threads", 0, "intra-rank kernel workers per rank (0 = the CPUs divided among the ranks computing at once)")
 		usePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		slowQ    = flag.Duration("slow-query", 0, "log requests slower than this at warn level (0 = disabled)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -571,11 +571,10 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	release := s.admitQuery()
 	defer release()
 	q := tc2d.QueryOptions{
-		NoDoublySparse:      boolParam(r, "nodoublysparse"),
-		NoDirectHash:        boolParam(r, "nodirecthash"),
-		NoEarlyBreak:        boolParam(r, "noearlybreak"),
-		NoBlob:              boolParam(r, "noblob"),
-		NoAdaptiveIntersect: boolParam(r, "noadaptiveintersect"),
+		NoDoublySparse: boolParam(r, "nodoublysparse"),
+		NoDirectHash:   boolParam(r, "nodirecthash"),
+		NoEarlyBreak:   boolParam(r, "noearlybreak"),
+		NoBlob:         boolParam(r, "noblob"),
 	}
 	if v := r.URL.Query().Get("kernelthreads"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -623,7 +622,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		"m":               res.M,
 		"probes":          res.Probes,
 		"map_tasks":       res.MapTasks,
-		"merge_tasks":     res.MergeTasks,
 		"kernel_threads":  res.KernelThreads,
 		"count_time_s":    res.CountTime,
 		"comm_frac_count": res.CommFracCount,
@@ -948,11 +946,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"write_coalescing":       obs.Ratio(info.CoalescedBatches, info.WriteEpochs),
 		},
 		"kernel": map[string]any{
-			"threads":     info.KernelThreads,
-			"map_tasks":   info.MapTasks,
-			"merge_tasks": info.MergeTasks,
-			"hash_tasks":  info.MapTasks - info.MergeTasks,
-			"merge_frac":  obs.Ratio(info.MergeTasks, info.MapTasks),
+			"threads":   info.KernelThreads,
+			"map_tasks": info.MapTasks,
 		},
 		"persist": map[string]any{
 			"enabled":           info.Persist.Enabled,

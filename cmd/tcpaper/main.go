@@ -12,6 +12,12 @@
 // runtime's LogGP-style virtual clocks, not wall-clock, and every exhibit
 // says so under its title. Wall-clock measurement of the resident service
 // is the job of the one benchmark, bench/ (`bash bench/run.sh`).
+//
+// -exp probes and the tct rates of Figure 2 count the paper's probes: one
+// map lookup per probe-list entry at or above the hashed row's minimum, for
+// every intersected pair. (While the kernel sent balanced pairs through a
+// sorted merge, those pairs counted none.) Triangle and task counts never
+// depended on the routine.
 package main
 
 import (

@@ -14,9 +14,8 @@ import (
 // it to (a−b, b), so P_{x,y} starts holding L_{(x+y) mod q, y}. After each
 // compute step U moves one position left and L one position up, realizing
 // C[task_{x,y}] = Σ_z U_{x,(x+y+z)%q} · L_{(x+y+z)%q,y}.
-func cannonCount(c *mpi.Comm, grid *mpi.Grid, blk *blocks, opt Options) (kernelCounters, []float64) {
+func cannonCount(c *mpi.Comm, grid *mpi.Grid, blk *blocks, pool *kernelPool, opt Options) (kernelCounters, []float64) {
 	q := grid.Q()
-	pool := newKernelPool(kernelCapHint(blk), opt.kernelWorkers(), opt)
 	perShift := make([]float64, 0, q)
 	trace := opt.Trace // per-rank parent span; nil (no-op) when untraced
 
@@ -59,7 +58,7 @@ func cannonCount(c *mpi.Comm, grid *mpi.Grid, blk *blocks, opt Options) (kernelC
 			before := c.Stats().CompTime
 			ks := trace.StartChild("kernel")
 			c.Compute(func() {
-				pool.run(&blk.task, blk.taskRows, &u, &l, opt)
+				pool.run(&blk.task, blk.taskRows, &u, &l)
 			})
 			ks.SetAttr("step", z)
 			ks.SetAttr("virtual_s", c.Stats().CompTime-before)
@@ -98,7 +97,7 @@ func cannonCount(c *mpi.Comm, grid *mpi.Grid, blk *blocks, opt Options) (kernelC
 		before := c.Stats().CompTime
 		ks := trace.StartChild("kernel")
 		c.Compute(func() {
-			pool.run(&blk.task, blk.taskRows, &u, &l, opt)
+			pool.run(&blk.task, blk.taskRows, &u, &l)
 		})
 		ks.SetAttr("step", z)
 		ks.SetAttr("virtual_s", c.Stats().CompTime-before)

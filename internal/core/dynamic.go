@@ -386,32 +386,49 @@ func (p *Prepared) spliceSUMMA(rank int, ins, del [][2]int32) {
 	}
 }
 
-// ValidateKernelSizing asserts the invariant the pooled kernel sets rely
-// on: the resident maxURow — the value kernelCapHint/summaCapHint size
-// every per-worker hash set from — is at least the actual longest local U
-// row, globally. GrowTo preserves it for free (it only appends empty rows),
-// and Splice refreshes it with an allreduce after every mutation; this
-// re-derives the maximum from the blocks and fails if the resident value
-// ever falls behind. All ranks must call it collectively (one allreduce).
+// ValidateKernelSizing asserts the two bounds a count sizes its kernel maps
+// from, re-deriving both from the resident blocks: every intersection key is
+// below the key range of the CURRENT vertex count (the bitmap length — an
+// out-of-range key would index past it), and the resident maxURow (the
+// probing-table size of the NoDirectHash ablation) is at least the actual
+// longest local U row, globally. GrowTo preserves both for free (it only
+// appends empty rows and raises n), and Splice refreshes maxURow with an
+// allreduce after every mutation. All ranks must call it collectively (one
+// allreduce).
 func (p *Prepared) ValidateKernelSizing(c *mpi.Comm) error {
-	var local int64
-	c.Compute(func() { local = p.localMaxURow() })
-	actual := c.AllreduceInt64(local, mpi.OpMax)
-	var resident int64
-	switch {
-	case p.blk != nil:
-		resident = p.blk.maxURow
-	case p.sblk != nil:
-		resident = p.sblk.maxURow
+	var longest int64
+	var topKey int32
+	c.Compute(func() { longest, topKey = p.localMaxURow(), p.localTopKey() })
+	maxes := c.AllreduceInt64s([]int64{longest, int64(topKey)}, mpi.OpMax)
+	resident, keyRange := p.kernelSizing()
+	if maxes[0] > resident {
+		return fmt.Errorf("core: resident maxURow %d fell behind actual longest U row %d — kernel set sizing bound violated", resident, maxes[0])
 	}
-	if actual > resident {
-		return fmt.Errorf("core: resident maxURow %d fell behind actual longest U row %d — kernel set sizing bound violated", resident, actual)
+	if maxes[1] >= int64(keyRange) {
+		return fmt.Errorf("core: intersection key %d outside the kernel bitmap's %d bits (n=%d)", maxes[1], keyRange, p.n)
 	}
 	return nil
 }
 
+// kernelSizing returns what a count sizes its kernel maps from: the resident
+// maxURow and the intersection key range of the current vertex count — keys
+// are k div q on the Cannon grid and k div lcm(qr, qc) in the SUMMA buckets.
+func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
+	if p.blk != nil {
+		return p.blk.maxURow, numWithResidue(p.n, p.blk.q, 0)
+	}
+	return p.sblk.maxURow, numWithResidue(p.n, p.lc, 0)
+}
+
+// kernelPool builds the kernel workers of one count over p, sized for the
+// state as it is now.
+func (p *Prepared) kernelPool(c *mpi.Comm, opt Options) *kernelPool {
+	maxURow, keyRange := p.kernelSizing()
+	return newKernelPool(opt.kernelWorkers(c), keyRange, maxURow, opt)
+}
+
 // localMaxURow scans the resident U structure for the longest row — the
-// quantity kernelCapHint sizes the intersection maps by.
+// quantity maxURow bounds.
 func (p *Prepared) localMaxURow() int64 {
 	if p.blk != nil {
 		return p.blk.ublk.maxRow()
@@ -421,4 +438,27 @@ func (p *Prepared) localMaxURow() int64 {
 		longest = max(longest, b.maxRow())
 	}
 	return longest
+}
+
+// localTopKey scans the resident operand blocks for the largest intersection
+// key (-1 when there is none).
+func (p *Prepared) localTopKey() int32 {
+	topKey := int32(-1)
+	top := func(adj []int32) {
+		if len(adj) > 0 {
+			topKey = max(topKey, slices.Max(adj))
+		}
+	}
+	if p.blk != nil {
+		top(p.blk.ublk.adj)
+		top(p.blk.lblk.adj)
+		return topKey
+	}
+	for _, b := range p.sblk.uBucket {
+		top(b.adj)
+	}
+	for _, b := range p.sblk.lBucket {
+		top(b.adj)
+	}
+	return topKey
 }

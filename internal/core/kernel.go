@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"tc2d/internal/hashset"
+	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
 
@@ -13,67 +15,39 @@ import (
 // field is a pure sum over (row, task) pairs, so any partitioning of the
 // pairs across workers reproduces the same totals.
 type kernelCounters struct {
-	triangles  int64
-	probes     int64 // hash-map lookups (Fig 2's tct ops; §7.1's probe metric)
-	mapTasks   int64 // (task, shift) pairs that ran a set intersection (Table 4)
-	mergeTasks int64 // the subset of mapTasks intersected by sorted merge
-	mergeOps   int64 // pointer advances performed by merge intersections
+	triangles int64
+	probes    int64 // map lookups (Fig 2's tct ops; §7.1's probe metric)
+	mapTasks  int64 // (task, shift) pairs that ran a set intersection (Table 4)
 }
 
 func (kc *kernelCounters) add(o kernelCounters) {
 	kc.triangles += o.triangles
 	kc.probes += o.probes
 	kc.mapTasks += o.mapTasks
-	kc.mergeTasks += o.mergeTasks
-	kc.mergeOps += o.mergeOps
 }
 
-// mergeRatio is the length-skew bound of the adaptive intersection: a
-// (row, col) pair whose list lengths are within this factor of each other is
-// intersected with the sorted-merge scan (TC-Merge — linear, cache-friendly,
-// no hashing); more skewed pairs keep the hash probe (TC-Hash), whose cost
-// is bounded by the shorter probe list alone.
-const mergeRatio = 4
-
-// useMerge reports whether the adaptive kernel picks the sorted-merge scan
-// for a pair with list lengths lu and lc.
-func useMerge(lu, lc int) bool {
-	return lu <= mergeRatio*lc && lc <= mergeRatio*lu
+// kernelWorker is one worker's private state, reused across all steps of a
+// count: the intersection map of the row in hand and the worker's counters.
+type kernelWorker struct {
+	// bits is the direct-addressed map of the paper's §5.2 direct hashing,
+	// made unconditional: one bit per key of the operand's local key range,
+	// so every row is collision-free. All-zero between rows.
+	bits []uint64
+	// set is the probing table of the NoDirectHash ablation; nil otherwise.
+	set *hashset.Set
+	kc  kernelCounters
 }
 
-// mergeIntersect counts the common keys of two ascending-sorted lists with a
-// two-pointer scan. Each pointer advance is one mergeOp.
-func mergeIntersect(urow, col []int32, kc *kernelCounters) {
-	i, j := 0, 0
-	for i < len(urow) && j < len(col) {
-		kc.mergeOps++
-		a, b := urow[i], col[j]
-		switch {
-		case a == b:
-			kc.triangles++
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
-		}
-	}
-}
-
-// kernelRow runs one task row of one compute step: hash the U-block row a
-// once (lazily — only if some pair takes the hash path) and intersect the
-// L-block column of every task against it (map-based intersection,
-// §3.1/§5.1). Every hit is one triangle.
+// rowBitmap runs one task row of one compute step: mark the keys of U-block
+// row a in the bitmap (lazily — only once some task column is non-empty) and
+// look the keys of every task's L-block column up in it (map-based
+// intersection, §3.1/§5.1). Every hit is one triangle.
 //
-// Optimizations (§5.2 plus the adaptive extension), each toggleable:
-//   - direct hashing: when the row's largest key fits under the map mask,
-//     insert/lookup with a single bitwise AND, no probing;
-//   - early break: probe the (ascending sorted) column backwards and stop
-//     at the first key below the hashed row's minimum;
-//   - adaptive intersection: switch to a sorted-merge scan when the two
-//     lists are within mergeRatio of each other in length.
-func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.Set, opt Options, kc *kernelCounters) {
+// Columns are ascending, so each is walked backwards down to the first key
+// below floor, the row's minimum (§5.2 early break); noEarlyBreak walks the
+// whole column. The walk adds the looked-up bit to a register instead of
+// branching on it, and the probe count comes from where the walk stopped.
+func (w *kernelWorker) rowBitmap(a int32, task, u *csrBlock, l *cscBlock, noEarlyBreak bool) {
 	tcols := task.row(a)
 	if len(tcols) == 0 {
 		return
@@ -81,95 +55,123 @@ func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.S
 	urow := u.row(a)
 	if len(urow) == 0 {
 		// No U entries for this row in the current residue class:
-		// nothing can intersect this shift.
+		// nothing can intersect this step.
 		return
 	}
-	mask := set.Mask()
-	adaptive := !opt.NoAdaptiveIntersect
+	floor := urow[0] // rows are sorted ascending
+	if noEarlyBreak {
+		floor = 0
+	}
+	bits := w.bits
 	built := false
-	minKey := urow[0] // rows are sorted ascending
+	var hits uint64
+	var probes, tasks int
 	for _, b := range tcols {
 		col := l.col(b)
 		if len(col) == 0 {
 			continue
 		}
-		kc.mapTasks++
-		if adaptive && useMerge(len(urow), len(col)) {
-			kc.mergeTasks++
-			mergeIntersect(urow, col, kc)
-			continue
-		}
+		tasks++
 		if !built {
-			direct := !opt.NoDirectHash && urow[len(urow)-1] <= mask
-			set.Reset(direct)
 			for _, k := range urow {
-				set.Insert(k)
+				bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
 			}
 			built = true
 		}
-		if !opt.NoEarlyBreak {
-			for idx := len(col) - 1; idx >= 0; idx-- {
-				k := col[idx]
-				if k < minKey {
-					break
-				}
-				kc.probes++
-				if set.Contains(k) {
-					kc.triangles++
-				}
+		i := len(col) - 1
+		for ; i >= 0; i-- {
+			k := col[i]
+			if k < floor {
+				break
 			}
-		} else {
-			for _, k := range col {
-				kc.probes++
-				if set.Contains(k) {
-					kc.triangles++
-				}
+			hits += bits[uint32(k)>>6] >> (uint32(k) & 63) & 1
+		}
+		probes += len(col) - 1 - i
+	}
+	if built {
+		// A stale bit would inflate every later row: clear exactly the
+		// words this row set.
+		for _, k := range urow {
+			bits[uint32(k)>>6] = 0
+		}
+	}
+	w.kc.triangles += int64(hits)
+	w.kc.probes += int64(probes)
+	w.kc.mapTasks += int64(tasks)
+}
+
+// rowProbing is rowBitmap for the NoDirectHash ablation (§7.3): the same
+// row, intersected through the multiplicative-hash linear-probing table the
+// paper's direct hashing avoids.
+func (w *kernelWorker) rowProbing(a int32, task, u *csrBlock, l *cscBlock, noEarlyBreak bool) {
+	tcols := task.row(a)
+	urow := u.row(a)
+	if len(tcols) == 0 || len(urow) == 0 {
+		return
+	}
+	floor := urow[0]
+	if noEarlyBreak {
+		floor = 0
+	}
+	built := false
+	for _, b := range tcols {
+		col := l.col(b)
+		if len(col) == 0 {
+			continue
+		}
+		w.kc.mapTasks++
+		if !built {
+			w.set.Reset(false)
+			for _, k := range urow {
+				w.set.Insert(k)
+			}
+			built = true
+		}
+		for i := len(col) - 1; i >= 0 && col[i] >= floor; i-- {
+			w.kc.probes++
+			if w.set.Contains(col[i]) {
+				w.kc.triangles++
 			}
 		}
 	}
 }
 
-// runKernel is the sequential driver: one compute step's triangles, counted
-// on the calling goroutine. With Options.NoAdaptiveIntersect set it is the
-// original single-threaded kernel, counters bit for bit.
-func runKernel(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock, set *hashset.Set, opt Options, kc *kernelCounters) {
-	if !opt.NoDoublySparse {
-		for _, a := range taskRows {
-			kernelRow(a, task, u, l, set, opt, kc)
-		}
-	} else {
-		for a := int32(0); a < task.rows; a++ {
-			kernelRow(a, task, u, l, set, opt, kc)
-		}
+// kernelWorkers resolves Options.KernelThreads on the calling rank: 0 (or a
+// negative value) shares the P = min(GOMAXPROCS, NumCPU) threads the runtime
+// will actually schedule among the ranks of this process that can compute at
+// once, P / min(hosted ranks, ComputeSlots), at least 1 — four ranks on two
+// CPUs run one worker each, a one-rank tcworker on a 16-core host runs 16.
+func (o Options) kernelWorkers(c *mpi.Comm) int {
+	if o.KernelThreads > 0 {
+		return o.KernelThreads
 	}
+	p := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	return max(1, p/c.ConcurrentRanks())
 }
 
-// kernelWorkers resolves Options.KernelThreads: 0 (or a negative value)
-// selects min(GOMAXPROCS, NumCPU) — as many workers as the runtime will
-// actually schedule in parallel.
-func (o Options) kernelWorkers() int {
-	t := o.KernelThreads
-	if t <= 0 {
-		t = runtime.GOMAXPROCS(0)
-		if n := runtime.NumCPU(); n < t {
-			t = n
-		}
-	}
-	return t
+// weightedRow is one task row of a step with its LPT weight.
+type weightedRow struct {
+	a int32
+	w int64
 }
 
-// kernelPool is the per-call worker state of the parallel kernel: one pooled
-// hash set and one private counter block per worker, reused across all
-// shifts of a count. Every set is sized from the same capacity hint, so the
-// power-of-two mask — and with it the direct-mode decision and the probe
-// stream of every row — is identical no matter which worker runs the row.
-// The counters are summed in worker order after each step's barrier, which
-// keeps every Result counter exact at any thread count (each field is a pure
-// sum over (row, task) pairs).
+// kernelPool is the per-count state of the kernel: the workers, the routine
+// the count's options select — chosen here, once, so the per-element loops
+// read no option — and the scratch of the row partitioner. The workers'
+// counters are summed in worker order after the last step, which keeps every
+// Result counter exact at any thread count (each field is a pure sum over
+// (row, task) pairs).
 type kernelPool struct {
-	sets    []*hashset.Set
-	kcs     []kernelCounters
-	allRows []int32 // lazily materialized 0..rows-1 for NoDoublySparse
+	workers      []kernelWorker
+	probing      bool // NoDirectHash: rowProbing instead of rowBitmap
+	noEarlyBreak bool
+	allRows      bool    // NoDoublySparse: visit every row, not just taskRows
+	rowIDs       []int32 // 0..rows-1, materialized under allRows
+
+	// partitionLPT scratch, reused across steps.
+	weighted []weightedRow
+	buckets  [][]int32
+	loads    []int64
 
 	// Observability handles (nil-safe no-ops when metrics are disabled):
 	// steps counts compute steps, imbalance records max/mean LPT bucket
@@ -179,61 +181,79 @@ type kernelPool struct {
 	imbalance *obs.Histogram
 }
 
-// newKernelPool builds a pool of `workers` kernel workers whose sets share
-// one capacity hint (see kernelCapHint / summaCapHint). The pool carries the
-// count's metric handles, resolved once per count from opt.Metrics.
-func newKernelPool(capHint, workers int, opt Options) *kernelPool {
-	if workers < 1 {
-		workers = 1
-	}
+// newKernelPool builds the n workers of one count: a bitmap of one bit per
+// key below keyRange each or, for the ablation, a probing table of 8× the
+// longest U-block row (load factor at most 1/8). A count builds its pool
+// through Prepared.kernelPool, from the sizing of the state at that moment —
+// never cached across counts, so the bitmaps follow elastic growth.
+func newKernelPool(n int, keyRange int32, maxURow int64, opt Options) *kernelPool {
 	kp := &kernelPool{
-		sets: make([]*hashset.Set, workers),
-		kcs:  make([]kernelCounters, workers),
+		workers:      make([]kernelWorker, n),
+		probing:      opt.NoDirectHash,
+		noEarlyBreak: opt.NoEarlyBreak,
+		allRows:      opt.NoDoublySparse,
+		buckets:      make([][]int32, n),
+		loads:        make([]int64, n),
 		steps: opt.Metrics.Counter("tc_kernel_steps_total",
 			"Compute steps executed by the counting kernel (all ranks)."),
 		imbalance: opt.Metrics.Histogram("tc_kernel_step_imbalance",
 			"Per-step LPT bucket load imbalance (max/mean over busy workers).",
 			obs.RatioBuckets),
 	}
-	for i := range kp.sets {
-		kp.sets[i] = hashset.New(capHint)
+	for i := range kp.workers {
+		if kp.probing {
+			kp.workers[i].set = hashset.New(int(8 * maxURow))
+		} else {
+			kp.workers[i].bits = make([]uint64, (int(keyRange)+63)/64)
+		}
 	}
 	return kp
+}
+
+// runRows runs the count's routine over rows on worker w.
+func (kp *kernelPool) runRows(w *kernelWorker, rows []int32, task, u *csrBlock, l *cscBlock) {
+	if kp.probing {
+		for _, a := range rows {
+			w.rowProbing(a, task, u, l, kp.noEarlyBreak)
+		}
+		return
+	}
+	for _, a := range rows {
+		w.rowBitmap(a, task, u, l, kp.noEarlyBreak)
+	}
 }
 
 // run executes one compute step's kernel over the current operand blocks,
 // fanning the task rows across the pool's workers. Must be called from
 // inside a Compute section; the goroutines it spawns share that section's
 // slot and wall-clock measurement.
-func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock, opt Options) {
+func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock) {
 	kp.steps.Inc()
-	if len(kp.sets) == 1 {
-		runKernel(task, taskRows, u, l, kp.sets[0], opt, &kp.kcs[0])
-		return
-	}
 	rows := taskRows
-	if opt.NoDoublySparse {
-		if kp.allRows == nil {
-			kp.allRows = make([]int32, task.rows)
-			for a := range kp.allRows {
-				kp.allRows[a] = int32(a)
+	if kp.allRows {
+		if kp.rowIDs == nil {
+			kp.rowIDs = make([]int32, task.rows)
+			for a := range kp.rowIDs {
+				kp.rowIDs[a] = int32(a)
 			}
 		}
-		rows = kp.allRows
+		rows = kp.rowIDs
 	}
-	buckets, loads := partitionLPT(rows, task, u, l, len(kp.sets))
-	kp.observeImbalance(loads)
+	if len(kp.workers) == 1 {
+		kp.runRows(&kp.workers[0], rows, task, u, l)
+		return
+	}
+	kp.partitionLPT(rows, task, u, l)
+	kp.observeImbalance()
 	var wg sync.WaitGroup
-	for w := range kp.sets {
-		if len(buckets[w]) == 0 {
+	for w := range kp.workers {
+		if len(kp.buckets[w]) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, a := range buckets[w] {
-				kernelRow(a, task, u, l, kp.sets[w], opt, &kp.kcs[w])
-			}
+			kp.runRows(&kp.workers[w], kp.buckets[w], task, u, l)
 		}(w)
 	}
 	wg.Wait()
@@ -242,120 +262,83 @@ func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscB
 // observeImbalance records max/mean over the busy (non-zero-load) LPT
 // buckets of one step. Steps with at most one busy bucket carry no balance
 // information and are skipped.
-func (kp *kernelPool) observeImbalance(loads []int64) {
+func (kp *kernelPool) observeImbalance() {
 	if kp.imbalance == nil {
 		return
 	}
-	var max, sum int64
+	var top, sum int64
 	busy := 0
-	for _, l := range loads {
+	for _, l := range kp.loads {
 		if l == 0 {
 			continue
 		}
 		busy++
 		sum += l
-		if l > max {
-			max = l
-		}
+		top = max(top, l)
 	}
 	if busy < 2 {
 		return
 	}
-	kp.imbalance.Observe(float64(max) * float64(busy) / float64(sum))
+	kp.imbalance.Observe(float64(top) * float64(busy) / float64(sum))
 }
 
 // total sums the workers' private counters, deterministically in worker
 // order.
 func (kp *kernelPool) total() kernelCounters {
 	var kc kernelCounters
-	for i := range kp.kcs {
-		kc.add(kp.kcs[i])
+	for i := range kp.workers {
+		kc.add(kp.workers[i].kc)
 	}
 	return kc
 }
 
-// partitionLPT splits one step's task rows into one bucket per worker,
-// balanced by the A⁺-weight Σ over the row's tasks of min(|U-row|, |L-col|)
-// — the work an intersection actually performs, whichever routine runs it.
-// Rows are placed longest-processing-time first onto the least-loaded
-// bucket; ties break deterministically (heavier weight, then lower row id),
-// though correctness never depends on placement: every counter is a pure sum
-// over pairs. Rows with zero weight this shift (empty U row, or every task
-// column empty) are dropped — they contribute nothing. The per-bucket loads
-// are returned alongside the buckets so the pool can report worker skew.
-func partitionLPT(rows []int32, task *csrBlock, u *csrBlock, l *cscBlock, workers int) ([][]int32, []int64) {
-	type weightedRow struct {
-		a int32
-		w int64
-	}
-	weighted := make([]weightedRow, 0, len(rows))
+// partitionLPT splits one step's task rows into one bucket per worker
+// (kp.buckets, with the per-bucket weights in kp.loads), balanced by the
+// A⁺-weight Σ over the row's tasks of min(|U-row|, |L-col|). Rows are placed
+// longest-processing-time first onto the least-loaded bucket; ties break
+// deterministically (heavier weight, then lower row id), though correctness
+// never depends on placement: every counter is a pure sum over pairs. Rows
+// with zero weight this step (empty U row, or every task column empty) are
+// dropped — they contribute nothing.
+func (kp *kernelPool) partitionLPT(rows []int32, task *csrBlock, u *csrBlock, l *cscBlock) {
+	weighted := kp.weighted[:0]
 	for _, a := range rows {
 		tcols := task.row(a)
 		if len(tcols) == 0 {
 			continue
 		}
-		urow := u.row(a)
-		if len(urow) == 0 {
+		lu := len(u.row(a))
+		if lu == 0 {
 			continue
 		}
 		var wt int64
 		for _, b := range tcols {
-			if lc := len(l.col(b)); lc > 0 {
-				if lc < len(urow) {
-					wt += int64(lc)
-				} else {
-					wt += int64(len(urow))
-				}
-			}
+			wt += int64(min(lu, len(l.col(b))))
 		}
 		if wt == 0 {
 			continue
 		}
 		weighted = append(weighted, weightedRow{a, wt})
 	}
-	sort.Slice(weighted, func(i, j int) bool {
-		if weighted[i].w != weighted[j].w {
-			return weighted[i].w > weighted[j].w
+	slices.SortFunc(weighted, func(x, y weightedRow) int {
+		if x.w != y.w {
+			return cmp.Compare(y.w, x.w)
 		}
-		return weighted[i].a < weighted[j].a
+		return cmp.Compare(x.a, y.a)
 	})
-	buckets := make([][]int32, workers)
-	loads := make([]int64, workers)
+	kp.weighted = weighted
+	for w := range kp.buckets {
+		kp.buckets[w] = kp.buckets[w][:0]
+		kp.loads[w] = 0
+	}
 	for _, r := range weighted {
 		best := 0
-		for w := 1; w < workers; w++ {
-			if loads[w] < loads[best] {
+		for w := 1; w < len(kp.loads); w++ {
+			if kp.loads[w] < kp.loads[best] {
 				best = w
 			}
 		}
-		buckets[best] = append(buckets[best], r.a)
-		loads[best] += r.w
+		kp.buckets[best] = append(kp.buckets[best], r.a)
+		kp.loads[best] += r.w
 	}
-	return buckets, loads
-}
-
-// kernelCapHint sizes the intersection hash maps of the Cannon path. Keys
-// are local k indices (< ceil(n/q)); the capacity is the smaller of the full
-// local range (which makes every row eligible for collision-free direct
-// hashing) and 8× the globally largest U-block row (which bounds the probing
-// load factor at 1/8 when the range is too large to materialize).
-//
-// The hint is computed once per count from the resident maxURow, and every
-// pooled per-worker set is built from this same hint — the mask must agree
-// across workers for the probe stream to be thread-count invariant. The
-// bound survives elastic growth: GrowTo only appends empty rows (no row gets
-// longer) and Splice re-allreduces maxURow after every mutation, so the
-// resident value is always ≥ the actual longest row
-// (Prepared.ValidateKernelSizing asserts this).
-func kernelCapHint(blk *blocks) int {
-	localRange := int((blk.n + int64(blk.q) - 1) / int64(blk.q))
-	byRow := int(8 * blk.maxURow)
-	capHint := localRange
-	if byRow < capHint {
-		capHint = byRow
-	}
-	if capHint < 64 {
-		capHint = 64
-	}
-	return capHint
 }

@@ -1,94 +1,61 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
 	"tc2d/internal/dgraph"
 	"tc2d/internal/graph"
-	"tc2d/internal/hashset"
 	"tc2d/internal/mpi"
 	"tc2d/internal/rmat"
 )
 
-// benchBlocks builds one synthetic task row with nCols tasks: a U row of lu
-// keys striding by 2 and L columns of lc keys striding by 3, so roughly a
-// sixth of the shorter list intersects. Balanced shapes (lu ≈ lc) are the
-// merge regime of the adaptive kernel; skewed shapes (lu >> lc) the hash
-// regime.
-func benchBlocks(nCols, lu, lc int) (task, u csrBlock, l cscBlock) {
-	var taskPairs, uPairs, lPairs []int32
-	for b := 0; b < nCols; b++ {
-		taskPairs = append(taskPairs, 0, int32(b))
+// BenchmarkKernelStep measures the kernel alone: one compute step of one
+// rank of a 4-rank Cannon grid — rank 0's task block against its own U and L
+// blocks, the operands it holds at step 0 — at one worker, on a skewed
+// (RMAT scale 14) and a flat (Erdős–Rényi, same size) graph. ns/probe is the
+// cost of one bitmap lookup with everything around it amortised in; a step
+// must not allocate.
+func BenchmarkKernelStep(b *testing.B) {
+	er, err := rmat.ErdosRenyi(1<<14, 16<<14, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for i := 0; i < lu; i++ {
-		uPairs = append(uPairs, 0, int32(2*i))
+	rm, err := rmat.G500.Generate(14, 16, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for b := 0; b < nCols; b++ {
-		for i := 0; i < lc; i++ {
-			lPairs = append(lPairs, int32(b), int32(3*i))
-		}
-	}
-	task = csrFromPairs(1, taskPairs)
-	u = csrFromPairs(1, uPairs)
-	lcsr := csrFromPairs(int32(nCols), lPairs)
-	l = cscBlock{cols: lcsr.rows, xadj: lcsr.xadj, adj: lcsr.adj}
-	return task, u, l
-}
-
-// BenchmarkIntersect measures the kernel's inner loop — one task row's worth
-// of (U-row × L-column) intersections — per routine (hash-only, sorted
-// merge, adaptive selection) and per row shape (balanced lists, which the
-// adaptive kernel sends to the merge scan, and skewed lists, which it keeps
-// on the hash probe). probes/op and mergeops/op report the per-iteration
-// counter streams, which are deterministic for a fixed shape.
-func BenchmarkIntersect(b *testing.B) {
-	shapes := []struct {
-		name   string
-		lu, lc int
-	}{
-		{"balanced-128x128", 128, 128},
-		{"skewed-1024x16", 1024, 16},
-	}
-	const nCols = 64
-	for _, sh := range shapes {
-		task, u, l := benchBlocks(nCols, sh.lu, sh.lc)
-		set := hashset.New(8 * sh.lu)
-		runRow := func(opt Options, kc *kernelCounters) {
-			kernelRow(0, &task, &u, &l, set, opt, kc)
-		}
-		b.Run(fmt.Sprintf("hash/%s", sh.name), func(b *testing.B) {
-			var kc kernelCounters
-			for i := 0; i < b.N; i++ {
-				runRow(Options{NoAdaptiveIntersect: true}, &kc)
-			}
-			reportKernelMetrics(b, kc)
-		})
-		b.Run(fmt.Sprintf("merge/%s", sh.name), func(b *testing.B) {
-			urow := u.row(0)
-			var kc kernelCounters
-			for i := 0; i < b.N; i++ {
-				for bb := int32(0); bb < int32(nCols); bb++ {
-					mergeIntersect(urow, l.col(bb), &kc)
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"rmat-s14", rm}, {"er-s14", er}} {
+		b.Run(in.name, func(b *testing.B) {
+			var prep *Prepared
+			_, err := mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+				p, err := prepareOn(c, in.g, 0, 0, EnumJIK)
+				if c.Rank() == 0 {
+					prep = p
 				}
+				return nil, err
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			reportKernelMetrics(b, kc)
-		})
-		b.Run(fmt.Sprintf("adaptive/%s", sh.name), func(b *testing.B) {
-			var kc kernelCounters
+			blk := prep.blk
+			maxURow, keyRange := prep.kernelSizing()
+			pool := newKernelPool(1, keyRange, maxURow, Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runRow(Options{}, &kc)
+				pool.run(&blk.task, blk.taskRows, &blk.ublk, &blk.lblk)
 			}
-			reportKernelMetrics(b, kc)
+			b.StopTimer()
+			kc := pool.total()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kc.probes), "ns/probe")
+			b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
 		})
 	}
-}
-
-func reportKernelMetrics(b *testing.B, kc kernelCounters) {
-	b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
-	b.ReportMetric(float64(kc.mergeOps)/float64(b.N), "mergeops/op")
-	b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
 }
 
 // scatterWorld opens a p-rank world and scatters g over it in a first epoch,

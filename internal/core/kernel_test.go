@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -16,13 +17,10 @@ var kernelThreadSchedule = []int{1, 2, 3, 7}
 
 // TestKernelThreadsDifferential is the exactness contract of the parallel
 // kernel: for every grid schedule (Cannon on a square rank count, SUMMA on
-// a non-square one) and both intersection modes, every kernel worker count
-// must reproduce the 1-worker run exactly — the triangle count AND the
-// instrumentation counters (probes, mapTasks, mergeTasks), which are pure
-// sums over (row, task) pairs and therefore partition-invariant. Across
-// modes the triangle count and mapTasks agree too (mapTasks counts every
-// intersected pair whichever routine ran it), while mergeTasks must be
-// zero exactly when adaptive selection is off.
+// a non-square one), every kernel worker count must reproduce the 1-worker
+// run exactly — the triangle count AND the instrumentation counters (probes,
+// mapTasks), which are pure sums over (row, task) pairs and therefore
+// partition-invariant. TestKernelGolden pins the values themselves.
 func TestKernelThreadsDifferential(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 8, 8, 5)
 	want := seqtc.Count(g)
@@ -33,53 +31,42 @@ func TestKernelThreadsDifferential(t *testing.T) {
 			}
 			return countVia(t, g, p, opt)
 		}
-		oracle := map[bool]*Result{}
-		for _, noAdaptive := range []bool{false, true} {
-			for _, threads := range kernelThreadSchedule {
-				res := count(Options{KernelThreads: threads, NoAdaptiveIntersect: noAdaptive})
-				if res.Triangles != want {
-					t.Fatalf("p=%d threads=%d noAdaptive=%v: %d triangles, want %d",
-						p, threads, noAdaptive, res.Triangles, want)
-				}
-				if res.KernelThreads != threads {
-					t.Errorf("p=%d threads=%d: Result.KernelThreads=%d", p, threads, res.KernelThreads)
-				}
-				base, ok := oracle[noAdaptive]
-				if !ok {
-					oracle[noAdaptive] = res
-					if noAdaptive && res.MergeTasks != 0 {
-						t.Errorf("p=%d noAdaptive: MergeTasks=%d, want 0", p, res.MergeTasks)
-					}
-					continue
-				}
-				if res.Probes != base.Probes || res.MapTasks != base.MapTasks || res.MergeTasks != base.MergeTasks {
-					t.Errorf("p=%d threads=%d noAdaptive=%v: counters (probes=%d map=%d merge=%d) != 1-thread oracle (%d, %d, %d)",
-						p, threads, noAdaptive, res.Probes, res.MapTasks, res.MergeTasks,
-						base.Probes, base.MapTasks, base.MergeTasks)
-				}
+		var base *Result
+		for _, threads := range kernelThreadSchedule {
+			res := count(Options{KernelThreads: threads})
+			if res.Triangles != want {
+				t.Fatalf("p=%d threads=%d: %d triangles, want %d", p, threads, res.Triangles, want)
 			}
-		}
-		if a, h := oracle[false], oracle[true]; a.MapTasks != h.MapTasks {
-			t.Errorf("p=%d: adaptive MapTasks=%d != hash-only MapTasks=%d (must count every intersected pair)",
-				p, a.MapTasks, h.MapTasks)
-		} else if a.MergeTasks == 0 {
-			t.Errorf("p=%d: adaptive mode never took the merge path", p)
+			if res.KernelThreads != threads {
+				t.Errorf("p=%d threads=%d: Result.KernelThreads=%d", p, threads, res.KernelThreads)
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			if res.Probes != base.Probes || res.MapTasks != base.MapTasks {
+				t.Errorf("p=%d threads=%d: counters (probes=%d map=%d) != 1-thread oracle (%d, %d)",
+					p, threads, res.Probes, res.MapTasks, base.Probes, base.MapTasks)
+			}
 		}
 	}
 }
 
 // TestKernelThreadsWithAblations checks that every §7.3 ablation toggle
-// composes with the parallel kernel: the triangle count is invariant, and
-// each toggled run's counters are identical at 1 and 3 workers.
+// composes with the parallel kernel: the triangle count and the intersected
+// pairs are invariant, each toggled run's counters are identical at 1 and 3
+// workers, the probing table performs exactly the bitmap's lookups, and only
+// NoEarlyBreak adds any.
 func TestKernelThreadsWithAblations(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 8, 8, 6)
 	want := seqtc.Count(g)
+	base := countVia(t, g, 9, Options{KernelThreads: 1})
 	combos := []Options{
 		{NoDoublySparse: true},
 		{NoDirectHash: true},
 		{NoEarlyBreak: true},
 		{NoBlob: true},
-		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true, NoAdaptiveIntersect: true},
+		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true},
 	}
 	for i, opt := range combos {
 		opt.KernelThreads = 1
@@ -89,9 +76,126 @@ func TestKernelThreadsWithAblations(t *testing.T) {
 		if seq.Triangles != want || par.Triangles != want {
 			t.Errorf("combo %d: triangles seq=%d par=%d, want %d", i, seq.Triangles, par.Triangles, want)
 		}
-		if par.Probes != seq.Probes || par.MapTasks != seq.MapTasks || par.MergeTasks != seq.MergeTasks {
-			t.Errorf("combo %d: 3-worker counters (probes=%d map=%d merge=%d) != sequential (%d, %d, %d)",
-				i, par.Probes, par.MapTasks, par.MergeTasks, seq.Probes, seq.MapTasks, seq.MergeTasks)
+		if par.Probes != seq.Probes || par.MapTasks != seq.MapTasks {
+			t.Errorf("combo %d: 3-worker counters (probes=%d map=%d) != sequential (%d, %d)",
+				i, par.Probes, par.MapTasks, seq.Probes, seq.MapTasks)
+		}
+		if seq.MapTasks != base.MapTasks {
+			t.Errorf("combo %d: MapTasks %d, default kernel %d", i, seq.MapTasks, base.MapTasks)
+		}
+		if opt.NoEarlyBreak {
+			if seq.Probes <= base.Probes {
+				t.Errorf("combo %d: %d probes without early break, %d with", i, seq.Probes, base.Probes)
+			}
+		} else if seq.Probes != base.Probes {
+			t.Errorf("combo %d: %d probes, default kernel %d", i, seq.Probes, base.Probes)
+		}
+	}
+}
+
+// TestKernelRowMatchesMapOracle checks both row routines against a map
+// oracle on random rows whose keys straddle the bitmap's word boundaries
+// (63/64, 127/128), with empty U rows, empty task rows, empty columns and
+// columns entirely below the row minimum in the mix — and, after every row,
+// that the bitmap is all-zero again: a stale bit would silently inflate
+// later rows.
+func TestKernelRowMatchesMapOracle(t *testing.T) {
+	const keyRange = 130 // three words, the last one partial
+	rng := rand.New(rand.NewSource(7))
+	boundary := []int32{0, 63, 64, 127, 128, 129}
+	randList := func(n int, lo int32) []int32 {
+		seen := map[int32]bool{}
+		for len(seen) < n {
+			k := lo + rng.Int31n(keyRange-lo)
+			if rng.Intn(3) == 0 {
+				k = boundary[rng.Intn(len(boundary))]
+			}
+			if k >= lo {
+				seen[k] = true
+			}
+		}
+		out := make([]int32, 0, n)
+		for k := range seen {
+			out = append(out, k)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for trial := 0; trial < 300; trial++ {
+		const rows, cols = 4, 6
+		var taskPairs, uPairs, lPairs []int32
+		for a := int32(0); a < rows; a++ {
+			if rng.Intn(5) > 0 { // else: empty U row
+				lo := int32(0)
+				if rng.Intn(2) == 0 {
+					lo = 64 // leaves room for columns entirely below the minimum
+				}
+				for _, k := range randList(1+rng.Intn(20), lo) {
+					uPairs = append(uPairs, a, k)
+				}
+			}
+			for b := int32(0); b < cols; b++ {
+				if rng.Intn(3) > 0 { // all six misses leave the task row empty
+					taskPairs = append(taskPairs, a, b)
+				}
+			}
+		}
+		for b := int32(0); b < cols; b++ {
+			switch rng.Intn(4) {
+			case 0: // empty column
+			case 1: // every key below 64
+				for _, k := range randList(1+rng.Intn(10), 0) {
+					if k < 64 {
+						lPairs = append(lPairs, b, k)
+					}
+				}
+			default:
+				for _, k := range randList(1+rng.Intn(30), 0) {
+					lPairs = append(lPairs, b, k)
+				}
+			}
+		}
+		task := csrFromPairs(rows, taskPairs)
+		u := csrFromPairs(rows, uPairs)
+		lc := csrFromPairs(cols, lPairs)
+		l := cscBlock{cols: lc.rows, xadj: lc.xadj, adj: lc.adj}
+
+		for _, noEarlyBreak := range []bool{false, true} {
+			bitmap := newKernelPool(1, keyRange, u.maxRow(), Options{}).workers[0]
+			probing := newKernelPool(1, keyRange, u.maxRow(), Options{NoDirectHash: true}).workers[0]
+			var want kernelCounters
+			for a := int32(0); a < rows; a++ {
+				urow := u.row(a)
+				inRow := map[int32]bool{}
+				for _, k := range urow {
+					inRow[k] = true
+				}
+				for _, b := range task.row(a) {
+					if len(urow) == 0 || len(l.col(b)) == 0 {
+						continue
+					}
+					want.mapTasks++
+					for _, k := range l.col(b) {
+						if noEarlyBreak || k >= urow[0] {
+							want.probes++
+						}
+						if inRow[k] {
+							want.triangles++
+						}
+					}
+				}
+				bitmap.rowBitmap(a, &task, &u, &l, noEarlyBreak)
+				probing.rowProbing(a, &task, &u, &l, noEarlyBreak)
+				for i, word := range bitmap.bits {
+					if word != 0 {
+						t.Fatalf("trial %d row %d: bitmap word %d = %#x after the row", trial, a, i, word)
+					}
+				}
+				if bitmap.kc != want || probing.kc != want {
+					t.Fatalf("trial %d row %d noEarlyBreak=%v: bitmap %+v, probing %+v, oracle %+v",
+						trial, a, noEarlyBreak, bitmap.kc, probing.kc, want)
+				}
+			}
 		}
 	}
 }
@@ -114,13 +218,11 @@ func TestKernelPartitionLPT(t *testing.T) {
 	u := csrFromPairs(6, uPairs)
 	l := cscBlock{cols: 1, xadj: []int32{0, 8}, adj: []int32{0, 1, 2, 3, 4, 5, 6, 7}}
 	rows := []int32{0, 1, 2, 3, 4, 5}
-	buckets, reported := partitionLPT(rows, &task, &u, &l, 2)
-	if len(buckets) != 2 {
-		t.Fatalf("got %d buckets, want 2", len(buckets))
-	}
+	kp := newKernelPool(2, 64, 5, Options{})
+	kp.partitionLPT(rows, &task, &u, &l)
 	seen := map[int32]bool{}
 	loads := make([]int64, 2)
-	for w, bucket := range buckets {
+	for w, bucket := range kp.buckets {
 		for _, a := range bucket {
 			if seen[a] {
 				t.Errorf("row %d assigned twice", a)
@@ -137,16 +239,17 @@ func TestKernelPartitionLPT(t *testing.T) {
 	}
 	// The reported per-bucket loads use the min(|U-row|, |L-col|) weight,
 	// which on this instance (8-wide L column) is the row width itself.
-	if reported[0] != loads[0] || reported[1] != loads[1] {
-		t.Errorf("reported loads %v, want %v", reported, loads)
+	if kp.loads[0] != loads[0] || kp.loads[1] != loads[1] {
+		t.Errorf("reported loads %v, want %v", kp.loads, loads)
 	}
 
-	// Zero-weight rows (empty U row or all-empty task columns) are dropped.
+	// Zero-weight rows (empty U row or all-empty task columns) are dropped,
+	// and the buckets of the previous step with them.
 	emptyU := csrFromPairs(6, nil)
-	noRows, _ := partitionLPT(rows, &task, &emptyU, &l, 2)
-	for _, bucket := range noRows {
-		if len(bucket) != 0 {
-			t.Errorf("zero-weight rows were assigned: %v", bucket)
+	kp.partitionLPT(rows, &task, &emptyU, &l)
+	for w, bucket := range kp.buckets {
+		if len(bucket) != 0 || kp.loads[w] != 0 {
+			t.Errorf("zero-weight rows were assigned: %v (load %d)", bucket, kp.loads[w])
 		}
 	}
 }

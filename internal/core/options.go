@@ -52,24 +52,19 @@ type Options struct {
 	// vertices whose local task/U rows are empty (§5.2 "doubly sparse
 	// traversal of the CSR structure").
 	NoDoublySparse bool
-	// NoDirectHash disables the collision-free direct bitwise-AND hashing
-	// path and always uses probing (§5.2 "modifying the hashing routine
-	// for sparser vertices").
+	// NoDirectHash replaces the direct-addressed bitmap — the paper's
+	// collision-free direct hashing, which the kernel applies to every row —
+	// with the multiplicative-hash probing table (§5.2 "modifying the
+	// hashing routine for sparser vertices").
 	NoDirectHash bool
-	// NoEarlyBreak disables the backwards traversal of probe lists with
-	// early exit below the hashed row's minimum key (§5.2 "eliminating
-	// unnecessary intersection operations").
+	// NoEarlyBreak walks every probe list in full instead of backwards
+	// down to the hashed row's minimum key (§5.2 "eliminating unnecessary
+	// intersection operations").
 	NoEarlyBreak bool
 	// NoBlob disables the single-blob block serialization for shifts and
 	// sends each sparse-matrix array as a separate, element-wise encoded
 	// message (§5.2 "reducing overheads associated with communication").
 	NoBlob bool
-	// NoAdaptiveIntersect disables the per-(row, col) choice between the
-	// hash probe (TC-Hash, good for skewed pairs) and the sorted-merge scan
-	// (TC-Merge, cheaper when the two lists have comparable lengths) and
-	// always probes the hash set — the pre-adaptive kernel, bit-identical
-	// probe counters included.
-	NoAdaptiveIntersect bool
 	// TrackPerShift records per-shift kernel compute times (Table 3).
 	TrackPerShift bool
 
@@ -78,13 +73,16 @@ type Options struct {
 	// the inter-rank 2D decomposition). Rows are split into weight-balanced
 	// buckets — weight = Σ over the row's tasks of min(|U-row|, |L-col|) —
 	// assigned longest-processing-time first, and every worker owns a
-	// pooled hash set plus private counters summed after the bucket
-	// barrier, so all Result counters are exact at any thread count.
-	// 0 selects min(GOMAXPROCS, NumCPU); 1 runs the sequential kernel.
+	// bitmap plus private counters summed after the last step, so all
+	// Result counters are exact at any thread count. 1 runs the rows on the
+	// rank's own goroutine. 0 shares the host among the ranks computing
+	// beside this one: P / min(ranks this process hosts, ComputeSlots), at
+	// least 1, with P = min(GOMAXPROCS, NumCPU). The write path's delta
+	// pass resolves the resident value the same way.
 	KernelThreads int
 
 	// Metrics, when non-nil, receives kernel accounting from every count:
-	// each rank adds its local probe/task/merge counters (so the registry
+	// each rank adds its local probe/task counters (so the registry
 	// totals are the global sums), per-compute-step counts, and the
 	// LPT bucket load imbalance of each parallel kernel step. Nil disables
 	// all of it; both fields are pointers so Options stays comparable.
@@ -120,23 +118,16 @@ type Result struct {
 	CommFracPre   float64
 	CommFracCount float64
 
-	// Probes is the global number of hash-map lookups performed by the
-	// kernel (the operation count behind Figure 2 and the twitter-vs-
-	// friendster discussion in §7.1).
+	// Probes is the global number of map lookups performed by the kernel
+	// (the operation count behind Figure 2 and the twitter-vs-friendster
+	// discussion in §7.1).
 	Probes int64
 	// MapTasks is the global number of (task, shift) pairs that resulted
-	// in a set intersection (Table 4's redundant-work metric). The pair
-	// structure is fixed by the decomposition, so the number is identical
-	// whichever intersection routine each pair used.
+	// in a set intersection (Table 4's redundant-work metric).
 	MapTasks int64
-	// MergeTasks is the number of those pairs the adaptive kernel
-	// intersected with the sorted-merge scan instead of the hash probe
-	// (0 when Options.NoAdaptiveIntersect is set). MapTasks - MergeTasks
-	// pairs took the hash path.
-	MergeTasks int64
-	// MergeOps is the global number of pointer advances the merge-path
-	// intersections performed — the merge-side counterpart of Probes.
-	MergeOps int64
+	// MergeTasks and MergeOps are always zero: the sorted-merge routine
+	// that reported them is gone, and bench/layers.go still reads them.
+	MergeTasks, MergeOps int64
 	// PreOps is the global number of adjacency-entry operations performed
 	// during preprocessing (the ppt operation count of Figure 2).
 	PreOps int64

@@ -14,7 +14,7 @@ import (
 // holds either Cannon state (square grids) or SUMMA state (rectangular
 // grids); CountPrepared dispatches on which.
 //
-// The state is read-only during counting — the kernel hash set and the
+// The state is read-only during counting — the kernel bitmaps and the
 // travelling operand blobs are per-call — so repeated queries against the
 // same Prepared value are independent and return identical counts.
 type Prepared struct {
@@ -55,15 +55,14 @@ type Prepared struct {
 	degreeDirty map[int32]struct{}
 	snap        *snapDirty
 
-	// Resident kernel defaults for code paths that run intersections
-	// without a per-call Options value — the delta passes of the write
-	// path. Queries pass their own Options and ignore these. Seeded from
-	// the Options given to Prepare/PrepareSUMMAGrid and overridable via
-	// SetKernelConfig (the cluster layer applies its Options at build,
-	// restore and rebuild time); the zero value resolves to the host
-	// default thread count with adaptive intersection on.
-	kernelThreads    int
-	kernelNoAdaptive bool
+	// Resident kernel worker count (Options.KernelThreads semantics) for
+	// code paths that run intersections without a per-call Options value —
+	// the delta passes of the write path. Queries pass their own Options
+	// and ignore it. Seeded from the Options given to
+	// Prepare/PrepareSUMMAGrid and overridable via SetKernelThreads (the
+	// cluster layer applies its Options at build, restore and rebuild
+	// time).
+	kernelThreads int
 }
 
 // N returns the global vertex count.
@@ -91,33 +90,22 @@ func (p *Prepared) CommFracPre() float64 { return p.fracPre }
 // Enumeration returns the enumeration rule the task block was built for.
 func (p *Prepared) Enumeration() Enumeration { return p.enum }
 
-// SetKernelConfig stores the resident kernel defaults: the worker count
-// (Options.KernelThreads semantics — 0 = min(GOMAXPROCS, NumCPU)) and
-// whether adaptive merge/hash intersection is disabled. The write path's
-// delta passes read these; counting queries carry their own Options. Call
-// only while no epoch is running over the state (the same exclusivity
-// SetLabels needs).
-func (p *Prepared) SetKernelConfig(threads int, noAdaptive bool) {
-	p.kernelThreads = threads
-	p.kernelNoAdaptive = noAdaptive
-}
+// SetKernelThreads stores the resident kernel worker count
+// (Options.KernelThreads semantics, 0 = the host's share). The write path's
+// delta passes read it; counting queries carry their own Options. Call only
+// while no epoch is running over the state (the same exclusivity SetLabels
+// needs).
+func (p *Prepared) SetKernelThreads(threads int) { p.kernelThreads = threads }
 
-// KernelWorkers returns the resolved resident worker count (≥ 1).
-func (p *Prepared) KernelWorkers() int {
-	return Options{KernelThreads: p.kernelThreads}.kernelWorkers()
-}
+// KernelThreads returns the resident worker count as stored — unresolved, so
+// a rebuild can carry it over without pinning a resolved value.
+func (p *Prepared) KernelThreads() int { return p.kernelThreads }
 
-// KernelConfig returns the raw resident kernel defaults as stored — the
-// unresolved thread count (0 = host default) and the adaptive-intersection
-// kill switch — so a rebuild can carry the configuration over without
-// pinning a resolved value.
-func (p *Prepared) KernelConfig() (threads int, noAdaptive bool) {
-	return p.kernelThreads, p.kernelNoAdaptive
+// KernelWorkers returns the resident worker count resolved on the calling
+// rank (≥ 1).
+func (p *Prepared) KernelWorkers(c *mpi.Comm) int {
+	return Options{KernelThreads: p.kernelThreads}.kernelWorkers(c)
 }
-
-// KernelNoAdaptive reports whether the resident config disables adaptive
-// merge/hash intersection.
-func (p *Prepared) KernelNoAdaptive() bool { return p.kernelNoAdaptive }
 
 func checkInput(in *dgraph.Dist1D) error {
 	if in == nil {
@@ -172,7 +160,7 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 		return nil, err
 	}
 	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N,
-		kernelThreads: opt.KernelThreads, kernelNoAdaptive: opt.NoAdaptiveIntersect}
+		kernelThreads: opt.KernelThreads}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -204,7 +192,7 @@ func PrepareSUMMAGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, opt Options) (
 	}
 	L := lcm(qr, qc)
 	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N, qr: qr, qc: qc, lc: L,
-		kernelThreads: opt.KernelThreads, kernelNoAdaptive: opt.NoAdaptiveIntersect}
+		kernelThreads: opt.KernelThreads}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -241,7 +229,7 @@ func PrepareSUMMA(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error
 // is repeatable: the resident blocks are not mutated.
 //
 // CountPrepared is strictly read-only against the Prepared state (the
-// kernel hash set and the travelling operand blobs are per-call), so any
+// kernel bitmaps and the travelling operand blobs are per-call), so any
 // number of CountPrepared epochs may run concurrently over the same state
 // as World.RunRead epochs. The write-path operations — Splice,
 // EnsureAdjacency, AdjustTotals, SetLabels, and the delta package's
@@ -279,13 +267,13 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 		if grid.Q() != prep.blk.q {
 			return nil, fmt.Errorf("core: state prepared on a %d×%d grid, world is %d ranks", prep.blk.q, prep.blk.q, c.Size())
 		}
-		kc, perShift = cannonCount(c, grid, prep.blk, opt)
+		kc, perShift = cannonCount(c, grid, prep.blk, prep.kernelPool(c, opt), opt)
 	case prep.sblk != nil:
 		grid, err := mpi.NewRectGrid(c, prep.qr, prep.qc)
 		if err != nil {
 			return nil, err
 		}
-		kc, perShift = summaCount(c, grid, prep.sblk, prep.lc, opt)
+		kc, perShift = summaCount(c, grid, prep.sblk, prep.lc, prep.kernelPool(c, opt), opt)
 	default:
 		return nil, fmt.Errorf("core: prepared state holds no blocks")
 	}
@@ -297,21 +285,17 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	// the global sums without double counting the (identical) allreduced
 	// values p times.
 	if reg := opt.Metrics; reg != nil {
-		reg.Counter("tc_kernel_probes_total", "Hash-map lookups performed by the counting kernel.").Add(float64(kc.probes))
+		reg.Counter("tc_kernel_probes_total", "Map lookups performed by the counting kernel.").Add(float64(kc.probes))
 		reg.Counter("tc_kernel_map_tasks_total", "(task, shift) pairs that ran a set intersection.").Add(float64(kc.mapTasks))
-		reg.Counter("tc_kernel_merge_tasks_total", "Intersection pairs the adaptive kernel routed to the sorted-merge scan.").Add(float64(kc.mergeTasks))
-		reg.Counter("tc_kernel_merge_ops_total", "Pointer advances performed by merge-path intersections.").Add(float64(kc.mergeOps))
 	}
 
 	rs := rankSpan.StartChild("reduce")
-	sums := c.AllreduceInt64s([]int64{kc.triangles, kc.probes, kc.mapTasks, kc.mergeTasks, kc.mergeOps}, mpi.OpSum)
+	sums := c.AllreduceInt64s([]int64{kc.triangles, kc.probes, kc.mapTasks}, mpi.OpSum)
 	rs.End()
 	res.Triangles = sums[0]
 	res.Probes = sums[1]
 	res.MapTasks = sums[2]
-	res.MergeTasks = sums[3]
-	res.MergeOps = sums[4]
-	res.KernelThreads = opt.kernelWorkers()
+	res.KernelThreads = opt.kernelWorkers(c)
 
 	res.CountTime = t2 - t1
 	res.TotalTime = res.CountTime

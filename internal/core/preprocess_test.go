@@ -5,12 +5,9 @@ import (
 
 	"tc2d/internal/dgraph"
 	"tc2d/internal/graph"
-	"tc2d/internal/hashset"
 	"tc2d/internal/mpi"
 	"tc2d/internal/rmat"
 )
-
-func hashsetNewForTest() *hashset.Set { return hashset.New(64) }
 
 // TestCyclicRedistributeInvariants checks step (i): after the cyclic
 // redistribution, ownership is contiguous by new labels, every vertex is
@@ -198,7 +195,15 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 	}
 }
 
-// TestKernelCraftedBlocks exercises runKernel directly on hand-built blocks:
+// runCrafted runs one compute step of the kernel opt selects, on one worker,
+// over hand-built blocks whose keys are all below 64.
+func runCrafted(task, u *csrBlock, l *cscBlock, opt Options) kernelCounters {
+	kp := newKernelPool(1, 64, u.maxRow(), opt)
+	kp.run(task, task.nonEmptyRows(), u, l)
+	return kp.total()
+}
+
+// TestKernelCraftedBlocks exercises the kernel directly on hand-built blocks:
 // one task, one U row, one L column, with every option combination.
 func TestKernelCraftedBlocks(t *testing.T) {
 	// Task (row 0, col 0); U row 0 = {2, 5, 9}; L col 0 = {1, 5, 9, 11}.
@@ -207,45 +212,22 @@ func TestKernelCraftedBlocks(t *testing.T) {
 	u := csrBlock{rows: 1, xadj: []int32{0, 3}, adj: []int32{2, 5, 9}}
 	l := cscBlock{cols: 1, xadj: []int32{0, 4}, adj: []int32{1, 5, 9, 11}}
 	for _, opt := range []Options{
-		{NoAdaptiveIntersect: true},
-		{NoAdaptiveIntersect: true, NoDoublySparse: true},
-		{NoAdaptiveIntersect: true, NoDirectHash: true},
-		{NoAdaptiveIntersect: true, NoEarlyBreak: true},
-		{NoAdaptiveIntersect: true, NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
+		{},
+		{NoDoublySparse: true},
+		{NoDirectHash: true},
+		{NoEarlyBreak: true},
+		{NoDirectHash: true, NoEarlyBreak: true},
+		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
 	} {
-		set := hashsetNewForTest()
-		var kc kernelCounters
-		runKernel(&task, []int32{0}, &u, &l, set, opt, &kc)
-		if kc.triangles != 2 {
-			t.Errorf("opt %+v: %d triangles, want 2", opt, kc.triangles)
+		kc := runCrafted(&task, &u, &l, opt)
+		// Early break skips L column entry 1 < min(U row) = 2.
+		wantProbes := int64(3)
+		if opt.NoEarlyBreak {
+			wantProbes = 4
 		}
-		if kc.mapTasks != 1 {
-			t.Errorf("opt %+v: %d map tasks, want 1", opt, kc.mapTasks)
+		if want := (kernelCounters{triangles: 2, probes: wantProbes, mapTasks: 1}); kc != want {
+			t.Errorf("opt %+v: %+v, want %+v", opt, kc, want)
 		}
-		if kc.probes < 2 {
-			t.Errorf("opt %+v: %d probes", opt, kc.probes)
-		}
-		if kc.mergeTasks != 0 {
-			t.Errorf("opt %+v: %d merge tasks with adaptive disabled", opt, kc.mergeTasks)
-		}
-	}
-	// The adaptive kernel routes this balanced pair (3 vs 4 entries, within
-	// mergeRatio) to the sorted-merge path: same triangles, no hash probes.
-	var adaptive kernelCounters
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{}, &adaptive)
-	if adaptive.triangles != 2 || adaptive.mapTasks != 1 {
-		t.Errorf("adaptive: %+v", adaptive)
-	}
-	if adaptive.mergeTasks != 1 || adaptive.probes != 0 || adaptive.mergeOps == 0 {
-		t.Errorf("adaptive did not take the merge path: %+v", adaptive)
-	}
-	// Early break must probe fewer entries than the full scan: L column
-	// entry 1 < min(U row)=2 is skipped by the optimized path.
-	var withBreak, without kernelCounters
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{NoAdaptiveIntersect: true}, &withBreak)
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{NoAdaptiveIntersect: true, NoEarlyBreak: true}, &without)
-	if withBreak.probes >= without.probes {
-		t.Errorf("early break did not reduce probes: %d vs %d", withBreak.probes, without.probes)
 	}
 }
 
@@ -255,17 +237,15 @@ func TestKernelEmptyOperands(t *testing.T) {
 	task := csrBlock{rows: 2, xadj: []int32{0, 1, 1}, adj: []int32{0}}
 	emptyU := csrBlock{rows: 2, xadj: []int32{0, 0, 0}}
 	l := cscBlock{cols: 1, xadj: []int32{0, 1}, adj: []int32{3}}
-	var kc kernelCounters
-	runKernel(&task, []int32{0}, &emptyU, &l, hashsetNewForTest(), Options{}, &kc)
-	if kc.triangles != 0 || kc.mapTasks != 0 || kc.probes != 0 {
-		t.Errorf("empty U: %+v", kc)
-	}
 	u := csrBlock{rows: 2, xadj: []int32{0, 2, 2}, adj: []int32{3, 4}}
 	emptyL := cscBlock{cols: 1, xadj: []int32{0, 0}}
-	kc = kernelCounters{}
-	runKernel(&task, []int32{0}, &u, &emptyL, hashsetNewForTest(), Options{}, &kc)
-	if kc.triangles != 0 || kc.mapTasks != 0 {
-		t.Errorf("empty L: %+v", kc)
+	for _, opt := range []Options{{}, {NoDirectHash: true}} {
+		if kc := runCrafted(&task, &emptyU, &l, opt); kc != (kernelCounters{}) {
+			t.Errorf("opt %+v, empty U: %+v", opt, kc)
+		}
+		if kc := runCrafted(&task, &u, &emptyL, opt); kc != (kernelCounters{}) {
+			t.Errorf("opt %+v, empty L: %+v", opt, kc)
+		}
 	}
 }
 

@@ -140,8 +140,7 @@ func splitClasses(b csrBlock, s int32) []csrBlock {
 }
 
 // summaCount runs the lcm(qr,qc) broadcast-and-multiply steps.
-func summaCount(c *mpi.Comm, grid *mpi.RectGrid, blk *summaBlocks, L int, opt Options) (kernelCounters, []float64) {
-	pool := newKernelPool(summaCapHint(blk), opt.kernelWorkers(), opt)
+func summaCount(c *mpi.Comm, grid *mpi.RectGrid, blk *summaBlocks, L int, pool *kernelPool, opt Options) (kernelCounters, []float64) {
 	perShift := make([]float64, 0, L)
 	trace := opt.Trace // per-rank parent span; nil (no-op) when untraced
 
@@ -179,7 +178,7 @@ func summaCount(c *mpi.Comm, grid *mpi.RectGrid, blk *summaBlocks, L int, opt Op
 		before := c.Stats().CompTime
 		ks := trace.StartChild("kernel")
 		c.Compute(func() {
-			pool.run(&blk.task, blk.rows, &u, &l, opt)
+			pool.run(&blk.task, blk.rows, &u, &l)
 		})
 		ks.SetAttr("step", t)
 		ks.SetAttr("virtual_s", c.Stats().CompTime-before)
@@ -187,23 +186,4 @@ func summaCount(c *mpi.Comm, grid *mpi.RectGrid, blk *summaBlocks, L int, opt Op
 		perShift = append(perShift, c.Stats().CompTime-before)
 	}
 	return pool.total(), perShift
-}
-
-// summaCapHint sizes the kernel hash sets for keys k div L, mirroring the
-// Cannon path's policy (kernelCapHint): full key range when affordable
-// (every row becomes direct-hash eligible), else 8× the largest U row
-// (probing load ≤ 1/8). Like the Cannon hint, it is computed once per count
-// and shared by every pooled per-worker set, and the maxURow bound survives
-// elastic growth (see kernelCapHint).
-func summaCapHint(blk *summaBlocks) int {
-	localRange := int(int64(blk.nRows)) // nRows ≈ n/qr ≥ n/L: a safe range bound
-	byRow := int(8 * blk.maxURow)
-	capHint := localRange
-	if byRow > 0 && byRow < capHint {
-		capHint = byRow
-	}
-	if capHint < 64 {
-		capHint = 64
-	}
-	return capHint
 }

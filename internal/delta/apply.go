@@ -399,9 +399,10 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	return r, nil
 }
 
-// mergeRatio mirrors the core kernel's adaptive threshold: pairs whose row
-// lengths are within this factor of each other are intersected with a
-// sorted-merge scan instead of the hash probe.
+// mergeRatio is the length-skew bound of the delta pass's intersection:
+// pairs whose row lengths are within this factor of each other are
+// intersected with a sorted-merge scan, more skewed pairs with the hash
+// probe. Each item is one pair, so there is no table to amortise.
 const mergeRatio = 4
 
 // deltaPass counts the discoveries of triangles through each marked edge
@@ -411,10 +412,9 @@ const mergeRatio = 4
 //
 // For marked edge (a, b) and each grid column class, the rank holding
 // row a in that class ships the row to the rank holding row b (same grid
-// column, grid row b mod qr), which intersects the two rows with the
-// kernel's machinery — the hash probe for skewed pairs, a sorted-merge
-// scan for balanced ones unless the resident kernel config disables
-// adaptivity — third vertices are partitioned by column residue, so the
+// column, grid row b mod qr), which intersects the two rows — the hash
+// probe for skewed pairs, a sorted-merge scan for balanced ones — third
+// vertices are partitioned by column residue, so the
 // union over classes covers each one exactly once. Rows whose endpoints
 // share a grid row intersect locally; all cross-row traffic travels
 // through one sparse all-to-all.
@@ -450,8 +450,7 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 		}
 	})
 	got := c.AlltoallvSparseInt32(send)
-	workers := prep.KernelWorkers()
-	adaptive := !prep.KernelNoAdaptive()
+	workers := prep.KernelWorkers(c)
 	c.Compute(func() {
 		// Collect this rank's intersection items: locally intersectable
 		// marked edges plus the rows shipped in for cross-row edges.
@@ -504,7 +503,7 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 				}
 				ws.cnt[o]++
 			}
-			if adaptive && len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
+			if len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
 				i, j := 0, 0
 				for i < len(rowA) && j < len(rowB) {
 					ws.probes++
@@ -522,8 +521,8 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 				return
 			}
 			set.Grow(8 * len(rowA))
-			// Same direct-mode rule as the kernel: collision-free single-AND
-			// hashing when the row's largest key fits under the mask.
+			// Collision-free single-AND hashing when the row's largest key
+			// fits under the mask.
 			set.Reset(rowA[len(rowA)-1] <= set.Mask())
 			for _, w := range rowA {
 				set.Insert(w)

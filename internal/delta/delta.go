@@ -145,8 +145,7 @@ type Result struct {
 	M, Wedges int64
 
 	// Probes counts intersection operations of the two delta passes: hash
-	// probes plus, when the resident kernel config leaves adaptive
-	// intersection on, sorted-merge scan advances.
+	// probes plus sorted-merge scan advances.
 	Probes int64
 
 	// ApplyTime is the parallel (virtual) time of the update epoch;

@@ -151,6 +151,6 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	})
 	np.SetLabels(int32(offsets[r]), composed)
 	np.SetSpaceVersion(prep.Space().Version + 1)
-	np.SetKernelConfig(prep.KernelConfig())
+	np.SetKernelThreads(prep.KernelThreads())
 	return np, nil
 }

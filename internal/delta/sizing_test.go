@@ -10,15 +10,14 @@ import (
 	"tc2d/internal/rmat"
 )
 
-// TestKernelSizingSurvivesGrowth asserts the bound the pooled kernel sets
-// are sized from: the resident maxURow must stay ≥ the actual longest
-// U-block row through an update stream that grows the vertex space, piles
-// edges onto a hub (lengthening one row far beyond its build-time size),
-// removes a vertex, and finally folds the overflow with a rebuild. The
-// kernel reads maxURow only through the capacity hint, so a violated bound
-// would not crash — it would silently degrade the direct-hash decision —
-// hence the explicit collective assertion, and a recount per step proving
-// the multi-threaded kernel stays exact on the grown blocks.
+// TestKernelSizingSurvivesGrowth asserts the bounds the kernel maps are
+// sized from — every intersection key below the bitmap length of the
+// current vertex count, the resident maxURow ≥ the actual longest U-block
+// row — through an update stream that grows the vertex space, piles edges
+// onto a hub (lengthening one row far beyond its build-time size), removes
+// a vertex, and finally folds the overflow with a rebuild; and a recount
+// per step proving the multi-threaded kernel stays exact on the grown
+// blocks.
 func TestKernelSizingSurvivesGrowth(t *testing.T) {
 	g, err := rmat.G500.Generate(8, 8, 13)
 	if err != nil {
@@ -59,7 +58,7 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 			t.Fatalf("%s recount: %v", stage, err)
 		}
 		seq, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 1, NoAdaptiveIntersect: true})
+			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 1})
 		})
 		if err != nil {
 			t.Fatalf("%s sequential recount: %v", stage, err)
@@ -113,8 +112,8 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		t.Fatalf("fold rebuild: %v", err)
 	}
 	copy(preps, newPreps)
-	if got := preps[0].KernelWorkers(); got != 3 {
-		t.Errorf("rebuild dropped the kernel config: KernelWorkers=%d, want 3", got)
+	if got := preps[0].KernelThreads(); got != 3 {
+		t.Errorf("rebuild dropped the kernel config: KernelThreads=%d, want 3", got)
 	}
 	validate("after fold")
 }

@@ -16,6 +16,7 @@ type Set struct {
 	stamp []uint32
 	cur   uint32
 	mask  int32
+	shift uint // 32 - log2(capacity): hash keeps the top log2(capacity) bits
 	// direct is true when the current generation was loaded with
 	// collision-free direct indexing (key & mask is injective because every
 	// key fits under the capacity).
@@ -32,13 +33,12 @@ func New(capacity int) *Set {
 	for c < capacity {
 		c <<= 1
 	}
-	s := &Set{
+	return &Set{
 		keys:  make([]int32, c),
 		stamp: make([]uint32, c),
 		mask:  int32(c - 1),
-		cur:   0,
+		shift: hashShift(c),
 	}
-	return s
 }
 
 // Cap returns the power-of-two capacity.
@@ -74,6 +74,7 @@ func (s *Set) Grow(capacity int) {
 	s.keys = make([]int32, c)
 	s.stamp = make([]uint32, c)
 	s.mask = int32(c - 1)
+	s.shift = hashShift(c)
 	s.cur = 0
 	s.n = 0
 }
@@ -96,11 +97,13 @@ func (s *Set) Reset(direct bool) {
 	s.n = 0
 }
 
+// hashShift is the shift that leaves the top log2(c) bits of a 32-bit hash,
+// for a power-of-two capacity c.
+func hashShift(c int) uint { return 32 - uint(bits.TrailingZeros(uint(c))) }
+
 // hash spreads keys with a Fibonacci multiplier before masking.
 func (s *Set) hash(k int32) int32 {
-	h := uint32(k) * 2654435761
-	shift := 32 - uint(bits.TrailingZeros(uint(len(s.keys))))
-	return int32(h>>shift) & s.mask
+	return int32(uint32(k)*2654435761>>s.shift) & s.mask
 }
 
 // Insert adds k (>= 0) to the current generation.

@@ -1,14 +1,14 @@
 package tc2d
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // End-to-end contract of the intra-rank parallel kernel: any KernelThreads
 // value must reproduce the sequential count and counters exactly, across
-// grid schedules, transports, intersection modes, and the delta-update
-// write path.
+// grid schedules, transports, and the delta-update write path.
 
 func TestKernelThreadsEndToEnd(t *testing.T) {
 	g, err := GenerateRMAT(G500, 9, 8, 77)
@@ -32,10 +32,9 @@ func TestKernelThreadsEndToEnd(t *testing.T) {
 					oracle = res
 					continue
 				}
-				if res.Probes != oracle.Probes || res.MapTasks != oracle.MapTasks || res.MergeTasks != oracle.MergeTasks {
-					t.Errorf("%v ranks=%d threads=%d: counters (probes=%d map=%d merge=%d) != 1-thread (%d, %d, %d)",
-						transport, ranks, threads, res.Probes, res.MapTasks, res.MergeTasks,
-						oracle.Probes, oracle.MapTasks, oracle.MergeTasks)
+				if res.Probes != oracle.Probes || res.MapTasks != oracle.MapTasks {
+					t.Errorf("%v ranks=%d threads=%d: counters (probes=%d map=%d) != 1-thread (%d, %d)",
+						transport, ranks, threads, res.Probes, res.MapTasks, oracle.Probes, oracle.MapTasks)
 				}
 			}
 		}
@@ -60,10 +59,11 @@ func TestKernelThreadsValidation(t *testing.T) {
 	}
 }
 
-// TestClusterKernelConfig checks the cluster surface: the standing kernel
-// config resolves query defaults, per-query overrides compose (a query can
-// disable adaptive selection but not re-enable it), and Info accumulates
-// the merge/hash task split of completed epochs.
+// TestClusterKernelConfig checks the cluster surface: the standing
+// KernelThreads resolves query defaults, a per-query override and the
+// ablation switches compose with it, Info accumulates the intersected pairs
+// of completed epochs, and a cluster left at KernelThreads 0 shares the host
+// among its ranks instead of giving each rank every CPU.
 func TestClusterKernelConfig(t *testing.T) {
 	g := testClusterGraph(t)
 	want := CountSequential(g)
@@ -75,62 +75,47 @@ func TestClusterKernelConfig(t *testing.T) {
 	if got := cl.Info().KernelThreads; got != 3 {
 		t.Errorf("Info.KernelThreads=%d, want 3", got)
 	}
-	adaptive, err := cl.Count(QueryOptions{})
+	standing, err := cl.Count(QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptive.Triangles != want {
-		t.Errorf("adaptive query: %d triangles, want %d", adaptive.Triangles, want)
+	if standing.Triangles != want {
+		t.Errorf("default query: %d triangles, want %d", standing.Triangles, want)
 	}
-	if adaptive.KernelThreads != 3 {
-		t.Errorf("query inherited KernelThreads=%d, want the cluster's 3", adaptive.KernelThreads)
+	if standing.KernelThreads != 3 {
+		t.Errorf("query inherited KernelThreads=%d, want the cluster's 3", standing.KernelThreads)
 	}
-	if adaptive.MergeTasks == 0 {
-		t.Error("adaptive query took no merge path on an RMAT graph")
-	}
-	hashOnly, err := cl.Count(QueryOptions{NoAdaptiveIntersect: true, KernelThreads: 1})
+	probing, err := cl.Count(QueryOptions{NoDirectHash: true, KernelThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashOnly.Triangles != want {
-		t.Errorf("hash-only query: %d triangles, want %d", hashOnly.Triangles, want)
+	if probing.KernelThreads != 1 {
+		t.Errorf("per-query override gave KernelThreads=%d, want 1", probing.KernelThreads)
 	}
-	if hashOnly.MergeTasks != 0 {
-		t.Errorf("NoAdaptiveIntersect query reported MergeTasks=%d", hashOnly.MergeTasks)
+	if probing.Triangles != want || probing.Probes != standing.Probes || probing.MapTasks != standing.MapTasks {
+		t.Errorf("NoDirectHash query: triangles=%d probes=%d map=%d, bitmap kernel %d, %d, %d",
+			probing.Triangles, probing.Probes, probing.MapTasks, want, standing.Probes, standing.MapTasks)
 	}
-	if hashOnly.KernelThreads != 1 {
-		t.Errorf("per-query override gave KernelThreads=%d, want 1", hashOnly.KernelThreads)
-	}
-	if hashOnly.MapTasks != adaptive.MapTasks {
-		t.Errorf("MapTasks %d (hash) != %d (adaptive): must count every intersected pair", hashOnly.MapTasks, adaptive.MapTasks)
-	}
-	info := cl.Info()
-	if wantMap := adaptive.MapTasks + hashOnly.MapTasks; info.MapTasks != wantMap {
-		t.Errorf("Info.MapTasks=%d, want %d accumulated over both epochs", info.MapTasks, wantMap)
-	}
-	if info.MergeTasks != adaptive.MergeTasks {
-		t.Errorf("Info.MergeTasks=%d, want %d", info.MergeTasks, adaptive.MergeTasks)
+	if wantMap := standing.MapTasks + probing.MapTasks; cl.Info().MapTasks != wantMap {
+		t.Errorf("Info.MapTasks=%d, want %d accumulated over both epochs", cl.Info().MapTasks, wantMap)
 	}
 
-	// A cluster built hash-only cannot be re-enabled per query.
-	hcl, err := NewCluster(g, Options{Ranks: 4, NoAdaptiveIntersect: true})
+	slots := 2
+	dcl, err := NewCluster(g, Options{Ranks: 4, ComputeSlots: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hcl.Close()
-	res, err := hcl.Count(QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MergeTasks != 0 {
-		t.Errorf("hash-only cluster served an adaptive epoch (MergeTasks=%d)", res.MergeTasks)
+	defer dcl.Close()
+	share := max(1, min(runtime.GOMAXPROCS(0), runtime.NumCPU())/slots)
+	if got := dcl.Info().KernelThreads; got != share {
+		t.Errorf("KernelThreads 0 on 4 ranks over %d compute slots resolved to %d workers per rank, want %d", slots, got, share)
 	}
 }
 
 // TestKernelThreadsDeltaStream is the write-path differential: the same
-// update stream applied on a multi-threaded adaptive cluster and on a
-// single-threaded hash-only cluster must maintain identical triangle
-// counts batch for batch, and agree with a full recount at the end.
+// update stream applied on a multi-threaded cluster and on a
+// single-threaded one must maintain identical triangle counts batch for
+// batch, and agree with a full recount at the end.
 func TestKernelThreadsDeltaStream(t *testing.T) {
 	g := testClusterGraph(t)
 	par, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 3})
@@ -138,7 +123,7 @@ func TestKernelThreadsDeltaStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	seq, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 1, NoAdaptiveIntersect: true})
+	seq, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func exerciseCluster(t *testing.T, cl *Cluster, durable bool) {
 	if _, err := cl.Count(QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Count(QueryOptions{NoAdaptiveIntersect: true}); err != nil {
+	if _, err := cl.Count(QueryOptions{NoEarlyBreak: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Transitivity(); err != nil {

@@ -54,43 +54,40 @@ var (
 // count epochs. Metrics comes from the store of whichever process runs the
 // rank; trace is the caller's span, meaningful in-process only.
 type wireKernel struct {
-	Enumeration         int
-	NoDoublySparse      bool
-	NoDirectHash        bool
-	NoEarlyBreak        bool
-	NoBlob              bool
-	NoAdaptiveIntersect bool
-	TrackPerShift       bool
-	KernelThreads       int
+	Enumeration    int
+	NoDoublySparse bool
+	NoDirectHash   bool
+	NoEarlyBreak   bool
+	NoBlob         bool
+	TrackPerShift  bool
+	KernelThreads  int
 
 	trace *obs.Span
 }
 
 func wireKernelOf(o core.Options) wireKernel {
 	return wireKernel{
-		Enumeration:         int(o.Enumeration),
-		NoDoublySparse:      o.NoDoublySparse,
-		NoDirectHash:        o.NoDirectHash,
-		NoEarlyBreak:        o.NoEarlyBreak,
-		NoBlob:              o.NoBlob,
-		NoAdaptiveIntersect: o.NoAdaptiveIntersect,
-		TrackPerShift:       o.TrackPerShift,
-		KernelThreads:       o.KernelThreads,
+		Enumeration:    int(o.Enumeration),
+		NoDoublySparse: o.NoDoublySparse,
+		NoDirectHash:   o.NoDirectHash,
+		NoEarlyBreak:   o.NoEarlyBreak,
+		NoBlob:         o.NoBlob,
+		TrackPerShift:  o.TrackPerShift,
+		KernelThreads:  o.KernelThreads,
 	}
 }
 
 func (k wireKernel) coreOptions(reg *obs.Registry) core.Options {
 	return core.Options{
-		Enumeration:         core.Enumeration(k.Enumeration),
-		NoDoublySparse:      k.NoDoublySparse,
-		NoDirectHash:        k.NoDirectHash,
-		NoEarlyBreak:        k.NoEarlyBreak,
-		NoBlob:              k.NoBlob,
-		NoAdaptiveIntersect: k.NoAdaptiveIntersect,
-		TrackPerShift:       k.TrackPerShift,
-		KernelThreads:       k.KernelThreads,
-		Metrics:             reg,
-		Trace:               k.trace,
+		Enumeration:    core.Enumeration(k.Enumeration),
+		NoDoublySparse: k.NoDoublySparse,
+		NoDirectHash:   k.NoDirectHash,
+		NoEarlyBreak:   k.NoEarlyBreak,
+		NoBlob:         k.NoBlob,
+		TrackPerShift:  k.TrackPerShift,
+		KernelThreads:  k.KernelThreads,
+		Metrics:        reg,
+		Trace:          k.trace,
 	}
 }
 
@@ -105,12 +102,10 @@ type wireRMAT struct {
 
 // wireBuild parameterizes opBuild, and — its Track field alone — opRebuildFull.
 type wireBuild struct {
-	SUMMA      bool
-	Kernel     wireKernel
-	KThreads   int  // standing kernel config (SetKernelConfig)
-	NoAdaptive bool // standing kernel config
-	Track      bool // enable snapshot dirty tracking (durable clusters)
-	RMAT       *wireRMAT
+	SUMMA  bool
+	Kernel wireKernel // its KernelThreads becomes the resident worker count
+	Track  bool       // enable snapshot dirty tracking (durable clusters)
+	RMAT   *wireRMAT
 
 	// graph is the scatter source when RMAT is nil, read at rank 0 only; on
 	// the wire it is rank 0's payload.
@@ -122,12 +117,11 @@ type wireSnap struct{ Delta bool }
 
 // wireRestore parameterizes one opRestore epoch (one snapshot-chain member).
 type wireRestore struct {
-	Delta      bool // apply a delta blob onto the chain restored so far
-	Final      bool // last chain member: finish kernel config and tracking, install
-	Ranks      int
-	Track      bool
-	KThreads   int
-	NoAdaptive bool
+	Delta    bool // apply a delta blob onto the chain restored so far
+	Final    bool // last chain member: finish kernel config and tracking, install
+	Ranks    int
+	Track    bool
+	KThreads int
 
 	// fetch yields one rank's verified blob of this chain member. In-process
 	// every rank calls it from its own goroutine (parallel file reads); on
@@ -162,14 +156,14 @@ func (m wireMeta) overflowFraction() float64 {
 	return float64(m.OverflowN) / float64(m.N)
 }
 
-func metaOf(pr *core.Prepared) wireMeta {
+func metaOf(c *mpi.Comm, pr *core.Prepared) wireMeta {
 	sp := pr.Space()
 	qr, qc, summa := pr.GridShape()
 	return wireMeta{
 		N: pr.N(), M: pr.M(), Wedges: pr.Wedges(),
 		BaseN: sp.BaseN, OverflowN: sp.OverflowN(), SpaceVersion: sp.Version,
 		PreOps: pr.PreOps(), PreprocessTime: pr.PreprocessTime(), CommFracPre: pr.CommFracPre(),
-		KernelWorkers: pr.KernelWorkers(), DegreeDirty: pr.DegreeDirtyCount(),
+		KernelWorkers: pr.KernelWorkers(c), DegreeDirty: pr.DegreeDirtyCount(),
 		QR: qr, QC: qc, SUMMA: summa,
 	}
 }
@@ -189,7 +183,7 @@ func reply0(c *mpi.Comm, pr *core.Prepared, rep opReply) *opReply {
 	if c.Rank() != 0 {
 		return nil
 	}
-	m := metaOf(pr)
+	m := metaOf(c, pr)
 	rep.Meta = &m
 	return &rep
 }
@@ -342,7 +336,6 @@ func buildOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr.SetKernelConfig(b.KThreads, b.NoAdaptive)
 	if b.Track {
 		pr.EnableSnapshotTracking()
 	}
@@ -510,7 +503,7 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	if r.Track {
 		pr.EnableSnapshotTracking()
 	}
-	pr.SetKernelConfig(r.KThreads, r.NoAdaptive)
+	pr.SetKernelThreads(r.KThreads)
 	st.put(rank, pr)
 	return reply0(c, pr, opReply{}), nil
 }

@@ -786,7 +786,7 @@ func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(m *snapsh
 	for i, m := range chain {
 		_, err := cl.run(opRestore, &wireRestore{
 			Delta: i > 0, Final: m == term,
-			Ranks: cl.ranks, Track: track, KThreads: cl.kernelThreads, NoAdaptive: cl.noAdaptive,
+			Ranks: cl.ranks, Track: track, KThreads: cl.kernelThreads,
 			fetch: func(rank int) ([]byte, error) { return fetch(m, rank) },
 		})
 		switch {
