@@ -21,9 +21,10 @@ func (b *csrBlock) row(a int32) []int32 { return b.adj[b.xadj[a]:b.xadj[a+1]] }
 func (b *csrBlock) nnz() int64 { return int64(len(b.adj)) }
 
 // nonEmptyRows returns the doubly-sparse row index (the DCSR-inspired list
-// of §5.2): local rows with at least one entry.
-func (b *csrBlock) nonEmptyRows() []int32 {
-	var list []int32
+// of §5.2): local rows with at least one entry. The list is built in list's
+// storage (nil allocates), so the write path refreshes it without garbage.
+func (b *csrBlock) nonEmptyRows(list []int32) []int32 {
+	list = list[:0]
 	for a := int32(0); a < b.rows; a++ {
 		if b.xadj[a+1] > b.xadj[a] {
 			list = append(list, a)
@@ -76,7 +77,8 @@ func prefixSum(x []int32) {
 // coordinate that will be the VALUE (U by column, L by row) and transposed
 // into place, which sorts each list; the ⟨j,i,k⟩ task block is the L block
 // transposed once more, the ⟨i,j,k⟩ one a copy of the U block (a copy, not
-// an alias: the write path splices task and operand blocks separately).
+// an alias: the write path splices task and operand blocks in place, each
+// anywhere inside its own arrays' capacity).
 func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock) {
 	// Count: the bucket sizes and, in the same sweep, the final list sizes.
 	uByCol := make([]int32, nCols+1)

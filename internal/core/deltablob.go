@@ -342,7 +342,7 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		if err := replaceCSRRows(&blk.task, trows, tdata); err != nil {
 			return err
 		}
-		blk.taskRows = blk.task.nonEmptyRows()
+		blk.taskRows = blk.task.nonEmptyRows(nil)
 		blk.maxURow = maxURow
 	case kindSUMMAState:
 		sblk := p.sblk
@@ -408,7 +408,7 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		if d.err != nil {
 			return d.err
 		}
-		sblk.rows = sblk.task.nonEmptyRows()
+		sblk.rows = sblk.task.nonEmptyRows(nil)
 		sblk.maxURow = maxURow
 	}
 	if d.err != nil {

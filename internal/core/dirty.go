@@ -24,7 +24,7 @@ package core
 // exclusive write epochs (or by the snapshot writer while it holds the
 // scheduler gate), never concurrently with counting reads.
 
-import "sort"
+import "slices"
 
 // snapDirty records which parts of the resident state changed since the
 // last committed snapshot, keyed the way the blocks are stored so the delta
@@ -49,11 +49,12 @@ func newSnapDirty() *snapDirty {
 	}
 }
 
-func markRows(set map[int32]struct{}, edits ...[][2]int32) {
-	for _, ed := range edits {
-		for _, e := range ed {
-			set[e[0]] = struct{}{}
-		}
+func markRows(set map[int32]struct{}, ed *classEdits) {
+	for _, key := range ed.ins {
+		set[editRow(key)] = struct{}{}
+	}
+	for _, key := range ed.del {
+		set[editRow(key)] = struct{}{}
 	}
 }
 
@@ -132,14 +133,7 @@ func (p *Prepared) MarkDegreeDirty(labels []int32) {
 
 // DegreeDirty returns the sorted set of labels whose degree changed since
 // the last rebuild. The slice is freshly allocated.
-func (p *Prepared) DegreeDirty() []int32 {
-	out := make([]int32, 0, len(p.degreeDirty))
-	for w := range p.degreeDirty {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (p *Prepared) DegreeDirty() []int32 { return sortedI32Set(p.degreeDirty) }
 
 // DegreeDirtyCount returns the size of the degree-dirty set — the churn
 // signal the cluster's staleness policy compares against
@@ -174,7 +168,7 @@ func sortedI32Set(set map[int32]struct{}) []int32 {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -184,6 +178,6 @@ func sortedClasses[V any](m map[int]V) []int {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

@@ -10,17 +10,19 @@ package core
 // batch never moves data between ranks: every rank splices exactly the
 // directed entries its own blocks hold.
 //
-// Everything in this file mutates the resident state in place and is
-// therefore EXCLUSIVE: it may only run inside a write epoch (World.Run),
-// never concurrently with the read-only CountPrepared. The split is what
-// lets the epoch scheduler run counting queries concurrently.
+// Everything in this file mutates the resident state in place — literally:
+// Splice rewrites the resident arrays where they lie, it does not build
+// replacements — and is therefore EXCLUSIVE: it may only run inside a write
+// epoch (World.Run), never concurrently with the read-only CountPrepared.
+// The split is what lets the epoch scheduler run counting queries
+// concurrently.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"tc2d/internal/mpi"
+	"tc2d/internal/obs"
 )
 
 // rowMirror is the per-rank row-major view of this rank's block of the
@@ -65,11 +67,11 @@ func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels =
 // class t, where key k of class t is label k·L + t. The square grid is the
 // one-class case — L = q, the U block is class y, the L block class x.
 func (p *Prepared) operandClasses() (qr, qc, L, nRows int32, u map[int]csrBlock, l map[int]cscBlock) {
+	qr, qc, L = p.gridMods()
 	if b := p.blk; b != nil {
-		q := int32(b.q)
-		return q, q, q, b.nRowsX, map[int]csrBlock{b.y: b.ublk}, map[int]cscBlock{b.x: b.lblk}
+		return qr, qc, L, b.nRowsX, map[int]csrBlock{b.y: b.ublk}, map[int]cscBlock{b.x: b.lblk}
 	}
-	return int32(p.qr), int32(p.qc), int32(p.lc), p.sblk.nRows, p.sblk.uBucket, p.sblk.lBucket
+	return qr, qc, L, p.sblk.nRows, p.sblk.uBucket, p.sblk.lBucket
 }
 
 // EnsureAdjacency builds the row-adjacency mirror from the resident blocks
@@ -145,8 +147,9 @@ func (p *Prepared) MirrorShape() (rowMod, colMod, rowRes, colRes int) {
 
 // AdjRow returns the mirror row of global label v: v's neighbours in this
 // rank's column residue class, as sorted global labels. v must belong to
-// this rank's row residue class. The slice aliases resident state — read
-// only, and invalidated by the next Splice.
+// this rank's row residue class. The slice aliases resident state: read
+// only, and the next Splice overwrites it in place — copy what must outlive
+// the splice.
 func (p *Prepared) AdjRow(v int32) []int32 {
 	return p.mirror.blk.row(v / int32(p.mirror.rowMod))
 }
@@ -154,9 +157,8 @@ func (p *Prepared) AdjRow(v int32) []int32 {
 // HasEdgeLocal reports whether the directed entry (v → u) is present in
 // this rank's block; v must be row-class and u column-class local.
 func (p *Prepared) HasEdgeLocal(v, u int32) bool {
-	row := p.AdjRow(v)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= u })
-	return i < len(row) && row[i] == u
+	_, ok := slices.BinarySearch(p.AdjRow(v), u)
+	return ok
 }
 
 // AdjustTotals folds a batch's edge-count and wedge-count deltas into the
@@ -167,74 +169,199 @@ func (p *Prepared) AdjustTotals(dM, dWedges int64) {
 	p.wedges += dWedges
 }
 
-// sortEdits orders (row, value) edit pairs row-major so spliceCSR can
-// consume them in one pass.
-func sortEdits(e [][2]int32) {
-	sort.Slice(e, func(i, j int) bool {
-		if e[i][0] != e[j][0] {
-			return e[i][0] < e[j][0]
-		}
-		return e[i][1] < e[j][1]
-	})
+// classEdits is the routed edit list of one resident block, insertions and
+// deletions apart: (row, value) pairs in the block's local indices, packed
+// row<<32 | value so that the integer order is the row-major order the
+// splice consumes them in.
+type classEdits struct{ ins, del []int64 }
+
+func (e *classEdits) add(del bool, row, val int32) {
+	key := int64(row)<<32 | int64(uint32(val))
+	if del {
+		e.del = append(e.del, key)
+	} else {
+		e.ins = append(e.ins, key)
+	}
 }
 
-// spliceCSR rebuilds a CSR block with per-row edits in one linear pass:
-// rows without edits are copied wholesale, edited rows are merged with
-// their sorted insertions minus their removals. ins and del are (row,
-// value) pairs and are sorted in place. Panics if a removal names a
-// missing value or an insertion duplicates an existing one — the
-// distributed validation pass guarantees neither happens.
-func spliceCSR(b *csrBlock, ins, del [][2]int32) {
-	if len(ins) == 0 && len(del) == 0 {
+func (e *classEdits) empty() bool { return len(e.ins) == 0 && len(e.del) == 0 }
+
+// editRow and editVal unpack a classEdits key.
+func editRow(key int64) int32 { return int32(key >> 32) }
+func editVal(key int64) int32 { return int32(key) }
+
+// editPoint is one validated edit of the block being spliced. It applies at
+// index pos of the old adj — a deletion removes that entry, an insertion
+// goes in before it — and shift is the net growth of all edits up to and
+// including this one: how far the entries behind it, up to the next edit,
+// move.
+type editPoint struct {
+	pos, shift int32
+	row, val   int32
+	ins        bool
+}
+
+// spliceScratch is the write path's working memory. It lives on the Prepared
+// value and is reused from batch to batch, so a steady-state Splice allocates
+// nothing: the routed edit lists of every block (operand edits by k-residue
+// class, one slot per class mod L; empty between splices), and the edit
+// points of the block being spliced.
+type spliceScratch struct {
+	u, l         []classEdits
+	task, mirror classEdits
+	points       []editPoint
+
+	movedBytes, reallocs *obs.Counter
+}
+
+// SetMetrics registers the splice counters in reg (nil disables them): bytes
+// the splices wrote into resident adjacency arrays, and how often one of
+// those arrays was reallocated — outgrown, or carrying more slack than
+// slackBound allows.
+func (p *Prepared) SetMetrics(reg *obs.Registry) {
+	p.splice.movedBytes = reg.Counter("tc_splice_moved_bytes_total",
+		"Bytes written into resident adjacency arrays by in-place splices (all ranks).")
+	p.splice.reallocs = reg.Counter("tc_splice_reallocs_total",
+		"Resident adjacency arrays reallocated by a splice (all ranks).")
+}
+
+// slackBound is the most spare capacity a block's adj may carry after a
+// splice of e edits left it n entries long: a sixteenth of the block plus
+// the batch. A reallocation leaves half of it, so neither a growing nor a
+// shrinking block reallocates again at once.
+func slackBound(n, e int) int { return n/16 + e }
+
+// spliceCSR applies per-row edits to a CSR block in place, at a cost set by
+// the batch and the entries that have to move, not by the block's dimension.
+//
+// First every edit is located in the old block (sorted edit lists, one
+// binary search in the row each) and recorded as an editPoint. This pass is
+// also the validation, and it completes before a resident byte moves: it
+// panics if an edit names a row outside the block, a deletion a missing
+// value or an insertion an existing one (the distributed validation pass
+// guarantees none happens) and leaves the block exactly as it was.
+//
+// Then the runs of entries between consecutive edit points slide to their
+// new positions with one bulk copy each — runs moving left in ascending
+// order, runs moving right in descending order, so no copy lands on entries
+// still to be moved — the inserted values drop into the gaps, and the
+// running shift is added to xadj. The block stays packed CSR, len(adj) ==
+// xadj[rows]; only cap(adj) carries slack (see slackBound).
+func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
+	if ed.empty() {
 		return
 	}
-	sortEdits(ins)
-	sortEdits(del)
-	newAdj := make([]int32, 0, len(b.adj)+len(ins)-len(del))
-	newXadj := make([]int32, b.rows+1)
-	ii, di := 0, 0
-	for a := int32(0); a < b.rows; a++ {
-		row := b.row(a)
-		if (ii >= len(ins) || ins[ii][0] != a) && (di >= len(del) || del[di][0] != a) {
-			newAdj = append(newAdj, row...)
-			newXadj[a+1] = int32(len(newAdj))
-			continue
+	ins, del := ed.ins, ed.del
+	slices.Sort(ins)
+	slices.Sort(del)
+
+	pts := sc.points[:0]
+	var shift int32
+	for ii, di := 0, 0; ii < len(ins) || di < len(del); {
+		// Merge the two lists; a pair named by both goes through as an
+		// insertion first and fails one check or the other.
+		isIns := di == len(del) || (ii < len(ins) && ins[ii] <= del[di])
+		var key int64
+		if isIns {
+			key = ins[ii]
+			ii++
+		} else {
+			key = del[di]
+			di++
 		}
-		ri := 0
-		for ri < len(row) || (ii < len(ins) && ins[ii][0] == a) {
-			if ii < len(ins) && ins[ii][0] == a && (ri >= len(row) || ins[ii][1] <= row[ri]) {
-				if ri < len(row) && ins[ii][1] == row[ri] {
-					panic("core: splice insert of an existing entry")
-				}
-				newAdj = append(newAdj, ins[ii][1])
-				ii++
-				continue
-			}
-			v := row[ri]
-			ri++
-			if di < len(del) && del[di][0] == a && del[di][1] == v {
-				di++
-				continue
-			}
-			newAdj = append(newAdj, v)
+		a, v := editRow(key), editVal(key)
+		if a < 0 || a >= b.rows {
+			panic("core: splice edit referenced an out-of-range row")
 		}
-		if di < len(del) && del[di][0] == a {
+		i, found := slices.BinarySearch(b.row(a), v)
+		switch {
+		case isIns && found:
+			panic("core: splice insert of an existing entry")
+		case isIns:
+			shift++
+		case !found:
 			panic("core: splice delete of a missing entry")
+		default:
+			shift--
 		}
-		newXadj[a+1] = int32(len(newAdj))
+		pts = append(pts, editPoint{pos: b.xadj[a] + int32(i), shift: shift, row: a, val: v, ins: isIns})
 	}
-	if ii != len(ins) || di != len(del) {
-		panic("core: splice edit referenced an out-of-range row")
+	sc.points = pts
+
+	// From here on the block is written. src keeps the old extent readable
+	// while dst takes the new one; they share storage unless reallocated.
+	src := b.adj
+	newLen := len(src) + int(shift)
+	bound := slackBound(newLen, len(pts))
+	fresh := newLen > cap(src) || cap(src)-newLen > bound
+	written := 0
+	var dst []int32
+	if fresh {
+		dst = make([]int32, newLen, newLen+bound/2)
+		// Entries before the first edit stay where they are.
+		written += copy(dst, src[:pts[0].pos])
+		sc.reallocs.Inc()
+	} else {
+		dst = src[:newLen]
 	}
-	b.xadj, b.adj = newXadj, newAdj
+	last := len(pts) - 1
+	// run returns the old extent of the entries between edit k and the next.
+	run := func(k int) (beg, end int32) {
+		beg, end = pts[k].pos, int32(len(src))
+		if !pts[k].ins {
+			beg++ // the deleted entry itself
+		}
+		if k < last {
+			end = pts[k+1].pos
+		}
+		return beg, end
+	}
+	for k := 0; k <= last; k++ {
+		if s := pts[k].shift; s < 0 || (fresh && s == 0) {
+			beg, end := run(k)
+			written += copy(dst[beg+s:], src[beg:end])
+		}
+	}
+	for k := last; k >= 0; k-- {
+		if s := pts[k].shift; s > 0 {
+			beg, end := run(k)
+			written += copy(dst[beg+s:], src[beg:end])
+		}
+	}
+	for _, p := range pts {
+		if p.ins {
+			dst[p.pos+p.shift-1] = p.val
+			written++
+		}
+	}
+	b.adj = dst
+	// The rows behind an edited row, up to and including the next edited
+	// one, start later by the shift of the row's last edit.
+	for k := 0; k <= last; {
+		a := pts[k].row
+		for k <= last && pts[k].row == a {
+			k++
+		}
+		end := b.rows
+		if k <= last {
+			end = pts[k].row
+		}
+		if s := pts[k-1].shift; s != 0 {
+			starts := b.xadj[a+1 : end+1]
+			for i := range starts {
+				starts[i] += s
+			}
+		}
+	}
+	sc.movedBytes.Add(float64(4 * written))
 }
 
 // spliceCSC is spliceCSR for a column-stored block; edits are (column,
 // value) pairs.
-func spliceCSC(b *cscBlock, ins, del [][2]int32) {
+func (sc *spliceScratch) spliceCSC(b *cscBlock, ed *classEdits) {
 	tmp := csrBlock{rows: b.cols, xadj: b.xadj, adj: b.adj}
-	spliceCSR(&tmp, ins, del)
-	b.xadj, b.adj = tmp.xadj, tmp.adj
+	sc.spliceCSR(&tmp, ed)
+	b.adj = tmp.adj
 }
 
 // Splice applies the effective, validated batch to the resident state. The
@@ -243,18 +370,16 @@ func spliceCSC(b *cscBlock, ins, del [][2]int32) {
 // its blocks own — the U entry at the (wa → wb) owner and the L entry at
 // the (wb → wa) owner — keeping the task block, the doubly-sparse row
 // list, the row mirror and the kernel-sizing maximum row length in sync.
-// The only communication is one allreduce refreshing that maximum.
+// Every block is spliced in place (spliceCSR): slices handed out earlier —
+// AdjRow — are overwritten, not merely outdated. The only communication is
+// one allreduce refreshing the maximum row length.
 func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	if len(ins) == 0 && len(del) == 0 {
 		return
 	}
 	var maxRow int64
 	c.Compute(func() {
-		if p.blk != nil {
-			p.spliceCannon(ins, del)
-		} else {
-			p.spliceSUMMA(c.Rank(), ins, del)
-		}
+		p.spliceBlocks(c.Rank(), ins, del)
 		maxRow = p.localMaxURow()
 	})
 	max := c.AllreduceInt64(maxRow, mpi.OpMax)
@@ -265,125 +390,135 @@ func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	}
 }
 
-func (p *Prepared) spliceCannon(ins, del [][2]int32) {
-	blk := p.blk
-	q := int32(blk.q)
-	x, y := int32(blk.x), int32(blk.y)
-	var uIns, uDel, lIns, lDel, tIns, tDel, mIns, mDel [][2]int32
-	route := func(edges [][2]int32, u, l, t, m *[][2]int32) {
-		for _, e := range edges {
-			wa, wb := e[0], e[1]
-			if wa%q == x && wb%q == y { // U entry (wa → wb)
-				*u = append(*u, [2]int32{wa / q, wb / q})
-				*m = append(*m, [2]int32{wa / q, wb})
-				if p.enum == EnumIJK {
-					*t = append(*t, [2]int32{wa / q, wb / q})
-				}
-			}
-			if wb%q == x && wa%q == y { // L entry (wb → wa), CSC by column
-				*l = append(*l, [2]int32{wa / q, wb / q})
-				*m = append(*m, [2]int32{wb / q, wa})
-				if p.enum == EnumJIK {
-					*t = append(*t, [2]int32{wb / q, wa / q})
-				}
+// gridMods returns the residue moduli entries are placed by: rows mod qr,
+// columns mod qc, operand classes mod L. The square grid is the one-class
+// case, all three equal to q.
+func (p *Prepared) gridMods() (qr, qc, L int32) {
+	if b := p.blk; b != nil {
+		q := int32(b.q)
+		return q, q, q
+	}
+	return int32(p.qr), int32(p.qc), int32(p.lc)
+}
+
+// routeEdits files the directed entries of edges that this rank owns into
+// the scratch edit lists of the blocks holding them.
+func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
+	sc := &p.splice
+	qr, qc, L := p.gridMods()
+	x, y := rank/qc, rank%qc
+	for _, e := range edges {
+		wa, wb := e[0], e[1]
+		if wa%qr == x && wb%qc == y { // U entry (wa → wb), class wb mod L
+			sc.u[wb%L].add(del, wa/qr, wb/L)
+			sc.mirror.add(del, wa/qr, wb)
+			if p.enum == EnumIJK {
+				sc.task.add(del, wa/qr, wb/qc)
 			}
 		}
-	}
-	route(ins, &uIns, &lIns, &tIns, &mIns)
-	route(del, &uDel, &lDel, &tDel, &mDel)
-	if p.snap != nil {
-		markRows(p.snap.uRows, uIns, uDel)
-		markRows(p.snap.lCols, lIns, lDel)
-		markRows(p.snap.tRows, tIns, tDel)
-	}
-	spliceCSR(&blk.ublk, uIns, uDel)
-	spliceCSC(&blk.lblk, lIns, lDel)
-	spliceCSR(&blk.task, tIns, tDel)
-	blk.taskRows = blk.task.nonEmptyRows()
-	if p.mirror != nil {
-		spliceCSR(&p.mirror.blk, mIns, mDel)
+		if wb%qr == x && wa%qc == y { // L entry (wb → wa), CSC by column, class wb mod L
+			sc.l[wb%L].add(del, wa/qc, wb/L)
+			sc.mirror.add(del, wb/qr, wa)
+			if p.enum == EnumJIK {
+				sc.task.add(del, wb/qr, wa/qc)
+			}
+		}
 	}
 }
 
-func (p *Prepared) spliceSUMMA(rank int, ins, del [][2]int32) {
-	blk := p.sblk
-	qr, qc, L := int32(p.qr), int32(p.qc), int32(p.lc)
-	x, y := int32(rank/p.qc), int32(rank%p.qc)
-	type edits struct{ ins, del [][2]int32 }
-	uEd := map[int]*edits{}
-	lEd := map[int]*edits{}
-	bucket := func(m map[int]*edits, t int) *edits {
-		ed, ok := m[t]
-		if !ok {
-			ed = &edits{}
-			m[t] = ed
-		}
-		return ed
+// spliceBlocks routes the batch and splices every resident block of this
+// rank: the operand blocks (SUMMA: per class, creating a bucket at its first
+// edit), the task block with its row list, and the mirror if built.
+func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
+	sc := &p.splice
+	if sc.u == nil {
+		_, _, L := p.gridMods()
+		sc.u, sc.l = make([]classEdits, L), make([]classEdits, L)
 	}
-	var tIns, tDel, mIns, mDel [][2]int32
-	route := func(edges [][2]int32, isIns bool, t, m *[][2]int32) {
-		for _, e := range edges {
-			wa, wb := e[0], e[1]
-			if wa%qr == x && wb%qc == y { // U entry (wa → wb): class wb mod L
-				ed := bucket(uEd, int(wb%L))
-				pair := [2]int32{wa / qr, wb / L}
-				if isIns {
-					ed.ins = append(ed.ins, pair)
-				} else {
-					ed.del = append(ed.del, pair)
-				}
-				*m = append(*m, [2]int32{wa / qr, wb})
-				if p.enum == EnumIJK {
-					*t = append(*t, [2]int32{wa / qr, wb / qc})
-				}
-			}
-			if wb%qr == x && wa%qc == y { // L entry (wb → wa): class wb mod L
-				ed := bucket(lEd, int(wb%L))
-				pair := [2]int32{wa / qc, wb / L}
-				if isIns {
-					ed.ins = append(ed.ins, pair)
-				} else {
-					ed.del = append(ed.del, pair)
-				}
-				*m = append(*m, [2]int32{wb / qr, wa})
-				if p.enum == EnumJIK {
-					*t = append(*t, [2]int32{wb / qr, wa / qc})
-				}
-			}
+	p.routeEdits(int32(rank), ins, false)
+	p.routeEdits(int32(rank), del, true)
+
+	var task *csrBlock
+	var taskRows *[]int32
+	if blk := p.blk; blk != nil {
+		u, l := &sc.u[blk.y], &sc.l[blk.x]
+		if p.snap != nil {
+			markRows(p.snap.uRows, u)
+			markRows(p.snap.lCols, l)
 		}
+		sc.spliceCSR(&blk.ublk, u)
+		sc.spliceCSC(&blk.lblk, l)
+		task, taskRows = &blk.task, &blk.taskRows
+	} else {
+		blk := p.sblk
+		for t := range sc.u {
+			ed := &sc.u[t]
+			if ed.empty() {
+				continue
+			}
+			b, ok := blk.uBucket[t]
+			if !ok {
+				b = csrBlock{rows: blk.nRows, xadj: make([]int32, blk.nRows+1)}
+			}
+			if p.snap != nil {
+				markRows(p.snap.bucketRows(p.snap.uBuck, t), ed)
+			}
+			sc.spliceCSR(&b, ed)
+			blk.uBucket[t] = b
+		}
+		for t := range sc.l {
+			ed := &sc.l[t]
+			if ed.empty() {
+				continue
+			}
+			b, ok := blk.lBucket[t]
+			if !ok {
+				b = cscBlock{cols: blk.nCols, xadj: make([]int32, blk.nCols+1)}
+			}
+			if p.snap != nil {
+				markRows(p.snap.bucketRows(p.snap.lBuck, t), ed)
+			}
+			sc.spliceCSC(&b, ed)
+			blk.lBucket[t] = b
+		}
+		task, taskRows = &blk.task, &blk.rows
 	}
-	route(ins, true, &tIns, &mIns)
-	route(del, false, &tDel, &mDel)
 	if p.snap != nil {
-		for t, ed := range uEd {
-			markRows(p.snap.bucketRows(p.snap.uBuck, t), ed.ins, ed.del)
-		}
-		for t, ed := range lEd {
-			markRows(p.snap.bucketRows(p.snap.lBuck, t), ed.ins, ed.del)
-		}
-		markRows(p.snap.tRows, tIns, tDel)
+		markRows(p.snap.tRows, &sc.task)
 	}
-	for t, ed := range uEd {
-		b, ok := blk.uBucket[t]
-		if !ok {
-			b = csrBlock{rows: blk.nRows, xadj: make([]int32, blk.nRows+1)}
-		}
-		spliceCSR(&b, ed.ins, ed.del)
-		blk.uBucket[t] = b
-	}
-	for t, ed := range lEd {
-		b, ok := blk.lBucket[t]
-		if !ok {
-			b = cscBlock{cols: blk.nCols, xadj: make([]int32, blk.nCols+1)}
-		}
-		spliceCSC(&b, ed.ins, ed.del)
-		blk.lBucket[t] = b
-	}
-	spliceCSR(&blk.task, tIns, tDel)
-	blk.rows = blk.task.nonEmptyRows()
+	sc.spliceCSR(task, &sc.task)
+	*taskRows = task.nonEmptyRows(*taskRows)
 	if p.mirror != nil {
-		spliceCSR(&p.mirror.blk, mIns, mDel)
+		sc.spliceCSR(&p.mirror.blk, &sc.mirror)
 	}
+	sc.reset()
+}
+
+// scratchKeep is the largest scratch list, in elements, that stays allocated
+// between splices: room for an ordinary batch. What an outsized splice (an
+// incremental rebuild moving whole rows, a hub's removal) grew beyond it is
+// garbage afterwards instead of resident.
+const scratchKeep = 1024
+
+// keep empties a scratch list for the next splice, dropping outsized storage.
+func keep[T any](list []T) []T {
+	if cap(list) > scratchKeep {
+		return nil
+	}
+	return list[:0]
+}
+
+func (e *classEdits) reset() { e.ins, e.del = keep(e.ins), keep(e.del) }
+
+// reset leaves every routed edit list empty, as routeEdits expects them.
+func (sc *spliceScratch) reset() {
+	for t := range sc.u {
+		sc.u[t].reset()
+		sc.l[t].reset()
+	}
+	sc.task.reset()
+	sc.mirror.reset()
+	sc.points = keep(sc.points)
 }
 
 // ValidateKernelSizing asserts the two bounds a count sizes its kernel maps

@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tc2d/internal/mpi"
 )
@@ -71,18 +72,18 @@ func (p *Prepared) Space() VertexSpace {
 // carry the version history onto the freshly folded state.
 func (p *Prepared) SetSpaceVersion(v int64) { p.version = v }
 
-// growCSRRows extends a row-stored block with trailing empty rows.
+// growCSRRows extends a row-stored block with trailing empty rows, appended
+// to xadj in place: a stream of vertex arrivals pays for the rows it adds
+// (append's amortised growth), not for the block's dimension each time.
 func growCSRRows(b *csrBlock, rows int32) {
 	if rows <= b.rows {
 		return
 	}
 	last := b.xadj[b.rows]
-	xadj := make([]int32, rows+1)
-	copy(xadj, b.xadj)
-	for a := b.rows + 1; a <= rows; a++ {
-		xadj[a] = last
+	b.xadj = slices.Grow(b.xadj, int(rows-b.rows))
+	for ; b.rows < rows; b.rows++ {
+		b.xadj = append(b.xadj, last)
 	}
-	b.xadj, b.rows = xadj, rows
 }
 
 // growCSCCols extends a column-stored block with trailing empty columns.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -122,5 +123,152 @@ func TestPrepareAllocationBudget(t *testing.T) {
 	t.Logf("Prepare allocated %.1f B per directed adjacency entry (%d entries)", perEntry, len(g.Adj))
 	if perEntry > budget {
 		t.Errorf("Prepare allocated %.1f B per directed adjacency entry, budget %d", perEntry, budget)
+	}
+}
+
+// hotChurn is the write-hot workload of bench/ in label space: batches of
+// 256 deletions and 256 insertions whose endpoints all come from a fixed hot
+// set of 4 % of the labels, every one effective against the evolving graph.
+type hotChurn struct {
+	rng     *rand.Rand
+	hot     []int32
+	present map[[2]int32]bool // hot-set pairs (a < b) currently edges
+	edges   [][2]int32        // the same pairs, for picking deletions
+}
+
+// newHotChurn prepares g on 4 ranks (Cannon, with mirrors) and reads the
+// hot-set edges back out of the mirrors.
+func newHotChurn(tb testing.TB, g *graph.Graph, seed int64) ([]*Prepared, *hotChurn) {
+	tb.Helper()
+	preps := make([]*Prepared, 4)
+	_, err := mpi.Run(len(preps), testCfg(), func(c *mpi.Comm) (any, error) {
+		p, err := prepareOn(c, g, 0, 0, EnumJIK)
+		if err == nil {
+			p.EnsureAdjacency(c)
+			preps[c.Rank()] = p
+		}
+		return nil, err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := &hotChurn{rng: rand.New(rand.NewSource(seed)), present: make(map[[2]int32]bool)}
+	isHot := make(map[int32]bool)
+	for _, v := range h.rng.Perm(int(g.N))[:g.N/25] {
+		h.hot = append(h.hot, int32(v))
+		isHot[int32(v)] = true
+	}
+	for _, p := range preps {
+		rowMod, _, rowRes, _ := p.MirrorShape()
+		for _, v := range h.hot {
+			if int(v)%rowMod != rowRes {
+				continue
+			}
+			for _, u := range p.AdjRow(v) {
+				if e := [2]int32{v, u}; v < u && isHot[u] && !h.present[e] {
+					h.present[e] = true
+					h.edges = append(h.edges, e)
+				}
+			}
+		}
+	}
+	return preps, h
+}
+
+// next draws one batch: canonical label pairs, no pair named twice.
+func (h *hotChurn) next() (ins, del [][2]int32) {
+	for len(del) < 256 && len(h.edges) > 0 {
+		i := h.rng.Intn(len(h.edges))
+		e := h.edges[i]
+		h.edges[i] = h.edges[len(h.edges)-1]
+		h.edges = h.edges[:len(h.edges)-1]
+		del = append(del, e)
+	}
+	for len(ins) < 256 {
+		a, b := h.hot[h.rng.Intn(len(h.hot))], h.hot[h.rng.Intn(len(h.hot))]
+		if a > b {
+			a, b = b, a
+		}
+		if e := [2]int32{a, b}; a != b && !h.present[e] {
+			h.present[e] = true // deleted pairs stay marked until the batch is out
+			ins = append(ins, e)
+		}
+	}
+	for _, e := range del {
+		delete(h.present, e)
+	}
+	h.edges = append(h.edges, ins...)
+	return ins, del
+}
+
+// spliceAll is the local work of one Splice epoch: every rank routes the
+// batch and splices its blocks (Splice adds one allreduce of the longest U
+// row on top).
+func spliceAll(preps []*Prepared, ins, del [][2]int32) {
+	for rank, p := range preps {
+		p.spliceBlocks(rank, ins, del)
+	}
+}
+
+// BenchmarkSplice measures the resident write alone: 512-update hot-set
+// batches spliced into the U, L, task and mirror blocks of all four ranks of
+// an RMAT scale 14 graph, reported per batch per rank.
+func BenchmarkSplice(b *testing.B) {
+	g, err := rmat.G500.Generate(14, 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preps, churn := newHotChurn(b, g, 1)
+	for i := 0; i < 8; i++ { // first growth of every array, scratch sizing
+		ins, del := churn.next()
+		spliceAll(preps, ins, del)
+	}
+	var bytes, mallocs uint64
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ins, del := churn.next()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		spliceAll(preps, ins, del)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	perRank := float64(b.N * len(preps))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRank, "ns/batch/rank")
+	b.ReportMetric(float64(bytes)/perRank, "B/batch/rank")
+	b.ReportMetric(float64(mallocs)/perRank, "allocs/batch/rank")
+}
+
+// TestSpliceAllocationBudget keeps the write path's diet from regressing: in
+// steady state — after the warm-up batches that first grow every array past
+// its packed size and size the scratch — the splices of one 512-update batch
+// may allocate at most 4 KB per rank, averaged over the window (an occasional
+// outgrown array is the whole of it; the rebuild this replaced allocated
+// every block anew, 1.2 MB per batch per rank on this graph).
+func TestSpliceAllocationBudget(t *testing.T) {
+	const budget = 4 << 10 // bytes per batch per rank
+	const batches = 128
+	preps, churn := newHotChurn(t, mustRMAT(t, rmat.G500, 14, 16, 1), 2)
+	for i := 0; i < 16; i++ {
+		ins, del := churn.next()
+		spliceAll(preps, ins, del)
+	}
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < batches; i++ {
+		ins, del := churn.next()
+		runtime.ReadMemStats(&before)
+		spliceAll(preps, ins, del)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	perRank := float64(total) / float64(batches*len(preps))
+	t.Logf("splices allocated %.0f B per batch per rank over %d batches", perRank, batches)
+	if perRank > budget {
+		t.Errorf("splices allocated %.0f B per batch per rank, budget %d", perRank, budget)
 	}
 }

@@ -44,7 +44,7 @@ func mirrorOracle(p *Prepared, rank int) [][2]int32 {
 			}
 		}
 	}
-	sortEdits(out)
+	slices.SortFunc(out, cmpPair)
 	return out
 }
 

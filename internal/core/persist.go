@@ -250,7 +250,7 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 			return nil, fmt.Errorf("core: prepared blob is for rank (%d,%d) of a %d×%d grid, decoding on rank %d of %d",
 				blk.x, blk.y, blk.q, blk.q, rank, size)
 		}
-		blk.taskRows = blk.task.nonEmptyRows()
+		blk.taskRows = blk.task.nonEmptyRows(nil)
 		p.blk = blk
 	case kindSUMMAState:
 		p.qr = int(d.i32())
@@ -280,7 +280,7 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 		if sblk.nRows != numWithResidue(p.n, p.qr, rank/p.qc) || sblk.nCols != numWithResidue(p.n, p.qc, rank%p.qc) {
 			return nil, fmt.Errorf("core: prepared blob dimensions do not match rank %d of a %d×%d grid", rank, p.qr, p.qc)
 		}
-		sblk.rows = sblk.task.nonEmptyRows()
+		sblk.rows = sblk.task.nonEmptyRows(nil)
 		p.sblk = sblk
 	default:
 		return nil, fmt.Errorf("core: prepared blob has unknown state kind %d", kind)

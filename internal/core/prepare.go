@@ -55,6 +55,9 @@ type Prepared struct {
 	degreeDirty map[int32]struct{}
 	snap        *snapDirty
 
+	// Working memory and counters of Splice (see dynamic.go).
+	splice spliceScratch
+
 	// Resident kernel worker count (Options.KernelThreads semantics) for
 	// code paths that run intersections without a per-call Options value —
 	// the delta passes of the write path. Queries pass their own Options

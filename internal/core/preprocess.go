@@ -173,7 +173,7 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, enum Enumeration, ops *
 	var maxRow int64
 	c.Compute(func() {
 		blk.task, blk.ublk, blk.lblk = buildBlocks(got, int32(q), int32(q), blk.nRowsX, blk.nColsY, enum)
-		blk.taskRows = blk.task.nonEmptyRows()
+		blk.taskRows = blk.task.nonEmptyRows(nil)
 		*ops += blk.ublk.nnz() + int64(len(blk.lblk.adj))
 		maxRow = blk.ublk.maxRow()
 	})

@@ -199,7 +199,7 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 // over hand-built blocks whose keys are all below 64.
 func runCrafted(task, u *csrBlock, l *cscBlock, opt Options) kernelCounters {
 	kp := newKernelPool(1, 64, u.maxRow(), opt)
-	kp.run(task, task.nonEmptyRows(), u, l)
+	kp.run(task, task.nonEmptyRows(nil), u, l)
 	return kp.total()
 }
 

@@ -92,7 +92,7 @@ func buildSUMMA(c *mpi.Comm, grid *mpi.RectGrid, rl *relabeled, L int, enum Enum
 		task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
 		*ops += u.nnz() + int64(len(l.adj))
 		blk.task = task
-		blk.rows = task.nonEmptyRows()
+		blk.rows = task.nonEmptyRows(nil)
 		for cls, b := range splitClasses(u, int32(L/qc)) {
 			if b.nnz() > 0 {
 				blk.uBucket[cls*qc+grid.Col()] = b

@@ -1,9 +1,10 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"tc2d/internal/core"
@@ -12,7 +13,7 @@ import (
 	"tc2d/internal/mpi"
 )
 
-// packEdge packs a canonical (a < b) label pair into one map key.
+// packEdge packs a label pair, canonical (a < b) order, into one ordered key.
 func packEdge(a, b int32) int64 {
 	if a > b {
 		a, b = b, a
@@ -139,21 +140,17 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// (>= baseN) are their own labels — every rank fills them locally.
 	var verts []int32
 	c.Compute(func() {
-		seen := make(map[int32]struct{}, 2*nb)
+		verts = make([]int32, 0, 2*nb)
 		for i := 0; i < nb; i++ {
 			switch Op(enc[3*i+2]) {
 			case OpInsert, OpDelete:
-				seen[enc[3*i]] = struct{}{}
-				seen[enc[3*i+1]] = struct{}{}
+				verts = append(verts, enc[3*i], enc[3*i+1])
 			case OpRemoveVertex:
-				seen[enc[3*i]] = struct{}{}
+				verts = append(verts, enc[3*i])
 			}
 		}
-		verts = make([]int32, 0, len(seen))
-		for v := range seen {
-			verts = append(verts, v)
-		}
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+		slices.Sort(verts)
+		verts = slices.Compact(verts)
 	})
 	offsets := core.CyclicOffsets(baseN, p)
 	labelBeg, labels := prep.Labels()
@@ -173,7 +170,7 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	})
 	resolved := c.AllreduceInt64s(req, mpi.OpMax)
 	labelOf := func(v int32) int32 {
-		i := sort.Search(len(verts), func(i int) bool { return verts[i] >= v })
+		i, _ := slices.BinarySearch(verts, v)
 		return int32(resolved[i])
 	}
 
@@ -331,22 +328,27 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// row's ranks hold disjoint column-class partials) plus the net
 	// incident update count give the exact new wedge total. Every rank
 	// derives the identical delta from the reduced degrees.
-	var affected []int32
-	net := map[int32]int64{}
+	var affected []int32 // ascending
+	var net []int64      // net incident updates of affected[i]
 	c.Compute(func() {
+		// One sort of (label, sign) words — bit 0 set for an insertion —
+		// groups every endpoint's updates together.
+		touched := make([]int64, 0, 2*(len(ins)+len(dels)))
 		for _, e := range ins {
-			net[e[0]]++
-			net[e[1]]++
+			touched = append(touched, int64(e[0])<<1|1, int64(e[1])<<1|1)
 		}
 		for _, e := range dels {
-			net[e[0]]--
-			net[e[1]]--
+			touched = append(touched, int64(e[0])<<1, int64(e[1])<<1)
 		}
-		affected = make([]int32, 0, len(net))
-		for w := range net {
-			affected = append(affected, w)
+		slices.Sort(touched)
+		for _, t := range touched {
+			w := int32(t >> 1)
+			if n := len(affected); n == 0 || affected[n-1] != w {
+				affected = append(affected, w)
+				net = append(net, 0)
+			}
+			net[len(net)-1] += 2*(t&1) - 1
 		}
-		sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 	})
 	d0 := make([]int64, len(affected))
 	c.Compute(func() {
@@ -358,9 +360,8 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	})
 	d0 = c.AllreduceInt64s(d0, mpi.OpSum)
 	var dWedges int64
-	for idx, w := range affected {
-		old := d0[idx]
-		new_ := old + net[w]
+	for idx, old := range d0 {
+		new_ := old + net[idx]
 		dWedges += new_*(new_-1)/2 - old*(old-1)/2
 	}
 
@@ -432,12 +433,13 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 	if len(marked) == 0 {
 		return cnt, 0
 	}
-	mset := make(map[int64]struct{}, len(marked))
+	mset := make([]int64, len(marked)) // sorted packed pairs: the membership test of hit
 	send := mpi.SendBufs(c.Size())
 	c.Compute(func() {
-		for _, e := range marked {
-			mset[packEdge(e[0], e[1])] = struct{}{}
+		for i, e := range marked {
+			mset[i] = packEdge(e[0], e[1])
 		}
+		slices.Sort(mset)
 		for i, e := range marked {
 			ar, br := int(e[0])%qr, int(e[1])%qr
 			if ar == br || ar != x {
@@ -495,10 +497,10 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 			}
 			hit := func(w int32) {
 				o := 0
-				if _, ok := mset[packEdge(a, w)]; ok {
+				if _, ok := slices.BinarySearch(mset, packEdge(a, w)); ok {
 					o++
 				}
-				if _, ok := mset[packEdge(b, w)]; ok {
+				if _, ok := slices.BinarySearch(mset, packEdge(b, w)); ok {
 					o++
 				}
 				ws.cnt[o]++
@@ -551,11 +553,11 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 					weight[i] = int64(lb)
 				}
 			}
-			sort.Slice(order, func(i, j int) bool {
-				if weight[order[i]] != weight[order[j]] {
-					return weight[order[i]] > weight[order[j]]
+			slices.SortFunc(order, func(i, j int) int {
+				if c := cmp.Compare(weight[j], weight[i]); c != 0 {
+					return c
 				}
-				return order[i] < order[j]
+				return cmp.Compare(i, j)
 			})
 			buckets := make([][]int, workers)
 			loads := make([]int64, workers)

@@ -42,10 +42,11 @@
 package delta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrVertexRange marks a batch naming a vertex id that cannot exist in any
@@ -174,7 +175,7 @@ type Result struct {
 // removals, edges — makes everything downstream deterministic.
 func Canonicalize(batch []Update, n int64) (canon []Update, loops int, err error) {
 	var adds int64
-	removed := map[int32]struct{}{}
+	var removed []int32
 	edges := make([]Update, 0, len(batch))
 	for _, upd := range batch {
 		switch upd.Op {
@@ -190,7 +191,7 @@ func Canonicalize(batch []Update, n int64) (canon []Update, loops int, err error
 			if upd.U < 0 || int64(upd.U) >= n {
 				return nil, 0, fmt.Errorf("delta: removal of vertex %d outside the current space [0, %d): %w", upd.U, n, ErrVertexRange)
 			}
-			removed[upd.U] = struct{}{}
+			removed = append(removed, upd.U)
 		case OpInsert, OpDelete:
 			if upd.U < 0 || upd.V < 0 {
 				return nil, 0, fmt.Errorf("delta: update (%d, %d) has a negative endpoint: %w", upd.U, upd.V, ErrVertexRange)
@@ -207,14 +208,16 @@ func Canonicalize(batch []Update, n int64) (canon []Update, loops int, err error
 			return nil, 0, fmt.Errorf("delta: unknown op %d", upd.Op)
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	slices.Sort(removed)
+	removed = slices.Compact(removed)
+	slices.SortFunc(edges, func(a, b Update) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		if edges[i].V != edges[j].V {
-			return edges[i].V < edges[j].V
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
 		}
-		return edges[i].Op < edges[j].Op
+		return cmp.Compare(a.Op, b.Op)
 	})
 	w := 0
 	for i, upd := range edges {
@@ -224,10 +227,12 @@ func Canonicalize(batch []Update, n int64) (canon []Update, loops int, err error
 		if i > 0 && upd.U == edges[i-1].U && upd.V == edges[i-1].V {
 			return nil, 0, fmt.Errorf("delta: batch both inserts and deletes edge (%d, %d)", upd.U, upd.V)
 		}
-		_, remU := removed[upd.U]
-		_, remV := removed[upd.V]
-		if remU || remV {
-			return nil, 0, fmt.Errorf("delta: batch removes a vertex of edge (%d, %d) and also updates it", upd.U, upd.V)
+		if len(removed) > 0 {
+			_, remU := slices.BinarySearch(removed, upd.U)
+			_, remV := slices.BinarySearch(removed, upd.V)
+			if remU || remV {
+				return nil, 0, fmt.Errorf("delta: batch removes a vertex of edge (%d, %d) and also updates it", upd.U, upd.V)
+			}
 		}
 		edges[w] = upd
 		w++
@@ -238,15 +243,8 @@ func Canonicalize(batch []Update, n int64) (canon []Update, loops int, err error
 	if adds > 0 {
 		canon = append(canon, Update{U: int32(adds), Op: OpAddVertices})
 	}
-	if len(removed) > 0 {
-		ids := make([]int32, 0, len(removed))
-		for v := range removed {
-			ids = append(ids, v)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, v := range ids {
-			canon = append(canon, Update{U: v, Op: OpRemoveVertex})
-		}
+	for _, v := range removed {
+		canon = append(canon, Update{U: v, Op: OpRemoveVertex})
 	}
 	return append(canon, edges...), loops, nil
 }

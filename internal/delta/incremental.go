@@ -26,8 +26,9 @@ package delta
 // exclusive write epoch.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tc2d/internal/core"
 	"tc2d/internal/mpi"
@@ -89,11 +90,11 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if deg[order[a]] != deg[order[b]] {
-			return deg[order[a]] < deg[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(deg[a], deg[b]); c != 0 {
+			return c
 		}
-		return dirty[order[a]] < dirty[order[b]]
+		return cmp.Compare(dirty[a], dirty[b])
 	})
 	remap := make(map[int32]int32)
 	for pos, oi := range order {

@@ -87,6 +87,8 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"tc_kernel_probes_total",
 		"tc_kernel_map_tasks_total",
 		"tc_kernel_step_imbalance_count",
+		"tc_splice_moved_bytes_total",
+		"tc_splice_reallocs_total",
 		`tc_mpi_epochs_total{kind="read"}`,
 		`tc_mpi_epochs_total{kind="write"}`,
 		`tc_mpi_rank_comm_seconds_total{rank="0"}`,

@@ -235,6 +235,7 @@ func (st *rankStore) get(rank int) (*core.Prepared, error) {
 }
 
 func (st *rankStore) put(rank int, pr *core.Prepared) {
+	pr.SetMetrics(st.metrics)
 	st.mu.Lock()
 	st.prep[rank] = pr
 	st.mu.Unlock()

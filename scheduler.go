@@ -1,8 +1,9 @@
 package tc2d
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,9 +199,8 @@ func opClass(op delta.Op) int {
 func (cl *Cluster) coalesce(pending []*writeReq) (accepted []*writeReq, entries []mergedEntry, deferred []*writeReq) {
 	n := cl.metaNow().N
 	edgeIndex := make(map[[2]int32]int)
-	remIndex := make(map[int32]int)
+	remIndex := make(map[int32]int)    // ids accepted removals drop → their entry
 	accTouched := make(map[int32]bool) // endpoints of accepted edge entries
-	accRemoved := make(map[int32]bool) // ids accepted removals drop
 	// Growth projection of the drain so far, mirroring delta.Apply's
 	// admission arithmetic exactly: edge ids raise the cursor first, then
 	// every explicit allocation lands on top.
@@ -244,7 +244,9 @@ func (cl *Cluster) coalesce(pending []*writeReq) (accepted []*writeReq, entries 
 				if ei, ok := edgeIndex[[2]int32{u.U, u.V}]; ok && entries[ei].upd.Op != u.Op {
 					conflict = true
 				}
-				conflict = conflict || accRemoved[u.U] || accRemoved[u.V]
+				_, remU := remIndex[u.U]
+				_, remV := remIndex[u.V]
+				conflict = conflict || remU || remV
 			}
 			if conflict {
 				break
@@ -259,43 +261,54 @@ func (cl *Cluster) coalesce(pending []*writeReq) (accepted []*writeReq, entries 
 		req.queueSpan.End()
 		maxEdge, addTotal = reqMaxEdge, addTotal+reqAdds
 		ai := len(accepted)
-		for _, u := range canon {
+		// The cross-request indexes exist for the requests still to come:
+		// the last one pending is merged but not indexed, so a drain of one
+		// request (a lone writer) fills no map at all.
+		index := qi+1 < len(pending)
+		entries = slices.Grow(entries, len(canon))
+		// One array holds the first-contributor lists of all this request's
+		// entries, each capped at its own element: a later request joining
+		// an entry appends into a copy, not into its neighbour.
+		first := make([]int, len(canon))
+		for j, u := range canon {
+			first[j] = ai
+			own := mergedEntry{upd: u, reqs: first[j : j+1 : j+1]}
 			switch u.Op {
 			case delta.OpAddVertices:
-				entries = append(entries, mergedEntry{upd: u, reqs: []int{ai}})
+				entries = append(entries, own)
 			case delta.OpRemoveVertex:
-				accRemoved[u.U] = true
 				if ei, ok := remIndex[u.U]; ok {
 					entries[ei].reqs = append(entries[ei].reqs, ai)
-				} else {
-					remIndex[u.U] = len(entries)
-					entries = append(entries, mergedEntry{upd: u, reqs: []int{ai}})
+					continue
 				}
+				if index {
+					remIndex[u.U] = len(entries)
+				}
+				entries = append(entries, own)
 			default:
-				accTouched[u.U], accTouched[u.V] = true, true
 				key := [2]int32{u.U, u.V}
 				if ei, ok := edgeIndex[key]; ok {
 					entries[ei].reqs = append(entries[ei].reqs, ai)
-				} else {
-					edgeIndex[key] = len(entries)
-					entries = append(entries, mergedEntry{upd: u, reqs: []int{ai}})
+					continue
 				}
+				if index {
+					accTouched[u.U], accTouched[u.V] = true, true
+					edgeIndex[key] = len(entries)
+				}
+				entries = append(entries, own)
 			}
 		}
 		accepted = append(accepted, req)
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		ci, cj := opClass(entries[i].upd.Op), opClass(entries[j].upd.Op)
-		if ci != cj {
-			return ci < cj
+	slices.SortStableFunc(entries, func(a, b mergedEntry) int {
+		ca, cb := opClass(a.upd.Op), opClass(b.upd.Op)
+		if ca != cb || ca == 0 { // growth entries keep their FIFO allocation order
+			return cmp.Compare(ca, cb)
 		}
-		if ci == 0 {
-			return false // growth entries keep their FIFO allocation order
+		if c := cmp.Compare(a.upd.U, b.upd.U); c != 0 {
+			return c
 		}
-		if entries[i].upd.U != entries[j].upd.U {
-			return entries[i].upd.U < entries[j].upd.U
-		}
-		return entries[i].upd.V < entries[j].upd.V
+		return cmp.Compare(a.upd.V, b.upd.V)
 	})
 	return accepted, entries, deferred
 }
