@@ -360,16 +360,14 @@ func countInput(in dgraph.Input, opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer world.Close()
+	qr, qc := mpi.FactorGrid(p)
 	summa := opt.useSUMMA(p)
 	results, err := world.Run(func(c *mpi.Comm) (any, error) {
 		d, err := in.Build(c)
 		if err != nil {
 			return nil, err
 		}
-		if summa {
-			return core.CountSUMMA(c, d, opt.coreOptions())
-		}
-		return core.Count(c, d, opt.coreOptions())
+		return core.CountGrid(c, d, qr, qc, summa, opt.coreOptions())
 	})
 	if err != nil {
 		return nil, err

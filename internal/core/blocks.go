@@ -33,15 +33,22 @@ func (b *csrBlock) nonEmptyRows(list []int32) []int32 {
 	return list
 }
 
-// cscBlock is a sparse block stored by columns: column b holds sorted local
-// row values. It represents an L block (cols i → keys k).
-type cscBlock struct {
-	cols int32
-	xadj []int32
-	adj  []int32
+// emptyBlock returns a block of the given number of lists without entries.
+func emptyBlock(rows int32) csrBlock {
+	return csrBlock{rows: rows, xadj: make([]int32, rows+1)}
 }
 
+// cscBlock is a sparse block stored by columns: column i holds sorted local
+// row values. It represents an L block (cols i → keys k). Storage-wise it is
+// the CSR block of the transpose — rows counts the columns — so everything
+// but the kernel handles it through byCols; the type of its own keeps the
+// two operands of an intersection apart.
+type cscBlock csrBlock
+
 func (b *cscBlock) col(i int32) []int32 { return b.adj[b.xadj[i]:b.xadj[i+1]] }
+
+// byCols views the block as the CSR block of its columns.
+func (b *cscBlock) byCols() *csrBlock { return (*csrBlock)(b) }
 
 // transposeInto scatters a compressed block — list i holds the values
 // adj[xadj[i]:xadj[i+1]] — into lists keyed by those values: entry (i, v)
@@ -83,8 +90,8 @@ func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (t
 	// Count: the bucket sizes and, in the same sweep, the final list sizes.
 	uByCol := make([]int32, nCols+1)
 	lByRow := make([]int32, nRows+1)
-	u = csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
-	l = cscBlock{cols: nCols, xadj: make([]int32, nCols+1)}
+	u = emptyBlock(nRows)
+	l = cscBlock(emptyBlock(nCols))
 	for _, part := range got {
 		for i := 0; i+1 < len(part); i += 2 {
 			wv, wu := part[i], part[i+1]

@@ -1,0 +1,267 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"tc2d/internal/graph"
+	"tc2d/internal/mpi"
+	"tc2d/internal/rmat"
+	"tc2d/internal/seqtc"
+)
+
+// The compat corpus (testdata/compat) was recorded ONCE, by the commit before
+// blocks and summaBlocks became one layout: per rank, the EncodePrepared blob
+// of an RMAT scale-8 graph and the EncodePreparedDelta blob after one
+// 64-update delta.Apply batch, on Cannon 4 ranks, SUMMA 2×3 and forced SUMMA
+// 2×2, both enumeration rules, plus (manifest.json) the batch in original
+// vertex ids and the SHA-256 of every rank's EncodePrepared blob after it.
+// Unlike the golden hashes, which the code under test can re-record, these
+// are bytes another binary wrote: decoding them is what "disk format
+// unchanged" means for snapshots already on disk. Never regenerate them from
+// the code under test.
+const compatDir = "testdata/compat"
+
+type compatConfig struct {
+	Name        string   `json:"name"`
+	Ranks       int      `json:"ranks"`
+	Enum        string   `json:"enum"`
+	AfterSHA256 []string `json:"after_sha256"`
+}
+
+type compatManifest struct {
+	Scale      int            `json:"rmat_scale"`
+	EdgeFactor int            `json:"rmat_edge_factor"`
+	Seed       uint64         `json:"rmat_seed"`
+	Updates    [][3]int32     `json:"updates"` // (op, u, v): 0 insert, 1 delete, 2 add u vertices
+	Configs    []compatConfig `json:"configs"`
+}
+
+func readCompatManifest(tb testing.TB) compatManifest {
+	tb.Helper()
+	js, err := os.ReadFile(filepath.Join(compatDir, "manifest.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var man compatManifest
+	if err := json.Unmarshal(js, &man); err != nil {
+		tb.Fatal(err)
+	}
+	return man
+}
+
+// compatBlob reads one rank's blob of a corpus configuration; ext is "base"
+// or "delta".
+func compatBlob(tb testing.TB, cfg compatConfig, rank int, ext string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join(compatDir, fmt.Sprintf("%s-%s.r%d.%s", cfg.Name, cfg.Enum, rank, ext)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// compatOracle counts the triangles of the corpus graph before and after the
+// recorded batch, sequentially.
+func compatOracle(t *testing.T, man compatManifest) (before, after int64) {
+	t.Helper()
+	g := mustRMAT(t, rmat.G500, man.Scale, man.EdgeFactor, man.Seed)
+	before = seqtc.Count(g)
+	n := g.N
+	present := make(map[[2]int32]bool)
+	for v := int32(0); v < g.N; v++ {
+		for _, u := range g.NeighborsAbove(v) {
+			present[[2]int32{v, u}] = true
+		}
+	}
+	for _, upd := range man.Updates {
+		op, u, v := upd[0], upd[1], upd[2]
+		if op == 2 {
+			n += u
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		n = max(n, v+1)
+		if op == 0 {
+			present[[2]int32{u, v}] = true
+		} else {
+			delete(present, [2]int32{u, v})
+		}
+	}
+	edges := make([]graph.Edge, 0, len(present))
+	for e := range present {
+		edges = append(edges, graph.Edge{U: e[0], V: e[1]})
+	}
+	g2, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return before, seqtc.Count(g2)
+}
+
+// TestDecodeParentBlobs restores what the parent commit wrote: every base
+// blob decodes, re-encodes to the same bytes and counts the oracle's
+// triangles; every delta applies on top, after which the state encodes to the
+// bytes the parent's live state encoded to and counts the oracle's triangles
+// of the updated graph.
+func TestDecodeParentBlobs(t *testing.T) {
+	man := readCompatManifest(t)
+	if len(man.Configs) != 6 {
+		t.Fatalf("corpus lists %d configurations, want 6", len(man.Configs))
+	}
+	wantBefore, wantAfter := compatOracle(t, man)
+	for _, cfg := range man.Configs {
+		enum := EnumJIK
+		if cfg.Enum == EnumIJK.String() {
+			enum = EnumIJK
+		}
+		name := cfg.Name + "-" + cfg.Enum
+		results, err := mpi.Run(cfg.Ranks, testCfg(), func(c *mpi.Comm) (any, error) {
+			base := compatBlob(t, cfg, c.Rank(), "base")
+			prep, err := DecodePrepared(base, c.Rank(), c.Size())
+			if err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(EncodePrepared(prep), base) {
+				return nil, fmt.Errorf("rank %d: base blob does not re-encode to itself", c.Rank())
+			}
+			opt := Options{Enumeration: enum}
+			before, err := CountPrepared(c, prep, opt)
+			if err != nil {
+				return nil, err
+			}
+			if err := ApplyPreparedDelta(prep, compatBlob(t, cfg, c.Rank(), "delta"), c.Rank(), c.Size()); err != nil {
+				return nil, err
+			}
+			sum := sha256.Sum256(EncodePrepared(prep))
+			if got := hex.EncodeToString(sum[:]); got != cfg.AfterSHA256[c.Rank()] {
+				return nil, fmt.Errorf("rank %d: base+delta encodes to %s, the parent's live state to %s", c.Rank(), got, cfg.AfterSHA256[c.Rank()])
+			}
+			after, err := CountPrepared(c, prep, opt)
+			if err != nil {
+				return nil, err
+			}
+			return [2]int64{before.Triangles, after.Triangles}, nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := results[0].([2]int64); got != [2]int64{wantBefore, wantAfter} {
+			t.Errorf("%s: restored states count %d and %d triangles, the oracle %d and %d", name, got[0], got[1], wantBefore, wantAfter)
+		}
+	}
+}
+
+// compatSeed is one (base, delta) pair of the corpus with the rank and world
+// size it belongs to.
+type compatSeed struct {
+	base, delta []byte
+	rank, size  int
+}
+
+func compatSeeds(tb testing.TB) (seeds []compatSeed) {
+	for _, cfg := range readCompatManifest(tb).Configs {
+		for r := 0; r < cfg.Ranks; r++ {
+			seeds = append(seeds, compatSeed{compatBlob(tb, cfg, r, "base"), compatBlob(tb, cfg, r, "delta"), r, cfg.Ranks})
+		}
+	}
+	return seeds
+}
+
+// allocatedBy runs fn and returns the bytes the process allocated meanwhile.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkDecoded is the property a successfully decoded or replayed state must
+// have: the sizing bounds hold, and it encodes to a blob that decodes and
+// re-encodes to the same bytes.
+func checkDecoded(t *testing.T, p *Prepared, rank, size int) []byte {
+	t.Helper()
+	if err := p.blk.check(p.n); err != nil {
+		t.Fatalf("accepted state fails the sizing check: %v", err)
+	}
+	blob := EncodePrepared(p)
+	again, err := DecodePrepared(blob, rank, size)
+	if err != nil {
+		t.Fatalf("accepted state's own blob is rejected: %v", err)
+	}
+	if !bytes.Equal(EncodePrepared(again), blob) {
+		t.Fatal("accepted state does not re-encode to the same bytes")
+	}
+	return blob
+}
+
+// FuzzDecodePrepared: any byte string is either rejected with an error or
+// decodes to a state that re-encodes to exactly those bytes and passes the
+// sizing check — never a panic, and never more memory than a multiple of the
+// input (every length field is checked against the bytes that are left).
+func FuzzDecodePrepared(f *testing.F) {
+	for _, s := range compatSeeds(f) {
+		f.Add(s.base, uint8(s.rank), uint8(s.size))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, rank, size uint8) {
+		size = size%16 + 1
+		rank %= size
+		var p *Prepared
+		var err error
+		alloc := allocatedBy(func() { p, err = DecodePrepared(blob, int(rank), int(size)) })
+		if limit := uint64(64*len(blob) + 64<<10); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(blob), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if got := checkDecoded(t, p, int(rank), int(size)); !bytes.Equal(got, blob) {
+			t.Fatal("accepted blob does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzApplyPreparedDelta replays arbitrary bytes as a delta onto a corpus
+// base state: an error, or a state with the same property — never a panic.
+// Vertex growth is the one thing a delta legitimately buys with O(1) bytes
+// (empty rows for every admitted id), so inputs announcing more than 2^16
+// new ids are skipped rather than given the memory; everything else must
+// stay proportional to the blob plus the state it patches.
+func FuzzApplyPreparedDelta(f *testing.F) {
+	seeds := compatSeeds(f)
+	for i, s := range seeds {
+		f.Add(s.delta, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, which uint8) {
+		s := seeds[int(which)%len(seeds)]
+		p, err := DecodePrepared(s.base, s.rank, s.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const nAt = 12 // magic, version, kind word, then n
+		if len(blob) >= nAt+8 {
+			if n := int64(binary.LittleEndian.Uint64(blob[nAt:])); n > p.n+1<<16 {
+				t.Skip("announces more growth than the harness grants memory for")
+			}
+		}
+		alloc := allocatedBy(func() { err = ApplyPreparedDelta(p, blob, s.rank, s.size) })
+		if limit := uint64(64*(len(blob)+len(s.base)) + 8<<20); alloc > limit {
+			t.Fatalf("replaying %d bytes onto a %d-byte state allocated %d", len(blob), len(s.base), alloc)
+		}
+		if err == nil {
+			checkDecoded(t, p, s.rank, s.size)
+		}
+	})
+}

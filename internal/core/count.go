@@ -5,20 +5,21 @@ import (
 	"tc2d/internal/mpi"
 )
 
-// Count runs the full distributed triangle counting pipeline on the calling
-// rank's share of the 1D-distributed input graph. Every rank of the
-// communicator must call Count with its own input share and identical
-// options; the world size must be a perfect square. The returned Result
-// carries the global triangle count and the phase/instrumentation data the
-// paper's experiments report.
+// CountGrid runs the full distributed triangle counting pipeline on the
+// calling rank's share of the 1D-distributed input graph, on a qr × qc
+// process grid with the shift (bcast false; square grids only) or the
+// broadcast schedule. Every rank of the communicator must call it with its
+// own input share and identical arguments. The returned Result carries the
+// global triangle count and the phase/instrumentation data the paper's
+// experiments report.
 //
-// Count is a thin composition of the build-once / query-many layers: one
-// Prepare (preprocessing) followed by one CountPrepared (counting), with the
-// preprocessing accounting folded back into the Result. Callers that issue
-// many queries against the same graph should call Prepare once and
+// It is a thin composition of the build-once / query-many layers: one
+// PrepareGrid (preprocessing) followed by one CountPrepared (counting), with
+// the preprocessing accounting folded back into the Result. Callers that
+// issue many queries against the same graph should prepare once and call
 // CountPrepared per query instead.
-func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
-	prep, err := Prepare(c, in, opt)
+func CountGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Options) (*Result, error) {
+	prep, err := PrepareGrid(c, in, qr, qc, bcast, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -26,8 +27,18 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mergePrepare(res, prep)
+	res.PreprocessTime = prep.preTime
+	res.PreOps = prep.preOps
+	res.CommFracPre = prep.fracPre
+	res.TotalTime = res.PreprocessTime + res.CountTime
 	return res, nil
+}
+
+// Count is CountGrid with Cannon's shift schedule, the paper's algorithm;
+// the world size must be a perfect square.
+func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
+	qr, qc := mpi.FactorGrid(c.Size())
+	return CountGrid(c, in, qr, qc, false, opt)
 }
 
 // CountGraph is a single-process convenience used by tests and the public

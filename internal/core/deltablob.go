@@ -101,14 +101,11 @@ func (e *encoder) rowset(b *csrBlock, dirty map[int32]struct{}) {
 	}
 }
 
-func (e *encoder) colset(b *cscBlock, dirty map[int32]struct{}) {
-	tmp := csrBlock{rows: b.cols, xadj: b.xadj, adj: b.adj}
-	e.rowset(&tmp, dirty)
-}
-
 // EncodePreparedDelta serializes the state changed since the last committed
 // snapshot. Valid only when snapshot tracking is enabled (the durability
 // layer guarantees that). Read-only against the state, like EncodePrepared.
+// The two kinds order their rowsets differently (see stateKind): the Cannon
+// kind U, L, task; the SUMMA kind task, then the touched classes by id.
 func EncodePreparedDelta(p *Prepared) []byte {
 	s := p.snap
 	if s == nil {
@@ -117,22 +114,15 @@ func EncodePreparedDelta(p *Prepared) []byte {
 	e := &encoder{b: make([]byte, 0, 256)}
 	e.u32(preparedDeltaMagic)
 	e.u32(preparedDeltaVersion)
-	kind := kindCannonState
-	if p.sblk != nil {
-		kind = kindSUMMAState
-	}
-	e.b = append(e.b, kind, byte(p.enum), 0, 0)
+	e.b = append(e.b, p.stateKind(), byte(p.enum), 0, 0)
 
+	blk := p.blk
 	e.i64(p.n)
 	e.i64(p.baseN)
 	e.i64(p.version)
 	e.i64(p.m)
 	e.i64(p.wedges)
-	if kind == kindCannonState {
-		e.i64(p.blk.maxURow)
-	} else {
-		e.i64(p.sblk.maxURow)
-	}
+	e.i64(blk.maxURow)
 
 	// Label state: the new extent plus the slots rewritten in place.
 	// Extended slots that were NOT rewritten hold identity labels by the
@@ -146,35 +136,30 @@ func EncodePreparedDelta(p *Prepared) []byte {
 	}
 	e.vgaps(sortedI32Set(p.degreeDirty))
 
-	switch kind {
-	case kindCannonState:
-		blk := p.blk
-		e.i64(blk.n)
-		e.i32(blk.nRowsX)
-		e.i32(blk.nColsY)
-		e.rowset(&blk.ublk, s.uRows)
-		e.colset(&blk.lblk, s.lCols)
+	if !p.bcast {
+		e.i64(p.n)
+		e.i32(blk.nRows)
+		e.i32(blk.nCols)
+		e.rowset(&blk.u[0], s.u[0])
+		e.rowset(blk.l[0].byCols(), s.l[0])
 		e.rowset(&blk.task, s.tRows)
-	case kindSUMMAState:
-		sblk := p.sblk
-		e.i32(sblk.nRows)
-		e.i32(sblk.nCols)
-		e.rowset(&sblk.task, s.tRows)
-		uClasses := sortedClasses(s.uBuck)
-		e.i32(int32(len(uClasses)))
-		for _, t := range uClasses {
-			b := sblk.uBucket[t]
-			e.i32(int32(t))
-			e.rowset(&b, s.uBuck[t])
-		}
-		lClasses := sortedClasses(s.lBuck)
-		e.i32(int32(len(lClasses)))
-		for _, t := range lClasses {
-			b := sblk.lBucket[t]
-			e.i32(int32(t))
-			e.colset(&b, s.lBuck[t])
-		}
+		return e.b
 	}
+	e.i32(blk.nRows)
+	e.i32(blk.nCols)
+	e.rowset(&blk.task, s.tRows)
+	e.classList(len(s.u), func(i int) {
+		if set := s.u[i]; set != nil {
+			e.i32(int32(i*blk.qc + blk.col))
+			e.rowset(&blk.u[i], set)
+		}
+	})
+	e.classList(len(s.l), func(i int) {
+		if set := s.l[i]; set != nil {
+			e.i32(int32(i*blk.qr + blk.row))
+			e.rowset(blk.l[i].byCols(), set)
+		}
+	})
 	return e.b
 }
 
@@ -230,19 +215,20 @@ func replaceCSRRows(b *csrBlock, rows []int32, data [][]int32) error {
 	return nil
 }
 
-func replaceCSCCols(b *cscBlock, cols []int32, data [][]int32) error {
-	tmp := csrBlock{rows: b.cols, xadj: b.xadj, adj: b.adj}
-	if err := replaceCSRRows(&tmp, cols, data); err != nil {
-		return err
+// replaceRows reads a rowset and replaces the rows it names in b.
+func (d *decoder) replaceRows(b *csrBlock) {
+	rows, data := d.deltaRowset()
+	if d.err == nil {
+		d.err = replaceCSRRows(b, rows, data)
 	}
-	b.xadj, b.adj = tmp.xadj, tmp.adj
-	return nil
 }
 
 // ApplyPreparedDelta replays a delta blob onto the resident state of rank
 // `rank` in a world of `size` ranks — the state its parent snapshot decoded
-// to. Purely local. On error the state may be partially mutated; the restore
-// path discards the attempt and re-decodes from scratch.
+// to. Purely local. A malformed blob is an error, never a panic, and the
+// replayed state is verified like a decoded one (blocks.check). On error the
+// state may be partially mutated; the restore path discards the attempt and
+// re-decodes from scratch.
 func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedDeltaMagic {
@@ -251,18 +237,9 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	if v := d.u32(); d.err == nil && v != preparedDeltaVersion {
 		return fmt.Errorf("core: delta blob version %d, this binary reads %d", v, preparedDeltaVersion)
 	}
-	if d.off+4 > len(d.b) {
-		d.fail("truncated header")
-		return d.err
-	}
-	kind, enum := d.b[d.off], Enumeration(d.b[d.off+1])
-	d.off += 4
-	wantKind := kindCannonState
-	if p.sblk != nil {
-		wantKind = kindSUMMAState
-	}
-	if kind != wantKind || enum != p.enum {
-		return fmt.Errorf("core: delta blob kind/enum (%d,%d) does not match resident state (%d,%d)", kind, enum, wantKind, p.enum)
+	kind, enum := d.kindEnum()
+	if d.err == nil && (kind != p.stateKind() || enum != p.enum) {
+		return fmt.Errorf("core: delta blob kind/enum (%d,%d) does not match resident state (%d,%d)", kind, enum, p.stateKind(), p.enum)
 	}
 
 	n := d.i64()
@@ -306,110 +283,40 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		labels[slot] = val
 	}
 	dirty := d.vgaps()
+
+	blk := p.blk
+	if !p.bcast {
+		if blkN := d.i64(); d.err == nil && blkN != n {
+			d.fail(fmt.Sprintf("blocks built over %d vertices, state has %d", blkN, n))
+		}
+	}
+	nRows, nCols := d.i32(), d.i32()
 	if d.err != nil {
 		return d.err
 	}
-
-	switch kind {
-	case kindCannonState:
-		blk := p.blk
-		blkN := d.i64()
-		nRowsX := d.i32()
-		nColsY := d.i32()
-		if d.err != nil {
-			return d.err
-		}
-		if blkN != n || nRowsX != numWithResidue(n, blk.q, blk.x) || nColsY != numWithResidue(n, blk.q, blk.y) {
-			return fmt.Errorf("core: delta blob dimensions do not match rank (%d,%d) of a %d×%d grid", blk.x, blk.y, blk.q, blk.q)
-		}
-		blk.n = blkN
-		growCSRRows(&blk.ublk, nRowsX)
-		growCSRRows(&blk.task, nRowsX)
-		growCSCCols(&blk.lblk, nColsY)
-		blk.nRowsX, blk.nColsY = nRowsX, nColsY
-		rows, data := d.deltaRowset()
-		cols, cdata := d.deltaRowset()
-		trows, tdata := d.deltaRowset()
-		if d.err != nil {
-			return d.err
-		}
-		if err := replaceCSRRows(&blk.ublk, rows, data); err != nil {
-			return err
-		}
-		if err := replaceCSCCols(&blk.lblk, cols, cdata); err != nil {
-			return err
-		}
-		if err := replaceCSRRows(&blk.task, trows, tdata); err != nil {
-			return err
-		}
-		blk.taskRows = blk.task.nonEmptyRows(nil)
-		blk.maxURow = maxURow
-	case kindSUMMAState:
-		sblk := p.sblk
-		nRows := d.i32()
-		nCols := d.i32()
-		if d.err != nil {
-			return d.err
-		}
-		if nRows != numWithResidue(n, p.qr, rank/p.qc) || nCols != numWithResidue(n, p.qc, rank%p.qc) {
-			return fmt.Errorf("core: delta blob dimensions do not match rank %d of a %d×%d grid", rank, p.qr, p.qc)
-		}
-		growCSRRows(&sblk.task, nRows)
-		for t := range sblk.uBucket {
-			b := sblk.uBucket[t]
-			growCSRRows(&b, nRows)
-			sblk.uBucket[t] = b
-		}
-		for t := range sblk.lBucket {
-			b := sblk.lBucket[t]
-			growCSCCols(&b, nCols)
-			sblk.lBucket[t] = b
-		}
-		sblk.nRows, sblk.nCols = nRows, nCols
-		trows, tdata := d.deltaRowset()
-		if d.err != nil {
-			return d.err
-		}
-		if err := replaceCSRRows(&sblk.task, trows, tdata); err != nil {
-			return err
-		}
-		nu := d.i32()
-		for i := int32(0); i < nu && d.err == nil; i++ {
-			t := int(d.i32())
-			rows, data := d.deltaRowset()
-			if d.err != nil {
-				break
+	if wantRows, wantCols := blk.dims(n); nRows != wantRows || nCols != wantCols {
+		return fmt.Errorf("core: delta blob dimensions %d×%d do not match rank (%d,%d) of a %d×%d grid over %d vertices",
+			nRows, nCols, blk.row, blk.col, blk.qr, blk.qc, n)
+	}
+	blk.grow(n)
+	if p.bcast {
+		d.replaceRows(&blk.task)
+		d.classList(blk.L, blk.qc, blk.col, func(i int) {
+			if blk.u[i].xadj == nil {
+				blk.u[i] = emptyBlock(blk.nRows)
 			}
-			b, ok := sblk.uBucket[t]
-			if !ok {
-				b = csrBlock{rows: sblk.nRows, xadj: make([]int32, sblk.nRows+1)}
+			d.replaceRows(&blk.u[i])
+		})
+		d.classList(blk.L, blk.qr, blk.row, func(i int) {
+			if blk.l[i].xadj == nil {
+				blk.l[i] = cscBlock(emptyBlock(blk.nCols))
 			}
-			if err := replaceCSRRows(&b, rows, data); err != nil {
-				return err
-			}
-			sblk.uBucket[t] = b
-		}
-		nl := d.i32()
-		for i := int32(0); i < nl && d.err == nil; i++ {
-			t := int(d.i32())
-			cols, data := d.deltaRowset()
-			if d.err != nil {
-				break
-			}
-			b, ok := sblk.lBucket[t]
-			if !ok {
-				b = cscBlock{cols: sblk.nCols, xadj: make([]int32, sblk.nCols+1)}
-			}
-			if err := replaceCSCCols(&b, cols, data); err != nil {
-				return err
-			}
-			sblk.lBucket[t] = b
-		}
-		if d.err != nil {
-			return d.err
-		}
-		sblk.rows = sblk.task.nonEmptyRows(nil)
-		sblk.maxURow = maxURow
+			d.replaceRows(blk.l[i].byCols())
+		})
+	} else {
+		d.replaceRows(&blk.u[0])
+		d.replaceRows(blk.l[0].byCols())
+		d.replaceRows(&blk.task)
 	}
 	if d.err != nil {
 		return d.err
@@ -417,6 +324,11 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	if d.off != len(d.b) {
 		return fmt.Errorf("core: delta blob has %d trailing bytes", len(d.b)-d.off)
 	}
+	blk.maxURow = maxURow
+	if err := blk.check(n); err != nil {
+		return err
+	}
+	blk.taskRows = blk.task.nonEmptyRows(nil)
 
 	p.n, p.baseN, p.version = n, baseN, version
 	p.m, p.wedges = m, wedges

@@ -30,21 +30,18 @@ import "slices"
 // last committed snapshot, keyed the way the blocks are stored so the delta
 // encoder can serialize exactly the touched rows.
 type snapDirty struct {
-	uRows map[int32]struct{}         // Cannon: dirty ublk rows
-	lCols map[int32]struct{}         // Cannon: dirty lblk columns
-	tRows map[int32]struct{}         // both schedules: dirty task rows
-	uBuck map[int]map[int32]struct{} // SUMMA: dirty U rows per class
-	lBuck map[int]map[int32]struct{} // SUMMA: dirty L columns per class
-	slots map[int32]struct{}         // rewritten label slots
+	// Dirty U rows and L columns per operand class, indexed like blocks.u
+	// and blocks.l; a nil set means no splice touched the class.
+	u, l  []map[int32]struct{}
+	tRows map[int32]struct{} // dirty task rows
+	slots map[int32]struct{} // rewritten label slots
 }
 
-func newSnapDirty() *snapDirty {
+func newSnapDirty(blk *blocks) *snapDirty {
 	return &snapDirty{
-		uRows: make(map[int32]struct{}),
-		lCols: make(map[int32]struct{}),
+		u:     make([]map[int32]struct{}, len(blk.u)),
+		l:     make([]map[int32]struct{}, len(blk.l)),
 		tRows: make(map[int32]struct{}),
-		uBuck: make(map[int]map[int32]struct{}),
-		lBuck: make(map[int]map[int32]struct{}),
 		slots: make(map[int32]struct{}),
 	}
 }
@@ -58,13 +55,12 @@ func markRows(set map[int32]struct{}, ed *classEdits) {
 	}
 }
 
-func (s *snapDirty) bucketRows(m map[int]map[int32]struct{}, class int) map[int32]struct{} {
-	set, ok := m[class]
-	if !ok {
-		set = make(map[int32]struct{})
-		m[class] = set
+// dirtyRows returns the dirty set of class index i, creating it.
+func dirtyRows(sets []map[int32]struct{}, i int) map[int32]struct{} {
+	if sets[i] == nil {
+		sets[i] = make(map[int32]struct{})
 	}
-	return set
+	return sets[i]
 }
 
 // EnableSnapshotTracking turns on since-last-snapshot dirty tracking. The
@@ -72,7 +68,7 @@ func (s *snapDirty) bucketRows(m map[int]map[int32]struct{}, class int) map[int3
 // splice it may later want to delta-encode. Idempotent.
 func (p *Prepared) EnableSnapshotTracking() {
 	if p.snap == nil {
-		p.snap = newSnapDirty()
+		p.snap = newSnapDirty(p.blk)
 	}
 }
 
@@ -85,7 +81,7 @@ func (p *Prepared) SnapshotTrackingEnabled() bool { return p.snap != nil }
 // been durably committed.
 func (p *Prepared) ResetSnapshotDirty() {
 	if p.snap != nil {
-		p.snap = newSnapDirty()
+		p.snap = newSnapDirty(p.blk)
 	}
 }
 
@@ -106,11 +102,11 @@ func (p *Prepared) SnapshotDirtyCounts() (rows, slots int) {
 	if s == nil {
 		return 0, 0
 	}
-	rows = len(s.uRows) + len(s.lCols) + len(s.tRows)
-	for _, set := range s.uBuck {
+	rows = len(s.tRows)
+	for _, set := range s.u {
 		rows += len(set)
 	}
-	for _, set := range s.lBuck {
+	for _, set := range s.l {
 		rows += len(set)
 	}
 	return rows, len(s.slots)
@@ -167,16 +163,6 @@ func sortedI32Set(set map[int32]struct{}) []int32 {
 	out := make([]int32, 0, len(set))
 	for v := range set {
 		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// sortedClasses flattens the key set of a per-class map to a sorted slice.
-func sortedClasses[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for t := range m {
-		out = append(out, t)
 	}
 	slices.Sort(out)
 	return out

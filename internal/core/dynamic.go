@@ -18,35 +18,17 @@ package core
 // concurrently.
 
 import (
-	"fmt"
 	"slices"
 
 	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
 
-// rowMirror is the per-rank row-major view of this rank's block of the
-// (relabeled) adjacency matrix in global labels: local row v/rowMod holds
-// the neighbours of row-class vertex v that fall in this rank's column
-// residue class, sorted ascending. The counting structures store the same
-// entries split into U/L (and, for SUMMA, per-broadcast-class buckets) in
-// local indices; the mirror is the one place a whole row can be read or
-// probed directly. It exists only on clusters that take updates — built
-// lazily by EnsureAdjacency — and is spliced in lockstep with the blocks.
-type rowMirror struct {
-	rowMod, colMod int // residue moduli of rows and columns
-	rowRes, colRes int // this rank's residues
-	blk            csrBlock
-}
-
 // GridShape returns the process-grid factorization the state was prepared
-// for — qr × qc, with qr == qc for the Cannon schedule — and whether the
-// SUMMA schedule is used.
+// for and whether the SUMMA (broadcast) schedule is used; qr == qc whenever
+// it is not.
 func (p *Prepared) GridShape() (qr, qc int, summa bool) {
-	if p.blk != nil {
-		return p.blk.q, p.blk.q, false
-	}
-	return p.qr, p.qc, true
+	return p.blk.qr, p.blk.qc, p.bcast
 }
 
 // Labels returns the retained degree-relabel permutation: labels[i] is the
@@ -62,18 +44,6 @@ func (p *Prepared) Labels() (beg int32, labels []int32) { return p.labelBeg, p.l
 // composition deep no matter how many rebuilds have run.
 func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels = beg, labels }
 
-// operandClasses returns the resident operand entries in the form both
-// schedules share: U blocks (rows → keys) and L blocks (columns → keys) by
-// class t, where key k of class t is label k·L + t. The square grid is the
-// one-class case — L = q, the U block is class y, the L block class x.
-func (p *Prepared) operandClasses() (qr, qc, L, nRows int32, u map[int]csrBlock, l map[int]cscBlock) {
-	qr, qc, L = p.gridMods()
-	if b := p.blk; b != nil {
-		return qr, qc, L, b.nRowsX, map[int]csrBlock{b.y: b.ublk}, map[int]cscBlock{b.x: b.lblk}
-	}
-	return qr, qc, L, p.sblk.nRows, p.sblk.uBucket, p.sblk.lBucket
-}
-
 // EnsureAdjacency builds the row-adjacency mirror from the resident blocks
 // if it does not exist yet. Purely local work (no communication); charged
 // as compute.
@@ -81,26 +51,27 @@ func (p *Prepared) operandClasses() (qr, qc, L, nRows int32, u map[int]csrBlock,
 // A mirror row is the row's L part (labels below the row vertex) followed
 // by its U part (labels above). Rows are counted, then the L columns are
 // transposed in — ascending, see transposeInto; a row's L entries all sit in
-// one class — and the U rows appended. Only a rank holding several U classes
-// has to sort, and only the U parts.
+// one class — and the U rows appended. An L key k of class t is the row label
+// k·L + t, a U key k of class t the column label k·L + t. Only a rank holding
+// several U classes has to sort, and only the U parts.
 func (p *Prepared) EnsureAdjacency(c *mpi.Comm) {
 	if p.mirror != nil {
 		return
 	}
-	qr, qc, L, nRows, uBucket, lBucket := p.operandClasses()
-	m := &rowMirror{rowMod: int(qr), colMod: int(qc), rowRes: c.Rank() / int(qc), colRes: c.Rank() % int(qc)}
+	lay := p.blk
+	qr, qc, L := p.gridMods()
 	c.Compute(func() {
+		nRows := lay.nRows
 		blk := csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
-		// An L key k of class t is the row label k·L + t, so local row
-		// k·(L/qr) + t/qr.
+		// Class i of the L blocks holds the row labels k·L + i·qr + row, so
+		// local rows k·(L/qr) + i.
 		step := L / qr
-		for t, b := range lBucket {
-			off := int32(t) / qr
+		for i, b := range lay.l {
 			for _, k := range b.adj {
-				blk.xadj[k*step+off+1]++
+				blk.xadj[k*step+int32(i)+1]++
 			}
 		}
-		for _, b := range uBucket {
+		for _, b := range lay.u {
 			for a := int32(0); a < b.rows; a++ {
 				blk.xadj[a+1] += b.xadj[a+1] - b.xadj[a]
 			}
@@ -108,24 +79,24 @@ func (p *Prepared) EnsureAdjacency(c *mpi.Comm) {
 		prefixSum(blk.xadj)
 		blk.adj = make([]int32, blk.xadj[nRows])
 		next := slices.Clone(blk.xadj[:nRows])
-		for t, b := range lBucket {
-			off := int32(t) / qr
-			for i := int32(0); i < b.cols; i++ {
-				for _, k := range b.col(i) {
-					r := k*step + off
-					blk.adj[next[r]] = i*qc + int32(m.colRes)
+		for i, b := range lay.l {
+			for j := int32(0); j < b.rows; j++ {
+				for _, k := range b.col(j) {
+					r := k*step + int32(i)
+					blk.adj[next[r]] = j*qc + int32(lay.col)
 					next[r]++
 				}
 			}
 		}
 		var uBeg []int32 // where each row's U part starts, if it needs sorting
-		if len(uBucket) > 1 {
+		if len(lay.u) > 1 {
 			uBeg = slices.Clone(next)
 		}
-		for t, b := range uBucket {
+		for i, b := range lay.u {
+			t := int32(i)*qc + int32(lay.col)
 			for a := int32(0); a < b.rows; a++ {
 				for _, k := range b.row(a) {
-					blk.adj[next[a]] = k*L + int32(t)
+					blk.adj[next[a]] = k*L + t
 					next[a]++
 				}
 			}
@@ -133,16 +104,14 @@ func (p *Prepared) EnsureAdjacency(c *mpi.Comm) {
 		for a, beg := range uBeg {
 			slices.Sort(blk.adj[beg:blk.xadj[a+1]])
 		}
-		m.blk = blk
+		p.mirror = &blk
 	})
-	p.mirror = m
 }
 
-// MirrorShape returns the residue geometry of the row mirror. Valid only
-// after EnsureAdjacency.
+// MirrorShape returns the residue geometry of the row mirror: the moduli of
+// its rows and columns, and this rank's residues — its grid position.
 func (p *Prepared) MirrorShape() (rowMod, colMod, rowRes, colRes int) {
-	m := p.mirror
-	return m.rowMod, m.colMod, m.rowRes, m.colRes
+	return p.blk.qr, p.blk.qc, p.blk.row, p.blk.col
 }
 
 // AdjRow returns the mirror row of global label v: v's neighbours in this
@@ -151,7 +120,7 @@ func (p *Prepared) MirrorShape() (rowMod, colMod, rowRes, colRes int) {
 // only, and the next Splice overwrites it in place — copy what must outlive
 // the splice.
 func (p *Prepared) AdjRow(v int32) []int32 {
-	return p.mirror.blk.row(v / int32(p.mirror.rowMod))
+	return p.mirror.row(v / int32(p.blk.qr))
 }
 
 // HasEdgeLocal reports whether the directed entry (v → u) is present in
@@ -356,14 +325,6 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 	sc.movedBytes.Add(float64(4 * written))
 }
 
-// spliceCSC is spliceCSR for a column-stored block; edits are (column,
-// value) pairs.
-func (sc *spliceScratch) spliceCSC(b *cscBlock, ed *classEdits) {
-	tmp := csrBlock{rows: b.cols, xadj: b.xadj, adj: b.adj}
-	sc.spliceCSR(&tmp, ed)
-	b.adj = tmp.adj
-}
-
 // Splice applies the effective, validated batch to the resident state. The
 // full insertion and deletion lists (canonical label pairs, wa < wb) are
 // presented to every rank; each rank splices exactly the directed entries
@@ -380,25 +341,15 @@ func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	var maxRow int64
 	c.Compute(func() {
 		p.spliceBlocks(c.Rank(), ins, del)
-		maxRow = p.localMaxURow()
+		maxRow = p.blk.longestURow()
 	})
-	max := c.AllreduceInt64(maxRow, mpi.OpMax)
-	if p.blk != nil {
-		p.blk.maxURow = max
-	} else {
-		p.sblk.maxURow = max
-	}
+	p.blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
 }
 
-// gridMods returns the residue moduli entries are placed by: rows mod qr,
-// columns mod qc, operand classes mod L. The square grid is the one-class
-// case, all three equal to q.
+// gridMods returns the residue moduli entries are placed by — rows mod qr,
+// columns mod qc, operand classes mod L — as int32, for the per-entry loops.
 func (p *Prepared) gridMods() (qr, qc, L int32) {
-	if b := p.blk; b != nil {
-		q := int32(b.q)
-		return q, q, q
-	}
-	return int32(p.qr), int32(p.qc), int32(p.lc)
+	return int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
 }
 
 // routeEdits files the directed entries of edges that this rank owns into
@@ -427,69 +378,51 @@ func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 }
 
 // spliceBlocks routes the batch and splices every resident block of this
-// rank: the operand blocks (SUMMA: per class, creating a bucket at its first
+// rank: the operand blocks class by class (creating a block at its first
 // edit), the task block with its row list, and the mirror if built.
 func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
-	sc := &p.splice
+	sc, blk := &p.splice, p.blk
 	if sc.u == nil {
-		_, _, L := p.gridMods()
-		sc.u, sc.l = make([]classEdits, L), make([]classEdits, L)
+		sc.u, sc.l = make([]classEdits, blk.L), make([]classEdits, blk.L)
 	}
 	p.routeEdits(int32(rank), ins, false)
 	p.routeEdits(int32(rank), del, true)
 
-	var task *csrBlock
-	var taskRows *[]int32
-	if blk := p.blk; blk != nil {
-		u, l := &sc.u[blk.y], &sc.l[blk.x]
+	for i := range blk.u {
+		ed := &sc.u[i*blk.qc+blk.col]
+		if ed.empty() {
+			continue
+		}
+		b := &blk.u[i]
+		if b.xadj == nil {
+			*b = emptyBlock(blk.nRows)
+		}
 		if p.snap != nil {
-			markRows(p.snap.uRows, u)
-			markRows(p.snap.lCols, l)
+			markRows(dirtyRows(p.snap.u, i), ed)
 		}
-		sc.spliceCSR(&blk.ublk, u)
-		sc.spliceCSC(&blk.lblk, l)
-		task, taskRows = &blk.task, &blk.taskRows
-	} else {
-		blk := p.sblk
-		for t := range sc.u {
-			ed := &sc.u[t]
-			if ed.empty() {
-				continue
-			}
-			b, ok := blk.uBucket[t]
-			if !ok {
-				b = csrBlock{rows: blk.nRows, xadj: make([]int32, blk.nRows+1)}
-			}
-			if p.snap != nil {
-				markRows(p.snap.bucketRows(p.snap.uBuck, t), ed)
-			}
-			sc.spliceCSR(&b, ed)
-			blk.uBucket[t] = b
+		sc.spliceCSR(b, ed)
+	}
+	for i := range blk.l {
+		ed := &sc.l[i*blk.qr+blk.row]
+		if ed.empty() {
+			continue
 		}
-		for t := range sc.l {
-			ed := &sc.l[t]
-			if ed.empty() {
-				continue
-			}
-			b, ok := blk.lBucket[t]
-			if !ok {
-				b = cscBlock{cols: blk.nCols, xadj: make([]int32, blk.nCols+1)}
-			}
-			if p.snap != nil {
-				markRows(p.snap.bucketRows(p.snap.lBuck, t), ed)
-			}
-			sc.spliceCSC(&b, ed)
-			blk.lBucket[t] = b
+		b := &blk.l[i]
+		if b.xadj == nil {
+			*b = cscBlock(emptyBlock(blk.nCols))
 		}
-		task, taskRows = &blk.task, &blk.rows
+		if p.snap != nil {
+			markRows(dirtyRows(p.snap.l, i), ed)
+		}
+		sc.spliceCSR(b.byCols(), ed) // edits are (column, value) pairs
 	}
 	if p.snap != nil {
 		markRows(p.snap.tRows, &sc.task)
 	}
-	sc.spliceCSR(task, &sc.task)
-	*taskRows = task.nonEmptyRows(*taskRows)
+	sc.spliceCSR(&blk.task, &sc.task)
+	blk.taskRows = blk.task.nonEmptyRows(blk.taskRows)
 	if p.mirror != nil {
-		sc.spliceCSR(&p.mirror.blk, &sc.mirror)
+		sc.spliceCSR(p.mirror, &sc.mirror)
 	}
 	sc.reset()
 }
@@ -521,38 +454,26 @@ func (sc *spliceScratch) reset() {
 	sc.points = keep(sc.points)
 }
 
-// ValidateKernelSizing asserts the two bounds a count sizes its kernel maps
-// from, re-deriving both from the resident blocks: every intersection key is
-// below the key range of the CURRENT vertex count (the bitmap length — an
-// out-of-range key would index past it), and the resident maxURow (the
-// probing-table size of the NoDirectHash ablation) is at least the actual
-// longest local U row, globally. GrowTo preserves both for free (it only
-// appends empty rows and raises n), and Splice refreshes maxURow with an
-// allreduce after every mutation. All ranks must call it collectively (one
-// allreduce).
-func (p *Prepared) ValidateKernelSizing(c *mpi.Comm) error {
-	var longest int64
-	var topKey int32
-	c.Compute(func() { longest, topKey = p.localMaxURow(), p.localTopKey() })
-	maxes := c.AllreduceInt64s([]int64{longest, int64(topKey)}, mpi.OpMax)
-	resident, keyRange := p.kernelSizing()
-	if maxes[0] > resident {
-		return fmt.Errorf("core: resident maxURow %d fell behind actual longest U row %d — kernel set sizing bound violated", resident, maxes[0])
-	}
-	if maxes[1] >= int64(keyRange) {
-		return fmt.Errorf("core: intersection key %d outside the kernel bitmap's %d bits (n=%d)", maxes[1], keyRange, p.n)
-	}
-	return nil
+// ValidateKernelSizing asserts the bounds a count sizes its kernel maps from,
+// re-deriving them from the resident blocks (blocks.check, the check every
+// decoded state passes): every intersection key is below the key range of the
+// CURRENT vertex count (the bitmap length — an out-of-range key would index
+// past it), and the resident maxURow (the probing-table size of the
+// NoDirectHash ablation) is at least the longest local U row. GrowTo
+// preserves both for free (it only appends empty rows and raises n), and
+// Splice refreshes maxURow with an allreduce after every mutation. Local
+// work, charged as compute; maxURow is replicated, so the bounds hold
+// globally when they hold on every rank.
+func (p *Prepared) ValidateKernelSizing(c *mpi.Comm) (err error) {
+	c.Compute(func() { err = p.blk.check(p.n) })
+	return err
 }
 
 // kernelSizing returns what a count sizes its kernel maps from: the resident
 // maxURow and the intersection key range of the current vertex count — keys
-// are k div q on the Cannon grid and k div lcm(qr, qc) in the SUMMA buckets.
+// are k div L, so ⌈n/L⌉ of them.
 func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
-	if p.blk != nil {
-		return p.blk.maxURow, numWithResidue(p.n, p.blk.q, 0)
-	}
-	return p.sblk.maxURow, numWithResidue(p.n, p.lc, 0)
+	return p.blk.maxURow, numWithResidue(p.n, p.blk.L, 0)
 }
 
 // kernelPool builds the kernel workers of one count over p, sized for the
@@ -562,38 +483,12 @@ func (p *Prepared) kernelPool(c *mpi.Comm, opt Options) *kernelPool {
 	return newKernelPool(opt.kernelWorkers(c), keyRange, maxURow, opt)
 }
 
-// localMaxURow scans the resident U structure for the longest row — the
-// quantity maxURow bounds.
-func (p *Prepared) localMaxURow() int64 {
-	if p.blk != nil {
-		return p.blk.ublk.maxRow()
-	}
+// longestURow scans the resident U blocks for the longest row — the quantity
+// maxURow bounds.
+func (b *blocks) longestURow() int64 {
 	var longest int64
-	for _, b := range p.sblk.uBucket {
-		longest = max(longest, b.maxRow())
+	for i := range b.u {
+		longest = max(longest, b.u[i].maxRow())
 	}
 	return longest
-}
-
-// localTopKey scans the resident operand blocks for the largest intersection
-// key (-1 when there is none).
-func (p *Prepared) localTopKey() int32 {
-	topKey := int32(-1)
-	top := func(adj []int32) {
-		if len(adj) > 0 {
-			topKey = max(topKey, slices.Max(adj))
-		}
-	}
-	if p.blk != nil {
-		top(p.blk.ublk.adj)
-		top(p.blk.lblk.adj)
-		return topKey
-	}
-	for _, b := range p.sblk.uBucket {
-		top(b.adj)
-	}
-	for _, b := range p.sblk.lBucket {
-		top(b.adj)
-	}
-	return topKey
 }

@@ -86,11 +86,21 @@ func growCSRRows(b *csrBlock, rows int32) {
 	}
 }
 
-// growCSCCols extends a column-stored block with trailing empty columns.
-func growCSCCols(b *cscBlock, cols int32) {
-	tmp := csrBlock{rows: b.cols, xadj: b.xadj, adj: b.adj}
-	growCSRRows(&tmp, cols)
-	b.cols, b.xadj, b.adj = tmp.rows, tmp.xadj, tmp.adj
+// grow gives every created block the empty rows and columns of the
+// residue-class locals a vertex space of n ids adds.
+func (b *blocks) grow(n int64) {
+	b.nRows, b.nCols = b.dims(n)
+	growCSRRows(&b.task, b.nRows)
+	for i := range b.u {
+		if b.u[i].xadj != nil {
+			growCSRRows(&b.u[i], b.nRows)
+		}
+	}
+	for i := range b.l {
+		if b.l[i].xadj != nil {
+			growCSRRows(b.l[i].byCols(), b.nCols)
+		}
+	}
 }
 
 // GrowTo extends the vertex space to newN ids, admitting the overflow region
@@ -108,34 +118,9 @@ func (p *Prepared) GrowTo(c *mpi.Comm, newN int64) error {
 		return fmt.Errorf("core: vertex space of %d ids exceeds the int32 label range", newN)
 	}
 	c.Compute(func() {
-		if p.blk != nil {
-			blk := p.blk
-			blk.n = newN
-			blk.nRowsX = numWithResidue(newN, blk.q, blk.x)
-			blk.nColsY = numWithResidue(newN, blk.q, blk.y)
-			growCSRRows(&blk.ublk, blk.nRowsX)
-			growCSRRows(&blk.task, blk.nRowsX)
-			growCSCCols(&blk.lblk, blk.nColsY)
-		} else {
-			sblk := p.sblk
-			row, col := c.Rank()/p.qc, c.Rank()%p.qc
-			sblk.nRows = numWithResidue(newN, p.qr, row)
-			sblk.nCols = numWithResidue(newN, p.qc, col)
-			growCSRRows(&sblk.task, sblk.nRows)
-			for t := range sblk.uBucket {
-				b := sblk.uBucket[t]
-				growCSRRows(&b, sblk.nRows)
-				sblk.uBucket[t] = b
-			}
-			for t := range sblk.lBucket {
-				b := sblk.lBucket[t]
-				growCSCCols(&b, sblk.nCols)
-				sblk.lBucket[t] = b
-			}
-		}
+		p.blk.grow(newN)
 		if p.mirror != nil {
-			m := p.mirror
-			growCSRRows(&m.blk, numWithResidue(newN, m.rowMod, m.rowRes))
+			growCSRRows(p.mirror, p.blk.nRows)
 		}
 		p.n = newN
 		p.version++

@@ -32,24 +32,17 @@ func ResidentSpans(p *Prepared) []ArraySpan {
 		i64(name+".ins", e.ins)
 		i64(name+".del", e.del)
 	}
-	if b := p.blk; b != nil {
-		block("u", b.ublk.xadj, b.ublk.adj)
-		block("l", b.lblk.xadj, b.lblk.adj)
-		block("task", b.task.xadj, b.task.adj)
-		i32("taskRows", b.taskRows)
-	} else {
-		b := p.sblk
-		block("task", b.task.xadj, b.task.adj)
-		i32("taskRows", b.rows)
-		for _, t := range sortedClasses(b.uBucket) {
-			block(fmt.Sprint("u", t), b.uBucket[t].xadj, b.uBucket[t].adj)
-		}
-		for _, t := range sortedClasses(b.lBucket) {
-			block(fmt.Sprint("l", t), b.lBucket[t].xadj, b.lBucket[t].adj)
-		}
+	b := p.blk
+	block("task", b.task.xadj, b.task.adj)
+	i32("taskRows", b.taskRows)
+	for i := range b.u {
+		block(fmt.Sprint("u", i*b.qc+b.col), b.u[i].xadj, b.u[i].adj)
+	}
+	for i := range b.l {
+		block(fmt.Sprint("l", i*b.qr+b.row), b.l[i].xadj, b.l[i].adj)
 	}
 	if m := p.mirror; m != nil {
-		block("mirror", m.blk.xadj, m.blk.adj)
+		block("mirror", m.xadj, m.adj)
 	}
 	i32("labels", p.labels)
 	sc := &p.splice

@@ -48,7 +48,7 @@ func BenchmarkKernelStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.run(&blk.task, blk.taskRows, &blk.ublk, &blk.lblk)
+				pool.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
 			}
 			b.StopTimer()
 			kc := pool.total()
@@ -270,5 +270,110 @@ func TestSpliceAllocationBudget(t *testing.T) {
 	t.Logf("splices allocated %.0f B per batch per rank over %d batches", perRank, batches)
 	if perRank > budget {
 		t.Errorf("splices allocated %.0f B per batch per rank, budget %d", perRank, budget)
+	}
+}
+
+// countWorld prepares g on a standing world — the shift schedule when qr is
+// 0, else broadcasts on qr × qc — for repeated CountPrepared epochs.
+func countWorld(tb testing.TB, g *graph.Graph, p, qr, qc int) (*mpi.World, []*Prepared) {
+	tb.Helper()
+	w := mpi.NewWorld(p, testCfg())
+	preps := make([]*Prepared, p)
+	_, err := w.Run(func(c *mpi.Comm) (any, error) {
+		prep, err := prepareOn(c, g, qr, qc, EnumJIK)
+		preps[c.Rank()] = prep
+		return nil, err
+	})
+	if err != nil {
+		w.Close()
+		tb.Fatal(err)
+	}
+	return w, preps
+}
+
+// countEpoch runs one CountPrepared epoch — one kernel worker per rank, so
+// that what it allocates does not depend on the host's core count — and
+// returns the bytes the ranks sent during it.
+func countEpoch(tb testing.TB, w *mpi.World, preps []*Prepared) (sent int64) {
+	res, err := w.Run(func(c *mpi.Comm) (any, error) {
+		before := c.Stats().BytesSent
+		_, err := CountPrepared(c, preps[c.Rank()], Options{KernelThreads: 1})
+		return c.Stats().BytesSent - before, err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range res {
+		sent += r.(int64)
+	}
+	return sent
+}
+
+// countShapes are the two schedules a resident count is measured on: the
+// benchmark's shape (RMAT scale 14, 4 ranks, shifts) and a rectangular grid
+// (RMAT scale 12, 2×3, broadcasts).
+var countShapes = []struct {
+	name             string
+	scale, p, qr, qc int
+}{{"rmat-s14-cannon4", 14, 4, 0, 0}, {"rmat-s12-summa2x3", 12, 6, 2, 3}}
+
+// BenchmarkCountPrepared measures one resident count end to end — encode,
+// align/broadcast, the compute steps, the reduction — in ns, B and allocs per
+// count, all ranks together.
+func BenchmarkCountPrepared(b *testing.B) {
+	for _, shape := range countShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			g, err := rmat.G500.Generate(shape.scale, 16, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, preps := countWorld(b, g, shape.p, shape.qr, shape.qc)
+			defer w.Close()
+			countEpoch(b, w, preps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				countEpoch(b, w, preps)
+			}
+		})
+	}
+}
+
+// TestCountAllocationBudget is the in-tree guard of the benchmark's
+// alloc_bytes_per_op bound on the read workloads: a count may allocate the
+// operand blobs it encodes — one per owned class; the shift schedule hands
+// them on without copying, the broadcast tree copies one per message, so
+// there the bytes sent are granted on top — plus 16 KB per rank for
+// everything else (kernel pool, spans, reduction buffers, the epoch).
+func TestCountAllocationBudget(t *testing.T) {
+	const perRank = 16 << 10
+	for _, shape := range countShapes {
+		w, preps := countWorld(t, mustRMAT(t, rmat.G500, shape.scale, 16, 1), shape.p, shape.qr, shape.qc)
+		budget := uint64(perRank * shape.p)
+		for _, prep := range preps {
+			blk := prep.blk
+			for i := range blk.u {
+				budget += uint64(4 * (4 + int(blk.nRows) + 1 + len(blk.u[i].adj)))
+			}
+			for i := range blk.l {
+				budget += uint64(4 * (4 + int(blk.nCols) + 1 + len(blk.l[i].adj)))
+			}
+		}
+		countEpoch(t, w, preps) // warm the runtime: goroutine stacks, epoch state
+		// TotalAlloc is the whole process's: what other tests left running
+		// can only add to it, so the least of a few counts is the count's own.
+		var sent int64
+		alloc := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			alloc = min(alloc, allocatedBy(func() { sent = countEpoch(t, w, preps) }))
+		}
+		if shape.qr > 0 {
+			budget += uint64(sent)
+		}
+		w.Close()
+		t.Logf("%s: a count allocated %d B, budget %d B", shape.name, alloc, budget)
+		if alloc > budget {
+			t.Errorf("%s: a count allocated %d B, budget %d B", shape.name, alloc, budget)
+		}
 	}
 }

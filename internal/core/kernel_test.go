@@ -158,7 +158,7 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 		task := csrFromPairs(rows, taskPairs)
 		u := csrFromPairs(rows, uPairs)
 		lc := csrFromPairs(cols, lPairs)
-		l := cscBlock{cols: lc.rows, xadj: lc.xadj, adj: lc.adj}
+		l := cscBlock{rows: lc.rows, xadj: lc.xadj, adj: lc.adj}
 
 		for _, noEarlyBreak := range []bool{false, true} {
 			bitmap := newKernelPool(1, keyRange, u.maxRow(), Options{}).workers[0]
@@ -216,7 +216,7 @@ func TestKernelPartitionLPT(t *testing.T) {
 	}
 	task := csrFromPairs(6, taskPairs)
 	u := csrFromPairs(6, uPairs)
-	l := cscBlock{cols: 1, xadj: []int32{0, 8}, adj: []int32{0, 1, 2, 3, 4, 5, 6, 7}}
+	l := cscBlock{rows: 1, xadj: []int32{0, 8}, adj: []int32{0, 1, 2, 3, 4, 5, 6, 7}}
 	rows := []int32{0, 1, 2, 3, 4, 5}
 	kp := newKernelPool(2, 64, 5, Options{})
 	kp.partitionLPT(rows, &task, &u, &l)

@@ -12,35 +12,23 @@ import (
 // mirrorOracle lists this rank's (row, label) mirror entries straight from
 // the block definitions — every U and L entry converted back to global
 // labels — and sorts them with a comparison sort.
-func mirrorOracle(p *Prepared, rank int) [][2]int32 {
+func mirrorOracle(p *Prepared) [][2]int32 {
 	var out [][2]int32
-	if b := p.blk; b != nil {
-		q, y := int32(b.q), int32(b.y)
-		for a := int32(0); a < b.ublk.rows; a++ {
-			for _, lc := range b.ublk.row(a) {
-				out = append(out, [2]int32{a, lc*q + y})
+	b := p.blk
+	qr, qc, L := int32(b.qr), int32(b.qc), int32(b.L)
+	for i, u := range b.u {
+		t := int32(i*b.qc + b.col)
+		for a := int32(0); a < u.rows; a++ {
+			for _, k := range u.row(a) {
+				out = append(out, [2]int32{a, k*L + t})
 			}
 		}
-		for i := int32(0); i < b.lblk.cols; i++ {
-			for _, lr := range b.lblk.col(i) {
-				out = append(out, [2]int32{lr, i*q + y})
-			}
-		}
-	} else {
-		qr, qc, L := int32(p.qr), int32(p.qc), int32(p.lc)
-		y := int32(rank % p.qc)
-		for t, b := range p.sblk.uBucket {
-			for a := int32(0); a < b.rows; a++ {
-				for _, k := range b.row(a) {
-					out = append(out, [2]int32{a, k*L + int32(t)})
-				}
-			}
-		}
-		for t, b := range p.sblk.lBucket {
-			for i := int32(0); i < b.cols; i++ {
-				for _, k := range b.col(i) {
-					out = append(out, [2]int32{(k*L + int32(t)) / qr, i*qc + y})
-				}
+	}
+	for i, l := range b.l {
+		t := int32(i*b.qr + b.row)
+		for j := int32(0); j < l.rows; j++ {
+			for _, k := range l.col(j) {
+				out = append(out, [2]int32{(k*L + t) / qr, j*qc + int32(b.col)})
 			}
 		}
 	}
@@ -63,13 +51,13 @@ func TestMirrorMatchesBlocks(t *testing.T) {
 				}
 				prep.EnsureAdjacency(c)
 				var got [][2]int32
-				m := &prep.mirror.blk
+				m := prep.mirror
 				for a := int32(0); a < m.rows; a++ {
 					for _, u := range m.row(a) {
 						got = append(got, [2]int32{a, u})
 					}
 				}
-				if want := mirrorOracle(prep, c.Rank()); !slices.Equal(got, want) {
+				if want := mirrorOracle(prep); !slices.Equal(got, want) {
 					t.Errorf("%s rank %d: mirror has %d entries in row-major order, the blocks define %d", name, c.Rank(), len(got), len(want))
 				}
 				return nil, nil

@@ -2,7 +2,7 @@ package core
 
 // Snapshot serialization of the resident per-rank state. EncodePrepared
 // flattens everything a Prepared value needs to serve queries and updates
-// after a restart — the U/L/task CSR blocks (Cannon or SUMMA), the retained
+// after a restart — the U/L/task CSR blocks (either snapshot kind), the retained
 // relabel permutation and its cyclic origin, the elastic vertex-space
 // descriptor and the maintained edge/wedge totals — into one deterministic
 // little-endian blob; DecodePrepared rebuilds the identical state on the
@@ -26,7 +26,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
 )
 
 const (
@@ -51,12 +51,6 @@ func (e *encoder) i32s(v []int32) {
 
 func (e *encoder) csr(b *csrBlock) {
 	e.i32(b.rows)
-	e.i32s(b.xadj)
-	e.i32s(b.adj)
-}
-
-func (e *encoder) csc(b *cscBlock) {
-	e.i32(b.cols)
 	e.i32s(b.xadj)
 	e.i32s(b.adj)
 }
@@ -121,9 +115,16 @@ func (d *decoder) csr() csrBlock {
 	return csrBlock{rows: rows, xadj: xadj, adj: adj}
 }
 
-func (d *decoder) csc() cscBlock {
-	tmp := d.csr()
-	return cscBlock{cols: tmp.rows, xadj: tmp.xadj, adj: tmp.adj}
+// stateKind names the snapshot kind the state is written as. There are two
+// because there were two layouts; both now describe the one blocks struct,
+// and stay so that every snapshot ever written still restores: the Cannon
+// kind holds the single U and L blocks of the shift schedule bare, the SUMMA
+// kind lists the created operand classes of the broadcast schedule by id.
+func (p *Prepared) stateKind() byte {
+	if p.bcast {
+		return kindSUMMAState
+	}
+	return kindCannonState
 }
 
 // EncodePrepared serializes the resident state of one rank. It only reads
@@ -134,11 +135,7 @@ func EncodePrepared(p *Prepared) []byte {
 	e := &encoder{b: make([]byte, 0, 1024)}
 	e.u32(preparedMagic)
 	e.u32(preparedVersion)
-	kind := kindCannonState
-	if p.sblk != nil {
-		kind = kindSUMMAState
-	}
-	e.b = append(e.b, kind, byte(p.enum), 0, 0)
+	e.b = append(e.b, p.stateKind(), byte(p.enum), 0, 0)
 
 	e.i64(p.n)
 	e.i64(p.baseN)
@@ -152,59 +149,89 @@ func EncodePrepared(p *Prepared) []byte {
 	// mode correctly.
 	e.i32s(sortedI32Set(p.degreeDirty))
 
-	switch kind {
-	case kindCannonState:
-		blk := p.blk
-		e.i32(int32(blk.q))
-		e.i32(int32(blk.x))
-		e.i32(int32(blk.y))
-		e.i64(blk.n)
-		e.i64(blk.maxURow)
-		e.i32(blk.nRowsX)
-		e.i32(blk.nColsY)
-		e.csr(&blk.task)
-		e.csr(&blk.ublk)
-		e.csc(&blk.lblk)
-	case kindSUMMAState:
-		sblk := p.sblk
-		e.i32(int32(p.qr))
-		e.i32(int32(p.qc))
-		e.i32(int32(p.lc))
-		e.i64(sblk.maxURow)
-		e.i32(sblk.nRows)
-		e.i32(sblk.nCols)
-		e.csr(&sblk.task)
-		// Buckets in sorted class order so the blob is deterministic.
-		uClasses := make([]int, 0, len(sblk.uBucket))
-		for t := range sblk.uBucket {
-			uClasses = append(uClasses, t)
-		}
-		sort.Ints(uClasses)
-		e.i32(int32(len(uClasses)))
-		for _, t := range uClasses {
-			b := sblk.uBucket[t]
-			e.i32(int32(t))
-			e.csr(&b)
-		}
-		lClasses := make([]int, 0, len(sblk.lBucket))
-		for t := range sblk.lBucket {
-			lClasses = append(lClasses, t)
-		}
-		sort.Ints(lClasses)
-		e.i32(int32(len(lClasses)))
-		for _, t := range lClasses {
-			b := sblk.lBucket[t]
-			e.i32(int32(t))
-			e.csc(&b)
-		}
+	blk := p.blk
+	if p.bcast {
+		e.i32(int32(blk.qr))
+		e.i32(int32(blk.qc))
+		e.i32(int32(blk.L))
+	} else {
+		e.i32(int32(blk.qr))
+		e.i32(int32(blk.row))
+		e.i32(int32(blk.col))
+		e.i64(p.n)
 	}
+	e.i64(blk.maxURow)
+	e.i32(blk.nRows)
+	e.i32(blk.nCols)
+	e.csr(&blk.task)
+	if !p.bcast {
+		e.csr(&blk.u[0])
+		e.csr(blk.l[0].byCols())
+		return e.b
+	}
+	e.classList(len(blk.u), func(i int) {
+		if b := &blk.u[i]; b.xadj != nil {
+			e.i32(int32(i*blk.qc + blk.col))
+			e.csr(b)
+		}
+	})
+	e.classList(len(blk.l), func(i int) {
+		if b := &blk.l[i]; b.xadj != nil {
+			e.i32(int32(i*blk.qr + blk.row))
+			e.csr(b.byCols())
+		}
+	})
 	return e.b
 }
 
+// classList writes one operand's list of classes: write(i) emits the id and
+// content of the class at index i, or nothing when there is none to list; the
+// count of those that emitted something goes in front. Ascending i is
+// ascending id.
+func (e *encoder) classList(n int, write func(i int)) {
+	at, count := len(e.b), uint32(0)
+	e.u32(0)
+	for i := 0; i < n; i++ {
+		before := len(e.b)
+		if write(i); len(e.b) > before {
+			count++
+		}
+	}
+	binary.LittleEndian.PutUint32(e.b[at:], count)
+}
+
+// classList reads one operand's list of created classes — a count, then per
+// class its id and whatever read consumes — handing read the class's index in
+// blocks.u or blocks.l. Ids must be in [0, L), owned by this rank (≡ res mod
+// q) and ascending, so each appears once and in the encoder's order.
+func (d *decoder) classList(L, q, res int, read func(i int)) {
+	n := d.i32()
+	if d.err == nil && (n < 0 || int(n) > L/q) {
+		d.fail(fmt.Sprintf("list of %d operand classes, rank owns %d", n, L/q))
+	}
+	prev := int32(-1)
+	for ; n > 0 && d.err == nil; n-- {
+		t := d.i32()
+		if d.err != nil {
+			return
+		}
+		if t <= prev || int(t) >= L || int(t)%q != res {
+			d.fail(fmt.Sprintf("operand class %d out of order, outside [0, %d) or not ≡ %d mod %d", t, L, res, q))
+			return
+		}
+		read(int(t) / q)
+		prev = t
+	}
+}
+
 // DecodePrepared rebuilds the resident state of rank `rank` in a world of
-// `size` ranks from an EncodePrepared blob, verifying the blob targets
-// exactly that grid position. The decoded value reports zero preprocessing
-// cost (no pipeline ran) and rebuilds its row mirror lazily on first use.
+// `size` ranks from an EncodePrepared blob, verifying that the blob targets
+// exactly that grid position and that its blocks keep every bound the kernel
+// and the write path rely on (blocks.check) — blobs also arrive over the
+// network, from a follower's bootstrap and the coordinator's restore, so a
+// malformed one is an error, never a panic. The decoded value reports zero
+// preprocessing cost (no pipeline ran) and rebuilds its row mirror lazily on
+// first use.
 func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedMagic {
@@ -213,14 +240,9 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	if v := d.u32(); d.err == nil && v != preparedVersion {
 		return nil, fmt.Errorf("core: prepared blob version %d, this binary reads %d", v, preparedVersion)
 	}
-	if d.off+4 > len(d.b) {
-		d.fail("truncated header")
-		return nil, d.err
-	}
-	kind, enum := d.b[d.off], Enumeration(d.b[d.off+1])
-	d.off += 4
+	kind, enum := d.kindEnum()
 
-	p := &Prepared{enum: enum}
+	p := &Prepared{enum: enum, bcast: kind == kindSUMMAState}
 	p.n = d.i64()
 	p.baseN = d.i64()
 	p.version = d.i64()
@@ -228,62 +250,60 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	p.wedges = d.i64()
 	p.labelBeg = d.i32()
 	p.labels = d.i32s()
-	p.SetDegreeDirty(d.i32s())
+	dirty := d.i32s()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if p.n < 1 || p.n > math.MaxInt32 || p.baseN < 1 || p.baseN > p.n {
+		return nil, fmt.Errorf("core: prepared blob has impossible vertex space n=%d baseN=%d", p.n, p.baseN)
+	}
+	for i := 1; i < len(dirty); i++ {
+		if dirty[i] <= dirty[i-1] {
+			return nil, fmt.Errorf("core: prepared blob's degree-dirty set is not ascending")
+		}
+	}
+	p.SetDegreeDirty(dirty)
 
+	// The grid the blob was written on must be this world's, and this rank's
+	// position on it the blob's.
+	var qr, qc int
 	switch kind {
 	case kindCannonState:
-		blk := &blocks{}
-		blk.q = int(d.i32())
-		blk.x = int(d.i32())
-		blk.y = int(d.i32())
-		blk.n = d.i64()
-		blk.maxURow = d.i64()
-		blk.nRowsX = d.i32()
-		blk.nColsY = d.i32()
-		blk.task = d.csr()
-		blk.ublk = d.csr()
-		blk.lblk = d.csc()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if blk.q*blk.q != size || blk.x != rank/blk.q || blk.y != rank%blk.q {
+		q, x, y, n := int(d.i32()), int(d.i32()), int(d.i32()), d.i64()
+		if d.err == nil && (q < 1 || q*q != size || x != rank/q || y != rank%q) {
 			return nil, fmt.Errorf("core: prepared blob is for rank (%d,%d) of a %d×%d grid, decoding on rank %d of %d",
-				blk.x, blk.y, blk.q, blk.q, rank, size)
+				x, y, q, q, rank, size)
 		}
-		blk.taskRows = blk.task.nonEmptyRows(nil)
-		p.blk = blk
+		if d.err == nil && n != p.n {
+			d.fail(fmt.Sprintf("blocks built over %d vertices, state has %d", n, p.n))
+		}
+		qr, qc = q, q
 	case kindSUMMAState:
-		p.qr = int(d.i32())
-		p.qc = int(d.i32())
-		p.lc = int(d.i32())
-		sblk := &summaBlocks{uBucket: make(map[int]csrBlock), lBucket: make(map[int]cscBlock)}
-		sblk.maxURow = d.i64()
-		sblk.nRows = d.i32()
-		sblk.nCols = d.i32()
-		sblk.task = d.csr()
-		nu := d.i32()
-		for i := int32(0); i < nu && d.err == nil; i++ {
-			t := int(d.i32())
-			sblk.uBucket[t] = d.csr()
+		var L int
+		qr, qc, L = int(d.i32()), int(d.i32()), int(d.i32())
+		if d.err == nil && (qr < 1 || qc < 1 || qr*qc != size || L != lcm(qr, qc)) {
+			return nil, fmt.Errorf("core: prepared blob is for a %d×%d SUMMA grid with %d classes, world has %d ranks", qr, qc, L, size)
 		}
-		nl := d.i32()
-		for i := int32(0); i < nl && d.err == nil; i++ {
-			t := int(d.i32())
-			sblk.lBucket[t] = d.csc()
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if p.qr < 1 || p.qc < 1 || p.qr*p.qc != size {
-			return nil, fmt.Errorf("core: prepared blob is for a %d×%d SUMMA grid, world has %d ranks", p.qr, p.qc, size)
-		}
-		if sblk.nRows != numWithResidue(p.n, p.qr, rank/p.qc) || sblk.nCols != numWithResidue(p.n, p.qc, rank%p.qc) {
-			return nil, fmt.Errorf("core: prepared blob dimensions do not match rank %d of a %d×%d grid", rank, p.qr, p.qc)
-		}
-		sblk.rows = sblk.task.nonEmptyRows(nil)
-		p.sblk = sblk
 	default:
 		return nil, fmt.Errorf("core: prepared blob has unknown state kind %d", kind)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	blk := newBlocks(qr, qc, rank, p.n)
+	blk.maxURow = d.i64()
+	nRows, nCols := d.i32(), d.i32()
+	if d.err == nil && (nRows != blk.nRows || nCols != blk.nCols) {
+		return nil, fmt.Errorf("core: prepared blob dimensions %d×%d do not match rank %d of a %d×%d grid over %d vertices",
+			nRows, nCols, rank, qr, qc, p.n)
+	}
+	blk.task = d.csr()
+	if p.bcast {
+		d.classList(blk.L, qc, blk.col, func(i int) { blk.u[i] = d.csr() })
+		d.classList(blk.L, qr, blk.row, func(i int) { blk.l[i] = cscBlock(d.csr()) })
+	} else {
+		blk.u[0] = d.csr()
+		blk.l[0] = cscBlock(d.csr())
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -291,8 +311,88 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("core: prepared blob has %d trailing bytes", len(d.b)-d.off)
 	}
-	if p.n < 1 || p.baseN < 1 || p.baseN > p.n {
-		return nil, fmt.Errorf("core: prepared blob has impossible vertex space n=%d baseN=%d", p.n, p.baseN)
+	if err := blk.check(p.n); err != nil {
+		return nil, err
 	}
+	blk.taskRows = blk.task.nonEmptyRows(nil)
+	p.blk = blk
 	return p, nil
+}
+
+// kindEnum reads the four-byte kind/enumeration word that follows the
+// version of both blob types; the two spare bytes must be zero.
+func (d *decoder) kindEnum() (kind byte, enum Enumeration) {
+	if d.err != nil {
+		return 0, 0
+	}
+	if d.off+4 > len(d.b) {
+		d.fail("truncated header")
+		return 0, 0
+	}
+	w := d.b[d.off : d.off+4]
+	if w[1] > byte(EnumIJK) || w[2] != 0 || w[3] != 0 {
+		d.fail("bad enumeration or padding")
+	}
+	d.off += 4
+	return w[0], Enumeration(w[1])
+}
+
+// check verifies, on state that came out of a blob, everything the kernel
+// and the splice take for granted: the block dimensions are this rank's for
+// n vertices; every created block has that many rows or columns, row
+// pointers that start at 0, never decrease and end at len(adj); every
+// intersection key lies in [0, ⌈n/L⌉) — the kernel's bitmap length — and
+// every task column in [0, nCols); and maxURow, which sizes the probing table
+// of the NoDirectHash ablation, is at least the longest local U row and at
+// most the key range.
+func (b *blocks) check(n int64) error {
+	if nRows, nCols := b.dims(n); b.nRows != nRows || b.nCols != nCols {
+		return fmt.Errorf("core: blocks are %d×%d, rank (%d,%d) of a %d×%d grid over %d vertices holds %d×%d",
+			b.nRows, b.nCols, b.row, b.col, b.qr, b.qc, n, nRows, nCols)
+	}
+	keyRange := numWithResidue(n, b.L, 0)
+	if err := b.task.check(b.nRows, b.nCols); err != nil {
+		return fmt.Errorf("core: task block %w", err)
+	}
+	for i := range b.u {
+		if u := &b.u[i]; u.xadj != nil {
+			if err := u.check(b.nRows, keyRange); err != nil {
+				return fmt.Errorf("core: U class %d %w", i*b.qc+b.col, err)
+			}
+		}
+	}
+	for i := range b.l {
+		if l := &b.l[i]; l.xadj != nil {
+			if err := l.byCols().check(b.nCols, keyRange); err != nil {
+				return fmt.Errorf("core: L class %d %w", i*b.qr+b.row, err)
+			}
+		}
+	}
+	if longest := b.longestURow(); longest > b.maxURow || b.maxURow > int64(keyRange) {
+		return fmt.Errorf("core: resident maxURow %d outside [longest U row %d, key range %d] — kernel set sizing bound violated",
+			b.maxURow, longest, keyRange)
+	}
+	return nil
+}
+
+// check verifies one block: `rows` lists, consistent row pointers, every
+// value in [0, bound). The error reads on from the block's name.
+func (b *csrBlock) check(rows, bound int32) error {
+	if b.rows != rows || len(b.xadj) != int(rows)+1 {
+		return fmt.Errorf("has %d lists (%d row pointers), want %d", b.rows, len(b.xadj), rows)
+	}
+	if b.xadj[0] != 0 || int(b.xadj[rows]) != len(b.adj) {
+		return fmt.Errorf("row pointers span [%d, %d) over %d entries", b.xadj[0], b.xadj[rows], len(b.adj))
+	}
+	for a := int32(0); a < rows; a++ {
+		if b.xadj[a+1] < b.xadj[a] {
+			return fmt.Errorf("row pointers decrease at list %d", a)
+		}
+	}
+	for _, v := range b.adj {
+		if v < 0 || v >= bound {
+			return fmt.Errorf("holds %d, outside [0, %d)", v, bound)
+		}
+	}
+	return nil
 }

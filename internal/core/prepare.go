@@ -10,9 +10,11 @@ import (
 // Prepared is the resident per-rank state of the build-once / query-many
 // split: everything the preprocessing phase produces (the 2D blocks in local
 // indices plus the global graph invariants), detached from any particular
-// epoch's Comm so it can serve repeated CountPrepared calls. A Prepared value
-// holds either Cannon state (square grids) or SUMMA state (rectangular
-// grids); CountPrepared dispatches on which.
+// epoch's Comm so it can serve repeated CountPrepared calls. There is one
+// layout (blocks) for every grid; bcast records which of the two schedules
+// moves the operand blocks of a count over it — Cannon's shifts (square grids
+// only) or SUMMA's broadcasts — and with it which of the two snapshot kinds
+// the state is written as.
 //
 // The state is read-only during counting — the kernel bitmaps and the
 // travelling operand blobs are per-call — so repeated queries against the
@@ -20,11 +22,8 @@ import (
 type Prepared struct {
 	enum Enumeration
 
-	// Cannon (square grid) state.
-	blk *blocks
-	// SUMMA (rectangular grid) state.
-	sblk       *summaBlocks
-	qr, qc, lc int
+	blk   *blocks
+	bcast bool
 
 	// Elastic vertex space (see elastic.go): n is the CURRENT vertex
 	// count, baseN the count at the last build. Ids in [baseN, n) form the
@@ -42,11 +41,19 @@ type Prepared struct {
 	// (internal/delta): the degree-relabel permutation over this rank's
 	// cyclic-id range of the BASE region [0, baseN) — composed with the
 	// closed-form cyclic map it routes update batches from original vertex
-	// ids to current labels; overflow ids [baseN, n) resolve to themselves
-	// — and the lazily built row-adjacency mirror the write path splices.
+	// ids to current labels; overflow ids [baseN, n) resolve to themselves.
 	labels   []int32 // final label of cyclic id labelBeg+i
 	labelBeg int32   // first cyclic id owned by this rank
-	mirror   *rowMirror
+
+	// mirror is the row-major view of this rank's block of the (relabeled)
+	// adjacency matrix in global labels: local row v div qr holds the
+	// neighbours of row-class vertex v that fall in this rank's column
+	// residue class, sorted ascending. The blocks store the same entries
+	// split into U and L operand classes in local indices; the mirror is the
+	// one place a whole row can be read or probed directly. It exists only
+	// on clusters that take updates — built lazily by EnsureAdjacency — and
+	// is spliced in lockstep with the blocks.
+	mirror *csrBlock
 
 	// Churn tracking (see dirty.go): degreeDirty is the replicated set of
 	// labels whose degree changed since the last rebuild fold; snap records
@@ -61,8 +68,8 @@ type Prepared struct {
 	// Resident kernel worker count (Options.KernelThreads semantics) for
 	// code paths that run intersections without a per-call Options value —
 	// the delta passes of the write path. Queries pass their own Options
-	// and ignore it. Seeded from the Options given to
-	// Prepare/PrepareSUMMAGrid and overridable via SetKernelThreads (the
+	// and ignore it. Seeded from the Options given to PrepareGrid and
+	// overridable via SetKernelThreads (the
 	// cluster layer applies its Options at build, restore and rebuild
 	// time).
 	kernelThreads int
@@ -110,16 +117,6 @@ func (p *Prepared) KernelWorkers(c *mpi.Comm) int {
 	return Options{KernelThreads: p.kernelThreads}.kernelWorkers(c)
 }
 
-func checkInput(in *dgraph.Dist1D) error {
-	if in == nil {
-		return fmt.Errorf("core: nil input")
-	}
-	if in.N < 1 {
-		return fmt.Errorf("core: empty graph")
-	}
-	return nil
-}
-
 // localWedges sums d(v)·(d(v)-1)/2 over the locally owned vertices of the
 // original (pre-relabeling) distribution; degrees are invariant under the
 // relabelings, so this is the graph's true wedge count.
@@ -132,94 +129,77 @@ func localWedges(in *dgraph.Dist1D) int64 {
 	return w
 }
 
-// finishPrepare runs the shared tail of both Prepare variants: the phase
-// timing bookkeeping and the global reductions of the graph invariants.
-// t0/s0 and t1/s1 bracket the barrier-fenced preprocessing phase.
-func (p *Prepared) finishPrepare(c *mpi.Comm, preOps, localDirected, wedgesLocal int64, t0, t1 float64, s0, s1 mpi.Stats) {
-	p.preTime = t1 - t0
+// PrepareGrid runs the preprocessing phase once — cyclic redistribution,
+// degree relabeling, 2D block construction — and returns the resident
+// per-rank state for a qr × qc process grid. bcast selects how a count moves
+// the operand blocks: Cannon's shifts (false; the grid must be square) or
+// SUMMA's broadcasts (true; any grid that tiles the world). Every rank of the
+// communicator must call it with its own input share and identical
+// arguments. The returned state may then serve any number of CountPrepared
+// calls, including from later epochs of the same world.
+func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Options) (*Prepared, error) {
+	if !bcast && qr != qc {
+		return nil, fmt.Errorf("core: the shift schedule needs a square grid, got %d×%d for %d ranks", qr, qc, c.Size())
+	}
+	grid, err := mpi.NewGrid(c, qr, qc)
+	if err != nil {
+		return nil, err
+	}
+	if in == nil {
+		return nil, fmt.Errorf("core: nil input")
+	}
+	if in.N < 1 {
+		return nil, fmt.Errorf("core: empty graph")
+	}
+	prep := &Prepared{enum: opt.Enumeration, bcast: bcast, n: in.N, baseN: in.N,
+		kernelThreads: opt.KernelThreads}
+	localDirected := int64(len(in.Adj))
+	wedgesLocal := localWedges(in)
+
+	c.Barrier()
+	t0, s0 := c.Time(), c.Stats()
+
+	var preOps int64
+	d1 := cyclicRedistribute(c, in, &preOps)
+	rl := degreeRelabel(c, d1, &preOps)
+	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
+	prep.blk = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps)
+
+	c.Barrier()
+	t1, s1 := c.Time(), c.Stats()
+
+	// Phase timing, and the global reductions of the graph invariants.
+	prep.preTime = t1 - t0
 	frac := 0.0
 	if dt := t1 - t0; dt > 0 {
 		frac = (s1.CommTime - s0.CommTime) / dt
 	}
-	p.fracPre = c.AllreduceFloat64(frac, mpi.OpSum) / float64(c.Size())
+	prep.fracPre = c.AllreduceFloat64(frac, mpi.OpSum) / float64(c.Size())
 	sums := c.AllreduceInt64s([]int64{preOps, localDirected, wedgesLocal}, mpi.OpSum)
-	p.preOps = sums[0]
-	p.m = sums[1] / 2
-	p.wedges = sums[2]
+	prep.preOps = sums[0]
+	prep.m = sums[1] / 2
+	prep.wedges = sums[2]
+	return prep, nil
 }
 
-// Prepare runs the preprocessing phase once — cyclic redistribution, degree
-// relabeling, 2D block construction — and returns the resident per-rank
-// state for the Cannon schedule. Every rank of the communicator must call
-// Prepare with its own input share and identical options; the world size
-// must be a perfect square. The returned state may then serve any number of
-// CountPrepared calls, including from later epochs of the same world.
+// Prepare is PrepareGrid for the shift schedule; the world size must be a
+// perfect square.
 func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
-	grid, err := mpi.NewGrid(c)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkInput(in); err != nil {
-		return nil, err
-	}
-	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N,
-		kernelThreads: opt.KernelThreads}
-	localDirected := int64(len(in.Adj))
-	wedgesLocal := localWedges(in)
-
-	c.Barrier()
-	t0, s0 := c.Time(), c.Stats()
-
-	var preOps int64
-	d1 := cyclicRedistribute(c, in, &preOps)
-	rl := degreeRelabel(c, d1, &preOps)
-	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
-	prep.blk = build2D(c, grid, rl, opt.Enumeration, &preOps)
-
-	c.Barrier()
-	t1, s1 := c.Time(), c.Stats()
-
-	prep.finishPrepare(c, preOps, localDirected, wedgesLocal, t0, t1, s0, s1)
-	return prep, nil
+	qr, qc := mpi.FactorGrid(c.Size())
+	return PrepareGrid(c, in, qr, qc, false, opt)
 }
 
-// PrepareSUMMAGrid is Prepare for the SUMMA schedule on an explicit qr × qc
-// grid (any world size that factors as qr·qc).
+// PrepareSUMMAGrid is PrepareGrid for the broadcast schedule on an explicit
+// qr × qc grid (any world size that factors as qr·qc).
 func PrepareSUMMAGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, opt Options) (*Prepared, error) {
-	grid, err := mpi.NewRectGrid(c, qr, qc)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkInput(in); err != nil {
-		return nil, err
-	}
-	L := lcm(qr, qc)
-	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N, qr: qr, qc: qc, lc: L,
-		kernelThreads: opt.KernelThreads}
-	localDirected := int64(len(in.Adj))
-	wedgesLocal := localWedges(in)
-
-	c.Barrier()
-	t0, s0 := c.Time(), c.Stats()
-
-	var preOps int64
-	d1 := cyclicRedistribute(c, in, &preOps)
-	rl := degreeRelabel(c, d1, &preOps)
-	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
-	prep.sblk = buildSUMMA(c, grid, rl, L, opt.Enumeration, &preOps)
-
-	c.Barrier()
-	t1, s1 := c.Time(), c.Stats()
-
-	prep.finishPrepare(c, preOps, localDirected, wedgesLocal, t0, t1, s0, s1)
-	return prep, nil
+	return PrepareGrid(c, in, qr, qc, true, opt)
 }
 
 // PrepareSUMMA is PrepareSUMMAGrid on the most square factorization of the
 // world size.
 func PrepareSUMMA(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 	qr, qc := mpi.FactorGrid(c.Size())
-	return PrepareSUMMAGrid(c, in, qr, qc, opt)
+	return PrepareGrid(c, in, qr, qc, true, opt)
 }
 
 // CountPrepared runs the triangle counting phase against resident state —
@@ -245,6 +225,10 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	if opt.Enumeration != prep.enum {
 		return nil, fmt.Errorf("core: state prepared for %v, query asks for %v", prep.enum, opt.Enumeration)
 	}
+	grid, err := mpi.NewGrid(c, prep.blk.qr, prep.blk.qc)
+	if err != nil {
+		return nil, fmt.Errorf("core: state prepared on a %d×%d grid: %w", prep.blk.qr, prep.blk.qc, err)
+	}
 	res := &Result{N: prep.n, M: prep.m}
 
 	// Each rank hangs its own span tree under the caller's parent: the
@@ -256,30 +240,10 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	rankSpan.SetAttr("rank", c.Rank())
 	opt.Trace = rankSpan
 
-	var kc kernelCounters
-	var perShift []float64
 	c.Barrier()
 	t1, s1 := c.Time(), c.Stats()
 
-	switch {
-	case prep.blk != nil:
-		grid, err := mpi.NewGrid(c)
-		if err != nil {
-			return nil, err
-		}
-		if grid.Q() != prep.blk.q {
-			return nil, fmt.Errorf("core: state prepared on a %d×%d grid, world is %d ranks", prep.blk.q, prep.blk.q, c.Size())
-		}
-		kc, perShift = cannonCount(c, grid, prep.blk, prep.kernelPool(c, opt), opt)
-	case prep.sblk != nil:
-		grid, err := mpi.NewRectGrid(c, prep.qr, prep.qc)
-		if err != nil {
-			return nil, err
-		}
-		kc, perShift = summaCount(c, grid, prep.sblk, prep.lc, prep.kernelPool(c, opt), opt)
-	default:
-		return nil, fmt.Errorf("core: prepared state holds no blocks")
-	}
+	kc, perShift := prep.countSteps(c, grid, opt)
 
 	c.Barrier()
 	t2, s2 := c.Time(), c.Stats()
@@ -318,13 +282,4 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	rankSpan.SetAttr("virtual_count_s", res.CountTime)
 	rankSpan.End()
 	return res, nil
-}
-
-// mergePrepare folds the one-time preprocessing cost of prep into a
-// counting-phase Result, reconstructing the full one-shot accounting.
-func mergePrepare(res *Result, prep *Prepared) {
-	res.PreprocessTime = prep.preTime
-	res.PreOps = prep.preOps
-	res.CommFracPre = prep.fracPre
-	res.TotalTime = res.PreprocessTime + res.CountTime
 }

@@ -108,27 +108,56 @@ func degreeRelabel(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *relabeled {
 	return &relabeled{n: in.N, labels: labels, xadj: in.Xadj, adj: newAdj}
 }
 
-// blocks is the per-rank state after the 2D cyclic redistribution: the task
-// block (CSR, rows residue x → cols residue y), the owned U block (CSR) and
-// the owned L block (CSC), all in local indices (global id div q).
+// blocks is the per-rank state after the 2D cyclic redistribution onto a
+// qr × qc grid, the one resident layout of both schedules: the task block
+// (CSR, rows of residue row mod qr → columns of residue col mod qc, in local
+// indices id div modulus) and the owned operand entries — U by rows (CSR), L
+// by columns (CSC) — split by the residue class of the inner index k mod
+// L = lcm(qr, qc), with k div L stored as the intersection key so that the
+// two operands of a step agree on local indices. This rank owns the U
+// classes ≡ col (mod qc) and the L classes ≡ row (mod qr): u[i] holds class
+// i·qc + col, l[i] class i·qr + row. On a square grid L = q and each slice
+// has length 1 — the blocks U_{x,y} and L_{x,y} of §5.1.
+//
+// A block whose xadj is nil has not been created: the broadcast schedule
+// builds only the classes that have an entry (its snapshot kind lists the
+// classes that exist) and Splice creates one at its first insertion; a
+// created block stays, even emptied. The shift schedule's single blocks
+// always exist.
 type blocks struct {
-	q, x, y  int
-	n        int64
-	nRowsX   int32 // locals with residue x (row dimension of task and U)
-	nColsY   int32 // locals with residue y (col dimension of task and L)
-	task     csrBlock
-	taskRows []int32 // doubly-sparse non-empty row list
-	ublk     csrBlock
-	lblk     cscBlock
-	// maxURow is the global maximum U-block row length (allreduced), used
-	// to size the intersection hash map identically on all ranks.
+	qr, qc, L    int
+	row, col     int
+	nRows, nCols int32 // locals with this rank's row / column residue
+	task         csrBlock
+	taskRows     []int32 // doubly-sparse non-empty row list
+	u            []csrBlock
+	l            []cscBlock
+	// maxURow is the global maximum U row length over all classes
+	// (allreduced), which sizes the probing table of the NoDirectHash
+	// ablation identically on all ranks.
 	maxURow int64
+}
+
+// newBlocks returns the empty layout of world rank `rank` on a qr × qc grid
+// over n vertices: geometry set, no block created.
+func newBlocks(qr, qc, rank int, n int64) *blocks {
+	L := lcm(qr, qc)
+	b := &blocks{qr: qr, qc: qc, L: L, row: rank / qc, col: rank % qc,
+		u: make([]csrBlock, L/qc), l: make([]cscBlock, L/qr)}
+	b.nRows, b.nCols = b.dims(n)
+	return b
+}
+
+// dims returns the row and column dimension of this rank's blocks over n
+// vertices.
+func (b *blocks) dims(n int64) (nRows, nCols int32) {
+	return numWithResidue(n, b.qr, b.row), numWithResidue(n, b.qc, b.col)
 }
 
 // routePairs is the sending half of the 2D redistribution: every directed
 // pair (w_v → w_u) of the relabeled graph goes to the grid rank at (w_v mod
-// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the row-major
-// numbering of both grid types. A counting pass sizes each destination
+// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the grid's row-major
+// numbering. A counting pass sizes each destination
 // buffer exactly; the buffers are handed to the all-to-all, and the received
 // ones (indexed by source rank) returned.
 func routePairs(c *mpi.Comm, qr, qc int, rl *relabeled, ops *int64) [][]int32 {
@@ -158,24 +187,41 @@ func routePairs(c *mpi.Comm, qr, qc int, rl *relabeled, ops *int64) [][]int32 {
 }
 
 // build2D implements steps (iii)+(iv): every directed pair (w_v → w_u) of
-// the relabeled graph is routed to grid rank (w_v mod q, w_u mod q); pairs
+// the relabeled graph is routed to grid rank (w_v mod qr, w_u mod qc); pairs
 // with w_u > w_v form U entries, pairs with w_u < w_v form L entries. The
-// task block is the L pattern for ⟨j,i,k⟩ and the U pattern for ⟨i,j,k⟩.
-func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, enum Enumeration, ops *int64) *blocks {
-	q := grid.Q()
-	got := routePairs(c, q, q, rl, ops)
+// task block is the L pattern for ⟨j,i,k⟩ and the U pattern for ⟨i,j,k⟩. A U
+// entry (j, k) is an operand of inner index k, an L entry (k, i) likewise —
+// the same array serves as the ⟨j,i,k⟩ task pattern read by rows and as the
+// operand read by its row label k.
+//
+// The blocks are built whole (buildBlocks) and then split into classes: with
+// k = c·qc + col the local column c of a U entry determines both its class,
+// (c mod L/qc)·qc + col, and its key k div L = c div (L/qc) — likewise the
+// local row of an L entry with L/qr — so a class is every (L/qc)-th value of
+// the U rows (every (L/qr)-th of the L columns), still ascending. On a
+// square grid the split is the identity.
+func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumeration, ops *int64) *blocks {
+	qr, qc := grid.Rows(), grid.Cols()
+	got := routePairs(c, qr, qc, rl, ops)
 
-	blk := &blocks{
-		q: q, x: grid.Row(), y: grid.Col(), n: rl.n,
-		nRowsX: numWithResidue(rl.n, q, grid.Row()),
-		nColsY: numWithResidue(rl.n, q, grid.Col()),
-	}
+	blk := newBlocks(qr, qc, c.Rank(), rl.n)
 	var maxRow int64
 	c.Compute(func() {
-		blk.task, blk.ublk, blk.lblk = buildBlocks(got, int32(q), int32(q), blk.nRowsX, blk.nColsY, enum)
-		blk.taskRows = blk.task.nonEmptyRows(nil)
-		*ops += blk.ublk.nnz() + int64(len(blk.lblk.adj))
-		maxRow = blk.ublk.maxRow()
+		task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
+		*ops += u.nnz() + int64(len(l.adj))
+		blk.task = task
+		blk.taskRows = task.nonEmptyRows(nil)
+		for i, b := range splitClasses(u, int32(blk.L/qc)) {
+			if b.nnz() > 0 || !bcast {
+				blk.u[i] = b
+				maxRow = max(maxRow, b.maxRow())
+			}
+		}
+		for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
+			if b.nnz() > 0 || !bcast {
+				blk.l[i] = cscBlock(b)
+			}
+		}
 	})
 	blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
 	return blk

@@ -137,18 +137,19 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		grid, err := mpi.NewGrid(c)
+		grid, err := mpi.NewGrid(c, 3, 3)
 		if err != nil {
 			return nil, err
 		}
 		var ops int64
 		d1 := cyclicRedistribute(c, in, &ops)
 		rl := degreeRelabel(c, d1, &ops)
-		blk := build2D(c, grid, rl, EnumJIK, &ops)
+		blk := build2D(c, grid, rl, false, EnumJIK, &ops)
+		ublk, lblk := &blk.u[0], &blk.l[0]
 
 		// Task pattern must equal the L pattern for JIK.
-		if blk.task.nnz() != int64(len(blk.lblk.adj)) {
-			t.Errorf("rank %d: task nnz %d != L nnz %d", c.Rank(), blk.task.nnz(), len(blk.lblk.adj))
+		if blk.task.nnz() != int64(len(lblk.adj)) {
+			t.Errorf("rank %d: task nnz %d != L nnz %d", c.Rank(), blk.task.nnz(), len(lblk.adj))
 		}
 		// Doubly-sparse list covers exactly the non-empty rows.
 		count := 0
@@ -161,8 +162,8 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 			t.Errorf("rank %d: %d non-empty rows, list has %d", c.Rank(), count, len(blk.taskRows))
 		}
 		// U rows and L columns must be sorted ascending.
-		for a := int32(0); a < blk.ublk.rows; a++ {
-			row := blk.ublk.row(a)
+		for a := int32(0); a < ublk.rows; a++ {
+			row := ublk.row(a)
 			for i := 1; i < len(row); i++ {
 				if row[i-1] >= row[i] {
 					t.Errorf("rank %d: U row %d unsorted", c.Rank(), a)
@@ -170,8 +171,8 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 				}
 			}
 		}
-		for b := int32(0); b < blk.lblk.cols; b++ {
-			col := blk.lblk.col(b)
+		for b := int32(0); b < lblk.rows; b++ {
+			col := lblk.col(b)
 			for i := 1; i < len(col); i++ {
 				if col[i-1] >= col[i] {
 					t.Errorf("rank %d: L col %d unsorted", c.Rank(), b)
@@ -179,7 +180,7 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 				}
 			}
 		}
-		return []int64{blk.ublk.nnz(), int64(len(blk.lblk.adj))}, nil
+		return []int64{ublk.nnz(), int64(len(lblk.adj))}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestKernelCraftedBlocks(t *testing.T) {
 	// Intersection = {5, 9} → 2 triangles.
 	task := csrBlock{rows: 1, xadj: []int32{0, 1}, adj: []int32{0}}
 	u := csrBlock{rows: 1, xadj: []int32{0, 3}, adj: []int32{2, 5, 9}}
-	l := cscBlock{cols: 1, xadj: []int32{0, 4}, adj: []int32{1, 5, 9, 11}}
+	l := cscBlock{rows: 1, xadj: []int32{0, 4}, adj: []int32{1, 5, 9, 11}}
 	for _, opt := range []Options{
 		{},
 		{NoDoublySparse: true},
@@ -236,9 +237,9 @@ func TestKernelCraftedBlocks(t *testing.T) {
 func TestKernelEmptyOperands(t *testing.T) {
 	task := csrBlock{rows: 2, xadj: []int32{0, 1, 1}, adj: []int32{0}}
 	emptyU := csrBlock{rows: 2, xadj: []int32{0, 0, 0}}
-	l := cscBlock{cols: 1, xadj: []int32{0, 1}, adj: []int32{3}}
+	l := cscBlock{rows: 1, xadj: []int32{0, 1}, adj: []int32{3}}
 	u := csrBlock{rows: 2, xadj: []int32{0, 2, 2}, adj: []int32{3, 4}}
-	emptyL := cscBlock{cols: 1, xadj: []int32{0, 0}}
+	emptyL := cscBlock{rows: 1, xadj: []int32{0, 0}}
 	for _, opt := range []Options{{}, {NoDirectHash: true}} {
 		if kc := runCrafted(&task, &emptyU, &l, opt); kc != (kernelCounters{}) {
 			t.Errorf("opt %+v, empty U: %+v", opt, kc)

@@ -1,0 +1,164 @@
+package core
+
+import (
+	"tc2d/internal/mpi"
+	"tc2d/internal/obs"
+)
+
+// mover names how the operand blocks of a compute step reach a rank. It is
+// the only thing the two schedules differ in: the steps, the kernel and the
+// resident layout are shared.
+type mover int
+
+const (
+	// moveShift is Cannon's schedule (§5.1, Equation 6) on a q × q grid.
+	// Alignment: the owner of U_{a,b} ships it to grid position (a, b−a), so
+	// that P_{x,y} starts holding U_{x,(x+y) mod q}; the owner of L_{a,b}
+	// ships it to (a−b, b), so P_{x,y} starts holding L_{(x+y) mod q, y}.
+	// After each compute step U moves one position left and L one position
+	// up, realizing C[task_{x,y}] = Σ_z U_{x,(x+y+z)%q} · L_{(x+y+z)%q,y}.
+	// Each block travels as a single pre-packed byte blob (§5.2); decoding is
+	// pointer arithmetic into the received buffer, so a forwarded block is
+	// never re-serialized.
+	moveShift mover = iota
+	// moveBcast is SUMMA's schedule on any qr × qc grid: at step t the rank
+	// in grid column t mod qc that owns U class t broadcasts it along its
+	// grid row, the rank in grid row t mod qr that owns L class t along its
+	// grid column. A class nobody created still travels, as an empty block,
+	// so the collectives stay aligned across ranks.
+	moveBcast
+	// moveNaive is moveShift without the blob (Options.NoBlob, the §5.2
+	// ablation): three messages per block per hop, with element-wise
+	// (de)serialization charged as compute.
+	moveNaive
+)
+
+// operands delivers the U and L blocks of each compute step.
+type operands struct {
+	c     *mpi.Comm
+	grid  *mpi.Grid
+	blk   *blocks
+	how   mover
+	trace *obs.Span // per-rank parent span; nil (no-op) when untraced
+
+	ublob, lblob []byte // the travelling blobs (moveShift, moveBcast)
+	// The operands of the current step: views into the blobs, or the arrays
+	// moveNaive decoded.
+	u csrBlock
+	l cscBlock
+}
+
+// view points u and l into the blobs just received.
+func (o *operands) view() {
+	o.u.rows, o.u.xadj, o.u.adj = decodeCSRBlob(o.ublob, kindU)
+	o.l.rows, o.l.xadj, o.l.adj = decodeCSRBlob(o.lblob, kindL)
+}
+
+// shiftNaive moves both operands the given distances (U left, L up) field by
+// field.
+func (o *operands) shiftNaive(uDist, lDist int) {
+	g, q := o.grid, o.grid.Rows()
+	if d := uDist % q; d != 0 {
+		sendBlockNaive(o.c, g.RankAt(g.Row(), g.Col()-d), tagHdr, kindU, o.u.rows, o.u.xadj, o.u.adj)
+		o.u.rows, o.u.xadj, o.u.adj = recvBlockNaive(o.c, g.RankAt(g.Row(), g.Col()+d), tagHdr, kindU)
+	}
+	if d := lDist % q; d != 0 {
+		sendBlockNaive(o.c, g.RankAt(g.Row()-d, g.Col()), tagHdr+10, kindL, o.l.rows, o.l.xadj, o.l.adj)
+		o.l.rows, o.l.xadj, o.l.adj = recvBlockNaive(o.c, g.RankAt(g.Row()+d, g.Col()), tagHdr+10, kindL)
+	}
+}
+
+// arrive makes u and l the operands of step t: class t under moveBcast,
+// class (row + col + t) mod q under the shifts. Steps must be asked for in
+// order.
+func (o *operands) arrive(t int) {
+	blk, g := o.blk, o.grid
+	switch {
+	case o.how == moveBcast:
+		bs := o.trace.StartChild("bcast")
+		uRoot, lRoot := t%blk.qc, t%blk.qr
+		o.ublob, o.lblob = nil, nil
+		if blk.col == uRoot {
+			b := blk.u[t/blk.qc]
+			if b.xadj == nil {
+				b = emptyBlock(blk.nRows)
+			}
+			o.c.Compute(func() { o.ublob = encodeCSRBlob(kindU, b.rows, b.xadj, b.adj) })
+		}
+		o.ublob = g.BcastRow(uRoot, o.ublob)
+		if blk.row == lRoot {
+			b := blk.l[t/blk.qr]
+			if b.xadj == nil {
+				b = cscBlock(emptyBlock(blk.nCols))
+			}
+			o.c.Compute(func() { o.lblob = encodeCSRBlob(kindL, b.rows, b.xadj, b.adj) })
+		}
+		o.lblob = g.BcastCol(lRoot, o.lblob)
+		bs.SetAttr("step", t)
+		bs.End()
+		o.view()
+
+	case t > 0: // one position left and up
+		ss := o.trace.StartChild("shift")
+		if o.how == moveNaive {
+			o.shiftNaive(1, 1)
+		} else {
+			o.ublob = g.ShiftRowLeft(o.ublob, 1)
+			o.lblob = g.ShiftColUp(o.lblob, 1)
+			o.view()
+		}
+		ss.SetAttr("step", t-1)
+		ss.End()
+
+	case o.how == moveNaive: // alignment of the owned blocks
+		o.u, o.l = blk.u[0], blk.l[0]
+		align := o.trace.StartChild("align")
+		o.shiftNaive(blk.row, blk.col)
+		align.End()
+
+	default:
+		u, l := &blk.u[0], &blk.l[0]
+		es := o.trace.StartChild("encode")
+		o.c.Compute(func() {
+			o.ublob = encodeCSRBlob(kindU, u.rows, u.xadj, u.adj)
+			o.lblob = encodeCSRBlob(kindL, l.rows, l.xadj, l.adj)
+		})
+		es.End()
+		align := o.trace.StartChild("align")
+		o.ublob = g.ShiftRowLeft(o.ublob, blk.row)
+		o.lblob = g.ShiftColUp(o.lblob, blk.col)
+		align.End()
+		o.view()
+	}
+}
+
+// countSteps runs the triangle counting phase over the resident blocks:
+// lcm(qr, qc) compute steps — √p on the square grid — each multiplying the
+// task block by one class of U and L operands, whichever way the schedule
+// brings them here. It returns the kernel counters and the per-step kernel
+// compute times.
+func (p *Prepared) countSteps(c *mpi.Comm, grid *mpi.Grid, opt Options) (kernelCounters, []float64) {
+	blk := p.blk
+	pool := p.kernelPool(c, opt)
+	ops := operands{c: c, grid: grid, blk: blk, trace: opt.Trace}
+	switch {
+	case p.bcast:
+		ops.how = moveBcast
+	case opt.NoBlob:
+		ops.how = moveNaive
+	}
+	perShift := make([]float64, 0, blk.L)
+	for t := 0; t < blk.L; t++ {
+		ops.arrive(t)
+		before := c.Stats().CompTime
+		ks := opt.Trace.StartChild("kernel")
+		c.Compute(func() {
+			pool.run(&blk.task, blk.taskRows, &ops.u, &ops.l)
+		})
+		ks.SetAttr("step", t)
+		ks.SetAttr("virtual_s", c.Stats().CompTime-before)
+		ks.End()
+		perShift = append(perShift, c.Stats().CompTime-before)
+	}
+	return pool.total(), perShift
+}

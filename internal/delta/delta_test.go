@@ -120,13 +120,7 @@ func applyScripts(t *testing.T, ranks, qr, qc int, summa bool, n int32, start []
 		if err != nil {
 			return nil, err
 		}
-		var pr *core.Prepared
-		if summa {
-			pr, err = core.PrepareSUMMAGrid(c, d, qr, qc, core.Options{})
-		} else {
-			pr, err = core.Prepare(c, d, core.Options{})
-		}
-		preps[c.Rank()] = pr
+		preps[c.Rank()], err = core.PrepareGrid(c, d, qr, qc, summa, core.Options{})
 		return nil, err
 	})
 	if err != nil {
@@ -281,13 +275,7 @@ func TestRebuildComposesLabels(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			var pr *core.Prepared
-			if tc.summa {
-				pr, err = core.PrepareSUMMAGrid(c, d, tc.qr, tc.qc, core.Options{})
-			} else {
-				pr, err = core.Prepare(c, d, core.Options{})
-			}
-			preps[c.Rank()] = pr
+			preps[c.Rank()], err = core.PrepareGrid(c, d, tc.qr, tc.qc, tc.summa, core.Options{})
 			return nil, err
 		})
 		if err != nil {

@@ -19,8 +19,8 @@ import (
 //
 // Three steps, all SPMD: (1) every rank routes its partial mirror rows to
 // the 1D block owners of the row vertices, reassembling a Dist1D over the
-// current label space; (2) the ordinary Prepare/PrepareSUMMAGrid pipeline
-// runs on it, on the same grid shape and enumeration rule; (3) the fresh
+// current label space; (2) the ordinary PrepareGrid pipeline runs on it, on
+// the same grid shape, schedule and enumeration rule; (3) the fresh
 // permutation — which maps the previous label space — is composed with the
 // retained one through a sparse request/response, so the returned state
 // routes original vertex ids directly, no matter how many rebuilds have
@@ -76,14 +76,7 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	})
 
 	// (2) The ordinary pipeline, same grid shape and enumeration.
-	copt := core.Options{Enumeration: prep.Enumeration()}
-	var np *core.Prepared
-	var err error
-	if summa {
-		np, err = core.PrepareSUMMAGrid(c, dist, qr, qc, copt)
-	} else {
-		np, err = core.Prepare(c, dist, copt)
-	}
+	np, err := core.PrepareGrid(c, dist, qr, qc, summa, core.Options{Enumeration: prep.Enumeration()})
 	if err != nil {
 		return nil, err
 	}

@@ -2,20 +2,27 @@ package mpi
 
 import "fmt"
 
-// Grid views a communicator of q*q ranks as a q×q Cartesian process grid,
-// with rank = row*q + col. It provides the cyclic row/column shifts used by
-// Cannon's algorithm.
+// Grid views a communicator of qr*qc ranks as a qr × qc Cartesian process
+// grid with rank = row*qc + col. It carries both ways the 2D algorithm moves
+// its operand blocks: the cyclic row/column shifts of Cannon's algorithm and
+// the binomial row/column broadcasts of SUMMA, the pattern the paper's
+// conclusion proposes for non-square processor counts.
 type Grid struct {
-	c   *Comm
-	q   int
-	row int
-	col int
+	c      *Comm
+	qr, qc int
+	row    int
+	col    int
 }
 
-// Tags for grid shifts; kept inside the collective tag block.
+// Tags for grid shifts and broadcasts; kept inside the collective tag block.
 const (
 	tagRowShift = collTagBase + 100 + iota
 	tagColShift
+)
+
+const (
+	tagRowBcast = collTagBase + 200 + iota
+	tagColBcast
 )
 
 // SquareSide returns q if p == q*q, else -1.
@@ -30,21 +37,34 @@ func SquareSide(p int) int {
 	return q
 }
 
-// NewGrid wraps c in a square grid view. The world size must be a perfect
-// square.
-func NewGrid(c *Comm) (*Grid, error) {
-	q := SquareSide(c.Size())
-	if q < 0 {
-		return nil, fmt.Errorf("mpi: world size %d is not a perfect square", c.Size())
+// FactorGrid returns the most square qr × qc factorization of p with
+// qr <= qc (1 × p for primes, q × q for a perfect square).
+func FactorGrid(p int) (qr, qc int) {
+	qr = 1
+	for d := 1; d*d <= p; d++ {
+		if p%d == 0 {
+			qr = d
+		}
 	}
-	return &Grid{c: c, q: q, row: c.Rank() / q, col: c.Rank() % q}, nil
+	return qr, p / qr
+}
+
+// NewGrid wraps c in a qr × qc grid view; qr*qc must equal the world size.
+func NewGrid(c *Comm, qr, qc int) (*Grid, error) {
+	if qr <= 0 || qc <= 0 || qr*qc != c.Size() {
+		return nil, fmt.Errorf("mpi: %dx%d grid does not tile %d ranks", qr, qc, c.Size())
+	}
+	return &Grid{c: c, qr: qr, qc: qc, row: c.Rank() / qc, col: c.Rank() % qc}, nil
 }
 
 // Comm returns the underlying communicator.
 func (g *Grid) Comm() *Comm { return g.c }
 
-// Q returns the grid side length √p.
-func (g *Grid) Q() int { return g.q }
+// Rows returns qr.
+func (g *Grid) Rows() int { return g.qr }
+
+// Cols returns qc.
+func (g *Grid) Cols() int { return g.qc }
 
 // Row returns this rank's grid row.
 func (g *Grid) Row() int { return g.row }
@@ -55,16 +75,15 @@ func (g *Grid) Col() int { return g.col }
 // RankAt returns the world rank at grid position (row, col), wrapping both
 // coordinates cyclically.
 func (g *Grid) RankAt(row, col int) int {
-	q := g.q
-	return ((row%q+q)%q)*q + ((col%q + q) % q)
+	return ((row%g.qr+g.qr)%g.qr)*g.qc + (col%g.qc+g.qc)%g.qc
 }
 
 // ShiftRowLeft sends data dist positions left within this grid row (cyclic)
 // and returns the block arriving from dist positions right. dist may be any
-// non-negative value; dist % q == 0 is a no-op returning data unchanged.
+// non-negative value; dist % qc == 0 is a no-op returning data unchanged.
 // Ownership of data transfers to the runtime.
 func (g *Grid) ShiftRowLeft(data []byte, dist int) []byte {
-	d := dist % g.q
+	d := dist % g.qc
 	if d == 0 {
 		return data
 	}
@@ -78,7 +97,7 @@ func (g *Grid) ShiftRowLeft(data []byte, dist int) []byte {
 // and returns the block arriving from dist positions below. Ownership of
 // data transfers to the runtime.
 func (g *Grid) ShiftColUp(data []byte, dist int) []byte {
-	d := dist % g.q
+	d := dist % g.qr
 	if d == 0 {
 		return data
 	}
@@ -86,4 +105,35 @@ func (g *Grid) ShiftColUp(data []byte, dist int) []byte {
 	src := g.RankAt(g.row+d, g.col)
 	g.c.SendOwn(dst, tagColShift, data)
 	return g.c.Recv(src, tagColShift)
+}
+
+// bcastLine broadcasts data from member rootIdx to the n ranks first,
+// first+stride, … of one grid line along a binomial tree over member
+// indices. Each participant calls it with its own index; the root passes
+// data, others receive it.
+func (g *Grid) bcastLine(first, stride, n, myIdx, rootIdx, tag int, data []byte) []byte {
+	if n == 1 {
+		return data
+	}
+	member := func(rel int) int { return first + (rel+rootIdx)%n*stride }
+	rel := (myIdx - rootIdx + n) % n
+	if rel != 0 {
+		data = g.c.Recv(member(parentOf(rel)), tag)
+	}
+	for _, child := range childrenOf(rel, n) {
+		g.c.Send(member(child), tag, data)
+	}
+	return data
+}
+
+// BcastRow broadcasts data from the rank at column rootCol within this
+// rank's grid row. The root passes the payload; everyone receives it.
+func (g *Grid) BcastRow(rootCol int, data []byte) []byte {
+	return g.bcastLine(g.row*g.qc, 1, g.qc, g.col, rootCol, tagRowBcast, data)
+}
+
+// BcastCol broadcasts data from the rank at row rootRow within this rank's
+// grid column.
+func (g *Grid) BcastCol(rootRow int, data []byte) []byte {
+	return g.bcastLine(g.col, g.qc, g.qr, g.row, rootRow, tagColBcast, data)
 }

@@ -391,14 +391,20 @@ func TestSquareSide(t *testing.T) {
 	}
 }
 
+// squareGrid views c as the √p × √p grid; an error if p is not a square.
+func squareGrid(c *Comm) (*Grid, error) {
+	q := SquareSide(c.Size())
+	return NewGrid(c, q, q)
+}
+
 func TestGridGeometry(t *testing.T) {
 	mustRun(t, 9, testCfg(), func(c *Comm) (any, error) {
-		g, err := NewGrid(c)
+		g, err := squareGrid(c)
 		if err != nil {
 			return nil, err
 		}
-		if g.Q() != 3 {
-			t.Errorf("q=%d", g.Q())
+		if g.Rows() != 3 || g.Cols() != 3 {
+			t.Errorf("shape %dx%d", g.Rows(), g.Cols())
 		}
 		if g.RankAt(g.Row(), g.Col()) != c.Rank() {
 			t.Errorf("rankAt roundtrip failed")
@@ -412,7 +418,7 @@ func TestGridGeometry(t *testing.T) {
 
 func TestGridNotSquare(t *testing.T) {
 	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
-		if _, err := NewGrid(c); err == nil {
+		if _, err := squareGrid(c); err == nil {
 			t.Error("expected error for non-square world")
 		}
 		return nil, nil
@@ -422,7 +428,7 @@ func TestGridNotSquare(t *testing.T) {
 func TestGridShifts(t *testing.T) {
 	// Each rank sends its own id left by 1; must receive right neighbor's.
 	mustRun(t, 9, testCfg(), func(c *Comm) (any, error) {
-		g, _ := NewGrid(c)
+		g, _ := squareGrid(c)
 		got := g.ShiftRowLeft([]byte{byte(c.Rank())}, 1)
 		wantSrc := g.RankAt(g.Row(), g.Col()+1)
 		if got[0] != byte(wantSrc) {
@@ -447,7 +453,7 @@ func TestCannonAlignmentPattern(t *testing.T) {
 	// L_{(x+y)%q,y}; after one more unit shift the z index advances by 1.
 	q := 4
 	mustRun(t, q*q, testCfg(), func(c *Comm) (any, error) {
-		g, _ := NewGrid(c)
+		g, _ := squareGrid(c)
 		x, y := g.Row(), g.Col()
 		ublock := []byte{byte(x), byte(y)} // (owner row, owner col)
 		lblock := []byte{byte(x), byte(y)}

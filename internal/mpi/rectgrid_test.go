@@ -22,7 +22,7 @@ func TestFactorGridShapes(t *testing.T) {
 
 func TestRectGridGeometry(t *testing.T) {
 	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
-		g, err := NewRectGrid(c, 2, 3)
+		g, err := NewGrid(c, 2, 3)
 		if err != nil {
 			return nil, err
 		}
@@ -41,10 +41,10 @@ func TestRectGridGeometry(t *testing.T) {
 
 func TestRectGridRejectsBadShape(t *testing.T) {
 	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
-		if _, err := NewRectGrid(c, 2, 2); err == nil {
+		if _, err := NewGrid(c, 2, 2); err == nil {
 			t.Error("expected error: 2x2 != 6")
 		}
-		if _, err := NewRectGrid(c, 0, 6); err == nil {
+		if _, err := NewGrid(c, 0, 6); err == nil {
 			t.Error("expected error: zero dimension")
 		}
 		return nil, nil
@@ -57,7 +57,7 @@ func TestRectGridRowBcast(t *testing.T) {
 	for rootCol := 0; rootCol < 4; rootCol++ {
 		rootCol := rootCol
 		mustRun(t, 8, testCfg(), func(c *Comm) (any, error) {
-			g, err := NewRectGrid(c, 2, 4)
+			g, err := NewGrid(c, 2, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +78,7 @@ func TestRectGridColBcast(t *testing.T) {
 	for rootRow := 0; rootRow < 3; rootRow++ {
 		rootRow := rootRow
 		mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
-			g, err := NewRectGrid(c, 3, 2)
+			g, err := NewGrid(c, 3, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +100,7 @@ func TestRectGridDegenerate1D(t *testing.T) {
 	// no-op on singleton columns.
 	p := 5
 	mustRun(t, p, testCfg(), func(c *Comm) (any, error) {
-		g, err := NewRectGrid(c, 1, p)
+		g, err := NewGrid(c, 1, p)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func TestRectGridDegenerate1D(t *testing.T) {
 func TestRectGridBcastConsecutive(t *testing.T) {
 	// Back-to-back broadcasts with rotating roots must not cross-deliver.
 	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
-		g, err := NewRectGrid(c, 2, 3)
+		g, err := NewGrid(c, 2, 3)
 		if err != nil {
 			return nil, err
 		}

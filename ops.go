@@ -327,13 +327,8 @@ func buildOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	copt := b.Kernel.coreOptions(st.metrics)
-	var pr *core.Prepared
-	if b.SUMMA {
-		pr, err = core.PrepareSUMMA(c, d, copt)
-	} else {
-		pr, err = core.Prepare(c, d, copt)
-	}
+	qr, qc := mpi.FactorGrid(c.Size())
+	pr, err := core.PrepareGrid(c, d, qr, qc, b.SUMMA, b.Kernel.coreOptions(st.metrics))
 	if err != nil {
 		return nil, err
 	}
