@@ -99,8 +99,9 @@ func (t Transport) String() string {
 // Options configures a distributed count. The zero value runs the paper's
 // full configuration on 1 rank.
 type Options struct {
-	// Ranks is the number of SPMD ranks; it must be a perfect square
-	// (default 1).
+	// Ranks is the number of SPMD ranks (default 1): any positive count. A
+	// perfect square runs Cannon shifts on a √p × √p grid, any other count
+	// SUMMA broadcasts on the most square qr × qc grid.
 	Ranks int
 
 	// Transport selects the message transport: in-process channels
@@ -114,7 +115,6 @@ type Options struct {
 	NoDoublySparse bool
 	NoDirectHash   bool
 	NoEarlyBreak   bool
-	NoBlob         bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 
@@ -216,9 +216,9 @@ type Options struct {
 	// (seconds, bytes/second, seconds). Zero values use InfiniBand-class
 	// defaults (2µs, 6GB/s, 0.5µs).
 	Alpha, Beta, Overhead float64
-	// ComputeSlots bounds concurrently measured compute sections: 1 gives
-	// contention-free virtual-time measurements (benchmarking); 0 defaults
-	// to GOMAXPROCS (fastest wall time, fine for counting).
+	// ComputeSlots bounds how many ranks run between messages; 1 gives
+	// contention-free modeled times (the paper tables); 0 defaults to
+	// GOMAXPROCS (fastest wall time, fine for counting).
 	ComputeSlots int
 
 	// Metrics is the observability registry the run publishes into: epoch
@@ -237,7 +237,6 @@ func (o Options) coreOptions() core.Options {
 		NoDoublySparse: o.NoDoublySparse,
 		NoDirectHash:   o.NoDirectHash,
 		NoEarlyBreak:   o.NoEarlyBreak,
-		NoBlob:         o.NoBlob,
 		TrackPerShift:  o.TrackPerShift,
 		KernelThreads:  o.KernelThreads,
 		Metrics:        o.Metrics,

@@ -177,7 +177,6 @@ func TestAblationTogglesRun(t *testing.T) {
 		{Ranks: 4, NoDoublySparse: true},
 		{Ranks: 4, NoDirectHash: true},
 		{Ranks: 4, NoEarlyBreak: true},
-		{Ranks: 4, NoBlob: true},
 		{Ranks: 4, Enumeration: EnumIJK},
 	} {
 		res, err := Count(g, opt)

@@ -28,7 +28,6 @@ type QueryOptions struct {
 	NoDoublySparse bool
 	NoDirectHash   bool
 	NoEarlyBreak   bool
-	NoBlob         bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 	// KernelThreads overrides the cluster's intra-rank kernel parallelism
@@ -50,7 +49,6 @@ func (cl *Cluster) queryCoreOptions(q QueryOptions) core.Options {
 		NoDoublySparse: q.NoDoublySparse,
 		NoDirectHash:   q.NoDirectHash,
 		NoEarlyBreak:   q.NoEarlyBreak,
-		NoBlob:         q.NoBlob,
 		TrackPerShift:  q.TrackPerShift,
 		KernelThreads:  threads,
 	}

@@ -202,8 +202,7 @@ func TestClusterQueryOptionsAblations(t *testing.T) {
 		{NoDoublySparse: true},
 		{NoDirectHash: true},
 		{NoEarlyBreak: true},
-		{NoBlob: true},
-		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true},
+		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
 	} {
 		res, err := cl.Count(q)
 		if err != nil {

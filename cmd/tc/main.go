@@ -32,7 +32,6 @@ func main() {
 		noDS     = flag.Bool("no-doubly-sparse", false, "disable the doubly-sparse traversal")
 		noDH     = flag.Bool("no-direct-hash", false, "disable direct bitwise-AND hashing")
 		noEB     = flag.Bool("no-early-break", false, "disable the early-break probe traversal")
-		noBlob   = flag.Bool("no-blob", false, "disable single-blob block serialization")
 		perShift = flag.Bool("pershift", false, "print per-shift kernel times")
 		summa    = flag.Bool("summa", false, "force the SUMMA schedule even for square rank counts")
 		seq      = flag.Bool("check", false, "cross-check against the sequential counter")
@@ -45,7 +44,6 @@ func main() {
 		NoDoublySparse: *noDS,
 		NoDirectHash:   *noDH,
 		NoEarlyBreak:   *noEB,
-		NoBlob:         *noBlob,
 		TrackPerShift:  *perShift,
 	}
 	switch *enum {

@@ -64,8 +64,7 @@
 // Endpoints:
 //
 //	GET  /count        — triangle count (query params: nodoublysparse,
-//	                     nodirecthash, noearlybreak, noblob, any of
-//	                     =1/true;
+//	                     nodirecthash, noearlybreak, any of =1/true;
 //	                     kernelthreads=N overrides the per-rank kernel
 //	                     worker count for this query; trace=1 additionally
 //	                     returns the span tree of this query — admission,
@@ -130,7 +129,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "RMAT seed")
 		preset   = flag.String("preset", "g500", "RMAT preset: g500, twitter, friendster")
 		tcp      = flag.Bool("tcp", false, "use the loopback TCP transport between ranks")
-		slots    = flag.Int("slots", 0, "compute slots (0 = GOMAXPROCS, fastest wall time)")
+		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks run between messages (0 = GOMAXPROCS, fastest wall time; 1 gives contention-free modeled times)")
 		drain    = flag.Duration("drain", time.Second, "grace period after /healthz flips to 503 before the listener closes")
 		maxQ     = flag.Int("max-concurrent-queries", 0, "cap on concurrently admitted read queries (0 = unlimited)")
 		maxV     = flag.Int64("max-vertices", 1<<26, "cap on the elastic vertex space (0 = unbounded)")
@@ -574,7 +573,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		NoDoublySparse: boolParam(r, "nodoublysparse"),
 		NoDirectHash:   boolParam(r, "nodirecthash"),
 		NoEarlyBreak:   boolParam(r, "noearlybreak"),
-		NoBlob:         boolParam(r, "noblob"),
 	}
 	if v := r.URL.Query().Get("kernelthreads"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -65,59 +65,53 @@ func CountAOP(c *mpi.Comm, in *dgraph.Dist1D) (*Result, error) {
 	// Ghost exchange: fetch N⁺(v) for every remote v referenced by a local
 	// N⁺ list. Requests are deduplicated per destination.
 	reqs := make([][]int32, p)
-	c.Compute(func() {
-		for v := g.VBeg; v < g.VEnd; v++ {
-			for _, u := range g.Above(v) {
-				r := dgraph.BlockOwner(u, g.N, p)
-				if r != c.Rank() {
-					reqs[r] = append(reqs[r], u)
-				}
+	for v := g.VBeg; v < g.VEnd; v++ {
+		for _, u := range g.Above(v) {
+			r := dgraph.BlockOwner(u, g.N, p)
+			if r != c.Rank() {
+				reqs[r] = append(reqs[r], u)
 			}
 		}
-		for r := range reqs {
-			q := reqs[r]
-			slices.Sort(q)
-			w := 0
-			for i, u := range q {
-				if i > 0 && u == q[i-1] {
-					continue
-				}
-				q[w] = u
-				w++
+	}
+	for r := range reqs {
+		q := reqs[r]
+		slices.Sort(q)
+		w := 0
+		for i, u := range q {
+			if i > 0 && u == q[i-1] {
+				continue
 			}
-			reqs[r] = q[:w]
+			q[w] = u
+			w++
 		}
-	})
+		reqs[r] = q[:w]
+	}
 	askCopies := make([][]int32, p)
 	for r := range reqs {
 		askCopies[r] = reqs[r]
 	}
 	asked := c.AlltoallvInt32(askCopies)
 	resp := make([][]int32, p)
-	c.Compute(func() {
-		for r := range asked {
-			var out []int32
-			for _, v := range asked[r] {
-				above := g.Above(v)
-				out = append(out, v, int32(len(above)))
-				out = append(out, above...)
-			}
-			resp[r] = out
+	for r := range asked {
+		var out []int32
+		for _, v := range asked[r] {
+			above := g.Above(v)
+			out = append(out, v, int32(len(above)))
+			out = append(out, above...)
 		}
-	})
+		resp[r] = out
+	}
 	answers := c.AlltoallvInt32(resp)
 	ghosts := make(map[int32][]int32)
-	c.Compute(func() {
-		for _, part := range answers {
-			i := 0
-			for i < len(part) {
-				v, d := part[i], int(part[i+1])
-				ghosts[v] = part[i+2 : i+2+d]
-				i += 2 + d
-			}
+	for _, part := range answers {
+		i := 0
+		for i < len(part) {
+			v, d := part[i], int(part[i+1])
+			ghosts[v] = part[i+2 : i+2+d]
+			i += 2 + d
 		}
-		res.GhostLists = int64(len(ghosts))
-	})
+	}
+	res.GhostLists = int64(len(ghosts))
 
 	c.Barrier()
 	t1 := c.Time()
@@ -126,20 +120,18 @@ func CountAOP(c *mpi.Comm, in *dgraph.Dist1D) (*Result, error) {
 	// Fully local counting: for every owned u and every v ∈ N⁺(u),
 	// intersect N⁺(u) with N⁺(v) (local or ghost).
 	var localTris int64
-	c.Compute(func() {
-		for u := g.VBeg; u < g.VEnd; u++ {
-			above := g.Above(u)
-			for _, v := range above {
-				var nv []int32
-				if v >= g.VBeg && v < g.VEnd {
-					nv = g.Above(v)
-				} else {
-					nv = ghosts[v]
-				}
-				localTris += intersectSorted(above, nv)
+	for u := g.VBeg; u < g.VEnd; u++ {
+		above := g.Above(u)
+		for _, v := range above {
+			var nv []int32
+			if v >= g.VBeg && v < g.VEnd {
+				nv = g.Above(v)
+			} else {
+				nv = ghosts[v]
 			}
+			localTris += intersectSorted(above, nv)
 		}
-	})
+	}
 	res.Triangles = c.AllreduceInt64(localTris, mpi.OpSum)
 
 	c.Barrier()
@@ -167,45 +159,41 @@ func CountSurrogate(c *mpi.Comm, in *dgraph.Dist1D) (*Result, error) {
 	// least one v ∈ N⁺(u), u's list is pushed there once.
 	var localTris int64
 	push := make([][]int32, p)
-	c.Compute(func() {
-		seen := make([]bool, p)
-		for u := g.VBeg; u < g.VEnd; u++ {
-			above := g.Above(u)
-			for i := range seen {
-				seen[i] = false
+	seen := make([]bool, p)
+	for u := g.VBeg; u < g.VEnd; u++ {
+		above := g.Above(u)
+		for i := range seen {
+			seen[i] = false
+		}
+		for _, v := range above {
+			r := dgraph.BlockOwner(v, g.N, p)
+			if r == c.Rank() {
+				localTris += intersectSorted(above, g.Above(v))
+				continue
 			}
-			for _, v := range above {
-				r := dgraph.BlockOwner(v, g.N, p)
-				if r == c.Rank() {
-					localTris += intersectSorted(above, g.Above(v))
-					continue
-				}
-				if !seen[r] {
-					seen[r] = true
-					push[r] = append(push[r], u, int32(len(above)))
-					push[r] = append(push[r], above...)
-					res.PushedInts += int64(len(above)) + 2
-				}
+			if !seen[r] {
+				seen[r] = true
+				push[r] = append(push[r], u, int32(len(above)))
+				push[r] = append(push[r], above...)
+				res.PushedInts += int64(len(above)) + 2
 			}
 		}
-	})
+	}
 	got := c.AlltoallvInt32(push)
-	c.Compute(func() {
-		for _, part := range got {
-			i := 0
-			for i < len(part) {
-				d := int(part[i+1])
-				list := part[i+2 : i+2+d]
-				i += 2 + d
-				// Intersect with every locally owned v on the list.
-				for _, v := range list {
-					if v >= g.VBeg && v < g.VEnd {
-						localTris += intersectSorted(list, g.Above(v))
-					}
+	for _, part := range got {
+		i := 0
+		for i < len(part) {
+			d := int(part[i+1])
+			list := part[i+2 : i+2+d]
+			i += 2 + d
+			// Intersect with every locally owned v on the list.
+			for _, v := range list {
+				if v >= g.VBeg && v < g.VEnd {
+					localTris += intersectSorted(list, g.Above(v))
 				}
 			}
 		}
-	})
+	}
 	res.Triangles = c.AllreduceInt64(localTris, mpi.OpSum)
 
 	c.Barrier()

@@ -202,14 +202,12 @@ const tagHdr = 25
 
 // sendBlockNaive ships a block as three messages with element-wise encoding —
 // the baseline the single-blob optimization is measured against (§5.2). The
-// encode loop runs as charged compute, mirroring MPI pack/unpack cost.
+// encode loop runs between messages, so the runtime charges it as local
+// work, mirroring MPI pack/unpack cost.
 func sendBlockNaive(c *mpi.Comm, dst int, baseTag int, kind, dim int32, xadj, adj []int32) {
-	var hdr, xb, ab []byte
-	c.Compute(func() {
-		hdr = encodeInt32sSlow([]int32{blobMagic, kind, dim, int32(len(adj))})
-		xb = encodeInt32sSlow(xadj)
-		ab = encodeInt32sSlow(adj)
-	})
+	hdr := encodeInt32sSlow([]int32{blobMagic, kind, dim, int32(len(adj))})
+	xb := encodeInt32sSlow(xadj)
+	ab := encodeInt32sSlow(adj)
 	c.SendOwn(dst, baseTag+0, hdr)
 	c.SendOwn(dst, baseTag+1, xb)
 	c.SendOwn(dst, baseTag+2, ab)
@@ -219,16 +217,11 @@ func recvBlockNaive(c *mpi.Comm, src int, baseTag int, wantKind int32) (dim int3
 	hb := c.Recv(src, baseTag+0)
 	xb := c.Recv(src, baseTag+1)
 	ab := c.Recv(src, baseTag+2)
-	c.Compute(func() {
-		hdr := decodeInt32sSlow(hb)
-		if hdr[0] != blobMagic || hdr[1] != wantKind {
-			panic("core: corrupt naive block")
-		}
-		dim = hdr[2]
-		xadj = decodeInt32sSlow(xb)
-		adj = decodeInt32sSlow(ab)
-	})
-	return dim, xadj, adj
+	hdr := decodeInt32sSlow(hb)
+	if hdr[0] != blobMagic || hdr[1] != wantKind {
+		panic("core: corrupt naive block")
+	}
+	return hdr[2], decodeInt32sSlow(xb), decodeInt32sSlow(ab)
 }
 
 func encodeInt32sSlow(v []int32) []byte {

@@ -46,7 +46,7 @@ func deltaRoundTrip(t *testing.T, p int, summa bool) {
 		// and out — edges incident to grown ids, which provably do not exist
 		// yet — rewrite a label slot in place, churn the degree-dirty set,
 		// and adjust the totals.
-		if err := prep.GrowTo(c, prep.N()+5); err != nil {
+		if err := prep.GrowTo(prep.N() + 5); err != nil {
 			return nil, err
 		}
 		prep.Splice(c, [][2]int32{{3, 12}, {5, 13}, {11, 14}}, nil)
@@ -166,7 +166,7 @@ func TestApplyPreparedDeltaRejectsDamage(t *testing.T) {
 		}
 		base = EncodePrepared(prep)
 		prep.EnableSnapshotTracking()
-		if err := prep.GrowTo(c, prep.N()+5); err != nil {
+		if err := prep.GrowTo(prep.N() + 5); err != nil {
 			return nil, err
 		}
 		prep.Splice(c, [][2]int32{{0, 12}, {2, 13}}, nil)

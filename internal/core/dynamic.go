@@ -45,8 +45,7 @@ func (p *Prepared) Labels() (beg int32, labels []int32) { return p.labelBeg, p.l
 func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels = beg, labels }
 
 // EnsureAdjacency builds the row-adjacency mirror from the resident blocks
-// if it does not exist yet. Purely local work (no communication); charged
-// as compute.
+// if it does not exist yet. Purely local work (no communication).
 //
 // A mirror row is the row's L part (labels below the row vertex) followed
 // by its U part (labels above). Rows are counted, then the L columns are
@@ -54,58 +53,56 @@ func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels =
 // one class — and the U rows appended. An L key k of class t is the row label
 // k·L + t, a U key k of class t the column label k·L + t. Only a rank holding
 // several U classes has to sort, and only the U parts.
-func (p *Prepared) EnsureAdjacency(c *mpi.Comm) {
+func (p *Prepared) EnsureAdjacency() {
 	if p.mirror != nil {
 		return
 	}
 	lay := p.blk
 	qr, qc, L := p.gridMods()
-	c.Compute(func() {
-		nRows := lay.nRows
-		blk := csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
-		// Class i of the L blocks holds the row labels k·L + i·qr + row, so
-		// local rows k·(L/qr) + i.
-		step := L / qr
-		for i, b := range lay.l {
-			for _, k := range b.adj {
-				blk.xadj[k*step+int32(i)+1]++
+	nRows := lay.nRows
+	blk := csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
+	// Class i of the L blocks holds the row labels k·L + i·qr + row, so
+	// local rows k·(L/qr) + i.
+	step := L / qr
+	for i, b := range lay.l {
+		for _, k := range b.adj {
+			blk.xadj[k*step+int32(i)+1]++
+		}
+	}
+	for _, b := range lay.u {
+		for a := int32(0); a < b.rows; a++ {
+			blk.xadj[a+1] += b.xadj[a+1] - b.xadj[a]
+		}
+	}
+	prefixSum(blk.xadj)
+	blk.adj = make([]int32, blk.xadj[nRows])
+	next := slices.Clone(blk.xadj[:nRows])
+	for i, b := range lay.l {
+		for j := int32(0); j < b.rows; j++ {
+			for _, k := range b.col(j) {
+				r := k*step + int32(i)
+				blk.adj[next[r]] = j*qc + int32(lay.col)
+				next[r]++
 			}
 		}
-		for _, b := range lay.u {
-			for a := int32(0); a < b.rows; a++ {
-				blk.xadj[a+1] += b.xadj[a+1] - b.xadj[a]
+	}
+	var uBeg []int32 // where each row's U part starts, if it needs sorting
+	if len(lay.u) > 1 {
+		uBeg = slices.Clone(next)
+	}
+	for i, b := range lay.u {
+		t := int32(i)*qc + int32(lay.col)
+		for a := int32(0); a < b.rows; a++ {
+			for _, k := range b.row(a) {
+				blk.adj[next[a]] = k*L + t
+				next[a]++
 			}
 		}
-		prefixSum(blk.xadj)
-		blk.adj = make([]int32, blk.xadj[nRows])
-		next := slices.Clone(blk.xadj[:nRows])
-		for i, b := range lay.l {
-			for j := int32(0); j < b.rows; j++ {
-				for _, k := range b.col(j) {
-					r := k*step + int32(i)
-					blk.adj[next[r]] = j*qc + int32(lay.col)
-					next[r]++
-				}
-			}
-		}
-		var uBeg []int32 // where each row's U part starts, if it needs sorting
-		if len(lay.u) > 1 {
-			uBeg = slices.Clone(next)
-		}
-		for i, b := range lay.u {
-			t := int32(i)*qc + int32(lay.col)
-			for a := int32(0); a < b.rows; a++ {
-				for _, k := range b.row(a) {
-					blk.adj[next[a]] = k*L + t
-					next[a]++
-				}
-			}
-		}
-		for a, beg := range uBeg {
-			slices.Sort(blk.adj[beg:blk.xadj[a+1]])
-		}
-		p.mirror = &blk
-	})
+	}
+	for a, beg := range uBeg {
+		slices.Sort(blk.adj[beg:blk.xadj[a+1]])
+	}
+	p.mirror = &blk
 }
 
 // MirrorShape returns the residue geometry of the row mirror: the moduli of
@@ -338,12 +335,8 @@ func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	if len(ins) == 0 && len(del) == 0 {
 		return
 	}
-	var maxRow int64
-	c.Compute(func() {
-		p.spliceBlocks(c.Rank(), ins, del)
-		maxRow = p.blk.longestURow()
-	})
-	p.blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
+	p.spliceBlocks(c.Rank(), ins, del)
+	p.blk.maxURow = c.AllreduceInt64(p.blk.longestURow(), mpi.OpMax)
 }
 
 // gridMods returns the residue moduli entries are placed by — rows mod qr,
@@ -462,11 +455,10 @@ func (sc *spliceScratch) reset() {
 // NoDirectHash ablation) is at least the longest local U row. GrowTo
 // preserves both for free (it only appends empty rows and raises n), and
 // Splice refreshes maxURow with an allreduce after every mutation. Local
-// work, charged as compute; maxURow is replicated, so the bounds hold
-// globally when they hold on every rank.
-func (p *Prepared) ValidateKernelSizing(c *mpi.Comm) (err error) {
-	c.Compute(func() { err = p.blk.check(p.n) })
-	return err
+// work; maxURow is replicated, so the bounds hold globally when they hold on
+// every rank.
+func (p *Prepared) ValidateKernelSizing() error {
+	return p.blk.check(p.n)
 }
 
 // kernelSizing returns what a count sizes its kernel maps from: the resident

@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"tc2d/internal/mpi"
 )
 
 // VertexSpace is the versioned descriptor of a Prepared value's elastic id
@@ -110,20 +108,18 @@ func (b *blocks) grow(n int64) {
 // newN. No data moves between ranks and no relabeling happens — overflow
 // labels are the identity — so the call is purely local compute. Every rank
 // must call it with the same newN, inside an exclusive write epoch.
-func (p *Prepared) GrowTo(c *mpi.Comm, newN int64) error {
+func (p *Prepared) GrowTo(newN int64) error {
 	if newN <= p.n {
 		return nil
 	}
 	if newN > math.MaxInt32 {
 		return fmt.Errorf("core: vertex space of %d ids exceeds the int32 label range", newN)
 	}
-	c.Compute(func() {
-		p.blk.grow(newN)
-		if p.mirror != nil {
-			growCSRRows(p.mirror, p.blk.nRows)
-		}
-		p.n = newN
-		p.version++
-	})
+	p.blk.grow(newN)
+	if p.mirror != nil {
+		growCSRRows(p.mirror, p.blk.nRows)
+	}
+	p.n = newN
+	p.version++
 	return nil
 }

@@ -224,9 +224,8 @@ func (kp *kernelPool) runRows(w *kernelWorker, rows []int32, task, u *csrBlock, 
 }
 
 // run executes one compute step's kernel over the current operand blocks,
-// fanning the task rows across the pool's workers. Must be called from
-// inside a Compute section; the goroutines it spawns share that section's
-// slot and wall-clock measurement.
+// fanning the task rows across the pool's workers. The goroutines it spawns
+// share the calling rank's compute slot and wall-clock measurement.
 func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock) {
 	kp.steps.Inc()
 	rows := taskRows

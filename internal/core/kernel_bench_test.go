@@ -144,7 +144,7 @@ func newHotChurn(tb testing.TB, g *graph.Graph, seed int64) ([]*Prepared, *hotCh
 	_, err := mpi.Run(len(preps), testCfg(), func(c *mpi.Comm) (any, error) {
 		p, err := prepareOn(c, g, 0, 0, EnumJIK)
 		if err == nil {
-			p.EnsureAdjacency(c)
+			p.EnsureAdjacency()
 			preps[c.Rank()] = p
 		}
 		return nil, err

@@ -149,7 +149,7 @@ func TestSquareGridOneLayout(t *testing.T) {
 			edges = append(edges, ins...)
 			run(fmt.Sprint("batch ", batch), func(c *mpi.Comm) (any, error) {
 				for _, prep := range []*Prepared{shift[c.Rank()], bcast[c.Rank()]} {
-					if err := prep.GrowTo(c, int64(n)); err != nil {
+					if err := prep.GrowTo(int64(n)); err != nil {
 						return nil, err
 					}
 					prep.Splice(c, ins, del)

@@ -49,7 +49,7 @@ func TestMirrorMatchesBlocks(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				prep.EnsureAdjacency(c)
+				prep.EnsureAdjacency()
 				var got [][2]int32
 				m := prep.mirror
 				for a := int32(0); a < m.rows; a++ {

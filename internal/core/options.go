@@ -105,16 +105,17 @@ type Result struct {
 	N int64
 	M int64
 
-	// PreprocessTime, CountTime and TotalTime are the parallel virtual
-	// times (seconds) of the preprocessing phase, the triangle counting
-	// phase, and their sum. Identical on all ranks (phases are fenced by
-	// barriers).
+	// PreprocessTime, CountTime and TotalTime are the modeled parallel
+	// times (seconds on the runtime's virtual clock: measured local work
+	// plus LogGP communication terms — tcpaper's output, not wall-clock) of
+	// the preprocessing phase, the triangle counting phase, and their sum.
+	// Identical on all ranks (phases are fenced by barriers).
 	PreprocessTime float64
 	CountTime      float64
 	TotalTime      float64
 
 	// CommFracPre and CommFracCount are the average over ranks of the
-	// fraction of each phase spent in communication (Figure 3).
+	// modeled fraction of each phase spent in communication (Figure 3).
 	CommFracPre   float64
 	CommFracCount float64
 

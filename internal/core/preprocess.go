@@ -58,33 +58,28 @@ func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *dgraph.Dist
 	newid := func(v int32) int32 { return CyclicID(offset, v, p) }
 
 	sendbuf := make([][]int32, p)
-	c.Compute(func() {
-		// Size every destination from the row lengths, then fill.
-		need := make([]int, p)
-		for v := in.VBeg; v < in.VEnd; v++ {
-			need[int(v)%p] += 2 + len(in.Neighbors(v))
+	// Size every destination from the row lengths, then fill.
+	need := make([]int, p)
+	for v := in.VBeg; v < in.VEnd; v++ {
+		need[int(v)%p] += 2 + len(in.Neighbors(v))
+	}
+	for dst := range sendbuf {
+		sendbuf[dst] = make([]int32, 0, need[dst])
+	}
+	for v := in.VBeg; v < in.VEnd; v++ {
+		dst := int(v) % p
+		row := in.Neighbors(v)
+		buf := append(sendbuf[dst], newid(v), int32(len(row)))
+		for _, u := range row {
+			buf = append(buf, newid(u))
 		}
-		for dst := range sendbuf {
-			sendbuf[dst] = make([]int32, 0, need[dst])
-		}
-		for v := in.VBeg; v < in.VEnd; v++ {
-			dst := int(v) % p
-			row := in.Neighbors(v)
-			buf := append(sendbuf[dst], newid(v), int32(len(row)))
-			for _, u := range row {
-				buf = append(buf, newid(u))
-			}
-			sendbuf[dst] = buf
-		}
-		*ops += int64(len(in.Adj)) + int64(in.NumLocal())
-	})
+		sendbuf[dst] = buf
+	}
+	*ops += int64(len(in.Adj)) + int64(in.NumLocal())
 	got := c.AlltoallvInt32(sendbuf)
 
-	var out *dgraph.Dist1D
-	c.Compute(func() {
-		out = dgraph.AssembleRows(n, int32(offset[c.Rank()]), int32(offset[c.Rank()+1]), got)
-		*ops += int64(len(out.Adj))
-	})
+	out := dgraph.AssembleRows(n, int32(offset[c.Rank()]), int32(offset[c.Rank()+1]), got)
+	*ops += int64(len(out.Adj))
 	return out
 }
 
@@ -160,29 +155,27 @@ func (b *blocks) dims(n int64) (nRows, nCols int32) {
 // numbering. A counting pass sizes each destination
 // buffer exactly; the buffers are handed to the all-to-all, and the received
 // ones (indexed by source rank) returned.
-func routePairs(c *mpi.Comm, qr, qc int, rl *relabeled, ops *int64) [][]int32 {
+func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) [][]int32 {
 	sendbuf := make([][]int32, c.Size())
-	c.Compute(func() {
-		qr, qc := int32(qr), int32(qc) // 32-bit divides in the per-entry loops
-		need := make([]int, len(sendbuf))
-		for lv, wv := range rl.labels {
-			base := wv % qr * qc
-			for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
-				need[base+wu%qc] += 2
-			}
+	qr, qc := int32(gridRows), int32(gridCols) // 32-bit divides in the per-entry loops
+	need := make([]int, len(sendbuf))
+	for lv, wv := range rl.labels {
+		base := wv % qr * qc
+		for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
+			need[base+wu%qc] += 2
 		}
-		for dst := range sendbuf {
-			sendbuf[dst] = make([]int32, 0, need[dst])
+	}
+	for dst := range sendbuf {
+		sendbuf[dst] = make([]int32, 0, need[dst])
+	}
+	for lv, wv := range rl.labels {
+		base := wv % qr * qc
+		for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
+			dst := base + wu%qc
+			sendbuf[dst] = append(sendbuf[dst], wv, wu)
 		}
-		for lv, wv := range rl.labels {
-			base := wv % qr * qc
-			for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
-				dst := base + wu%qc
-				sendbuf[dst] = append(sendbuf[dst], wv, wu)
-			}
-		}
-		*ops += int64(len(rl.adj))
-	})
+	}
+	*ops += int64(len(rl.adj))
 	return c.AlltoallvInt32(sendbuf)
 }
 
@@ -206,23 +199,21 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumer
 
 	blk := newBlocks(qr, qc, c.Rank(), rl.n)
 	var maxRow int64
-	c.Compute(func() {
-		task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
-		*ops += u.nnz() + int64(len(l.adj))
-		blk.task = task
-		blk.taskRows = task.nonEmptyRows(nil)
-		for i, b := range splitClasses(u, int32(blk.L/qc)) {
-			if b.nnz() > 0 || !bcast {
-				blk.u[i] = b
-				maxRow = max(maxRow, b.maxRow())
-			}
+	task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
+	*ops += u.nnz() + int64(len(l.adj))
+	blk.task = task
+	blk.taskRows = task.nonEmptyRows(nil)
+	for i, b := range splitClasses(u, int32(blk.L/qc)) {
+		if b.nnz() > 0 || !bcast {
+			blk.u[i] = b
+			maxRow = max(maxRow, b.maxRow())
 		}
-		for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
-			if b.nnz() > 0 || !bcast {
-				blk.l[i] = cscBlock(b)
-			}
+	}
+	for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
+		if b.nnz() > 0 || !bcast {
+			blk.l[i] = cscBlock(b)
 		}
-	})
+	}
 	blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
 	return blk
 }

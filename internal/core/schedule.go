@@ -29,7 +29,7 @@ const (
 	moveBcast
 	// moveNaive is moveShift without the blob (Options.NoBlob, the §5.2
 	// ablation): three messages per block per hop, with element-wise
-	// (de)serialization charged as compute.
+	// (de)serialization between them.
 	moveNaive
 )
 
@@ -83,7 +83,7 @@ func (o *operands) arrive(t int) {
 			if b.xadj == nil {
 				b = emptyBlock(blk.nRows)
 			}
-			o.c.Compute(func() { o.ublob = encodeCSRBlob(kindU, b.rows, b.xadj, b.adj) })
+			o.ublob = encodeCSRBlob(kindU, b.rows, b.xadj, b.adj)
 		}
 		o.ublob = g.BcastRow(uRoot, o.ublob)
 		if blk.row == lRoot {
@@ -91,7 +91,7 @@ func (o *operands) arrive(t int) {
 			if b.xadj == nil {
 				b = cscBlock(emptyBlock(blk.nCols))
 			}
-			o.c.Compute(func() { o.lblob = encodeCSRBlob(kindL, b.rows, b.xadj, b.adj) })
+			o.lblob = encodeCSRBlob(kindL, b.rows, b.xadj, b.adj)
 		}
 		o.lblob = g.BcastCol(lRoot, o.lblob)
 		bs.SetAttr("step", t)
@@ -119,10 +119,8 @@ func (o *operands) arrive(t int) {
 	default:
 		u, l := &blk.u[0], &blk.l[0]
 		es := o.trace.StartChild("encode")
-		o.c.Compute(func() {
-			o.ublob = encodeCSRBlob(kindU, u.rows, u.xadj, u.adj)
-			o.lblob = encodeCSRBlob(kindL, l.rows, l.xadj, l.adj)
-		})
+		o.ublob = encodeCSRBlob(kindU, u.rows, u.xadj, u.adj)
+		o.lblob = encodeCSRBlob(kindL, l.rows, l.xadj, l.adj)
 		es.End()
 		align := o.trace.StartChild("align")
 		o.ublob = g.ShiftRowLeft(o.ublob, blk.row)
@@ -152,11 +150,8 @@ func (p *Prepared) countSteps(c *mpi.Comm, grid *mpi.Grid, opt Options) (kernelC
 		ops.arrive(t)
 		before := c.Stats().CompTime
 		ks := opt.Trace.StartChild("kernel")
-		c.Compute(func() {
-			pool.run(&blk.task, blk.taskRows, &ops.u, &ops.l)
-		})
+		pool.run(&blk.task, blk.taskRows, &ops.u, &ops.l)
 		ks.SetAttr("step", t)
-		ks.SetAttr("virtual_s", c.Stats().CompTime-before)
 		ks.End()
 		perShift = append(perShift, c.Stats().CompTime-before)
 	}

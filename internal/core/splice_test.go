@@ -338,7 +338,7 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			prep.EnsureAdjacency(c)
+			prep.EnsureAdjacency()
 			before := createdClasses(prep.blk)
 			prep.Splice(c, ins, nil)
 			created := int64(createdClasses(prep.blk) - before)
@@ -355,7 +355,7 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 			if want := mirrorOracle(prep); !slices.Equal(got, want) {
 				return nil, fmt.Errorf("%v rank %d: spliced mirror has %d entries, the spliced blocks define %d", enum, c.Rank(), len(got), len(want))
 			}
-			return nil, prep.ValidateKernelSizing(c)
+			return nil, prep.ValidateKernelSizing()
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -57,12 +57,10 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// Broadcast the canonical batch as (u, v, op) triples.
 	var enc []int32
 	if c.Rank() == 0 {
-		c.Compute(func() {
-			enc = make([]int32, 0, 3*len(batch))
-			for _, upd := range batch {
-				enc = append(enc, upd.U, upd.V, int32(upd.Op))
-			}
-		})
+		enc = make([]int32, 0, 3*len(batch))
+		for _, upd := range batch {
+			enc = append(enc, upd.U, upd.V, int32(upd.Op))
+		}
 	}
 	enc = mpi.BytesToInt32s(c.Bcast(0, mpi.Int32sToBytes(enc)))
 	nb := len(enc) / 3
@@ -72,63 +70,52 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// batch's edges reference, so AddVertices callers always receive fresh
 	// ids even when another coalesced batch names raw high ids.
 	oldN := prep.N()
-	newN := oldN
 	bases := make([]int64, nb)
 	removedOrig := map[int32]struct{}{}
-	var admitErr error
-	c.Compute(func() {
-		for i := 0; i < nb; i++ {
-			bases[i] = -1
-			u := enc[3*i]
-			if Op(enc[3*i+2]) != OpRemoveVertex {
-				continue
-			}
-			if u < 0 || int64(u) >= oldN {
-				admitErr = fmt.Errorf("delta: removal of vertex %d outside the current space [0, %d): %w", u, oldN, ErrVertexRange)
-				return
-			}
-			removedOrig[u] = struct{}{}
+	for i := 0; i < nb; i++ {
+		bases[i] = -1
+		u := enc[3*i]
+		if Op(enc[3*i+2]) != OpRemoveVertex {
+			continue
 		}
-		cursor := oldN
-		for i := 0; i < nb; i++ {
-			u, v, op := enc[3*i], enc[3*i+1], Op(enc[3*i+2])
-			if op != OpInsert && op != OpDelete {
-				continue
-			}
-			if u < 0 || v < 0 {
-				admitErr = fmt.Errorf("delta: update (%d, %d) has a negative endpoint: %w", u, v, ErrVertexRange)
-				return
-			}
-			_, remU := removedOrig[u]
-			_, remV := removedOrig[v]
-			if remU || remV {
-				admitErr = fmt.Errorf("delta: batch removes a vertex of edge (%d, %d) and also updates it", u, v)
-				return
-			}
-			if e := int64(u) + 1; e > cursor {
-				cursor = e
-			}
-			if e := int64(v) + 1; e > cursor {
-				cursor = e
-			}
+		if u < 0 || int64(u) >= oldN {
+			return nil, fmt.Errorf("delta: removal of vertex %d outside the current space [0, %d): %w", u, oldN, ErrVertexRange)
 		}
-		for i := 0; i < nb; i++ {
-			if Op(enc[3*i+2]) == OpAddVertices {
-				bases[i] = cursor
-				cursor += int64(enc[3*i])
-			}
-		}
-		newN = cursor
-	})
-	if admitErr != nil {
-		return nil, admitErr
+		removedOrig[u] = struct{}{}
 	}
-	newN = c.AllreduceInt64(newN, mpi.OpMax)
+	cursor := oldN
+	for i := 0; i < nb; i++ {
+		u, v, op := enc[3*i], enc[3*i+1], Op(enc[3*i+2])
+		if op != OpInsert && op != OpDelete {
+			continue
+		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("delta: update (%d, %d) has a negative endpoint: %w", u, v, ErrVertexRange)
+		}
+		_, remU := removedOrig[u]
+		_, remV := removedOrig[v]
+		if remU || remV {
+			return nil, fmt.Errorf("delta: batch removes a vertex of edge (%d, %d) and also updates it", u, v)
+		}
+		if e := int64(u) + 1; e > cursor {
+			cursor = e
+		}
+		if e := int64(v) + 1; e > cursor {
+			cursor = e
+		}
+	}
+	for i := 0; i < nb; i++ {
+		if Op(enc[3*i+2]) == OpAddVertices {
+			bases[i] = cursor
+			cursor += int64(enc[3*i])
+		}
+	}
+	newN := c.AllreduceInt64(cursor, mpi.OpMax)
 	if newN > math.MaxInt32 {
 		return nil, fmt.Errorf("delta: batch grows the vertex space to %d ids, beyond the int32 label range: %w", newN, ErrVertexRange)
 	}
 	if newN > oldN {
-		if err := prep.GrowTo(c, newN); err != nil {
+		if err := prep.GrowTo(newN); err != nil {
 			return nil, err
 		}
 	}
@@ -138,66 +125,55 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// vertex's cyclic id holds its slot, and a single max-allreduce over a
 	// (-1)-initialized vector completes every rank's view. Overflow ids
 	// (>= baseN) are their own labels — every rank fills them locally.
-	var verts []int32
-	c.Compute(func() {
-		verts = make([]int32, 0, 2*nb)
-		for i := 0; i < nb; i++ {
-			switch Op(enc[3*i+2]) {
-			case OpInsert, OpDelete:
-				verts = append(verts, enc[3*i], enc[3*i+1])
-			case OpRemoveVertex:
-				verts = append(verts, enc[3*i])
-			}
+	verts := make([]int32, 0, 2*nb)
+	for i := 0; i < nb; i++ {
+		switch Op(enc[3*i+2]) {
+		case OpInsert, OpDelete:
+			verts = append(verts, enc[3*i], enc[3*i+1])
+		case OpRemoveVertex:
+			verts = append(verts, enc[3*i])
 		}
-		slices.Sort(verts)
-		verts = slices.Compact(verts)
-	})
+	}
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
 	offsets := core.CyclicOffsets(baseN, p)
 	labelBeg, labels := prep.Labels()
 	req := make([]int64, len(verts))
-	c.Compute(func() {
-		for idx, v := range verts {
-			if int64(v) >= baseN {
-				req[idx] = int64(v) // overflow: identity label
-				continue
-			}
-			req[idx] = -1
-			v1 := core.CyclicID(offsets, v, p)
-			if dgraph.BlockOwner(v1, baseN, p) == c.Rank() {
-				req[idx] = int64(labels[v1-labelBeg])
-			}
+	for idx, v := range verts {
+		if int64(v) >= baseN {
+			req[idx] = int64(v) // overflow: identity label
+			continue
 		}
-	})
-	resolved := c.AllreduceInt64s(req, mpi.OpMax)
-	labelOf := func(v int32) int32 {
-		i, _ := slices.BinarySearch(verts, v)
-		return int32(resolved[i])
+		req[idx] = -1
+		v1 := core.CyclicID(offsets, v, p)
+		if dgraph.BlockOwner(v1, baseN, p) == c.Rank() {
+			req[idx] = int64(labels[v1-labelBeg])
+		}
 	}
+	resolved := c.AllreduceInt64s(req, mpi.OpMax)
 
 	// The labeled batch, canonical in label space (la < lb) for edge
 	// entries, aligned with the broadcast order. Vertex entries keep their
 	// removal label in edges[i][0].
 	edges := make([][2]int32, nb)
 	ops := make([]Op, nb)
-	c.Compute(func() {
-		for i := 0; i < nb; i++ {
-			ops[i] = Op(enc[3*i+2])
-			switch ops[i] {
-			case OpInsert, OpDelete:
-				la, lb := labelOf(enc[3*i]), labelOf(enc[3*i+1])
-				if la > lb {
-					la, lb = lb, la
-				}
-				edges[i] = [2]int32{la, lb}
-			case OpRemoveVertex:
-				edges[i] = [2]int32{labelOf(enc[3*i]), -1}
-			default:
-				edges[i] = [2]int32{-1, -1}
+	for i := 0; i < nb; i++ {
+		ops[i] = Op(enc[3*i+2])
+		switch ops[i] {
+		case OpInsert, OpDelete:
+			la, lb := labelOf(verts, resolved, enc[3*i]), labelOf(verts, resolved, enc[3*i+1])
+			if la > lb {
+				la, lb = lb, la
 			}
+			edges[i] = [2]int32{la, lb}
+		case OpRemoveVertex:
+			edges[i] = [2]int32{labelOf(verts, resolved, enc[3*i]), -1}
+		default:
+			edges[i] = [2]int32{-1, -1}
 		}
-	})
+	}
 
-	prep.EnsureAdjacency(c)
+	prep.EnsureAdjacency()
 
 	// Expand vertex removals: the ranks of the removed label's grid row
 	// each hold one column-class slice of its adjacency; every rank needs
@@ -214,75 +190,69 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	if len(remIdx) > 0 {
 		rowMod, _, rowRes, _ := prep.MirrorShape()
 		send := mpi.SendBufs(p)
-		c.Compute(func() {
-			for k, i := range remIdx {
-				lw := edges[i][0]
-				if int(lw)%rowMod != rowRes {
-					continue
-				}
-				row := prep.AdjRow(lw)
-				if len(row) == 0 {
-					continue
-				}
-				for dst := 0; dst < p; dst++ {
-					send[dst] = append(send[dst], int32(k), int32(len(row)))
-					send[dst] = append(send[dst], row...)
-				}
+		for k, i := range remIdx {
+			lw := edges[i][0]
+			if int(lw)%rowMod != rowRes {
+				continue
 			}
-		})
+			row := prep.AdjRow(lw)
+			if len(row) == 0 {
+				continue
+			}
+			for dst := 0; dst < p; dst++ {
+				send[dst] = append(send[dst], int32(k), int32(len(row)))
+				send[dst] = append(send[dst], row...)
+			}
+		}
 		got := c.AlltoallvSparseInt32(send)
-		c.Compute(func() {
-			neighbors := make([][]int32, len(remIdx))
-			for src := 0; src < p; src++ {
-				buf := got[src]
-				for i := 0; i < len(buf); {
-					k, l := buf[i], int(buf[i+1])
-					neighbors[k] = append(neighbors[k], buf[i+2:i+2+l]...)
-					i += 2 + l
-				}
+		neighbors := make([][]int32, len(remIdx))
+		for src := 0; src < p; src++ {
+			buf := got[src]
+			for i := 0; i < len(buf); {
+				k, l := buf[i], int(buf[i+1])
+				neighbors[k] = append(neighbors[k], buf[i+2:i+2+l]...)
+				i += 2 + l
 			}
-			dropSet := make(map[int64]struct{})
-			for k, i := range remIdx {
-				lw := edges[i][0]
-				for _, u := range neighbors[k] {
-					key := packEdge(lw, u)
-					if _, dup := dropSet[key]; dup {
-						continue
-					}
-					dropSet[key] = struct{}{}
-					la, lb := lw, u
-					if la > lb {
-						la, lb = lb, la
-					}
-					removalDels = append(removalDels, [2]int32{la, lb})
-					drops[i]++
+		}
+		dropSet := make(map[int64]struct{})
+		for k, i := range remIdx {
+			lw := edges[i][0]
+			for _, u := range neighbors[k] {
+				key := packEdge(lw, u)
+				if _, dup := dropSet[key]; dup {
+					continue
 				}
+				dropSet[key] = struct{}{}
+				la, lb := lw, u
+				if la > lb {
+					la, lb = lb, la
+				}
+				removalDels = append(removalDels, [2]int32{la, lb})
+				drops[i]++
 			}
-		})
+		}
 	}
 
 	// Validate edge entries: the owner of the directed (la → lb) entry
 	// adjudicates. Vertex entries are always effective by construction.
 	valid := make([]int64, nb)
-	c.Compute(func() {
-		for i := range valid {
-			if ops[i] != OpInsert && ops[i] != OpDelete {
+	for i := range valid {
+		if ops[i] != OpInsert && ops[i] != OpDelete {
+			valid[i] = 1
+			continue
+		}
+		valid[i] = -1
+		la, lb := edges[i][0], edges[i][1]
+		if int(la)%qr == x && int(lb)%qc == y {
+			exists := prep.HasEdgeLocal(la, lb)
+			ok := exists == (ops[i] == OpDelete)
+			if ok {
 				valid[i] = 1
-				continue
-			}
-			valid[i] = -1
-			la, lb := edges[i][0], edges[i][1]
-			if int(la)%qr == x && int(lb)%qc == y {
-				exists := prep.HasEdgeLocal(la, lb)
-				ok := exists == (ops[i] == OpDelete)
-				if ok {
-					valid[i] = 1
-				} else {
-					valid[i] = 0
-				}
+			} else {
+				valid[i] = 0
 			}
 		}
-	})
+	}
 	valid = c.AllreduceInt64s(valid, mpi.OpMax)
 
 	r := &Result{
@@ -328,36 +298,32 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// row's ranks hold disjoint column-class partials) plus the net
 	// incident update count give the exact new wedge total. Every rank
 	// derives the identical delta from the reduced degrees.
+	// One sort of (label, sign) words — bit 0 set for an insertion —
+	// groups every endpoint's updates together.
 	var affected []int32 // ascending
 	var net []int64      // net incident updates of affected[i]
-	c.Compute(func() {
-		// One sort of (label, sign) words — bit 0 set for an insertion —
-		// groups every endpoint's updates together.
-		touched := make([]int64, 0, 2*(len(ins)+len(dels)))
-		for _, e := range ins {
-			touched = append(touched, int64(e[0])<<1|1, int64(e[1])<<1|1)
+	touched := make([]int64, 0, 2*(len(ins)+len(dels)))
+	for _, e := range ins {
+		touched = append(touched, int64(e[0])<<1|1, int64(e[1])<<1|1)
+	}
+	for _, e := range dels {
+		touched = append(touched, int64(e[0])<<1, int64(e[1])<<1)
+	}
+	slices.Sort(touched)
+	for _, t := range touched {
+		w := int32(t >> 1)
+		if n := len(affected); n == 0 || affected[n-1] != w {
+			affected = append(affected, w)
+			net = append(net, 0)
 		}
-		for _, e := range dels {
-			touched = append(touched, int64(e[0])<<1, int64(e[1])<<1)
-		}
-		slices.Sort(touched)
-		for _, t := range touched {
-			w := int32(t >> 1)
-			if n := len(affected); n == 0 || affected[n-1] != w {
-				affected = append(affected, w)
-				net = append(net, 0)
-			}
-			net[len(net)-1] += 2*(t&1) - 1
-		}
-	})
+		net[len(net)-1] += 2*(t&1) - 1
+	}
 	d0 := make([]int64, len(affected))
-	c.Compute(func() {
-		for idx, w := range affected {
-			if int(w)%qr == x {
-				d0[idx] = int64(len(prep.AdjRow(w)))
-			}
+	for idx, w := range affected {
+		if int(w)%qr == x {
+			d0[idx] = int64(len(prep.AdjRow(w)))
 		}
-	})
+	}
 	d0 = c.AllreduceInt64s(d0, mpi.OpSum)
 	var dWedges int64
 	for idx, old := range d0 {
@@ -400,6 +366,13 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	return r, nil
 }
 
+// labelOf returns the resolved current label of batch vertex v, an element
+// of the sorted verts.
+func labelOf(verts []int32, resolved []int64, v int32) int32 {
+	i, _ := slices.BinarySearch(verts, v)
+	return int32(resolved[i])
+}
+
 // mergeRatio is the length-skew bound of the delta pass's intersection:
 // pairs whose row lengths are within this factor of each other are
 // intersected with a sorted-merge scan, more skewed pairs with the hash
@@ -435,163 +408,159 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 	}
 	mset := make([]int64, len(marked)) // sorted packed pairs: the membership test of hit
 	send := mpi.SendBufs(c.Size())
-	c.Compute(func() {
-		for i, e := range marked {
-			mset[i] = packEdge(e[0], e[1])
+	for i, e := range marked {
+		mset[i] = packEdge(e[0], e[1])
+	}
+	slices.Sort(mset)
+	for i, e := range marked {
+		ar, br := int(e[0])%qr, int(e[1])%qr
+		if ar == br || ar != x {
+			continue
 		}
-		slices.Sort(mset)
-		for i, e := range marked {
-			ar, br := int(e[0])%qr, int(e[1])%qr
-			if ar == br || ar != x {
-				continue
-			}
-			row := prep.AdjRow(e[0])
-			dst := br*qc + y
-			send[dst] = append(send[dst], int32(i), int32(len(row)))
-			send[dst] = append(send[dst], row...)
-		}
-	})
+		row := prep.AdjRow(e[0])
+		dst := br*qc + y
+		send[dst] = append(send[dst], int32(i), int32(len(row)))
+		send[dst] = append(send[dst], row...)
+	}
 	got := c.AlltoallvSparseInt32(send)
 	workers := prep.KernelWorkers(c)
-	c.Compute(func() {
-		// Collect this rank's intersection items: locally intersectable
-		// marked edges plus the rows shipped in for cross-row edges.
-		type item struct {
-			e    [2]int32
-			rowA []int32
+	// Collect this rank's intersection items: locally intersectable
+	// marked edges plus the rows shipped in for cross-row edges.
+	type item struct {
+		e    [2]int32
+		rowA []int32
+	}
+	var items []item
+	for _, e := range marked {
+		if br := int(e[1]) % qr; int(e[0])%qr == br && br == x {
+			items = append(items, item{e, prep.AdjRow(e[0])})
 		}
-		var items []item
-		for _, e := range marked {
-			if br := int(e[1]) % qr; int(e[0])%qr == br && br == x {
-				items = append(items, item{e, prep.AdjRow(e[0])})
+	}
+	for _, buf := range got {
+		for i := 0; i < len(buf); {
+			idx, l := buf[i], int(buf[i+1])
+			items = append(items, item{marked[idx], buf[i+2 : i+2+l]})
+			i += 2 + l
+		}
+	}
+	if workers > len(items) {
+		workers = len(items)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	type wstate struct {
+		cnt    [3]int64
+		probes int64
+	}
+	states := make([]wstate, workers)
+	sets := make([]*hashset.Set, workers)
+	for w := range sets {
+		sets[w] = hashset.New(64)
+	}
+	process := func(it item, set *hashset.Set, ws *wstate) {
+		a, b := it.e[0], it.e[1]
+		rowA := it.rowA
+		rowB := prep.AdjRow(b)
+		if len(rowA) == 0 || len(rowB) == 0 {
+			return
+		}
+		hit := func(w int32) {
+			o := 0
+			if _, ok := slices.BinarySearch(mset, packEdge(a, w)); ok {
+				o++
 			}
-		}
-		for _, buf := range got {
-			for i := 0; i < len(buf); {
-				idx, l := buf[i], int(buf[i+1])
-				items = append(items, item{marked[idx], buf[i+2 : i+2+l]})
-				i += 2 + l
+			if _, ok := slices.BinarySearch(mset, packEdge(b, w)); ok {
+				o++
 			}
+			ws.cnt[o]++
 		}
-		if workers > len(items) {
-			workers = len(items)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		type wstate struct {
-			cnt    [3]int64
-			probes int64
-		}
-		states := make([]wstate, workers)
-		sets := make([]*hashset.Set, workers)
-		for w := range sets {
-			sets[w] = hashset.New(64)
-		}
-		process := func(it item, set *hashset.Set, ws *wstate) {
-			a, b := it.e[0], it.e[1]
-			rowA := it.rowA
-			rowB := prep.AdjRow(b)
-			if len(rowA) == 0 || len(rowB) == 0 {
-				return
-			}
-			hit := func(w int32) {
-				o := 0
-				if _, ok := slices.BinarySearch(mset, packEdge(a, w)); ok {
-					o++
-				}
-				if _, ok := slices.BinarySearch(mset, packEdge(b, w)); ok {
-					o++
-				}
-				ws.cnt[o]++
-			}
-			if len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
-				i, j := 0, 0
-				for i < len(rowA) && j < len(rowB) {
-					ws.probes++
-					switch {
-					case rowA[i] == rowB[j]:
-						hit(rowA[i])
-						i++
-						j++
-					case rowA[i] < rowB[j]:
-						i++
-					default:
-						j++
-					}
-				}
-				return
-			}
-			set.Grow(8 * len(rowA))
-			// Collision-free single-AND hashing when the row's largest key
-			// fits under the mask.
-			set.Reset(rowA[len(rowA)-1] <= set.Mask())
-			for _, w := range rowA {
-				set.Insert(w)
-			}
-			for _, w := range rowB {
+		if len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
+			i, j := 0, 0
+			for i < len(rowA) && j < len(rowB) {
 				ws.probes++
-				if set.Contains(w) {
-					hit(w)
+				switch {
+				case rowA[i] == rowB[j]:
+					hit(rowA[i])
+					i++
+					j++
+				case rowA[i] < rowB[j]:
+					i++
+				default:
+					j++
 				}
+			}
+			return
+		}
+		set.Grow(8 * len(rowA))
+		// Collision-free single-AND hashing when the row's largest key
+		// fits under the mask.
+		set.Reset(rowA[len(rowA)-1] <= set.Mask())
+		for _, w := range rowA {
+			set.Insert(w)
+		}
+		for _, w := range rowB {
+			ws.probes++
+			if set.Contains(w) {
+				hit(w)
 			}
 		}
-		if workers == 1 {
-			for _, it := range items {
-				process(it, sets[0], &states[0])
-			}
-		} else {
-			// LPT buckets over min(|rowA|, |rowB|) weights, heaviest first.
-			order := make([]int, len(items))
-			weight := make([]int64, len(items))
-			for i, it := range items {
-				order[i] = i
-				la, lb := len(it.rowA), len(prep.AdjRow(it.e[1]))
-				if la < lb {
-					weight[i] = int64(la)
-				} else {
-					weight[i] = int64(lb)
-				}
-			}
-			slices.SortFunc(order, func(i, j int) int {
-				if c := cmp.Compare(weight[j], weight[i]); c != 0 {
-					return c
-				}
-				return cmp.Compare(i, j)
-			})
-			buckets := make([][]int, workers)
-			loads := make([]int64, workers)
-			for _, i := range order {
-				best := 0
-				for w := 1; w < workers; w++ {
-					if loads[w] < loads[best] {
-						best = w
-					}
-				}
-				buckets[best] = append(buckets[best], i)
-				loads[best] += weight[i]
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				if len(buckets[w]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for _, i := range buckets[w] {
-						process(items[i], sets[w], &states[w])
-					}
-				}(w)
-			}
-			wg.Wait()
+	}
+	if workers == 1 {
+		for _, it := range items {
+			process(it, sets[0], &states[0])
 		}
-		for w := range states {
-			cnt[0] += states[w].cnt[0]
-			cnt[1] += states[w].cnt[1]
-			cnt[2] += states[w].cnt[2]
-			probes += states[w].probes
+	} else {
+		// LPT buckets over min(|rowA|, |rowB|) weights, heaviest first.
+		order := make([]int, len(items))
+		weight := make([]int64, len(items))
+		for i, it := range items {
+			order[i] = i
+			la, lb := len(it.rowA), len(prep.AdjRow(it.e[1]))
+			if la < lb {
+				weight[i] = int64(la)
+			} else {
+				weight[i] = int64(lb)
+			}
 		}
-	})
+		slices.SortFunc(order, func(i, j int) int {
+			if c := cmp.Compare(weight[j], weight[i]); c != 0 {
+				return c
+			}
+			return cmp.Compare(i, j)
+		})
+		buckets := make([][]int, workers)
+		loads := make([]int64, workers)
+		for _, i := range order {
+			best := 0
+			for w := 1; w < workers; w++ {
+				if loads[w] < loads[best] {
+					best = w
+				}
+			}
+			buckets[best] = append(buckets[best], i)
+			loads[best] += weight[i]
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			if len(buckets[w]) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, i := range buckets[w] {
+					process(items[i], sets[w], &states[w])
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	for w := range states {
+		cnt[0] += states[w].cnt[0]
+		cnt[1] += states[w].cnt[1]
+		cnt[2] += states[w].cnt[2]
+		probes += states[w].probes
+	}
 	return cnt, probes
 }

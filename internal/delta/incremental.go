@@ -61,7 +61,7 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	p := c.Size()
 	r := c.Rank()
 	n := prep.N()
-	prep.EnsureAdjacency(c)
+	prep.EnsureAdjacency()
 	rowMod, _, rowRes, _ := prep.MirrorShape()
 
 	// The dirty set is replicated (Apply marks it from allreduced affected
@@ -71,13 +71,11 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	// Current degrees of the dirty labels: each grid row's ranks hold
 	// disjoint column-class slices, so one sum-allreduce completes them.
 	deg := make([]int64, len(dirty))
-	c.Compute(func() {
-		for i, w := range dirty {
-			if int(w)%rowMod == rowRes {
-				deg[i] = int64(len(prep.AdjRow(w)))
-			}
+	for i, w := range dirty {
+		if int(w)%rowMod == rowRes {
+			deg[i] = int64(len(prep.AdjRow(w)))
 		}
-	})
+	}
 	if len(deg) > 0 {
 		deg = c.AllreduceInt64s(deg, mpi.OpSum)
 	}
@@ -121,71 +119,67 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	var ins, dels [][2]int32
 	if len(moved) > 0 {
 		send := mpi.SendBufs(p)
-		c.Compute(func() {
-			for k, a := range moved {
-				if int(a)%rowMod != rowRes {
-					continue
-				}
-				row := prep.AdjRow(a)
-				if len(row) == 0 {
-					continue
-				}
-				for dst := 0; dst < p; dst++ {
-					send[dst] = append(send[dst], int32(k), int32(len(row)))
-					send[dst] = append(send[dst], row...)
-				}
+		for k, a := range moved {
+			if int(a)%rowMod != rowRes {
+				continue
 			}
-		})
+			row := prep.AdjRow(a)
+			if len(row) == 0 {
+				continue
+			}
+			for dst := 0; dst < p; dst++ {
+				send[dst] = append(send[dst], int32(k), int32(len(row)))
+				send[dst] = append(send[dst], row...)
+			}
+		}
 		got := c.AlltoallvSparseInt32(send)
-		c.Compute(func() {
-			adjOf := make([][]int32, len(moved))
-			for src := 0; src < p; src++ {
-				buf := got[src]
-				for i := 0; i < len(buf); {
-					k, l := buf[i], int(buf[i+1])
-					adjOf[k] = append(adjOf[k], buf[i+2:i+2+l]...)
-					i += 2 + l
+		adjOf := make([][]int32, len(moved))
+		for src := 0; src < p; src++ {
+			buf := got[src]
+			for i := 0; i < len(buf); {
+				k, l := buf[i], int(buf[i+1])
+				adjOf[k] = append(adjOf[k], buf[i+2:i+2+l]...)
+				i += 2 + l
+			}
+		}
+		img := func(w int32) int32 {
+			if nw, ok := remap[w]; ok {
+				return nw
+			}
+			return w
+		}
+		delMap := make(map[int64][2]int32)
+		insMap := make(map[int64][2]int32)
+		for k, a := range moved {
+			for _, u := range adjOf[k] {
+				key := packEdge(a, u)
+				if _, dup := delMap[key]; dup {
+					continue
 				}
-			}
-			img := func(w int32) int32 {
-				if nw, ok := remap[w]; ok {
-					return nw
+				la, lb := a, u
+				if la > lb {
+					la, lb = lb, la
 				}
-				return w
-			}
-			delMap := make(map[int64][2]int32)
-			insMap := make(map[int64][2]int32)
-			for k, a := range moved {
-				for _, u := range adjOf[k] {
-					key := packEdge(a, u)
-					if _, dup := delMap[key]; dup {
-						continue
-					}
-					la, lb := a, u
-					if la > lb {
-						la, lb = lb, la
-					}
-					delMap[key] = [2]int32{la, lb}
-					na, nu := img(a), img(u)
-					if na > nu {
-						na, nu = nu, na
-					}
-					insMap[packEdge(na, nu)] = [2]int32{na, nu}
+				delMap[key] = [2]int32{la, lb}
+				na, nu := img(a), img(u)
+				if na > nu {
+					na, nu = nu, na
 				}
+				insMap[packEdge(na, nu)] = [2]int32{na, nu}
 			}
-			for key := range insMap {
-				if _, ok := delMap[key]; ok {
-					delete(delMap, key)
-					delete(insMap, key)
-				}
+		}
+		for key := range insMap {
+			if _, ok := delMap[key]; ok {
+				delete(delMap, key)
+				delete(insMap, key)
 			}
-			for _, e := range delMap {
-				dels = append(dels, e)
-			}
-			for _, e := range insMap {
-				ins = append(ins, e)
-			}
-		})
+		}
+		for _, e := range delMap {
+			dels = append(dels, e)
+		}
+		for _, e := range insMap {
+			ins = append(ins, e)
+		}
 		if len(ins) != len(dels) {
 			return nil, fmt.Errorf("delta: incremental rebuild produced %d inserts vs %d deletes — permutation not edge-preserving", len(ins), len(dels))
 		}
@@ -205,29 +199,27 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 		nloc = int((n - int64(r) + int64(p) - 1) / int64(p))
 	}
 	newLabels := make([]int32, nloc)
-	c.Compute(func() {
-		for i := 0; i < nloc; i++ {
-			id := int32(int64(r) + int64(p)*int64(i))
-			old := id
-			if i < oldLen {
-				old = oldLabels[i]
-			}
-			nl := old
-			if nw, ok := remap[old]; ok {
-				nl = nw
-			}
-			newLabels[i] = nl
-			if i < oldLen {
-				if nl != oldLabels[i] {
-					prep.MarkLabelSlot(int32(i))
-				}
-			} else if nl != id {
-				// Extended slots default to identity on the decode side;
-				// only non-identity values need to travel.
+	for i := 0; i < nloc; i++ {
+		id := int32(int64(r) + int64(p)*int64(i))
+		old := id
+		if i < oldLen {
+			old = oldLabels[i]
+		}
+		nl := old
+		if nw, ok := remap[old]; ok {
+			nl = nw
+		}
+		newLabels[i] = nl
+		if i < oldLen {
+			if nl != oldLabels[i] {
 				prep.MarkLabelSlot(int32(i))
 			}
+		} else if nl != id {
+			// Extended slots default to identity on the decode side;
+			// only non-identity values need to travel.
+			prep.MarkLabelSlot(int32(i))
 		}
-	})
+	}
 	prep.SetLabels(int32(offsets[r]), newLabels)
 	prep.FoldOverflow()
 	prep.SetSpaceVersion(prep.Space().Version + 1)

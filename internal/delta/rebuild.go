@@ -36,44 +36,39 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	p := c.Size()
 	n := prep.N()
 	qr, qc, summa := prep.GridShape()
-	prep.EnsureAdjacency(c)
+	prep.EnsureAdjacency()
 	rowMod, _, rowRes, _ := prep.MirrorShape()
 
 	// (1) Reassemble the current graph as a 1D block distribution over the
 	// current labels: each rank's mirror holds one column-class slice of
 	// each of its rows, routed to the block owner of the row vertex.
+	// Counting pre-pass so each destination buffer is allocated exactly
+	// once instead of growing through repeated appends.
 	send := make([][]int32, p)
-	c.Compute(func() {
-		// Counting pre-pass so each destination buffer is allocated exactly
-		// once instead of growing through repeated appends.
-		need := make([]int, p)
-		for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
-			if row := prep.AdjRow(la); len(row) > 0 {
-				need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
-			}
+	need := make([]int, p)
+	for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
+		if row := prep.AdjRow(la); len(row) > 0 {
+			need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
 		}
-		for dst := range send {
-			send[dst] = make([]int32, 0, need[dst])
+	}
+	for dst := range send {
+		send[dst] = make([]int32, 0, need[dst])
+	}
+	for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
+		row := prep.AdjRow(la)
+		if len(row) == 0 {
+			continue
 		}
-		for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
-			row := prep.AdjRow(la)
-			if len(row) == 0 {
-				continue
-			}
-			dst := dgraph.BlockOwner(la, n, p)
-			send[dst] = append(send[dst], la, int32(len(row)))
-			send[dst] = append(send[dst], row...)
-		}
-	})
+		dst := dgraph.BlockOwner(la, n, p)
+		send[dst] = append(send[dst], la, int32(len(row)))
+		send[dst] = append(send[dst], row...)
+	}
 	got := c.AlltoallvInt32(send)
 	beg, end := dgraph.BlockRange(c.Rank(), n, p)
-	var dist *dgraph.Dist1D
-	c.Compute(func() {
-		dist = dgraph.AssembleRows(n, beg, end, got)
-		for v := beg; v < end; v++ {
-			slices.Sort(dist.Neighbors(v))
-		}
-	})
+	dist := dgraph.AssembleRows(n, beg, end, got)
+	for v := beg; v < end; v++ {
+		slices.Sort(dist.Neighbors(v))
+	}
 
 	// (2) The ordinary pipeline, same grid shape and enumeration.
 	np, err := core.PrepareGrid(c, dist, qr, qc, summa, core.Options{Enumeration: prep.Enumeration()})
@@ -108,40 +103,34 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	}
 	req := mpi.SendBufs(p)
 	slots := make([][]int32, p)
-	c.Compute(func() {
-		for lv := 0; lv < nloc; lv++ {
-			w := int32(int64(r) + int64(p)*int64(lv)) // identity for overflow ids
-			if int64(w) < oldBase {
-				w = oldLabels[lv]
-			}
-			dst := dgraph.BlockOwner(core.CyclicID(offsets, w, p), n, p)
-			req[dst] = append(req[dst], w)
-			slots[dst] = append(slots[dst], int32(lv))
+	for lv := 0; lv < nloc; lv++ {
+		w := int32(int64(r) + int64(p)*int64(lv)) // identity for overflow ids
+		if int64(w) < oldBase {
+			w = oldLabels[lv]
 		}
-	})
+		dst := dgraph.BlockOwner(core.CyclicID(offsets, w, p), n, p)
+		req[dst] = append(req[dst], w)
+		slots[dst] = append(slots[dst], int32(lv))
+	}
 	asked := c.AlltoallvSparseInt32(req)
 	resp := make([][]int32, p)
-	c.Compute(func() {
-		for src, ws := range asked {
-			if len(ws) == 0 {
-				continue
-			}
-			out := make([]int32, len(ws))
-			for j, w := range ws {
-				out[j] = newLabels[core.CyclicID(offsets, w, p)-newBeg]
-			}
-			resp[src] = out
+	for src, ws := range asked {
+		if len(ws) == 0 {
+			continue
 		}
-	})
+		out := make([]int32, len(ws))
+		for j, w := range ws {
+			out[j] = newLabels[core.CyclicID(offsets, w, p)-newBeg]
+		}
+		resp[src] = out
+	}
 	answers := c.AlltoallvSparseInt32(resp)
 	composed := make([]int32, nloc)
-	c.Compute(func() {
-		for dst := range slots {
-			for j, lv := range slots[dst] {
-				composed[lv] = answers[dst][j]
-			}
+	for dst := range slots {
+		for j, lv := range slots[dst] {
+			composed[lv] = answers[dst][j]
 		}
-	})
+	}
 	np.SetLabels(int32(offsets[r]), composed)
 	np.SetSpaceVersion(prep.Space().Version + 1)
 	np.SetKernelThreads(prep.KernelThreads())

@@ -46,7 +46,7 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 	validate := func(stage string) {
 		t.Helper()
 		_, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return nil, preps[c.Rank()].ValidateKernelSizing(c)
+			return nil, preps[c.Rank()].ValidateKernelSizing()
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)

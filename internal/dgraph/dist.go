@@ -152,12 +152,7 @@ func GenerateRMAT1D(c *mpi.Comm, params rmat.Params, scale, edgeFactor int, seed
 	mRaw := int64(edgeFactor) * n
 	lo := mRaw * int64(c.Rank()) / int64(p)
 	hi := mRaw * int64(c.Rank()+1) / int64(p)
-
-	var edges []graph.Edge
-	c.Compute(func() {
-		edges = params.EdgesSlice(scale, seed, lo, hi)
-	})
-	return assemble1D(c, n, edges)
+	return assemble1D(c, n, params.EdgesSlice(scale, seed, lo, hi))
 }
 
 // GenerateER1D generates an Erdős–Rényi-style graph (m uniform edge samples
@@ -169,11 +164,7 @@ func GenerateER1D(c *mpi.Comm, n int64, m int64, seed uint64) (*Dist1D, error) {
 	p := c.Size()
 	lo := m * int64(c.Rank()) / int64(p)
 	hi := m * int64(c.Rank()+1) / int64(p)
-	var edges []graph.Edge
-	c.Compute(func() {
-		edges = rmat.ERSlice(n, seed, lo, hi)
-	})
-	return assemble1D(c, n, edges)
+	return assemble1D(c, n, rmat.ERSlice(n, seed, lo, hi))
 }
 
 // assemble1D routes raw (possibly duplicated) undirected edges to the block
@@ -181,62 +172,58 @@ func GenerateER1D(c *mpi.Comm, n int64, m int64, seed uint64) (*Dist1D, error) {
 func assemble1D(c *mpi.Comm, n int64, edges []graph.Edge) (*Dist1D, error) {
 	p := c.Size()
 	sendbuf := make([][]int32, p)
-	c.Compute(func() {
-		for _, e := range edges {
-			if e.U == e.V {
-				continue
-			}
-			du := BlockOwner(e.U, n, p)
-			dv := BlockOwner(e.V, n, p)
-			sendbuf[du] = append(sendbuf[du], e.U, e.V)
-			sendbuf[dv] = append(sendbuf[dv], e.V, e.U)
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
 		}
-	})
+		du := BlockOwner(e.U, n, p)
+		dv := BlockOwner(e.V, n, p)
+		sendbuf[du] = append(sendbuf[du], e.U, e.V)
+		sendbuf[dv] = append(sendbuf[dv], e.V, e.U)
+	}
 	got := c.AlltoallvInt32(sendbuf)
 
 	beg, end := BlockRange(c.Rank(), n, p)
 	out := &Dist1D{N: n, VBeg: beg, VEnd: end}
-	c.Compute(func() {
-		nloc := int(end - beg)
-		counts := make([]int64, nloc+1)
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
-				counts[part[i]-beg+1]++
+	nloc := int(end - beg)
+	counts := make([]int64, nloc+1)
+	for _, part := range got {
+		for i := 0; i < len(part); i += 2 {
+			counts[part[i]-beg+1]++
+		}
+	}
+	for v := 0; v < nloc; v++ {
+		counts[v+1] += counts[v]
+	}
+	adj := make([]int32, counts[nloc])
+	next := make([]int64, nloc)
+	copy(next, counts[:nloc])
+	for _, part := range got {
+		for i := 0; i < len(part); i += 2 {
+			lv := part[i] - beg
+			adj[next[lv]] = part[i+1]
+			next[lv]++
+		}
+	}
+	// Sort and dedup each list, compacting in place.
+	xadj := make([]int64, nloc+1)
+	w := int64(0)
+	for v := 0; v < nloc; v++ {
+		row := adj[counts[v]:counts[v+1]]
+		slices.Sort(row)
+		var prev int32 = -1
+		for _, u := range row {
+			if u == prev {
+				continue
 			}
+			prev = u
+			adj[w] = u
+			w++
 		}
-		for v := 0; v < nloc; v++ {
-			counts[v+1] += counts[v]
-		}
-		adj := make([]int32, counts[nloc])
-		next := make([]int64, nloc)
-		copy(next, counts[:nloc])
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
-				lv := part[i] - beg
-				adj[next[lv]] = part[i+1]
-				next[lv]++
-			}
-		}
-		// Sort and dedup each list, compacting in place.
-		xadj := make([]int64, nloc+1)
-		w := int64(0)
-		for v := 0; v < nloc; v++ {
-			row := adj[counts[v]:counts[v+1]]
-			slices.Sort(row)
-			var prev int32 = -1
-			for _, u := range row {
-				if u == prev {
-					continue
-				}
-				prev = u
-				adj[w] = u
-				w++
-			}
-			xadj[v+1] = w
-		}
-		out.Xadj = xadj
-		out.Adj = adj[:w:w]
-	})
+		xadj[v+1] = w
+	}
+	out.Xadj = xadj
+	out.Adj = adj[:w:w]
 	return out, nil
 }
 

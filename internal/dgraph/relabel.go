@@ -27,41 +27,35 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 	// Local degrees and maximum.
 	var dmaxLoc int64
 	deg := make([]int32, nloc)
-	c.Compute(func() {
-		for lv := 0; lv < nloc; lv++ {
-			d := in.Xadj[lv+1] - in.Xadj[lv]
-			deg[lv] = int32(d)
-			if d > dmaxLoc {
-				dmaxLoc = d
-			}
+	for lv := 0; lv < nloc; lv++ {
+		d := in.Xadj[lv+1] - in.Xadj[lv]
+		deg[lv] = int32(d)
+		if d > dmaxLoc {
+			dmaxLoc = d
 		}
-		*ops += int64(nloc)
-	})
+	}
+	*ops += int64(nloc)
 	dmax := c.AllreduceInt64(dmaxLoc, mpi.OpMax)
 
 	// Histogram, exscan over ranks, global totals (cost dmax·log p, §5.4).
 	hist := make([]int64, dmax+1)
-	c.Compute(func() {
-		for _, d := range deg {
-			hist[d]++
-		}
-	})
+	for _, d := range deg {
+		hist[d]++
+	}
 	before := c.ExscanInt64s(hist)
 	tot := c.AllreduceInt64s(hist, mpi.OpSum)
 
 	labels = make([]int32, nloc)
-	c.Compute(func() {
-		degStart := make([]int64, dmax+2)
-		for d := int64(0); d <= dmax; d++ {
-			degStart[d+1] = degStart[d] + tot[d]
-		}
-		seen := make([]int64, dmax+1)
-		for lv := 0; lv < nloc; lv++ {
-			d := deg[lv]
-			labels[lv] = int32(degStart[d] + before[d] + seen[d])
-			seen[d]++
-		}
-	})
+	degStart := make([]int64, dmax+2)
+	for d := int64(0); d <= dmax; d++ {
+		degStart[d+1] = degStart[d] + tot[d]
+	}
+	seen := make([]int64, dmax+1)
+	for lv := 0; lv < nloc; lv++ {
+		d := deg[lv]
+		labels[lv] = int32(degStart[d] + before[d] + seen[d])
+		seen[d]++
+	}
 
 	// Resolve neighbour labels. Every rank owns one contiguous id range, so
 	// the unique ids to ask owner r for are the marked bits of that range —
@@ -71,43 +65,37 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 	asks := newIDSet(in.N)
 	base := make([]int32, p+1) // marked ids below owner r's range
 	reqs := make([][]int32, p)
-	c.Compute(func() {
-		for _, u := range in.Adj {
-			asks.add(u)
-		}
-		*ops += int64(len(in.Adj))
-		asks.index()
-		for r := 0; r < p; r++ {
-			beg, end := BlockRange(r, in.N, p)
-			base[r+1] = asks.pos(end)
-			reqs[r] = asks.appendRange(make([]int32, 0, base[r+1]-base[r]), beg, end)
-		}
-	})
+	for _, u := range in.Adj {
+		asks.add(u)
+	}
+	*ops += int64(len(in.Adj))
+	asks.index()
+	for r := 0; r < p; r++ {
+		beg, end := BlockRange(r, in.N, p)
+		base[r+1] = asks.pos(end)
+		reqs[r] = asks.appendRange(make([]int32, 0, base[r+1]-base[r]), beg, end)
+	}
 	asked := c.AlltoallvInt32(reqs)
 	resp := make([][]int32, p)
-	c.Compute(func() {
-		for r := range asked {
-			out := make([]int32, len(asked[r]))
-			for i, u := range asked[r] {
-				out[i] = labels[u-in.VBeg]
-			}
-			*ops += int64(len(out))
-			resp[r] = out
+	for r := range asked {
+		out := make([]int32, len(asked[r]))
+		for i, u := range asked[r] {
+			out[i] = labels[u-in.VBeg]
 		}
-	})
+		*ops += int64(len(out))
+		resp[r] = out
+	}
 	answers := c.AlltoallvInt32(resp)
 
-	c.Compute(func() {
-		flat := make([]int32, base[p])
-		for r := range answers {
-			copy(flat[base[r]:base[r+1]], answers[r])
-		}
-		newAdj = make([]int32, len(in.Adj))
-		for i, u := range in.Adj {
-			newAdj[i] = flat[asks.pos(u)]
-		}
-		*ops += int64(len(in.Adj))
-	})
+	flat := make([]int32, base[p])
+	for r := range answers {
+		copy(flat[base[r]:base[r+1]], answers[r])
+	}
+	newAdj = make([]int32, len(in.Adj))
+	for i, u := range in.Adj {
+		newAdj[i] = flat[asks.pos(u)]
+	}
+	*ops += int64(len(in.Adj))
 	return labels, newAdj
 }
 
@@ -125,29 +113,25 @@ func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
 	// Route each vertex (new id, adjacency) to the block owner of its new
 	// id, with lists sorted for downstream merge intersections.
 	sendbuf := make([][]int32, p)
-	c.Compute(func() {
-		need := make([]int, p)
-		for lv := 0; lv < nloc; lv++ {
-			need[BlockOwner(labels[lv], in.N, p)] += 2 + int(in.Xadj[lv+1]-in.Xadj[lv])
-		}
-		for dst := range sendbuf {
-			sendbuf[dst] = make([]int32, 0, need[dst])
-		}
-		for lv := 0; lv < nloc; lv++ {
-			w := labels[lv]
-			dst := BlockOwner(w, in.N, p)
-			row := newAdj[in.Xadj[lv]:in.Xadj[lv+1]]
-			slices.Sort(row)
-			buf := append(sendbuf[dst], w, int32(len(row)))
-			sendbuf[dst] = append(buf, row...)
-		}
-	})
+	need := make([]int, p)
+	for lv := 0; lv < nloc; lv++ {
+		need[BlockOwner(labels[lv], in.N, p)] += 2 + int(in.Xadj[lv+1]-in.Xadj[lv])
+	}
+	for dst := range sendbuf {
+		sendbuf[dst] = make([]int32, 0, need[dst])
+	}
+	for lv := 0; lv < nloc; lv++ {
+		w := labels[lv]
+		dst := BlockOwner(w, in.N, p)
+		row := newAdj[in.Xadj[lv]:in.Xadj[lv+1]]
+		slices.Sort(row)
+		buf := append(sendbuf[dst], w, int32(len(row)))
+		sendbuf[dst] = append(buf, row...)
+	}
 	got := c.AlltoallvInt32(sendbuf)
 
 	beg, end := BlockRange(c.Rank(), in.N, p)
-	var out *Dist1D
-	c.Compute(func() { out = AssembleRows(in.N, beg, end, got) })
-	return out
+	return AssembleRows(in.N, beg, end, got)
 }
 
 // Above returns the suffix of the (sorted) adjacency of local vertex v with

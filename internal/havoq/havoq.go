@@ -64,60 +64,54 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	curDeg := make([]int64, nloc)
 	removedAdj := make([]bool, len(in.Adj)) // marks deleted adjacency entries
 	var localRemoved int64
-	c.Compute(func() {
-		for lv := 0; lv < nloc; lv++ {
-			alive[lv] = true
-			curDeg[lv] = in.Xadj[lv+1] - in.Xadj[lv]
-		}
-	})
+	for lv := 0; lv < nloc; lv++ {
+		alive[lv] = true
+		curDeg[lv] = in.Xadj[lv+1] - in.Xadj[lv]
+	}
 	for {
 		// Collect vertices that fall out of the 2-core this round and
 		// notify their surviving neighbours.
 		notices := make([][]int32, p) // pairs (neighbour, dying vertex)
 		var dying int64
-		c.Compute(func() {
-			for lv := 0; lv < nloc; lv++ {
-				if !alive[lv] || curDeg[lv] >= 2 {
+		for lv := 0; lv < nloc; lv++ {
+			if !alive[lv] || curDeg[lv] >= 2 {
+				continue
+			}
+			alive[lv] = false
+			dying++
+			v := in.VBeg + int32(lv)
+			for i := in.Xadj[lv]; i < in.Xadj[lv+1]; i++ {
+				if removedAdj[i] {
 					continue
 				}
-				alive[lv] = false
-				dying++
-				v := in.VBeg + int32(lv)
-				for i := in.Xadj[lv]; i < in.Xadj[lv+1]; i++ {
-					if removedAdj[i] {
-						continue
-					}
-					u := in.Adj[i]
-					removedAdj[i] = true
-					d := dgraph.BlockOwner(u, in.N, p)
-					notices[d] = append(notices[d], u, v)
-				}
+				u := in.Adj[i]
+				removedAdj[i] = true
+				d := dgraph.BlockOwner(u, in.N, p)
+				notices[d] = append(notices[d], u, v)
 			}
-		})
+		}
 		total := c.AllreduceInt64(dying, mpi.OpSum)
 		localRemoved += dying
 		if total == 0 {
 			break
 		}
 		got := c.AlltoallvInt32(notices)
-		c.Compute(func() {
-			for _, part := range got {
-				for i := 0; i < len(part); i += 2 {
-					u, v := part[i], part[i+1]
-					lu := int(u - in.VBeg)
-					if lu < 0 || lu >= nloc {
-						panic("havoq: notice for non-local vertex")
-					}
-					// Remove v from u's adjacency (if still present).
-					row := in.Adj[in.Xadj[lu]:in.Xadj[lu+1]]
-					idx := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-					if idx < len(row) && row[idx] == v && !removedAdj[in.Xadj[lu]+int64(idx)] {
-						removedAdj[in.Xadj[lu]+int64(idx)] = true
-						curDeg[lu]--
-					}
+		for _, part := range got {
+			for i := 0; i < len(part); i += 2 {
+				u, v := part[i], part[i+1]
+				lu := int(u - in.VBeg)
+				if lu < 0 || lu >= nloc {
+					panic("havoq: notice for non-local vertex")
+				}
+				// Remove v from u's adjacency (if still present).
+				row := in.Adj[in.Xadj[lu]:in.Xadj[lu+1]]
+				idx := sort.Search(len(row), func(k int) bool { return row[k] >= v })
+				if idx < len(row) && row[idx] == v && !removedAdj[in.Xadj[lu]+int64(idx)] {
+					removedAdj[in.Xadj[lu]+int64(idx)] = true
+					curDeg[lu]--
 				}
 			}
-		})
+		}
 	}
 	res.Removed = c.AllreduceInt64(localRemoved, mpi.OpSum)
 
@@ -125,22 +119,20 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	// lists; they receive the lowest labels in the reorder and generate no
 	// wedges).
 	pruned := &dgraph.Dist1D{N: in.N, VBeg: in.VBeg, VEnd: in.VEnd}
-	c.Compute(func() {
-		xadj := make([]int64, nloc+1)
-		adj := make([]int32, 0, len(in.Adj))
-		for lv := 0; lv < nloc; lv++ {
-			if alive[lv] {
-				for i := in.Xadj[lv]; i < in.Xadj[lv+1]; i++ {
-					if !removedAdj[i] {
-						adj = append(adj, in.Adj[i])
-					}
+	xadj := make([]int64, nloc+1)
+	adj := make([]int32, 0, len(in.Adj))
+	for lv := 0; lv < nloc; lv++ {
+		if alive[lv] {
+			for i := in.Xadj[lv]; i < in.Xadj[lv+1]; i++ {
+				if !removedAdj[i] {
+					adj = append(adj, in.Adj[i])
 				}
 			}
-			xadj[lv+1] = int64(len(adj))
 		}
-		pruned.Xadj = xadj
-		pruned.Adj = adj
-	})
+		xadj[lv+1] = int64(len(adj))
+	}
+	pruned.Xadj = xadj
+	pruned.Adj = adj
 
 	c.Barrier()
 	t1 := c.Time()
@@ -162,38 +154,36 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	for {
 		queries := make([][]int32, p)
 		budget := opt.WedgeBatch
-		c.Compute(func() {
-			for cur.lv < nlocO && budget > 0 {
-				v := ordered.VBeg + int32(cur.lv)
-				out := ordered.Above(v)
-				if len(out) < 2 {
-					cur.lv++
-					cur.a, cur.b = 0, 0
-					continue
+		for cur.lv < nlocO && budget > 0 {
+			v := ordered.VBeg + int32(cur.lv)
+			out := ordered.Above(v)
+			if len(out) < 2 {
+				cur.lv++
+				cur.a, cur.b = 0, 0
+				continue
+			}
+			if cur.b == 0 {
+				cur.b = cur.a + 1
+			}
+			for cur.a < len(out)-1 && budget > 0 {
+				va := out[cur.a]
+				dst := dgraph.BlockOwner(va, ordered.N, p)
+				for cur.b < len(out) && budget > 0 {
+					queries[dst] = append(queries[dst], va, out[cur.b])
+					localWedges++
+					budget--
+					cur.b++
 				}
-				if cur.b == 0 {
+				if cur.b == len(out) {
+					cur.a++
 					cur.b = cur.a + 1
 				}
-				for cur.a < len(out)-1 && budget > 0 {
-					va := out[cur.a]
-					dst := dgraph.BlockOwner(va, ordered.N, p)
-					for cur.b < len(out) && budget > 0 {
-						queries[dst] = append(queries[dst], va, out[cur.b])
-						localWedges++
-						budget--
-						cur.b++
-					}
-					if cur.b == len(out) {
-						cur.a++
-						cur.b = cur.a + 1
-					}
-				}
-				if cur.a >= len(out)-1 {
-					cur.lv++
-					cur.a, cur.b = 0, 0
-				}
 			}
-		})
+			if cur.a >= len(out)-1 {
+				cur.lv++
+				cur.a, cur.b = 0, 0
+			}
+		}
 		more := int64(0)
 		if cur.lv < nlocO {
 			more = 1
@@ -201,19 +191,17 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 		pending := c.AllreduceInt64(more, mpi.OpSum)
 		got := c.AlltoallvInt32(queries)
 		res.QueryRounds++
-		c.Compute(func() {
-			for _, part := range got {
-				res.BytesQueried += int64(4 * len(part))
-				for i := 0; i < len(part); i += 2 {
-					v, w := part[i], part[i+1]
-					out := ordered.Above(v)
-					idx := sort.Search(len(out), func(k int) bool { return out[k] >= w })
-					if idx < len(out) && out[idx] == w {
-						localTris++
-					}
+		for _, part := range got {
+			res.BytesQueried += int64(4 * len(part))
+			for i := 0; i < len(part); i += 2 {
+				v, w := part[i], part[i+1]
+				out := ordered.Above(v)
+				idx := sort.Search(len(out), func(k int) bool { return out[k] >= w })
+				if idx < len(out) && out[idx] == w {
+					localTris++
 				}
 			}
-		})
+		}
 		if pending == 0 {
 			break
 		}

@@ -12,10 +12,17 @@ func TestWorldMultipleEpochs(t *testing.T) {
 	defer w.Close()
 	for epoch := 0; epoch < 3; epoch++ {
 		res, err := w.Run(func(c *Comm) (any, error) {
-			if c.Time() != 0 {
-				t.Errorf("epoch %d rank %d: virtual clock started at %v", epoch, c.Rank(), c.Time())
+			if now := c.Time(); now < 0 || now > wallNoise {
+				t.Errorf("epoch %d rank %d: virtual clock started at %v", epoch, c.Rank(), now)
 			}
-			if s := c.Stats(); s != (Stats{}) {
+			s := c.Stats()
+			if s.CompTime < 0 || s.CompTime > wallNoise {
+				t.Errorf("epoch %d rank %d: compute time not reset: %+v", epoch, c.Rank(), s)
+			}
+			// WallComm is the wait for the first slot, the rest must be
+			// exactly zero.
+			s.CompTime, s.WallComm = 0, 0
+			if s != (Stats{}) {
 				t.Errorf("epoch %d rank %d: stats not reset: %+v", epoch, c.Rank(), s)
 			}
 			// A ring exchange so every epoch moves real messages.

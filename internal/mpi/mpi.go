@@ -25,14 +25,20 @@
 //
 // Besides real wall-clock time, the runtime maintains a per-rank virtual
 // clock driven by a LogGP-style cost model (see CostModel). Local work is
-// charged with Comm.Compute (which measures the enclosed function solo on a
-// dedicated compute slot) or Comm.Elapse; communication charges
-// latency+bandwidth terms and enforces causality at matching receives, making
-// the runtime a conservative distributed simulation. The maximum virtual
-// clock over all ranks at the end of a run is the modeled parallel runtime —
-// the quantity a BSP/LogP analysis predicts — and is what the experiment
-// harness reports when reproducing the paper's scaling tables on a host with
-// fewer cores than ranks.
+// the time between messages: a rank holds one compute slot from the moment
+// its body starts, or a blocking primitive returns, until the next blocking
+// primitive begins (SendOwn on a full mailbox or on a socket, Recv of a
+// message not yet delivered, the shared-memory Barrier), and the wall time
+// of each such stretch is charged to the rank's clock — the way the paper
+// times the stretches between MPI calls. Rank bodies carry no annotation,
+// and must never block on another rank outside this package: they would do
+// so holding a slot. Communication charges latency+bandwidth terms and
+// enforces causality at matching receives, making the runtime a
+// conservative distributed simulation. The maximum virtual clock over all
+// ranks at the end of a run is the modeled parallel runtime — the quantity
+// a BSP/LogP analysis predicts — and is what the experiment harness reports
+// when reproducing the paper's scaling tables on a host with fewer cores
+// than ranks.
 package mpi
 
 import (
@@ -82,11 +88,10 @@ type Config struct {
 	// Model is the communication cost model. The zero value means
 	// DefaultCostModel.
 	Model CostModel
-	// ComputeSlots bounds how many Comm.Compute sections run concurrently.
-	// 1 (the default) measures every compute section solo, which gives
-	// contention-free virtual-time measurements at the price of serializing
-	// real execution. Set to runtime.NumCPU() for fast functional runs where
-	// virtual time does not matter.
+	// ComputeSlots bounds how many ranks run between messages; 1 (the
+	// default) gives contention-free modeled times at the price of
+	// serializing real execution. Set to runtime.NumCPU() for fast
+	// functional runs where modeled time does not matter.
 	ComputeSlots int
 	// PairCap is the buffered capacity of each sender→receiver mailbox.
 	// The default (16) comfortably covers the bounded skew of the
@@ -94,7 +99,8 @@ type Config struct {
 	PairCap int
 	// Metrics, when non-nil, receives per-epoch accounting: epoch counts
 	// and wall durations by kind (read/write) and each rank's cumulative
-	// virtual comm/comp time, wall compute time, and bytes/messages sent.
+	// real seconds blocked in communication and running between messages,
+	// and bytes/messages sent.
 	// Historically every epoch's per-rank Stats died with the epoch; the
 	// registry is where they accumulate instead.
 	Metrics *obs.Registry
@@ -220,9 +226,8 @@ type worldMetrics struct {
 	secondsWrite *obs.Histogram
 
 	// Per-rank cumulative accounting, indexed by rank.
-	commSeconds []*obs.Counter // virtual seconds attributed to communication
-	compSeconds []*obs.Counter // virtual seconds attributed to compute
-	wallComp    []*obs.Counter // real seconds inside Compute sections
+	commSeconds []*obs.Counter // real seconds blocked in communication
+	compSeconds []*obs.Counter // real seconds running between messages
 	bytesSent   []*obs.Counter
 	msgsSent    []*obs.Counter
 }
@@ -239,9 +244,8 @@ func newWorldMetrics(reg *obs.Registry, p int) *worldMetrics {
 	}
 	for r := 0; r < p; r++ {
 		rl := obs.L("rank", strconv.Itoa(r))
-		m.commSeconds = append(m.commSeconds, reg.Counter("tc_mpi_rank_comm_seconds_total", "Cumulative virtual communication time per rank.", rl))
-		m.compSeconds = append(m.compSeconds, reg.Counter("tc_mpi_rank_comp_seconds_total", "Cumulative virtual compute time per rank.", rl))
-		m.wallComp = append(m.wallComp, reg.Counter("tc_mpi_rank_wall_comp_seconds_total", "Cumulative real time inside Compute sections per rank.", rl))
+		m.commSeconds = append(m.commSeconds, reg.Counter("tc_mpi_rank_comm_seconds_total", "Cumulative real seconds blocked in communication per rank (waiting for a compute slot included).", rl))
+		m.compSeconds = append(m.compSeconds, reg.Counter("tc_mpi_rank_comp_seconds_total", "Cumulative real seconds running between messages per rank.", rl))
 		m.bytesSent = append(m.bytesSent, reg.Counter("tc_mpi_rank_bytes_sent_total", "Cumulative bytes sent per rank.", rl))
 		m.msgsSent = append(m.msgsSent, reg.Counter("tc_mpi_rank_msgs_sent_total", "Cumulative messages sent per rank.", rl))
 	}
@@ -314,6 +318,8 @@ func (j job) run(c *Comm) {
 			j.errs[c.rank] = &RankPanicError{Rank: c.rank, Value: v, Stack: string(buf[:n])}
 		}
 	}()
+	c.acquire()
+	defer c.release() // deferred: a panicking rank must not leak its slot
 	res, err := j.fn(c)
 	j.results[c.rank] = res
 	j.errs[c.rank] = err
@@ -351,9 +357,9 @@ func (w *World) Run(fn RankFunc) ([]any, error) {
 // vice versa, with the acquisition fairness of sync.RWMutex.
 //
 // Concurrent read epochs share the world's compute slots: with
-// ComputeSlots of 1 the virtual-time measurements stay contention-free but
-// compute sections of overlapping epochs serialize; raise ComputeSlots for
-// wall-clock throughput.
+// ComputeSlots of 1 the modeled times stay contention-free but the ranks of
+// overlapping epochs run one at a time; raise ComputeSlots for wall-clock
+// throughput.
 func (w *World) RunRead(fn RankFunc) ([]any, error) {
 	if w.proc != nil {
 		return nil, fmt.Errorf("mpi: RunRead on a process-spanning world; epoch ids must be coordinated — use RunEpochAt")
@@ -467,7 +473,7 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 	comms := make([]*Comm, w.size)
 	j := job{fn: fn, ep: ep, results: results, errs: errs, wg: &sync.WaitGroup{}}
 	spawn := func(r int) {
-		comms[r] = &Comm{world: w, rank: r, ep: ep}
+		comms[r] = &Comm{world: w, rank: r, ep: ep, mark: start}
 		go j.run(comms[r])
 	}
 	if w.local == nil {
@@ -488,16 +494,18 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		if kind == epochRead {
 			epochs, seconds = m.epochsRead, m.secondsRead
 		}
+		end := time.Now()
 		epochs.Inc()
-		seconds.Observe(time.Since(start).Seconds())
+		seconds.Observe(end.Sub(start).Seconds())
 		for r, c := range comms {
 			if c == nil {
 				continue // remote rank
 			}
 			s := c.stats
-			m.commSeconds[r].Add(s.CommTime)
+			// A rank that finished early waited for its peers until the
+			// epoch ended: blocked plus running is the whole epoch.
+			m.commSeconds[r].Add(s.WallComm + end.Sub(c.mark).Seconds())
 			m.compSeconds[r].Add(s.CompTime)
-			m.wallComp[r].Add(s.WallComp)
 			m.bytesSent[r].Add(float64(s.BytesSent))
 			m.msgsSent[r].Add(float64(s.MsgsSent))
 		}
@@ -540,7 +548,7 @@ func (w *World) Close() error {
 			close(w.wire.done)
 			w.wire.closeAll()
 			w.wire.wg.Wait()
-			w.closeErr = w.wire.err
+			w.closeErr = w.wire.failure()
 		}
 		if w.proc != nil {
 			w.closeErr = w.proc.shutdown()
@@ -569,13 +577,14 @@ func Run(p int, cfg Config, fn RankFunc) ([]any, error) {
 	return w.Run(fn)
 }
 
-// Stats aggregates per-rank accounting. All virtual times are in seconds.
+// Stats aggregates per-rank accounting. CommTime is modeled (the LogGP
+// terms the paper tables report); CompTime and WallComm are real seconds.
 type Stats struct {
 	BytesSent int64
 	MsgsSent  int64
-	CommTime  float64 // virtual time attributed to communication and waiting
-	CompTime  float64 // virtual time attributed to Compute/Elapse sections
-	WallComp  float64 // real seconds spent inside Compute sections
+	CommTime  float64 // modeled seconds attributed to communication and waiting
+	CompTime  float64 // real seconds running between messages (plus any Elapse)
+	WallComm  float64 // real seconds blocked in a primitive or waiting for a slot
 }
 
 // Comm is one rank's endpoint into a World, bound to one epoch's comm
@@ -587,6 +596,10 @@ type Comm struct {
 
 	vt    float64 // virtual clock, seconds
 	stats Stats
+	// mark is where the current stretch began: the last charge while the
+	// rank runs, the last release while it is blocked (the epoch start
+	// before its body runs).
+	mark time.Time
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -595,8 +608,8 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// ConcurrentRanks returns how many ranks of this process can be inside a
-// Compute section at the same time: the ranks the process hosts, capped by
+// ConcurrentRanks returns how many ranks of this process can run between
+// messages at the same time: the ranks the process hosts, capped by
 // Config.ComputeSlots. Intra-rank parallelism divides the host's CPUs by it.
 func (c *Comm) ConcurrentRanks() int {
 	hosted := c.world.size
@@ -606,31 +619,52 @@ func (c *Comm) ConcurrentRanks() int {
 	return min(hosted, cap(c.world.slots))
 }
 
-// Time returns this rank's current virtual clock in seconds.
-func (c *Comm) Time() float64 { return c.vt }
+// Time returns this rank's current virtual clock in seconds, the running
+// stretch included.
+func (c *Comm) Time() float64 {
+	c.charge()
+	return c.vt
+}
 
-// Stats returns a snapshot of this rank's accounting counters.
-func (c *Comm) Stats() Stats { return c.stats }
+// Stats returns a snapshot of this rank's accounting counters, the running
+// stretch included.
+func (c *Comm) Stats() Stats {
+	c.charge()
+	return c.stats
+}
 
 // Model returns the world's communication cost model.
 func (c *Comm) Model() CostModel { return c.world.model }
 
-// Compute runs fn on a compute slot, measures it, and charges the measured
-// wall duration to this rank's virtual clock. fn must not perform any
-// communication (it would deadlock the slot when ComputeSlots is 1).
-func (c *Comm) Compute(fn func()) {
-	<-c.world.slots
-	t0 := time.Now()
-	fn()
-	d := time.Since(t0).Seconds()
-	c.world.slots <- struct{}{}
+// charge books the wall time since mark — the running stretch so far — as
+// local work on the virtual clock.
+func (c *Comm) charge() {
+	now := time.Now()
+	d := now.Sub(c.mark).Seconds()
+	c.mark = now
 	c.vt += d
 	c.stats.CompTime += d
-	c.stats.WallComp += d
+}
+
+// release ends the running stretch before the rank blocks: the stretch is
+// charged and the compute slot goes back to the world.
+func (c *Comm) release() {
+	c.charge()
+	c.world.slots <- struct{}{}
+}
+
+// acquire takes a compute slot and starts a running stretch; everything
+// since release — blocked in the primitive, then waiting for the slot — was
+// communication in real seconds.
+func (c *Comm) acquire() {
+	<-c.world.slots
+	now := time.Now()
+	c.stats.WallComm += now.Sub(c.mark).Seconds()
+	c.mark = now
 }
 
 // Elapse charges d seconds of local work to the virtual clock without
-// executing anything. Useful when the caller measured work itself.
+// executing anything: the tests' clock-injection hook.
 func (c *Comm) Elapse(d float64) {
 	if d < 0 {
 		panic("mpi: negative Elapse")
@@ -670,6 +704,7 @@ func (c *Comm) SendOwn(dst, tag int, data []byte) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d send to invalid rank %d", c.rank, dst))
 	}
+	c.charge()
 	m := c.world.model
 	start := c.vt
 	c.chargeComm(m.Overhead + float64(len(data))/m.Beta)
@@ -677,15 +712,28 @@ func (c *Comm) SendOwn(dst, tag int, data []byte) {
 	c.stats.MsgsSent++
 	depart := start + m.Overhead + m.Alpha + float64(len(data))/m.Beta
 	msg := message{tag: tag, data: data, depart: depart}
-	if w := c.world.wire; w != nil && dst != c.rank {
-		w.send(c.rank, dst, c.ep.id, msg)
-		return
+	var err error
+	switch {
+	case c.world.wire != nil && dst != c.rank:
+		c.release()
+		err = c.world.wire.send(c.rank, dst, c.ep.id, msg)
+		c.acquire()
+	case c.world.proc != nil && !c.world.isLocal[dst]:
+		c.release()
+		err = c.world.proc.send(c.rank, dst, c.ep.id, msg)
+		c.acquire()
+	default:
+		select {
+		case c.ep.mail[dst][c.rank] <- msg:
+		default: // mailbox full
+			c.release()
+			c.ep.mail[dst][c.rank] <- msg
+			c.acquire()
+		}
 	}
-	if pw := c.world.proc; pw != nil && !c.world.isLocal[dst] {
-		pw.send(c.rank, dst, c.ep.id, msg)
-		return
+	if err != nil {
+		panic(err)
 	}
-	c.ep.mail[dst][c.rank] <- msg
 }
 
 // Recv receives the next message from src, which must carry the given tag.
@@ -695,22 +743,26 @@ func (c *Comm) Recv(src, tag int) []byte {
 	if src < 0 || src >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d recv from invalid rank %d", c.rank, src))
 	}
+	c.charge()
 	var msg message
-	if ab := c.ep.abort; ab != nil {
-		// Prefer a message already delivered over an abort: the select
-		// below is only reached when the mailbox is empty, so a racing
-		// abort can never discard data the peer managed to send.
+	select {
+	case msg = <-c.ep.mail[c.rank][src]:
+	default:
+		// Not delivered yet: block without the slot. A message already in
+		// the mailbox was taken above, so a racing abort can never discard
+		// data the peer managed to send. abort is nil off proc worlds and
+		// then never fires.
+		lost := false
+		c.release()
 		select {
 		case msg = <-c.ep.mail[c.rank][src]:
-		default:
-			select {
-			case msg = <-c.ep.mail[c.rank][src]:
-			case <-ab:
-				panic(fmt.Errorf("mpi: rank %d recv from %d aborted: %w", c.rank, src, ErrPeerLost))
-			}
+		case <-c.ep.abort:
+			lost = true
 		}
-	} else {
-		msg = <-c.ep.mail[c.rank][src]
+		c.acquire()
+		if lost {
+			panic(fmt.Errorf("mpi: rank %d recv from %d aborted: %w", c.rank, src, ErrPeerLost))
+		}
 	}
 	if msg.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, msg.tag))
@@ -747,7 +799,9 @@ func (c *Comm) Barrier() {
 		c.disseminationBarrier(p)
 		return
 	}
+	c.release()
 	t := c.ep.barrier.wait(c.vt)
+	c.acquire()
 	c.advanceComm(t + float64(depth)*c.world.model.Alpha)
 }
 
@@ -761,7 +815,7 @@ func (c *Comm) disseminationBarrier(p int) {
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.vt))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.Time()))
 		got := c.SendRecv(dst, tagBarrier, buf[:], src)
 		t := math.Float64frombits(binary.LittleEndian.Uint64(got))
 		c.advanceComm(t)

@@ -1,9 +1,10 @@
 package mpi
 
 import (
+	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testCfg() Config {
@@ -287,6 +288,11 @@ func TestAlltoallvBackToBack(t *testing.T) {
 	})
 }
 
+// wallNoise is the allowance the exact-clock tests grant the real time a
+// rank spends between its primitives, which the clock now charges: the
+// modeled value is the exact lower bound, the upper bound gets this much.
+const wallNoise = 5e-3
+
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	p := 4
 	res := mustRun(t, p, modelCfg(), func(c *Comm) (any, error) {
@@ -299,11 +305,11 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 		times = append(times, r.(float64))
 	}
 	for _, tm := range times {
-		if tm != times[0] {
+		if math.Abs(tm-times[0]) > wallNoise {
 			t.Fatalf("clocks differ after barrier: %v", times)
 		}
-		if tm < 0.030 {
-			t.Fatalf("barrier time %v below max entrant 30ms", tm)
+		if tm < 0.030 || tm > 0.030+wallNoise {
+			t.Fatalf("barrier time %v outside [30ms, 30ms+noise] of the max entrant", tm)
 		}
 	}
 }
@@ -322,24 +328,52 @@ func TestVirtualTimeCausality(t *testing.T) {
 	})
 	t1 := res[1].(float64)
 	want := 0.5 + 1e-3 + 1e-3 // elapse + alpha + transfer
-	if math.Abs(t1-want) > 1e-9 {
-		t.Fatalf("receiver clock %v, want %v", t1, want)
+	if t1 < want || t1 > want+wallNoise {
+		t.Fatalf("receiver clock %v, want [%v, %v]", t1, want, want+wallNoise)
 	}
 }
 
-func TestComputeChargesClockAndRuns(t *testing.T) {
-	var ran atomic.Int32
-	res := mustRun(t, 3, testCfg(), func(c *Comm) (any, error) {
-		c.Compute(func() { ran.Add(1) })
-		return c.Time(), nil
-	})
-	if ran.Load() != 3 {
-		t.Fatalf("compute ran %d times", ran.Load())
-	}
-	for _, r := range res {
-		if r.(float64) <= 0 {
-			t.Fatalf("compute did not advance clock: %v", r)
+// TestComputeIsTimeBetweenMessages: local work carries no annotation — the
+// stretch between two primitives is what the clock and CompTime are charged,
+// and none of it is communication. A rank that panics gives its slot back.
+func TestComputeIsTimeBetweenMessages(t *testing.T) {
+	const nap = 20 * time.Millisecond
+	res := mustRun(t, 2, testCfg(), func(c *Comm) (any, error) {
+		if c.Rank() == 0 {
+			c.Send(1, 1, nil)
+			time.Sleep(nap)
+			c.Send(1, 2, nil)
+			return []float64{c.Time(), c.Stats().CompTime, c.Stats().CommTime}, nil
 		}
+		c.Recv(0, 1)
+		c.Recv(0, 2)
+		return nil, nil
+	})
+	got := res[0].([]float64)
+	for i, name := range []string{"Time", "CompTime"} {
+		if got[i] < nap.Seconds() || got[i] >= 3*nap.Seconds() {
+			t.Errorf("%s = %v after a %v sleep between two sends, want [20ms, 60ms)", name, got[i], nap)
+		}
+	}
+	if got[2] != 0 {
+		t.Errorf("CommTime = %v under the zero model: the sleep leaked into communication", got[2])
+	}
+
+	w := NewWorld(3, Config{Model: ZeroCostModel(), ComputeSlots: 2})
+	defer w.Close()
+	_, err := w.Run(func(c *Comm) (any, error) {
+		c.Barrier()
+		if c.Rank() == 1 {
+			panic("boom")
+		}
+		return nil, nil
+	})
+	var rp *RankPanicError
+	if !errors.As(err, &rp) {
+		t.Fatalf("want a RankPanicError, got %v", err)
+	}
+	if len(w.slots) != cap(w.slots) {
+		t.Fatalf("%d of %d slots home after a rank panicked", len(w.slots), cap(w.slots))
 	}
 }
 

@@ -121,6 +121,9 @@ type procPeer struct {
 const procFrameHeader = 4 + 4 + 4 + 4 + 4 + 8
 
 func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
+	if len(m.data) > maxFrameBytes {
+		return fmt.Errorf("payload of %d bytes exceeds the %d-byte frame limit", len(m.data), maxFrameBytes)
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	var hdr [procFrameHeader]byte
@@ -140,11 +143,14 @@ func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
 	return pl.wtr.Flush()
 }
 
-func (t *procWire) send(src, dst, epoch int, m message) {
+// send writes one frame; any failure declares the world down and comes
+// back wrapping ErrPeerLost.
+func (t *procWire) send(src, dst, epoch int, m message) error {
 	if err := t.peers[dst].writeFrame(src, dst, epoch, m); err != nil {
 		t.fail(fmt.Errorf("mpi: proc send %d->%d: %w", src, dst, err))
-		panic(fmt.Errorf("mpi: proc send %d->%d (%v): %w", src, dst, err, ErrPeerLost))
+		return fmt.Errorf("mpi: proc send %d->%d (%v): %w", src, dst, err, ErrPeerLost)
 	}
+	return nil
 }
 
 // fail declares the world down exactly once: it records the first error,
@@ -249,6 +255,10 @@ func (t *procWire) readLoop(pl *procPeer) {
 		}
 		epoch := int(binary.LittleEndian.Uint32(hdr[12:]))
 		n := binary.LittleEndian.Uint32(hdr[16:])
+		if n > maxFrameBytes {
+			t.fail(fmt.Errorf("mpi: proc read: frame %d<-%d announces %d bytes, limit %d", dst, src, n, maxFrameBytes))
+			return
+		}
 		m.data = make([]byte, n)
 		if _, err := io.ReadFull(r, m.data); err != nil {
 			select {

@@ -22,8 +22,9 @@ type tcpWire struct {
 	mu      [][]sync.Mutex // one writer lock per endpoint (flush safety)
 	done    chan struct{}
 	wg      sync.WaitGroup
-	errOnce sync.Once
-	err     error
+
+	failMu sync.Mutex
+	err    error // first read-loop failure; Close reports it
 }
 
 // NewTCPWorld creates a world whose ranks exchange messages over loopback
@@ -104,7 +105,18 @@ func (t *tcpWire) closeAll() {
 }
 
 func (t *tcpWire) fail(err error) {
-	t.errOnce.Do(func() { t.err = err })
+	t.failMu.Lock()
+	defer t.failMu.Unlock()
+	if t.err == nil {
+		t.err = err
+	}
+}
+
+// failure returns the first read-loop failure, if any.
+func (t *tcpWire) failure() error {
+	t.failMu.Lock()
+	defer t.failMu.Unlock()
+	return t.err
 }
 
 // Frame layout: tag uint32 | epoch uint32 | payload length uint32 |
@@ -113,7 +125,16 @@ func (t *tcpWire) fail(err error) {
 // epochs sharing one connection can never cross.
 const frameHeader = 4 + 4 + 4 + 8
 
-func (t *tcpWire) send(me, dst, epoch int, m message) {
+// maxFrameBytes caps one socket frame's payload on both socket transports
+// (the ceiling internal/repl uses for its records). The length travels as a
+// uint32 a peer supplies: senders refuse a larger payload instead of letting
+// the length wrap, read loops fail the world before allocating.
+const maxFrameBytes = 1 << 30
+
+func (t *tcpWire) send(me, dst, epoch int, m message) error {
+	if len(m.data) > maxFrameBytes {
+		return fmt.Errorf("mpi: tcp send %d->%d: payload of %d bytes exceeds the %d-byte frame limit", me, dst, len(m.data), maxFrameBytes)
+	}
 	t.mu[me][dst].Lock()
 	defer t.mu[me][dst].Unlock()
 	wtr := t.writers[me][dst]
@@ -123,15 +144,16 @@ func (t *tcpWire) send(me, dst, epoch int, m message) {
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(m.data)))
 	binary.LittleEndian.PutUint64(hdr[12:], math.Float64bits(m.depart))
 	if _, err := wtr.Write(hdr[:]); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send %d->%d: %v", me, dst, err))
+		return fmt.Errorf("mpi: tcp send %d->%d: %w", me, dst, err)
 	}
 	if _, err := wtr.Write(m.data); err != nil {
-		panic(fmt.Sprintf("mpi: tcp send %d->%d: %v", me, dst, err))
+		return fmt.Errorf("mpi: tcp send %d->%d: %w", me, dst, err)
 	}
 	// Flush eagerly: the receiver may be blocked on exactly this message.
 	if err := wtr.Flush(); err != nil {
-		panic(fmt.Sprintf("mpi: tcp flush %d->%d: %v", me, dst, err))
+		return fmt.Errorf("mpi: tcp flush %d->%d: %w", me, dst, err)
 	}
+	return nil
 }
 
 func (t *tcpWire) readLoop(w *World, me, peer int) {
@@ -154,6 +176,10 @@ func (t *tcpWire) readLoop(w *World, me, peer int) {
 		}
 		epoch := int(binary.LittleEndian.Uint32(hdr[4:]))
 		n := binary.LittleEndian.Uint32(hdr[8:])
+		if n > maxFrameBytes {
+			t.fail(fmt.Errorf("mpi: tcp read %d<-%d: frame announces %d bytes, limit %d", me, peer, n, maxFrameBytes))
+			return
+		}
 		m.data = make([]byte, n)
 		if _, err := io.ReadFull(r, m.data); err != nil {
 			t.fail(fmt.Errorf("mpi: tcp read %d<-%d: %w", me, peer, err))

@@ -78,52 +78,48 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 		}
 		res.Rounds++
 		push := make([][]int32, p)
-		c.Compute(func() {
-			seen := make([]bool, p)
-			// Only owned vertices inside the current window participate.
-			beg, end := g.VBeg, g.VEnd
-			if int64(beg) < lo {
-				beg = int32(lo)
+		seen := make([]bool, p)
+		// Only owned vertices inside the current window participate.
+		beg, end := g.VBeg, g.VEnd
+		if int64(beg) < lo {
+			beg = int32(lo)
+		}
+		if int64(end) > hi {
+			end = int32(hi)
+		}
+		for u := beg; u < end; u++ {
+			above := g.Above(u)
+			for i := range seen {
+				seen[i] = false
 			}
-			if int64(end) > hi {
-				end = int32(hi)
-			}
-			for u := beg; u < end; u++ {
-				above := g.Above(u)
-				for i := range seen {
-					seen[i] = false
+			for _, v := range above {
+				r := dgraph.BlockOwner(v, g.N, p)
+				if r == c.Rank() {
+					localTris += intersectSorted(above, g.Above(v))
+					continue
 				}
-				for _, v := range above {
-					r := dgraph.BlockOwner(v, g.N, p)
-					if r == c.Rank() {
-						localTris += intersectSorted(above, g.Above(v))
-						continue
-					}
-					if !seen[r] {
-						seen[r] = true
-						push[r] = append(push[r], u, int32(len(above)))
-						push[r] = append(push[r], above...)
-						res.PushedInts += int64(len(above)) + 2
-					}
+				if !seen[r] {
+					seen[r] = true
+					push[r] = append(push[r], u, int32(len(above)))
+					push[r] = append(push[r], above...)
+					res.PushedInts += int64(len(above)) + 2
 				}
 			}
-		})
+		}
 		got := c.AlltoallvInt32(push)
-		c.Compute(func() {
-			for _, part := range got {
-				i := 0
-				for i < len(part) {
-					d := int(part[i+1])
-					list := part[i+2 : i+2+d]
-					i += 2 + d
-					for _, v := range list {
-						if v >= g.VBeg && v < g.VEnd {
-							localTris += intersectSorted(list, g.Above(v))
-						}
+		for _, part := range got {
+			i := 0
+			for i < len(part) {
+				d := int(part[i+1])
+				list := part[i+2 : i+2+d]
+				i += 2 + d
+				for _, v := range list {
+					if v >= g.VBeg && v < g.VEnd {
+						localTris += intersectSorted(list, g.Above(v))
 					}
 				}
 			}
-		})
+		}
 	}
 	res.Triangles = c.AllreduceInt64(localTris, mpi.OpSum)
 

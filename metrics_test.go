@@ -3,6 +3,8 @@ package tc2d
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +105,20 @@ func TestClusterMetricsExposition(t *testing.T) {
 		if !p.Has(series) {
 			t.Errorf("series %s missing from exposition", series)
 		}
+	}
+	// The registry speaks real seconds: a rank is either blocked (in a
+	// primitive, or waiting for a slot or for its peers to finish) or
+	// running, so the two add up to the time the epochs took.
+	epochs := p.Series[`tc_mpi_epoch_seconds_sum{kind="read"}`] + p.Series[`tc_mpi_epoch_seconds_sum{kind="write"}`]
+	for r := 0; r < 4; r++ {
+		rank := fmt.Sprintf(`{rank="%d"}`, r)
+		got := p.Series["tc_mpi_rank_comm_seconds_total"+rank] + p.Series["tc_mpi_rank_comp_seconds_total"+rank]
+		if epochs <= 0 || math.Abs(got-epochs) > 0.1*epochs {
+			t.Errorf("rank %d: comm + comp = %v s, want within 10%% of the %v s its epochs took", r, got, epochs)
+		}
+	}
+	if p.Has(`tc_mpi_rank_wall_comp_seconds_total{rank="0"}`) {
+		t.Error("tc_mpi_rank_wall_comp_seconds_total is still exposed beside tc_mpi_rank_comp_seconds_total")
 	}
 	if got := p.Series[`tc_queries_total{op="count"}`]; got != 2 {
 		t.Errorf("tc_queries_total{op=count} = %v, want 2", got)

@@ -58,7 +58,6 @@ type wireKernel struct {
 	NoDoublySparse bool
 	NoDirectHash   bool
 	NoEarlyBreak   bool
-	NoBlob         bool
 	TrackPerShift  bool
 	KernelThreads  int
 
@@ -71,7 +70,6 @@ func wireKernelOf(o core.Options) wireKernel {
 		NoDoublySparse: o.NoDoublySparse,
 		NoDirectHash:   o.NoDirectHash,
 		NoEarlyBreak:   o.NoEarlyBreak,
-		NoBlob:         o.NoBlob,
 		TrackPerShift:  o.TrackPerShift,
 		KernelThreads:  o.KernelThreads,
 	}
@@ -83,7 +81,6 @@ func (k wireKernel) coreOptions(reg *obs.Registry) core.Options {
 		NoDoublySparse: k.NoDoublySparse,
 		NoDirectHash:   k.NoDirectHash,
 		NoEarlyBreak:   k.NoEarlyBreak,
-		NoBlob:         k.NoBlob,
 		TrackPerShift:  k.TrackPerShift,
 		KernelThreads:  k.KernelThreads,
 		Metrics:        reg,
@@ -425,7 +422,7 @@ func rebuildFullOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 		np.EnableSnapshotTracking()
 	}
 	st.put(c.Rank(), np)
-	np.EnsureAdjacency(c)
+	np.EnsureAdjacency()
 	return reply0(c, np, opReply{}), nil
 }
 
@@ -437,13 +434,11 @@ func encodeSnapOp(c *mpi.Comm, st *rankStore, s *wireSnap) (*opReply, error) {
 		return nil, err
 	}
 	rep := new(opReply)
-	c.Compute(func() {
-		if s.Delta {
-			rep.Blob = core.EncodePreparedDelta(pr)
-		} else {
-			rep.Blob = core.EncodePrepared(pr)
-		}
-	})
+	if s.Delta {
+		rep.Blob = core.EncodePreparedDelta(pr)
+	} else {
+		rep.Blob = core.EncodePrepared(pr)
+	}
 	return rep, nil
 }
 
@@ -466,17 +461,14 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	rank := c.Rank()
 	pr := st.stage(rank, nil)
 	blob, err := r.fetch(rank)
-	if err == nil {
-		c.Compute(func() {
-			switch {
-			case !r.Delta:
-				pr, err = core.DecodePrepared(blob, rank, r.Ranks)
-			case pr == nil:
-				err = fmt.Errorf("%w: rank %d has no restored base to apply a delta to", errNoResident, rank)
-			default:
-				err = core.ApplyPreparedDelta(pr, blob, rank, r.Ranks)
-			}
-		})
+	switch {
+	case err != nil:
+	case !r.Delta:
+		pr, err = core.DecodePrepared(blob, rank, r.Ranks)
+	case pr == nil:
+		err = fmt.Errorf("%w: rank %d has no restored base to apply a delta to", errNoResident, rank)
+	default:
+		err = core.ApplyPreparedDelta(pr, blob, rank, r.Ranks)
 	}
 	if !r.Final {
 		if err == nil {

@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,13 @@ func testCoordinatorOptions(t *testing.T, launch func(addr string)) CoordinatorO
 // and returns per-worker cancel functions and exit channels.
 func launchWorkers(t *testing.T, addr string, spans []int) ([]context.CancelFunc, []chan error) {
 	t.Helper()
+	return launchWorkersSlots(t, addr, spans, 4)
+}
+
+// launchWorkersSlots is launchWorkers with each worker's compute slots
+// chosen by the caller.
+func launchWorkersSlots(t *testing.T, addr string, spans []int, slots int) ([]context.CancelFunc, []chan error) {
+	t.Helper()
 	cancels := make([]context.CancelFunc, len(spans))
 	exits := make([]chan error, len(spans))
 	for i, span := range spans {
@@ -46,7 +55,7 @@ func launchWorkers(t *testing.T, addr string, spans []int) ([]context.CancelFunc
 			exits[i] <- RunWorker(ctx, WorkerOptions{
 				Coordinator:  addr,
 				Ranks:        span,
-				ComputeSlots: 4,
+				ComputeSlots: slots,
 				Logf:         t.Logf,
 			})
 		}(i, span)
@@ -55,30 +64,48 @@ func launchWorkers(t *testing.T, addr string, spans []int) ([]context.CancelFunc
 	return cancels, exits
 }
 
+// deadlockWatchdog aborts the test binary with every goroutine's stack if
+// the test is still running after d. It guards the one-slot runs: a rank
+// body that blocks on another rank outside internal/mpi does so holding the
+// only compute slot, and would otherwise hang until the go test timeout.
+func deadlockWatchdog(t *testing.T, d time.Duration) {
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 4<<20)
+		panic(fmt.Sprintf("%s still running after %v:\n%s", t.Name(), d, buf[:runtime.Stack(buf, true)]))
+	})
+	t.Cleanup(func() { timer.Stop() })
+}
+
 // TestCoordinatorMatchesInProcess is the differential oracle test: the same
 // graph and the same update stream through a coordinator + worker-process
 // cluster and through an in-process cluster must produce identical counts,
-// update results and metadata — on both the Cannon and SUMMA schedules.
+// update results and metadata — on both the Cannon and SUMMA schedules, and
+// with one compute slot per process as with four.
 func TestCoordinatorMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		name  string
 		ranks int
 		spans []int
+		slots int
 	}{
-		{"cannon4_2workers", 4, []int{2, 2}},
-		{"summa3_2workers", 3, []int{2, 1}},
+		{"cannon4_2workers", 4, []int{2, 2}, 4},
+		{"summa3_2workers", 3, []int{2, 1}, 4},
+		{"cannon4_2workers_1slot", 4, []int{2, 2}, 1},
+		{"summa3_2workers_1slot", 3, []int{2, 1}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			deadlockWatchdog(t, 60*time.Second)
 			g := testClusterGraph(t)
-			oracle, err := NewCluster(g, Options{Ranks: tc.ranks})
+			opt := Options{Ranks: tc.ranks, ComputeSlots: tc.slots}
+			oracle, err := NewCluster(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer oracle.Close()
 
-			cl, err := NewClusterCoordinator(g, Options{Ranks: tc.ranks},
-				testCoordinatorOptions(t, func(addr string) { launchWorkers(t, addr, tc.spans) }))
+			cl, err := NewClusterCoordinator(g, opt,
+				testCoordinatorOptions(t, func(addr string) { launchWorkersSlots(t, addr, tc.spans, tc.slots) }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,9 +530,18 @@ func comparableReply(rep *opReply) *opReply {
 // rebuild stats, snapshot blob bytes, metadata. An op added to the table
 // without a step here fails the coverage check at the end.
 func TestOpTableEnginesAgree(t *testing.T) {
+	for _, slots := range []int{4, 1} {
+		t.Run(fmt.Sprintf("slots%d", slots), func(t *testing.T) {
+			deadlockWatchdog(t, 60*time.Second)
+			opTableEnginesAgree(t, slots)
+		})
+	}
+}
+
+func opTableEnginesAgree(t *testing.T, slots int) {
 	const ranks = 4
 	g := testClusterGraph(t)
-	opt := Options{Ranks: ranks}
+	opt := Options{Ranks: ranks, ComputeSlots: slots}
 	newSide := func(newEngine func(*resolvedOptions, int) (engine, error)) *Cluster {
 		res, err := opt.resolve()
 		if err != nil {
@@ -521,7 +557,7 @@ func TestOpTableEnginesAgree(t *testing.T) {
 	local := newSide((*resolvedOptions).newLocalEngine)
 	var stopWorkers []context.CancelFunc
 	coord := newSide(testCoordinatorOptions(t, func(addr string) {
-		stopWorkers, _ = launchWorkers(t, addr, []int{2, 2})
+		stopWorkers, _ = launchWorkersSlots(t, addr, []int{2, 2}, slots)
 	}).newEngine)
 
 	// blobs[side][kind][rank]: the snapshot blobs each side encoded, restored
