@@ -34,8 +34,9 @@ func CountGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Optio
 	return res, nil
 }
 
-// Count is CountGrid with Cannon's shift schedule, the paper's algorithm;
-// the world size must be a perfect square.
+// Count is CountGrid with Cannon's shift schedule, the paper's algorithm, on
+// the most square factorization of the world size (refused unless square,
+// as in Prepare).
 func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	qr, qc := mpi.FactorGrid(c.Size())
 	return CountGrid(c, in, qr, qc, false, opt)

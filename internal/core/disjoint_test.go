@@ -62,7 +62,7 @@ func TestResidentArraysDisjoint(t *testing.T) {
 				opt := core.Options{Enumeration: enum}
 				var prep *core.Prepared
 				if w.qr > 0 {
-					prep, err = core.PrepareSUMMAGrid(c, in, w.qr, w.qc, opt)
+					prep, err = core.PrepareGrid(c, in, w.qr, w.qc, true, opt)
 				} else {
 					prep, err = core.Prepare(c, in, opt)
 				}

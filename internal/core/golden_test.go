@@ -73,7 +73,7 @@ func prepareOn(c *mpi.Comm, g *graph.Graph, qr, qc int, enum Enumeration) (*Prep
 		return nil, err
 	}
 	if qr > 0 {
-		return PrepareSUMMAGrid(c, in, qr, qc, Options{Enumeration: enum})
+		return PrepareGrid(c, in, qr, qc, true, Options{Enumeration: enum})
 	}
 	return Prepare(c, in, Options{Enumeration: enum})
 }

@@ -25,12 +25,8 @@ func preparedRoundTrip(t *testing.T, p int, summa bool) {
 		if err != nil {
 			return nil, err
 		}
-		var prep *Prepared
-		if summa {
-			prep, err = PrepareSUMMA(c, d, Options{})
-		} else {
-			prep, err = Prepare(c, d, Options{})
-		}
+		qr, qc := mpi.FactorGrid(c.Size())
+		prep, err := PrepareGrid(c, d, qr, qc, summa, Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -182,24 +182,12 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	return prep, nil
 }
 
-// Prepare is PrepareGrid for the shift schedule; the world size must be a
-// perfect square.
+// Prepare is PrepareGrid for the shift schedule on the most square
+// factorization of the world size; that grid is square only when the size
+// is, and PrepareGrid refuses any other (use bcast for those sizes).
 func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 	qr, qc := mpi.FactorGrid(c.Size())
 	return PrepareGrid(c, in, qr, qc, false, opt)
-}
-
-// PrepareSUMMAGrid is PrepareGrid for the broadcast schedule on an explicit
-// qr × qc grid (any world size that factors as qr·qc).
-func PrepareSUMMAGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, opt Options) (*Prepared, error) {
-	return PrepareGrid(c, in, qr, qc, true, opt)
-}
-
-// PrepareSUMMA is PrepareSUMMAGrid on the most square factorization of the
-// world size.
-func PrepareSUMMA(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
-	qr, qc := mpi.FactorGrid(c.Size())
-	return PrepareGrid(c, in, qr, qc, true, opt)
 }
 
 // CountPrepared runs the triangle counting phase against resident state —

@@ -73,12 +73,8 @@ func TestPreparedAcrossEpochs(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				var pr *Prepared
-				if tc.summa {
-					pr, err = PrepareSUMMA(c, in, Options{})
-				} else {
-					pr, err = Prepare(c, in, Options{})
-				}
+				qr, qc := mpi.FactorGrid(c.Size())
+				pr, err := PrepareGrid(c, in, qr, qc, tc.summa, Options{})
 				if err != nil {
 					return nil, err
 				}

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"tc2d/internal/dgraph"
-	"tc2d/internal/mpi"
-)
-
-// CountSUMMA is the rectangular-grid extension the paper's conclusion
-// proposes: the same 2D cyclic task decomposition, scheduled with SUMMA's
-// broadcast pattern instead of Cannon's shifts, so the processor count only
-// needs to factor as qr × qc rather than being a perfect square (any p
-// works; primes degenerate to 1 × p).
+// The broadcast (SUMMA) schedule — CountGrid and PrepareGrid with bcast —
+// is the rectangular-grid extension the paper's conclusion proposes: the
+// same 2D cyclic task decomposition, scheduled with SUMMA's broadcast
+// pattern instead of Cannon's shifts, so the processor count only needs to
+// factor as qr × qc rather than being a perfect square (any p works; primes
+// degenerate to 1 × p).
 //
 // The inner dimension k is processed in lcm(qr, qc) residue classes. At
 // step t, the rank in grid column t mod qc owning the U entries with
@@ -18,15 +14,6 @@ import (
 // every rank runs the kernel over its task block. Classes store k div lcm as
 // the intersection key, so both operands agree on local indices without
 // further translation.
-func CountSUMMA(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
-	qr, qc := mpi.FactorGrid(c.Size())
-	return CountGrid(c, in, qr, qc, true, opt)
-}
-
-// CountSUMMAGrid is CountSUMMA with an explicit qr × qc grid shape.
-func CountSUMMAGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, opt Options) (*Result, error) {
-	return CountGrid(c, in, qr, qc, true, opt)
-}
 
 func lcm(a, b int) int {
 	g, x := a, b

@@ -18,7 +18,8 @@ func countSUMMA(t *testing.T, g *graph.Graph, p int, opt Options) *Result {
 		if err != nil {
 			return nil, err
 		}
-		return CountSUMMA(c, in, opt)
+		qr, qc := mpi.FactorGrid(c.Size())
+		return CountGrid(c, in, qr, qc, true, opt)
 	})
 	if err != nil {
 		t.Fatalf("summa p=%d: %v", p, err)
@@ -33,7 +34,7 @@ func countSUMMAGrid(t *testing.T, g *graph.Graph, qr, qc int, opt Options) *Resu
 		if err != nil {
 			return nil, err
 		}
-		return CountSUMMAGrid(c, in, qr, qc, opt)
+		return CountGrid(c, in, qr, qc, true, opt)
 	})
 	if err != nil {
 		t.Fatalf("summa %dx%d: %v", qr, qc, err)
@@ -143,7 +144,8 @@ func TestSUMMAPropertyRandomGraphs(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return CountSUMMA(c, in, Options{})
+			qr, qc := mpi.FactorGrid(c.Size())
+			return CountGrid(c, in, qr, qc, true, Options{})
 		})
 		if err != nil {
 			t.Logf("summa: %v", err)
@@ -163,7 +165,7 @@ func TestSUMMABadGrid(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return CountSUMMAGrid(c, in, 2, 2, Options{}) // 2*2 != 6
+		return CountGrid(c, in, 2, 2, true, Options{}) // 2*2 != 6
 	})
 	if err == nil {
 		t.Fatal("expected grid shape error")

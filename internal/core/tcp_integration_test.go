@@ -59,7 +59,7 @@ func TestSUMMAOverTCPTransport(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return CountSUMMAGrid(c, in, 2, 3, Options{})
+		return CountGrid(c, in, 2, 3, true, Options{})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// A socket frame's length is whatever the peer wrote. Both read loops must
+// A socket frame's length is whatever the peer wrote. The read loop must
 // refuse a length above maxFrameBytes before allocating for it — and still
 // carry an ordinary 64 KiB frame.
 func TestProcFrameLengthIsBounded(t *testing.T) {
@@ -54,17 +55,9 @@ func TestProcFrameLengthIsBounded(t *testing.T) {
 		t.Fatalf("64 KiB frame: %v / %v", ea, eb)
 	}
 
-	// B's side of the link, written by hand: a frame for rank 0 from rank 1
-	// announcing 2 GiB.
-	var hdr [procFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], 0)
-	binary.LittleEndian.PutUint32(hdr[4:], 1)
-	binary.LittleEndian.PutUint32(hdr[12:], 2)
-	binary.LittleEndian.PutUint32(hdr[16:], 2<<30)
+	// B's side of the link.
 	grew := allocatedWhile(func() {
-		if _, err := wb.proc.links[0].conn.Write(hdr[:]); err != nil {
-			t.Fatalf("forged header: %v", err)
-		}
+		forgeOversizedFrame(t, wb.proc.links[0].conn, 2)
 		waitFor(t, "world A to go down", func() bool { return wa.proc.downErr() != nil })
 	})
 	if grew >= 1<<20 {
@@ -76,6 +69,22 @@ func TestProcFrameLengthIsBounded(t *testing.T) {
 	}
 }
 
+// forgeOversizedFrame writes, by hand on conn, the header of a frame for
+// rank 0 from rank 1 in epoch id that announces 2 GiB.
+func forgeOversizedFrame(t *testing.T, conn net.Conn, id int) {
+	t.Helper()
+	var hdr [procFrameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], 0)
+	binary.LittleEndian.PutUint32(hdr[4:], 1)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(id))
+	binary.LittleEndian.PutUint32(hdr[16:], 2<<30)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatalf("forged header: %v", err)
+	}
+}
+
+// On a loopback world the same forged length fails the wire, and the rank
+// blocked in Recv unwinds with ErrPeerLost instead of waiting forever.
 func TestTCPFrameLengthIsBounded(t *testing.T) {
 	w, err := NewTCPWorld(2, Config{Model: ZeroCostModel(), ComputeSlots: 2})
 	if err != nil {
@@ -85,17 +94,34 @@ func TestTCPFrameLengthIsBounded(t *testing.T) {
 		t.Fatalf("64 KiB frame: %v", err)
 	}
 
-	// Rank 1's end of the pair connection, written by hand.
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[8:], 2<<30)
+	blocked := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Run(func(c *Comm) (any, error) {
+			if c.Rank() == 0 {
+				close(blocked)
+				c.Recv(1, 4)
+			}
+			return nil, nil
+		})
+		done <- err
+	}()
+	<-blocked
 	grew := allocatedWhile(func() {
-		if _, err := w.wire.conns[1][0].Write(hdr[:]); err != nil {
-			t.Fatalf("forged header: %v", err)
-		}
-		waitFor(t, "the read loop to fail", func() bool { return w.wire.failure() != nil })
+		// Rank 1's end of the pair connection.
+		forgeOversizedFrame(t, w.proc.route[1][0].conn, 2)
+		waitFor(t, "the world to go down", func() bool { return w.proc.downErr() != nil })
 	})
 	if grew >= 1<<20 {
 		t.Errorf("a forged 2 GiB length made the reader allocate %d bytes", grew)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPeerLost) {
+			t.Errorf("epoch blocked in Recv: want ErrPeerLost, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rank blocked in Recv did not unwind after the wire failed")
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("Close reported no transport failure after a forged length")

@@ -43,10 +43,9 @@ func TestSendersRefuseOversizedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	defer w.Close() // reports the refused send: the world is down
 	_, err = w.Run(send)
-	var rp *RankPanicError
-	if !errors.As(err, &rp) || !strings.Contains(err.Error(), "1073741825 bytes") {
-		t.Errorf("tcp send of an oversized payload: want a rank panic naming the size, got %v", err)
+	if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), "1073741825 bytes") {
+		t.Errorf("tcp send of an oversized payload: want ErrPeerLost naming the size, got %v", err)
 	}
 }

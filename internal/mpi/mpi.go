@@ -117,17 +117,26 @@ type message struct {
 // epochs each hold their own epochState, so a message sent in one epoch
 // can never be received by another.
 //
-// For process-spanning worlds the namespace also carries an abort channel:
-// when a peer process is lost, every blocked Recv of every in-flight epoch
-// must unwind (the missing messages will never arrive), so the wire closes
-// abort and receivers panic with ErrPeerLost, which the epoch machinery
-// converts into a per-rank error.
+// On socket worlds the namespace also carries an abort channel: when the
+// wire fails, every blocked Recv of every in-flight epoch must unwind (the
+// missing messages will never arrive), so the wire closes abort and
+// receivers panic with ErrPeerLost, which the epoch machinery converts into
+// a per-rank error. Retiring an errored epoch closes it too, so a reader
+// stuck on the epoch's full mailbox drops the frame instead.
 type epochState struct {
 	id      int
 	mail    [][]chan message // mail[dst][src]
 	barrier barrierState
-	abort   chan struct{} // non-nil only on proc worlds; closed on peer loss
+	abort   chan struct{} // non-nil only on socket worlds
 	aborted bool          // guarded by World.epochMu
+}
+
+// stop closes abort once; the caller holds World.epochMu.
+func (ep *epochState) stop() {
+	if ep.abort != nil && !ep.aborted {
+		ep.aborted = true
+		close(ep.abort)
+	}
 }
 
 func newEpochState(p, pairCap int) *epochState {
@@ -161,9 +170,10 @@ func (w *World) getEpochState(id int) *epochState {
 // putEpochState returns a namespace to the pool. Only error-free epochs
 // recycle: a correct SPMD epoch consumes every message it sends (so the
 // mailboxes are empty and no transport goroutine still holds a reference),
-// while an errored epoch may have undelivered messages or late TCP frames
-// in flight — its namespace is dropped for the GC instead. The emptiness
-// scan is a cheap belt-and-suspenders check on top of that contract.
+// while an errored epoch may have undelivered messages or late socket
+// frames in flight — its namespace is dropped for the GC instead. The
+// emptiness scan is a cheap belt-and-suspenders check on top of that
+// contract.
 func (w *World) putEpochState(ep *epochState) {
 	for _, row := range ep.mail {
 		for _, ch := range row {
@@ -176,27 +186,26 @@ func (w *World) putEpochState(ep *epochState) {
 }
 
 // World owns the transport and synchronization state for an SPMD runtime.
-// A world is resident: it supports many Run epochs against the same
-// transport (and, for TCP, the same sockets), so a distributed data
-// structure built in one epoch can be queried by later epochs without
-// re-paying any setup. Each epoch runs its rank bodies on worker
-// goroutines spawned for that epoch.
+// Messages travel over in-process channels, or over sockets (procWire) on
+// a proc world or a loopback TCP world. A world is resident: it supports
+// many Run epochs against the same transport (and the same sockets), so a
+// distributed data structure built in one epoch can be queried by later
+// epochs without re-paying any setup. Each epoch runs its rank bodies on
+// worker goroutines spawned for that epoch.
 //
 // Epochs form two groups. Run epochs are exclusive: they never overlap
 // with any other epoch. RunRead epochs may execute concurrently with each
 // other (but never with a Run epoch) — the reader/writer discipline of an
 // RWMutex. Each epoch gets fresh virtual clocks and stats and a private
-// comm namespace (see epochState). Call Close to retire the world (and,
-// for TCP worlds, the sockets).
+// comm namespace (see epochState). Call Close to retire the world (and the
+// sockets).
 type World struct {
 	size    int
 	model   CostModel
 	pairCap int
 	slots   chan struct{}
-	wire    *tcpWire  // non-nil when messages travel over loopback TCP
-	proc    *procWire // non-nil when ranks span several OS processes
-	local   []int     // global ranks hosted by this process (nil = all)
-	isLocal []bool    // indexed by rank; nil = all local
+	proc    *procWire // non-nil when messages travel over sockets
+	local   []int     // global ranks hosted by this process; nil = all, the world spans no processes
 
 	// gate is the epoch scheduler: RunRead epochs share it, Run epochs
 	// and Close take it exclusively.
@@ -208,10 +217,11 @@ type World struct {
 	closeErr error
 
 	epochMu sync.RWMutex
-	active  map[int]*epochState // in-flight epochs by id (TCP routing)
+	active  map[int]*epochState // in-flight epochs by id (socket routing)
+	retired map[int]bool        // errored epochs' ids: readers drop their late frames
 	epPool  sync.Pool           // recycled epochStates (error-free epochs only)
-	regCond *sync.Cond          // proc worlds: signals epoch registration (epochMu)
-	regStop bool                // proc worlds: wire failed or world closing (epochMu)
+	regCond *sync.Cond          // socket worlds: signals epoch registration (epochMu)
+	regStop bool                // socket worlds: wire failed or world closing (epochMu)
 
 	metrics *worldMetrics // nil when Config.Metrics was nil
 }
@@ -272,6 +282,7 @@ func NewWorld(p int, cfg Config) *World {
 		w.slots <- struct{}{}
 	}
 	w.active = make(map[int]*epochState)
+	w.retired = make(map[int]bool)
 	w.metrics = newWorldMetrics(cfg.Metrics, p)
 	return w
 }
@@ -341,7 +352,7 @@ func (j job) run(c *Comm) {
 // means the SPMD program itself lost synchronization, so treat errors as
 // fatal to the computation they belong to.
 func (w *World) Run(fn RankFunc) ([]any, error) {
-	if w.proc != nil {
+	if w.local != nil {
 		return nil, fmt.Errorf("mpi: Run on a process-spanning world; epoch ids must be coordinated — use RunEpochAt")
 	}
 	w.gate.Lock()
@@ -361,7 +372,7 @@ func (w *World) Run(fn RankFunc) ([]any, error) {
 // overlapping epochs run one at a time; raise ComputeSlots for wall-clock
 // throughput.
 func (w *World) RunRead(fn RankFunc) ([]any, error) {
-	if w.proc != nil {
+	if w.local != nil {
 		return nil, fmt.Errorf("mpi: RunRead on a process-spanning world; epoch ids must be coordinated — use RunEpochAt")
 	}
 	w.gate.RLock()
@@ -459,9 +470,8 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		// Wire failure between the downErr check above and this
 		// registration would miss this epoch: abort it at birth so its
 		// receives unwind instead of waiting for frames that never come.
-		if w.regStop && !ep.aborted {
-			ep.aborted = true
-			close(ep.abort)
+		if w.regStop {
+			ep.stop()
 		}
 		w.regCond.Broadcast()
 	}
@@ -511,15 +521,26 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		}
 	}
 
-	// Deregister before any recycling: once the id is gone, a straggling
-	// TCP frame can only be dropped, never land in a reused namespace.
+	// Deregister before any recycling. An error-free epoch consumed every
+	// message sent to it; an errored one may still have frames on the wire,
+	// so its id is retired and its abort closed: socket readers drop its
+	// late frames instead of parking for a registration that never comes.
+	var err error
+	for _, e := range errs {
+		if e != nil {
+			err = e
+			break
+		}
+	}
 	w.epochMu.Lock()
 	delete(w.active, id)
+	if err != nil && w.proc != nil {
+		w.retired[id] = true
+		ep.stop()
+	}
 	w.epochMu.Unlock()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
+	if err != nil {
+		return results, err
 	}
 	w.putEpochState(ep)
 	return results, nil
@@ -534,7 +555,7 @@ func (w *World) Epochs() int {
 }
 
 // Close retires the world: it waits out every in-flight epoch (whose rank
-// workers have then all exited) and, for TCP worlds, shuts the transport
+// workers have then all exited) and, for socket worlds, shuts the transport
 // down and releases the sockets. Close is idempotent and returns the
 // transport error, if any. A closed world cannot be reused.
 func (w *World) Close() error {
@@ -544,12 +565,6 @@ func (w *World) Close() error {
 	defer w.lifeMu.Unlock()
 	if !w.closed {
 		w.closed = true
-		if w.wire != nil {
-			close(w.wire.done)
-			w.wire.closeAll()
-			w.wire.wg.Wait()
-			w.closeErr = w.wire.failure()
-		}
 		if w.proc != nil {
 			w.closeErr = w.proc.shutdown()
 		}
@@ -557,12 +572,12 @@ func (w *World) Close() error {
 	return w.closeErr
 }
 
-// Abort declares a process-spanning world down without waiting for a
-// socket error: every in-flight epoch unwinds with ErrPeerLost and later
-// epochs fail fast. A coordinator uses this to kill surviving workers'
-// worlds when a peer was evicted by heartbeat timeout — its connections
-// may still look healthy while the process behind them is gone. No-op on
-// single-process worlds and after a previous failure.
+// Abort declares a socket world down without waiting for a socket error:
+// every in-flight epoch unwinds with ErrPeerLost and later epochs fail
+// fast. A coordinator uses this to kill surviving workers' worlds when a
+// peer was evicted by heartbeat timeout — its connections may still look
+// healthy while the process behind them is gone. No-op on channel worlds
+// and after a previous failure.
 func (w *World) Abort(reason string) {
 	if w.proc != nil {
 		w.proc.fail(fmt.Errorf("mpi: world aborted: %s", reason))
@@ -712,27 +727,21 @@ func (c *Comm) SendOwn(dst, tag int, data []byte) {
 	c.stats.MsgsSent++
 	depart := start + m.Overhead + m.Alpha + float64(len(data))/m.Beta
 	msg := message{tag: tag, data: data, depart: depart}
-	var err error
-	switch {
-	case c.world.wire != nil && dst != c.rank:
+	if pw := c.world.proc; pw != nil && pw.route[c.rank][dst] != nil {
 		c.release()
-		err = c.world.wire.send(c.rank, dst, c.ep.id, msg)
+		err := pw.send(c.rank, dst, c.ep.id, msg)
 		c.acquire()
-	case c.world.proc != nil && !c.world.isLocal[dst]:
-		c.release()
-		err = c.world.proc.send(c.rank, dst, c.ep.id, msg)
-		c.acquire()
-	default:
-		select {
-		case c.ep.mail[dst][c.rank] <- msg:
-		default: // mailbox full
-			c.release()
-			c.ep.mail[dst][c.rank] <- msg
-			c.acquire()
+		if err != nil {
+			panic(err)
 		}
+		return
 	}
-	if err != nil {
-		panic(err)
+	select {
+	case c.ep.mail[dst][c.rank] <- msg:
+	default: // mailbox full
+		c.release()
+		c.ep.mail[dst][c.rank] <- msg
+		c.acquire()
 	}
 }
 
@@ -750,7 +759,7 @@ func (c *Comm) Recv(src, tag int) []byte {
 	default:
 		// Not delivered yet: block without the slot. A message already in
 		// the mailbox was taken above, so a racing abort can never discard
-		// data the peer managed to send. abort is nil off proc worlds and
+		// data the peer managed to send. abort is nil off socket worlds and
 		// then never fires.
 		lost := false
 		c.release()
@@ -795,7 +804,7 @@ func (c *Comm) Barrier() {
 	if p > 1 {
 		depth = bits.Len(uint(p - 1))
 	}
-	if c.world.proc != nil {
+	if c.world.local != nil {
 		c.disseminationBarrier(p)
 		return
 	}

@@ -57,7 +57,7 @@ func NewProcWorld(p int, local []int, links []ProcLink, cfg Config) (*World, err
 	if err := mark(local, "local"); err != nil {
 		return nil, err
 	}
-	t := &procWire{w: w, done: make(chan struct{}), peers: make([]*procPeer, p)}
+	t := newProcWire(w)
 	for i, lk := range links {
 		if err := mark(lk.Ranks, fmt.Sprintf("link %d", i)); err != nil {
 			return nil, err
@@ -65,10 +65,11 @@ func NewProcWorld(p int, local []int, links []ProcLink, cfg Config) (*World, err
 		if lk.Conn == nil {
 			return nil, fmt.Errorf("mpi: proc world link %d has nil conn", i)
 		}
-		pl := &procPeer{conn: lk.Conn, wtr: bufio.NewWriterSize(lk.Conn, 1<<16)}
-		t.links = append(t.links, pl)
-		for _, r := range lk.Ranks {
-			t.peers[r] = pl
+		pl := t.addLink(lk.Conn)
+		for _, dst := range lk.Ranks {
+			for _, src := range local {
+				t.route[src][dst] = pl
+			}
 		}
 	}
 	for r, ok := range seen {
@@ -77,27 +78,68 @@ func NewProcWorld(p int, local []int, links []ProcLink, cfg Config) (*World, err
 		}
 	}
 	w.local = append([]int(nil), local...)
-	w.isLocal = make([]bool, p)
-	for _, r := range local {
-		w.isLocal[r] = true
-	}
-	w.regCond = sync.NewCond(&w.epochMu)
-	w.proc = t
-	for _, pl := range t.links {
-		t.wg.Add(1)
-		go t.readLoop(pl)
-	}
+	t.start()
 	return w, nil
 }
 
-// procWire carries messages between the processes of a proc world: one
-// connection per peer process (shared by all of that process's ranks),
-// length-prefixed binary frames extended with explicit src/dst ranks, and
-// one reader goroutine per link.
+// NewTCPWorld creates a world whose ranks exchange messages over loopback
+// TCP: a proc world whose ranks all live here, with one connection per rank
+// pair. Its epochs run through Run and RunRead like a channel world's; only
+// the wire is real. Close must be called to release the sockets. Intended
+// for demonstrations and transport-level testing; the channel transport is
+// faster for production simulation runs.
+func NewTCPWorld(p int, cfg Config) (*World, error) {
+	w := NewWorld(p, cfg)
+	t := newProcWire(w)
+	listeners := make([]net.Listener, p)
+	defer func() {
+		for _, ln := range listeners {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	}()
+	undo := func(err error) (*World, error) {
+		t.closeLinks()
+		return nil, err
+	}
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return undo(fmt.Errorf("mpi: tcp listen: %w", err))
+		}
+		listeners[i] = ln
+	}
+	// Full mesh: rank j dials rank i's listener for every i < j. The kernel
+	// completes the dial as soon as the connection is queued on the listen
+	// backlog, so dial-then-accept in one goroutine is safe.
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			dial, err := net.Dial("tcp", listeners[i].Addr().String())
+			if err != nil {
+				return undo(fmt.Errorf("mpi: tcp dial %d->%d: %w", j, i, err))
+			}
+			t.route[j][i] = t.addLink(dial)
+			acc, err := listeners[i].Accept()
+			if err != nil {
+				return undo(fmt.Errorf("mpi: tcp accept %d<-%d: %w", i, j, err))
+			}
+			t.route[i][j] = t.addLink(acc)
+		}
+	}
+	t.start()
+	return w, nil
+}
+
+// procWire carries a world's messages over sockets: length-prefixed binary
+// frames that name their src and dst ranks, and one reader goroutine per
+// connection end. A proc world has one link per peer process, shared by all
+// the rank pairs between the two processes; a loopback TCP world has one
+// connection per rank pair, whose two ends both live here.
 type procWire struct {
 	w     *World
-	peers []*procPeer // indexed by global rank; nil for local ranks
-	links []*procPeer // one per peer process
+	route [][]*procPeer // route[src][dst]: the link a local src sends to dst on; nil within the process
+	links []*procPeer   // every connection end this process holds
 	done  chan struct{}
 	wg    sync.WaitGroup
 
@@ -105,20 +147,58 @@ type procWire struct {
 	down   error // first transport failure; world is dead once set
 }
 
-// procPeer is the write side of one link. The mutex spans the whole frame
-// write plus the eager flush so concurrent local senders never interleave
-// frames.
+func newProcWire(w *World) *procWire {
+	t := &procWire{w: w, done: make(chan struct{}), route: make([][]*procPeer, w.size)}
+	for src := range t.route {
+		t.route[src] = make([]*procPeer, w.size)
+	}
+	return t
+}
+
+func (t *procWire) addLink(conn net.Conn) *procPeer {
+	pl := &procPeer{conn: conn, wtr: bufio.NewWriterSize(conn, 1<<16)}
+	t.links = append(t.links, pl)
+	return pl
+}
+
+// start attaches the wire to its world and starts one reader per link.
+func (t *procWire) start() {
+	t.w.regCond = sync.NewCond(&t.w.epochMu)
+	t.w.proc = t
+	for _, pl := range t.links {
+		t.wg.Add(1)
+		go t.readLoop(pl)
+	}
+}
+
+func (t *procWire) closeLinks() {
+	for _, pl := range t.links {
+		pl.conn.Close()
+	}
+}
+
+// procPeer is one connection end: the route senders write to, and the link
+// its reader checks every frame's src and dst against. The mutex spans the
+// whole frame write plus the eager flush so concurrent local senders never
+// interleave frames.
 type procPeer struct {
 	conn net.Conn
 	mu   sync.Mutex
 	wtr  *bufio.Writer
 }
 
-// Proc frame layout: dst uint32 | src uint32 | tag uint32 | epoch uint32 |
-// payload length uint32 | depart float64 bits | payload bytes. Unlike the
-// loopback tcpWire (one socket per rank pair), one link multiplexes every
-// rank pair between two processes, so src and dst travel in the header.
+// Frame layout: dst uint32 | src uint32 | tag uint32 | epoch uint32 |
+// payload length uint32 | depart float64 bits | payload bytes. src and dst
+// travel in the header because a proc world's link multiplexes every rank
+// pair between two processes; the epoch id routes the frame to the namespace
+// of the epoch it belongs to, so overlapping epochs can never cross.
 const procFrameHeader = 4 + 4 + 4 + 4 + 4 + 8
+
+// maxFrameBytes caps one frame's payload (the ceiling internal/repl uses
+// for its records). The length travels as a uint32 a peer supplies: senders
+// refuse a larger payload instead of letting the length wrap, read loops
+// fail the world before allocating.
+const maxFrameBytes = 1 << 30
 
 func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
 	if len(m.data) > maxFrameBytes {
@@ -146,7 +226,7 @@ func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
 // send writes one frame; any failure declares the world down and comes
 // back wrapping ErrPeerLost.
 func (t *procWire) send(src, dst, epoch int, m message) error {
-	if err := t.peers[dst].writeFrame(src, dst, epoch, m); err != nil {
+	if err := t.route[src][dst].writeFrame(src, dst, epoch, m); err != nil {
 		t.fail(fmt.Errorf("mpi: proc send %d->%d: %w", src, dst, err))
 		return fmt.Errorf("mpi: proc send %d->%d (%v): %w", src, dst, err, ErrPeerLost)
 	}
@@ -165,17 +245,12 @@ func (t *procWire) fail(err error) {
 	}
 	t.down = err
 	t.failMu.Unlock()
-	for _, pl := range t.links {
-		pl.conn.Close()
-	}
+	t.closeLinks()
 	t.w.epochMu.Lock()
 	t.w.regStop = true
 	t.w.regCond.Broadcast()
 	for _, ep := range t.w.active {
-		if ep.abort != nil && !ep.aborted {
-			ep.aborted = true
-			close(ep.abort)
-		}
+		ep.stop()
 	}
 	t.w.epochMu.Unlock()
 }
@@ -196,9 +271,7 @@ func (t *procWire) downErr() error {
 // world was healthy until Close).
 func (t *procWire) shutdown() error {
 	close(t.done)
-	for _, pl := range t.links {
-		pl.conn.Close()
-	}
+	t.closeLinks()
 	t.w.epochMu.Lock()
 	t.w.regStop = true
 	t.w.regCond.Broadcast()
@@ -210,14 +283,17 @@ func (t *procWire) shutdown() error {
 }
 
 // waitEpoch returns the namespace of epoch id, parking until some local
-// RunEpochAt registers it. Unlike the loopback transport, a frame for an
-// unregistered epoch cannot be dropped: processes start epochs with skew, so
-// a frame arriving early is normal and the messages behind it must wait.
-// Blocking the link here is deadlock-free because links are FIFO — every
-// frame of every earlier epoch on this link has already been delivered, and
-// epoch ids are dispatched to all processes in one global order, so the
-// registration this parks on never depends on frames behind the parked one.
-// Returns nil when the world is shut down or declared down instead.
+// epoch registers it. An error-free epoch consumes every message sent to
+// it, so only an errored epoch can leave frames behind, and runEpoch retires
+// its id: a frame for a retired id returns nil and is dropped. A frame for
+// any other unregistered id is early, not late — processes start epochs with
+// skew — and the messages behind it must wait. Blocking the link here is
+// deadlock-free because links are FIFO — every frame of every earlier epoch
+// on this link has already been delivered, and epoch ids are dispatched to
+// all processes in one global order, so the registration this parks on never
+// depends on frames behind the parked one. Also returns nil when the world is
+// shut down or declared down; the link is closed then, and the next read
+// ends the loop.
 func (w *World) waitEpoch(id int) *epochState {
 	w.epochMu.RLock()
 	ep := w.active[id]
@@ -227,7 +303,7 @@ func (w *World) waitEpoch(id int) *epochState {
 	}
 	w.epochMu.Lock()
 	defer w.epochMu.Unlock()
-	for w.active[id] == nil && !w.regStop {
+	for w.active[id] == nil && !w.retired[id] && !w.regStop {
 		w.regCond.Wait()
 	}
 	return w.active[id]
@@ -269,19 +345,20 @@ func (t *procWire) readLoop(pl *procPeer) {
 			t.fail(fmt.Errorf("mpi: proc read: %w", err))
 			return
 		}
-		if dst < 0 || dst >= t.w.size || !t.w.isLocal[dst] || src < 0 || src >= t.w.size {
-			t.fail(fmt.Errorf("mpi: proc frame for foreign rank %d<-%d", dst, src))
+		// A frame is only valid on the link its dst's route from src names.
+		if dst < 0 || dst >= t.w.size || src < 0 || src >= t.w.size || t.route[dst][src] != pl {
+			t.fail(fmt.Errorf("mpi: proc frame %d<-%d on a link that does not carry it", dst, src))
 			return
 		}
 		ep := t.w.waitEpoch(epoch)
 		if ep == nil {
-			return // world shut down while parked
+			continue // late frame of a retired epoch, or the world is stopping
 		}
 		select {
 		case ep.mail[dst][src] <- m:
 		case <-ep.abort:
-			// Epoch aborted while its mailbox was full: its ranks are
-			// unwinding, not receiving. Drop the frame and move on.
+			// Epoch aborted or retired while its mailbox was full: its
+			// ranks are not receiving. Drop the frame and move on.
 		case <-t.done:
 			return
 		}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -203,4 +204,69 @@ func TestConcurrentRanks(t *testing.T) {
 	if ra[0].(int) != 1 || rb[1].(int) != 3 || rb[3].(int) != 3 {
 		t.Errorf("1+3 rank processes over 8 slots: rank 0 sees %v, ranks 1 and 3 see %v and %v; want 1, 3, 3", ra[0], rb[1], rb[3])
 	}
+}
+
+// An errored epoch can leave frames on the wire: rank 0 gives up at once
+// while rank 1 sends to it 50 ms later. The late frame must be dropped, not
+// park the reader of the link, or every later epoch on that link hangs.
+func TestProcLateFrameForRetiredEpoch(t *testing.T) {
+	late := func(c *Comm) (any, error) {
+		if c.Rank() == 0 {
+			return nil, errors.New("rank 0 gives up")
+		}
+		time.Sleep(50 * time.Millisecond)
+		c.Send(0, 1, []byte{1})
+		return nil, nil
+	}
+	plain := func(c *Comm) (any, error) {
+		if c.Rank() == 1 {
+			c.Send(0, 2, []byte("after"))
+		} else if got := string(c.Recv(1, 2)); got != "after" {
+			return nil, fmt.Errorf("got %q", got)
+		}
+		return nil, nil
+	}
+	// within runs the second epoch under a watchdog that aborts the worlds
+	// and fails instead of hanging.
+	within := func(t *testing.T, abort func(), epoch func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- epoch() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("epoch after the late frame: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			abort()
+			<-done
+			t.Fatal("epoch after the late frame hung for 5 s")
+		}
+	}
+
+	t.Run("proc", func(t *testing.T) {
+		wa, wb := twoProcWorlds(t, 2, []int{0}, []int{1})
+		if _, _, ea, eb := runBoth(wa, wb, 1, false, late); ea == nil || eb != nil {
+			t.Fatalf("epoch 1: want an error from A only, got %v / %v", ea, eb)
+		}
+		within(t, func() { wa.Abort("watchdog"); wb.Abort("watchdog") }, func() error {
+			_, _, ea, eb := runBoth(wa, wb, 2, false, plain)
+			return errors.Join(ea, eb)
+		})
+	})
+
+	t.Run("loopback", func(t *testing.T) {
+		w, err := NewTCPWorld(2, Config{Model: ZeroCostModel(), ComputeSlots: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if _, err := w.Run(late); err == nil {
+			t.Fatal("epoch 1: want rank 0's error")
+		}
+		within(t, func() { w.Abort("watchdog") }, func() error {
+			_, err := w.Run(plain)
+			return err
+		})
+	})
 }
