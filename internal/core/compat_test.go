@@ -215,6 +215,9 @@ func FuzzDecodePrepared(f *testing.F) {
 	for _, s := range compatSeeds(f) {
 		f.Add(s.base, uint8(s.rank), uint8(s.size))
 	}
+	hostile, size := corpusState(f, "cannon4", 1)
+	hostileLabel(hostile)
+	f.Add(EncodePrepared(hostile), uint8(1), uint8(size))
 	f.Fuzz(func(t *testing.T, blob []byte, rank, size uint8) {
 		size = size%16 + 1
 		rank %= size
@@ -244,6 +247,14 @@ func FuzzApplyPreparedDelta(f *testing.F) {
 	for i, s := range seeds {
 		f.Add(s.delta, uint8(i))
 	}
+	hostile, err := DecodePrepared(seeds[1].base, seeds[1].rank, seeds[1].size)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile.EnableSnapshotTracking()
+	hostileLabel(hostile)
+	hostile.MarkLabelSlot(0)
+	f.Add(EncodePreparedDelta(hostile), uint8(1))
 	f.Fuzz(func(t *testing.T, blob []byte, which uint8) {
 		s := seeds[int(which)%len(seeds)]
 		p, err := DecodePrepared(s.base, s.rank, s.size)

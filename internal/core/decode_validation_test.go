@@ -8,7 +8,7 @@ import (
 
 // corpusState decodes rank `rank` of a compat-corpus configuration (jik):
 // a valid state to damage.
-func corpusState(t *testing.T, name string, rank int) (p *Prepared, size int) {
+func corpusState(t testing.TB, name string, rank int) (p *Prepared, size int) {
 	t.Helper()
 	for _, cfg := range readCompatManifest(t).Configs {
 		if cfg.Name == name && cfg.Enum == "jik" {
@@ -56,6 +56,10 @@ func blobWalk(blob []byte) (gridAt, nuAt, firstID, secondID int) {
 
 func putI32(blob []byte, at int, v int32) { binary.LittleEndian.PutUint32(blob[at:], uint32(v)) }
 func getI32(blob []byte, at int) int32    { return int32(binary.LittleEndian.Uint32(blob[at:])) }
+
+// hostileLabel points label slot 0 just past the base region [0, baseN): a
+// state whose blob only a range check of the labels refuses.
+func hostileLabel(p *Prepared) { p.labels[0] = int32(p.baseN) }
 
 // midRow returns a row index strictly inside a block's row-pointer array.
 func midRow(b *csrBlock) int32 { return b.rows / 2 }
@@ -112,6 +116,13 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 			putI32(blob, at-8, 9)
 			putI32(blob, at-4, 5)
 		}, want: "ascending", kinds: both},
+		{name: "label outside the base region", mutate: hostileLabel, want: "base region", kinds: both},
+		{name: "label negative", mutate: func(p *Prepared) { p.labels[len(p.labels)-1] = -1 }, want: "base region", kinds: both},
+		{name: "label map one slot short", mutate: func(p *Prepared) { p.labels = p.labels[:len(p.labels)-1] }, want: "label map", kinds: both},
+		{name: "label map from another cyclic id", mutate: func(p *Prepared) { p.labelBeg++ }, want: "label map", kinds: both},
+		{name: "degree-dirty label outside the vertex space", mutate: func(p *Prepared) {
+			p.SetDegreeDirty([]int32{0, int32(p.n)})
+		}, want: "degree-dirty label", kinds: both},
 		{name: "padding not zero", bytes: func(blob []byte) { blob[11] = 1 }, want: "padding", kinds: both},
 		{name: "enumeration unknown", bytes: func(blob []byte) { blob[9] = 7 }, want: "enumeration", kinds: both},
 		{name: "state kind unknown", bytes: func(blob []byte) { blob[8] = 2 }, want: "kind", kinds: both},
@@ -213,6 +224,17 @@ func TestApplyDeltaRejectsInvalidBlocks(t *testing.T) {
 			{"dimensions", func(p *Prepared, _ int32) { p.blk.nCols++ }, "dimensions"},
 			{"maxURow below the longest row", func(p *Prepared, _ int32) { p.blk.maxURow = 0 }, "maxURow"},
 			{"shrinking vertex space", func(p *Prepared, _ int32) { p.n-- }, "vertex space"},
+			{"patched label outside the base region", func(p *Prepared, _ int32) {
+				hostileLabel(p)
+				p.MarkLabelSlot(0)
+			}, "base region"},
+			{"patched label negative", func(p *Prepared, _ int32) {
+				p.labels[1] = -1
+				p.MarkLabelSlot(1)
+			}, "base region"},
+			{"degree-dirty label outside the vertex space", func(p *Prepared, _ int32) {
+				p.MarkDegreeDirty([]int32{int32(p.n)})
+			}, "degree-dirty label"},
 		} {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
 				base, size, delta := deltaOf(t, kind, tc.damage)

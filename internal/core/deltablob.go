@@ -282,7 +282,13 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		}
 		labels[slot] = val
 	}
+	if err := checkLabels(labelBeg, labels, baseN, rank, size); err != nil {
+		return err
+	}
 	dirty := d.vgaps()
+	if d.err == nil {
+		d.err = checkDirty(dirty, n)
+	}
 
 	blk := p.blk
 	if !p.bcast {

@@ -105,12 +105,6 @@ func (p *Prepared) EnsureAdjacency() {
 	p.mirror = &blk
 }
 
-// MirrorShape returns the residue geometry of the row mirror: the moduli of
-// its rows and columns, and this rank's residues — its grid position.
-func (p *Prepared) MirrorShape() (rowMod, colMod, rowRes, colRes int) {
-	return p.blk.qr, p.blk.qc, p.blk.row, p.blk.col
-}
-
 // AdjRow returns the mirror row of global label v: v's neighbours in this
 // rank's column residue class, as sorted global labels. v must belong to
 // this rank's row residue class. The slice aliases resident state: read

@@ -121,7 +121,7 @@ func (w *kernelWorker) rowProbing(a int32, task, u *csrBlock, l *cscBlock, noEar
 		}
 		w.kc.mapTasks++
 		if !built {
-			w.set.Reset(false)
+			w.set.Reset()
 			for _, k := range urow {
 				w.set.Insert(k)
 			}
@@ -149,18 +149,19 @@ func (o Options) kernelWorkers(c *mpi.Comm) int {
 	return max(1, p/c.ConcurrentRanks())
 }
 
-// weightedRow is one task row of a step with its LPT weight.
-type weightedRow struct {
-	a int32
+// weightedItem is one LPT item of a partition — a task row of a step, or a
+// pair of IntersectPairs — with its weight.
+type weightedItem struct {
+	i int32
 	w int64
 }
 
-// kernelPool is the per-count state of the kernel: the workers, the routine
-// the count's options select — chosen here, once, so the per-element loops
-// read no option — and the scratch of the row partitioner. The workers'
-// counters are summed in worker order after the last step, which keeps every
-// Result counter exact at any thread count (each field is a pure sum over
-// (row, task) pairs).
+// kernelPool is the state of the kernel for one count (or one IntersectPairs
+// call): the workers, the routine the count's options select — chosen here,
+// once, so the per-element loops read no option — and the scratch of the LPT
+// partitioner. The workers' counters are summed in worker order after the
+// last step, which keeps every Result counter exact at any thread count (each
+// field is a pure sum over (row, task) pairs).
 type kernelPool struct {
 	workers      []kernelWorker
 	probing      bool // NoDirectHash: rowProbing instead of rowBitmap
@@ -168,8 +169,9 @@ type kernelPool struct {
 	allRows      bool    // NoDoublySparse: visit every row, not just taskRows
 	rowIDs       []int32 // 0..rows-1, materialized under allRows
 
-	// partitionLPT scratch, reused across steps.
-	weighted []weightedRow
+	// partitionLPT scratch, reused across steps: the weighed items, and per
+	// worker the indices placed on it and their total weight.
+	weighted []weightedItem
 	buckets  [][]int32
 	loads    []int64
 
@@ -242,8 +244,15 @@ func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscB
 		kp.runRows(&kp.workers[0], rows, task, u, l)
 		return
 	}
-	kp.partitionLPT(rows, task, u, l)
+	kp.weighRows(rows, task, u, l)
+	kp.partitionLPT()
 	kp.observeImbalance()
+	kp.fanOut(func(w int) { kp.runRows(&kp.workers[w], kp.buckets[w], task, u, l) })
+}
+
+// fanOut runs body(w) for every worker w with a non-empty bucket, each on its
+// own goroutine, and waits for all of them.
+func (kp *kernelPool) fanOut(body func(w int)) {
 	var wg sync.WaitGroup
 	for w := range kp.workers {
 		if len(kp.buckets[w]) == 0 {
@@ -252,7 +261,7 @@ func (kp *kernelPool) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscB
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kp.runRows(&kp.workers[w], kp.buckets[w], task, u, l)
+			body(w)
 		}(w)
 	}
 	wg.Wait()
@@ -291,15 +300,11 @@ func (kp *kernelPool) total() kernelCounters {
 	return kc
 }
 
-// partitionLPT splits one step's task rows into one bucket per worker
-// (kp.buckets, with the per-bucket weights in kp.loads), balanced by the
-// A⁺-weight Σ over the row's tasks of min(|U-row|, |L-col|). Rows are placed
-// longest-processing-time first onto the least-loaded bucket; ties break
-// deterministically (heavier weight, then lower row id), though correctness
-// never depends on placement: every counter is a pure sum over pairs. Rows
-// with zero weight this step (empty U row, or every task column empty) are
+// weighRows fills the partition's items with one step's task rows, weighted
+// by the A⁺-weight Σ over the row's tasks of min(|U-row|, |L-col|). Rows with
+// zero weight this step (empty U row, or every task column empty) are
 // dropped — they contribute nothing.
-func (kp *kernelPool) partitionLPT(rows []int32, task *csrBlock, u *csrBlock, l *cscBlock) {
+func (kp *kernelPool) weighRows(rows []int32, task *csrBlock, u *csrBlock, l *cscBlock) {
 	weighted := kp.weighted[:0]
 	for _, a := range rows {
 		tcols := task.row(a)
@@ -317,27 +322,108 @@ func (kp *kernelPool) partitionLPT(rows []int32, task *csrBlock, u *csrBlock, l 
 		if wt == 0 {
 			continue
 		}
-		weighted = append(weighted, weightedRow{a, wt})
+		weighted = append(weighted, weightedItem{a, wt})
 	}
-	slices.SortFunc(weighted, func(x, y weightedRow) int {
+	kp.weighted = weighted
+}
+
+// partitionLPT splits the weighed items into one bucket per worker
+// (kp.buckets, with the per-bucket weights in kp.loads). Items are placed
+// longest-processing-time first onto the least-loaded bucket; ties break
+// deterministically (heavier weight, then lower index), though correctness
+// never depends on placement: every counter is a pure sum over items.
+func (kp *kernelPool) partitionLPT() {
+	slices.SortFunc(kp.weighted, func(x, y weightedItem) int {
 		if x.w != y.w {
 			return cmp.Compare(y.w, x.w)
 		}
-		return cmp.Compare(x.a, y.a)
+		return cmp.Compare(x.i, y.i)
 	})
-	kp.weighted = weighted
 	for w := range kp.buckets {
 		kp.buckets[w] = kp.buckets[w][:0]
 		kp.loads[w] = 0
 	}
-	for _, r := range weighted {
+	for _, r := range kp.weighted {
 		best := 0
 		for w := 1; w < len(kp.loads); w++ {
 			if kp.loads[w] < kp.loads[best] {
 				best = w
 			}
 		}
-		kp.buckets[best] = append(kp.buckets[best], r.a)
+		kp.buckets[best] = append(kp.buckets[best], r.i)
 		kp.loads[best] += r.w
 	}
+}
+
+// Pair is one intersection of the write path: two ascending lists of global
+// labels of one column residue class — mirror rows (Prepared.AdjRow), or such
+// a row shipped in from another rank of the same grid column.
+type Pair struct{ A, B []int32 }
+
+// IntersectPairs intersects every pair on the count kernel's bitmap workers,
+// as many as KernelWorkers(c): pairBitmap per pair, spread over the workers by
+// the count steps' LPT placement on min(|A|, |B|) weights. hit(worker, i, w)
+// receives every label w common to pairs[i].A and pairs[i].B; with several
+// workers the calls run concurrently, but one worker's calls never overlap, so
+// state kept per worker (worker < KernelWorkers(c)) needs no lock. Returns the
+// bitmap lookups made — a pure sum over pairs, exact at any worker count.
+//
+// The bitmaps are sized for the current vertex count (after any GrowTo):
+// every entry of a column class y lists labels ≡ y mod qc, so label / qc is a
+// collision-free key below ⌈n/qc⌉.
+func (p *Prepared) IntersectPairs(c *mpi.Comm, pairs []Pair, hit func(worker, i int, w int32)) int64 {
+	qc := int32(p.blk.qc)
+	kp := newKernelPool(p.KernelWorkers(c), numWithResidue(p.n, p.blk.qc, 0), 0, Options{})
+	if len(kp.workers) == 1 {
+		for i := range pairs {
+			kp.workers[0].pairBitmap(0, i, &pairs[i], qc, hit)
+		}
+	} else {
+		kp.weighPairs(pairs)
+		kp.partitionLPT()
+		kp.fanOut(func(w int) {
+			for _, i := range kp.buckets[w] {
+				kp.workers[w].pairBitmap(w, int(i), &pairs[i], qc, hit)
+			}
+		})
+	}
+	return kp.total().probes
+}
+
+// weighPairs fills the partition's items with the pairs of IntersectPairs,
+// weighted by min(|A|, |B|); a pair with an empty side is dropped.
+func (kp *kernelPool) weighPairs(pairs []Pair) {
+	weighted := kp.weighted[:0]
+	for i, pr := range pairs {
+		if wt := min(len(pr.A), len(pr.B)); wt > 0 {
+			weighted = append(weighted, weightedItem{int32(i), int64(wt)})
+		}
+	}
+	kp.weighted = weighted
+}
+
+// pairBitmap is rowBitmap for pair i of IntersectPairs on the pool's worker
+// id: mark A's keys (label / qc) in the bitmap, walk B backwards down to A's
+// minimum — the same early break — handing every common label to hit, then
+// clear exactly the words A set. Every lookup is one probe.
+func (w *kernelWorker) pairBitmap(id, i int, pr *Pair, qc int32, hit func(worker, i int, w int32)) {
+	a, b := pr.A, pr.B
+	if len(a) == 0 || len(b) == 0 {
+		return
+	}
+	bits := w.bits
+	for _, v := range a {
+		k := uint32(v / qc)
+		bits[k>>6] |= 1 << (k & 63)
+	}
+	j := len(b) - 1
+	for ; j >= 0 && b[j] >= a[0]; j-- {
+		if k := uint32(b[j] / qc); bits[k>>6]>>(k&63)&1 != 0 {
+			hit(id, i, b[j])
+		}
+	}
+	for _, v := range a {
+		bits[uint32(v/qc)>>6] = 0
+	}
+	w.kc.probes += int64(len(b) - 1 - j)
 }

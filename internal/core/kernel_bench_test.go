@@ -158,10 +158,10 @@ func newHotChurn(tb testing.TB, g *graph.Graph, seed int64) ([]*Prepared, *hotCh
 		h.hot = append(h.hot, int32(v))
 		isHot[int32(v)] = true
 	}
-	for _, p := range preps {
-		rowMod, _, rowRes, _ := p.MirrorShape()
+	for rank, p := range preps {
+		qr, qc, _ := p.GridShape()
 		for _, v := range h.hot {
-			if int(v)%rowMod != rowRes {
+			if int(v)%qr != rank/qc {
 				continue
 			}
 			for _, u := range p.AdjRow(v) {

@@ -98,7 +98,8 @@ func TestKernelThreadsWithAblations(t *testing.T) {
 // (63/64, 127/128), with empty U rows, empty task rows, empty columns and
 // columns entirely below the row minimum in the mix — and, after every row,
 // that the bitmap is all-zero again: a stale bit would silently inflate
-// later rows.
+// later rows. Every trial also runs one pair of IntersectPairs' routine,
+// held to the same oracle and the same clean bitmap.
 func TestKernelRowMatchesMapOracle(t *testing.T) {
 	const keyRange = 130 // three words, the last one partial
 	rng := rand.New(rand.NewSource(7))
@@ -197,6 +198,54 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 				}
 			}
 		}
+
+		// The write path's pair routine on the same kind of lists, as labels
+		// of column class 2 of 3 (key = label / 3): empty sides, B entirely
+		// below A's minimum and keys on the word boundaries in the mix.
+		const qc, class = 3, 2
+		labels := func(lo int32) []int32 {
+			if rng.Intn(6) == 0 {
+				return nil
+			}
+			keys := randList(1+rng.Intn(30), lo)
+			for i := range keys {
+				keys[i] = keys[i]*qc + class
+			}
+			return keys
+		}
+		pr := Pair{A: labels(int32(64 * rng.Intn(2))), B: labels(0)}
+		if rng.Intn(8) == 0 && len(pr.A) > 0 && pr.A[0] > class {
+			pr.B = []int32{class} // entirely below A's minimum
+		}
+		inA := map[int32]bool{}
+		for _, v := range pr.A {
+			inA[v] = true
+		}
+		var wantHits, wantProbes int64
+		for _, v := range pr.B {
+			if len(pr.A) > 0 && v >= pr.A[0] {
+				wantProbes++
+			}
+			if inA[v] {
+				wantHits++
+			}
+		}
+		w := newKernelPool(1, keyRange, 0, Options{}).workers[0]
+		var hits int64
+		w.pairBitmap(0, trial, &pr, qc, func(worker, i int, v int32) {
+			if worker != 0 || i != trial || !inA[v] {
+				t.Fatalf("trial %d: hit(%d, %d, %d) is not a common label of pair %d on worker 0", trial, worker, i, v, trial)
+			}
+			hits++
+		})
+		for i, word := range w.bits {
+			if word != 0 {
+				t.Fatalf("trial %d: bitmap word %d = %#x after the pair", trial, i, word)
+			}
+		}
+		if hits != wantHits || w.kc.probes != wantProbes {
+			t.Fatalf("trial %d: pair %v ∩ %v: %d hits, %d probes; oracle %d, %d", trial, pr.A, pr.B, hits, w.kc.probes, wantHits, wantProbes)
+		}
 	}
 }
 
@@ -219,7 +268,8 @@ func TestKernelPartitionLPT(t *testing.T) {
 	l := cscBlock{rows: 1, xadj: []int32{0, 8}, adj: []int32{0, 1, 2, 3, 4, 5, 6, 7}}
 	rows := []int32{0, 1, 2, 3, 4, 5}
 	kp := newKernelPool(2, 64, 5, Options{})
-	kp.partitionLPT(rows, &task, &u, &l)
+	kp.weighRows(rows, &task, &u, &l)
+	kp.partitionLPT()
 	seen := map[int32]bool{}
 	loads := make([]int64, 2)
 	for w, bucket := range kp.buckets {
@@ -246,11 +296,39 @@ func TestKernelPartitionLPT(t *testing.T) {
 	// Zero-weight rows (empty U row or all-empty task columns) are dropped,
 	// and the buckets of the previous step with them.
 	emptyU := csrFromPairs(6, nil)
-	kp.partitionLPT(rows, &task, &emptyU, &l)
+	kp.weighRows(rows, &task, &emptyU, &l)
+	kp.partitionLPT()
 	for w, bucket := range kp.buckets {
 		if len(bucket) != 0 || kp.loads[w] != 0 {
 			t.Errorf("zero-weight rows were assigned: %v (load %d)", bucket, kp.loads[w])
 		}
+	}
+
+	// The same placement on IntersectPairs' weights, min(|A|, |B|): the
+	// pairs of this instance weigh 5, 5, 3, 3, 2, 2 again, and pairs with an
+	// empty side weigh nothing and are dropped.
+	list := func(n int) []int32 { return make([]int32, n) }
+	pairs := []Pair{{list(2), list(9)}, {list(5), list(5)}, {nil, list(4)}, {list(9), list(3)},
+		{list(3), list(7)}, {list(5), list(6)}, {list(2), list(2)}, {list(7), nil}}
+	pairWeights := []int64{2, 5, 0, 3, 3, 5, 2, 0}
+	kp.weighPairs(pairs)
+	kp.partitionLPT()
+	seen = map[int32]bool{}
+	for w, bucket := range kp.buckets {
+		var load int64
+		for _, i := range bucket {
+			if seen[i] || pairWeights[i] == 0 {
+				t.Errorf("pair %d (weight %d) placed twice or despite an empty side", i, pairWeights[i])
+			}
+			seen[i] = true
+			load += pairWeights[i]
+		}
+		if load != 10 || kp.loads[w] != 10 {
+			t.Errorf("pair bucket %d: load %d, reported %d, want perfect 10", w, load, kp.loads[w])
+		}
+	}
+	if len(seen) != 6 {
+		t.Errorf("placed %d pairs, want the 6 with both sides non-empty", len(seen))
 	}
 }
 

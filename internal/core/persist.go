@@ -257,10 +257,11 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	if p.n < 1 || p.n > math.MaxInt32 || p.baseN < 1 || p.baseN > p.n {
 		return nil, fmt.Errorf("core: prepared blob has impossible vertex space n=%d baseN=%d", p.n, p.baseN)
 	}
-	for i := 1; i < len(dirty); i++ {
-		if dirty[i] <= dirty[i-1] {
-			return nil, fmt.Errorf("core: prepared blob's degree-dirty set is not ascending")
-		}
+	if err := checkLabels(p.labelBeg, p.labels, p.baseN, rank, size); err != nil {
+		return nil, err
+	}
+	if err := checkDirty(dirty, p.n); err != nil {
+		return nil, err
 	}
 	p.SetDegreeDirty(dirty)
 
@@ -317,6 +318,39 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	blk.taskRows = blk.task.nonEmptyRows(nil)
 	p.blk = blk
 	return p, nil
+}
+
+// checkLabels verifies a decoded label map against the base region [0, baseN)
+// it routes into: the map starts at rank's first cyclic id and covers rank's
+// share of the region, and every label lies in the region. Update routing
+// indexes the map by cyclic id and splices the labels it yields, so a
+// hostile map would panic there instead of failing here.
+func checkLabels(beg int32, labels []int32, baseN int64, rank, size int) error {
+	if int64(beg) != CyclicOffsets(baseN, size)[rank] || len(labels) != int(numWithResidue(baseN, size, rank)) {
+		return fmt.Errorf("core: label map of %d slots from cyclic id %d is not rank %d's share of the base region [0, %d) in a world of %d",
+			len(labels), beg, rank, baseN, size)
+	}
+	for i, l := range labels {
+		if l < 0 || int64(l) >= baseN {
+			return fmt.Errorf("core: label slot %d holds %d, outside the base region [0, %d)", i, l, baseN)
+		}
+	}
+	return nil
+}
+
+// checkDirty verifies a decoded degree-dirty set: ascending, as the encoders
+// write it, and every label in the vertex space [0, n) — the incremental
+// rebuild reads the mirror row of each.
+func checkDirty(dirty []int32, n int64) error {
+	for i, v := range dirty {
+		if v < 0 || int64(v) >= n {
+			return fmt.Errorf("core: degree-dirty label %d outside the vertex space [0, %d)", v, n)
+		}
+		if i > 0 && v <= dirty[i-1] {
+			return fmt.Errorf("core: degree-dirty set is not ascending")
+		}
+	}
+	return nil
 }
 
 // kindEnum reads the four-byte kind/enumeration word that follows the

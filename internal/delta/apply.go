@@ -1,15 +1,12 @@
 package delta
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"tc2d/internal/core"
 	"tc2d/internal/dgraph"
-	"tc2d/internal/hashset"
 	"tc2d/internal/mpi"
 )
 
@@ -175,49 +172,24 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 
 	prep.EnsureAdjacency()
 
-	// Expand vertex removals: the ranks of the removed label's grid row
-	// each hold one column-class slice of its adjacency; every rank needs
-	// the full row to build the identical deletion list, so contributors
-	// replicate their slices to all ranks through the sparse all-to-all.
+	// Expand vertex removals: every rank needs the full adjacency of each
+	// removed label to build the identical deletion list.
 	var remIdx []int
+	var remLabels []int32
 	for i := 0; i < nb; i++ {
 		if ops[i] == OpRemoveVertex {
 			remIdx = append(remIdx, i)
+			remLabels = append(remLabels, edges[i][0])
 		}
 	}
 	drops := make([]int32, nb)
 	var removalDels [][2]int32
 	if len(remIdx) > 0 {
-		rowMod, _, rowRes, _ := prep.MirrorShape()
-		send := mpi.SendBufs(p)
-		for k, i := range remIdx {
-			lw := edges[i][0]
-			if int(lw)%rowMod != rowRes {
-				continue
-			}
-			row := prep.AdjRow(lw)
-			if len(row) == 0 {
-				continue
-			}
-			for dst := 0; dst < p; dst++ {
-				send[dst] = append(send[dst], int32(k), int32(len(row)))
-				send[dst] = append(send[dst], row...)
-			}
-		}
-		got := c.AlltoallvSparseInt32(send)
-		neighbors := make([][]int32, len(remIdx))
-		for src := 0; src < p; src++ {
-			buf := got[src]
-			for i := 0; i < len(buf); {
-				k, l := buf[i], int(buf[i+1])
-				neighbors[k] = append(neighbors[k], buf[i+2:i+2+l]...)
-				i += 2 + l
-			}
-		}
 		dropSet := make(map[int64]struct{})
-		for k, i := range remIdx {
+		for k, neighbors := range gatherRows(c, prep, remLabels) {
+			i := remIdx[k]
 			lw := edges[i][0]
-			for _, u := range neighbors[k] {
+			for _, u := range neighbors {
 				key := packEdge(lw, u)
 				if _, dup := dropSet[key]; dup {
 					continue
@@ -366,6 +338,39 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	return r, nil
 }
 
+// gatherRows returns every label's full adjacency, identical on every rank:
+// the ranks of the label's grid row each hold one column-class slice of it
+// and replicate their slices to all ranks through the sparse all-to-all. A
+// row is its slices in rank order, so it is not sorted. Every rank must call
+// it with the same labels.
+func gatherRows(c *mpi.Comm, prep *core.Prepared, labels []int32) [][]int32 {
+	qr, qc, _ := prep.GridShape()
+	x := c.Rank() / qc
+	send := mpi.SendBufs(c.Size())
+	for k, w := range labels {
+		if int(w)%qr != x {
+			continue
+		}
+		row := prep.AdjRow(w)
+		if len(row) == 0 {
+			continue
+		}
+		for dst := range send {
+			send[dst] = append(send[dst], int32(k), int32(len(row)))
+			send[dst] = append(send[dst], row...)
+		}
+	}
+	rows := make([][]int32, len(labels))
+	for _, buf := range c.AlltoallvSparseInt32(send) {
+		for i := 0; i < len(buf); {
+			k, l := buf[i], int(buf[i+1])
+			rows[k] = append(rows[k], buf[i+2:i+2+l]...)
+			i += 2 + l
+		}
+	}
+	return rows
+}
+
 // labelOf returns the resolved current label of batch vertex v, an element
 // of the sorted verts.
 func labelOf(verts []int32, resolved []int64, v int32) int32 {
@@ -373,36 +378,23 @@ func labelOf(verts []int32, resolved []int64, v int32) int32 {
 	return int32(resolved[i])
 }
 
-// mergeRatio is the length-skew bound of the delta pass's intersection:
-// pairs whose row lengths are within this factor of each other are
-// intersected with a sorted-merge scan, more skewed pairs with the hash
-// probe. Each item is one pair, so there is no table to amortise.
-const mergeRatio = 4
-
 // deltaPass counts the discoveries of triangles through each marked edge
-// against the current resident graph, bucketed by how many of the other
-// two edges are themselves marked (0, 1 or 2). The marked list must be
-// identical on every rank.
+// against the current resident graph, bucketed by how many of the other two
+// edges are themselves marked (0, 1 or 2). The marked list must be identical
+// on every rank.
 //
-// For marked edge (a, b) and each grid column class, the rank holding
-// row a in that class ships the row to the rank holding row b (same grid
-// column, grid row b mod qr), which intersects the two rows — the hash
-// probe for skewed pairs, a sorted-merge scan for balanced ones — third
-// vertices are partitioned by column residue, so the
-// union over classes covers each one exactly once. Rows whose endpoints
-// share a grid row intersect locally; all cross-row traffic travels
-// through one sparse all-to-all.
-//
-// Like the count kernel, the pass fans its intersection items across the
-// resident worker count (Prepared.KernelWorkers), balanced by
-// min(|rowA|, |rowB|) weights: each worker owns a private hash set and
-// private counters summed in worker order afterwards, and both the
-// discovery buckets and the probe count are pure sums over items, so the
-// totals are exact at any thread count. The second return value counts
-// intersection operations (hash probes plus merge-scan advances).
+// For marked edge (a, b) and each grid column class, the rank holding row a
+// in that class ships the row to the rank holding row b (same grid column,
+// grid row b mod qr), where the two rows become one pair of
+// core.Prepared.IntersectPairs — the count kernel's bitmap intersection on
+// its resident workers. Third vertices are partitioned by column residue, so
+// the union over classes covers each one exactly once. Rows whose endpoints
+// share a grid row pair up locally; all cross-row traffic travels through one
+// sparse all-to-all. The buckets are kept per kernel worker and summed
+// afterwards, so they — like the returned bitmap-lookup count — are exact at
+// any worker count.
 func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y int) ([3]int64, int64) {
 	var cnt [3]int64
-	var probes int64
 	if len(marked) == 0 {
 		return cnt, 0
 	}
@@ -412,8 +404,12 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 		mset[i] = packEdge(e[0], e[1])
 	}
 	slices.Sort(mset)
+	ours := 0 // this rank's pairs: one per marked edge whose row b it holds
 	for i, e := range marked {
 		ar, br := int(e[0])%qr, int(e[1])%qr
+		if br == x {
+			ours++
+		}
 		if ar == br || ar != x {
 			continue
 		}
@@ -423,144 +419,39 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 		send[dst] = append(send[dst], row...)
 	}
 	got := c.AlltoallvSparseInt32(send)
-	workers := prep.KernelWorkers(c)
-	// Collect this rank's intersection items: locally intersectable
-	// marked edges plus the rows shipped in for cross-row edges.
-	type item struct {
-		e    [2]int32
-		rowA []int32
-	}
-	var items []item
+	// This rank's pairs — locally intersectable marked edges plus the rows
+	// shipped in for cross-row edges — and the marked edge of each.
+	pairs := make([]core.Pair, 0, ours)
+	of := make([][2]int32, 0, ours)
 	for _, e := range marked {
 		if br := int(e[1]) % qr; int(e[0])%qr == br && br == x {
-			items = append(items, item{e, prep.AdjRow(e[0])})
+			pairs = append(pairs, core.Pair{A: prep.AdjRow(e[0]), B: prep.AdjRow(e[1])})
+			of = append(of, e)
 		}
 	}
 	for _, buf := range got {
 		for i := 0; i < len(buf); {
-			idx, l := buf[i], int(buf[i+1])
-			items = append(items, item{marked[idx], buf[i+2 : i+2+l]})
+			e, l := marked[buf[i]], int(buf[i+1])
+			pairs = append(pairs, core.Pair{A: buf[i+2 : i+2+l], B: prep.AdjRow(e[1])})
+			of = append(of, e)
 			i += 2 + l
 		}
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type wstate struct {
-		cnt    [3]int64
-		probes int64
-	}
-	states := make([]wstate, workers)
-	sets := make([]*hashset.Set, workers)
-	for w := range sets {
-		sets[w] = hashset.New(64)
-	}
-	process := func(it item, set *hashset.Set, ws *wstate) {
-		a, b := it.e[0], it.e[1]
-		rowA := it.rowA
-		rowB := prep.AdjRow(b)
-		if len(rowA) == 0 || len(rowB) == 0 {
-			return
+	buckets := make([][3]int64, prep.KernelWorkers(c))
+	probes := prep.IntersectPairs(c, pairs, func(worker, i int, w int32) {
+		o := 0
+		if _, ok := slices.BinarySearch(mset, packEdge(of[i][0], w)); ok {
+			o++
 		}
-		hit := func(w int32) {
-			o := 0
-			if _, ok := slices.BinarySearch(mset, packEdge(a, w)); ok {
-				o++
-			}
-			if _, ok := slices.BinarySearch(mset, packEdge(b, w)); ok {
-				o++
-			}
-			ws.cnt[o]++
+		if _, ok := slices.BinarySearch(mset, packEdge(of[i][1], w)); ok {
+			o++
 		}
-		if len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
-			i, j := 0, 0
-			for i < len(rowA) && j < len(rowB) {
-				ws.probes++
-				switch {
-				case rowA[i] == rowB[j]:
-					hit(rowA[i])
-					i++
-					j++
-				case rowA[i] < rowB[j]:
-					i++
-				default:
-					j++
-				}
-			}
-			return
-		}
-		set.Grow(8 * len(rowA))
-		// Collision-free single-AND hashing when the row's largest key
-		// fits under the mask.
-		set.Reset(rowA[len(rowA)-1] <= set.Mask())
-		for _, w := range rowA {
-			set.Insert(w)
-		}
-		for _, w := range rowB {
-			ws.probes++
-			if set.Contains(w) {
-				hit(w)
-			}
-		}
-	}
-	if workers == 1 {
-		for _, it := range items {
-			process(it, sets[0], &states[0])
-		}
-	} else {
-		// LPT buckets over min(|rowA|, |rowB|) weights, heaviest first.
-		order := make([]int, len(items))
-		weight := make([]int64, len(items))
-		for i, it := range items {
-			order[i] = i
-			la, lb := len(it.rowA), len(prep.AdjRow(it.e[1]))
-			if la < lb {
-				weight[i] = int64(la)
-			} else {
-				weight[i] = int64(lb)
-			}
-		}
-		slices.SortFunc(order, func(i, j int) int {
-			if c := cmp.Compare(weight[j], weight[i]); c != 0 {
-				return c
-			}
-			return cmp.Compare(i, j)
-		})
-		buckets := make([][]int, workers)
-		loads := make([]int64, workers)
-		for _, i := range order {
-			best := 0
-			for w := 1; w < workers; w++ {
-				if loads[w] < loads[best] {
-					best = w
-				}
-			}
-			buckets[best] = append(buckets[best], i)
-			loads[best] += weight[i]
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			if len(buckets[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, i := range buckets[w] {
-					process(items[i], sets[w], &states[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for w := range states {
-		cnt[0] += states[w].cnt[0]
-		cnt[1] += states[w].cnt[1]
-		cnt[2] += states[w].cnt[2]
-		probes += states[w].probes
+		buckets[worker][o]++
+	})
+	for _, b := range buckets {
+		cnt[0] += b[0]
+		cnt[1] += b[1]
+		cnt[2] += b[2]
 	}
 	return cnt, probes
 }

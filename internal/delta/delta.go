@@ -145,8 +145,7 @@ type Result struct {
 	// M and Wedges are the graph's edge and wedge totals after the batch.
 	M, Wedges int64
 
-	// Probes counts intersection operations of the two delta passes: hash
-	// probes plus sorted-merge scan advances.
+	// Probes counts the bitmap lookups of the two delta passes.
 	Probes int64
 
 	// ApplyTime is the parallel (virtual) time of the update epoch;

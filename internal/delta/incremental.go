@@ -62,7 +62,8 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	r := c.Rank()
 	n := prep.N()
 	prep.EnsureAdjacency()
-	rowMod, _, rowRes, _ := prep.MirrorShape()
+	qr, qc, _ := prep.GridShape()
+	x := r / qc
 
 	// The dirty set is replicated (Apply marks it from allreduced affected
 	// sets), so every rank derives the identical plan.
@@ -72,7 +73,7 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	// disjoint column-class slices, so one sum-allreduce completes them.
 	deg := make([]int64, len(dirty))
 	for i, w := range dirty {
-		if int(w)%rowMod == rowRes {
+		if int(w)%qr == x {
 			deg[i] = int64(len(prep.AdjRow(w)))
 		}
 	}
@@ -118,30 +119,7 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	// delete set.
 	var ins, dels [][2]int32
 	if len(moved) > 0 {
-		send := mpi.SendBufs(p)
-		for k, a := range moved {
-			if int(a)%rowMod != rowRes {
-				continue
-			}
-			row := prep.AdjRow(a)
-			if len(row) == 0 {
-				continue
-			}
-			for dst := 0; dst < p; dst++ {
-				send[dst] = append(send[dst], int32(k), int32(len(row)))
-				send[dst] = append(send[dst], row...)
-			}
-		}
-		got := c.AlltoallvSparseInt32(send)
-		adjOf := make([][]int32, len(moved))
-		for src := 0; src < p; src++ {
-			buf := got[src]
-			for i := 0; i < len(buf); {
-				k, l := buf[i], int(buf[i+1])
-				adjOf[k] = append(adjOf[k], buf[i+2:i+2+l]...)
-				i += 2 + l
-			}
-		}
+		adjOf := gatherRows(c, prep, moved)
 		img := func(w int32) int32 {
 			if nw, ok := remap[w]; ok {
 				return nw

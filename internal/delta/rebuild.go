@@ -37,7 +37,6 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	n := prep.N()
 	qr, qc, summa := prep.GridShape()
 	prep.EnsureAdjacency()
-	rowMod, _, rowRes, _ := prep.MirrorShape()
 
 	// (1) Reassemble the current graph as a 1D block distribution over the
 	// current labels: each rank's mirror holds one column-class slice of
@@ -46,7 +45,8 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	// once instead of growing through repeated appends.
 	send := make([][]int32, p)
 	need := make([]int, p)
-	for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
+	x := c.Rank() / qc
+	for la := int32(x); int64(la) < n; la += int32(qr) {
 		if row := prep.AdjRow(la); len(row) > 0 {
 			need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
 		}
@@ -54,7 +54,7 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	for dst := range send {
 		send[dst] = make([]int32, 0, need[dst])
 	}
-	for la := int32(rowRes); int64(la) < n; la += int32(rowMod) {
+	for la := int32(x); int64(la) < n; la += int32(qr) {
 		row := prep.AdjRow(la)
 		if len(row) == 0 {
 			continue

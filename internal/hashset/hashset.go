@@ -1,9 +1,10 @@
 // Package hashset implements the intersection hash map from the paper's
 // triangle counting kernel: an open-addressing set of int32 keys with
-// power-of-two capacity, per-row stamps so the map never needs clearing, and
-// a "direct" mode that hashes with a single bitwise AND and no probing when
-// the caller can prove collisions are impossible (the paper's "modifying the
-// hashing routine for sparser vertices" optimization, §5.2).
+// power-of-two capacity, multiplicative hashing, linear probing, and per-row
+// stamps so the map never needs clearing. The sequential oracle and the
+// NoDirectHash ablation use it; the counting kernel itself intersects through
+// a direct-addressed bitmap (the paper's §5.2 direct hashing, made
+// unconditional).
 package hashset
 
 import "math/bits"
@@ -12,15 +13,11 @@ const empty = int32(-1)
 
 // Set is a reusable set of non-negative int32 keys.
 type Set struct {
-	keys  []int32
-	stamp []uint32
-	cur   uint32
-	mask  int32
-	shift uint // 32 - log2(capacity): hash keeps the top log2(capacity) bits
-	// direct is true when the current generation was loaded with
-	// collision-free direct indexing (key & mask is injective because every
-	// key fits under the capacity).
-	direct bool
+	keys   []int32
+	stamp  []uint32
+	cur    uint32
+	mask   int32
+	shift  uint // 32 - log2(capacity): hash keeps the top log2(capacity) bits
 	minKey int32
 	n      int
 	probes int64 // cumulative linear-probe steps, for instrumentation
@@ -44,16 +41,11 @@ func New(capacity int) *Set {
 // Cap returns the power-of-two capacity.
 func (s *Set) Cap() int { return len(s.keys) }
 
-// Mask returns capacity-1: the largest key eligible for direct-mode
-// insertion.
-func (s *Set) Mask() int32 { return s.mask }
-
 // Len returns the number of keys inserted in the current generation.
 func (s *Set) Len() int { return s.n }
 
 // MinKey returns the smallest key inserted in the current generation, or
-// MaxInt32 when empty. The triangle counting kernel uses it for the
-// early-break optimization.
+// MaxInt32 when empty.
 func (s *Set) MinKey() int32 {
 	return s.minKey
 }
@@ -62,28 +54,8 @@ func (s *Set) MinKey() int32 {
 // across all generations — the paper's collision metric.
 func (s *Set) ProbeSteps() int64 { return s.probes }
 
-// Grow ensures capacity for at least `capacity` keys, discarding contents.
-func (s *Set) Grow(capacity int) {
-	if capacity <= len(s.keys) {
-		return
-	}
-	c := len(s.keys)
-	for c < capacity {
-		c <<= 1
-	}
-	s.keys = make([]int32, c)
-	s.stamp = make([]uint32, c)
-	s.mask = int32(c - 1)
-	s.shift = hashShift(c)
-	s.cur = 0
-	s.n = 0
-}
-
-// Reset begins a new generation. direct selects the collision-free fast
-// path: the caller promises every key inserted this generation satisfies
-// key <= mask, so key & mask == key and no probing is needed. The promise is
-// checked in Insert.
-func (s *Set) Reset(direct bool) {
+// Reset begins a new generation: the set is empty again.
+func (s *Set) Reset() {
 	s.cur++
 	if s.cur == 0 {
 		// Stamp wrapped; clear lazily by resetting all stamps.
@@ -92,7 +64,6 @@ func (s *Set) Reset(direct bool) {
 		}
 		s.cur = 1
 	}
-	s.direct = direct
 	s.minKey = int32(1<<31 - 1)
 	s.n = 0
 }
@@ -112,15 +83,6 @@ func (s *Set) Insert(k int32) {
 		s.minKey = k
 	}
 	s.n++
-	if s.direct {
-		// Collision-free direct indexing: a single bitwise AND.
-		if k > s.mask {
-			panic("hashset: direct-mode key exceeds capacity")
-		}
-		s.keys[k] = k
-		s.stamp[k] = s.cur
-		return
-	}
 	i := s.hash(k)
 	for s.stamp[i] == s.cur {
 		if s.keys[i] == k {
@@ -136,12 +98,6 @@ func (s *Set) Insert(k int32) {
 
 // Contains reports whether k is in the current generation.
 func (s *Set) Contains(k int32) bool {
-	if s.direct {
-		if k > s.mask {
-			return false
-		}
-		return s.stamp[k] == s.cur
-	}
 	i := s.hash(k)
 	for s.stamp[i] == s.cur {
 		if s.keys[i] == k {

@@ -8,7 +8,7 @@ import (
 
 func TestBasicInsertContains(t *testing.T) {
 	s := New(16)
-	s.Reset(false)
+	s.Reset()
 	for _, k := range []int32{3, 1, 4, 1, 5, 9, 2, 6} {
 		s.Insert(k)
 	}
@@ -32,9 +32,9 @@ func TestBasicInsertContains(t *testing.T) {
 
 func TestResetClearsLogically(t *testing.T) {
 	s := New(64)
-	s.Reset(false)
+	s.Reset()
 	s.Insert(10)
-	s.Reset(false)
+	s.Reset()
 	if s.Contains(10) {
 		t.Fatal("stale key visible after reset")
 	}
@@ -43,60 +43,12 @@ func TestResetClearsLogically(t *testing.T) {
 	}
 }
 
-func TestDirectMode(t *testing.T) {
-	s := New(64)
-	s.Reset(true)
-	for k := int32(0); k < 60; k += 3 {
-		s.Insert(k)
-	}
-	for k := int32(0); k < 64; k++ {
-		want := k < 60 && k%3 == 0
-		if s.Contains(k) != want {
-			t.Errorf("direct Contains(%d)=%v", k, !want)
-		}
-	}
-	// Keys beyond capacity are simply absent (lookup side).
-	if s.Contains(1000) {
-		t.Error("key beyond capacity reported present")
-	}
-}
-
-func TestDirectModeInsertBeyondCapPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s := New(64)
-	s.Reset(true)
-	s.Insert(64) // mask is 63
-}
-
-func TestGrow(t *testing.T) {
-	s := New(64)
-	s.Grow(1000)
-	if s.Cap() < 1000 || s.Cap()&(s.Cap()-1) != 0 {
-		t.Fatalf("cap=%d", s.Cap())
-	}
-	s.Reset(false)
-	s.Insert(999)
-	if !s.Contains(999) {
-		t.Fatal("lost key after grow")
-	}
-	// Growing smaller is a no-op.
-	c := s.Cap()
-	s.Grow(10)
-	if s.Cap() != c {
-		t.Fatal("shrank")
-	}
-}
-
 func TestStampWraparound(t *testing.T) {
 	s := New(64)
 	// Force many generations; correctness must survive the uint32 stamp
 	// space being consumed (simulate by spinning a few thousand resets).
 	for g := 0; g < 5000; g++ {
-		s.Reset(g%2 == 0)
+		s.Reset()
 		k := int32(g % 60)
 		s.Insert(k)
 		if !s.Contains(k) {
@@ -111,7 +63,7 @@ func TestStampWraparound(t *testing.T) {
 func TestHighLoadProbing(t *testing.T) {
 	// Fill to 75% load and verify everything is found.
 	s := New(128)
-	s.Reset(false)
+	s.Reset()
 	keys := make(map[int32]bool)
 	r := rand.New(rand.NewSource(1))
 	for len(keys) < 96 {
@@ -130,17 +82,13 @@ func TestHighLoadProbing(t *testing.T) {
 }
 
 func TestPropertyMatchesMap(t *testing.T) {
-	// The set must behave exactly like map[int32]bool within a generation,
-	// in both probing and direct mode.
-	f := func(seed int64, direct bool) bool {
+	// The set must behave exactly like map[int32]bool within a generation.
+	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := New(256)
 		ref := make(map[int32]bool)
-		s.Reset(direct)
+		s.Reset()
 		limit := int32(1 << 20)
-		if direct {
-			limit = int32(s.Cap())
-		}
 		for i := 0; i < 100; i++ {
 			k := int32(r.Intn(int(limit)))
 			s.Insert(k)

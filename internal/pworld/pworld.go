@@ -92,7 +92,8 @@ type Config struct {
 	// worker can be busy with — the worker answers pings from its control
 	// loop, which an in-flight mesh build may briefly block.
 	HeartbeatTimeout time.Duration
-	// OnEvent, when non-nil, receives membership transitions. Called from
+	// OnEvent, when non-nil, receives membership transitions, one at a time
+	// and in the order the coordinator's state changed. Called from
 	// coordinator goroutines without internal locks held; it may call back
 	// into the Coordinator but must not block for long.
 	OnEvent func(Event)
@@ -115,7 +116,9 @@ type wireMsg struct {
 	World    int
 	Reject   string
 
-	// start (coord→worker): build the mesh for generation Gen
+	// start (coord→worker): build the mesh for generation Gen; started
+	// (worker→coord): generation Gen is built; down (coord→worker): the
+	// world of generation Gen is dead
 	Gen   int
 	Peers []PeerInfo
 
@@ -210,6 +213,12 @@ type Coordinator struct {
 	// lifetime counters, served under mu
 	joins, losses, timeouts int
 
+	// events are the membership transitions not yet handed to OnEvent,
+	// queued under mu in the order the state changes were made; emitting is
+	// set while a goroutine delivers them (see flushEvents).
+	events   []Event
+	emitting bool
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -246,10 +255,34 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *Coordinator) emit(ev Event) {
+// queueLocked records a membership transition for OnEvent. Caller holds c.mu
+// and has just made the state change ev reports.
+func (c *Coordinator) queueLocked(ev Event) {
 	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(ev)
+		c.events = append(c.events, ev)
 	}
+}
+
+// flushEvents hands the queued transitions to OnEvent in queue order. One
+// goroutine delivers at a time; one that finds delivery in progress leaves
+// its events to it, so an OnEvent that calls back into the Coordinator cannot
+// deadlock, and two goroutines racing past c.mu cannot swap the order.
+func (c *Coordinator) flushEvents() {
+	c.mu.Lock()
+	if c.emitting {
+		c.mu.Unlock()
+		return
+	}
+	c.emitting = true
+	for len(c.events) > 0 {
+		ev := c.events[0]
+		c.events = c.events[1:]
+		c.mu.Unlock()
+		c.cfg.OnEvent(ev)
+		c.mu.Lock()
+	}
+	c.emitting = false
+	c.mu.Unlock()
 }
 
 // Ready reports whether every rank is claimed and the mesh is built.
@@ -405,6 +438,7 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 			c.members[m.id] = m
 			c.unbuilt = true
 			c.joins++
+			c.queueLocked(Event{Kind: EventJoined, WorkerID: m.id, Ranks: m.ranks})
 		}
 	}
 	c.mu.Unlock()
@@ -419,7 +453,7 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 		return
 	}
 	c.logf("pworld: worker %d joined from %s, ranks %v", m.id, conn.RemoteAddr(), m.ranks)
-	c.emit(Event{Kind: EventJoined, WorkerID: m.id, Ranks: m.ranks})
+	c.flushEvents()
 	c.maybeStartMesh()
 
 	for {
@@ -487,14 +521,17 @@ func (c *Coordinator) noteStarted(m *member, gen int) {
 		}
 	}
 	c.ready = true
+	c.queueLocked(Event{Kind: EventReady})
 	c.mu.Unlock()
 	c.logf("pworld: mesh generation %d ready", gen)
-	c.emit(Event{Kind: EventReady})
+	c.flushEvents()
 }
 
 // markLost handles a worker's death from any cause exactly once per member:
 // frees its ranks, fails in-flight calls, aborts the survivors' worlds, and
-// reports the loss.
+// reports the loss. The abort names the generation that died: by the time it
+// reaches a survivor, a replacement may have completed the world and the
+// survivor may be running the next generation, which the abort must spare.
 func (c *Coordinator) markLost(m *member, reason string, timeout bool) {
 	c.mu.Lock()
 	if _, ok := c.members[m.id]; !ok {
@@ -510,9 +547,12 @@ func (c *Coordinator) markLost(m *member, reason string, timeout bool) {
 	if timeout {
 		c.timeouts++
 	}
-	closed := c.closed
+	closed, gen := c.closed, c.gen
 	c.failCallsLocked(fmt.Errorf("worker %d (%s): %w", m.id, reason, ErrWorkerLost))
 	survivors := snapshotMembers(c.members)
+	if !closed {
+		c.queueLocked(Event{Kind: EventLost, WorkerID: m.id, Ranks: m.ranks, Reason: reason})
+	}
 	c.mu.Unlock()
 
 	m.conn.Close()
@@ -525,10 +565,10 @@ func (c *Coordinator) markLost(m *member, reason string, timeout bool) {
 		// eviction of a hung peer); tell them their world is dead so
 		// blocked epochs unwind now rather than at the next rebuild.
 		for _, s := range survivors {
-			s.send(&wireMsg{Kind: "down", Reason: reason})
+			s.send(&wireMsg{Kind: "down", Gen: gen, Reason: reason})
 		}
 	}
-	c.emit(Event{Kind: EventLost, WorkerID: m.id, Ranks: m.ranks, Reason: reason})
+	c.flushEvents()
 }
 
 // failCallsLocked fails every in-flight call. Caller holds c.mu.

@@ -186,6 +186,79 @@ func TestWorkerLossFailsCallsAndRejoinRecovers(t *testing.T) {
 	}
 }
 
+// TestLateDownSparesNextGeneration plays the coordinator to one worker. A
+// survivor can read the "down" for the world a loss killed (generation 1)
+// after the "start" of the world a replacement completed (generation 2): the
+// coordinator sends "down" only after releasing its lock. The late "down"
+// must leave the running generation-2 world serving epochs, and a "down"
+// naming generation 2 must still abort it.
+func TestLateDownSparesNextGeneration(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- RunWorker(ctx, WorkerConfig{
+			Coordinator: ln.Addr().String(),
+			Format:      1,
+			MPI:         mpi.Config{Model: mpi.ZeroCostModel()},
+			Dispatch:    sumDispatch,
+			Logf:        t.Logf,
+		})
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	send := func(msg *wireMsg) {
+		if err := enc.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func(kind string) wireMsg {
+		var msg wireMsg
+		if err := dec.Decode(&msg); err != nil {
+			t.Fatalf("waiting for %q: %v", kind, err)
+		}
+		if msg.Kind != kind {
+			t.Fatalf("worker sent %q, want %q", msg.Kind, kind)
+		}
+		return msg
+	}
+	join := recv("join")
+	send(&wireMsg{Kind: "welcome", WorkerID: 1, World: 1})
+	for gen := 1; gen <= 2; gen++ {
+		send(&wireMsg{Kind: "start", Gen: gen, Peers: []PeerInfo{{ID: 1, Addr: join.MeshAddr, Ranks: []int{0}}}})
+		if got := recv("started").Gen; got != gen {
+			t.Fatalf("worker acked generation %d, want %d", got, gen)
+		}
+	}
+
+	// The worker reads its control messages in order, so the "down" is
+	// handled before the epoch arrives.
+	send(&wireMsg{Kind: "down", Gen: 1, Reason: "worker 2 lost"})
+	send(&wireMsg{Kind: "epoch", Epoch: 1, Op: "sum"})
+	if done := recv("epochDone"); done.Err != "" || len(done.PerRank[0]) != 8 {
+		t.Fatalf("epoch on generation 2 after a down for generation 1: err %q, payloads %v", done.Err, done.PerRank)
+	}
+	send(&wireMsg{Kind: "down", Gen: 2, Reason: "worker 3 lost"})
+	send(&wireMsg{Kind: "epoch", Epoch: 2, Op: "sum"})
+	if done := recv("epochDone"); !done.PeerLost {
+		t.Fatalf("epoch on generation 2 after a down for generation 2: err %q, PeerLost %v", done.Err, done.PeerLost)
+	}
+	send(&wireMsg{Kind: "shutdown"})
+	if err := <-errCh; err != nil {
+		t.Fatalf("worker returned %v after shutdown", err)
+	}
+}
+
 // TestHeartbeatEviction joins a raw fake worker that answers the handshake
 // but ignores pings; the coordinator must evict it.
 func TestHeartbeatEviction(t *testing.T) {

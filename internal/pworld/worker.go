@@ -233,7 +233,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			wk.stash.advance(msg.Gen)
 			go wk.build(msg.Gen, msg.Peers)
 		case "down":
-			wk.abortWorld("coordinator reported world down: " + msg.Reason)
+			wk.abortWorld(msg.Gen, "coordinator reported world down: "+msg.Reason)
 		case "epoch":
 			// Admit the epoch into the local gate here, in arrival order
 			// — which the coordinator made identical on every worker —
@@ -292,9 +292,14 @@ func (wk *worker) closeWorld(reason string) {
 	}
 }
 
-func (wk *worker) abortWorld(reason string) {
+// abortWorld aborts the current world if it is generation gen, so in-flight
+// epochs unwind; a world of any other generation is left alone.
+func (wk *worker) abortWorld(gen int, reason string) {
 	wk.mu.Lock()
 	w := wk.w
+	if wk.gen != gen {
+		w = nil
+	}
 	wk.mu.Unlock()
 	if w != nil {
 		w.Abort(reason)

@@ -58,7 +58,7 @@ func CountMapIJK(g *graph.Graph) int64 {
 		if len(ni) < 2 {
 			continue
 		}
-		set.Reset(false)
+		set.Reset()
 		for _, k := range ni {
 			set.Insert(k)
 		}
@@ -89,7 +89,7 @@ func CountMapJIK(g *graph.Graph) int64 {
 		if len(above) == 0 {
 			continue
 		}
-		set.Reset(false)
+		set.Reset()
 		for _, k := range above {
 			set.Insert(k)
 		}
@@ -144,7 +144,7 @@ func CountParallel(g *graph.Graph, workers int) int64 {
 				if len(above) == 0 {
 					continue
 				}
-				set.Reset(false)
+				set.Reset()
 				for _, k := range above {
 					set.Insert(k)
 				}

@@ -114,8 +114,9 @@ func TestClusterKernelConfig(t *testing.T) {
 
 // TestKernelThreadsDeltaStream is the write-path differential: the same
 // update stream applied on a multi-threaded cluster and on a
-// single-threaded one must maintain identical triangle counts batch for
-// batch, and agree with a full recount at the end.
+// single-threaded one must maintain identical triangle counts and make the
+// same number of bitmap lookups batch for batch, and agree with a full
+// recount at the end.
 func TestKernelThreadsDeltaStream(t *testing.T) {
 	g := testClusterGraph(t)
 	par, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 3})
@@ -155,6 +156,9 @@ func TestKernelThreadsDeltaStream(t *testing.T) {
 		if pres.Triangles != sres.Triangles || pres.DeltaTriangles != sres.DeltaTriangles {
 			t.Fatalf("batch %d: parallel Δ=%d total=%d, sequential Δ=%d total=%d",
 				b, pres.DeltaTriangles, pres.Triangles, sres.DeltaTriangles, sres.Triangles)
+		}
+		if pres.Probes != sres.Probes {
+			t.Fatalf("batch %d: the delta passes made %d bitmap lookups on 3 workers, %d on 1", b, pres.Probes, sres.Probes)
 		}
 	}
 	pcount, err := par.Count(QueryOptions{})
