@@ -41,6 +41,7 @@ func (o *edgeOracle) apply(batch []EdgeUpdate) {
 		if u > v {
 			u, v = v, u
 		}
+		o.n = max(o.n, v+1) // an edge op admits the ids it names
 		k := [2]int32{u, v}
 		if upd.Op == UpdateInsert {
 			o.edges[k] = true

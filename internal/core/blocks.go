@@ -2,23 +2,60 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"tc2d/internal/mpi"
 )
 
 // csrBlock is a sparse block stored by rows with int32 local indices: row a
 // holds the sorted local column values adj[xadj[a]:xadj[a+1]]. It represents
-// either a U block (rows j → keys k) or a task block (rows a → cols b).
+// a U block (rows j → keys k), a task block (rows a → cols b) or the row
+// mirror.
+//
+// A resident block is its own §5.2 blob (see blobMagic for the layout): buf
+// is one int32 array holding the header, xadj and adj, the last two views
+// into it, and cap(adj) runs to the array's end. newBlock is the one place
+// such an array is allocated, and the exclusive mutators that own the arrays
+// keep the header current, so buf[:5+rows+nnz] is at every moment the blob a
+// count ships. The operand views a count decodes from received blobs, and
+// blocks built by hand in tests, have no buf.
 type csrBlock struct {
 	rows int32
 	xadj []int32
 	adj  []int32
+	buf  []int32
 }
 
 func (b *csrBlock) row(a int32) []int32 { return b.adj[b.xadj[a]:b.xadj[a+1]] }
 
 func (b *csrBlock) nnz() int64 { return int64(len(b.adj)) }
+
+// newBlock allocates a block of the given kind with rows lists, nnz entries
+// and room for that many more, as its own blob: header written, xadj and adj
+// zeroed.
+func newBlock(kind, rows int32, nnz, room int) csrBlock {
+	b := csrBlock{buf: make([]int32, 5+int(rows)+nnz, 5+int(rows)+nnz+room)}
+	b.buf[0], b.buf[1] = blobMagic, kind
+	b.setViews(rows, nnz)
+	return b
+}
+
+// setViews points xadj and adj into buf for rows lists and nnz entries, and
+// writes both counts into the header.
+func (b *csrBlock) setViews(rows int32, nnz int) {
+	x := 5 + int(rows)
+	b.rows = rows
+	b.buf[2], b.buf[3] = rows, int32(nnz)
+	b.xadj = b.buf[4:x:x]
+	b.adj = b.buf[x : x+nnz]
+}
+
+// kind returns the kind word of a resident block's header.
+func (b *csrBlock) kind() int32 { return b.buf[1] }
+
+// blob returns the resident bytes of b: the §5.2 blob a count ships as is.
+func (b *csrBlock) blob() []byte {
+	return mpi.Int32sAsBytes(b.buf[:5+int(b.rows)+len(b.adj)])
+}
 
 // nonEmptyRows returns the doubly-sparse row index (the DCSR-inspired list
 // of §5.2): local rows with at least one entry. The list is built in list's
@@ -33,10 +70,9 @@ func (b *csrBlock) nonEmptyRows(list []int32) []int32 {
 	return list
 }
 
-// emptyBlock returns a block of the given number of lists without entries.
-func emptyBlock(rows int32) csrBlock {
-	return csrBlock{rows: rows, xadj: make([]int32, rows+1)}
-}
+// emptyBlock returns a block of the given kind and number of lists without
+// entries.
+func emptyBlock(kind, rows int32) csrBlock { return newBlock(kind, rows, 0, 0) }
 
 // cscBlock is a sparse block stored by columns: column i holds sorted local
 // row values. It represents an L block (cols i → keys k). Storage-wise it is
@@ -85,34 +121,34 @@ func prefixSum(x []int32) {
 // into place, which sorts each list; the ⟨j,i,k⟩ task block is the L block
 // transposed once more, the ⟨i,j,k⟩ one a copy of the U block (a copy, not
 // an alias: the write path splices task and operand blocks in place, each
-// anywhere inside its own arrays' capacity).
+// anywhere inside its own array's capacity).
 func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock) {
-	// Count: the bucket sizes and, in the same sweep, the final list sizes.
+	// Count the bucket sizes; they size every block.
 	uByCol := make([]int32, nCols+1)
 	lByRow := make([]int32, nRows+1)
-	u = emptyBlock(nRows)
-	l = cscBlock(emptyBlock(nCols))
 	for _, part := range got {
 		for i := 0; i+1 < len(part); i += 2 {
 			wv, wu := part[i], part[i+1]
-			lr, lc := wv/qr, wu/qc
 			if wu > wv {
-				uByCol[lc+1]++
-				u.xadj[lr+1]++
+				uByCol[wu/qc+1]++
 			} else {
-				lByRow[lr+1]++
-				l.xadj[lc+1]++
+				lByRow[wv/qr+1]++
 			}
 		}
 	}
 	prefixSum(uByCol)
 	prefixSum(lByRow)
-	prefixSum(u.xadj)
-	prefixSum(l.xadj)
+	nU, nL := int(uByCol[nCols]), int(lByRow[nRows])
+	u = newBlock(kindU, nRows, nU, 0)
+	l = cscBlock(newBlock(kindL, nCols, nL, 0))
+	// The L entries bucketed by row have the ⟨j,i,k⟩ task block's shape;
+	// only its rows are unsorted until it is refilled from the finished L.
+	rowBkt := newBlock(kindU, nRows, nL, 0)
+	copy(rowBkt.xadj, lByRow)
 
-	// Place into the buckets, in arrival order.
-	uRowOf := make([]int32, uByCol[nCols]) // U entries by column, holding rows
-	lColOf := make([]int32, lByRow[nRows]) // L entries by row, holding columns
+	// Place into the buckets, in arrival order, counting the final list
+	// sizes in the same sweep.
+	uRowOf := make([]int32, nU) // U entries by column, holding rows
 	colNext, rowNext := make([]int32, nCols), make([]int32, nRows)
 	copy(colNext, uByCol)
 	copy(rowNext, lByRow)
@@ -123,28 +159,30 @@ func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (t
 			if wu > wv {
 				uRowOf[colNext[lc]] = lr
 				colNext[lc]++
+				u.xadj[lr+1]++
 			} else {
-				lColOf[rowNext[lr]] = lc
+				rowBkt.adj[rowNext[lr]] = lc
 				rowNext[lr]++
+				l.xadj[lc+1]++
 			}
 		}
 	}
+	prefixSum(u.xadj)
+	prefixSum(l.xadj)
 
 	// Transpose the buckets into the sorted blocks.
-	u.adj = make([]int32, len(uRowOf))
 	copy(rowNext, u.xadj)
 	transposeInto(uByCol, uRowOf, rowNext, u.adj)
-	l.adj = make([]int32, len(lColOf))
 	copy(colNext, l.xadj)
-	transposeInto(lByRow, lColOf, colNext, l.adj)
+	transposeInto(rowBkt.xadj, rowBkt.adj, colNext, l.adj)
 
 	if enum == EnumIJK {
-		task = csrBlock{rows: nRows, xadj: slices.Clone(u.xadj), adj: slices.Clone(u.adj)}
+		task = newBlock(kindU, nRows, nU, 0)
+		copy(task.xadj, u.xadj)
+		copy(task.adj, u.adj)
 	} else {
-		// The row bucket already has the task block's shape; only its rows
-		// are unsorted. Refill it from the finished L block.
-		task = csrBlock{rows: nRows, xadj: lByRow, adj: lColOf}
-		copy(rowNext, lByRow)
+		task = rowBkt
+		copy(rowNext, task.xadj)
 		transposeInto(l.xadj, l.adj, rowNext, task.adj)
 	}
 	return task, u, l
@@ -164,35 +202,47 @@ func (b *csrBlock) maxRow() int64 {
 // Block blob layout (§5.2 "reducing overheads associated with
 // communication"): one int32 array reinterpreted as bytes —
 //
-//	[0] magic, [1] kind (0=U CSR, 1=L CSC), [2] dim (rows or cols),
-//	[3] nnz, [4:4+dim+1] xadj, [5+dim:] adj
+//	[0] magic, [1] kind, [2] dim (rows or cols), [3] nnz,
+//	[4:4+dim+1] xadj, [5+dim:5+dim+nnz] adj
+//
+// Every resident block is stored this way (csrBlock.buf), so a block is
+// shipped as its resident bytes and decoded by pointer arithmetic into them.
+// The kind tells the operands apart: U, and the task block and mirror, which
+// never travel, are stored by rows; L by columns.
 const (
 	blobMagic = int32(0x7C2D)
 	kindU     = int32(0)
 	kindL     = int32(1)
 )
 
-func encodeCSRBlob(kind int32, dim int32, xadj, adj []int32) []byte {
-	blob := make([]int32, 4+len(xadj)+len(adj))
-	blob[0], blob[1], blob[2], blob[3] = blobMagic, kind, dim, int32(len(adj))
-	copy(blob[4:], xadj)
-	copy(blob[4+len(xadj):], adj)
-	return mpi.Int32sAsBytes(blob)
-}
-
-func decodeCSRBlob(b []byte, wantKind int32) (dim int32, xadj, adj []int32) {
+// decodeCSRBlob views a received block blob of the given kind, which must
+// have dim lists, as row pointers and entries aliasing b. The checks are
+// O(1), so a read pays nothing for them: the header, the exact length, and
+// row pointers that start at 0 and end at nnz.
+func decodeCSRBlob(b []byte, kind, dim int32) (xadj, adj []int32, err error) {
+	if len(b)%4 != 0 || len(b) < 16 {
+		return nil, nil, fmt.Errorf("core: block blob of %d bytes is not a header of 4 words and a body", len(b))
+	}
 	blob := mpi.BytesToInt32s(b)
-	if len(blob) < 4 || blob[0] != blobMagic {
-		panic("core: corrupt block blob")
+	if blob[0] != blobMagic {
+		return nil, nil, fmt.Errorf("core: block blob has magic %#x, want %#x", blob[0], blobMagic)
 	}
-	if blob[1] != wantKind {
-		panic(fmt.Sprintf("core: block blob kind %d, want %d", blob[1], wantKind))
+	if blob[1] != kind {
+		return nil, nil, fmt.Errorf("core: block blob of kind %d, want %d", blob[1], kind)
 	}
-	dim = blob[2]
+	if dim < 0 || blob[2] != dim {
+		return nil, nil, fmt.Errorf("core: block blob has %d lists, want %d", blob[2], dim)
+	}
 	nnz := blob[3]
-	xadj = blob[4 : 4+dim+1]
-	adj = blob[4+dim+1 : 4+dim+1+nnz]
-	return dim, xadj, adj
+	if nnz < 0 || int64(len(blob)) != 5+int64(dim)+int64(nnz) {
+		return nil, nil, fmt.Errorf("core: block blob of %d words, its header says %d lists and %d entries", len(blob), dim, nnz)
+	}
+	x := 5 + dim
+	xadj, adj = blob[4:x:x], blob[x:]
+	if xadj[0] != 0 || xadj[dim] != nnz {
+		return nil, nil, fmt.Errorf("core: block blob row pointers span [%d, %d) over %d entries", xadj[0], xadj[dim], nnz)
+	}
+	return xadj, adj, nil
 }
 
 // Base tags for the naive (non-blob) block transfer: header, xadj and adj

@@ -41,12 +41,12 @@ func blobWalk(blob []byte) (gridAt, nuAt, firstID, secondID int) {
 		return gridAt, 0, 0, 0
 	}
 	d.off += 3*4 + 8 + 2*4
-	d.csr()
+	d.csr(kindU)
 	nuAt = d.off
 	d.i32()
 	firstID = d.off
 	d.i32()
-	d.csr()
+	d.csr(kindU)
 	secondID = d.off
 	if d.err != nil {
 		panic(d.err) // the blob was just encoded: a bug in the test

@@ -185,9 +185,9 @@ func (d *decoder) deltaRowset() (rows []int32, data [][]int32) {
 	return rows, data
 }
 
-// replaceCSRRows rebuilds a CSR block with the named rows replaced
-// wholesale, in one linear pass. rows must be sorted ascending and in
-// range.
+// replaceCSRRows rebuilds a resident CSR block, as a new blob, with the
+// named rows replaced wholesale, in one linear pass. rows must be sorted
+// ascending and in range.
 func replaceCSRRows(b *csrBlock, rows []int32, data [][]int32) error {
 	if len(rows) == 0 {
 		return nil
@@ -199,19 +199,18 @@ func replaceCSRRows(b *csrBlock, rows []int32, data [][]int32) error {
 	for i, a := range rows {
 		total += len(data[i]) - len(b.row(a))
 	}
-	newAdj := make([]int32, 0, total)
-	newXadj := make([]int32, b.rows+1)
-	ri := 0
+	nb := newBlock(b.kind(), b.rows, total, 0)
+	ri, end := 0, int32(0)
 	for a := int32(0); a < b.rows; a++ {
+		row := b.row(a)
 		if ri < len(rows) && rows[ri] == a {
-			newAdj = append(newAdj, data[ri]...)
+			row = data[ri]
 			ri++
-		} else {
-			newAdj = append(newAdj, b.row(a)...)
 		}
-		newXadj[a+1] = int32(len(newAdj))
+		end += int32(copy(nb.adj[end:], row))
+		nb.xadj[a+1] = end
 	}
-	b.xadj, b.adj = newXadj, newAdj
+	*b = nb
 	return nil
 }
 
@@ -309,13 +308,13 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		d.replaceRows(&blk.task)
 		d.classList(blk.L, blk.qc, blk.col, func(i int) {
 			if blk.u[i].xadj == nil {
-				blk.u[i] = emptyBlock(blk.nRows)
+				blk.u[i] = emptyBlock(kindU, blk.nRows)
 			}
 			d.replaceRows(&blk.u[i])
 		})
 		d.classList(blk.L, blk.qr, blk.row, func(i int) {
 			if blk.l[i].xadj == nil {
-				blk.l[i] = cscBlock(emptyBlock(blk.nCols))
+				blk.l[i] = cscBlock(emptyBlock(kindL, blk.nCols))
 			}
 			d.replaceRows(blk.l[i].byCols())
 		})

@@ -60,7 +60,14 @@ func (p *Prepared) EnsureAdjacency() {
 	lay := p.blk
 	qr, qc, L := p.gridMods()
 	nRows := lay.nRows
-	blk := csrBlock{rows: nRows, xadj: make([]int32, nRows+1)}
+	nnz := 0
+	for i := range lay.u {
+		nnz += len(lay.u[i].adj)
+	}
+	for i := range lay.l {
+		nnz += len(lay.l[i].adj)
+	}
+	blk := newBlock(kindU, nRows, nnz, 0)
 	// Class i of the L blocks holds the row labels k·L + i·qr + row, so
 	// local rows k·(L/qr) + i.
 	step := L / qr
@@ -75,7 +82,6 @@ func (p *Prepared) EnsureAdjacency() {
 		}
 	}
 	prefixSum(blk.xadj)
-	blk.adj = make([]int32, blk.xadj[nRows])
 	next := slices.Clone(blk.xadj[:nRows])
 	for i, b := range lay.l {
 		for j := int32(0); j < b.rows; j++ {
@@ -206,7 +212,9 @@ func slackBound(n, e int) int { return n/16 + e }
 // order, runs moving right in descending order, so no copy lands on entries
 // still to be moved — the inserted values drop into the gaps, and the
 // running shift is added to xadj. The block stays packed CSR, len(adj) ==
-// xadj[rows]; only cap(adj) carries slack (see slackBound).
+// xadj[rows], and its own blob with the header's nnz kept current; only
+// cap(adj) carries slack (see slackBound). A reallocation moves the whole
+// blob.
 func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 	if ed.empty() {
 		return
@@ -257,7 +265,9 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 	written := 0
 	var dst []int32
 	if fresh {
-		dst = make([]int32, newLen, newLen+bound/2)
+		nb := newBlock(b.kind(), b.rows, newLen, bound/2)
+		copy(nb.xadj, b.xadj)
+		b.buf, b.xadj, dst = nb.buf, nb.xadj, nb.adj
 		// Entries before the first edit stay where they are.
 		written += copy(dst, src[:pts[0].pos])
 		sc.reallocs.Inc()
@@ -295,6 +305,7 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 		}
 	}
 	b.adj = dst
+	b.buf[3] = int32(newLen)
 	// The rows behind an edited row, up to and including the next edited
 	// one, start later by the shift of the row's last edit.
 	for k := 0; k <= last; {
@@ -382,7 +393,7 @@ func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
 		}
 		b := &blk.u[i]
 		if b.xadj == nil {
-			*b = emptyBlock(blk.nRows)
+			*b = emptyBlock(kindU, blk.nRows)
 		}
 		if p.snap != nil {
 			markRows(dirtyRows(p.snap.u, i), ed)
@@ -396,7 +407,7 @@ func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
 		}
 		b := &blk.l[i]
 		if b.xadj == nil {
-			*b = cscBlock(emptyBlock(blk.nCols))
+			*b = cscBlock(emptyBlock(kindL, blk.nCols))
 		}
 		if p.snap != nil {
 			markRows(dirtyRows(p.snap.l, i), ed)

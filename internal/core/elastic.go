@@ -28,7 +28,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // VertexSpace is the versioned descriptor of a Prepared value's elastic id
@@ -70,34 +69,38 @@ func (p *Prepared) Space() VertexSpace {
 // carry the version history onto the freshly folded state.
 func (p *Prepared) SetSpaceVersion(v int64) { p.version = v }
 
-// growCSRRows extends a row-stored block with trailing empty rows, appended
-// to xadj in place: a stream of vertex arrivals pays for the rows it adds
-// (append's amortised growth), not for the block's dimension each time.
+// growCSRRows extends a resident block with trailing empty rows; an
+// uncreated block stays uncreated. The new row pointers take the front of
+// adj's room: adj slides right inside the blob's array — one memmove — or,
+// when the array is full, into a new one with append's headroom, so a stream
+// of vertex arrivals reallocates only amortised-rarely.
 func growCSRRows(b *csrBlock, rows int32) {
-	if rows <= b.rows {
+	if b.xadj == nil || rows <= b.rows {
 		return
 	}
-	last := b.xadj[b.rows]
-	b.xadj = slices.Grow(b.xadj, int(rows-b.rows))
-	for ; b.rows < rows; b.rows++ {
-		b.xadj = append(b.xadj, last)
+	old, nnz := b.rows, len(b.adj)
+	used := 5 + int(old) + nnz
+	grown := append(b.buf[:used], make([]int32, rows-old)...)
+	copy(grown[5+int(rows):], grown[5+int(old):used])
+	b.buf = grown
+	b.setViews(rows, nnz)
+	for a := old + 1; a <= rows; a++ {
+		b.xadj[a] = int32(nnz)
 	}
 }
 
-// grow gives every created block the empty rows and columns of the
-// residue-class locals a vertex space of n ids adds.
+// grow gives every created block, and the empty ones, the rows and columns
+// of the residue-class locals a vertex space of n ids adds.
 func (b *blocks) grow(n int64) {
 	b.nRows, b.nCols = b.dims(n)
 	growCSRRows(&b.task, b.nRows)
+	growCSRRows(&b.emptyU, b.nRows)
+	growCSRRows(b.emptyL.byCols(), b.nCols)
 	for i := range b.u {
-		if b.u[i].xadj != nil {
-			growCSRRows(&b.u[i], b.nRows)
-		}
+		growCSRRows(&b.u[i], b.nRows)
 	}
 	for i := range b.l {
-		if b.l[i].xadj != nil {
-			growCSRRows(b.l[i].byCols(), b.nCols)
-		}
+		growCSRRows(b.l[i].byCols(), b.nCols)
 	}
 }
 

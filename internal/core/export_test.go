@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"unsafe"
 )
@@ -10,6 +11,49 @@ import (
 type ArraySpan struct {
 	Name     string
 	Beg, End uintptr
+}
+
+// OwnBlobs checks that every created block of p — the U and L classes, the
+// empty blocks uncreated classes travel as, the task block and the mirror —
+// has this rank's dimension and is its own §5.2 blob: its resident bytes
+// decode to views that alias the block's own xadj and adj, under a header
+// holding the block's dimension and entry count.
+func OwnBlobs(p *Prepared) error {
+	b := p.blk
+	own := func(name string, blk *csrBlock, kind, rows int32) error {
+		if blk.xadj == nil {
+			return nil
+		}
+		if blk.rows != rows || blk.buf[2] != rows || blk.buf[3] != int32(len(blk.adj)) {
+			return fmt.Errorf("%s: block of %d lists and %d entries, header says %d and %d, the layout %d lists",
+				name, blk.rows, len(blk.adj), blk.buf[2], blk.buf[3], rows)
+		}
+		xadj, adj, err := decodeCSRBlob(blk.blob(), kind, rows)
+		switch {
+		case err != nil:
+			return fmt.Errorf("%s: %w", name, err)
+		case &xadj[0] != &blk.xadj[0] || len(xadj) != len(blk.xadj):
+			return fmt.Errorf("%s: the blob's row pointers are not the block's", name)
+		case len(adj) != len(blk.adj) || len(adj) > 0 && &adj[0] != &blk.adj[0]:
+			return fmt.Errorf("%s: the blob's entries are not the block's", name)
+		}
+		return nil
+	}
+	errs := []error{
+		own("task", &b.task, kindU, b.nRows),
+		own("emptyU", &b.emptyU, kindU, b.nRows),
+		own("emptyL", b.emptyL.byCols(), kindL, b.nCols),
+	}
+	for i := range b.u {
+		errs = append(errs, own(fmt.Sprint("u", i*b.qc+b.col), &b.u[i], kindU, b.nRows))
+	}
+	for i := range b.l {
+		errs = append(errs, own(fmt.Sprint("l", i*b.qr+b.row), b.l[i].byCols(), kindL, b.nCols))
+	}
+	if p.mirror != nil {
+		errs = append(errs, own("mirror", p.mirror, kindU, b.nRows))
+	}
+	return errors.Join(errs...)
 }
 
 // ResidentSpans lists the storage of every array resident on p — blocks,
@@ -24,25 +68,24 @@ func ResidentSpans(p *Prepared) []ArraySpan {
 	}
 	i32 := func(name string, s []int32) { add(name, unsafe.Pointer(unsafe.SliceData(s)), 4*uintptr(cap(s))) }
 	i64 := func(name string, s []int64) { add(name, unsafe.Pointer(unsafe.SliceData(s)), 8*uintptr(cap(s))) }
-	block := func(name string, xadj, adj []int32) {
-		i32(name+".xadj", xadj)
-		i32(name+".adj", adj)
-	}
 	edits := func(name string, e *classEdits) {
 		i64(name+".ins", e.ins)
 		i64(name+".del", e.del)
 	}
+	// A block is one array, its blob; xadj and adj are views into it.
 	b := p.blk
-	block("task", b.task.xadj, b.task.adj)
+	i32("task", b.task.buf)
 	i32("taskRows", b.taskRows)
 	for i := range b.u {
-		block(fmt.Sprint("u", i*b.qc+b.col), b.u[i].xadj, b.u[i].adj)
+		i32(fmt.Sprint("u", i*b.qc+b.col), b.u[i].buf)
 	}
 	for i := range b.l {
-		block(fmt.Sprint("l", i*b.qr+b.row), b.l[i].xadj, b.l[i].adj)
+		i32(fmt.Sprint("l", i*b.qr+b.row), b.l[i].buf)
 	}
+	i32("emptyU", b.emptyU.buf)
+	i32("emptyL", b.emptyL.buf)
 	if m := p.mirror; m != nil {
-		block("mirror", m.xadj, m.adj)
+		i32("mirror", m.buf)
 	}
 	i32("labels", p.labels)
 	sc := &p.splice

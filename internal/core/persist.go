@@ -98,21 +98,45 @@ func (d *decoder) i32s() []int32 {
 		return nil
 	}
 	v := make([]int32, n)
+	d.fill(v)
+	return v
+}
+
+// fill reads len(v) entries into v; the caller has bounds-checked them.
+func (d *decoder) fill(v []int32) {
 	for i := range v {
 		v[i] = int32(binary.LittleEndian.Uint32(d.b[d.off:]))
 		d.off += 4
 	}
-	return v
 }
 
-func (d *decoder) csr() csrBlock {
-	rows := d.i32()
-	xadj := d.i32s()
-	adj := d.i32s()
-	if d.err == nil && (rows < 0 || len(xadj) != int(rows)+1 || (rows >= 0 && len(adj) != int(xadj[rows]))) {
+// csr reads a block of the given kind — rows, then xadj and adj as length-
+// prefixed slices — into a resident block of its own.
+func (d *decoder) csr(kind int32) csrBlock {
+	rows, nx := d.i32(), d.i32()
+	if d.err != nil {
+		return csrBlock{}
+	}
+	// The entry count follows the row pointers: read it first, so that the
+	// block is allocated once, at its size, as its own blob.
+	at := d.off + 4*int(nx)
+	if rows < 0 || int(nx) != int(rows)+1 || at+4 > len(d.b) {
+		d.fail("inconsistent CSR block")
+		return csrBlock{}
+	}
+	nnz := int(int32(binary.LittleEndian.Uint32(d.b[at:])))
+	if nnz < 0 || at+4+4*nnz > len(d.b) {
+		d.fail(fmt.Sprintf("slice of %d entries overruns blob", nnz))
+		return csrBlock{}
+	}
+	b := newBlock(kind, rows, nnz, 0)
+	d.fill(b.xadj)
+	d.off += 4
+	d.fill(b.adj)
+	if b.xadj[rows] != int32(nnz) {
 		d.fail("inconsistent CSR block")
 	}
-	return csrBlock{rows: rows, xadj: xadj, adj: adj}
+	return b
 }
 
 // stateKind names the snapshot kind the state is written as. There are two
@@ -291,20 +315,20 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	blk := newBlocks(qr, qc, rank, p.n)
+	blk := newBlocks(qr, qc, rank, p.n, p.bcast)
 	blk.maxURow = d.i64()
 	nRows, nCols := d.i32(), d.i32()
 	if d.err == nil && (nRows != blk.nRows || nCols != blk.nCols) {
 		return nil, fmt.Errorf("core: prepared blob dimensions %d×%d do not match rank %d of a %d×%d grid over %d vertices",
 			nRows, nCols, rank, qr, qc, p.n)
 	}
-	blk.task = d.csr()
+	blk.task = d.csr(kindU)
 	if p.bcast {
-		d.classList(blk.L, qc, blk.col, func(i int) { blk.u[i] = d.csr() })
-		d.classList(blk.L, qr, blk.row, func(i int) { blk.l[i] = cscBlock(d.csr()) })
+		d.classList(blk.L, qc, blk.col, func(i int) { blk.u[i] = d.csr(kindU) })
+		d.classList(blk.L, qr, blk.row, func(i int) { blk.l[i] = cscBlock(d.csr(kindL)) })
 	} else {
-		blk.u[0] = d.csr()
-		blk.l[0] = cscBlock(d.csr())
+		blk.u[0] = d.csr(kindU)
+		blk.l[0] = cscBlock(d.csr(kindL))
 	}
 	if d.err != nil {
 		return nil, d.err

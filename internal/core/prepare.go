@@ -16,9 +16,10 @@ import (
 // only) or SUMMA's broadcasts — and with it which of the two snapshot kinds
 // the state is written as.
 //
-// The state is read-only during counting — the kernel bitmaps and the
-// travelling operand blobs are per-call — so repeated queries against the
-// same Prepared value are independent and return identical counts.
+// The state is read-only during counting — the kernel bitmaps are per-call,
+// and the operand blobs that travel are the resident blocks' own bytes, read
+// in place by every rank they reach — so repeated queries against the same
+// Prepared value are independent and return identical counts.
 type Prepared struct {
 	enum Enumeration
 
@@ -200,9 +201,9 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // is repeatable: the resident blocks are not mutated.
 //
 // CountPrepared is strictly read-only against the Prepared state (the
-// kernel bitmaps and the travelling operand blobs are per-call), so any
-// number of CountPrepared epochs may run concurrently over the same state
-// as World.RunRead epochs. The write-path operations — Splice,
+// kernel bitmaps are per-call; the operand blobs are the resident bytes,
+// which other ranks read in place), so any number of CountPrepared epochs
+// may run concurrently over the same state as World.RunRead epochs. The write-path operations — Splice,
 // EnsureAdjacency, AdjustTotals, SetLabels, and the delta package's
 // Apply/Rebuild built on them — are exclusive and must not overlap any
 // CountPrepared epoch; the cluster scheduler enforces this split.

@@ -127,6 +127,11 @@ type blocks struct {
 	taskRows     []int32 // doubly-sparse non-empty row list
 	u            []csrBlock
 	l            []cscBlock
+	// emptyU and emptyL are the blocks without entries an uncreated class
+	// travels as, built with the layout so a read allocates nothing
+	// (broadcast schedule only).
+	emptyU csrBlock
+	emptyL cscBlock
 	// maxURow is the global maximum U row length over all classes
 	// (allreduced), which sizes the probing table of the NoDirectHash
 	// ablation identically on all ranks.
@@ -134,12 +139,17 @@ type blocks struct {
 }
 
 // newBlocks returns the empty layout of world rank `rank` on a qr × qc grid
-// over n vertices: geometry set, no block created.
-func newBlocks(qr, qc, rank int, n int64) *blocks {
+// over n vertices for the schedule bcast selects: geometry set, no class
+// created.
+func newBlocks(qr, qc, rank int, n int64, bcast bool) *blocks {
 	L := lcm(qr, qc)
 	b := &blocks{qr: qr, qc: qc, L: L, row: rank / qc, col: rank % qc,
 		u: make([]csrBlock, L/qc), l: make([]cscBlock, L/qr)}
 	b.nRows, b.nCols = b.dims(n)
+	if bcast {
+		b.emptyU = emptyBlock(kindU, b.nRows)
+		b.emptyL = cscBlock(emptyBlock(kindL, b.nCols))
+	}
 	return b
 }
 
@@ -197,7 +207,7 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumer
 	qr, qc := grid.Rows(), grid.Cols()
 	got := routePairs(c, qr, qc, rl, ops)
 
-	blk := newBlocks(qr, qc, c.Rank(), rl.n)
+	blk := newBlocks(qr, qc, c.Rank(), rl.n, bcast)
 	var maxRow int64
 	task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
 	*ops += u.nnz() + int64(len(l.adj))

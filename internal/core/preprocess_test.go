@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"strings"
 	"testing"
 
 	"tc2d/internal/dgraph"
@@ -250,23 +254,78 @@ func TestKernelEmptyOperands(t *testing.T) {
 	}
 }
 
-// TestDecodeBlobRejectsCorrupt: corrupted or mis-typed blobs must panic
-// loudly rather than miscount.
+// TestDecodeBlobRejectsCorrupt: a received blob that is corrupt, of the
+// wrong kind or not shaped for the receiving rank is an error naming what is
+// wrong, never a panic and never a miscount.
 func TestDecodeBlobRejectsCorrupt(t *testing.T) {
-	blob := encodeCSRBlob(kindU, 2, []int32{0, 1, 1}, []int32{5})
-	mustPanic(t, "wrong kind", func() { decodeCSRBlob(blob, kindL) })
-	mustPanic(t, "truncated", func() { decodeCSRBlob(blob[:8], kindU) })
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xFF // clobber magic
-	mustPanic(t, "bad magic", func() { decodeCSRBlob(bad, kindU) })
+	b := blockOf([][]int32{{5}, {}}, 0) // 2 lists, 1 entry: 8 words
+	blob := b.blob()
+	edited := func(edit func(w []int32)) []byte {
+		w := slices.Clone(b.buf[:8])
+		edit(w)
+		return mpi.Int32sAsBytes(w)
+	}
+	if xadj, adj, err := decodeCSRBlob(blob, kindU, 2); err != nil || !slices.Equal(xadj, b.xadj) || !slices.Equal(adj, b.adj) {
+		t.Fatalf("the intact blob decodes to %v %v, %v", xadj, adj, err)
+	}
+	for _, tc := range []struct {
+		name      string
+		blob      []byte
+		kind, dim int32
+		want      string
+	}{
+		{"wrong kind", blob, kindL, 2, "of kind 0, want 1"},
+		{"bad magic", edited(func(w []int32) { w[0] ^= 0xFF }), kindU, 2, "magic"},
+		{"truncated header", blob[:8], kindU, 2, "header"},
+		{"not whole words", blob[:len(blob)-1], kindU, 2, "header"},
+		{"wrong dim", blob, kindU, 3, "has 2 lists, want 3"},
+		{"truncated body", blob[:len(blob)-4], kindU, 2, "its header says"},
+		{"over-long", append(slices.Clone(blob), 0, 0, 0, 0), kindU, 2, "its header says"},
+		{"negative nnz", edited(func(w []int32) { w[3] = -1 }), kindU, 2, "its header says"},
+		{"xadj not from 0", edited(func(w []int32) { w[4] = 1 }), kindU, 2, "row pointers span [1, 1)"},
+		{"bad xadj end", edited(func(w []int32) { w[6] = 0 }), kindU, 2, "row pointers span [0, 0)"},
+	} {
+		if _, _, err := decodeCSRBlob(tc.blob, tc.kind, tc.dim); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
+// FuzzDecodeCSRBlob: whatever bytes arrive as an operand, the decoder
+// returns an error or views that re-encode — through the resident block
+// constructor — to exactly those bytes; it never panics.
+func FuzzDecodeCSRBlob(f *testing.F) {
+	g, err := rmat.G500.Generate(6, 4, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seeds [][]byte
+	_, err = mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+		p, err := prepareOn(c, g, 0, 0, EnumJIK)
+		if c.Rank() == 1 {
+			seeds = [][]byte{slices.Clone(p.blk.u[0].blob()), slices.Clone(p.blk.l[0].byCols().blob())}
 		}
-	}()
-	fn()
+		return nil, err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range seeds {
+		dim := int32(binary.LittleEndian.Uint32(s[8:]))
+		f.Add(s, int32(kindU), dim)
+		f.Add(s, int32(kindL), dim)
+		f.Add(s[:len(s)-4], int32(kindU), dim)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, kind, dim int32) {
+		xadj, adj, err := decodeCSRBlob(blob, kind, dim)
+		if err != nil {
+			return
+		}
+		b := newBlock(kind, dim, len(adj), 0)
+		copy(b.xadj, xadj)
+		copy(b.adj, adj)
+		if !bytes.Equal(b.blob(), blob) {
+			t.Fatalf("views of a %d-byte blob re-encode to %d different bytes", len(blob), len(b.blob()))
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
@@ -17,15 +19,16 @@ const (
 	// ships it to (a−b, b), so P_{x,y} starts holding L_{(x+y) mod q, y}.
 	// After each compute step U moves one position left and L one position
 	// up, realizing C[task_{x,y}] = Σ_z U_{x,(x+y+z)%q} · L_{(x+y+z)%q,y}.
-	// Each block travels as a single pre-packed byte blob (§5.2); decoding is
-	// pointer arithmetic into the received buffer, so a forwarded block is
-	// never re-serialized.
+	// Each block travels as its resident bytes, which are a §5.2 blob: the
+	// owner packs nothing, decoding is pointer arithmetic into the received
+	// buffer, and a forwarded block is never re-serialized.
 	moveShift mover = iota
 	// moveBcast is SUMMA's schedule on any qr × qc grid: at step t the rank
-	// in grid column t mod qc that owns U class t broadcasts it along its
-	// grid row, the rank in grid row t mod qr that owns L class t along its
-	// grid column. A class nobody created still travels, as an empty block,
-	// so the collectives stay aligned across ranks.
+	// in grid column t mod qc that owns U class t broadcasts its resident
+	// bytes along its grid row, the rank in grid row t mod qr that owns L
+	// class t along its grid column. A class nobody created still travels,
+	// as the layout's empty block, so the collectives stay aligned across
+	// ranks.
 	moveBcast
 	// moveNaive is moveShift without the blob (Options.NoBlob, the §5.2
 	// ablation): three messages per block per hop, with element-wise
@@ -41,17 +44,27 @@ type operands struct {
 	how   mover
 	trace *obs.Span // per-rank parent span; nil (no-op) when untraced
 
-	ublob, lblob []byte // the travelling blobs (moveShift, moveBcast)
+	// The travelling blobs (moveShift, moveBcast): resident bytes of this
+	// rank or another, shared read-only until the epoch ends.
+	ublob, lblob []byte
 	// The operands of the current step: views into the blobs, or the arrays
 	// moveNaive decoded.
 	u csrBlock
 	l cscBlock
 }
 
-// view points u and l into the blobs just received.
-func (o *operands) view() {
-	o.u.rows, o.u.xadj, o.u.adj = decodeCSRBlob(o.ublob, kindU)
-	o.l.rows, o.l.xadj, o.l.adj = decodeCSRBlob(o.lblob, kindL)
+// view points u and l into the blobs just received for step t. A blob that
+// does not decode to this rank's dimensions is a bug or a hostile peer; the
+// rank panics, naming itself, the step and the operand.
+func (o *operands) view(t int) {
+	o.u.rows, o.l.rows = o.blk.nRows, o.blk.nCols
+	var err error
+	if o.u.xadj, o.u.adj, err = decodeCSRBlob(o.ublob, kindU, o.u.rows); err != nil {
+		panic(fmt.Errorf("core: rank %d step %d: U operand: %w", o.c.Rank(), t, err))
+	}
+	if o.l.xadj, o.l.adj, err = decodeCSRBlob(o.lblob, kindL, o.l.rows); err != nil {
+		panic(fmt.Errorf("core: rank %d step %d: L operand: %w", o.c.Rank(), t, err))
+	}
 }
 
 // shiftNaive moves both operands the given distances (U left, L up) field by
@@ -79,24 +92,24 @@ func (o *operands) arrive(t int) {
 		uRoot, lRoot := t%blk.qc, t%blk.qr
 		o.ublob, o.lblob = nil, nil
 		if blk.col == uRoot {
-			b := blk.u[t/blk.qc]
+			b := &blk.u[t/blk.qc]
 			if b.xadj == nil {
-				b = emptyBlock(blk.nRows)
+				b = &blk.emptyU
 			}
-			o.ublob = encodeCSRBlob(kindU, b.rows, b.xadj, b.adj)
+			o.ublob = b.blob()
 		}
 		o.ublob = g.BcastRow(uRoot, o.ublob)
 		if blk.row == lRoot {
-			b := blk.l[t/blk.qr]
+			b := &blk.l[t/blk.qr]
 			if b.xadj == nil {
-				b = cscBlock(emptyBlock(blk.nCols))
+				b = &blk.emptyL
 			}
-			o.lblob = encodeCSRBlob(kindL, b.rows, b.xadj, b.adj)
+			o.lblob = b.byCols().blob()
 		}
 		o.lblob = g.BcastCol(lRoot, o.lblob)
 		bs.SetAttr("step", t)
 		bs.End()
-		o.view()
+		o.view(t)
 
 	case t > 0: // one position left and up
 		ss := o.trace.StartChild("shift")
@@ -105,7 +118,7 @@ func (o *operands) arrive(t int) {
 		} else {
 			o.ublob = g.ShiftRowLeft(o.ublob, 1)
 			o.lblob = g.ShiftColUp(o.lblob, 1)
-			o.view()
+			o.view(t)
 		}
 		ss.SetAttr("step", t-1)
 		ss.End()
@@ -116,17 +129,12 @@ func (o *operands) arrive(t int) {
 		o.shiftNaive(blk.row, blk.col)
 		align.End()
 
-	default:
-		u, l := &blk.u[0], &blk.l[0]
-		es := o.trace.StartChild("encode")
-		o.ublob = encodeCSRBlob(kindU, u.rows, u.xadj, u.adj)
-		o.lblob = encodeCSRBlob(kindL, l.rows, l.xadj, l.adj)
-		es.End()
+	default: // alignment of the owned blocks, as their resident bytes
 		align := o.trace.StartChild("align")
-		o.ublob = g.ShiftRowLeft(o.ublob, blk.row)
-		o.lblob = g.ShiftColUp(o.lblob, blk.col)
+		o.ublob = g.ShiftRowLeft(blk.u[0].blob(), blk.row)
+		o.lblob = g.ShiftColUp(blk.l[0].byCols().blob(), blk.col)
 		align.End()
-		o.view()
+		o.view(t)
 	}
 }
 

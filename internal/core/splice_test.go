@@ -79,14 +79,19 @@ func editsOf(ins, del [][2]int32) (ed classEdits) {
 	return ed
 }
 
-// blockOf builds a packed CSR block (cap == len everywhere) from rows.
-func blockOf(rows [][]int32) csrBlock {
-	b := csrBlock{rows: int32(len(rows)), xadj: make([]int32, len(rows)+1)}
-	for a, row := range rows {
-		b.adj = append(b.adj, row...)
-		b.xadj[a+1] = int32(len(b.adj))
+// blockOf builds a resident U block from rows, with room for that many more
+// entries (a freshly prepared block has none).
+func blockOf(rows [][]int32, room int) csrBlock {
+	nnz := 0
+	for _, row := range rows {
+		nnz += len(row)
 	}
-	b.adj = slices.Clip(b.adj)
+	b := newBlock(kindU, int32(len(rows)), nnz, room)
+	end := int32(0)
+	for a, row := range rows {
+		end += int32(copy(b.adj[end:], row))
+		b.xadj[a+1] = end
+	}
 	return b
 }
 
@@ -105,7 +110,7 @@ func randomBlock(rng *rand.Rand, rows, vals int, fill float64) csrBlock {
 			}
 		}
 	}
-	return blockOf(out)
+	return blockOf(out, 0)
 }
 
 // randomEdits draws a valid edit set against b: per row (with probability
@@ -135,7 +140,7 @@ func randomEdits(rng *rand.Rand, b *csrBlock, vals int, rowP, insP, delP float64
 
 // checkSplice applies ed to got in place and to want through the rebuild
 // oracle and compares the blocks exactly, plus the in-place invariants:
-// packed CSR and slack within slackBound.
+// packed CSR, its own blob, and slack within slackBound.
 func checkSplice(t *testing.T, sc *spliceScratch, got, want *csrBlock, ins, del [][2]int32) {
 	t.Helper()
 	e := len(ins) + len(del)
@@ -153,6 +158,9 @@ func checkSplice(t *testing.T, sc *spliceScratch, got, want *csrBlock, ins, del 
 	}
 	if int32(len(got.adj)) != got.xadj[got.rows] {
 		t.Fatalf("block not packed: len(adj) = %d, xadj[rows] = %d", len(got.adj), got.xadj[got.rows])
+	}
+	if x, a, err := decodeCSRBlob(got.blob(), kindU, got.rows); err != nil || &x[0] != &got.xadj[0] || len(a) != len(got.adj) {
+		t.Fatalf("block is not its own blob: %v", err)
 	}
 	if e > 0 && cap(got.adj)-len(got.adj) > slackBound(len(got.adj), e) {
 		t.Fatalf("slack %d exceeds the bound %d (len %d, %d edits)", cap(got.adj)-len(got.adj), slackBound(len(got.adj), e), len(got.adj), e)
@@ -183,14 +191,12 @@ func TestSpliceMatchesRebuildOracle(t *testing.T) {
 		{"shrink then grow around an untouched run", base, pairs(5, 0, 5, 1, 5, 2), pairs(0, 1, 0, 4)},
 		{"net zero row", base, pairs(2, 1), pairs(2, 2)},
 		{"zero-row block", nil, nil, nil},
+		// Five rows without entries and no room: the block emptyBlock makes.
 		{"bucket created by its first insert", make([][]int32, 5), pairs(4, 1, 0, 3, 4, 0), nil},
 	}
 	for _, tc := range named {
 		t.Run(tc.name, func(t *testing.T) {
-			got := blockOf(tc.rows)
-			if tc.name == "bucket created by its first insert" {
-				got.adj = nil // as spliceBlocks makes it: xadj only
-			}
+			got := blockOf(tc.rows, 0)
 			want := cloneBlock(got)
 			checkSplice(t, &spliceScratch{}, &got, &want, tc.ins, tc.del)
 		})
@@ -201,7 +207,7 @@ func TestSpliceMatchesRebuildOracle(t *testing.T) {
 		var holder Prepared
 		holder.SetMetrics(reg)
 		sc := &holder.splice
-		got := blockOf(base)
+		got := blockOf(base, 0)
 		want := cloneBlock(got)
 		var ins [][2]int32
 		for v := int32(20); v < 30; v++ {
@@ -268,9 +274,8 @@ func TestSpliceRejectsBeforeWriting(t *testing.T) {
 		{"negative row", [][2]int32{{-1, 1}}, nil, "core: splice edit referenced an out-of-range row"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := blockOf(rows)
 			// Leave slack, as a resident block has after its first growth.
-			b.adj = append(make([]int32, 0, len(b.adj)+8), b.adj...)
+			b := blockOf(rows, 8)
 			before := cloneBlock(b)
 			ed := editsOf(append(slices.Clone(validIns), tc.ins...), append(slices.Clone(validDel), tc.del...))
 			var got any
@@ -287,7 +292,7 @@ func TestSpliceRejectsBeforeWriting(t *testing.T) {
 		})
 	}
 	t.Run("zero-row block", func(t *testing.T) {
-		b := blockOf(nil)
+		b := blockOf(nil, 0)
 		var got any
 		func() {
 			defer func() { got = recover() }()

@@ -23,16 +23,20 @@ func lcm(a, b int) int {
 	return a / g * b
 }
 
-// splitClasses splits a block into s blocks of the same row dimension: a
+// splitClasses splits a block into s blocks of its kind and row dimension: a
 // value v lands in block v mod s as v div s, in row order, so sorted rows
 // stay sorted. Count, then fill; s == 1 returns the block itself.
 func splitClasses(b csrBlock, s int32) []csrBlock {
 	if s == 1 {
 		return []csrBlock{b}
 	}
+	nnz := make([]int, s)
+	for _, v := range b.adj {
+		nnz[v%s]++
+	}
 	out := make([]csrBlock, s)
 	for cls := range out {
-		out[cls] = csrBlock{rows: b.rows, xadj: make([]int32, b.rows+1)}
+		out[cls] = newBlock(b.kind(), b.rows, nnz[cls], 0)
 	}
 	for a := int32(0); a < b.rows; a++ {
 		for _, v := range b.row(a) {
@@ -41,7 +45,6 @@ func splitClasses(b csrBlock, s int32) []csrBlock {
 	}
 	for cls := range out {
 		prefixSum(out[cls].xadj)
-		out[cls].adj = make([]int32, out[cls].xadj[b.rows])
 	}
 	// Rows are visited in order, so each block's write position simply
 	// runs on from row to row.

@@ -78,10 +78,17 @@ func (g *Grid) RankAt(row, col int) int {
 	return ((row%g.qr+g.qr)%g.qr)*g.qc + (col%g.qc+g.qc)%g.qc
 }
 
+// The four movers below — the shifts and the broadcasts — pass payloads on
+// without copying. A payload is shared: from the call on, the ranks it
+// reaches may hold the very bytes the caller passed (a socket transport
+// writes them out before the send returns), so neither the caller nor any
+// receiver may write to them until the epoch ends. A read epoch ships its
+// resident blocks this way.
+
 // ShiftRowLeft sends data dist positions left within this grid row (cyclic)
 // and returns the block arriving from dist positions right. dist may be any
 // non-negative value; dist % qc == 0 is a no-op returning data unchanged.
-// Ownership of data transfers to the runtime.
+// data is shared and read-only until the epoch ends.
 func (g *Grid) ShiftRowLeft(data []byte, dist int) []byte {
 	d := dist % g.qc
 	if d == 0 {
@@ -94,8 +101,8 @@ func (g *Grid) ShiftRowLeft(data []byte, dist int) []byte {
 }
 
 // ShiftColUp sends data dist positions up within this grid column (cyclic)
-// and returns the block arriving from dist positions below. Ownership of
-// data transfers to the runtime.
+// and returns the block arriving from dist positions below. data is shared
+// and read-only until the epoch ends.
 func (g *Grid) ShiftColUp(data []byte, dist int) []byte {
 	d := dist % g.qr
 	if d == 0 {
@@ -110,7 +117,8 @@ func (g *Grid) ShiftColUp(data []byte, dist int) []byte {
 // bcastLine broadcasts data from member rootIdx to the n ranks first,
 // first+stride, … of one grid line along a binomial tree over member
 // indices. Each participant calls it with its own index; the root passes
-// data, others receive it.
+// data, others receive it. Every member forwards the payload it holds to its
+// children as is: it is shared, so one buffer serves the whole tree.
 func (g *Grid) bcastLine(first, stride, n, myIdx, rootIdx, tag int, data []byte) []byte {
 	if n == 1 {
 		return data
@@ -121,19 +129,20 @@ func (g *Grid) bcastLine(first, stride, n, myIdx, rootIdx, tag int, data []byte)
 		data = g.c.Recv(member(parentOf(rel)), tag)
 	}
 	for _, child := range childrenOf(rel, n) {
-		g.c.Send(member(child), tag, data)
+		g.c.SendOwn(member(child), tag, data)
 	}
 	return data
 }
 
 // BcastRow broadcasts data from the rank at column rootCol within this
-// rank's grid row. The root passes the payload; everyone receives it.
+// rank's grid row. The root passes the payload; everyone receives it. data
+// is shared and read-only until the epoch ends.
 func (g *Grid) BcastRow(rootCol int, data []byte) []byte {
 	return g.bcastLine(g.row*g.qc, 1, g.qc, g.col, rootCol, tagRowBcast, data)
 }
 
 // BcastCol broadcasts data from the rank at row rootRow within this rank's
-// grid column.
+// grid column. data is shared and read-only until the epoch ends.
 func (g *Grid) BcastCol(rootRow int, data []byte) []byte {
 	return g.bcastLine(g.col, g.qc, g.qr, g.row, rootRow, tagColBcast, data)
 }

@@ -713,8 +713,9 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	c.SendOwn(dst, tag, buf)
 }
 
-// SendOwn sends data without copying; ownership of the slice transfers to the
-// receiver and the caller must not touch it afterwards.
+// SendOwn sends data without copying: the receiver gets the caller's slice,
+// so the caller must not write to it afterwards. The grid movers send one
+// read-only payload to several receivers this way.
 func (c *Comm) SendOwn(dst, tag int, data []byte) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d send to invalid rank %d", c.rank, dst))

@@ -119,6 +119,34 @@ func TestRectGridDegenerate1D(t *testing.T) {
 	})
 }
 
+// TestGridMoversSharePayload: on an in-process world the movers hand on the
+// caller's bytes themselves — every rank a broadcast or a shift reaches reads
+// the sender's buffer — which is what lets a count ship resident blocks
+// without a copy.
+func TestGridMoversSharePayload(t *testing.T) {
+	bufs := make([][]byte, 6)
+	for r := range bufs {
+		bufs[r] = []byte{byte(r), 7}
+	}
+	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {
+		g, err := NewGrid(c, 2, 3)
+		if err != nil {
+			return nil, err
+		}
+		var data []byte
+		if g.Col() == 1 {
+			data = bufs[c.Rank()]
+		}
+		if got, root := g.BcastRow(1, data), bufs[g.RankAt(g.Row(), 1)]; &got[0] != &root[0] {
+			t.Errorf("rank %d: the row broadcast copied the root's payload", c.Rank())
+		}
+		if got, src := g.ShiftColUp(bufs[c.Rank()], 1), bufs[g.RankAt(g.Row()+1, g.Col())]; &got[0] != &src[0] {
+			t.Errorf("rank %d: the column shift copied the payload", c.Rank())
+		}
+		return nil, nil
+	})
+}
+
 func TestRectGridBcastConsecutive(t *testing.T) {
 	// Back-to-back broadcasts with rotating roots must not cross-deliver.
 	mustRun(t, 6, testCfg(), func(c *Comm) (any, error) {

@@ -197,7 +197,7 @@ func TestCountTracedSpanTree(t *testing.T) {
 	if len(ranks) != 4 {
 		t.Fatalf("epoch has %d rank spans, want 4", len(ranks))
 	}
-	phases := []string{"encode", "align", "kernel", "shift", "bcast", "reduce"}
+	phases := []string{"align", "kernel", "shift", "bcast", "reduce"}
 	for i, rk := range ranks {
 		if rk.Duration() > epoch.Duration()+time.Millisecond {
 			t.Errorf("rank span %d (%v) exceeds epoch wall %v", i, rk.Duration(), epoch.Duration())

@@ -16,16 +16,19 @@ import (
 // plannedWriter owns a disjoint slice of the edge universe (pairs whose
 // endpoint sum falls in its residue class) and pre-plans a sequence of
 // batches against a private oracle, so concurrent writers can never
-// conflict and the final graph is order-independent.
+// conflict and the final graph is order-independent — also when the
+// universe reaches past the graph's vertices, because an edge to a new id
+// admits it whichever writer's batch lands first.
 type plannedWriter struct {
 	batches [][]EdgeUpdate
 	// expected per-batch effective counts, for demux verification
 	wantIns, wantDel []int
 }
 
-func planWriters(t *testing.T, g *Graph, writers, batchesPer, sizePer int, seed int64) []*plannedWriter {
+func planWriters(t *testing.T, g *Graph, writers, batchesPer, sizePer int, grow int32, seed int64) []*plannedWriter {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	n := int(g.N + grow)
 	// Each writer's pool: pairs (u, v), u < v, with (u+v) % writers == id.
 	pool := make([]map[[2]int32]bool, writers)
 	for w := range pool {
@@ -51,7 +54,7 @@ func planWriters(t *testing.T, g *Graph, writers, batchesPer, sizePer int, seed 
 			ins, del := 0, 0
 			touched := map[[2]int32]bool{}
 			for len(batch) < sizePer {
-				u, v := int32(rng.Intn(int(g.N))), int32(rng.Intn(int(g.N)))
+				u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
 				if u == v {
 					continue
 				}
@@ -97,23 +100,25 @@ func finalGraph(t *testing.T, g *Graph, plans []*plannedWriter) *Graph {
 	return o.graph(t)
 }
 
-// runConcurrentDifferential races R readers against W planned writers and
-// checks (a) per-caller demultiplexed results against each writer's own
-// plan, (b) the final maintained state against the sequential oracle.
-func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batchesPer int, seed int64) {
+// runConcurrentDifferential races R readers against W planned writers, whose
+// edges may name up to grow ids past the graph's, and checks (a) per-caller
+// demultiplexed results against each writer's own plan, (b) the final
+// maintained state against the sequential oracle. It returns the cluster,
+// closed when the test ends.
+func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batchesPer int, grow int32, seed int64) *Cluster {
 	t.Helper()
 	g, err := GenerateRMAT(G500, scale, 8, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := planWriters(t, g, writers, batchesPer, 24, seed)
+	plans := planWriters(t, g, writers, batchesPer, 24, grow, seed)
 	want := CountSequential(finalGraph(t, g, plans))
 
 	cl, err := NewCluster(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+4)
@@ -204,24 +209,40 @@ func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batche
 	if info.WriteEpochs > info.CoalescedBatches {
 		t.Errorf("WriteEpochs=%d > CoalescedBatches=%d", info.WriteEpochs, info.CoalescedBatches)
 	}
+	return cl
 }
 
 func TestSchedulerDifferentialCannon(t *testing.T) {
 	// 3 writers × 11 batches = 33 randomized batches, low rebuild fraction
 	// so staleness rebuilds interleave with concurrent readers.
-	runConcurrentDifferential(t, Options{Ranks: 4, RebuildFraction: 0.05}, 10, 3, 11, 1)
+	runConcurrentDifferential(t, Options{Ranks: 4, RebuildFraction: 0.05}, 10, 3, 11, 0, 1)
 }
 
 func TestSchedulerDifferentialSUMMA(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 6, DisableAutoRebuild: true}, 10, 3, 11, 2)
+	runConcurrentDifferential(t, Options{Ranks: 6, DisableAutoRebuild: true}, 10, 3, 11, 0, 2)
 }
 
 func TestSchedulerDifferentialTCP(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 4, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 3)
+	runConcurrentDifferential(t, Options{Ranks: 4, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 0, 3)
 }
 
 func TestSchedulerDifferentialSUMMATCP(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 4, ForceSUMMA: true, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 4)
+	runConcurrentDifferential(t, Options{Ranks: 4, ForceSUMMA: true, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 0, 4)
+}
+
+// TestSchedulerDifferentialGrowth: other ranks read a rank's resident arrays
+// in place during a count, so the writes between reads must leave them whole
+// however they move. The writers' edges reach 64 ids past the graph, so
+// GrowTo slides adj inside the blob arrays, and their inserts outgrow blocks
+// so that splices reallocate them, while readers wait at the gate.
+func TestSchedulerDifferentialGrowth(t *testing.T) {
+	cl := runConcurrentDifferential(t, Options{Ranks: 4, DisableAutoRebuild: true}, 10, 3, 11, 64, 5)
+	if info := cl.Info(); info.OverflowN == 0 {
+		t.Errorf("the vertex space never grew (N=%d)", info.N)
+	}
+	if n := cl.Metrics().Snapshot()["tc_splice_reallocs_total"]; n == 0 {
+		t.Error("no splice reallocated a block")
+	}
 }
 
 // TestSchedulerCoalescesQueuedBatches pins the write queue behind the
