@@ -118,23 +118,6 @@ type Options struct {
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 
-	// KernelThreads is the number of worker goroutines each rank fans one
-	// compute step's intersection work across, on top of the inter-rank 2D
-	// decomposition: task rows are split into weight-balanced buckets
-	// (weight = Σ min(|U-row|, |L-col|) over the row's tasks, assigned
-	// longest-processing-time first) and every worker owns a bitmap plus
-	// private counters summed deterministically afterwards, so the
-	// triangle count and every Result counter are exact at any thread
-	// count. 1 runs the rows on the rank's own goroutine; negative values
-	// are rejected. 0 (the default) shares the host among the ranks that
-	// compute side by side: P / min(ranks hosted by the process,
-	// ComputeSlots), at least 1, with P = min(GOMAXPROCS, NumCPU) — four
-	// ranks on two CPUs run one worker each, a one-rank tcworker on a
-	// 16-core host runs 16. For resident clusters the write path's delta
-	// pass inherits the same value. For contention-free virtual-time
-	// measurements combine KernelThreads=1 with ComputeSlots=1.
-	KernelThreads int
-
 	// RebuildFraction controls write-path staleness for resident clusters:
 	// once the effective updates applied since the last build exceed this
 	// fraction of the edge count at that build, the write scheduler
@@ -216,9 +199,11 @@ type Options struct {
 	// (seconds, bytes/second, seconds). Zero values use InfiniBand-class
 	// defaults (2µs, 6GB/s, 0.5µs).
 	Alpha, Beta, Overhead float64
-	// ComputeSlots bounds how many ranks run between messages; 1 gives
-	// contention-free modeled times (the paper tables); 0 defaults to
-	// GOMAXPROCS (fastest wall time, fine for counting).
+	// ComputeSlots bounds how many ranks run between messages. Each rank
+	// computes on its own goroutine, so this is how many goroutines of the
+	// process compute at once; 1 gives contention-free modeled times (the
+	// paper tables); 0 defaults to GOMAXPROCS (fastest wall time, fine for
+	// counting).
 	ComputeSlots int
 
 	// Metrics is the observability registry the run publishes into: epoch
@@ -238,17 +223,8 @@ func (o Options) coreOptions() core.Options {
 		NoDirectHash:   o.NoDirectHash,
 		NoEarlyBreak:   o.NoEarlyBreak,
 		TrackPerShift:  o.TrackPerShift,
-		KernelThreads:  o.KernelThreads,
 		Metrics:        o.Metrics,
 	}
-}
-
-// kernelThreads validates Options.KernelThreads (0 = host default).
-func (o Options) kernelThreads() (int, error) {
-	if o.KernelThreads < 0 {
-		return 0, fmt.Errorf("tc2d: KernelThreads=%d must be non-negative (0 = the host's share)", o.KernelThreads)
-	}
-	return o.KernelThreads, nil
 }
 
 func (o Options) mpiConfig() mpi.Config {
@@ -349,9 +325,6 @@ func CountRMAT(params RMATParams, scale, edgeFactor int, seed uint64, opt Option
 func countInput(in dgraph.Input, opt Options) (*Result, error) {
 	p, err := opt.ranks()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := opt.kernelThreads(); err != nil {
 		return nil, err
 	}
 	world, err := opt.newWorld(p)

@@ -30,27 +30,18 @@ type QueryOptions struct {
 	NoEarlyBreak   bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
-	// KernelThreads overrides the cluster's intra-rank kernel parallelism
-	// for this query (0 = the cluster's Options.KernelThreads; negative
-	// values are rejected by Count).
-	KernelThreads int
 }
 
-// coreOptions resolves one query against the cluster's standing kernel
-// defaults. The struct stays comparable: identical concurrent queries share
-// one epoch through the flights map.
+// queryCoreOptions is one query under the cluster's enumeration rule. The
+// struct stays comparable: identical concurrent queries share one epoch
+// through the flights map.
 func (cl *Cluster) queryCoreOptions(q QueryOptions) core.Options {
-	threads := q.KernelThreads
-	if threads == 0 {
-		threads = cl.kernelThreads
-	}
 	return core.Options{
 		Enumeration:    cl.enum,
 		NoDoublySparse: q.NoDoublySparse,
 		NoDirectHash:   q.NoDirectHash,
 		NoEarlyBreak:   q.NoEarlyBreak,
 		TrackPerShift:  q.TrackPerShift,
-		KernelThreads:  threads,
 	}
 }
 
@@ -99,11 +90,9 @@ type ClusterInfo struct {
 	WriteEpochs      int64
 	CoalescedBatches int64
 	QueueDepth       int64
-	// KernelThreads is the resolved per-rank kernel worker count queries
-	// and write epochs default to; MapTasks accumulates the
-	// intersection-pair counts of completed count epochs.
-	KernelThreads int
-	MapTasks      int64
+	// MapTasks accumulates the intersection-pair counts of completed count
+	// epochs.
+	MapTasks int64
 	// PreOps and PreprocessTime describe the one-time preprocessing that
 	// built the resident state; CommFracPre its communication fraction.
 	// Both are zero on a cluster restored by OpenCluster: a restore decodes
@@ -166,10 +155,6 @@ type Cluster struct {
 	incRebuilds atomic.Int64 // the subset of rebuilds that ran incrementally
 	mapTasks    atomic.Int64 // intersection pairs of completed count epochs
 
-	// Standing Options.KernelThreads, immutable after construction: queries
-	// resolve KernelThreads=0 against it, and the write path's delta passes
-	// read the same value off each Prepared value.
-	kernelThreads int
 	// readOnly marks a follower's cluster: the public write path rejects
 	// with ErrFollowerReadOnly, and only the replication apply loop mutates
 	// the resident state (under the exclusive gate, like any write).
@@ -250,12 +235,9 @@ func (o Options) resolve() (*resolvedOptions, error) {
 	if o.MaxVertices < 0 {
 		return nil, fmt.Errorf("tc2d: MaxVertices=%d must be non-negative", o.MaxVertices)
 	}
-	if _, err = o.kernelThreads(); err != nil {
-		return nil, err
-	}
 	// Resident clusters are always observable: without a caller-provided
 	// registry they get a private one, which the world (epoch/per-rank
-	// series) and the rank store (kernel pools) publish into too.
+	// series) and the rank store (kernels) publish into too.
 	if res.Metrics == nil {
 		res.Metrics = obs.NewRegistry()
 	}
@@ -319,7 +301,6 @@ func newClusterOn(eng engine, res *resolvedOptions, ranks int, enum Enumeration)
 		incrementalFraction: res.incFrac,
 		autoRebuild:         !res.DisableAutoRebuild,
 		maxVertices:         res.MaxVertices,
-		kernelThreads:       res.KernelThreads,
 		metrics:             res.metrics,
 	}
 	cl.lastTri.Store(-1)
@@ -422,9 +403,6 @@ func (cl *Cluster) Count(q QueryOptions) (*Result, error) {
 	if cl.closed.Load() {
 		return nil, ErrClosed
 	}
-	if q.KernelThreads < 0 {
-		return nil, fmt.Errorf("tc2d: KernelThreads=%d must be non-negative", q.KernelThreads)
-	}
 	res, err := cl.countShared(q)
 	cl.metrics.observeOp("count", start, err)
 	if err != nil {
@@ -452,9 +430,6 @@ func (cl *Cluster) CountTraced(q QueryOptions) (*Result, *obs.Trace, error) {
 	defer cl.sched.gate.RUnlock()
 	if cl.closed.Load() {
 		return nil, tr, ErrClosed
-	}
-	if q.KernelThreads < 0 {
-		return nil, tr, fmt.Errorf("tc2d: KernelThreads=%d must be non-negative", q.KernelThreads)
 	}
 	es := tr.Span().StartChild("epoch")
 	res, err := cl.countEpoch(q, es)
@@ -586,7 +561,6 @@ func (cl *Cluster) Info() ClusterInfo {
 		WriteEpochs:         cl.sched.writeEpochs.Load(),
 		CoalescedBatches:    cl.sched.absorbed.Load(),
 		QueueDepth:          cl.sched.depth.Load(),
-		KernelThreads:       meta.KernelWorkers,
 		MapTasks:            cl.mapTasks.Load(),
 		PreOps:              meta.PreOps,
 		PreprocessTime:      meta.PreprocessTime,

@@ -360,7 +360,7 @@ func TestClusterGrowthFold(t *testing.T) {
 
 // TestClusterGrowthPastBitmapWords: the kernel sizes its bitmaps from the
 // vertex count at the time of each count, never from the build. Starting from
-// 64 vertices (one bitmap word per worker on both grids), each step admits
+// 64 vertices (one bitmap word on both grids), each step admits
 // ids up to a new top — overflow ids keep their id as label, so the top ids
 // are the top intersection keys — and closes triangles through them, carrying
 // the local key range past 64, 128 and 256 on the Cannon grid (keys k div 2)
@@ -381,7 +381,7 @@ func TestClusterGrowthPastBitmapWords(t *testing.T) {
 		count := func(tag string) {
 			t.Helper()
 			want := CountSequential(o.graph(t))
-			for _, q := range []QueryOptions{{}, {KernelThreads: 3}, {NoDirectHash: true}} {
+			for _, q := range []QueryOptions{{}, {NoDirectHash: true}} {
 				res, err := cl.Count(q)
 				if err != nil {
 					t.Fatalf("ranks=%d %s %+v: %v", ranks, tag, q, err)

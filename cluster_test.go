@@ -197,6 +197,7 @@ func TestClusterQueryOptionsAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	var mapTasks int64
 	for _, q := range []QueryOptions{
 		{},
 		{NoDoublySparse: true},
@@ -211,6 +212,11 @@ func TestClusterQueryOptionsAblations(t *testing.T) {
 		if res.Triangles != want {
 			t.Errorf("query %+v: %d triangles, want %d", q, res.Triangles, want)
 		}
+		mapTasks += res.MapTasks
+	}
+	// Info accumulates the intersected pairs of every completed epoch.
+	if got := cl.Info().MapTasks; got != mapTasks {
+		t.Errorf("Info.MapTasks=%d, want %d accumulated over the queries", got, mapTasks)
 	}
 }
 

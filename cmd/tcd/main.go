@@ -65,11 +65,9 @@
 //
 //	GET  /count        — triangle count (query params: nodoublysparse,
 //	                     nodirecthash, noearlybreak, any of =1/true;
-//	                     kernelthreads=N overrides the per-rank kernel
-//	                     worker count for this query; trace=1 additionally
-//	                     returns the span tree of this query — admission,
-//	                     epoch, per-rank compute, each Cannon/SUMMA step
-//	                     split into shift vs kernel time)
+//	                     trace=1 additionally returns the span tree of this
+//	                     query — admission, epoch, per-rank compute, each
+//	                     Cannon/SUMMA step split into shift vs kernel time)
 //	GET  /transitivity — global clustering coefficient
 //	POST /update       — apply a batch of edge and vertex mutations:
 //	                     {"updates":[{"u":1,"v":2,"op":"insert"},
@@ -81,9 +79,10 @@
 //	                     current space grow the graph; impossible ids
 //	                     (negative, removal of a nonexistent vertex,
 //	                     growth beyond -max-vertices) return 400 with
-//	                     {"code":"vertex_range"}. trace=1 returns the
-//	                     write-path span tree (queue wait, base count,
-//	                     write epoch, WAL append, rebuild)
+//	                     {"code":"vertex_range"}; a body over 64 MiB
+//	                     returns 413. trace=1 returns the write-path span
+//	                     tree (queue wait, base count, write epoch, WAL
+//	                     append, rebuild)
 //	POST /snapshot     — persist the current state now (requires
 //	                     -persist-dir; also happens automatically as the
 //	                     WAL grows); returns the snapshot seq/path/bytes
@@ -129,7 +128,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "RMAT seed")
 		preset   = flag.String("preset", "g500", "RMAT preset: g500, twitter, friendster")
 		tcp      = flag.Bool("tcp", false, "use the loopback TCP transport between ranks")
-		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks run between messages (0 = GOMAXPROCS, fastest wall time; 1 gives contention-free modeled times)")
+		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks, each one goroutine, run between messages (0 = GOMAXPROCS, fastest wall time; 1 gives contention-free modeled times)")
 		drain    = flag.Duration("drain", time.Second, "grace period after /healthz flips to 503 before the listener closes")
 		maxQ     = flag.Int("max-concurrent-queries", 0, "cap on concurrently admitted read queries (0 = unlimited)")
 		maxV     = flag.Int64("max-vertices", 1<<26, "cap on the elastic vertex space (0 = unbounded)")
@@ -138,7 +137,6 @@ func main() {
 		coord    = flag.String("coordinator", "", "run as a multi-process coordinator: host no ranks, accept tcworker processes on this address (e.g. :7271)")
 		wwait    = flag.Duration("worker-wait", time.Minute, "how long a booting coordinator waits for workers to cover every rank")
 		noSync   = flag.Bool("no-wal-sync", false, "skip the per-commit WAL fsync (crash-safe but not power-loss-safe)")
-		kthr     = flag.Int("kernel-threads", 0, "intra-rank kernel workers per rank (0 = the CPUs divided among the ranks computing at once)")
 		usePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		slowQ    = flag.Duration("slow-query", 0, "log requests slower than this at warn level (0 = disabled)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -148,7 +146,7 @@ func main() {
 	logger := newLogger(*logJSON)
 	slog.SetDefault(logger)
 
-	opt := tc2d.Options{Ranks: *ranks, ComputeSlots: *slots, MaxVertices: *maxV, NoWALSync: *noSync, KernelThreads: *kthr}
+	opt := tc2d.Options{Ranks: *ranks, ComputeSlots: *slots, MaxVertices: *maxV, NoWALSync: *noSync}
 	if *tcp {
 		opt.Transport = tc2d.TransportTCP
 	}
@@ -491,6 +489,7 @@ func durMillis(d time.Duration) float64 {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
+		w.Header().Set("Retry-After", "1")
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -574,16 +573,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		NoDirectHash:   boolParam(r, "nodirecthash"),
 		NoEarlyBreak:   boolParam(r, "noearlybreak"),
 	}
-	if v := r.URL.Query().Get("kernelthreads"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.errors.Add(1)
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("kernelthreads=%q must be a non-negative integer", v)})
-			return
-		}
-		q.KernelThreads = n
-	}
 	t0 := time.Now()
 	var (
 		res *tc2d.Result
@@ -620,7 +609,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		"m":               res.M,
 		"probes":          res.Probes,
 		"map_tasks":       res.MapTasks,
-		"kernel_threads":  res.KernelThreads,
 		"count_time_s":    res.CountTime,
 		"comm_frac_count": res.CommFracCount,
 		"wall_ms":         durMillis(time.Since(t0)),
@@ -631,6 +619,10 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, body)
 }
+
+// maxUpdateBody caps the POST /update body: a larger one is answered 413
+// before any of it is decoded into a batch.
+const maxUpdateBody = 64 << 20
 
 // updateRequest is the POST /update body.
 type updateRequest struct {
@@ -723,9 +715,22 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining: write queue is closed to new updates"})
 		return
 	}
+	// A declared length over the cap is refused unread; an undeclared one is
+	// cut off by the reader once it passes the cap.
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var err error
+	if r.ContentLength > maxUpdateBody {
+		err = &http.MaxBytesError{Limit: maxUpdateBody}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody)).Decode(&req)
+	}
+	if err != nil {
 		s.errors.Add(1)
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			s.writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+				"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
@@ -753,7 +758,6 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var (
 		res *tc2d.UpdateResult
 		tr  *obs.Trace
-		err error
 	)
 	if boolParam(r, "trace") {
 		res, tr, err = s.cluster.ApplyUpdatesTraced(batch)
@@ -944,7 +948,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"write_coalescing":       obs.Ratio(info.CoalescedBatches, info.WriteEpochs),
 		},
 		"kernel": map[string]any{
-			"threads":   info.KernelThreads,
 			"map_tasks": info.MapTasks,
 		},
 		"persist": map[string]any{

@@ -23,10 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// KernelThreads: 2 fans each rank's intersection work across two
-	// worker goroutines (0 would divide the cores among the ranks); the
-	// counts and counters are exact at any setting.
-	res, err := tc2d.Count(g, tc2d.Options{Ranks: 4, KernelThreads: 2})
+	res, err := tc2d.Count(g, tc2d.Options{Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,6 +33,5 @@ func main() {
 	fmt.Printf("triangles (sequential check):     %d\n", tc2d.CountSequential(g))
 	fmt.Printf("preprocessing %.3gs + counting %.3gs under the network cost model\n",
 		res.PreprocessTime, res.CountTime)
-	fmt.Printf("kernel: %d workers/rank, %d intersections, %d probes\n",
-		res.KernelThreads, res.MapTasks, res.Probes)
+	fmt.Printf("kernel: %d intersections, %d probes\n", res.MapTasks, res.Probes)
 }

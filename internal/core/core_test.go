@@ -134,11 +134,28 @@ func TestCountOptionTogglesPreserveCount(t *testing.T) {
 		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true},
 		{Enumeration: EnumIJK, NoDoublySparse: true, NoEarlyBreak: true},
 	}
-	for i, opt := range opts {
-		for _, p := range []int{4, 9} {
+	for _, p := range []int{4, 9} {
+		base := countVia(t, g, p, Options{})
+		for i, opt := range opts {
 			res := countVia(t, g, p, opt)
 			if res.Triangles != want {
 				t.Errorf("opt[%d]=%+v p=%d: %d want %d", i, opt, p, res.Triangles, want)
+			}
+			if opt.Enumeration != EnumJIK {
+				continue
+			}
+			// Under the same rule the toggles intersect the same pairs, the
+			// probing table makes exactly the bitmap's lookups, and only
+			// NoEarlyBreak adds any.
+			if res.MapTasks != base.MapTasks {
+				t.Errorf("opt[%d] p=%d: MapTasks %d, default kernel %d", i, p, res.MapTasks, base.MapTasks)
+			}
+			if opt.NoEarlyBreak {
+				if res.Probes <= base.Probes {
+					t.Errorf("opt[%d] p=%d: %d probes without early break, %d with", i, p, res.Probes, base.Probes)
+				}
+			} else if res.Probes != base.Probes {
+				t.Errorf("opt[%d] p=%d: %d probes, default kernel %d", i, p, res.Probes, base.Probes)
 			}
 		}
 	}

@@ -473,11 +473,11 @@ func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
 	return p.blk.maxURow, numWithResidue(p.n, p.blk.L, 0)
 }
 
-// kernelPool builds the kernel workers of one count over p, sized for the
-// state as it is now.
-func (p *Prepared) kernelPool(c *mpi.Comm, opt Options) *kernelPool {
+// kernel builds the kernel of one count over p, sized for the state as it is
+// now.
+func (p *Prepared) kernel(opt Options) *kernel {
 	maxURow, keyRange := p.kernelSizing()
-	return newKernelPool(opt.kernelWorkers(c), keyRange, maxURow, opt)
+	return newKernel(keyRange, maxURow, opt)
 }
 
 // longestURow scans the resident U blocks for the longest row — the quantity

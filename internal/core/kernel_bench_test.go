@@ -13,10 +13,9 @@ import (
 
 // BenchmarkKernelStep measures the kernel alone: one compute step of one
 // rank of a 4-rank Cannon grid — rank 0's task block against its own U and L
-// blocks, the operands it holds at step 0 — at one worker, on a skewed
-// (RMAT scale 14) and a flat (Erdős–Rényi, same size) graph. ns/probe is the
-// cost of one bitmap lookup with everything around it amortised in; a step
-// must not allocate.
+// blocks, the operands it holds at step 0 — on a skewed (RMAT scale 14) and
+// a flat (Erdős–Rényi, same size) graph. ns/probe is the cost of one bitmap
+// lookup with everything around it amortised in; a step must not allocate.
 func BenchmarkKernelStep(b *testing.B) {
 	er, err := rmat.ErdosRenyi(1<<14, 16<<14, 1)
 	if err != nil {
@@ -44,14 +43,14 @@ func BenchmarkKernelStep(b *testing.B) {
 			}
 			blk := prep.blk
 			maxURow, keyRange := prep.kernelSizing()
-			pool := newKernelPool(1, keyRange, maxURow, Options{})
+			kn := newKernel(keyRange, maxURow, Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
+				kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
 			}
 			b.StopTimer()
-			kc := pool.total()
+			kc := kn.kc
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kc.probes), "ns/probe")
 			b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
 			b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
@@ -291,11 +290,10 @@ func countWorld(tb testing.TB, g *graph.Graph, p, qr, qc int) (*mpi.World, []*Pr
 	return w, preps
 }
 
-// countEpoch runs one CountPrepared epoch — one kernel worker per rank, so
-// that what it allocates does not depend on the host's core count.
+// countEpoch runs one CountPrepared epoch.
 func countEpoch(tb testing.TB, w *mpi.World, preps []*Prepared) {
 	_, err := w.Run(func(c *mpi.Comm) (any, error) {
-		return CountPrepared(c, preps[c.Rank()], Options{KernelThreads: 1})
+		return CountPrepared(c, preps[c.Rank()], Options{})
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -335,7 +333,7 @@ func BenchmarkCountPrepared(b *testing.B) {
 // TestCountAllocationBudget is the in-tree guard of the benchmark's
 // alloc_bytes_per_op bound on the read workloads: the operands travel as the
 // resident blobs themselves, shifted and broadcast without a copy, so a
-// count may allocate 16 KB per rank for everything it does (kernel pool,
+// count may allocate 16 KB per rank for everything it does (kernel bitmap,
 // reduction buffers, the epoch) — on both schedules, whatever the graph's
 // size.
 func TestCountAllocationBudget(t *testing.T) {

@@ -21,8 +21,7 @@ type kernelGolden struct {
 // TestKernelGolden is the differential test of the intersection kernel:
 // testdata/kernel_golden.json was recorded from the hash-probe routine of the
 // adaptive merge/hash kernel the bitmap kernel replaced, and every count must
-// still report the same triangles, probes and intersected pairs, at one and
-// at three kernel workers.
+// still report the same triangles, probes and intersected pairs.
 func TestKernelGolden(t *testing.T) {
 	got := make(map[string]kernelGolden)
 	for gname, g := range goldenGraphs(t) {
@@ -30,23 +29,17 @@ func TestKernelGolden(t *testing.T) {
 		for _, w := range goldenWorlds {
 			for _, enum := range []Enumeration{EnumJIK, EnumIJK} {
 				key := fmt.Sprintf("%s/%s/%v", gname, w.name, enum)
-				for _, threads := range []int{1, 3} {
-					opt := Options{Enumeration: enum, KernelThreads: threads}
-					var res *Result
-					if w.qr > 0 {
-						res = countSUMMAGrid(t, g, w.qr, w.qc, opt)
-					} else {
-						res = countVia(t, g, w.p, opt)
-					}
-					if res.Triangles != want {
-						t.Errorf("%s threads=%d: %d triangles, sequential oracle %d", key, threads, res.Triangles, want)
-					}
-					e := kernelGolden{Triangles: res.Triangles, Probes: res.Probes, MapTasks: res.MapTasks}
-					if first, ok := got[key]; ok && first != e {
-						t.Errorf("%s: 3 workers %+v != 1 worker %+v", key, e, first)
-					}
-					got[key] = e
+				opt := Options{Enumeration: enum}
+				var res *Result
+				if w.qr > 0 {
+					res = countSUMMAGrid(t, g, w.qr, w.qc, opt)
+				} else {
+					res = countVia(t, g, w.p, opt)
 				}
+				if res.Triangles != want {
+					t.Errorf("%s: %d triangles, sequential oracle %d", key, res.Triangles, want)
+				}
+				got[key] = kernelGolden{Triangles: res.Triangles, Probes: res.Probes, MapTasks: res.MapTasks}
 			}
 		}
 	}

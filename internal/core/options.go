@@ -68,24 +68,11 @@ type Options struct {
 	// TrackPerShift records per-shift kernel compute times (Table 3).
 	TrackPerShift bool
 
-	// KernelThreads is the number of worker goroutines each rank fans one
-	// compute step's task rows across (intra-rank parallelism, on top of
-	// the inter-rank 2D decomposition). Rows are split into weight-balanced
-	// buckets — weight = Σ over the row's tasks of min(|U-row|, |L-col|) —
-	// assigned longest-processing-time first, and every worker owns a
-	// bitmap plus private counters summed after the last step, so all
-	// Result counters are exact at any thread count. 1 runs the rows on the
-	// rank's own goroutine. 0 shares the host among the ranks computing
-	// beside this one: P / min(ranks this process hosts, ComputeSlots), at
-	// least 1, with P = min(GOMAXPROCS, NumCPU). The write path's delta
-	// pass resolves the resident value the same way.
-	KernelThreads int
-
 	// Metrics, when non-nil, receives kernel accounting from every count:
 	// each rank adds its local probe/task counters (so the registry
-	// totals are the global sums), per-compute-step counts, and the
-	// LPT bucket load imbalance of each parallel kernel step. Nil disables
-	// all of it; both fields are pointers so Options stays comparable.
+	// totals are the global sums) and per-compute-step counts. Nil
+	// disables all of it; both fields are pointers so Options stays
+	// comparable.
 	Metrics *obs.Registry
 	// Trace, when non-nil, is the parent span each rank hangs its count
 	// spans under: one "rank" child per rank, with per-step "shift"/
@@ -140,8 +127,4 @@ type Result struct {
 	LocalPerShift   []float64
 	// LocalTriangles is this rank's contribution to the count.
 	LocalTriangles int64
-
-	// KernelThreads is the resolved per-rank worker count the kernel ran
-	// with (Options.KernelThreads after resolving 0 to the host default).
-	KernelThreads int
 }

@@ -65,15 +65,6 @@ type Prepared struct {
 
 	// Working memory and counters of Splice (see dynamic.go).
 	splice spliceScratch
-
-	// Resident kernel worker count (Options.KernelThreads semantics) for
-	// code paths that run intersections without a per-call Options value —
-	// the delta passes of the write path. Queries pass their own Options
-	// and ignore it. Seeded from the Options given to PrepareGrid and
-	// overridable via SetKernelThreads (the
-	// cluster layer applies its Options at build, restore and rebuild
-	// time).
-	kernelThreads int
 }
 
 // N returns the global vertex count.
@@ -100,23 +91,6 @@ func (p *Prepared) CommFracPre() float64 { return p.fracPre }
 
 // Enumeration returns the enumeration rule the task block was built for.
 func (p *Prepared) Enumeration() Enumeration { return p.enum }
-
-// SetKernelThreads stores the resident kernel worker count
-// (Options.KernelThreads semantics, 0 = the host's share). The write path's
-// delta passes read it; counting queries carry their own Options. Call only
-// while no epoch is running over the state (the same exclusivity SetLabels
-// needs).
-func (p *Prepared) SetKernelThreads(threads int) { p.kernelThreads = threads }
-
-// KernelThreads returns the resident worker count as stored — unresolved, so
-// a rebuild can carry it over without pinning a resolved value.
-func (p *Prepared) KernelThreads() int { return p.kernelThreads }
-
-// KernelWorkers returns the resident worker count resolved on the calling
-// rank (≥ 1).
-func (p *Prepared) KernelWorkers(c *mpi.Comm) int {
-	return Options{KernelThreads: p.kernelThreads}.kernelWorkers(c)
-}
 
 // localWedges sums d(v)·(d(v)-1)/2 over the locally owned vertices of the
 // original (pre-relabeling) distribution; degrees are invariant under the
@@ -152,8 +126,7 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	if in.N < 1 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
-	prep := &Prepared{enum: opt.Enumeration, bcast: bcast, n: in.N, baseN: in.N,
-		kernelThreads: opt.KernelThreads}
+	prep := &Prepared{enum: opt.Enumeration, bcast: bcast, n: in.N, baseN: in.N}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -251,7 +224,6 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	res.Triangles = sums[0]
 	res.Probes = sums[1]
 	res.MapTasks = sums[2]
-	res.KernelThreads = opt.kernelWorkers(c)
 
 	res.CountTime = t2 - t1
 	res.TotalTime = res.CountTime

@@ -200,12 +200,12 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 	}
 }
 
-// runCrafted runs one compute step of the kernel opt selects, on one worker,
-// over hand-built blocks whose keys are all below 64.
+// runCrafted runs one compute step of the kernel opt selects over hand-built
+// blocks whose keys are all below 64.
 func runCrafted(task, u *csrBlock, l *cscBlock, opt Options) kernelCounters {
-	kp := newKernelPool(1, 64, u.maxRow(), opt)
-	kp.run(task, task.nonEmptyRows(nil), u, l)
-	return kp.total()
+	kn := newKernel(64, u.maxRow(), opt)
+	kn.run(task, task.nonEmptyRows(nil), u, l)
+	return kn.kc
 }
 
 // TestKernelCraftedBlocks exercises the kernel directly on hand-built blocks:

@@ -145,7 +145,7 @@ func (o *operands) arrive(t int) {
 // compute times.
 func (p *Prepared) countSteps(c *mpi.Comm, grid *mpi.Grid, opt Options) (kernelCounters, []float64) {
 	blk := p.blk
-	pool := p.kernelPool(c, opt)
+	kn := p.kernel(opt)
 	ops := operands{c: c, grid: grid, blk: blk, trace: opt.Trace}
 	switch {
 	case p.bcast:
@@ -158,10 +158,10 @@ func (p *Prepared) countSteps(c *mpi.Comm, grid *mpi.Grid, opt Options) (kernelC
 		ops.arrive(t)
 		before := c.Stats().CompTime
 		ks := opt.Trace.StartChild("kernel")
-		pool.run(&blk.task, blk.taskRows, &ops.u, &ops.l)
+		kn.run(&blk.task, blk.taskRows, &ops.u, &ops.l)
 		ks.SetAttr("step", t)
 		ks.End()
 		perShift = append(perShift, c.Stats().CompTime-before)
 	}
-	return pool.total(), perShift
+	return kn.kc, perShift
 }

@@ -386,13 +386,11 @@ func labelOf(verts []int32, resolved []int64, v int32) int32 {
 // For marked edge (a, b) and each grid column class, the rank holding row a
 // in that class ships the row to the rank holding row b (same grid column,
 // grid row b mod qr), where the two rows become one pair of
-// core.Prepared.IntersectPairs — the count kernel's bitmap intersection on
-// its resident workers. Third vertices are partitioned by column residue, so
-// the union over classes covers each one exactly once. Rows whose endpoints
-// share a grid row pair up locally; all cross-row traffic travels through one
-// sparse all-to-all. The buckets are kept per kernel worker and summed
-// afterwards, so they — like the returned bitmap-lookup count — are exact at
-// any worker count.
+// core.Prepared.IntersectPairs — the count kernel's bitmap intersection.
+// Third vertices are partitioned by column residue, so the union over classes
+// covers each one exactly once. Rows whose endpoints share a grid row pair up
+// locally; all cross-row traffic travels through one sparse all-to-all. The
+// second result is the bitmap lookups made.
 func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y int) ([3]int64, int64) {
 	var cnt [3]int64
 	if len(marked) == 0 {
@@ -437,8 +435,7 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 			i += 2 + l
 		}
 	}
-	buckets := make([][3]int64, prep.KernelWorkers(c))
-	probes := prep.IntersectPairs(c, pairs, func(worker, i int, w int32) {
+	probes := prep.IntersectPairs(pairs, func(i int, w int32) {
 		o := 0
 		if _, ok := slices.BinarySearch(mset, packEdge(of[i][0], w)); ok {
 			o++
@@ -446,12 +443,7 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 		if _, ok := slices.BinarySearch(mset, packEdge(of[i][1], w)); ok {
 			o++
 		}
-		buckets[worker][o]++
+		cnt[o]++
 	})
-	for _, b := range buckets {
-		cnt[0] += b[0]
-		cnt[1] += b[1]
-		cnt[2] += b[2]
-	}
 	return cnt, probes
 }

@@ -133,6 +133,5 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	}
 	np.SetLabels(int32(offsets[r]), composed)
 	np.SetSpaceVersion(prep.Space().Version + 1)
-	np.SetKernelThreads(prep.KernelThreads())
 	return np, nil
 }

@@ -8,6 +8,7 @@ import (
 	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
 	"tc2d/internal/rmat"
+	"tc2d/internal/seqtc"
 )
 
 // TestKernelSizingSurvivesGrowth asserts the bounds the kernel maps are
@@ -16,8 +17,8 @@ import (
 // row — through an update stream that grows the vertex space, piles edges
 // onto a hub (lengthening one row far beyond its build-time size), removes
 // a vertex, and finally folds the overflow with a rebuild; and a recount
-// per step proving the multi-threaded kernel stays exact on the grown
-// blocks.
+// per step proving the kernel stays exact on the grown blocks: it must
+// match the build-time count moved by every batch's DeltaTriangles.
 func TestKernelSizingSurvivesGrowth(t *testing.T) {
 	g, err := rmat.G500.Generate(8, 8, 13)
 	if err != nil {
@@ -36,13 +37,14 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := core.Prepare(c, d, core.Options{KernelThreads: 3})
+		pr, err := core.Prepare(c, d, core.Options{})
 		preps[c.Rank()] = pr
 		return nil, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := seqtc.Count(g)
 	validate := func(stage string) {
 		t.Helper()
 		_, err := w.Run(func(c *mpi.Comm) (any, error) {
@@ -52,19 +54,13 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 			t.Fatalf("%s: %v", stage, err)
 		}
 		results, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 3})
+			return core.CountPrepared(c, preps[c.Rank()], core.Options{})
 		})
 		if err != nil {
 			t.Fatalf("%s recount: %v", stage, err)
 		}
-		seq, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 1})
-		})
-		if err != nil {
-			t.Fatalf("%s sequential recount: %v", stage, err)
-		}
-		if a, b := results[0].(*core.Result).Triangles, seq[0].(*core.Result).Triangles; a != b {
-			t.Fatalf("%s: 3-thread count %d != sequential %d", stage, a, b)
+		if got := results[0].(*core.Result).Triangles; got != want {
+			t.Fatalf("%s: recount %d, maintained total %d", stage, got, want)
 		}
 	}
 	apply := func(stage string, batch []Update) {
@@ -73,12 +69,13 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		_, err = w.Run(func(c *mpi.Comm) (any, error) {
+		results, err := w.Run(func(c *mpi.Comm) (any, error) {
 			return Apply(c, preps[c.Rank()], canon)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
+		want += results[0].(*Result).DeltaTriangles
 		validate(stage)
 	}
 	validate("after build")
@@ -101,7 +98,7 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 
 	apply("after removal", []Update{{U: 0, Op: OpRemoveVertex}})
 
-	// Fold the overflow; the rebuild must carry the kernel config over.
+	// Fold the overflow.
 	newPreps := make([]*core.Prepared, ranks)
 	_, err = w.Run(func(c *mpi.Comm) (any, error) {
 		np, err := Rebuild(c, preps[c.Rank()])
@@ -112,8 +109,5 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		t.Fatalf("fold rebuild: %v", err)
 	}
 	copy(preps, newPreps)
-	if got := preps[0].KernelThreads(); got != 3 {
-		t.Errorf("rebuild dropped the kernel config: KernelThreads=%d, want 3", got)
-	}
 	validate("after fold")
 }

@@ -623,17 +623,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// ConcurrentRanks returns how many ranks of this process can run between
-// messages at the same time: the ranks the process hosts, capped by
-// Config.ComputeSlots. Intra-rank parallelism divides the host's CPUs by it.
-func (c *Comm) ConcurrentRanks() int {
-	hosted := c.world.size
-	if c.world.local != nil {
-		hosted = len(c.world.local)
-	}
-	return min(hosted, cap(c.world.slots))
-}
-
 // Time returns this rank's current virtual clock in seconds, the running
 // stretch included.
 func (c *Comm) Time() float64 {

@@ -169,43 +169,6 @@ func TestProcWorldPartitionValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentRanks: what a rank divides the host's CPUs by is the ranks
-// its own process hosts — not the world size — capped by the compute slots.
-func TestConcurrentRanks(t *testing.T) {
-	concurrent := func(c *Comm) (any, error) { return c.ConcurrentRanks(), nil }
-	for _, tc := range []struct{ ranks, slots, want int }{{4, 2, 2}, {2, 8, 2}, {3, 0, 1}} {
-		got, err := Run(tc.ranks, Config{Model: ZeroCostModel(), ComputeSlots: tc.slots}, concurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, v := range got {
-			if v.(int) != tc.want {
-				t.Errorf("%d ranks over %d slots: rank %d sees %d concurrent ranks, want %d", tc.ranks, tc.slots, r, v, tc.want)
-			}
-		}
-	}
-
-	cfg := Config{Model: ZeroCostModel(), ComputeSlots: 8}
-	ca, cb := net.Pipe()
-	wa, err := NewProcWorld(4, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1, 2, 3}}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wa.Close()
-	wb, err := NewProcWorld(4, []int{1, 2, 3}, []ProcLink{{Conn: cb, Ranks: []int{0}}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wb.Close()
-	ra, rb, ea, eb := runBoth(wa, wb, 1, true, concurrent)
-	if ea != nil || eb != nil {
-		t.Fatalf("epoch errors: %v / %v", ea, eb)
-	}
-	if ra[0].(int) != 1 || rb[1].(int) != 3 || rb[3].(int) != 3 {
-		t.Errorf("1+3 rank processes over 8 slots: rank 0 sees %v, ranks 1 and 3 see %v and %v; want 1, 3, 3", ra[0], rb[1], rb[3])
-	}
-}
-
 // An errored epoch can leave frames on the wire: rank 0 gives up at once
 // while rank 1 sends to it 50 ms later. The late frame must be dropped, not
 // park the reader of the link, or every later epoch on that link hangs.

@@ -5,8 +5,8 @@
 //
 // Every layer of the stack emits into a Registry — the mpi runtime publishes
 // per-rank epoch stats, the cluster scheduler its queue and coalescing
-// accounting, the counting kernel its probe/task counters and per-step
-// worker imbalance, and the durability layer its WAL and snapshot I/O costs
+// accounting, the counting kernel its step/probe/task counters, and the
+// durability layer its WAL and snapshot I/O costs
 // — and the tcd daemon exposes the result in the Prometheus text exposition
 // format (v0.0.4) at GET /metrics.
 //
@@ -275,10 +275,6 @@ var DurationBuckets = []float64{
 var SizeBuckets = []float64{
 	1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 22, 1 << 25, 1 << 28, 1 << 30,
 }
-
-// RatioBuckets is the default schedule for dimensionless ratios ≥ 1 (e.g.
-// load imbalance max/mean): 1.0 up to 16 in geometric-ish steps.
-var RatioBuckets = []float64{1, 1.1, 1.25, 1.5, 2, 3, 4, 8, 16}
 
 func newHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {

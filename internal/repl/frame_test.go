@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -83,4 +84,24 @@ func TestFrameRejectsSeqGap(t *testing.T) {
 	if _, err := DecodeFrame(f.Encode()); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("err=%v, want gap rejection", err)
 	}
+}
+
+// FuzzDecodeFrame: any byte string is either rejected with an error, or
+// decodes to a frame that re-encodes to exactly those bytes — never a panic.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add((&Frame{Committed: 42}).Encode())
+	f.Add((&Frame{Committed: 1, Records: []snapshot.Record{{Seq: 1, Payload: []byte("x")}}}).Encode())
+	f.Add(testFrame().Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := DecodeFrame(b)
+		if err != nil {
+			if fr != nil {
+				t.Fatalf("rejected frame (%v) came back non-nil", err)
+			}
+			return
+		}
+		if !bytes.Equal(fr.Encode(), b) {
+			t.Fatal("accepted frame does not re-encode to itself")
+		}
+	})
 }

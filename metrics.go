@@ -3,7 +3,7 @@ package tc2d
 // Cluster observability: every resident cluster owns (or is handed via
 // Options.Metrics) an obs.Registry, and publishes into it from every layer —
 // the mpi runtime (epoch and per-rank comm/comp totals), the counting kernel
-// (steps, probes, intersection mix, worker imbalance), the epoch scheduler
+// (steps, probes, intersection mix), the epoch scheduler
 // (admission and queue waits, coalescing), and the durability path (WAL
 // append/fsync latency, snapshot size and duration). The handles are
 // resolved once here, so the hot paths pay a few atomic operations per

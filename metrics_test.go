@@ -88,7 +88,6 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"tc_kernel_steps_total",
 		"tc_kernel_probes_total",
 		"tc_kernel_map_tasks_total",
-		"tc_kernel_step_imbalance_count",
 		"tc_splice_moved_bytes_total",
 		"tc_splice_reallocs_total",
 		`tc_mpi_epochs_total{kind="read"}`,

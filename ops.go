@@ -59,7 +59,6 @@ type wireKernel struct {
 	NoDirectHash   bool
 	NoEarlyBreak   bool
 	TrackPerShift  bool
-	KernelThreads  int
 
 	trace *obs.Span
 }
@@ -71,7 +70,6 @@ func wireKernelOf(o core.Options) wireKernel {
 		NoDirectHash:   o.NoDirectHash,
 		NoEarlyBreak:   o.NoEarlyBreak,
 		TrackPerShift:  o.TrackPerShift,
-		KernelThreads:  o.KernelThreads,
 	}
 }
 
@@ -82,7 +80,6 @@ func (k wireKernel) coreOptions(reg *obs.Registry) core.Options {
 		NoDirectHash:   k.NoDirectHash,
 		NoEarlyBreak:   k.NoEarlyBreak,
 		TrackPerShift:  k.TrackPerShift,
-		KernelThreads:  k.KernelThreads,
 		Metrics:        reg,
 		Trace:          k.trace,
 	}
@@ -100,8 +97,8 @@ type wireRMAT struct {
 // wireBuild parameterizes opBuild, and — its Track field alone — opRebuildFull.
 type wireBuild struct {
 	SUMMA  bool
-	Kernel wireKernel // its KernelThreads becomes the resident worker count
-	Track  bool       // enable snapshot dirty tracking (durable clusters)
+	Kernel wireKernel
+	Track  bool // enable snapshot dirty tracking (durable clusters)
 	RMAT   *wireRMAT
 
 	// graph is the scatter source when RMAT is nil, read at rank 0 only; on
@@ -114,11 +111,10 @@ type wireSnap struct{ Delta bool }
 
 // wireRestore parameterizes one opRestore epoch (one snapshot-chain member).
 type wireRestore struct {
-	Delta    bool // apply a delta blob onto the chain restored so far
-	Final    bool // last chain member: finish kernel config and tracking, install
-	Ranks    int
-	Track    bool
-	KThreads int
+	Delta bool // apply a delta blob onto the chain restored so far
+	Final bool // last chain member: enable tracking, install
+	Ranks int
+	Track bool
 
 	// fetch yields one rank's verified blob of this chain member. In-process
 	// every rank calls it from its own goroutine (parallel file reads); on
@@ -138,7 +134,6 @@ type wireMeta struct {
 	PreOps         int64
 	PreprocessTime float64
 	CommFracPre    float64
-	KernelWorkers  int
 	DegreeDirty    int
 	QR, QC         int
 	SUMMA          bool
@@ -153,15 +148,14 @@ func (m wireMeta) overflowFraction() float64 {
 	return float64(m.OverflowN) / float64(m.N)
 }
 
-func metaOf(c *mpi.Comm, pr *core.Prepared) wireMeta {
+func metaOf(pr *core.Prepared) wireMeta {
 	sp := pr.Space()
 	qr, qc, summa := pr.GridShape()
 	return wireMeta{
 		N: pr.N(), M: pr.M(), Wedges: pr.Wedges(),
 		BaseN: sp.BaseN, OverflowN: sp.OverflowN(), SpaceVersion: sp.Version,
 		PreOps: pr.PreOps(), PreprocessTime: pr.PreprocessTime(), CommFracPre: pr.CommFracPre(),
-		KernelWorkers: pr.KernelWorkers(c), DegreeDirty: pr.DegreeDirtyCount(),
-		QR: qr, QC: qc, SUMMA: summa,
+		DegreeDirty: pr.DegreeDirtyCount(), QR: qr, QC: qc, SUMMA: summa,
 	}
 }
 
@@ -180,7 +174,7 @@ func reply0(c *mpi.Comm, pr *core.Prepared, rep opReply) *opReply {
 	if c.Rank() != 0 {
 		return nil
 	}
-	m := metaOf(c, pr)
+	m := metaOf(pr)
 	rep.Meta = &m
 	return &rep
 }
@@ -491,7 +485,6 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	if r.Track {
 		pr.EnableSnapshotTracking()
 	}
-	pr.SetKernelThreads(r.KThreads)
 	st.put(rank, pr)
 	return reply0(c, pr, opReply{}), nil
 }

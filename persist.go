@@ -194,10 +194,16 @@ func decodeBatch(b []byte) ([]delta.Update, error) {
 	batch := make([]delta.Update, n)
 	for i := range batch {
 		off := 4 + 12*i
+		// delta.Op is narrower than its word: an unknown op must not be
+		// truncated into a known one.
+		op := int32(binary.LittleEndian.Uint32(b[off+8:]))
+		if op < int32(delta.OpInsert) || op > int32(delta.OpRemoveVertex) {
+			return nil, fmt.Errorf("tc2d: WAL record entry %d has unknown op %d: %w", i, op, ErrSnapshotCorrupt)
+		}
 		batch[i] = delta.Update{
 			U:  int32(binary.LittleEndian.Uint32(b[off:])),
 			V:  int32(binary.LittleEndian.Uint32(b[off+4:])),
-			Op: delta.Op(int32(binary.LittleEndian.Uint32(b[off+8:]))),
+			Op: delta.Op(op),
 		}
 	}
 	return batch, nil
@@ -786,7 +792,7 @@ func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(m *snapsh
 	for i, m := range chain {
 		_, err := cl.run(opRestore, &wireRestore{
 			Delta: i > 0, Final: m == term,
-			Ranks: cl.ranks, Track: track, KThreads: cl.kernelThreads,
+			Ranks: cl.ranks, Track: track,
 			fetch: func(rank int) ([]byte, error) { return fetch(m, rank) },
 		})
 		switch {

@@ -1,6 +1,7 @@
 package tc2d
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -590,4 +591,28 @@ func TestSnapshotFractionValidation(t *testing.T) {
 			t.Errorf("SnapshotFraction=%v accepted", f)
 		}
 	}
+}
+
+// FuzzDecodeBatch: any WAL record payload is either rejected with an error
+// wrapping ErrSnapshotCorrupt, or decodes to a batch that re-encodes to
+// exactly those bytes — never a panic.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(encodeBatch(nil))
+	f.Add(encodeBatch([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}}))
+	f.Add(encodeBatch([]EdgeUpdate{
+		{U: 3, V: 9, Op: UpdateDelete}, {U: 4, Op: UpdateAddVertices},
+		{U: 7, Op: UpdateRemoveVertex}, {U: 1 << 30, V: 2, Op: UpdateInsert},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		batch, err := decodeBatch(b)
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrSnapshotCorrupt", err)
+			}
+			return
+		}
+		if !bytes.Equal(encodeBatch(batch), b) {
+			t.Fatal("accepted payload does not re-encode to itself")
+		}
+	})
 }

@@ -33,9 +33,9 @@ type WorkerOptions struct {
 	// (default "127.0.0.1:0"). For multi-host deployments bind an address
 	// the other workers can reach.
 	Listen string
-	// ComputeSlots bounds how many local ranks run between messages, as
-	// Options.ComputeSlots does in-process; 1 gives contention-free
-	// modeled times, 0 defaults to GOMAXPROCS.
+	// ComputeSlots bounds how many local ranks — each one goroutine — run
+	// between messages, as Options.ComputeSlots does in-process; 1 gives
+	// contention-free modeled times, 0 defaults to GOMAXPROCS.
 	ComputeSlots int
 	// Alpha, Beta, Overhead override the LogGP virtual-time cost model,
 	// as the same fields on Options do.
