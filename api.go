@@ -110,13 +110,6 @@ type Options struct {
 
 	// Enumeration selects ⟨j,i,k⟩ (default, recommended) or ⟨i,j,k⟩.
 	Enumeration Enumeration
-	// Optimization kill switches, for ablation studies (§5.2/§7.3 of the
-	// paper). All false means fully optimized.
-	NoDoublySparse bool
-	NoDirectHash   bool
-	NoEarlyBreak   bool
-	// TrackPerShift records per-shift kernel times in the Result.
-	TrackPerShift bool
 
 	// RebuildFraction controls write-path staleness for resident clusters:
 	// once the effective updates applied since the last build exceed this
@@ -173,15 +166,6 @@ type Options struct {
 	// DisableAutoSnapshot turns the WAL-growth snapshot trigger off: the
 	// WAL grows until an explicit Cluster.Snapshot call rotates it.
 	DisableAutoSnapshot bool
-	// DisableDeltaSnapshot makes every snapshot a full (base) snapshot.
-	// By default a durable cluster writes churn-proportional delta
-	// snapshots — per-rank diffs of the rows, labels and vertex-space
-	// fields touched since the previous snapshot, chained off the last
-	// base — and compacts the chain into a fresh base once it grows past
-	// the chain limit, accumulated churn passes SnapshotFraction of the
-	// base edge count per chain link, or a full rebuild replaces the
-	// resident layout wholesale.
-	DisableDeltaSnapshot bool
 	// NoWALSync disables the per-commit fsync of the write-ahead log:
 	// acknowledged updates then survive a process crash (the OS page cache
 	// holds the appended records) but not a power failure. Throughput for
@@ -195,15 +179,9 @@ type Options struct {
 	// to Cannon shifts.
 	ForceSUMMA bool
 
-	// Alpha, Beta and Overhead override the communication cost model
-	// (seconds, bytes/second, seconds). Zero values use InfiniBand-class
-	// defaults (2µs, 6GB/s, 0.5µs).
-	Alpha, Beta, Overhead float64
 	// ComputeSlots bounds how many ranks run between messages. Each rank
 	// computes on its own goroutine, so this is how many goroutines of the
-	// process compute at once; 1 gives contention-free modeled times (the
-	// paper tables); 0 defaults to GOMAXPROCS (fastest wall time, fine for
-	// counting).
+	// process compute at once; 0 defaults to GOMAXPROCS.
 	ComputeSlots int
 
 	// Metrics is the observability registry the run publishes into: epoch
@@ -216,33 +194,12 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) coreOptions() core.Options {
-	return core.Options{
-		Enumeration:    o.Enumeration,
-		NoDoublySparse: o.NoDoublySparse,
-		NoDirectHash:   o.NoDirectHash,
-		NoEarlyBreak:   o.NoEarlyBreak,
-		TrackPerShift:  o.TrackPerShift,
-		Metrics:        o.Metrics,
-	}
-}
-
 func (o Options) mpiConfig() mpi.Config {
-	model := mpi.DefaultCostModel()
-	if o.Alpha != 0 {
-		model.Alpha = o.Alpha
-	}
-	if o.Beta != 0 {
-		model.Beta = o.Beta
-	}
-	if o.Overhead != 0 {
-		model.Overhead = o.Overhead
-	}
 	slots := o.ComputeSlots
 	if slots <= 0 {
 		slots = runtime.GOMAXPROCS(0)
 	}
-	return mpi.Config{Model: model, ComputeSlots: slots, Metrics: o.Metrics}
+	return mpi.Config{Model: mpi.DefaultCostModel(), ComputeSlots: slots, Metrics: o.Metrics}
 }
 
 func (o Options) ranks() (int, error) {
@@ -339,7 +296,7 @@ func countInput(in dgraph.Input, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.CountGrid(c, d, qr, qc, summa, opt.coreOptions())
+		return core.CountGrid(c, d, qr, qc, summa, core.Options{Enumeration: opt.Enumeration, Metrics: opt.Metrics})
 	})
 	if err != nil {
 		return nil, err

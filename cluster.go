@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tc2d/internal/core"
 	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
@@ -18,32 +17,12 @@ var ErrClosed = errors.New("tc2d: cluster is closed")
 // ErrClusterClosed is the historical name of ErrClosed; both compare equal.
 var ErrClusterClosed = ErrClosed
 
-// QueryOptions configures one query against a resident Cluster. Only the
-// knobs that affect the counting phase appear here; everything that shapes
-// the resident state (ranks, enumeration rule, grid schedule, transport,
-// cost model) is fixed at NewCluster time. The zero value runs the paper's
-// fully optimized kernel.
-type QueryOptions struct {
-	// Optimization kill switches, as in Options.
-	NoDoublySparse bool
-	NoDirectHash   bool
-	NoEarlyBreak   bool
-	// TrackPerShift records per-shift kernel times in the Result.
-	TrackPerShift bool
-}
-
-// queryCoreOptions is one query under the cluster's enumeration rule. The
-// struct stays comparable: identical concurrent queries share one epoch
-// through the flights map.
-func (cl *Cluster) queryCoreOptions(q QueryOptions) core.Options {
-	return core.Options{
-		Enumeration:    cl.enum,
-		NoDoublySparse: q.NoDoublySparse,
-		NoDirectHash:   q.NoDirectHash,
-		NoEarlyBreak:   q.NoEarlyBreak,
-		TrackPerShift:  q.TrackPerShift,
-	}
-}
+// QueryOptions configures one query against a resident Cluster. It has no
+// fields: everything that shapes a count (ranks, enumeration rule, grid
+// schedule, transport) is fixed at NewCluster time. The paper's §7.3
+// ablation switches and its modeled LogGP times live in cmd/tcpaper, not in
+// the service.
+type QueryOptions struct{}
 
 // ClusterInfo is a snapshot of a resident cluster. M and Wedges track
 // applied updates exactly (maintained incrementally by the write path), so
@@ -340,7 +319,7 @@ func buildCluster(opt Options, newEngine func(res *resolvedOptions, p int) (engi
 	}
 	cl := newClusterOn(eng, res, p, opt.Enumeration)
 	build.SUMMA = opt.useSUMMA(p)
-	build.Kernel = wireKernelOf(opt.coreOptions())
+	build.Enumeration = opt.Enumeration
 	build.Track = opt.PersistDir != ""
 	if _, err := cl.run(opBuild, build); err != nil {
 		eng.close()
@@ -391,10 +370,9 @@ func (cl *Cluster) run0(op string, args any) (*opReply, error) {
 // PreprocessTime == 0, and TotalTime is the counting phase alone.
 //
 // Count admits concurrently: queries never wait on each other (they run as
-// overlapping read epochs), only on write epochs. Concurrent queries with
-// identical QueryOptions share a single epoch's result — safe because the
-// scheduler guarantees the resident state cannot change while any of the
-// sharing callers is admitted.
+// overlapping read epochs), only on write epochs. Concurrent queries share a
+// single epoch's result — safe because the scheduler guarantees the resident
+// state cannot change while any of the sharing callers is admitted.
 func (cl *Cluster) Count(q QueryOptions) (*Result, error) {
 	start := time.Now()
 	cl.sched.gate.RLock()
@@ -403,7 +381,7 @@ func (cl *Cluster) Count(q QueryOptions) (*Result, error) {
 	if cl.closed.Load() {
 		return nil, ErrClosed
 	}
-	res, err := cl.countShared(q)
+	res, err := cl.countShared()
 	cl.metrics.observeOp("count", start, err)
 	if err != nil {
 		return nil, err
@@ -432,7 +410,7 @@ func (cl *Cluster) CountTraced(q QueryOptions) (*Result, *obs.Trace, error) {
 		return nil, tr, ErrClosed
 	}
 	es := tr.Span().StartChild("epoch")
-	res, err := cl.countEpoch(q, es)
+	res, err := cl.countEpoch(es)
 	es.End()
 	cl.metrics.observeOp("count", start, err)
 	if err != nil {
@@ -443,28 +421,28 @@ func (cl *Cluster) CountTraced(q QueryOptions) (*Result, *obs.Trace, error) {
 	return resultCopy(res), tr, nil
 }
 
-// countShared serves one query, joining an in-flight identical query's
-// epoch when one exists. The caller holds sched.gate (shared or exclusive)
-// and counts the query itself.
-func (cl *Cluster) countShared(q QueryOptions) (*Result, error) {
+// countShared serves one query, joining the in-flight query's epoch when
+// there is one. The caller holds sched.gate (shared or exclusive) and counts
+// the query itself.
+func (cl *Cluster) countShared() (*Result, error) {
 	s := cl.sched
 	s.rmu.Lock()
-	if f, ok := s.flights[q]; ok {
+	if f := s.flight; f != nil {
 		s.rmu.Unlock()
 		cl.metrics.flightShared.Inc()
 		<-f.done
 		return resultCopy(f.res), f.err
 	}
 	f := &readFlight{done: make(chan struct{})}
-	s.flights[q] = f
+	s.flight = f
 	s.rmu.Unlock()
 
-	f.res, f.err = cl.countEpoch(q, nil)
+	f.res, f.err = cl.countEpoch(nil)
 	if f.err == nil {
 		cl.readEpochs.Add(1)
 	}
 	s.rmu.Lock()
-	delete(s.flights, q)
+	s.flight = nil
 	s.rmu.Unlock()
 	close(f.done)
 	return resultCopy(f.res), f.err
@@ -474,10 +452,8 @@ func (cl *Cluster) countShared(q QueryOptions) (*Result, error) {
 // sched.gate. A non-nil parent span collects one per-rank child span tree
 // (see core.CountPrepared) when the ranks are in-process; kernel counters
 // always land in the registry of the process hosting the rank.
-func (cl *Cluster) countEpoch(q QueryOptions, parent *obs.Span) (*Result, error) {
-	k := wireKernelOf(cl.queryCoreOptions(q))
-	k.trace = parent
-	rep, err := cl.run0(opCount, &k)
+func (cl *Cluster) countEpoch(parent *obs.Span) (*Result, error) {
+	rep, err := cl.run0(opCount, parent)
 	if err != nil {
 		return nil, err
 	}
@@ -499,16 +475,13 @@ func (cl *Cluster) metaNow() wireMeta {
 	return cl.meta
 }
 
-// resultCopy gives each caller of a shared flight its own Result value,
-// including the per-shift slice — callers may mutate what they get back.
+// resultCopy gives each caller of a shared flight its own Result value —
+// callers may mutate what they get back.
 func resultCopy(res *Result) *Result {
 	if res == nil {
 		return nil
 	}
 	cp := *res
-	if res.LocalPerShift != nil {
-		cp.LocalPerShift = append([]float64(nil), res.LocalPerShift...)
-	}
 	return &cp
 }
 
@@ -527,7 +500,7 @@ func (cl *Cluster) Transitivity() (float64, error) {
 		return 0, ErrClosed
 	}
 	if cl.lastTri.Load() < 0 {
-		if _, err := cl.countShared(QueryOptions{}); err != nil {
+		if _, err := cl.countShared(); err != nil {
 			cl.metrics.observeOp("transitivity", start, err)
 			return 0, err
 		}

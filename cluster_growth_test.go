@@ -381,15 +381,13 @@ func TestClusterGrowthPastBitmapWords(t *testing.T) {
 		count := func(tag string) {
 			t.Helper()
 			want := CountSequential(o.graph(t))
-			for _, q := range []QueryOptions{{}, {NoDirectHash: true}} {
-				res, err := cl.Count(q)
-				if err != nil {
-					t.Fatalf("ranks=%d %s %+v: %v", ranks, tag, q, err)
-				}
-				if res.Triangles != want || res.N != o.n {
-					t.Fatalf("ranks=%d %s %+v: %d triangles over %d vertices, oracle %d over %d",
-						ranks, tag, q, res.Triangles, res.N, want, o.n)
-				}
+			res, err := cl.Count(QueryOptions{})
+			if err != nil {
+				t.Fatalf("ranks=%d %s: %v", ranks, tag, err)
+			}
+			if res.Triangles != want || res.N != o.n {
+				t.Fatalf("ranks=%d %s: %d triangles over %d vertices, oracle %d over %d",
+					ranks, tag, res.Triangles, res.N, want, o.n)
 			}
 		}
 		for _, top := range []int32{100, 140, 300, 800} {

@@ -189,7 +189,7 @@ func TestClusterConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestClusterQueryOptionsAblations(t *testing.T) {
+func TestClusterInfoAccumulatesMapTasks(t *testing.T) {
 	g := testClusterGraph(t)
 	want := CountSequential(g)
 	cl, err := NewCluster(g, Options{Ranks: 4})
@@ -198,19 +198,13 @@ func TestClusterQueryOptionsAblations(t *testing.T) {
 	}
 	defer cl.Close()
 	var mapTasks int64
-	for _, q := range []QueryOptions{
-		{},
-		{NoDoublySparse: true},
-		{NoDirectHash: true},
-		{NoEarlyBreak: true},
-		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
-	} {
-		res, err := cl.Count(q)
+	for i := 0; i < 3; i++ {
+		res, err := cl.Count(QueryOptions{})
 		if err != nil {
-			t.Fatalf("query %+v: %v", q, err)
+			t.Fatalf("query %d: %v", i, err)
 		}
 		if res.Triangles != want {
-			t.Errorf("query %+v: %d triangles, want %d", q, res.Triangles, want)
+			t.Errorf("query %d: %d triangles, want %d", i, res.Triangles, want)
 		}
 		mapTasks += res.MapTasks
 	}

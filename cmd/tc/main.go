@@ -4,12 +4,14 @@
 // Usage:
 //
 //	tc -file graph.txt -ranks 16
-//	tc -rmat 16 -ef 16 -params g500 -ranks 25 -pershift
+//	tc -rmat 16 -ef 16 -params g500 -ranks 6 -check
 //
 // The input is either a text edge list (-file) or a generated RMAT instance
-// (-rmat scale). The rank count must be a perfect square. The tool prints
-// the triangle count, the phase times under the communication cost model,
-// and the kernel instrumentation.
+// (-rmat scale). Any positive rank count runs: a perfect square uses Cannon
+// shifts on a √p × √p grid, any other count SUMMA broadcasts on the most
+// square grid. The tool prints the triangle count, the phase times under
+// the communication cost model, and the kernel instrumentation; -check
+// exits non-zero when the count differs from the sequential counter.
 package main
 
 import (
@@ -22,30 +24,19 @@ import (
 
 func main() {
 	var (
-		file     = flag.String("file", "", "text edge list to read ('#'/'%' comments allowed)")
-		scale    = flag.Int("rmat", 0, "generate an RMAT graph with 2^scale vertices instead of reading a file")
-		ef       = flag.Int("ef", 16, "RMAT edge factor")
-		params   = flag.String("params", "g500", "RMAT parameter preset: g500, twitterish, friendsterish")
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		ranks    = flag.Int("ranks", 1, "number of SPMD ranks (square = Cannon, otherwise SUMMA)")
-		enum     = flag.String("enum", "jik", "enumeration rule: jik or ijk")
-		noDS     = flag.Bool("no-doubly-sparse", false, "disable the doubly-sparse traversal")
-		noDH     = flag.Bool("no-direct-hash", false, "disable direct bitwise-AND hashing")
-		noEB     = flag.Bool("no-early-break", false, "disable the early-break probe traversal")
-		perShift = flag.Bool("pershift", false, "print per-shift kernel times")
-		summa    = flag.Bool("summa", false, "force the SUMMA schedule even for square rank counts")
-		seq      = flag.Bool("check", false, "cross-check against the sequential counter")
+		file   = flag.String("file", "", "text edge list to read ('#'/'%' comments allowed)")
+		scale  = flag.Int("rmat", 0, "generate an RMAT graph with 2^scale vertices instead of reading a file")
+		ef     = flag.Int("ef", 16, "RMAT edge factor")
+		params = flag.String("params", "g500", "RMAT parameter preset: g500, twitterish, friendsterish")
+		seed   = flag.Uint64("seed", 1, "generator seed")
+		ranks  = flag.Int("ranks", 1, "number of SPMD ranks (square = Cannon, otherwise SUMMA)")
+		enum   = flag.String("enum", "jik", "enumeration rule: jik or ijk")
+		summa  = flag.Bool("summa", false, "force the SUMMA schedule even for square rank counts")
+		seq    = flag.Bool("check", false, "cross-check against the sequential counter")
 	)
 	flag.Parse()
 
-	opt := tc2d.Options{
-		Ranks:          *ranks,
-		ForceSUMMA:     *summa,
-		NoDoublySparse: *noDS,
-		NoDirectHash:   *noDH,
-		NoEarlyBreak:   *noEB,
-		TrackPerShift:  *perShift,
-	}
+	opt := tc2d.Options{Ranks: *ranks, ForceSUMMA: *summa}
 	switch *enum {
 	case "jik":
 		opt.Enumeration = tc2d.EnumJIK
@@ -102,11 +93,6 @@ func main() {
 	fmt.Printf("overall:    %.6fs\n", res.TotalTime)
 	fmt.Printf("probes:     %d\n", res.Probes)
 	fmt.Printf("map tasks:  %d\n", res.MapTasks)
-	if *perShift {
-		for z, d := range res.LocalPerShift {
-			fmt.Printf("shift %2d:   %.6fs (rank 0)\n", z, d)
-		}
-	}
 	if *seq && g != nil {
 		want := tc2d.CountSequential(g)
 		if want == res.Triangles {

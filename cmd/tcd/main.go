@@ -7,8 +7,8 @@
 // with zero per-request preprocessing.
 //
 // Requests are scheduled by the cluster's epoch scheduler: counting
-// queries admit concurrently (and concurrent identical queries share one
-// epoch), update batches coalesce into exclusive write epochs. Handlers
+// queries admit concurrently (and concurrent queries share one epoch),
+// update batches coalesce into exclusive write epochs. Handlers
 // hold no server-side mutex; -max-concurrent-queries optionally bounds
 // admitted read queries and /stats reports queue depths and coalescing
 // factors.
@@ -63,11 +63,11 @@
 //
 // Endpoints:
 //
-//	GET  /count        — triangle count (query params: nodoublysparse,
-//	                     nodirecthash, noearlybreak, any of =1/true;
-//	                     trace=1 additionally returns the span tree of this
-//	                     query — admission, epoch, per-rank compute, each
-//	                     Cannon/SUMMA step split into shift vs kernel time)
+//	GET  /count        — triangle count under the full kernel (trace=1
+//	                     additionally returns the span tree of this query —
+//	                     admission, epoch, per-rank compute, each
+//	                     Cannon/SUMMA step split into shift vs kernel time;
+//	                     the paper's §7.3 ablation is tcpaper -exp ablation)
 //	GET  /transitivity — global clustering coefficient
 //	POST /update       — apply a batch of edge and vertex mutations:
 //	                     {"updates":[{"u":1,"v":2,"op":"insert"},
@@ -128,7 +128,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "RMAT seed")
 		preset   = flag.String("preset", "g500", "RMAT preset: g500, twitter, friendster")
 		tcp      = flag.Bool("tcp", false, "use the loopback TCP transport between ranks")
-		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks, each one goroutine, run between messages (0 = GOMAXPROCS, fastest wall time; 1 gives contention-free modeled times)")
+		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks, each one goroutine, run between messages (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain", time.Second, "grace period after /healthz flips to 503 before the listener closes")
 		maxQ     = flag.Int("max-concurrent-queries", 0, "cap on concurrently admitted read queries (0 = unlimited)")
 		maxV     = flag.Int64("max-vertices", 1<<26, "cap on the elastic vertex space (0 = unbounded)")
@@ -568,11 +568,7 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	release := s.admitQuery()
 	defer release()
-	q := tc2d.QueryOptions{
-		NoDoublySparse: boolParam(r, "nodoublysparse"),
-		NoDirectHash:   boolParam(r, "nodirecthash"),
-		NoEarlyBreak:   boolParam(r, "noearlybreak"),
-	}
+	var q tc2d.QueryOptions
 	t0 := time.Now()
 	var (
 		res *tc2d.Result
@@ -612,7 +608,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		"count_time_s":    res.CountTime,
 		"comm_frac_count": res.CommFracCount,
 		"wall_ms":         durMillis(time.Since(t0)),
-		"query":           q,
 	}
 	if tr != nil {
 		body["trace"] = tr.Span()

@@ -47,11 +47,9 @@ func main() {
 		coord     = flag.String("coordinator", "", "coordinator address to join (required), e.g. 10.0.0.1:7271")
 		ranks     = flag.Int("ranks", 1, "how many ranks this process hosts (a contiguous span)")
 		listen    = flag.String("listen", "127.0.0.1:0", "peer-mesh listen address; bind an address other workers can reach in multi-host deployments")
-		slots     = flag.Int("slots", 0, "compute slots: bounds how many local ranks run between messages (0 = GOMAXPROCS; 1 gives contention-free modeled times)")
+		slots     = flag.Int("slots", 0, "compute slots: bounds how many local ranks run between messages (0 = GOMAXPROCS)")
 		addr      = flag.String("addr", "", "optional HTTP address serving this worker's /metrics and /healthz (empty = none)")
 		reconnect = flag.Bool("reconnect", false, "redial the coordinator with backoff after failures instead of exiting")
-		alpha     = flag.Float64("alpha", 0, "LogGP cost-model latency override (0 = default)")
-		beta      = flag.Float64("beta", 0, "LogGP cost-model inverse-bandwidth override (0 = default)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
 	flag.Parse()
@@ -107,8 +105,6 @@ func main() {
 		Ranks:        *ranks,
 		Listen:       *listen,
 		ComputeSlots: *slots,
-		Alpha:        *alpha,
-		Beta:         *beta,
 		Metrics:      reg,
 		OnReady: func(spans []int) {
 			ready.Store(true)

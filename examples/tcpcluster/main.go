@@ -2,8 +2,7 @@
 // exchange every message over real loopback TCP sockets (length-prefixed
 // binary frames, one full-duplex connection per rank pair), then serves many
 // queries from it. The graph is preprocessed into the 2D block distribution
-// exactly once; each query — full counts, ablation variants, transitivity —
-// is one SPMD epoch against the resident blocks, demonstrating both the
+// exactly once; each query — counts, transitivity — is one SPMD epoch against the resident blocks, demonstrating both the
 // wire discipline a multi-machine deployment needs and the build-once /
 // query-many execution model a query-serving service needs.
 package main
@@ -44,13 +43,13 @@ func main() {
 	fmt.Printf("triangles over TCP: %d (query re-did %d preprocessing ops)\n",
 		res.Triangles, res.PreOps)
 
-	// Query 2: an ablation variant against the same resident blocks.
-	noopt, err := cluster.Count(tc2d.QueryOptions{NoDirectHash: true, NoEarlyBreak: true})
+	// Query 2: the same count again, against the same resident blocks.
+	again, err := cluster.Count(tc2d.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ablated kernel agrees: %d (probes %d vs %d optimized)\n",
-		noopt.Triangles, noopt.Probes, res.Probes)
+	fmt.Printf("second query agrees: %d (probes %d vs %d)\n",
+		again.Triangles, again.Probes, res.Probes)
 
 	// Query 3: transitivity from the resident wedge count.
 	tr, err := cluster.Transitivity()
@@ -65,8 +64,8 @@ func main() {
 		log.Fatal(err)
 	}
 	want := tc2d.CountSequential(g)
-	if want != res.Triangles || want != noopt.Triangles {
-		log.Fatalf("mismatch: sequential %d, TCP cluster %d/%d", want, res.Triangles, noopt.Triangles)
+	if want != res.Triangles || want != again.Triangles {
+		log.Fatalf("mismatch: sequential %d, TCP cluster %d/%d", want, res.Triangles, again.Triangles)
 	}
 	fmt.Printf("sequential check: OK (%d); served %d queries from one resident cluster\n",
 		want, cluster.Info().Queries)

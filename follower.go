@@ -63,15 +63,14 @@ func (cl *Cluster) ReplicationHandler() (http.Handler, error) {
 	}
 	cl.metrics.setRole("primary")
 	srv := repl.NewServer(cl)
-	if m := cl.metrics; m != nil && m.reg != nil {
-		srv.OnWALShip = func(records, bytes int) {
-			m.replShippedFrames.Inc()
-			m.replShippedRecords.Add(float64(records))
-			m.replShippedBytes.Add(float64(bytes))
-		}
-		srv.OnSnapShip = func(bytes int) {
-			m.replSnapShipBytes.Add(float64(bytes))
-		}
+	m := cl.metrics
+	srv.OnWALShip = func(records, bytes int) {
+		m.replShippedFrames.Inc()
+		m.replShippedRecords.Add(float64(records))
+		m.replShippedBytes.Add(float64(bytes))
+	}
+	srv.OnSnapShip = func(bytes int) {
+		m.replSnapShipBytes.Add(float64(bytes))
 	}
 	return srv, nil
 }
@@ -283,10 +282,8 @@ func (f *Follower) fetchChain(ctx context.Context) ([]*snapshot.Manifest, chainB
 func (f *Follower) noteBootstrap(seq uint64) {
 	f.bootstraps.Add(1)
 	f.caughtUpAt.Store(0)
-	if m := f.cl.metrics; m != nil && m.reg != nil {
-		m.replBootstraps.Inc()
-		m.replAppliedSeq.Set(float64(seq))
-	}
+	f.cl.metrics.replBootstraps.Inc()
+	f.cl.metrics.replAppliedSeq.Set(float64(seq))
 }
 
 // applyLoop is the follower's resident replication goroutine: fetch a
@@ -386,7 +383,7 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 	// write path does (the bootstrapped manifest carries -1 when the primary
 	// had not counted before its snapshot).
 	if cl.lastTri.Load() < 0 {
-		if _, err := cl.countEpoch(QueryOptions{}, nil); err != nil {
+		if _, err := cl.countEpoch(nil); err != nil {
 			return fmt.Errorf("base count before replicated apply: %w", err)
 		}
 	}
@@ -403,10 +400,9 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 	}
 	cl.syncGraphMetrics()
 	f.syncLagMetrics()
-	if m := cl.metrics; m != nil && m.reg != nil {
-		m.replBatchesApplied.Add(float64(len(batches)))
-		m.replReceivedBytes.Add(float64(f.client.WALBytes() - int64(m.replReceivedBytes.Value())))
-	}
+	m := cl.metrics
+	m.replBatchesApplied.Add(float64(len(batches)))
+	m.replReceivedBytes.Add(float64(f.client.WALBytes() - int64(m.replReceivedBytes.Value())))
 	// Staleness: the follower maintains its own layout freshness — at most
 	// one rebuild per frame, under the gate we already hold. A rebuild
 	// failure is not fatal to replication (counts stay exact on the stale
@@ -467,9 +463,6 @@ func (f *Follower) markCaughtUp() {
 
 func (f *Follower) syncLagMetrics() {
 	m := f.cl.metrics
-	if m == nil || m.reg == nil {
-		return
-	}
 	applied, primary := f.appliedSeq.Load(), f.primarySeq.Load()
 	m.replAppliedSeq.Set(float64(applied))
 	m.replPrimarySeq.Set(float64(primary))

@@ -17,8 +17,9 @@ import (
 // row — through an update stream that grows the vertex space, piles edges
 // onto a hub (lengthening one row far beyond its build-time size), removes
 // a vertex, and finally folds the overflow with a rebuild; and a recount
-// per step proving the kernel stays exact on the grown blocks: it must
-// match the build-time count moved by every batch's DeltaTriangles.
+// per step, under the bitmap kernel and under the NoDirectHash probing table
+// (sized from maxURow), proving the kernel stays exact on the grown blocks:
+// it must match the build-time count moved by every batch's DeltaTriangles.
 func TestKernelSizingSurvivesGrowth(t *testing.T) {
 	g, err := rmat.G500.Generate(8, 8, 13)
 	if err != nil {
@@ -53,14 +54,16 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		results, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, preps[c.Rank()], core.Options{})
-		})
-		if err != nil {
-			t.Fatalf("%s recount: %v", stage, err)
-		}
-		if got := results[0].(*core.Result).Triangles; got != want {
-			t.Fatalf("%s: recount %d, maintained total %d", stage, got, want)
+		for _, opt := range []core.Options{{}, {NoDirectHash: true}} {
+			results, err := w.Run(func(c *mpi.Comm) (any, error) {
+				return core.CountPrepared(c, preps[c.Rank()], opt)
+			})
+			if err != nil {
+				t.Fatalf("%s recount %+v: %v", stage, opt, err)
+			}
+			if got := results[0].(*core.Result).Triangles; got != want {
+				t.Fatalf("%s: recount %+v %d, maintained total %d", stage, opt, got, want)
+			}
 		}
 	}
 	apply := func(stage string, batch []Update) {

@@ -149,6 +149,30 @@ func TestAblationRuns(t *testing.T) {
 	}
 }
 
+// TestConfigModelOverride: the cost model moves modeled time only — a slower
+// network leaves the count alone and raises the total time and the
+// communication share of the count phase.
+func TestConfigModelOverride(t *testing.T) {
+	spec := tinySpecs()[0]
+	slow, err := RunCore(spec, 4, Config{Model: mpi.CostModel{Alpha: 1e-2, Beta: 1e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := RunCore(spec, 4, Config{Model: mpi.CostModel{Alpha: 1e-9, Beta: 1e12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Triangles != fast.Triangles {
+		t.Fatalf("counts differ under cost models: %d vs %d", slow.Triangles, fast.Triangles)
+	}
+	if slow.TotalTime <= fast.TotalTime {
+		t.Errorf("slow network not slower: %v <= %v", slow.TotalTime, fast.TotalTime)
+	}
+	if slow.CommFracCount <= fast.CommFracCount {
+		t.Errorf("slow network comm fraction not larger: %v <= %v", slow.CommFracCount, fast.CommFracCount)
+	}
+}
+
 func TestRunCoreAggregates(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Options.TrackPerShift = true

@@ -7,8 +7,9 @@ package tc2d
 // (admission and queue waits, coalescing), and the durability path (WAL
 // append/fsync latency, snapshot size and duration). The handles are
 // resolved once here, so the hot paths pay a few atomic operations per
-// event; with metrics disabled (one-shot counts without Options.Metrics)
-// every handle is nil and the instrumented code no-ops.
+// event. A resident cluster always has a registry (resolve creates a
+// private one), so every handle is live; only the coordinator-only worker
+// series stay nil on in-process clusters.
 
 import (
 	"time"
@@ -19,8 +20,7 @@ import (
 // batchBuckets sizes the write-coalescing histogram: batches per write epoch.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// clusterMetrics carries the cluster-layer metric handles. A nil
-// *clusterMetrics (or one built over a nil registry) is fully inert.
+// clusterMetrics carries the cluster-layer metric handles.
 type clusterMetrics struct {
 	reg *obs.Registry
 
@@ -106,8 +106,7 @@ var rebuildModes = []string{"incremental", "full"}
 // queryOps are the operation labels of the query-level series.
 var queryOps = []string{"count", "transitivity", "update", "snapshot"}
 
-// newClusterMetrics resolves every cluster-layer handle against reg. All
-// handles are nil (inert) when reg is nil.
+// newClusterMetrics resolves every cluster-layer handle against reg.
 func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	m := &clusterMetrics{
 		reg:       reg,
@@ -226,9 +225,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 // once by the coordinator constructors, before any worker can join, so the
 // event callbacks always find resolved handles.
 func (m *clusterMetrics) initWorkerMetrics() {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.workersConnected = m.reg.Gauge("tc_workers_connected",
 		"Worker processes currently connected to this coordinator.")
 	m.workerJoins = m.reg.Counter("tc_worker_joins_total",
@@ -246,7 +242,7 @@ func (m *clusterMetrics) initWorkerMetrics() {
 // observeWorkerRecovery records one completed recovery. All are inert
 // unless initWorkerMetrics ran.
 func (m *clusterMetrics) observeWorkerJoin(connected int64) {
-	if m == nil || m.workersConnected == nil {
+	if m.workersConnected == nil {
 		return
 	}
 	m.workersConnected.Set(float64(connected))
@@ -254,7 +250,7 @@ func (m *clusterMetrics) observeWorkerJoin(connected int64) {
 }
 
 func (m *clusterMetrics) observeWorkerLoss(connected int64, reason string) {
-	if m == nil || m.workersConnected == nil {
+	if m.workersConnected == nil {
 		return
 	}
 	m.workersConnected.Set(float64(connected))
@@ -263,7 +259,7 @@ func (m *clusterMetrics) observeWorkerLoss(connected int64, reason string) {
 }
 
 func (m *clusterMetrics) observeWorkerRecovery(d time.Duration) {
-	if m == nil || m.workerRejoins == nil {
+	if m.workerRejoins == nil {
 		return
 	}
 	m.workerRejoins.Inc()
@@ -275,28 +271,14 @@ func (m *clusterMetrics) observeWorkerRecovery(d time.Duration) {
 // replication role (primary or follower); standalone clusters expose no
 // role series.
 func (m *clusterMetrics) setRole(role string) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.reg.Gauge("tc_role",
 		"Replication role of this process (1 for the role held).",
 		obs.L("role", role)).Set(1)
 }
 
-// registry returns the underlying registry (nil when metrics are disabled).
-func (m *clusterMetrics) registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
 // observeOp records one completed operation: its counter, latency and —
 // when it failed — the error counter.
 func (m *clusterMetrics) observeOp(op string, start time.Time, err error) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.latency[op].Observe(time.Since(start).Seconds())
 	if err != nil {
 		m.queryErrs[op].Inc()
@@ -309,9 +291,6 @@ func (m *clusterMetrics) observeOp(op string, start time.Time, err error) {
 // counter, the per-mode counter, and — for incremental rebuilds — the
 // saved-ops and moved-rows accumulators.
 func (m *clusterMetrics) observeRebuild(mode string, savedOps int64, movedRows int) {
-	if m == nil || m.reg == nil {
-		return
-	}
 	m.rebuilds.Inc()
 	m.rebuildsBy[mode].Inc()
 	if mode == "incremental" {
@@ -322,12 +301,8 @@ func (m *clusterMetrics) observeRebuild(mode string, savedOps int64, movedRows i
 	}
 }
 
-// walObserver adapts the WAL's append callback onto the registry; nil when
-// metrics are disabled, so the WAL skips its timing calls entirely.
+// walObserver adapts the WAL's append callback onto the registry.
 func (m *clusterMetrics) walObserver() func(write, fsync time.Duration, bytes int) {
-	if m == nil || m.reg == nil {
-		return nil
-	}
 	return func(write, fsync time.Duration, bytes int) {
 		m.walAppends.Inc()
 		m.walAppendSec.Observe(write.Seconds())
@@ -344,9 +319,6 @@ func (m *clusterMetrics) walObserver() func(write, fsync time.Duration, bytes in
 // so a scrape always sees current totals. The caller holds sched.gate.
 func (cl *Cluster) syncGraphMetrics() {
 	m := cl.metrics
-	if m == nil || m.reg == nil {
-		return
-	}
 	meta := cl.metaNow()
 	m.vertices.Set(float64(meta.N))
 	m.edges.Set(float64(meta.M))
@@ -358,5 +330,5 @@ func (cl *Cluster) syncGraphMetrics() {
 // Options.Metrics, or the private registry NewCluster created. Serve it
 // with obs.Registry.Expose (tcd's GET /metrics does) or poll Snapshot.
 func (cl *Cluster) Metrics() *obs.Registry {
-	return cl.metrics.registry()
+	return cl.metrics.reg
 }

@@ -50,41 +50,6 @@ var (
 // never travel as part of the struct — the op's codec moves them as the
 // rank-addressed payload instead, or leaves them behind.
 
-// wireKernel is the gob-safe subset of core.Options shipped with build and
-// count epochs. Metrics comes from the store of whichever process runs the
-// rank; trace is the caller's span, meaningful in-process only.
-type wireKernel struct {
-	Enumeration    int
-	NoDoublySparse bool
-	NoDirectHash   bool
-	NoEarlyBreak   bool
-	TrackPerShift  bool
-
-	trace *obs.Span
-}
-
-func wireKernelOf(o core.Options) wireKernel {
-	return wireKernel{
-		Enumeration:    int(o.Enumeration),
-		NoDoublySparse: o.NoDoublySparse,
-		NoDirectHash:   o.NoDirectHash,
-		NoEarlyBreak:   o.NoEarlyBreak,
-		TrackPerShift:  o.TrackPerShift,
-	}
-}
-
-func (k wireKernel) coreOptions(reg *obs.Registry) core.Options {
-	return core.Options{
-		Enumeration:    core.Enumeration(k.Enumeration),
-		NoDoublySparse: k.NoDoublySparse,
-		NoDirectHash:   k.NoDirectHash,
-		NoEarlyBreak:   k.NoEarlyBreak,
-		TrackPerShift:  k.TrackPerShift,
-		Metrics:        reg,
-		Trace:          k.trace,
-	}
-}
-
 // wireRMAT describes a distributed RMAT generation (no graph bytes travel:
 // every rank generates its own 1D slice).
 type wireRMAT struct {
@@ -96,10 +61,10 @@ type wireRMAT struct {
 
 // wireBuild parameterizes opBuild, and — its Track field alone — opRebuildFull.
 type wireBuild struct {
-	SUMMA  bool
-	Kernel wireKernel
-	Track  bool // enable snapshot dirty tracking (durable clusters)
-	RMAT   *wireRMAT
+	SUMMA       bool
+	Enumeration Enumeration // the rule every later count of this state runs
+	Track       bool        // enable snapshot dirty tracking (durable clusters)
+	RMAT        *wireRMAT
 
 	// graph is the scatter source when RMAT is nil, read at rank 0 only; on
 	// the wire it is rank 0's payload.
@@ -277,7 +242,8 @@ func gobOp[A any](read bool, run func(*mpi.Comm, *rankStore, *A) (*opReply, erro
 	}
 }
 
-// bareOp declares an op that takes no args; nothing travels but its name.
+// bareOp declares an op that takes no args; nothing travels but its name, and
+// a worker refuses args it was not meant to get.
 func bareOp(read bool, run func(*mpi.Comm, *core.Prepared) (*opReply, error)) epochOp {
 	return epochOp{
 		read: read,
@@ -289,7 +255,12 @@ func bareOp(read bool, run func(*mpi.Comm, *core.Prepared) (*opReply, error)) ep
 			return run(c, pr)
 		},
 		encode: func(any, int) ([]byte, map[int][]byte, error) { return nil, nil, nil },
-		decode: func(_, _ []byte) (any, error) { return nil, nil },
+		decode: func(common, _ []byte) (any, error) {
+			if len(common) != 0 {
+				return nil, fmt.Errorf("%d bytes of args for an op that takes none", len(common))
+			}
+			return nil, nil
+		},
 	}
 }
 
@@ -298,7 +269,7 @@ func bareOp(read bool, run func(*mpi.Comm, *core.Prepared) (*opReply, error)) ep
 // all workers the same name.
 var ops = map[string]epochOp{
 	opBuild:       buildEntry(),
-	opCount:       gobOp(true, countOp),
+	opCount:       countEntry(),
 	opApply:       applyEntry(),
 	opRebuildInc:  bareOp(false, rebuildIncOp),
 	opRebuildFull: gobOp(false, rebuildFullOp),
@@ -319,7 +290,7 @@ func buildOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 		return nil, err
 	}
 	qr, qc := mpi.FactorGrid(c.Size())
-	pr, err := core.PrepareGrid(c, d, qr, qc, b.SUMMA, b.Kernel.coreOptions(st.metrics))
+	pr, err := core.PrepareGrid(c, d, qr, qc, b.SUMMA, core.Options{Enumeration: b.Enumeration, Metrics: st.metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -354,16 +325,25 @@ func buildEntry() epochOp {
 	return op
 }
 
-func countOp(c *mpi.Comm, st *rankStore, k *wireKernel) (*opReply, error) {
-	pr, err := st.get(c.Rank())
-	if err != nil {
-		return nil, err
+// countEntry is a bare read op that counts under the rule the resident state
+// was built for. In-process its args are the caller's trace span (nil when
+// untraced), under which every rank hangs its span tree (see
+// core.CountPrepared); on the wire nothing travels.
+func countEntry() epochOp {
+	op := bareOp(true, nil)
+	op.run = func(c *mpi.Comm, st *rankStore, args any) (*opReply, error) {
+		pr, err := st.get(c.Rank())
+		if err != nil {
+			return nil, err
+		}
+		trace, _ := args.(*obs.Span)
+		res, err := core.CountPrepared(c, pr, core.Options{Enumeration: pr.Enumeration(), Metrics: st.metrics, Trace: trace})
+		if err != nil {
+			return nil, err
+		}
+		return reply0(c, pr, opReply{Count: res}), nil
 	}
-	res, err := core.CountPrepared(c, pr, k.coreOptions(st.metrics))
-	if err != nil {
-		return nil, err
-	}
-	return reply0(c, pr, opReply{Count: res}), nil
+	return op
 }
 
 // applyEntry takes a []delta.Update; its wire form is the WAL record framing

@@ -66,7 +66,6 @@ func TestDispatchRejectsUndecodableArgs(t *testing.T) {
 		{opBuild, nil, nil},
 		{opBuild, okBuild, garbage}, // the args decode, the shipped graph does not
 		{opCount, garbage, nil},
-		{opCount, nil, nil},
 		{opApply, garbage, nil},
 		{opApply, []byte{2, 0, 0, 0, 1}, nil}, // claims two updates, carries a fragment
 		{opRebuildFull, garbage, nil},
@@ -101,7 +100,7 @@ func TestDispatchRejectsRankWithoutState(t *testing.T) {
 		op     string
 		common []byte
 	}{
-		{opCount, enc(opCount, &wireKernel{})},
+		{opCount, nil},
 		{opApply, encodeBatch([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}})},
 		{opRebuildInc, nil},
 		{opRebuildFull, enc(opRebuildFull, &wireBuild{})},

@@ -101,10 +101,9 @@ type PersistInfo struct {
 // take a while; mu guards only the counters and is held briefly, so Info()
 // (and tcd's /stats) never blocks behind an in-flight snapshot.
 type persister struct {
-	dir       string
-	snapFrac  float64
-	autoSnap  bool
-	deltaSnap bool // write churn-proportional delta snapshots when eligible
+	dir      string
+	snapFrac float64
+	autoSnap bool
 
 	snapMu sync.Mutex // serializes snapshotShared end to end
 
@@ -256,13 +255,12 @@ func (cl *Cluster) newPersister(res *resolvedOptions, dir string, base, lastSeq 
 	}
 	wal.SetObserver(cl.metrics.walObserver())
 	return &persister{
-		dir:       dir,
-		snapFrac:  res.snapFrac,
-		autoSnap:  !res.DisableAutoSnapshot,
-		deltaSnap: !res.DisableDeltaSnapshot,
-		wal:       wal,
-		seqWait:   make(chan struct{}),
-		seq:       lastSeq,
+		dir:      dir,
+		snapFrac: res.snapFrac,
+		autoSnap: !res.DisableAutoSnapshot,
+		wal:      wal,
+		seqWait:  make(chan struct{}),
+		seq:      lastSeq,
 	}, nil
 }
 
@@ -436,7 +434,7 @@ func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error)
 	// edge count per chain link, replaying the chain approaches the cost of
 	// a base, so the snapshot compacts instead. cl.baseM is stable here:
 	// it only changes on the write path, which the caller's gate excludes.
-	useDelta := p.deltaSnap && p.haveBase && !p.forceBase &&
+	useDelta := p.haveBase && !p.forceBase &&
 		p.chainLen < snapshotChainLimit &&
 		float64(p.churnBase) <= p.snapFrac*float64(cl.baseM)*snapshotChainLimit
 	parentSeq := p.snapSeq
@@ -562,15 +560,14 @@ func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error)
 		Seq: seq, Path: snapshot.Dir(p.dir, seq), Bytes: bytes, Triangles: tri,
 		Kind: kind, ChainLen: m.ChainLen,
 	}
-	if mm := cl.metrics; mm != nil && mm.reg != nil {
-		mm.snapWrites.Inc()
-		mm.snapSeconds.Observe(time.Since(start).Seconds())
-		mm.snapBytes.Observe(float64(bytes))
-		mm.snapLastSeq.Set(float64(seq))
-		if useDelta {
-			mm.snapDeltaWrites.Inc()
-			mm.snapDeltaBytes.Observe(float64(bytes))
-		}
+	mm := cl.metrics
+	mm.snapWrites.Inc()
+	mm.snapSeconds.Observe(time.Since(start).Seconds())
+	mm.snapBytes.Observe(float64(bytes))
+	mm.snapLastSeq.Set(float64(seq))
+	if useDelta {
+		mm.snapDeltaWrites.Inc()
+		mm.snapDeltaBytes.Observe(float64(bytes))
 	}
 	info := *p.lastInfo
 	return &info, nil

@@ -512,7 +512,7 @@ func comparableReply(rep *opReply) *opReply {
 		c := *rep.Count
 		c.PreprocessTime, c.CountTime, c.TotalTime = 0, 0, 0
 		c.CommFracPre, c.CommFracCount = 0, 0
-		c.LocalKernelTime, c.LocalPerShift = 0, nil
+		c.LocalKernelTime = 0
 		cp.Count = &c
 	}
 	if rep.Apply != nil {
@@ -575,13 +575,13 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		}
 	}
 	fixed := func(args any) func(*side) any { return func(*side) any { return args } }
-	count := fixed(&wireKernel{Enumeration: int(opt.Enumeration)})
+	count := fixed(nil)
 	steps := []struct {
 		op   string
 		args func(*side) any
 	}{
 		{opBuild, func(*side) any {
-			return &wireBuild{graph: g, Track: true, Kernel: wireKernelOf(opt.coreOptions())}
+			return &wireBuild{graph: g, Track: true, Enumeration: opt.Enumeration}
 		}},
 		{opCount, count},
 		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 2, V: 777, Op: UpdateInsert}})},

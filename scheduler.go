@@ -16,8 +16,8 @@ import (
 // methods and the world's epochs.
 //
 //   - Reads (Count, Transitivity) take the gate shared and run as
-//     concurrent World.RunRead epochs; concurrent identical queries join a
-//     readFlight and share one epoch's result.
+//     concurrent World.RunRead epochs; a query that arrives while another's
+//     epoch is in flight joins that readFlight and shares its result.
 //   - Writes (ApplyUpdates, AddVertices, RemoveVertices) enqueue a
 //     writeReq and block; a single resident writer goroutine (writeLoop)
 //     drains the queue, coalesces every pending batch into one
@@ -29,8 +29,7 @@ import (
 // exclusive gate (i.e. for in-flight read epochs and earlier write work):
 // the longer the reads, the more write batches amortize into one epoch.
 
-// readFlight is one in-flight counting epoch that concurrent identical
-// queries share.
+// readFlight is one in-flight counting epoch that concurrent queries share.
 type readFlight struct {
 	res  *Result
 	err  error
@@ -67,9 +66,9 @@ type scheduler struct {
 	// epochs, rebuilds and Close take it exclusively.
 	gate sync.RWMutex
 
-	// rmu guards the read-flight table.
-	rmu     sync.Mutex
-	flights map[QueryOptions]*readFlight
+	// rmu guards the in-flight read slot.
+	rmu    sync.Mutex
+	flight *readFlight
 
 	// mu guards the write queue and the closing flag.
 	mu        sync.Mutex
@@ -84,10 +83,7 @@ type scheduler struct {
 }
 
 func newScheduler() *scheduler {
-	s := &scheduler{
-		flights:   make(map[QueryOptions]*readFlight),
-		drainedCh: make(chan struct{}),
-	}
+	s := &scheduler{drainedCh: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -406,7 +402,7 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	// Delta maintenance needs an exact base count.
 	if cl.lastTri.Load() < 0 {
 		endBase := spanAll(accepted, "base_count")
-		_, err := cl.countEpoch(QueryOptions{}, nil)
+		_, err := cl.countEpoch(nil)
 		endBase()
 		if err != nil {
 			failAll(fmt.Errorf("tc2d: base count before update epoch: %w", err))

@@ -34,12 +34,9 @@ type WorkerOptions struct {
 	// the other workers can reach.
 	Listen string
 	// ComputeSlots bounds how many local ranks — each one goroutine — run
-	// between messages, as Options.ComputeSlots does in-process; 1 gives
-	// contention-free modeled times, 0 defaults to GOMAXPROCS.
+	// between messages, as Options.ComputeSlots does in-process; 0 defaults
+	// to GOMAXPROCS.
 	ComputeSlots int
-	// Alpha, Beta, Overhead override the LogGP virtual-time cost model,
-	// as the same fields on Options do.
-	Alpha, Beta, Overhead float64
 	// Metrics receives this worker's kernel and transport series; expose
 	// it however the host process likes. Nil means no metrics.
 	Metrics *obs.Registry
@@ -66,13 +63,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 		return errors.New("tc2d: WorkerOptions.Coordinator is required")
 	}
 	st := newRankStore(opt.Metrics)
-	mcfg := Options{
-		ComputeSlots: opt.ComputeSlots,
-		Alpha:        opt.Alpha,
-		Beta:         opt.Beta,
-		Overhead:     opt.Overhead,
-		Metrics:      opt.Metrics,
-	}.mpiConfig()
+	mcfg := Options{ComputeSlots: opt.ComputeSlots, Metrics: opt.Metrics}.mpiConfig()
 	return pworld.RunWorker(ctx, pworld.WorkerConfig{
 		Coordinator: opt.Coordinator,
 		Ranks:       opt.Ranks,
