@@ -24,7 +24,6 @@ package tc2d
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 
 	"tc2d/internal/core"
@@ -74,70 +73,20 @@ var (
 	Friendsterish = rmat.Friendsterish
 )
 
-// Transport selects how ranks exchange messages.
-type Transport int
-
-const (
-	// TransportChannel exchanges messages through in-process channels —
-	// the default and the fastest option for simulation runs.
-	TransportChannel Transport = iota
-	// TransportTCP sends every message over loopback TCP sockets
-	// (length-prefixed binary frames, one full-duplex connection per rank
-	// pair), exercising the wire discipline a multi-machine deployment
-	// needs. The SPMD algorithm code is identical; only the wire changes.
-	TransportTCP
-)
-
-// String names the transport ("channel" or "tcp") for logs and /stats.
-func (t Transport) String() string {
-	if t == TransportTCP {
-		return "tcp"
-	}
-	return "channel"
-}
-
-// Options configures a distributed count. The zero value runs the paper's
-// full configuration on 1 rank.
+// Options configures a distributed count or a resident cluster: its
+// deployment settings only. The schedule follows from Ranks, and a resident
+// cluster's rebuild and snapshot policy is fixed (see Cluster.ApplyUpdates
+// and Cluster.Snapshot). The zero value runs the paper's full configuration
+// on 1 rank.
 type Options struct {
 	// Ranks is the number of SPMD ranks (default 1): any positive count. A
 	// perfect square runs Cannon shifts on a √p × √p grid, any other count
 	// SUMMA broadcasts on the most square qr × qc grid.
 	Ranks int
 
-	// Transport selects the message transport: in-process channels
-	// (default) or loopback TCP.
-	Transport Transport
-
 	// Enumeration selects ⟨j,i,k⟩ (default, recommended) or ⟨i,j,k⟩.
 	Enumeration Enumeration
 
-	// RebuildFraction controls write-path staleness for resident clusters:
-	// once the effective updates applied since the last build exceed this
-	// fraction of the edge count at that build, the write scheduler
-	// rebuilds the blocks (fresh degree ordering) inside the same world —
-	// at most once per write-queue drain. Valid values lie in [0, 1),
-	// where 0 selects the default of 0.25; NewCluster rejects NaN,
-	// negative and ≥ 1 values with an error. Set DisableAutoRebuild to
-	// turn staleness rebuilds off entirely. Ignored by one-shot counts.
-	RebuildFraction float64
-	// DisableAutoRebuild turns off staleness-driven rebuilds: updates
-	// splice into the resident blocks indefinitely and only an explicit
-	// Cluster.Rebuild call refreshes the degree ordering.
-	DisableAutoRebuild bool
-	// IncrementalRebuildFraction bounds when a rebuild (staleness-driven or
-	// explicit) may run incrementally instead of through the full pipeline:
-	// if the degree-dirty set — the labels whose degree changed since the
-	// last build — is at most this fraction of the vertex count, only that
-	// set is re-sorted and only its moved rows are redistributed, making the
-	// rebuild cost proportional to churn rather than graph size. Above the
-	// threshold the full pipeline runs (fresh global degree order). Valid
-	// values lie in [0, 1), where 0 selects the default of 0.1; NaN,
-	// negative and >= 1 values are rejected. Set DisableIncrementalRebuild
-	// to always run the full pipeline. Ignored by one-shot counts.
-	IncrementalRebuildFraction float64
-	// DisableIncrementalRebuild forces every rebuild through the full
-	// preprocessing pipeline regardless of how small the churn was.
-	DisableIncrementalRebuild bool
 	// MaxVertices caps the elastic vertex space of a resident cluster:
 	// update batches that would grow the graph beyond this many ids are
 	// rejected with ErrVertexRange instead of allocating ever-larger
@@ -153,31 +102,12 @@ type Options struct {
 	// cluster's state (reopen that with OpenCluster). Empty (the default)
 	// disables persistence. Ignored by one-shot counts.
 	PersistDir string
-	// SnapshotFraction controls automatic snapshotting of a durable
-	// cluster, mirroring RebuildFraction's staleness currency: once the
-	// effective mutations accumulated in the WAL since the last snapshot
-	// exceed this fraction of the edge count at the last build, the write
-	// scheduler persists the state and rotates the WAL — at most once per
-	// write-queue drain. Valid values lie in [0, 1), where 0 selects the
-	// default of 0.5; NaN, negative and >= 1 values are rejected. Set
-	// DisableAutoSnapshot to snapshot only on explicit Cluster.Snapshot
-	// calls. Ignored when PersistDir is unset.
-	SnapshotFraction float64
-	// DisableAutoSnapshot turns the WAL-growth snapshot trigger off: the
-	// WAL grows until an explicit Cluster.Snapshot call rotates it.
-	DisableAutoSnapshot bool
 	// NoWALSync disables the per-commit fsync of the write-ahead log:
 	// acknowledged updates then survive a process crash (the OS page cache
 	// holds the appended records) but not a power failure. Throughput for
 	// durability; default off (every commit is fsynced before its callers
 	// are acknowledged).
 	NoWALSync bool
-
-	// ForceSUMMA schedules the computation with SUMMA broadcasts even for
-	// square rank counts. Non-square rank counts always use SUMMA (the
-	// rectangular-grid extension of the paper's §8); square ones default
-	// to Cannon shifts.
-	ForceSUMMA bool
 
 	// ComputeSlots bounds how many ranks run between messages. Each rank
 	// computes on its own goroutine, so this is how many goroutines of the
@@ -211,35 +141,6 @@ func (o Options) ranks() (int, error) {
 		return 0, fmt.Errorf("tc2d: Ranks=%d", p)
 	}
 	return p, nil
-}
-
-// fraction validates one policy threshold of Options — a share in [0, 1),
-// where 0 selects def — naming the field and the switch that turns the policy
-// off in the error.
-func fraction(field string, f, def float64, off string) (float64, error) {
-	if math.IsNaN(f) {
-		return 0, fmt.Errorf("tc2d: %s is NaN", field)
-	}
-	if f < 0 || f >= 1 {
-		return 0, fmt.Errorf("tc2d: %s=%v out of range [0, 1) — use %s", field, f, off)
-	}
-	if f == 0 {
-		return def, nil
-	}
-	return f, nil
-}
-
-// useSUMMA reports whether the run needs the SUMMA schedule.
-func (o Options) useSUMMA(p int) bool {
-	return o.ForceSUMMA || mpi.SquareSide(p) < 0
-}
-
-// newWorld creates the runtime world on the selected transport.
-func (o Options) newWorld(p int) (*mpi.World, error) {
-	if o.Transport == TransportTCP {
-		return mpi.NewTCPWorld(p, o.mpiConfig())
-	}
-	return mpi.NewWorld(p, o.mpiConfig()), nil
 }
 
 // NewGraph builds a simple undirected graph from an edge list (self loops
@@ -284,13 +185,10 @@ func countInput(in dgraph.Input, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	world, err := opt.newWorld(p)
-	if err != nil {
-		return nil, err
-	}
+	world := mpi.NewWorld(p, opt.mpiConfig())
 	defer world.Close()
 	qr, qc := mpi.FactorGrid(p)
-	summa := opt.useSUMMA(p)
+	summa := mpi.SquareSide(p) < 0
 	results, err := world.Run(func(c *mpi.Comm) (any, error) {
 		d, err := in.Build(c)
 		if err != nil {

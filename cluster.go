@@ -19,7 +19,7 @@ var ErrClusterClosed = ErrClosed
 
 // QueryOptions configures one query against a resident Cluster. It has no
 // fields: everything that shapes a count (ranks, enumeration rule, grid
-// schedule, transport) is fixed at NewCluster time. The paper's §7.3
+// schedule) is fixed at NewCluster time. The paper's §7.3
 // ablation switches and its modeled LogGP times live in cmd/tcpaper, not in
 // the service.
 type QueryOptions struct{}
@@ -43,9 +43,8 @@ type ClusterInfo struct {
 	SpaceVersion     int64
 	// Wedges is the global wedge count Σ_v d(v)·(d(v)-1)/2.
 	Wedges int64
-	// Ranks is the SPMD world size; Transport the message transport.
-	Ranks     int
-	Transport Transport
+	// Ranks is the SPMD world size.
+	Ranks int
 	// Queries is the number of completed Count queries; Updates the number
 	// of applied update batches; Rebuilds how often staleness (or an
 	// explicit Rebuild call) refreshed the resident layout.
@@ -92,8 +91,7 @@ type ClusterInfo struct {
 // Cluster is a resident distributed graph: the preprocessing pipeline
 // (cyclic redistribution, degree relabeling, 2D block construction) runs
 // exactly once at construction, and the resulting per-rank blocks then serve
-// any number of counting queries and update batches. The SPMD world —
-// including its transport and, for TransportTCP, its sockets — stays
+// any number of counting queries and update batches. The SPMD world stays
 // up between requests.
 //
 // All methods are safe for concurrent use, under a reader/writer epoch
@@ -108,11 +106,10 @@ type Cluster struct {
 	// in-process world (localEngine) or worker processes over TCP
 	// (remoteBackend). remote is eng again on coordinator clusters, nil
 	// otherwise; only the identity accessors and worker recovery look at it.
-	eng       engine
-	remote    *remoteBackend
-	enum      Enumeration
-	ranks     int
-	transport Transport
+	eng    engine
+	remote *remoteBackend
+	enum   Enumeration
+	ranks  int
 
 	// sched admits reads concurrently and writes exclusively; the resident
 	// state behind eng only changes under sched.gate held exclusively and is
@@ -144,19 +141,14 @@ type Cluster struct {
 	closeErr  error
 
 	// Write-path staleness state, touched only with sched.gate held
-	// exclusively. rebuildFraction, incrementalFraction, autoRebuild and
-	// maxVertices are immutable. incrementalFraction is the degree-dirty
-	// eligibility threshold for incremental rebuilds (0 = always run the
-	// full pipeline); fullPreOps the operation count of the last full
-	// pipeline run, the baseline incremental rebuilds report savings
-	// against (0 on a restored cluster until its first full rebuild).
-	rebuildFraction     float64
-	incrementalFraction float64
-	autoRebuild         bool
-	maxVertices         int64 // growth cap (0 = unbounded)
-	baseM               int64 // edge count at the last build, staleness denominator
-	appliedEdges        int64 // effective updates applied since the last build
-	fullPreOps          int64
+	// exclusively. maxVertices is immutable; fullPreOps is the operation
+	// count of the last full pipeline run, the baseline incremental
+	// rebuilds report savings against (0 on a restored cluster until its
+	// first full rebuild).
+	maxVertices  int64 // growth cap (0 = unbounded)
+	baseM        int64 // edge count at the last build, staleness denominator
+	appliedEdges int64 // effective updates applied since the last build
+	fullPreOps   int64
 
 	// persist is the durability state (snapshot directory + WAL); nil when
 	// Options.PersistDir was unset. See persist.go.
@@ -170,9 +162,9 @@ type Cluster struct {
 
 // NewCluster builds a resident cluster over g: the graph is scattered to
 // opt.Ranks ranks and preprocessed into the 2D block distribution once.
-// Square rank counts use the Cannon schedule, other rank counts (or
-// opt.ForceSUMMA) the SUMMA schedule; opt.Transport selects in-process
-// channels or loopback TCP. The caller must Close the cluster.
+// Square rank counts use the Cannon schedule, other rank counts the SUMMA
+// schedule; every rank is a goroutine of this process. The caller must
+// Close the cluster.
 func NewCluster(g *Graph, opt Options) (*Cluster, error) {
 	return buildCluster(opt, (*resolvedOptions).newLocalEngine, &wireBuild{graph: g})
 }
@@ -185,32 +177,33 @@ func NewClusterRMAT(params RMATParams, scale, edgeFactor int, seed uint64, opt O
 	return buildCluster(opt, (*resolvedOptions).newLocalEngine, &wireBuild{RMAT: rm})
 }
 
-// resolvedOptions is Options validated once, with every default filled in —
-// the one place the cluster constructors read policy knobs from.
+// The write path's policy: three shares of the state at the last build,
+// fixed for every cluster.
+const (
+	// rebuildFraction: once the effective updates applied since the last
+	// build exceed this share of its edge count — or the overflow region
+	// this share of its vertex count — the layout is stale and the write
+	// path rebuilds it, at most once per drain.
+	rebuildFraction = 0.25
+	// incrementalFraction: a rebuild whose degree-dirty set is at most this
+	// share of the vertex count runs incrementally; larger churn runs the
+	// full pipeline.
+	incrementalFraction = 0.1
+	// snapshotFraction: once the WAL holds effective mutations beyond this
+	// share of the edge count at the last build, the write path snapshots
+	// a durable cluster and rotates the WAL, at most once per drain.
+	snapshotFraction = 0.5
+)
+
+// resolvedOptions is Options validated once, with the cluster's metric
+// handles resolved.
 type resolvedOptions struct {
 	Options
-	frac, snapFrac, incFrac float64
-	metrics                 *clusterMetrics
+	metrics *clusterMetrics
 }
 
 func (o Options) resolve() (*resolvedOptions, error) {
 	res := &resolvedOptions{Options: o}
-	var err error
-	if res.frac, err = fraction("RebuildFraction", o.RebuildFraction, 0.25,
-		"DisableAutoRebuild to turn staleness rebuilds off"); err != nil {
-		return nil, err
-	}
-	if res.snapFrac, err = fraction("SnapshotFraction", o.SnapshotFraction, 0.5,
-		"DisableAutoSnapshot to snapshot only explicitly"); err != nil {
-		return nil, err
-	}
-	if res.incFrac, err = fraction("IncrementalRebuildFraction", o.IncrementalRebuildFraction, 0.1,
-		"DisableIncrementalRebuild to always run the full pipeline"); err != nil {
-		return nil, err
-	}
-	if o.DisableIncrementalRebuild {
-		res.incFrac = 0
-	}
 	if o.MaxVertices < 0 {
 		return nil, fmt.Errorf("tc2d: MaxVertices=%d must be non-negative", o.MaxVertices)
 	}
@@ -240,10 +233,7 @@ type localEngine struct {
 }
 
 func (res *resolvedOptions) newLocalEngine(p int) (engine, error) {
-	world, err := res.newWorld(p)
-	if err != nil {
-		return nil, err
-	}
+	world := mpi.NewWorld(p, res.mpiConfig())
 	return &localEngine{world: world, store: newRankStore(res.Metrics)}, nil
 }
 
@@ -271,16 +261,12 @@ func (e *localEngine) close() error { return e.world.Close() }
 // cl.run, fills the counters that come out of that, and calls start.
 func newClusterOn(eng engine, res *resolvedOptions, ranks int, enum Enumeration) *Cluster {
 	cl := &Cluster{
-		eng:                 eng,
-		enum:                enum,
-		ranks:               ranks,
-		transport:           res.Transport,
-		sched:               newScheduler(),
-		rebuildFraction:     res.frac,
-		incrementalFraction: res.incFrac,
-		autoRebuild:         !res.DisableAutoRebuild,
-		maxVertices:         res.MaxVertices,
-		metrics:             res.metrics,
+		eng:         eng,
+		enum:        enum,
+		ranks:       ranks,
+		sched:       newScheduler(),
+		maxVertices: res.MaxVertices,
+		metrics:     res.metrics,
 	}
 	cl.lastTri.Store(-1)
 	if rb, ok := eng.(*remoteBackend); ok {
@@ -318,7 +304,7 @@ func buildCluster(opt Options, newEngine func(res *resolvedOptions, p int) (engi
 		return nil, err
 	}
 	cl := newClusterOn(eng, res, p, opt.Enumeration)
-	build.SUMMA = opt.useSUMMA(p)
+	build.SUMMA = mpi.SquareSide(p) < 0
 	build.Enumeration = opt.Enumeration
 	build.Track = opt.PersistDir != ""
 	if _, err := cl.run(opBuild, build); err != nil {
@@ -525,7 +511,6 @@ func (cl *Cluster) Info() ClusterInfo {
 		SpaceVersion:        meta.SpaceVersion,
 		Wedges:              meta.Wedges,
 		Ranks:               cl.ranks,
-		Transport:           cl.transport,
 		Queries:             cl.queries.Load(),
 		Updates:             cl.updates.Load(),
 		Rebuilds:            cl.rebuilds.Load(),
@@ -548,9 +533,9 @@ func (cl *Cluster) Info() ClusterInfo {
 // ApplyUpdates accepted before Close began still commits — and, on a
 // durable cluster, lands in the WAL), in-flight queries and snapshots
 // finish (an in-flight Snapshot holds the gate shared, so the world never
-// comes down under its encoding epoch), then the world (and, for TCP, the
-// sockets) comes down and the WAL handle is released. Close is idempotent;
-// operations after Close return ErrClosed.
+// comes down under its encoding epoch), then the world comes down and the
+// WAL handle is released. Close is idempotent; operations after Close
+// return ErrClosed.
 func (cl *Cluster) Close() error {
 	cl.closeOnce.Do(func() {
 		s := cl.sched

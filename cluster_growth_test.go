@@ -162,14 +162,15 @@ func checkGrowthState(t *testing.T, tag string, cl *Cluster, o *growOracle, res 
 	}
 }
 
-func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed int64) {
+// runGrowthDifferential streams growth batches into a cluster whose ranks
+// spans places (see newTestCluster).
+func runGrowthDifferential(t *testing.T, opt Options, spans []int, scale, batches int, seed int64) {
 	t.Helper()
 	g, err := GenerateRMAT(G500, scale, 8, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.DisableAutoRebuild = true // folds are driven explicitly below
-	cl, err := NewCluster(g, opt)
+	cl, err := newTestCluster(t, g, opt, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +178,14 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 
 	rng := rand.New(rand.NewSource(seed))
 	o := newGrowOracle(g)
+	// baseN follows the staleness folds the stream trips: a drain that
+	// rebuilt folded the whole space it ended with.
+	baseN := int64(g.N)
+	folded := func(res *UpdateResult) {
+		if res.Rebuilt {
+			baseN = o.n
+		}
+	}
 	for b := 0; b < batches; b++ {
 		batch := growthBatch(rng, o)
 		res, err := cl.ApplyUpdates(batch)
@@ -188,6 +197,7 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 			t.Fatalf("batch %d: VertexBase=%d, oracle %d", b, res.VertexBase, wantBase)
 		}
 		checkGrowthState(t, "batch", cl, o, res)
+		folded(res)
 
 		// Sprinkle the dedicated vertex ops through the stream.
 		if b%4 == 1 {
@@ -212,6 +222,7 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 				t.Errorf("batch %d: RemovedVertices=%d, want %d", b, res.RemovedVertices, len(uniq))
 			}
 			checkGrowthState(t, "remove", cl, o, res)
+			folded(res)
 		}
 		if b%5 == 2 {
 			res, err := cl.AddVertices(2)
@@ -224,6 +235,7 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 					b, res.VertexBase, res.AddedVertices, wantBase)
 			}
 			checkGrowthState(t, "add", cl, o, res)
+			folded(res)
 		}
 
 		// Every few batches, a full query over the spliced (and grown)
@@ -242,9 +254,9 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 				t.Errorf("batch %d: query N=%d, oracle %d", b, qres.N, o.n)
 			}
 			info := cl.Info()
-			if info.N != o.n || info.BaseN != int64(g.N) || info.OverflowN != o.n-int64(g.N) {
+			if info.N != o.n || info.BaseN != baseN || info.OverflowN != o.n-baseN {
 				t.Errorf("batch %d: Info N=%d BaseN=%d OverflowN=%d, oracle n=%d baseN=%d",
-					b, info.N, info.BaseN, info.OverflowN, o.n, g.N)
+					b, info.N, info.BaseN, info.OverflowN, o.n, baseN)
 			}
 		}
 	}
@@ -274,23 +286,23 @@ func runGrowthDifferential(t *testing.T, opt Options, scale, batches int, seed i
 }
 
 func TestClusterGrowthDifferentialCannon(t *testing.T) {
-	runGrowthDifferential(t, Options{Ranks: 4}, 9, 32, 21)
+	runGrowthDifferential(t, Options{Ranks: 4}, nil, 9, 32, 21)
 }
 
 func TestClusterGrowthDifferentialSUMMA(t *testing.T) {
-	runGrowthDifferential(t, Options{Ranks: 6}, 9, 32, 22)
+	runGrowthDifferential(t, Options{Ranks: 6}, nil, 9, 32, 22)
 }
 
 func TestClusterGrowthDifferentialCannonTCP(t *testing.T) {
-	runGrowthDifferential(t, Options{Ranks: 4, Transport: TransportTCP}, 8, 30, 23)
+	runGrowthDifferential(t, Options{Ranks: 4}, []int{2, 2}, 8, 30, 23)
 }
 
 func TestClusterGrowthDifferentialSUMMATCP(t *testing.T) {
-	runGrowthDifferential(t, Options{Ranks: 6, Transport: TransportTCP}, 8, 30, 24)
+	runGrowthDifferential(t, Options{Ranks: 6}, []int{3, 3}, 8, 30, 24)
 }
 
 func TestClusterGrowthDifferentialSingleRank(t *testing.T) {
-	runGrowthDifferential(t, Options{Ranks: 1}, 8, 30, 25)
+	runGrowthDifferential(t, Options{Ranks: 1}, nil, 8, 30, 25)
 }
 
 // TestClusterGrowthFold is the acceptance contract of the elastic space: a
@@ -303,7 +315,7 @@ func TestClusterGrowthFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,20 +372,26 @@ func TestClusterGrowthFold(t *testing.T) {
 
 // TestClusterGrowthPastBitmapWords: the kernel sizes its bitmaps from the
 // vertex count at the time of each count, never from the build. Starting from
-// 64 vertices (one bitmap word on both grids), each step admits
-// ids up to a new top — overflow ids keep their id as label, so the top ids
-// are the top intersection keys — and closes triangles through them, carrying
-// the local key range past 64, 128 and 256 on the Cannon grid (keys k div 2)
-// and past 64 and 128 on the SUMMA grid (keys k div 6). Every count over the
-// grown blocks, and over the folded ones after a rebuild, must match the
-// oracle.
+// 640 vertices (five bitmap words on the Cannon grid, two on the SUMMA grid),
+// each step admits ids up to a new top — overflow ids keep their id as label,
+// so the top ids are the top intersection keys — and closes triangles through
+// them, carrying the local key range past 320 and 384 on the Cannon grid
+// (keys k div 2) and past 128 on the SUMMA grid (keys k div 6). The last top
+// leaves exactly rebuildFraction of the base as overflow, so no staleness
+// fold runs before the explicit one. Every count over the grown blocks, and
+// over the folded ones after the rebuild, must match the oracle.
 func TestClusterGrowthPastBitmapWords(t *testing.T) {
+	const base = 640
 	for _, ranks := range []int{4, 6} { // Cannon 2×2, SUMMA 2×3
-		g, err := GenerateRMAT(G500, 6, 8, 94)
+		rm, err := GenerateRMAT(G500, 9, 8, 94)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := NewCluster(g, Options{Ranks: ranks, DisableAutoRebuild: true})
+		g, err := NewGraph(base, rm.Edges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewCluster(g, Options{Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +408,7 @@ func TestClusterGrowthPastBitmapWords(t *testing.T) {
 					ranks, tag, res.Triangles, res.N, want, o.n)
 			}
 		}
-		for _, top := range []int32{100, 140, 300, 800} {
+		for _, top := range []int32{660, 700, base + int32(rebuildFraction*base)} {
 			a, b, c := top-1, top-2, top-3
 			batch := []EdgeUpdate{{U: a, V: b}, {U: b, V: c}, {U: a, V: c}}
 			for v := int32(0); v < 8; v++ {
@@ -403,6 +421,9 @@ func TestClusterGrowthPastBitmapWords(t *testing.T) {
 			o.apply(batch)
 			checkGrowthState(t, "grow", cl, o, res)
 			count("grown")
+		}
+		if info := cl.Info(); info.BaseN != base || info.Rebuilds != 0 {
+			t.Fatalf("ranks=%d: grown blocks were folded early (BaseN=%d, %d rebuilds)", ranks, info.BaseN, info.Rebuilds)
 		}
 		if err := cl.Rebuild(); err != nil {
 			t.Fatal(err)
@@ -420,18 +441,21 @@ func TestClusterGrowthAutoFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Huge baseM makes edge churn irrelevant; only overflow can trip it.
-	cl, err := NewCluster(g, Options{Ranks: 4, RebuildFraction: 0.05})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	o := newGrowOracle(g)
 	rng := rand.New(rand.NewSource(41))
+	// Each batch admits a quarter of the ids the fold threshold allows, one
+	// edge each: the fifth crosses it, while its edges stay far below
+	// rebuildFraction of M — only overflow can trip the fold.
+	arrivals := int(rebuildFraction*float64(g.N)) / 4
 	sawFold := false
 	for b := 0; b < 8 && !sawFold; b++ {
 		var batch []EdgeUpdate
-		for a := 0; a < 4; a++ { // pure arrival batch
+		for a := 0; a < arrivals; a++ { // pure arrival batch
 			batch = append(batch, EdgeUpdate{U: int32(o.n) + int32(a), V: int32(rng.Intn(int(g.N))), Op: UpdateInsert})
 		}
 		res, err := cl.ApplyUpdates(batch)

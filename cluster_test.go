@@ -119,37 +119,6 @@ func TestClusterSUMMARanks(t *testing.T) {
 	}
 }
 
-func TestClusterTCPTransport(t *testing.T) {
-	g, err := GenerateRMAT(G500, 9, 8, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CountSequential(g)
-	cl, err := NewCluster(g, Options{Ranks: 4, Transport: TransportTCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for q := 0; q < 2; q++ {
-		res, err := cl.Count(QueryOptions{})
-		if err != nil {
-			t.Fatalf("query %d over TCP: %v", q, err)
-		}
-		if res.Triangles != want {
-			t.Errorf("query %d over TCP: %d triangles, want %d", q, res.Triangles, want)
-		}
-		if res.PreOps != 0 {
-			t.Errorf("query %d over TCP: PreOps=%d, want 0", q, res.PreOps)
-		}
-	}
-	if tr := cl.Info().Transport; tr != TransportTCP {
-		t.Errorf("Info().Transport=%v, want tcp", tr)
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClusterConcurrentQueries(t *testing.T) {
 	g := testClusterGraph(t)
 	want := CountSequential(g)

@@ -111,14 +111,17 @@ func wedgesOf(g *Graph) int64 {
 	return w
 }
 
-func runDifferential(t *testing.T, opt Options, scale, batches int, seed int64) {
+// runDifferential streams randomized batches into a cluster whose ranks
+// spans places (see newTestCluster).
+func runDifferential(t *testing.T, opt Options, spans []int, scale, batches int, seed int64) {
 	t.Helper()
 	g, err := GenerateRMAT(G500, scale, 8, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.DisableAutoRebuild = true // pure delta applies only; rebuilds tested separately
-	cl, err := NewCluster(g, opt)
+	// Pure delta applies only: the stream stays well under rebuildFraction
+	// of M, so no staleness rebuild runs; rebuilds are tested separately.
+	cl, err := newTestCluster(t, g, opt, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,45 +202,42 @@ func runDifferential(t *testing.T, opt Options, scale, batches int, seed int64) 
 }
 
 func TestClusterUpdatesDifferentialCannon(t *testing.T) {
-	runDifferential(t, Options{Ranks: 4}, 10, 8, 1)
+	runDifferential(t, Options{Ranks: 4}, nil, 10, 8, 1)
 }
 
 func TestClusterUpdatesDifferentialSingleRank(t *testing.T) {
-	runDifferential(t, Options{Ranks: 1}, 9, 6, 2)
+	runDifferential(t, Options{Ranks: 1}, nil, 9, 6, 2)
 }
 
 func TestClusterUpdatesDifferentialSUMMA(t *testing.T) {
-	runDifferential(t, Options{Ranks: 6}, 10, 8, 3)
-}
-
-func TestClusterUpdatesDifferentialForcedSUMMA(t *testing.T) {
-	runDifferential(t, Options{Ranks: 4, ForceSUMMA: true}, 9, 6, 4)
+	runDifferential(t, Options{Ranks: 6}, nil, 10, 8, 3)
 }
 
 func TestClusterUpdatesDifferentialTCP(t *testing.T) {
-	runDifferential(t, Options{Ranks: 4, Transport: TransportTCP}, 9, 6, 5)
+	runDifferential(t, Options{Ranks: 4}, []int{2, 2}, 9, 6, 5)
 }
 
-// TestClusterUpdatesRebuild drives the staleness machinery: with a low
-// rebuild fraction the cluster must rebuild mid-stream, keep every count
-// exact, and keep routing post-rebuild batches through the composed
-// label map. An explicit Rebuild call must also be a count-preserving
-// no-op on the graph itself.
+// TestClusterUpdatesRebuild drives the staleness machinery: with batches
+// sized so that three of them cross rebuildFraction of M, the cluster must
+// rebuild mid-stream, keep every count exact, and keep routing
+// post-rebuild batches through the composed label map. An explicit
+// Rebuild call must also be a count-preserving no-op on the graph itself.
 func TestClusterUpdatesRebuild(t *testing.T) {
 	g, err := GenerateRMAT(G500, 9, 8, 78)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, RebuildFraction: 0.02})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	rng := rand.New(rand.NewSource(9))
 	oracle := newEdgeOracle(g)
+	per := int(rebuildFraction*float64(g.NumEdges()))/3 + 1
 	sawRebuild := false
 	for b := 0; b < 8; b++ {
-		batch := randomBatch(rng, oracle, 10, 20)
+		batch := randomBatch(rng, oracle, per/3, per)
 		res, err := cl.ApplyUpdates(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", b, err)
@@ -296,7 +296,7 @@ func TestClusterUpdatesConcurrentWithQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

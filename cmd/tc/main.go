@@ -31,12 +31,11 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		ranks  = flag.Int("ranks", 1, "number of SPMD ranks (square = Cannon, otherwise SUMMA)")
 		enum   = flag.String("enum", "jik", "enumeration rule: jik or ijk")
-		summa  = flag.Bool("summa", false, "force the SUMMA schedule even for square rank counts")
 		seq    = flag.Bool("check", false, "cross-check against the sequential counter")
 	)
 	flag.Parse()
 
-	opt := tc2d.Options{Ranks: *ranks, ForceSUMMA: *summa}
+	opt := tc2d.Options{Ranks: *ranks}
 	switch *enum {
 	case "jik":
 		opt.Enumeration = tc2d.EnumJIK

@@ -42,7 +42,7 @@
 //
 //	tcd -rmat 14 -ranks 9                       # RMAT graph, 9-rank cluster
 //	tcd -graph edges.txt -ranks 4 -addr :7171   # edge-list file
-//	tcd -rmat 13 -preset twitter -tcp           # loopback-TCP transport
+//	tcd -rmat 13 -preset twitter -ranks 6       # SUMMA schedule (non-square)
 //	tcd -rmat 12 -max-concurrent-queries 32     # bound admitted reads
 //	tcd -rmat 12 -persist-dir /var/lib/tcd      # durable: restores on boot
 //	tcd -rmat 12 -pprof -slow-query 250ms       # profiling + slow-query log
@@ -127,7 +127,6 @@ func main() {
 		ef       = flag.Int("ef", 16, "RMAT edge factor")
 		seed     = flag.Uint64("seed", 42, "RMAT seed")
 		preset   = flag.String("preset", "g500", "RMAT preset: g500, twitter, friendster")
-		tcp      = flag.Bool("tcp", false, "use the loopback TCP transport between ranks")
 		slots    = flag.Int("slots", 0, "compute slots: bounds how many ranks, each one goroutine, run between messages (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain", time.Second, "grace period after /healthz flips to 503 before the listener closes")
 		maxQ     = flag.Int("max-concurrent-queries", 0, "cap on concurrently admitted read queries (0 = unlimited)")
@@ -147,9 +146,6 @@ func main() {
 	slog.SetDefault(logger)
 
 	opt := tc2d.Options{Ranks: *ranks, ComputeSlots: *slots, MaxVertices: *maxV, NoWALSync: *noSync}
-	if *tcp {
-		opt.Transport = tc2d.TransportTCP
-	}
 
 	start := time.Now()
 	var (
@@ -165,10 +161,6 @@ func main() {
 		// owns scheduling, durability and the HTTP surface.
 		if *follow != "" {
 			logger.Error("startup failed", "err", errors.New("-coordinator and -follow are mutually exclusive: a coordinator drives workers, a follower replicates a primary"))
-			os.Exit(1)
-		}
-		if *tcp {
-			logger.Error("startup failed", "err", errors.New("-coordinator and -tcp are mutually exclusive: worker processes always talk real TCP"))
 			os.Exit(1)
 		}
 		copt = &tc2d.CoordinatorOptions{
@@ -220,8 +212,7 @@ func main() {
 	logger.Info("resident cluster up",
 		"boot", time.Since(start).Round(time.Millisecond).String(),
 		"source", desc, "n", info.N, "m", info.M, "role", role,
-		"ranks", info.Ranks, "workers", info.Workers,
-		"transport", info.Transport.String())
+		"ranks", info.Ranks, "workers", info.Workers)
 
 	s := newServer(cluster, desc, start, *maxQ)
 	s.log = logger
@@ -922,7 +913,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"cluster": map[string]any{
 			"ranks":                info.Ranks,
-			"transport":            info.Transport.String(),
 			"queries":              info.Queries,
 			"updates":              info.Updates,
 			"rebuilds":             info.Rebuilds,

@@ -39,10 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	cluster, err := tc2d.NewCluster(g, tc2d.Options{
-		Ranks:           ranks,
-		RebuildFraction: 0.05, // rebuild after 5% of the edges churn
-	})
+	cluster, err := tc2d.NewCluster(g, tc2d.Options{Ranks: ranks})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -159,9 +159,9 @@ const (
 // chain is fetched and composed exactly as OpenCluster composes it from
 // disk — no preprocessing re-runs, PreOps == 0 — and the apply loop starts
 // tailing the WAL. The world shape (ranks, grid schedule, enumeration)
-// comes from the primary's manifest; opt supplies transport, kernel and
-// rebuild policy. opt.PersistDir must be unset: a follower's durable state
-// IS the primary's, re-fetchable at any time.
+// comes from the primary's manifest; opt supplies the deployment settings
+// (MaxVertices, ComputeSlots, Metrics). opt.PersistDir must be unset: a
+// follower's durable state IS the primary's, re-fetchable at any time.
 func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 	if opt.PersistDir != "" {
 		return nil, fmt.Errorf("tc2d: followers do not persist locally — unset PersistDir (the primary's chain is the durable state)")
@@ -407,7 +407,7 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 	// one rebuild per frame, under the gate we already hold. A rebuild
 	// failure is not fatal to replication (counts stay exact on the stale
 	// layout); it surfaces through LastError.
-	if cl.autoRebuild && cl.stale() {
+	if cl.stale() {
 		if err := cl.rebuildLocked(); err != nil {
 			f.lastErr.Store(fmt.Sprintf("staleness rebuild: %v", err))
 		}

@@ -10,138 +10,153 @@ import (
 	"tc2d/internal/snapshot"
 )
 
-// Incremental-maintenance tests: the churn-proportional rebuild must agree
-// exactly — counts, totals, layout invariants — with the full preprocessing
-// pipeline and the sequential oracle under randomized mixed update streams;
-// delta-compressed snapshot chains must survive kills at arbitrary points
-// and fall back past corrupt chain members; and the headline cost claims
-// (≥5× fewer preprocessing ops at ~1% churn, ≥10× fewer snapshot bytes)
-// are asserted, not just reported.
+// Incremental-maintenance tests: rebuilds forced at varying churn stay
+// exact against the sequential oracle, and the cluster picks the
+// churn-proportional pass exactly when the degree-dirty set is within
+// incrementalFraction of N (the pass itself is checked against the full
+// pipeline in internal/delta); delta-compressed snapshot chains must
+// survive kills at arbitrary points and fall back past corrupt chain
+// members; and the headline cost claims (≥5× fewer preprocessing ops for
+// a small-churn rebuild, ≥10× fewer snapshot bytes at ~1% churn) are
+// asserted, not just reported.
 
-// runIncrementalDifferential streams the same randomized batches into two
-// clusters — one rebuilding incrementally (fraction 0.99, so every forced
-// rebuild takes the churn-proportional path), one with incremental rebuild
-// disabled — forcing rebuilds at varying churn levels and requiring exact
-// agreement between both clusters and the sequential oracle after every
-// batch and every rebuild.
-func runIncrementalDifferential(t *testing.T, opt Options, scale, batches int, seed int64) {
+// runIncrementalDifferential streams randomized growth batches into one
+// cluster, whose ranks spans places (see newTestCluster), and forces a
+// rebuild after bursts of different lengths: the degree-dirty set at a
+// rebuild spans small to sizeable churn, so the cluster takes both rebuild
+// modes. Counts, totals and the folded layout must match the sequential
+// oracle after every batch and every rebuild.
+func runIncrementalDifferential(t *testing.T, opt Options, spans []int, scale, batches int, seed int64) {
 	t.Helper()
 	g, err := GenerateRMAT(G500, scale, 8, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.DisableAutoRebuild = true // rebuilds are forced explicitly below
-	incOpt := opt
-	incOpt.IncrementalRebuildFraction = 0.99
-	fullOpt := opt
-	fullOpt.DisableIncrementalRebuild = true
-	inc, err := NewCluster(g, incOpt)
+	cl, err := newTestCluster(t, g, opt, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inc.Close()
-	full, err := NewCluster(g, fullOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
+	defer cl.Close()
 
 	rng := rand.New(rand.NewSource(seed))
 	o := newGrowOracle(g)
-	// Rebuild after bursts of different lengths, so the degree-dirty set —
-	// the incremental path's input — spans small to sizeable churn.
 	intervals := []int{2, 5, 9}
 	next, slot := intervals[0], 0
-	var forced int64
 	for b := 0; b < batches; b++ {
 		batch := growthBatch(rng, o)
-		resI, err := inc.ApplyUpdates(batch)
+		res, err := cl.ApplyUpdates(batch)
 		if err != nil {
-			t.Fatalf("batch %d (incremental): %v", b, err)
-		}
-		resF, err := full.ApplyUpdates(batch)
-		if err != nil {
-			t.Fatalf("batch %d (full): %v", b, err)
+			t.Fatalf("batch %d: %v", b, err)
 		}
 		o.apply(batch)
-		checkGrowthState(t, "incremental batch", inc, o, resI)
-		checkGrowthState(t, "full batch", full, o, resF)
-
-		if b == next {
-			if err := inc.Rebuild(); err != nil {
-				t.Fatalf("batch %d: incremental rebuild: %v", b, err)
-			}
-			if err := full.Rebuild(); err != nil {
-				t.Fatalf("batch %d: full rebuild: %v", b, err)
-			}
-			forced++
-			// Both rebuild modes must restore the clean cyclic layout…
-			for tag, cl := range map[string]*Cluster{"incremental": inc, "full": full} {
-				info := cl.Info()
-				if info.BaseN != info.N || info.OverflowN != 0 {
-					t.Fatalf("batch %d: %s rebuild left BaseN=%d N=%d OverflowN=%d",
-						b, tag, info.BaseN, info.N, info.OverflowN)
-				}
-			}
-			// …and a query over the rebuilt blocks must agree with the oracle.
-			want := CountSequential(o.graph(t))
-			qi, err := inc.Count(QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			qf, err := full.Count(QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qi.Triangles != want || qf.Triangles != want {
-				t.Fatalf("batch %d: post-rebuild counts incremental=%d full=%d, oracle %d",
-					b, qi.Triangles, qf.Triangles, want)
-			}
-			slot = (slot + 1) % len(intervals)
-			next += intervals[slot]
+		checkGrowthState(t, "batch", cl, o, res)
+		if b != next {
+			continue
 		}
-	}
-
-	// The incremental cluster must actually have taken the incremental path
-	// on every forced rebuild, the control cluster never.
-	if got := inc.Info().IncrementalRebuilds; got != forced {
-		t.Errorf("incremental cluster ran %d incremental rebuilds, want %d", got, forced)
-	}
-	if got := full.Info().IncrementalRebuilds; got != 0 {
-		t.Errorf("disabled cluster ran %d incremental rebuilds", got)
-	}
-
-	gm := o.graph(t)
-	wantTr := Transitivity(gm)
-	for tag, cl := range map[string]*Cluster{"incremental": inc, "full": full} {
-		tr, err := cl.Transitivity()
+		if err := cl.Rebuild(); err != nil {
+			t.Fatalf("batch %d: rebuild: %v", b, err)
+		}
+		if info := cl.Info(); info.BaseN != info.N || info.OverflowN != 0 {
+			t.Fatalf("batch %d: rebuild left BaseN=%d N=%d OverflowN=%d", b, info.BaseN, info.N, info.OverflowN)
+		}
+		q, err := cl.Count(QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(tr-wantTr) > 1e-12 {
-			t.Errorf("%s transitivity %v, oracle %v", tag, tr, wantTr)
+		if want := CountSequential(o.graph(t)); q.Triangles != want {
+			t.Fatalf("batch %d: post-rebuild count %d, oracle %d", b, q.Triangles, want)
 		}
+		slot = (slot + 1) % len(intervals)
+		next += intervals[slot]
+	}
+	if info := cl.Info(); info.IncrementalRebuilds == 0 || info.IncrementalRebuilds == info.Rebuilds {
+		t.Errorf("%d of %d rebuilds ran incrementally, want both modes", info.IncrementalRebuilds, info.Rebuilds)
+	}
+	tr, err := cl.Transitivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Transitivity(o.graph(t)); math.Abs(tr-want) > 1e-12 {
+		t.Errorf("transitivity %v, oracle %v", tr, want)
 	}
 }
 
 func TestIncrementalRebuildDifferentialCannon(t *testing.T) {
-	runIncrementalDifferential(t, Options{Ranks: 4}, 9, 32, 41)
+	runIncrementalDifferential(t, Options{Ranks: 4}, nil, 11, 32, 41)
 }
 
 func TestIncrementalRebuildDifferentialSUMMA(t *testing.T) {
-	runIncrementalDifferential(t, Options{Ranks: 6}, 9, 32, 42)
+	runIncrementalDifferential(t, Options{Ranks: 6}, nil, 11, 32, 42)
 }
 
 func TestIncrementalRebuildDifferentialCannonTCP(t *testing.T) {
-	runIncrementalDifferential(t, Options{Ranks: 4, Transport: TransportTCP}, 8, 30, 43)
+	runIncrementalDifferential(t, Options{Ranks: 4}, []int{2, 2}, 11, 30, 43)
 }
 
 func TestIncrementalRebuildDifferentialSUMMATCP(t *testing.T) {
-	runIncrementalDifferential(t, Options{Ranks: 6, Transport: TransportTCP}, 8, 30, 44)
+	runIncrementalDifferential(t, Options{Ranks: 6}, []int{3, 3}, 11, 30, 44)
 }
 
 func TestIncrementalRebuildDifferentialSingleRank(t *testing.T) {
-	runIncrementalDifferential(t, Options{Ranks: 1}, 8, 30, 45)
+	runIncrementalDifferential(t, Options{Ranks: 1}, nil, 11, 30, 45)
+}
+
+// TestRebuildModeFollowsDirtyFraction pins the rebuild-mode choice: a
+// Rebuild whose degree-dirty set is within incrementalFraction of N runs
+// the incremental pass, one past it the full pipeline. Both must leave the
+// counts exact and the overflow folded; the passes themselves are checked
+// against each other in internal/delta.
+func TestRebuildModeFollowsDirtyFraction(t *testing.T) {
+	g, err := GenerateRMAT(G500, 10, 8, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(g, Options{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(76))
+	o := newGrowOracle(g)
+	m := float64(g.NumEdges())
+	for _, tc := range []struct {
+		name        string
+		updates     float64 // each touches at most two labels
+		incremental bool
+	}{
+		{"under", incrementalFraction * float64(g.N) / 4, true},
+		{"over", 2 * incrementalFraction * float64(g.N), false},
+	} {
+		batch := churnBatch(rng, o, tc.updates/m)
+		res, err := cl.ApplyUpdates(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.apply(batch)
+		checkGrowthState(t, tc.name, cl, o, res)
+		before := cl.Info()
+		if err := cl.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		info := cl.Info()
+		if info.Rebuilds != before.Rebuilds+1 {
+			t.Fatalf("%s: Rebuilds %d -> %d, want one more", tc.name, before.Rebuilds, info.Rebuilds)
+		}
+		if inc := info.IncrementalRebuilds - before.IncrementalRebuilds; inc != 0 != tc.incremental {
+			t.Fatalf("%s: %d-update churn ran %d incremental rebuilds, want incremental=%v",
+				tc.name, len(batch), inc, tc.incremental)
+		}
+		if info.BaseN != info.N {
+			t.Fatalf("%s: rebuild left BaseN=%d N=%d", tc.name, info.BaseN, info.N)
+		}
+		q, err := cl.Count(QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := CountSequential(o.graph(t)); q.Triangles != want {
+			t.Fatalf("%s: post-rebuild count %d, oracle %d", tc.name, q.Triangles, want)
+		}
+	}
 }
 
 // churnBatch builds ~frac·M edge mutations (half deletions of existing
@@ -181,20 +196,17 @@ func churnBatch(rng *rand.Rand, o *growOracle, frac float64) []EdgeUpdate {
 	return batch
 }
 
-// TestIncrementalRebuildOpsSavings is the headline cost acceptance: at ~1%
-// edge churn an incremental rebuild must perform at least 5× fewer
-// preprocessing operations than the full pipeline did at build time, with
-// the savings visible through the mode-labeled metrics.
+// TestIncrementalRebuildOpsSavings is the headline cost acceptance: at
+// churn small enough for the incremental pass (its degree-dirty set within
+// incrementalFraction of N) an incremental rebuild must perform at least 5×
+// fewer preprocessing operations than the full pipeline did at build time,
+// with the savings visible through the mode-labeled metrics.
 func TestIncrementalRebuildOpsSavings(t *testing.T) {
 	g, err := GenerateRMAT(G500, 12, 8, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{
-		Ranks:                      4,
-		DisableAutoRebuild:         true,
-		IncrementalRebuildFraction: 0.5,
-	})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +218,7 @@ func TestIncrementalRebuildOpsSavings(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(77))
 	o := newGrowOracle(g)
-	batch := churnBatch(rng, o, 0.01)
+	batch := churnBatch(rng, o, incrementalFraction*float64(g.N)/4/float64(g.NumEdges()))
 	res, err := cl.ApplyUpdates(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +238,8 @@ func TestIncrementalRebuildOpsSavings(t *testing.T) {
 		t.Fatalf("incremental rebuild reported PreOps=%d", incOps)
 	}
 	if buildOps < 5*incOps {
-		t.Fatalf("incremental rebuild at ~1%% churn: %d ops vs %d at build — less than the required 5× saving",
-			incOps, buildOps)
+		t.Fatalf("incremental rebuild after %d updates: %d ops vs %d at build — less than the required 5× saving",
+			len(batch), incOps, buildOps)
 	}
 	t.Logf("preprocessing ops: full build %d, incremental rebuild %d (%.1fx fewer, %d edge churn)",
 		buildOps, incOps, float64(buildOps)/float64(incOps), len(batch))
@@ -279,7 +291,7 @@ func TestDeltaSnapshotBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, DisableAutoSnapshot: true})
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,15 +350,10 @@ func TestSnapshotChainCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{
-		Ranks:                     4,
-		PersistDir:                dir,
-		DisableAutoSnapshot:       true,
-		DisableAutoRebuild:        true,
-		DisableIncrementalRebuild: true, // Rebuild() below must run the full pipeline
-		SnapshotFraction:          0.9,  // churn never forces compaction in this test
-	}
-	cl, err := NewCluster(g, opt)
+	// One growth batch per snapshot stays far below every policy threshold:
+	// no auto-snapshot, no staleness rebuild, and no compaction forced by
+	// churn — only the chain limit and the explicit Rebuild shape the chain.
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +390,13 @@ func TestSnapshotChainCompaction(t *testing.T) {
 	}
 
 	// A full rebuild swaps the resident blocks: the next snapshot must be a
-	// base even though the chain has room.
+	// base even though the chain has room. Six batches dirtied more than
+	// incrementalFraction of the labels, so Rebuild runs the full pipeline.
 	if err := cl.Rebuild(); err != nil {
 		t.Fatal(err)
+	}
+	if info := cl.Info(); info.Rebuilds != 1 || info.IncrementalRebuilds != 0 {
+		t.Fatalf("Rebuilds=%d IncrementalRebuilds=%d, want one full rebuild", info.Rebuilds, info.IncrementalRebuilds)
 	}
 	if info := step(); info.Kind != snapshot.KindBase || info.ChainLen != 0 {
 		t.Fatalf("snapshot after full rebuild: kind=%q chainLen=%d, want a forced base", info.Kind, info.ChainLen)
@@ -397,12 +408,13 @@ func TestSnapshotChainCompaction(t *testing.T) {
 // explicit snapshots (building delta chains) and forced rebuilds, killed at
 // a random point — possibly right after a base, mid-chain, or just after a
 // compaction — must reopen to the exact oracle state, keep accepting the
-// stream, and survive a second restart.
-func runChainKillRecovery(t *testing.T, opt Options, scale, batches int, seed int64) {
+// stream, and survive a second restart. The graph's scale decides the
+// rebuild mode: incremental says whether the forced rebuilds' degree-dirty
+// sets stay within incrementalFraction of N.
+func runChainKillRecovery(t *testing.T, opt Options, scale, batches int, incremental bool, seed int64) {
 	t.Helper()
 	dir := t.TempDir()
 	opt.PersistDir = dir
-	opt.DisableAutoSnapshot = true
 	g, err := GenerateRMAT(G500, scale, 8, 91)
 	if err != nil {
 		t.Fatal(err)
@@ -433,6 +445,9 @@ func runChainKillRecovery(t *testing.T, opt Options, scale, batches int, seed in
 				t.Fatalf("batch %d: rebuild: %v", b, err)
 			}
 		}
+	}
+	if info := cl.Info(); info.Rebuilds > 0 && (info.IncrementalRebuilds == info.Rebuilds) != incremental {
+		t.Fatalf("%d of %d rebuilds ran incrementally, want incremental=%v", info.IncrementalRebuilds, info.Rebuilds, incremental)
 	}
 	cl.killForTest()
 
@@ -470,15 +485,15 @@ func runChainKillRecovery(t *testing.T, opt Options, scale, batches int, seed in
 }
 
 func TestChainKillRecoveryCannon(t *testing.T) {
-	runChainKillRecovery(t, Options{Ranks: 4, IncrementalRebuildFraction: 0.9}, 8, 14, 201)
+	runChainKillRecovery(t, Options{Ranks: 4}, 12, 14, true, 201)
 }
 
 func TestChainKillRecoverySUMMA(t *testing.T) {
-	runChainKillRecovery(t, Options{Ranks: 6, IncrementalRebuildFraction: 0.3}, 8, 14, 202)
+	runChainKillRecovery(t, Options{Ranks: 6}, 8, 14, false, 202)
 }
 
 func TestChainKillRecoverySingleRank(t *testing.T) {
-	runChainKillRecovery(t, Options{Ranks: 1, IncrementalRebuildFraction: 0.9}, 7, 12, 203)
+	runChainKillRecovery(t, Options{Ranks: 1}, 12, 12, true, 203)
 }
 
 // TestOpenClusterCorruptDeltaFallsBack: a damaged delta blob must fail the
@@ -486,11 +501,11 @@ func TestChainKillRecoverySingleRank(t *testing.T) {
 // whose longer WAL tail replays to the exact same state.
 func TestOpenClusterCorruptDeltaFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	g, err := GenerateRMAT(G500, 7, 8, 9)
+	g, err := GenerateRMAT(G500, 9, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Ranks: 4, PersistDir: dir, DisableAutoSnapshot: true}
+	opt := Options{Ranks: 4, PersistDir: dir}
 	cl, err := NewCluster(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -539,20 +554,5 @@ func TestOpenClusterCorruptDeltaFallsBack(t *testing.T) {
 	checkRestored(t, "delta fallback", cl2, o)
 	if _, err := os.Stat(dinfo.Path); !os.IsNotExist(err) {
 		t.Fatalf("corrupt delta snapshot %s survived the fallback (stat err=%v)", dinfo.Path, err)
-	}
-}
-
-// TestIncrementalRebuildFractionValidation mirrors the RebuildFraction and
-// SnapshotFraction contracts: out-of-range (or NaN) fractions are refused
-// up front.
-func TestIncrementalRebuildFractionValidation(t *testing.T) {
-	g, err := GenerateRMAT(G500, 7, 8, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
-		if _, err := NewCluster(g, Options{Ranks: 1, IncrementalRebuildFraction: f}); err == nil {
-			t.Errorf("IncrementalRebuildFraction=%v accepted", f)
-		}
 	}
 }

@@ -132,8 +132,8 @@ func (p *Prepared) MarkDegreeDirty(labels []int32) {
 func (p *Prepared) DegreeDirty() []int32 { return sortedI32Set(p.degreeDirty) }
 
 // DegreeDirtyCount returns the size of the degree-dirty set — the churn
-// signal the cluster's staleness policy compares against
-// Options.IncrementalRebuildFraction to pick the rebuild mode.
+// signal the cluster's rebuild policy compares against a fixed share of
+// the vertex count to pick the rebuild mode.
 func (p *Prepared) DegreeDirtyCount() int { return len(p.degreeDirty) }
 
 // ResetDegreeDirty clears the degree-dirty set; both rebuild modes call it

@@ -46,7 +46,7 @@ func exerciseCluster(t *testing.T, cl *Cluster, durable bool) {
 // kernel, per-rank epoch accounting and durability I/O.
 func TestClusterMetricsExposition(t *testing.T) {
 	g := testClusterGraph(t)
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir(), DisableAutoSnapshot: true})
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCountTracedSpanTree(t *testing.T) {
 // clusters) the WAL append.
 func TestApplyUpdatesTraced(t *testing.T) {
 	g := testClusterGraph(t)
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir(), DisableAutoSnapshot: true})
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestApplyUpdatesTraced(t *testing.T) {
 // manifest commit, and the WAL rotation.
 func TestSnapshotTraced(t *testing.T) {
 	g := testClusterGraph(t)
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir(), DisableAutoSnapshot: true})
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSnapshotTraced(t *testing.T) {
 func TestRestoredClusterMetrics(t *testing.T) {
 	dir := t.TempDir()
 	g := testClusterGraph(t)
-	opt := Options{Ranks: 4, PersistDir: dir, DisableAutoSnapshot: true}
+	opt := Options{Ranks: 4, PersistDir: dir}
 	cl, err := NewCluster(g, opt)
 	if err != nil {
 		t.Fatal(err)

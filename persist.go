@@ -11,9 +11,9 @@ package tc2d
 //     its callers are acknowledged, so an acknowledged update survives a
 //     crash.
 //   - Snapshot() (and the automatic trigger, once the WAL covers more than
-//     Options.SnapshotFraction of the resident edge count) persists the
-//     current state and rotates the WAL; a snapshot supersedes the older
-//     WAL segments, which are pruned.
+//     half the edge count at the last build) persists the current state
+//     and rotates the WAL; a snapshot supersedes the older WAL segments,
+//     which are pruned.
 //   - OpenCluster(dir, opt) restores: newest valid snapshot, decoded in
 //     parallel — without re-running the preprocessing pipeline, so the
 //     restored cluster reports PreOps == 0 — then the WAL tail replayed
@@ -101,9 +101,7 @@ type PersistInfo struct {
 // take a while; mu guards only the counters and is held briefly, so Info()
 // (and tcd's /stats) never blocks behind an in-flight snapshot.
 type persister struct {
-	dir      string
-	snapFrac float64
-	autoSnap bool
+	dir string
 
 	snapMu sync.Mutex // serializes snapshotShared end to end
 
@@ -237,7 +235,7 @@ func (cl *Cluster) initPersist(res *resolvedOptions) error {
 		return err
 	}
 	cl.persist = p
-	if _, err := cl.snapshotShared(); err != nil {
+	if _, err := cl.snapshotShared(nil); err != nil {
 		p.wal.Close()
 		cl.persist = nil
 		return fmt.Errorf("tc2d: initial snapshot: %w", err)
@@ -255,12 +253,10 @@ func (cl *Cluster) newPersister(res *resolvedOptions, dir string, base, lastSeq 
 	}
 	wal.SetObserver(cl.metrics.walObserver())
 	return &persister{
-		dir:      dir,
-		snapFrac: res.snapFrac,
-		autoSnap: !res.DisableAutoSnapshot,
-		wal:      wal,
-		seqWait:  make(chan struct{}),
-		seq:      lastSeq,
+		dir:     dir,
+		wal:     wal,
+		seqWait: make(chan struct{}),
+		seq:     lastSeq,
 	}, nil
 }
 
@@ -338,9 +334,9 @@ func (cl *Cluster) WaitCommitted(ctx context.Context, after uint64) uint64 {
 
 // autoSnapshotDue evaluates the snapshot trigger after a write drain, with
 // sched.gate held exclusively (so baseM and the WAL counters are stable):
-// once the WAL has accumulated effective mutations beyond SnapshotFraction
-// of the edge count at the last build — the same staleness currency
-// RebuildFraction uses — the state should be persisted and the WAL
+// once the WAL has accumulated effective mutations beyond snapshotFraction
+// of the edge count at the last build — the same staleness currency the
+// rebuild trigger uses — the state should be persisted and the WAL
 // rotated. The caller then runs the snapshot under the shared gate, so
 // queries are not stalled; errors are not fatal to the write path (the WAL
 // keeps the cluster recoverable) and the next drain retries.
@@ -348,8 +344,8 @@ func (cl *Cluster) autoSnapshotDue() bool {
 	p := cl.persist
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.failed == nil && p.autoSnap && p.seq > p.snapSeq &&
-		float64(p.walEdges) > p.snapFrac*float64(cl.baseM)
+	return p.failed == nil && p.seq > p.snapSeq &&
+		float64(p.walEdges) > snapshotFraction*float64(cl.baseM)
 }
 
 // Snapshot persists the current resident state: every rank encodes and
@@ -360,19 +356,10 @@ func (cl *Cluster) autoSnapshotDue() bool {
 // are pruned. Concurrent Snapshot calls serialize; calling it again with no
 // interleaving write is a no-op returning the existing snapshot. Close
 // waits for an in-flight Snapshot to finish before tearing the world down.
+// The write path also snapshots on its own, once the WAL holds effective
+// mutations beyond half the edge count at the last build.
 func (cl *Cluster) Snapshot() (*SnapshotInfo, error) {
-	start := time.Now()
-	cl.sched.gate.RLock()
-	defer cl.sched.gate.RUnlock()
-	if cl.closed.Load() {
-		return nil, ErrClosed
-	}
-	if cl.persist == nil {
-		return nil, errNotDurable
-	}
-	info, err := cl.snapshotShared()
-	cl.metrics.observeOp("snapshot", start, err)
-	return info, err
+	return cl.snapshotTraced(nil)
 }
 
 // SnapshotTraced is Snapshot with a per-request execution trace bracketing
@@ -380,33 +367,35 @@ func (cl *Cluster) Snapshot() (*SnapshotInfo, error) {
 // the WAL rotation. The trace is returned even when the snapshot fails.
 func (cl *Cluster) SnapshotTraced() (*SnapshotInfo, *obs.Trace, error) {
 	tr := obs.NewTrace("snapshot")
-	defer tr.End()
+	info, err := cl.snapshotTraced(tr)
+	tr.End()
+	return info, tr, err
+}
+
+// snapshotTraced is Snapshot carrying an optional per-request trace whose
+// spans the snapshot phases fill in.
+func (cl *Cluster) snapshotTraced(tr *obs.Trace) (*SnapshotInfo, error) {
 	start := time.Now()
 	adm := tr.Span().StartChild("admission")
 	cl.sched.gate.RLock()
 	adm.End()
 	defer cl.sched.gate.RUnlock()
 	if cl.closed.Load() {
-		return nil, tr, ErrClosed
+		return nil, ErrClosed
 	}
 	if cl.persist == nil {
-		return nil, tr, errNotDurable
+		return nil, errNotDurable
 	}
-	info, err := cl.snapshotSharedTraced(tr.Span())
+	info, err := cl.snapshotShared(tr.Span())
 	cl.metrics.observeOp("snapshot", start, err)
-	return info, tr, err
+	return info, err
 }
 
-// snapshotShared writes one snapshot. The caller holds sched.gate (shared
-// or exclusive) — or, during NewCluster, has not yet published the cluster
-// — so the resident state cannot change underneath the encoding epoch.
-func (cl *Cluster) snapshotShared() (*SnapshotInfo, error) {
-	return cl.snapshotSharedTraced(nil)
-}
-
-// snapshotSharedTraced is snapshotShared with an optional parent span the
-// snapshot phases are recorded under.
-func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error) {
+// snapshotShared writes one snapshot, recording its phases under parent
+// when that is non-nil. The caller holds sched.gate (shared or exclusive)
+// — or, during NewCluster, has not yet published the cluster — so the
+// resident state cannot change underneath the encoding epoch.
+func (cl *Cluster) snapshotShared(parent *obs.Span) (*SnapshotInfo, error) {
 	p := cl.persist
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
@@ -430,13 +419,13 @@ func (cl *Cluster) snapshotSharedTraced(parent *obs.Span) (*SnapshotInfo, error)
 	// Delta eligibility: a base must exist for the chain to hang off, the
 	// resident state must not have been swapped by a full rebuild since,
 	// the chain must be under its length limit, and the churn accumulated
-	// since the base must be modest — past SnapshotFraction of the base
+	// since the base must be modest — past snapshotFraction of the base
 	// edge count per chain link, replaying the chain approaches the cost of
 	// a base, so the snapshot compacts instead. cl.baseM is stable here:
 	// it only changes on the write path, which the caller's gate excludes.
 	useDelta := p.haveBase && !p.forceBase &&
 		p.chainLen < snapshotChainLimit &&
-		float64(p.churnBase) <= p.snapFrac*float64(cl.baseM)*snapshotChainLimit
+		float64(p.churnBase) <= snapshotFraction*float64(cl.baseM)*snapshotChainLimit
 	parentSeq := p.snapSeq
 	chainLen := p.chainLen + 1
 	churnBase := p.churnBase
@@ -644,8 +633,8 @@ func (cl *Cluster) closePersist() {
 // ErrSnapshotCorrupt; an empty directory with ErrNoSnapshot.
 //
 // The world shape (rank count, grid schedule, enumeration rule) comes from
-// the snapshot manifest; opt supplies everything else (transport, rebuild
-// and snapshot policy, MaxVertices, cost model). A non-zero opt.Ranks or
+// the snapshot manifest; opt supplies the deployment settings (MaxVertices,
+// NoWALSync, ComputeSlots, Metrics). A non-zero opt.Ranks or
 // opt.Enumeration conflicting with the manifest is an error.
 // opt.PersistDir is ignored: dir is the persistence directory, and the
 // reopened cluster continues appending to its WAL.

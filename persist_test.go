@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"tc2d/internal/core"
+	"tc2d/internal/dgraph"
+	"tc2d/internal/mpi"
 	"tc2d/internal/snapshot"
 )
 
@@ -70,8 +73,9 @@ func checkRestored(t *testing.T, tag string, cl *Cluster, o *growOracle) {
 // persistence directory, and require exact agreement with the sequential
 // oracle and a from-scratch cluster — with zero preprocessing on restore.
 // The restored cluster then continues the stream and is restarted once
-// more, proving the reopened WAL keeps accepting commits.
-func runKillRecovery(t *testing.T, opt Options, scale, batches int, seed int64) {
+// more, proving the reopened WAL keeps accepting commits. spans places the
+// killed cluster's ranks (see newTestCluster); the restores run in-process.
+func runKillRecovery(t *testing.T, opt Options, spans []int, scale, batches int, seed int64) {
 	t.Helper()
 	dir := t.TempDir()
 	opt.PersistDir = dir
@@ -79,7 +83,7 @@ func runKillRecovery(t *testing.T, opt Options, scale, batches int, seed int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, opt)
+	cl, err := newTestCluster(t, g, opt, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func runKillRecovery(t *testing.T, opt Options, scale, batches int, seed int64) 
 	checkRestored(t, "restored", cl2, o)
 
 	// A from-scratch cluster over the mutated graph must agree too.
-	fresh, err := NewCluster(o.graph(t), Options{Ranks: opt.Ranks, ForceSUMMA: opt.ForceSUMMA})
+	fresh, err := NewCluster(o.graph(t), Options{Ranks: opt.Ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,23 +174,107 @@ func runKillRecovery(t *testing.T, opt Options, scale, batches int, seed int64) 
 }
 
 func TestClusterKillRecoveryCannon(t *testing.T) {
-	runKillRecovery(t, Options{Ranks: 4}, 8, 14, 101)
+	runKillRecovery(t, Options{Ranks: 4}, nil, 8, 14, 101)
 }
 
 func TestClusterKillRecoverySUMMA(t *testing.T) {
-	runKillRecovery(t, Options{Ranks: 6}, 8, 14, 102)
+	runKillRecovery(t, Options{Ranks: 6}, nil, 8, 14, 102)
 }
 
 func TestClusterKillRecoveryCannonTCP(t *testing.T) {
-	runKillRecovery(t, Options{Ranks: 4, Transport: TransportTCP}, 7, 12, 103)
+	runKillRecovery(t, Options{Ranks: 4}, []int{2, 2}, 7, 12, 103)
 }
 
 func TestClusterKillRecoverySUMMATCP(t *testing.T) {
-	runKillRecovery(t, Options{Ranks: 6, Transport: TransportTCP}, 7, 12, 104)
+	runKillRecovery(t, Options{Ranks: 6}, []int{3, 3}, 7, 12, 104)
 }
 
 func TestClusterKillRecoverySingleRank(t *testing.T) {
-	runKillRecovery(t, Options{Ranks: 1}, 7, 12, 105)
+	runKillRecovery(t, Options{Ranks: 1}, nil, 7, 12, 105)
+}
+
+// TestOpenClusterSquareSUMMA: square rank counts always build the Cannon
+// layout now, but a directory written when a 4-rank cluster could be forced
+// onto SUMMA broadcasts still opens on the schedule its manifest names —
+// and keeps it through a batch and a full rebuild.
+func TestOpenClusterSquareSUMMA(t *testing.T) {
+	const ranks = 4
+	dir := t.TempDir()
+	g, err := GenerateRMAT(G500, 8, 8, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+	blobs := make([][]byte, ranks)
+	_, err = w.Run(func(c *mpi.Comm) (any, error) {
+		var gin *Graph
+		if c.Rank() == 0 {
+			gin = g
+		}
+		d, err := dgraph.ScatterGraph(c, 0, gin)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := core.PrepareGrid(c, d, 2, 2, true, core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		blobs[c.Rank()] = core.EncodePrepared(pr)
+		return nil, nil
+	})
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := snapshot.NewWriter(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, blob := range blobs {
+		if err := sw.WriteRank(r, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Commit(snapshot.Manifest{
+		Ranks: ranks, SUMMA: true, QR: 2, QC: 2,
+		Triangles: CountSequential(g), BaseM: g.NumEdges(), Kind: snapshot.KindBase,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	cl, err := OpenCluster(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	o := newGrowOracle(g)
+	checkRestored(t, "square SUMMA restore", cl, o)
+	onSUMMA := func(tag string) {
+		t.Helper()
+		if m := cl.metaNow(); !m.SUMMA || m.QR != 2 || m.QC != 2 {
+			t.Fatalf("%s: layout SUMMA=%v %d×%d, want SUMMA on 2×2", tag, m.SUMMA, m.QR, m.QC)
+		}
+	}
+	onSUMMA("restored")
+
+	// Enough churn that the rebuild runs the full pipeline, which re-derives
+	// the grid and schedule from the resident state.
+	rng := rand.New(rand.NewSource(38))
+	batch := churnBatch(rng, o, 2*incrementalFraction*float64(g.N)/float64(g.NumEdges()))
+	res, err := cl.ApplyUpdates(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.apply(batch)
+	checkGrowthState(t, "square SUMMA batch", cl, o, res)
+	if err := cl.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if info := cl.Info(); info.Rebuilds != 1 || info.IncrementalRebuilds != 0 {
+		t.Fatalf("Rebuilds=%d IncrementalRebuilds=%d, want one full rebuild", info.Rebuilds, info.IncrementalRebuilds)
+	}
+	checkRestored(t, "square SUMMA rebuild", cl, o)
+	onSUMMA("rebuilt")
 }
 
 // TestClusterSnapshotRestore is the deterministic core of the durability
@@ -254,11 +342,11 @@ func TestClusterSnapshotRestore(t *testing.T) {
 // the exact same state.
 func TestOpenClusterFallbackToPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	g, err := GenerateRMAT(G500, 7, 8, 9)
+	g, err := GenerateRMAT(G500, 9, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Ranks: 4, PersistDir: dir, DisableAutoSnapshot: true}
+	opt := Options{Ranks: 4, PersistDir: dir}
 	cl, err := NewCluster(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -454,24 +542,24 @@ func TestNewClusterRecoversFromFirstBootCrash(t *testing.T) {
 	}
 }
 
-// TestAutoSnapshotTrigger: with a tiny SnapshotFraction every drain pushes
-// the WAL over the threshold, so snapshots happen without any explicit
-// call, supersede their WAL segments, and a reopen replays (almost)
-// nothing.
+// TestAutoSnapshotTrigger: every batch churns more than snapshotFraction
+// of the edges, so each drain pushes the WAL over the threshold and
+// snapshots happen without any explicit call, supersede their WAL
+// segments, and a reopen replays nothing.
 func TestAutoSnapshotTrigger(t *testing.T) {
 	dir := t.TempDir()
 	g, err := GenerateRMAT(G500, 8, 8, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, SnapshotFraction: 0.001})
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := newGrowOracle(g)
 	rng := rand.New(rand.NewSource(66))
 	for b := 0; b < 6; b++ {
-		batch := growthBatch(rng, o)
+		batch := churnBatch(rng, o, 1.2*snapshotFraction)
 		if _, err := cl.ApplyUpdates(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -577,19 +665,6 @@ func TestSnapshotWithoutPersistDir(t *testing.T) {
 	}
 	if info := cl.Info().Persist; info.Enabled {
 		t.Fatalf("persist info %+v on a non-durable cluster", info)
-	}
-}
-
-// TestSnapshotFractionValidation mirrors the RebuildFraction contract.
-func TestSnapshotFractionValidation(t *testing.T) {
-	g, err := GenerateRMAT(G500, 7, 8, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{-0.1, 1.0, 1.5} {
-		if _, err := NewCluster(g, Options{Ranks: 1, PersistDir: t.TempDir(), SnapshotFraction: f}); err == nil {
-			t.Errorf("SnapshotFraction=%v accepted", f)
-		}
 	}
 }
 

@@ -54,7 +54,7 @@ var ErrDegraded = errors.New("tc2d: cluster is degraded, waiting for workers")
 
 // CoordinatorOptions parameterizes the worker-facing half of a coordinator
 // cluster; Options keeps parameterizing everything else (world size via
-// Ranks, kernel and policy knobs, PersistDir). The zero value listens on an
+// Ranks, enumeration rule, PersistDir). The zero value listens on an
 // ephemeral loopback port and waits up to a minute for workers.
 type CoordinatorOptions struct {
 	// Listen is the TCP address workers dial. Default "127.0.0.1:0"; the
@@ -310,7 +310,6 @@ func (copt CoordinatorOptions) newEngine(res *resolvedOptions, p int) (engine, e
 // replication sources — except that worker loss degrades it (see
 // ErrDegraded) and, when opt.PersistDir is set, a reassembled worker set
 // recovers automatically from the snapshot chain and WAL tail.
-// opt.Transport is ignored: rank traffic runs over the workers' TCP mesh.
 func NewClusterCoordinator(g *Graph, opt Options, copt CoordinatorOptions) (*Cluster, error) {
 	return buildCluster(opt, copt.newEngine, &wireBuild{graph: g})
 }

@@ -34,6 +34,18 @@ func testCoordinatorOptions(t *testing.T, launch func(addr string)) CoordinatorO
 	}
 }
 
+// newTestCluster builds a cluster over g: in-process, or — with spans — a
+// coordinator whose ranks live in one in-process worker per entry, every
+// rank message on a TCP socket.
+func newTestCluster(t *testing.T, g *Graph, opt Options, spans []int) (*Cluster, error) {
+	t.Helper()
+	if spans == nil {
+		return NewCluster(g, opt)
+	}
+	return NewClusterCoordinator(g, opt,
+		testCoordinatorOptions(t, func(addr string) { launchWorkers(t, addr, spans) }))
+}
+
 // launchWorkers starts one RunWorker goroutine per span entry against addr
 // and returns per-worker cancel functions and exit channels.
 func launchWorkers(t *testing.T, addr string, spans []int) ([]context.CancelFunc, []chan error) {

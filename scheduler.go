@@ -155,7 +155,7 @@ func (cl *Cluster) writeLoop() {
 		if autoSnap {
 			s.gate.RLock()
 			if !cl.closed.Load() {
-				cl.snapshotShared()
+				cl.snapshotShared(nil)
 			}
 			s.gate.RUnlock()
 		}
@@ -376,8 +376,8 @@ func (cl *Cluster) commitApply(res *delta.Result) int64 {
 // too many labels sit outside the degree order.
 func (cl *Cluster) stale() bool {
 	meta := cl.metaNow()
-	return float64(cl.appliedEdges) > cl.rebuildFraction*float64(cl.baseM) ||
-		float64(meta.OverflowN) > cl.rebuildFraction*float64(meta.BaseN)
+	return float64(cl.appliedEdges) > rebuildFraction*float64(cl.baseM) ||
+		float64(meta.OverflowN) > rebuildFraction*float64(meta.BaseN)
 }
 
 // applyMerged runs the one write epoch of a drain and resolves every
@@ -500,7 +500,7 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 	// Staleness: at most one rebuild per drain, no matter how many batches
 	// it coalesced.
 	var rebuildErr error
-	if cl.autoRebuild && cl.stale() {
+	if cl.stale() {
 		endRebuild := spanAll(accepted, "rebuild")
 		err := cl.rebuildLocked()
 		endRebuild()

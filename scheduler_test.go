@@ -103,9 +103,9 @@ func finalGraph(t *testing.T, g *Graph, plans []*plannedWriter) *Graph {
 // runConcurrentDifferential races R readers against W planned writers, whose
 // edges may name up to grow ids past the graph's, and checks (a) per-caller
 // demultiplexed results against each writer's own plan, (b) the final
-// maintained state against the sequential oracle. It returns the cluster,
-// closed when the test ends.
-func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batchesPer int, grow int32, seed int64) *Cluster {
+// maintained state against the sequential oracle. spans places the ranks
+// (see newTestCluster). It returns the cluster, closed when the test ends.
+func runConcurrentDifferential(t *testing.T, opt Options, spans []int, scale, writers, batchesPer int, grow int32, seed int64) *Cluster {
 	t.Helper()
 	g, err := GenerateRMAT(G500, scale, 8, 99)
 	if err != nil {
@@ -114,7 +114,7 @@ func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batche
 	plans := planWriters(t, g, writers, batchesPer, 24, grow, seed)
 	want := CountSequential(finalGraph(t, g, plans))
 
-	cl, err := NewCluster(g, opt)
+	cl, err := newTestCluster(t, g, opt, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,21 +213,27 @@ func runConcurrentDifferential(t *testing.T, opt Options, scale, writers, batche
 }
 
 func TestSchedulerDifferentialCannon(t *testing.T) {
-	// 3 writers × 11 batches = 33 randomized batches, low rebuild fraction
-	// so staleness rebuilds interleave with concurrent readers.
-	runConcurrentDifferential(t, Options{Ranks: 4, RebuildFraction: 0.05}, 10, 3, 11, 0, 1)
+	// 3 writers × 11 batches = 33 randomized batches of 24 updates on a
+	// graph small enough that they cross rebuildFraction of M, so
+	// staleness rebuilds interleave with concurrent readers.
+	cl := runConcurrentDifferential(t, Options{Ranks: 4}, nil, 8, 3, 11, 0, 1)
+	if info := cl.Info(); info.Rebuilds == 0 {
+		t.Errorf("no staleness rebuild ran (M=%d)", info.M)
+	}
 }
 
 func TestSchedulerDifferentialSUMMA(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 6, DisableAutoRebuild: true}, 10, 3, 11, 0, 2)
+	runConcurrentDifferential(t, Options{Ranks: 6}, nil, 10, 3, 11, 0, 2)
 }
 
+// TestSchedulerDifferentialTCP runs readers beside writers with every rank
+// message on a socket: the ranks live in two workers behind a coordinator.
 func TestSchedulerDifferentialTCP(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 4, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 0, 3)
+	runConcurrentDifferential(t, Options{Ranks: 4}, []int{2, 2}, 9, 3, 10, 0, 3)
 }
 
 func TestSchedulerDifferentialSUMMATCP(t *testing.T) {
-	runConcurrentDifferential(t, Options{Ranks: 4, ForceSUMMA: true, Transport: TransportTCP, DisableAutoRebuild: true}, 9, 3, 10, 0, 4)
+	runConcurrentDifferential(t, Options{Ranks: 6}, []int{3, 3}, 9, 3, 10, 0, 4)
 }
 
 // TestSchedulerDifferentialGrowth: other ranks read a rank's resident arrays
@@ -236,7 +242,7 @@ func TestSchedulerDifferentialSUMMATCP(t *testing.T) {
 // GrowTo slides adj inside the blob arrays, and their inserts outgrow blocks
 // so that splices reallocate them, while readers wait at the gate.
 func TestSchedulerDifferentialGrowth(t *testing.T) {
-	cl := runConcurrentDifferential(t, Options{Ranks: 4, DisableAutoRebuild: true}, 10, 3, 11, 64, 5)
+	cl := runConcurrentDifferential(t, Options{Ranks: 4}, nil, 10, 3, 11, 64, 5)
 	if info := cl.Info(); info.OverflowN == 0 {
 		t.Errorf("the vertex space never grew (N=%d)", info.N)
 	}
@@ -253,7 +259,7 @@ func TestSchedulerCoalescesQueuedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,7 @@ func TestSchedulerDuplicateAndConflictAcrossCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +462,7 @@ func TestClusterCloseRacesInFlightWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +534,7 @@ func TestClusterCloseDrainsAcceptedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, Options{Ranks: 4, DisableAutoRebuild: true})
+	cl, err := NewCluster(g, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,31 +570,4 @@ func TestClusterCloseDrainsAcceptedWrites(t *testing.T) {
 			t.Errorf("queued update %d dropped at Close: %v", i, err)
 		}
 	}
-}
-
-// TestOptionsRebuildFractionValidation: NaN, negative and ≥1 fractions are
-// rejected with a clear error; in-range values and the disable knob work.
-func TestOptionsRebuildFractionValidation(t *testing.T) {
-	g, err := GenerateRMAT(G500, 8, 8, 106)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []float64{math.NaN(), -1, -0.01, 1, 1.5} {
-		if _, err := NewCluster(g, Options{Ranks: 1, RebuildFraction: bad}); err == nil {
-			t.Errorf("RebuildFraction=%v accepted, want error", bad)
-		}
-	}
-	for _, ok := range []float64{0, 0.01, 0.5, 0.999} {
-		cl, err := NewCluster(g, Options{Ranks: 1, RebuildFraction: ok})
-		if err != nil {
-			t.Errorf("RebuildFraction=%v rejected: %v", ok, err)
-			continue
-		}
-		cl.Close()
-	}
-	cl, err := NewCluster(g, Options{Ranks: 1, DisableAutoRebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
 }

@@ -87,11 +87,11 @@ type UpdateResult = delta.Result
 // and the scheduler notes in scheduler.go). Batches from different callers
 // that conflict (one inserts an edge another deletes, or one removes a
 // vertex another's edges touch) are never merged; the later one waits for
-// the next drain. When the cumulative number of applied updates exceeds
-// Options.RebuildFraction of the edge count at the last build — or the
-// overflow region exceeds that fraction of the base vertex space — the
-// layout is considered stale and the blocks are rebuilt inside the same
-// world — at most once per drain; the result's Rebuilt flag reports this.
+// the next drain. When the cumulative number of applied updates exceeds a
+// quarter of the edge count at the last build — or the overflow region a
+// quarter of the base vertex space — the layout is considered stale and
+// the blocks are rebuilt inside the same world — at most once per drain;
+// the result's Rebuilt flag reports this.
 func (cl *Cluster) ApplyUpdates(batch []EdgeUpdate) (*UpdateResult, error) {
 	return cl.enqueueWrite(batch)
 }
@@ -141,21 +141,20 @@ func (cl *Cluster) RemoveVertices(ids []int32) (*UpdateResult, error) {
 
 // Rebuild refreshes the resident layout inside the same world and epoch
 // machinery. When the degree-dirty set — the labels whose degree changed
-// since the last build — is within Options.IncrementalRebuildFraction of
-// the vertex count, the rebuild runs incrementally: only that set is
-// re-sorted (permuted among its own label slots), only its moved rows are
-// spliced between blocks, and the retained relabel permutation is reused
-// for every untouched vertex, so the cost is proportional to churn rather
-// than graph size. Larger churn (or Options.DisableIncrementalRebuild)
-// runs the full preprocessing pipeline: fresh degree ordering, fresh 2D
-// blocks, same grid schedule and transport, and an update-routing map
+// since the last build — is at most a tenth of the vertex count, the
+// rebuild runs incrementally: only that set is re-sorted (permuted among
+// its own label slots), only its moved rows are spliced between blocks,
+// and the retained relabel permutation is reused for every untouched
+// vertex, so the cost is proportional to churn rather than graph size.
+// Larger churn runs the full preprocessing pipeline: fresh degree
+// ordering, fresh 2D blocks, same grid schedule, and an update-routing map
 // composed back into original-vertex space. Either way counts are
 // unchanged — only the layout is refreshed — and the overflow region of
 // vertices added since the last build is folded into the clean cyclic
 // layout (BaseN == N again). The write scheduler triggers this
-// automatically once applied updates or overflow growth exceed
-// Options.RebuildFraction (unless Options.DisableAutoRebuild is set);
-// Rebuild forces it, waiting out in-flight queries and write epochs first.
+// automatically once applied updates or overflow growth make the layout
+// stale (see ApplyUpdates); Rebuild forces it, waiting out in-flight
+// queries and write epochs first.
 func (cl *Cluster) Rebuild() error {
 	cl.sched.gate.Lock()
 	defer cl.sched.gate.Unlock()
@@ -170,8 +169,7 @@ func (cl *Cluster) Rebuild() error {
 // otherwise. sched.gate is held exclusively.
 func (cl *Cluster) rebuildLocked() error {
 	meta := cl.metaNow()
-	if cl.incrementalFraction > 0 &&
-		float64(meta.DegreeDirty) <= cl.incrementalFraction*float64(meta.N) {
+	if float64(meta.DegreeDirty) <= incrementalFraction*float64(meta.N) {
 		return cl.rebuildIncrementalLocked()
 	}
 	return cl.rebuildFullLocked()
