@@ -6,8 +6,9 @@
 // over a √p × √p process grid with a 2D cyclic distribution and schedules the
 // √p partial products with Cannon's communication pattern. Ranks are
 // goroutines exchanging messages through an MPI-like runtime with a
-// LogGP-style virtual-time model, so the library reports both real wall time
-// and modeled parallel time for any rank count.
+// LogGP-style virtual-time model. The one-shot Count and CountRMAT report the
+// paper's modeled parallel phase times for any rank count; the resident
+// Cluster and Follower report only real counts and wall-clock spans.
 //
 // # Quick start
 //
@@ -43,8 +44,9 @@ type Graph = graph.Graph
 type Edge = graph.Edge
 
 // Result carries the outcome of a distributed count: the triangle count,
-// per-phase parallel (virtual) times, communication fractions and operation
-// counters. See the field documentation in the core package.
+// operation counters and, set only by the one-shot Count/CountRMAT, the
+// per-phase modeled parallel times and communication fractions. See the
+// field documentation in the core package.
 type Result = core.Result
 
 // Enumeration selects the triangle enumeration rule.
@@ -129,7 +131,7 @@ func (o Options) mpiConfig() mpi.Config {
 	if slots <= 0 {
 		slots = runtime.GOMAXPROCS(0)
 	}
-	return mpi.Config{Model: mpi.DefaultCostModel(), ComputeSlots: slots, Metrics: o.Metrics}
+	return mpi.Config{ComputeSlots: slots, Metrics: o.Metrics}
 }
 
 func (o Options) ranks() (int, error) {
@@ -202,14 +204,11 @@ func countInput(in dgraph.Input, opt Options) (*Result, error) {
 	return results[0].(*core.Result), nil
 }
 
-// CountSequential counts triangles with the fastest sequential reference
-// (degree ordering + map-based ⟨j,i,k⟩). It is the oracle the distributed
-// algorithm is validated against and the t₁ baseline for speedups.
+// CountSequential counts triangles with the sequential reference (degree
+// ordering + map-based ⟨j,i,k⟩). It is the oracle the distributed algorithm
+// is validated against, not the t₁ baseline for speedups: that is Count
+// with Ranks: 1, the distributed kernel on one rank.
 func CountSequential(g *Graph) int64 { return seqtc.Count(g) }
-
-// CountShared counts triangles with the shared-memory parallel reference
-// using the given number of workers (0 = GOMAXPROCS).
-func CountShared(g *Graph, workers int) int64 { return seqtc.CountParallel(g, workers) }
 
 // WedgeCount returns the global wedge count Σ_v d(v)·(d(v)-1)/2 of g — the
 // denominator of the transitivity ratio.

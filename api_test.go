@@ -57,9 +57,6 @@ func TestCountMatchesSequential(t *testing.T) {
 	if res.Triangles != want {
 		t.Errorf("distributed %d, sequential %d", res.Triangles, want)
 	}
-	if got := CountShared(g, 4); got != want {
-		t.Errorf("shared %d, sequential %d", got, want)
-	}
 }
 
 func TestCountRMATGeneratesOnRanks(t *testing.T) {

@@ -20,8 +20,8 @@ var ErrClusterClosed = ErrClosed
 // QueryOptions configures one query against a resident Cluster. It has no
 // fields: everything that shapes a count (ranks, enumeration rule, grid
 // schedule) is fixed at NewCluster time. The paper's §7.3
-// ablation switches and its modeled LogGP times live in cmd/tcpaper, not in
-// the service.
+// ablation switches and its modeled LogGP times live in the one-shot Count
+// and cmd/tcpaper, not in the service.
 type QueryOptions struct{}
 
 // ClusterInfo is a snapshot of a resident cluster. M and Wedges track
@@ -71,13 +71,11 @@ type ClusterInfo struct {
 	// MapTasks accumulates the intersection-pair counts of completed count
 	// epochs.
 	MapTasks int64
-	// PreOps and PreprocessTime describe the one-time preprocessing that
-	// built the resident state; CommFracPre its communication fraction.
-	// Both are zero on a cluster restored by OpenCluster: a restore decodes
-	// the resident blocks from the snapshot and never re-runs the pipeline.
-	PreOps         int64
-	PreprocessTime float64
-	CommFracPre    float64
+	// PreOps counts the adjacency-entry operations of the one-time
+	// preprocessing that built the resident state. It is zero on a cluster
+	// restored by OpenCluster: a restore decodes the resident blocks from
+	// the snapshot and never re-runs the pipeline.
+	PreOps int64
 	// Persist reports the durability state (WAL sequence, snapshots,
 	// replay); Persist.Enabled is false when Options.PersistDir was unset.
 	Persist PersistInfo
@@ -352,8 +350,9 @@ func (cl *Cluster) run0(op string, args any) (*opReply, error) {
 }
 
 // Count answers one triangle counting query against the resident blocks. No
-// preprocessing work is repeated: the returned Result has PreOps == 0 and
-// PreprocessTime == 0, and TotalTime is the counting phase alone.
+// preprocessing work is repeated: the returned Result has PreOps == 0. Its
+// modeled times are zero too; only the one-shot Count and CountRMAT set
+// them.
 //
 // Count admits concurrently: queries never wait on each other (they run as
 // overlapping read epochs), only on write epochs. Concurrent queries share a
@@ -379,7 +378,7 @@ func (cl *Cluster) Count(q QueryOptions) (*Result, error) {
 // CountTraced is Count with a per-query execution trace: the returned span
 // tree brackets admission, the counting epoch, and inside it each rank's
 // schedule — every Cannon/SUMMA step split into its communication (shift or
-// broadcast) and kernel phases, with LogGP virtual times attached. Traced
+// broadcast) and kernel phases, each timed in wall-clock seconds. Traced
 // queries run their own epoch (they never join a shared read flight), so
 // the tree describes exactly this query's work. The trace is returned even
 // when the count fails, truncated at the failure point.
@@ -521,8 +520,6 @@ func (cl *Cluster) Info() ClusterInfo {
 		QueueDepth:          cl.sched.depth.Load(),
 		MapTasks:            cl.mapTasks.Load(),
 		PreOps:              meta.PreOps,
-		PreprocessTime:      meta.PreprocessTime,
-		CommFracPre:         meta.CommFracPre,
 		Persist:             cl.persistInfo(),
 		Workers:             cl.Workers(),
 		Degraded:            cl.Degraded(),

@@ -67,11 +67,9 @@ func TestClusterReuseSkipsPreprocessing(t *testing.T) {
 		if res.PreOps != 0 {
 			t.Errorf("query %d: PreOps=%d, want 0 — query repeated preprocessing work", q, res.PreOps)
 		}
-		if res.PreprocessTime != 0 {
-			t.Errorf("query %d: PreprocessTime=%v, want 0", q, res.PreprocessTime)
-		}
-		if res.TotalTime != res.CountTime {
-			t.Errorf("query %d: TotalTime=%v != CountTime=%v", q, res.TotalTime, res.CountTime)
+		if res.PreprocessTime != 0 || res.CountTime != 0 || res.TotalTime != 0 || res.CommFracPre != 0 || res.CommFracCount != 0 {
+			t.Errorf("query %d: modeled times %v/%v/%v, comm fractions %v/%v, want all 0 on a resident count",
+				q, res.PreprocessTime, res.CountTime, res.TotalTime, res.CommFracPre, res.CommFracCount)
 		}
 	}
 	for i := range stateBefore {

@@ -105,6 +105,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -591,14 +592,12 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := map[string]any{
-		"triangles":       res.Triangles,
-		"n":               res.N,
-		"m":               res.M,
-		"probes":          res.Probes,
-		"map_tasks":       res.MapTasks,
-		"count_time_s":    res.CountTime,
-		"comm_frac_count": res.CommFracCount,
-		"wall_ms":         durMillis(time.Since(t0)),
+		"triangles": res.Triangles,
+		"n":         res.N,
+		"m":         res.M,
+		"probes":    res.Probes,
+		"map_tasks": res.MapTasks,
+		"wall_ms":   durMillis(time.Since(t0)),
 	}
 	if tr != nil {
 		body["trace"] = tr.Span()
@@ -634,6 +633,8 @@ func (s *server) misdirectWrite(w http.ResponseWriter, path string) {
 // readBound parses the per-request staleness bound of a follower read:
 // max_lag_seq caps committed-but-unapplied batches (0 = exactly caught
 // up), max_lag_ms caps wall-clock staleness. Absent params = unbounded.
+// A max_lag_ms that is not finite or overflows a Duration is refused: its
+// conversion would go negative, which the follower reads as unbounded.
 func readBound(r *http.Request) (tc2d.ReadBound, error) {
 	b := tc2d.Unbounded
 	if v := r.URL.Query().Get("max_lag_seq"); v != "" {
@@ -645,8 +646,8 @@ func readBound(r *http.Request) (tc2d.ReadBound, error) {
 	}
 	if v := r.URL.Query().Get("max_lag_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms <= 0 {
-			return b, fmt.Errorf("max_lag_ms=%q must be a positive number", v)
+		if err != nil || !(ms > 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
+			return b, fmt.Errorf("max_lag_ms=%q must be a positive number of milliseconds below 2^63 ns", v)
 		}
 		b.MaxLag = time.Duration(ms * float64(time.Millisecond))
 	}
@@ -783,7 +784,6 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"wedges":           res.Wedges,
 		"rebuilt":          res.Rebuilt,
 		"coalesced":        res.Coalesced,
-		"apply_time_s":     res.ApplyTime,
 		"wall_ms":          durMillis(time.Since(t0)),
 	}
 	if tr != nil {
@@ -918,8 +918,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"rebuilds":             info.Rebuilds,
 			"incremental_rebuilds": info.IncrementalRebuilds,
 			"pre_ops":              info.PreOps,
-			"preprocess_time_s":    info.PreprocessTime,
-			"comm_frac_pre":        info.CommFracPre,
 		},
 		"scheduler": map[string]any{
 			"read_inflight":          s.readInflight.Load(),

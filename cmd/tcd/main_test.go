@@ -61,24 +61,27 @@ func TestCountMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestUpdateInsertThenDelete(t *testing.T) {
-	s, g := newTestServer(t)
-	// An open wedge u–w–v: inserting (u, v) closes at least one triangle.
-	u, v := int32(-1), int32(-1)
-	for w := int32(0); w < g.N && u < 0; w++ {
+// openWedge returns the ends of an open wedge u–w–v of g: inserting (u, v)
+// closes at least one triangle.
+func openWedge(t *testing.T, g *tc2d.Graph) (u, v int32) {
+	t.Helper()
+	for w := int32(0); w < g.N; w++ {
 		nb := g.Neighbors(w)
-		for i := 0; i < len(nb) && u < 0; i++ {
+		for i := range nb {
 			for _, b := range nb[i+1:] {
 				if !g.HasEdge(nb[i], b) {
-					u, v = nb[i], b
-					break
+					return nb[i], b
 				}
 			}
 		}
 	}
-	if u < 0 {
-		t.Fatal("no open wedge in the test graph")
-	}
+	t.Fatal("no open wedge in the test graph")
+	return -1, -1
+}
+
+func TestUpdateInsertThenDelete(t *testing.T) {
+	s, g := newTestServer(t)
+	u, v := openWedge(t, g)
 	closed, err := tc2d.NewGraph(g.N, append(g.Edges(), tc2d.Edge{U: u, V: v}))
 	if err != nil {
 		t.Fatal(err)
@@ -177,5 +180,82 @@ func TestDrainingRefuses(t *testing.T) {
 	}
 	if n := s.cluster.Info().Updates; n != 0 {
 		t.Errorf("an update was applied while draining: Updates=%d", n)
+	}
+}
+
+func TestStatsAndTransitivityFollowUpdates(t *testing.T) {
+	s, g := newTestServer(t)
+	// Delete one edge and close an open wedge, so the edge, wedge and
+	// triangle totals all move.
+	del := g.Edges()[0]
+	u, v := openWedge(t, g)
+	ins := tc2d.Edge{U: u, V: v}
+	var edges []tc2d.Edge
+	for _, e := range g.Edges() {
+		if e != del {
+			edges = append(edges, e)
+		}
+	}
+	mutated, err := tc2d.NewGraph(g.N, append(edges, ins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, body := update(t, s, fmt.Sprintf(`{"updates":[{"u":%d,"v":%d,"op":"delete"},{"u":%d,"v":%d,"op":"insert"}]}`,
+		del.U, del.V, ins.U, ins.V))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /update: %d %v", rec.Code, body)
+	}
+
+	rec, body = call(t, s, http.MethodGet, "/stats", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /stats: %d %v", rec.Code, body)
+	}
+	graph, cluster := body["graph"].(map[string]any), body["cluster"].(map[string]any)
+	if m := int64(graph["m"].(float64)); m != mutated.NumEdges() {
+		t.Errorf("/stats graph.m = %d, want %d", m, mutated.NumEdges())
+	}
+	if w := int64(graph["wedges"].(float64)); w != tc2d.WedgeCount(mutated) {
+		t.Errorf("/stats graph.wedges = %d, want %d", w, tc2d.WedgeCount(mutated))
+	}
+	if n := cluster["updates"].(float64); n != 1 {
+		t.Errorf("/stats cluster.updates = %v, want 1", n)
+	}
+	if ops := cluster["pre_ops"].(float64); ops <= 0 {
+		t.Errorf("/stats cluster.pre_ops = %v, want > 0 on a cluster built from a graph", ops)
+	}
+
+	rec, body = call(t, s, http.MethodGet, "/transitivity", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /transitivity: %d %v", rec.Code, body)
+	}
+	if got, want := body["transitivity"].(float64), tc2d.Transitivity(mutated); got != want {
+		t.Errorf("/transitivity = %v, want %v", got, want)
+	}
+	if got, want := tc2d.Transitivity(mutated), tc2d.Transitivity(g); got == want {
+		t.Errorf("the update left the transitivity at %v; the test proves nothing", got)
+	}
+}
+
+func TestReadBoundMaxLagMs(t *testing.T) {
+	for _, c := range []struct {
+		v    string
+		want time.Duration // 0: refused
+	}{
+		{"NaN", 0},
+		{"Inf", 0},
+		{"-Inf", 0},
+		{"1e300", 0},
+		{"0", 0},
+		{"5", 5 * time.Millisecond},
+	} {
+		b, err := readBound(httptest.NewRequest(http.MethodGet, "/count?max_lag_ms="+c.v, nil))
+		switch {
+		case c.want == 0 && err == nil:
+			t.Errorf("max_lag_ms=%s accepted as MaxLag %v, want an error (400)", c.v, b.MaxLag)
+		case c.want != 0 && err != nil:
+			t.Errorf("max_lag_ms=%s: %v", c.v, err)
+		case c.want != 0 && b.MaxLag != c.want:
+			t.Errorf("max_lag_ms=%s: MaxLag %v, want %v", c.v, b.MaxLag, c.want)
+		}
 	}
 }

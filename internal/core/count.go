@@ -14,24 +14,43 @@ import (
 // experiments report.
 //
 // It is a thin composition of the build-once / query-many layers: one
-// PrepareGrid (preprocessing) followed by one CountPrepared (counting), with
-// the preprocessing accounting folded back into the Result. Callers that
-// issue many queries against the same graph should prepare once and call
-// CountPrepared per query instead.
+// PrepareGrid (preprocessing) followed by one CountPrepared (counting). It is
+// also the one place the phases are fenced by barriers and timed on the
+// virtual clock, so its Result is the only one that carries modeled times.
+// Callers that issue many queries against the same graph should prepare once
+// and call CountPrepared per query instead.
 func CountGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Options) (*Result, error) {
+	c.Barrier()
+	t0, s0 := c.Time(), c.Stats()
 	prep, err := PrepareGrid(c, in, qr, qc, bcast, opt)
 	if err != nil {
 		return nil, err
 	}
+	c.Barrier()
+	t1, s1 := c.Time(), c.Stats()
 	res, err := CountPrepared(c, prep, opt)
 	if err != nil {
 		return nil, err
 	}
-	res.PreprocessTime = prep.preTime
+	c.Barrier()
+	t2, s2 := c.Time(), c.Stats()
+
+	fracs := c.AllreduceFloat64s([]float64{commFrac(t0, t1, s0, s1), commFrac(t1, t2, s1, s2)}, mpi.OpSum)
 	res.PreOps = prep.preOps
-	res.CommFracPre = prep.fracPre
+	res.PreprocessTime, res.CountTime = t1-t0, t2-t1
 	res.TotalTime = res.PreprocessTime + res.CountTime
+	res.CommFracPre = fracs[0] / float64(c.Size())
+	res.CommFracCount = fracs[1] / float64(c.Size())
 	return res, nil
+}
+
+// commFrac is the share of the virtual interval [ta, tb] this rank spent in
+// communication.
+func commFrac(ta, tb float64, sa, sb mpi.Stats) float64 {
+	if tb <= ta {
+		return 0
+	}
+	return (sb.CommTime - sa.CommTime) / (tb - ta)
 }
 
 // Count is CountGrid with Cannon's shift schedule, the paper's algorithm, on

@@ -96,13 +96,15 @@ type Result struct {
 	// times (seconds on the runtime's virtual clock: measured local work
 	// plus LogGP communication terms — tcpaper's output, not wall-clock) of
 	// the preprocessing phase, the triangle counting phase, and their sum.
-	// Identical on all ranks (phases are fenced by barriers).
+	// Identical on all ranks (CountGrid fences the phases by barriers).
+	// Set only by the one-shot CountGrid; zero on CountPrepared results.
 	PreprocessTime float64
 	CountTime      float64
 	TotalTime      float64
 
 	// CommFracPre and CommFracCount are the average over ranks of the
 	// modeled fraction of each phase spent in communication (Figure 3).
+	// Set only by the one-shot CountGrid, like the times above.
 	CommFracPre   float64
 	CommFracCount float64
 

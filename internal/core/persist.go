@@ -13,10 +13,10 @@ package core
 //   - the row-adjacency mirror: EnsureAdjacency rebuilds it lazily and
 //     locally from the blocks, so persisting it would only bloat snapshots;
 //   - the doubly-sparse non-empty-row lists: recomputed at decode time;
-//   - the preprocessing accounting (PreOps/PreprocessTime/CommFracPre): it
-//     describes the pipeline run that built the state, and a restore runs
-//     no pipeline — a decoded Prepared reports PreOps() == 0, which is how
-//     callers verify a restart never repeated the preprocessing.
+//   - the preprocessing op count (PreOps): it describes the pipeline run
+//     that built the state, and a restore runs no pipeline — a decoded
+//     Prepared reports PreOps() == 0, which is how callers verify a
+//     restart never repeated the preprocessing.
 //
 // Integrity (checksums, file framing, atomic publication) is the snapshot
 // package's job; this file only defines the payload. The blob still opens

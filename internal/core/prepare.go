@@ -32,11 +32,9 @@ type Prepared struct {
 	n, baseN int64
 	version  int64
 
-	m       int64
-	wedges  int64
-	preOps  int64
-	preTime float64
-	fracPre float64
+	m      int64
+	wedges int64
+	preOps int64
 
 	// Retained routing state for the dynamic-update subsystem
 	// (internal/delta): the degree-relabel permutation over this rank's
@@ -81,14 +79,6 @@ func (p *Prepared) Wedges() int64 { return p.wedges }
 // preprocessing phase that built this state.
 func (p *Prepared) PreOps() int64 { return p.preOps }
 
-// PreprocessTime returns the parallel virtual time (seconds) of the
-// preprocessing phase that built this state.
-func (p *Prepared) PreprocessTime() float64 { return p.preTime }
-
-// CommFracPre returns the average over ranks of the fraction of the
-// preprocessing phase spent in communication.
-func (p *Prepared) CommFracPre() float64 { return p.fracPre }
-
 // Enumeration returns the enumeration rule the task block was built for.
 func (p *Prepared) Enumeration() Enumeration { return p.enum }
 
@@ -130,25 +120,13 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
-	c.Barrier()
-	t0, s0 := c.Time(), c.Stats()
-
 	var preOps int64
 	d1 := cyclicRedistribute(c, in, &preOps)
 	rl := degreeRelabel(c, d1, &preOps)
 	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
 	prep.blk = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps)
 
-	c.Barrier()
-	t1, s1 := c.Time(), c.Stats()
-
-	// Phase timing, and the global reductions of the graph invariants.
-	prep.preTime = t1 - t0
-	frac := 0.0
-	if dt := t1 - t0; dt > 0 {
-		frac = (s1.CommTime - s0.CommTime) / dt
-	}
-	prep.fracPre = c.AllreduceFloat64(frac, mpi.OpSum) / float64(c.Size())
+	// The global reductions of the graph invariants.
 	sums := c.AllreduceInt64s([]int64{preOps, localDirected, wedgesLocal}, mpi.OpSum)
 	prep.preOps = sums[0]
 	prep.m = sums[1] / 2
@@ -167,8 +145,8 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // CountPrepared runs the triangle counting phase against resident state —
 // the query half of the build-once / query-many split. It performs no
 // redistribution, relabeling or block building: the returned Result has
-// PreOps == 0, PreprocessTime == 0 and TotalTime == CountTime (the
-// preprocessing cost lives on the Prepared value). Every rank must call it
+// PreOps == 0 (the preprocessing cost lives on the Prepared value) and no
+// modeled times, which only CountGrid measures. Every rank must call it
 // with its own Prepared state from the same Prepare and identical options;
 // opt.Enumeration must match the rule the state was prepared for. The call
 // is repeatable: the resident blocks are not mutated.
@@ -202,13 +180,7 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	rankSpan.SetAttr("rank", c.Rank())
 	opt.Trace = rankSpan
 
-	c.Barrier()
-	t1, s1 := c.Time(), c.Stats()
-
 	kc, perShift := prep.countSteps(c, grid, opt)
-
-	c.Barrier()
-	t2, s2 := c.Time(), c.Stats()
 
 	// Each rank contributes its local counters, so the registry totals are
 	// the global sums without double counting the (identical) allreduced
@@ -225,14 +197,6 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	res.Probes = sums[1]
 	res.MapTasks = sums[2]
 
-	res.CountTime = t2 - t1
-	res.TotalTime = res.CountTime
-	frac := 0.0
-	if dt := t2 - t1; dt > 0 {
-		frac = (s2.CommTime - s1.CommTime) / dt
-	}
-	res.CommFracCount = c.AllreduceFloat64(frac, mpi.OpSum) / float64(c.Size())
-
 	res.LocalTriangles = kc.triangles
 	for _, d := range perShift {
 		res.LocalKernelTime += d
@@ -240,7 +204,6 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	if opt.TrackPerShift {
 		res.LocalPerShift = perShift
 	}
-	rankSpan.SetAttr("virtual_count_s", res.CountTime)
 	rankSpan.End()
 	return res, nil
 }

@@ -48,9 +48,6 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	qr, qc, _ := prep.GridShape()
 	x, y := c.Rank()/qc, c.Rank()%qc
 
-	c.Barrier()
-	t0, s0 := c.Time(), c.Stats()
-
 	// Broadcast the canonical batch as (u, v, op) triples.
 	var enc []int32
 	if c.Rank() == 0 {
@@ -326,15 +323,6 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 
 	prep.AdjustTotals(int64(r.Inserted-r.Deleted), dWedges)
 	r.M, r.Wedges = prep.M(), prep.Wedges()
-
-	c.Barrier()
-	t1, s1 := c.Time(), c.Stats()
-	r.ApplyTime = t1 - t0
-	frac := 0.0
-	if dt := t1 - t0; dt > 0 {
-		frac = (s1.CommTime - s0.CommTime) / dt
-	}
-	r.CommFrac = c.AllreduceFloat64(frac, mpi.OpSum) / float64(p)
 	return r, nil
 }
 

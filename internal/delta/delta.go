@@ -139,7 +139,7 @@ type Result struct {
 	// Coalesced is how many caller batches the write scheduler merged into
 	// the epoch that produced this result (1 when uncoalesced; filled by
 	// the cluster layer). The shared fields — DeltaTriangles, Triangles, M,
-	// Wedges, GrownTo, Probes, ApplyTime — describe that whole epoch.
+	// Wedges, GrownTo, Probes — describe that whole epoch.
 	Coalesced int
 
 	// M and Wedges are the graph's edge and wedge totals after the batch.
@@ -147,11 +147,6 @@ type Result struct {
 
 	// Probes counts the bitmap lookups of the two delta passes.
 	Probes int64
-
-	// ApplyTime is the parallel (virtual) time of the update epoch;
-	// CommFrac its average communication fraction.
-	ApplyTime float64
-	CommFrac  float64
 
 	// PreOps is 0 for a pure delta apply. When staleness triggered a
 	// rebuild, Rebuilt is set and PreOps reports the preprocessing

@@ -25,7 +25,7 @@ func Table1(w io.Writer, specs []Spec) error {
 		if err != nil {
 			return err
 		}
-		tris := seqtc.CountParallel(g, 0)
+		tris := seqtc.Count(g)
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", s.Name, g.N, g.NumEdges(), tris)
 	}
 	return tw.Flush()

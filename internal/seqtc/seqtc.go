@@ -1,14 +1,10 @@
 // Package seqtc implements reference triangle counters: the list-based and
 // map-based sequential algorithms from Section 3 of the paper (both the
-// ⟨i,j,k⟩ and ⟨j,i,k⟩ enumeration rules) and a shared-memory parallel
-// counter. These serve as correctness oracles for the distributed algorithm
-// and as the t₁ baseline for speedup computations.
+// ⟨i,j,k⟩ and ⟨j,i,k⟩ enumeration rules). They serve as correctness oracles
+// for the distributed algorithm.
 package seqtc
 
 import (
-	"runtime"
-	"sync"
-
 	"tc2d/internal/graph"
 	"tc2d/internal/hashset"
 )
@@ -109,62 +105,6 @@ func CountMapJIK(g *graph.Graph) int64 {
 func Count(g *graph.Graph) int64 {
 	ordered, _ := g.DegreeOrder()
 	return CountMapJIK(ordered)
-}
-
-// CountParallel counts triangles with a shared-memory parallel version of
-// CountMapJIK, splitting the j-range across workers goroutines (0 means
-// GOMAXPROCS). The graph is shared read-only.
-func CountParallel(g *graph.Graph, workers int) int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > int(g.N) && g.N > 0 {
-		workers = int(g.N)
-	}
-	if workers <= 1 {
-		return CountMapJIK(g)
-	}
-	partial := make([]int64, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			set := hashset.New(int(g.MaxDegree()) * 2)
-			var total int64
-			// Strided assignment of j balances the skewed degree
-			// distribution across workers, mirroring the cyclic
-			// distribution argument of the paper's §5.1.
-			for j := int32(w); j < g.N; j += int32(workers) {
-				below := g.NeighborsBelow(j)
-				if len(below) == 0 {
-					continue
-				}
-				above := g.NeighborsAbove(j)
-				if len(above) == 0 {
-					continue
-				}
-				set.Reset()
-				for _, k := range above {
-					set.Insert(k)
-				}
-				for _, i := range below {
-					for _, k := range g.NeighborsAbove(i) {
-						if set.Contains(k) {
-							total++
-						}
-					}
-				}
-			}
-			partial[w] = total
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, t := range partial {
-		total += t
-	}
-	return total
 }
 
 // PerEdgeCounts returns, for every undirected edge (i<j) in row order of U,

@@ -74,9 +74,6 @@ func TestKnownCounts(t *testing.T) {
 		if got := Count(g); got != c.want {
 			t.Errorf("%s/Count: %d want %d", c.name, got, c.want)
 		}
-		if got := CountParallel(g, 3); got != c.want {
-			t.Errorf("%s/parallel: %d want %d", c.name, got, c.want)
-		}
 	}
 }
 
@@ -98,11 +95,6 @@ func TestAllMethodsAgreeOnRMAT(t *testing.T) {
 	if got := Count(g); got != want {
 		t.Errorf("Count %d want %d", got, want)
 	}
-	for _, w := range []int{1, 2, 4, 7} {
-		if got := CountParallel(g, w); got != want {
-			t.Errorf("parallel(%d) %d want %d", w, got, want)
-		}
-	}
 }
 
 func TestPropertyAgainstBruteForce(t *testing.T) {
@@ -120,7 +112,7 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 		}
 		want := brute(g)
 		return CountList(g) == want && CountMapIJK(g) == want &&
-			CountMapJIK(g) == want && CountParallel(g, 4) == want
+			CountMapJIK(g) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -183,19 +175,5 @@ func TestEdgeSupportTriangleSum(t *testing.T) {
 		if s != 4 {
 			t.Errorf("edge %v support %d want 4", e, s)
 		}
-	}
-}
-
-func TestCountParallelWorkerEdgeCases(t *testing.T) {
-	g := complete(t, 8)
-	want := int64(56)
-	if got := CountParallel(g, 0); got != want { // auto workers
-		t.Errorf("auto workers: %d", got)
-	}
-	if got := CountParallel(g, 1); got != want {
-		t.Errorf("1 worker: %d", got)
-	}
-	if got := CountParallel(g, 100); got != want { // more workers than vertices
-		t.Errorf("100 workers: %d", got)
 	}
 }

@@ -92,16 +92,14 @@ type wireRestore struct {
 // metrics) never need an epoch of their own. All fields are global —
 // identical on every rank — by construction.
 type wireMeta struct {
-	N, M, Wedges   int64
-	BaseN          int64
-	OverflowN      int64
-	SpaceVersion   int64
-	PreOps         int64
-	PreprocessTime float64
-	CommFracPre    float64
-	DegreeDirty    int
-	QR, QC         int
-	SUMMA          bool
+	N, M, Wedges int64
+	BaseN        int64
+	OverflowN    int64
+	SpaceVersion int64
+	PreOps       int64
+	DegreeDirty  int
+	QR, QC       int
+	SUMMA        bool
 }
 
 // overflowFraction is (N-BaseN)/N, the share of the id space outside the
@@ -119,8 +117,7 @@ func metaOf(pr *core.Prepared) wireMeta {
 	return wireMeta{
 		N: pr.N(), M: pr.M(), Wedges: pr.Wedges(),
 		BaseN: sp.BaseN, OverflowN: sp.OverflowN(), SpaceVersion: sp.Version,
-		PreOps: pr.PreOps(), PreprocessTime: pr.PreprocessTime(), CommFracPre: pr.CommFracPre(),
-		DegreeDirty: pr.DegreeDirtyCount(), QR: qr, QC: qc, SUMMA: summa,
+		PreOps: pr.PreOps(), DegreeDirty: pr.DegreeDirtyCount(), QR: qr, QC: qc, SUMMA: summa,
 	}
 }
 

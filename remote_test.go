@@ -507,7 +507,7 @@ func TestOpenClusterCoordinator(t *testing.T) {
 }
 
 // comparable strips what legitimately differs between two runs of one op —
-// measured and modelled times — from a reply, leaving every payload the op
+// the measured kernel time — from a reply, leaving every payload the op
 // contract fixes: counts, per-entry results, rebuild stats, blob bytes,
 // metadata.
 func comparableReply(rep *opReply) *opReply {
@@ -515,22 +515,10 @@ func comparableReply(rep *opReply) *opReply {
 		return nil
 	}
 	cp := *rep
-	if rep.Meta != nil {
-		m := *rep.Meta
-		m.PreprocessTime, m.CommFracPre = 0, 0
-		cp.Meta = &m
-	}
 	if rep.Count != nil {
 		c := *rep.Count
-		c.PreprocessTime, c.CountTime, c.TotalTime = 0, 0, 0
-		c.CommFracPre, c.CommFracCount = 0, 0
 		c.LocalKernelTime = 0
 		cp.Count = &c
-	}
-	if rep.Apply != nil {
-		a := *rep.Apply
-		a.ApplyTime, a.CommFrac = 0, 0
-		cp.Apply = &a
 	}
 	return &cp
 }

@@ -45,11 +45,11 @@ type EdgeUpdate = delta.Update
 // incident edges vertex removals dropped), the vertex-space accounting
 // (AddedVertices, RemovedVertices, GrownTo, VertexBase), the exact
 // triangle delta and maintained running total, the new edge and wedge
-// totals, and the epoch's cost accounting. When the write scheduler
+// totals, and the epoch's probe count. When the write scheduler
 // coalesced several callers' batches into one epoch, Coalesced reports how
 // many, the per-caller fields (Inserted/Deleted/Skipped*/RemovedVertices/
 // VertexBase) stay per-caller, and the epoch-level fields (DeltaTriangles,
-// AddedVertices, GrownTo, ApplyTime, Probes) describe the shared epoch.
+// AddedVertices, GrownTo, Probes) describe the shared epoch.
 // PreOps is 0 for a pure delta apply; it is nonzero only when the drain
 // pushed the cluster over its staleness threshold and a rebuild ran
 // (Rebuilt is then set).
