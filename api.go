@@ -49,17 +49,6 @@ type Edge = graph.Edge
 // field documentation in the core package.
 type Result = core.Result
 
-// Enumeration selects the triangle enumeration rule.
-type Enumeration = core.Enumeration
-
-// Enumeration rules: ⟨j,i,k⟩ (the paper's default) and ⟨i,j,k⟩.
-const (
-	// EnumJIK enumerates triangles by the paper's default ⟨j,i,k⟩ rule.
-	EnumJIK = core.EnumJIK
-	// EnumIJK enumerates triangles by the alternative ⟨i,j,k⟩ rule.
-	EnumIJK = core.EnumIJK
-)
-
 // RMATParams are RMAT generator quadrant probabilities.
 type RMATParams = rmat.Params
 
@@ -76,18 +65,16 @@ var (
 )
 
 // Options configures a distributed count or a resident cluster: its
-// deployment settings only. The schedule follows from Ranks, and a resident
-// cluster's rebuild and snapshot policy is fixed (see Cluster.ApplyUpdates
-// and Cluster.Snapshot). The zero value runs the paper's full configuration
-// on 1 rank.
+// deployment settings only. The schedule follows from Ranks, every count
+// enumerates by the paper's ⟨j,i,k⟩ rule, and a resident cluster's rebuild
+// and snapshot policy is fixed (see Cluster.ApplyUpdates and
+// Cluster.Snapshot). The zero value runs the paper's full configuration on 1
+// rank.
 type Options struct {
 	// Ranks is the number of SPMD ranks (default 1): any positive count. A
 	// perfect square runs Cannon shifts on a √p × √p grid, any other count
 	// SUMMA broadcasts on the most square qr × qc grid.
 	Ranks int
-
-	// Enumeration selects ⟨j,i,k⟩ (default, recommended) or ⟨i,j,k⟩.
-	Enumeration Enumeration
 
 	// MaxVertices caps the elastic vertex space of a resident cluster:
 	// update batches that would grow the graph beyond this many ids are
@@ -196,7 +183,7 @@ func countInput(in dgraph.Input, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.CountGrid(c, d, qr, qc, summa, core.Options{Enumeration: opt.Enumeration, Metrics: opt.Metrics})
+		return core.CountGrid(c, d, qr, qc, summa, core.Options{Metrics: opt.Metrics})
 	})
 	if err != nil {
 		return nil, err

@@ -138,17 +138,3 @@ func TestReadWriteEdgeList(t *testing.T) {
 		t.Fatalf("M=%d", g.NumEdges())
 	}
 }
-
-func TestCountEnumIJK(t *testing.T) {
-	g, err := GenerateRMAT(Twitterish, 9, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Count(g, Options{Ranks: 4, Enumeration: EnumIJK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := CountSequential(g); res.Triangles != want {
-		t.Errorf("⟨i,j,k⟩ on 4 ranks: %d want %d", res.Triangles, want)
-	}
-}

@@ -14,14 +14,12 @@ import (
 // ErrClosed is the sentinel returned by operations on a closed Cluster.
 var ErrClosed = errors.New("tc2d: cluster is closed")
 
-// ErrClusterClosed is the historical name of ErrClosed; both compare equal.
-var ErrClusterClosed = ErrClosed
-
 // QueryOptions configures one query against a resident Cluster. It has no
-// fields: everything that shapes a count (ranks, enumeration rule, grid
-// schedule) is fixed at NewCluster time. The paper's §7.3
-// ablation switches and its modeled LogGP times live in the one-shot Count
-// and cmd/tcpaper, not in the service.
+// fields: everything that shapes a count (ranks, grid schedule, the paper's
+// ⟨j,i,k⟩ enumeration rule) is fixed when the resident state is built, and
+// recorded in its rank blobs. The paper's §7.3 ablation switches, the
+// ⟨i,j,k⟩ rule among them, live in cmd/tcpaper and its modeled LogGP times
+// in the one-shot Count; neither is part of the service.
 type QueryOptions struct{}
 
 // ClusterInfo is a snapshot of a resident cluster. M and Wedges track
@@ -106,7 +104,6 @@ type Cluster struct {
 	// otherwise; only the identity accessors and worker recovery look at it.
 	eng    engine
 	remote *remoteBackend
-	enum   Enumeration
 	ranks  int
 
 	// sched admits reads concurrently and writes exclusively; the resident
@@ -257,10 +254,9 @@ func (e *localEngine) close() error { return e.world.Close() }
 // newClusterOn is the one place a Cluster value is made: an idle shell over
 // eng, holding no resident state yet. The caller builds or restores through
 // cl.run, fills the counters that come out of that, and calls start.
-func newClusterOn(eng engine, res *resolvedOptions, ranks int, enum Enumeration) *Cluster {
+func newClusterOn(eng engine, res *resolvedOptions, ranks int) *Cluster {
 	cl := &Cluster{
 		eng:         eng,
-		enum:        enum,
 		ranks:       ranks,
 		sched:       newScheduler(),
 		maxVertices: res.MaxVertices,
@@ -301,9 +297,7 @@ func buildCluster(opt Options, newEngine func(res *resolvedOptions, p int) (engi
 	if err != nil {
 		return nil, err
 	}
-	cl := newClusterOn(eng, res, p, opt.Enumeration)
-	build.SUMMA = mpi.SquareSide(p) < 0
-	build.Enumeration = opt.Enumeration
+	cl := newClusterOn(eng, res, p)
 	build.Track = opt.PersistDir != ""
 	if _, err := cl.run(opBuild, build); err != nil {
 		eng.close()

@@ -235,11 +235,11 @@ func TestClusterCloseIdempotent(t *testing.T) {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
 	}
-	if _, err := cl.Count(QueryOptions{}); err != ErrClusterClosed {
-		t.Errorf("Count after Close: %v, want ErrClusterClosed", err)
+	if _, err := cl.Count(QueryOptions{}); err != ErrClosed {
+		t.Errorf("Count after Close: %v, want ErrClosed", err)
 	}
-	if _, err := cl.Transitivity(); err != ErrClusterClosed {
-		t.Errorf("Transitivity after Close: %v, want ErrClusterClosed", err)
+	if _, err := cl.Transitivity(); err != ErrClosed {
+		t.Errorf("Transitivity after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -392,10 +392,10 @@ func TestClusterUpdatesValidation(t *testing.T) {
 		t.Error("conflicting insert+delete should fail")
 	}
 	cl.Close()
-	if _, err := cl.ApplyUpdates([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}}); err != ErrClusterClosed {
-		t.Errorf("ApplyUpdates after Close: %v, want ErrClusterClosed", err)
+	if _, err := cl.ApplyUpdates([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}}); err != ErrClosed {
+		t.Errorf("ApplyUpdates after Close: %v, want ErrClosed", err)
 	}
-	if err := cl.Rebuild(); err != ErrClusterClosed {
-		t.Errorf("Rebuild after Close: %v, want ErrClusterClosed", err)
+	if err := cl.Rebuild(); err != ErrClosed {
+		t.Errorf("Rebuild after Close: %v, want ErrClosed", err)
 	}
 }

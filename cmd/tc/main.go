@@ -30,20 +30,11 @@ func main() {
 		params = flag.String("params", "g500", "RMAT parameter preset: g500, twitterish, friendsterish")
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		ranks  = flag.Int("ranks", 1, "number of SPMD ranks (square = Cannon, otherwise SUMMA)")
-		enum   = flag.String("enum", "jik", "enumeration rule: jik or ijk")
 		seq    = flag.Bool("check", false, "cross-check against the sequential counter")
 	)
 	flag.Parse()
 
 	opt := tc2d.Options{Ranks: *ranks}
-	switch *enum {
-	case "jik":
-		opt.Enumeration = tc2d.EnumJIK
-	case "ijk":
-		opt.Enumeration = tc2d.EnumIJK
-	default:
-		fatalf("unknown -enum %q (want jik or ijk)", *enum)
-	}
 
 	var g *tc2d.Graph
 	var res *tc2d.Result

@@ -158,10 +158,11 @@ const (
 // (which must serve ReplicationHandler, as tcd does): the newest snapshot
 // chain is fetched and composed exactly as OpenCluster composes it from
 // disk — no preprocessing re-runs, PreOps == 0 — and the apply loop starts
-// tailing the WAL. The world shape (ranks, grid schedule, enumeration)
-// comes from the primary's manifest; opt supplies the deployment settings
-// (MaxVertices, ComputeSlots, Metrics). opt.PersistDir must be unset: a
-// follower's durable state IS the primary's, re-fetchable at any time.
+// tailing the WAL. The rank count comes from the primary's manifest, and the
+// grid, schedule and enumeration rule from its rank blobs; opt supplies the
+// deployment settings (MaxVertices, ComputeSlots, Metrics). opt.PersistDir
+// must be unset: a follower's durable state IS the primary's, re-fetchable
+// at any time.
 func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 	if opt.PersistDir != "" {
 		return nil, fmt.Errorf("tc2d: followers do not persist locally — unset PersistDir (the primary's chain is the durable state)")
@@ -186,16 +187,12 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 		cancel()
 		return nil, fmt.Errorf("tc2d: primary runs %d ranks, Options.Ranks=%d", m.Ranks, opt.Ranks)
 	}
-	if opt.Enumeration != 0 && int(opt.Enumeration) != m.Enum {
-		cancel()
-		return nil, fmt.Errorf("tc2d: primary enumerates %v, Options ask for %v", Enumeration(m.Enum), opt.Enumeration)
-	}
 	eng, err := res.newLocalEngine(m.Ranks)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	cl := newClusterOn(eng, res, m.Ranks, Enumeration(m.Enum))
+	cl := newClusterOn(eng, res, m.Ranks)
 	cl.readOnly = true
 	if err := cl.adoptChain(chain, blobs); err != nil {
 		eng.close()
@@ -436,12 +433,8 @@ func (f *Follower) rebootstrap() error {
 	if cl.closed.Load() {
 		return ErrClosed
 	}
-	if m.Ranks != cl.ranks || Enumeration(m.Enum) != cl.enum {
-		return fmt.Errorf("primary changed world shape (now %d ranks, %v): follower must be restarted",
-			m.Ranks, Enumeration(m.Enum))
-	}
-	if cl.metaNow().SUMMA != m.SUMMA {
-		return fmt.Errorf("primary changed grid schedule: follower must be restarted")
+	if m.Ranks != cl.ranks {
+		return fmt.Errorf("primary changed world size (now %d ranks): follower must be restarted", m.Ranks)
 	}
 	if err := cl.adoptChain(chain, blobs); err != nil {
 		return err

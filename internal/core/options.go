@@ -11,7 +11,7 @@
 //  3. 2D cyclic redistribution of the upper/lower triangular matrices and
 //     construction of the per-rank task, U (CSR) and L (CSC) blocks
 //     (steps iii and iv).
-//  4. Triangle counting over √p Cannon-style shifts with the map-based
+//  4. Triangle counting over √p Cannon-style shifts with the bitmap-based
 //     ⟨j,i,k⟩ intersection kernel and the paper's four optimizations.
 //  5. Global reduction of the triangle count.
 //
@@ -46,7 +46,9 @@ func (e Enumeration) String() string {
 // Options configures the distributed counting algorithm. The zero value is
 // the paper's full configuration (all optimizations on, ⟨j,i,k⟩).
 type Options struct {
-	// Enumeration selects ⟨j,i,k⟩ (default) or ⟨i,j,k⟩.
+	// Enumeration selects ⟨j,i,k⟩ (default) or ⟨i,j,k⟩. Only PrepareGrid
+	// reads it: the prepared state records the rule, and every later count,
+	// snapshot and rebuild of that state runs under it.
 	Enumeration Enumeration
 	// NoDoublySparse disables the DCSR-style non-empty-row lists that skip
 	// vertices whose local task/U rows are empty (§5.2 "doubly sparse

@@ -147,9 +147,9 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // redistribution, relabeling or block building: the returned Result has
 // PreOps == 0 (the preprocessing cost lives on the Prepared value) and no
 // modeled times, which only CountGrid measures. Every rank must call it
-// with its own Prepared state from the same Prepare and identical options;
-// opt.Enumeration must match the rule the state was prepared for. The call
-// is repeatable: the resident blocks are not mutated.
+// with its own Prepared state from the same Prepare and identical options.
+// The count runs under the rule the state was prepared for; opt.Enumeration
+// is not read. The call is repeatable: the resident blocks are not mutated.
 //
 // CountPrepared is strictly read-only against the Prepared state (the
 // kernel bitmaps are per-call; the operand blobs are the resident bytes,
@@ -161,9 +161,6 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	if prep == nil {
 		return nil, fmt.Errorf("core: nil prepared state")
-	}
-	if opt.Enumeration != prep.enum {
-		return nil, fmt.Errorf("core: state prepared for %v, query asks for %v", prep.enum, opt.Enumeration)
 	}
 	grid, err := mpi.NewGrid(c, prep.blk.qr, prep.blk.qc)
 	if err != nil {

@@ -123,24 +123,6 @@ func TestCountComposesPrepareAndQuery(t *testing.T) {
 	}
 }
 
-func TestCountPreparedEnumerationMismatch(t *testing.T) {
-	g := mustRMAT(t, rmat.G500, 8, 8, 5)
-	_, err := mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
-		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
-		if err != nil {
-			return nil, err
-		}
-		prep, err := Prepare(c, in, Options{Enumeration: EnumJIK})
-		if err != nil {
-			return nil, err
-		}
-		return CountPrepared(c, prep, Options{Enumeration: EnumIJK})
-	})
-	if err == nil {
-		t.Fatal("expected enumeration mismatch error")
-	}
-}
-
 func TestCountPreparedNilState(t *testing.T) {
 	_, err := mpi.Run(1, testCfg(), func(c *mpi.Comm) (any, error) {
 		return CountPrepared(c, nil, Options{})

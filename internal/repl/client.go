@@ -104,21 +104,11 @@ func (c *Client) Manifest(ctx context.Context, seq uint64) (*snapshot.Manifest, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, drainError(resp)
 	}
-	var m snapshot.Manifest
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("repl: snapshot %d manifest: %w", seq, err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	if m.FormatVersion != snapshot.FormatVersion {
-		return nil, fmt.Errorf("repl: snapshot %d manifest format version %d, this binary reads %d: %w",
-			seq, m.FormatVersion, snapshot.FormatVersion, snapshot.ErrCorrupt)
-	}
-	if m.AppliedSeq != seq || m.Ranks < 1 || len(m.RankFiles) != m.Ranks {
-		return nil, fmt.Errorf("repl: snapshot %d manifest inconsistent: %w", seq, snapshot.ErrCorrupt)
-	}
-	if m.IsDelta() && m.ParentSeq >= seq {
-		return nil, fmt.Errorf("repl: snapshot %d delta chains off non-earlier %d: %w", seq, m.ParentSeq, snapshot.ErrCorrupt)
-	}
-	return &m, nil
+	return snapshot.DecodeManifest(raw, seq)
 }
 
 // RankBlob fetches one rank's snapshot payload and verifies it against the

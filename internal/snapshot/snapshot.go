@@ -75,13 +75,12 @@ type Manifest struct {
 	// graph after the first AppliedSeq committed write batches. Replay
 	// resumes at AppliedSeq+1.
 	AppliedSeq uint64 `json:"applied_seq"`
-	// World shape: rank count, grid schedule and enumeration rule, so a
-	// reopening cluster reconstructs an identical SPMD world.
-	Ranks int  `json:"ranks"`
-	SUMMA bool `json:"summa"`
-	QR    int  `json:"qr"`
-	QC    int  `json:"qc"`
-	Enum  int  `json:"enum"`
+	// Ranks is the world size a reopening cluster stands up before it reads
+	// any blob. Everything else about the layout — grid, schedule and
+	// enumeration rule — is recorded and checked by the rank blobs alone;
+	// manifests written when they were also copied here still decode, as
+	// the copies' keys are ignored.
+	Ranks int `json:"ranks"`
 	// Maintained cluster-level totals not stored inside the rank blobs:
 	// the running triangle count (-1 if no count had completed yet) and the
 	// write-path staleness counters.
@@ -296,15 +295,12 @@ func List(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// Load reads and validates the manifest of snapshot seq: the format version
-// must match and every pinned rank file must exist with the pinned size.
-// (Blob checksums are verified by ReadRank, rank by rank.)
-func Load(dir string, seq uint64) (*Manifest, error) {
-	path := filepath.Join(dir, snapDirName(seq), manifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %d: manifest: %w (%v)", seq, ErrCorrupt, err)
-	}
+// DecodeManifest parses and validates the manifest bytes of snapshot seq,
+// wherever they were read from: the format version must match, the rank
+// count must be positive with one pinned file per rank, the manifest must
+// name seq, and a delta must chain off an earlier snapshot. Every failure
+// wraps ErrCorrupt.
+func DecodeManifest(raw []byte, seq uint64) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("snapshot %d: manifest: %w (%v)", seq, ErrCorrupt, err)
@@ -323,13 +319,29 @@ func Load(dir string, seq uint64) (*Manifest, error) {
 	if m.IsDelta() && m.ParentSeq >= seq {
 		return nil, fmt.Errorf("snapshot %d: delta chains off non-earlier snapshot %d: %w", seq, m.ParentSeq, ErrCorrupt)
 	}
+	return &m, nil
+}
+
+// Load reads and validates the manifest of snapshot seq (DecodeManifest),
+// and checks that every pinned rank file exists with the pinned size.
+// (Blob checksums are verified by ReadRank, rank by rank.)
+func Load(dir string, seq uint64) (*Manifest, error) {
+	path := filepath.Join(dir, snapDirName(seq), manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %d: manifest: %w (%v)", seq, ErrCorrupt, err)
+	}
+	m, err := DecodeManifest(raw, seq)
+	if err != nil {
+		return nil, err
+	}
 	for r, rf := range m.RankFiles {
 		st, err := os.Stat(filepath.Join(dir, snapDirName(seq), rf.Name))
 		if err != nil || st.Size() != rf.Size {
 			return nil, fmt.Errorf("snapshot %d: rank %d blob %s missing or resized: %w", seq, r, rf.Name, ErrCorrupt)
 		}
 	}
-	return &m, nil
+	return m, nil
 }
 
 // LoadNewest validates snapshots newest-first and returns the first intact

@@ -60,11 +60,11 @@ type wireRMAT struct {
 }
 
 // wireBuild parameterizes opBuild, and — its Track field alone — opRebuildFull.
+// The schedule follows from the world size and the rule is the paper's
+// ⟨j,i,k⟩; the resident state records both from here on.
 type wireBuild struct {
-	SUMMA       bool
-	Enumeration Enumeration // the rule every later count of this state runs
-	Track       bool        // enable snapshot dirty tracking (durable clusters)
-	RMAT        *wireRMAT
+	Track bool // enable snapshot dirty tracking (durable clusters)
+	RMAT  *wireRMAT
 
 	// graph is the scatter source when RMAT is nil, read at rank 0 only; on
 	// the wire it is rank 0's payload.
@@ -78,7 +78,6 @@ type wireSnap struct{ Delta bool }
 type wireRestore struct {
 	Delta bool // apply a delta blob onto the chain restored so far
 	Final bool // last chain member: enable tracking, install
-	Ranks int
 	Track bool
 
 	// fetch yields one rank's verified blob of this chain member. In-process
@@ -98,8 +97,6 @@ type wireMeta struct {
 	SpaceVersion int64
 	PreOps       int64
 	DegreeDirty  int
-	QR, QC       int
-	SUMMA        bool
 }
 
 // overflowFraction is (N-BaseN)/N, the share of the id space outside the
@@ -113,11 +110,10 @@ func (m wireMeta) overflowFraction() float64 {
 
 func metaOf(pr *core.Prepared) wireMeta {
 	sp := pr.Space()
-	qr, qc, summa := pr.GridShape()
 	return wireMeta{
 		N: pr.N(), M: pr.M(), Wedges: pr.Wedges(),
 		BaseN: sp.BaseN, OverflowN: sp.OverflowN(), SpaceVersion: sp.Version,
-		PreOps: pr.PreOps(), DegreeDirty: pr.DegreeDirtyCount(), QR: qr, QC: qc, SUMMA: summa,
+		PreOps: pr.PreOps(), DegreeDirty: pr.DegreeDirtyCount(),
 	}
 }
 
@@ -287,7 +283,7 @@ func buildOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 		return nil, err
 	}
 	qr, qc := mpi.FactorGrid(c.Size())
-	pr, err := core.PrepareGrid(c, d, qr, qc, b.SUMMA, core.Options{Enumeration: b.Enumeration, Metrics: st.metrics})
+	pr, err := core.PrepareGrid(c, d, qr, qc, mpi.SquareSide(c.Size()) < 0, core.Options{Metrics: st.metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +330,7 @@ func countEntry() epochOp {
 			return nil, err
 		}
 		trace, _ := args.(*obs.Span)
-		res, err := core.CountPrepared(c, pr, core.Options{Enumeration: pr.Enumeration(), Metrics: st.metrics, Trace: trace})
+		res, err := core.CountPrepared(c, pr, core.Options{Metrics: st.metrics, Trace: trace})
 		if err != nil {
 			return nil, err
 		}
@@ -435,11 +431,11 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	switch {
 	case err != nil:
 	case !r.Delta:
-		pr, err = core.DecodePrepared(blob, rank, r.Ranks)
+		pr, err = core.DecodePrepared(blob, rank, c.Size())
 	case pr == nil:
 		err = fmt.Errorf("%w: rank %d has no restored base to apply a delta to", errNoResident, rank)
 	default:
-		err = core.ApplyPreparedDelta(pr, blob, rank, r.Ranks)
+		err = core.ApplyPreparedDelta(pr, blob, rank, c.Size())
 	}
 	if !r.Final {
 		if err == nil {

@@ -107,7 +107,7 @@ func TestDispatchRejectsRankWithoutState(t *testing.T) {
 		{opEncodeSnap, enc(opEncodeSnap, &wireSnap{})},
 		{opSnapDone, nil},
 		// A delta chain member with no base restored before it.
-		{opRestore, gobEncode(&wireRestore{Delta: true, Final: true, Ranks: 1})},
+		{opRestore, gobEncode(&wireRestore{Delta: true, Final: true})},
 	}
 	for _, tc := range cases {
 		st := newRankStore(nil)

@@ -482,16 +482,10 @@ func (cl *Cluster) snapshotShared(parent *obs.Span) (*SnapshotInfo, error) {
 		w.Abort()
 		return nil, err
 	}
-	meta := cl.metaNow()
-	qr, qc, summa := meta.QR, meta.QC, meta.SUMMA
 	tri := cl.lastTri.Load()
 	m := snapshot.Manifest{
 		AppliedSeq:   seq,
 		Ranks:        cl.ranks,
-		SUMMA:        summa,
-		QR:           qr,
-		QC:           qc,
-		Enum:         int(cl.enum),
 		Triangles:    tri,
 		BaseM:        cl.baseM,
 		AppliedEdges: cl.appliedEdges,
@@ -632,10 +626,11 @@ func (cl *Cluster) closePersist() {
 // retention policy kept. Unrecoverable damage fails with
 // ErrSnapshotCorrupt; an empty directory with ErrNoSnapshot.
 //
-// The world shape (rank count, grid schedule, enumeration rule) comes from
-// the snapshot manifest; opt supplies the deployment settings (MaxVertices,
-// NoWALSync, ComputeSlots, Metrics). A non-zero opt.Ranks or
-// opt.Enumeration conflicting with the manifest is an error.
+// The rank count comes from the snapshot manifest, and the grid, schedule
+// and enumeration rule from the rank blobs, so a state keeps the layout it
+// was built with; opt supplies the deployment settings (MaxVertices,
+// NoWALSync, ComputeSlots, Metrics). A non-zero opt.Ranks conflicting with
+// the manifest is an error.
 // opt.PersistDir is ignored: dir is the persistence directory, and the
 // reopened cluster continues appending to its WAL.
 func OpenCluster(dir string, opt Options) (*Cluster, error) {
@@ -662,15 +657,11 @@ func openCluster(dir string, opt Options, newEngine func(res *resolvedOptions, p
 	if opt.Ranks != 0 && opt.Ranks != shape.Ranks {
 		return nil, fmt.Errorf("tc2d: snapshot was taken on %d ranks, Options.Ranks=%d", shape.Ranks, opt.Ranks)
 	}
-	if opt.Enumeration != 0 && int(opt.Enumeration) != shape.Enum {
-		return nil, fmt.Errorf("tc2d: snapshot was prepared for %v, Options ask for %v",
-			Enumeration(shape.Enum), opt.Enumeration)
-	}
 	eng, err := newEngine(res, shape.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	cl := newClusterOn(eng, res, shape.Ranks, Enumeration(shape.Enum))
+	cl := newClusterOn(eng, res, shape.Ranks)
 	if err := cl.restoreDir(res, dir); err != nil {
 		eng.close()
 		return nil, err
@@ -771,14 +762,14 @@ func (cl *Cluster) restoreNewest(dir string, prune bool) (m *snapshot.Manifest, 
 // trusted and surfaces as ErrSnapshotCorrupt, whichever process detected it.
 func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), track bool) error {
 	term := chain[len(chain)-1]
-	if term.Ranks != cl.ranks || Enumeration(term.Enum) != cl.enum {
-		return fmt.Errorf("tc2d: snapshot %d is of a %d-rank %v world, this cluster runs %d ranks, %v: %w",
-			term.AppliedSeq, term.Ranks, Enumeration(term.Enum), cl.ranks, cl.enum, ErrSnapshotCorrupt)
+	if term.Ranks != cl.ranks {
+		return fmt.Errorf("tc2d: snapshot %d is of a %d-rank world, this cluster runs %d ranks: %w",
+			term.AppliedSeq, term.Ranks, cl.ranks, ErrSnapshotCorrupt)
 	}
 	for i, m := range chain {
 		_, err := cl.run(opRestore, &wireRestore{
 			Delta: i > 0, Final: m == term,
-			Ranks: cl.ranks, Track: track,
+			Track: track,
 			fetch: func(rank int) ([]byte, error) { return fetch(m, rank) },
 		})
 		switch {
@@ -828,8 +819,8 @@ func loadChain(m *snapshot.Manifest, load func(seq uint64) (*snapshot.Manifest, 
 			return nil, fmt.Errorf("tc2d: snapshot %d needs parent %d: %w",
 				chain[0].AppliedSeq, chain[0].ParentSeq, err)
 		}
-		if parent.Ranks != m.Ranks || parent.SUMMA != m.SUMMA || parent.Enum != m.Enum {
-			return nil, fmt.Errorf("tc2d: snapshot %d and its parent %d disagree on the world shape: %w",
+		if parent.Ranks != m.Ranks {
+			return nil, fmt.Errorf("tc2d: snapshot %d and its parent %d disagree on the world size: %w",
 				chain[0].AppliedSeq, parent.AppliedSeq, ErrSnapshotCorrupt)
 		}
 		chain = append([]*snapshot.Manifest{parent}, chain...)

@@ -2,6 +2,7 @@ package tc2d
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -192,20 +193,101 @@ func TestClusterKillRecoverySingleRank(t *testing.T) {
 	runKillRecovery(t, Options{Ranks: 1}, nil, 7, 12, 105)
 }
 
-// TestOpenClusterSquareSUMMA: square rank counts always build the Cannon
-// layout now, but a directory written when a 4-rank cluster could be forced
-// onto SUMMA broadcasts still opens on the schedule its manifest names —
-// and keeps it through a batch and a full rebuild.
-func TestOpenClusterSquareSUMMA(t *testing.T) {
-	const ranks = 4
-	dir := t.TempDir()
-	g, err := GenerateRMAT(G500, 8, 8, 37)
-	if err != nil {
-		t.Fatal(err)
+// TestOpenClusterKeepsBlobLayout: the rank blobs are the only record of a
+// state's grid, schedule and enumeration rule, so a directory written with a
+// layout NewCluster no longer builds still opens on that layout and keeps it
+// through a batch, a full rebuild and a snapshot-and-reopen. The inputs are
+// hand-built: a 4-rank SUMMA world on 2×2 (square rank counts now always run
+// Cannon), and a Cannon 2×2 ⟨i,j,k⟩ world (clusters now always run ⟨j,i,k⟩)
+// whose manifest still carries the legacy enum/summa/qr/qc keys.
+func TestOpenClusterKeepsBlobLayout(t *testing.T) {
+	cases := []struct {
+		name   string
+		summa  bool
+		enum   core.Enumeration
+		legacy map[string]any // extra manifest keys, as older binaries wrote them
+	}{
+		{name: "summa2x2_jik", summa: true, enum: core.EnumJIK},
+		{name: "cannon2x2_ijk", summa: false, enum: core.EnumIJK,
+			legacy: map[string]any{"enum": int(core.EnumIJK), "summa": false, "qr": 2, "qc": 2}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := GenerateRMAT(G500, 8, 8, 37)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			writeHandBuiltSnapshot(t, dir, g, tc.summa, core.Options{Enumeration: tc.enum}, tc.legacy)
+
+			cl, err := OpenCluster(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			onLayout := func(tag string) {
+				t.Helper()
+				pr, err := cl.eng.(*localEngine).store.get(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qr, qc, summa := pr.GridShape()
+				if qr != 2 || qc != 2 || summa != tc.summa || pr.Enumeration() != tc.enum {
+					t.Fatalf("%s: layout %d×%d SUMMA=%v %v, want 2×2 SUMMA=%v %v",
+						tag, qr, qc, summa, pr.Enumeration(), tc.summa, tc.enum)
+				}
+			}
+			o := newGrowOracle(g)
+			checkRestored(t, "restore", cl, o)
+			onLayout("restored")
+
+			// Enough churn that the rebuild runs the full pipeline, which
+			// re-derives the layout from the resident state.
+			rng := rand.New(rand.NewSource(38))
+			batch := churnBatch(rng, o, 2*incrementalFraction*float64(g.N)/float64(g.NumEdges()))
+			res, err := cl.ApplyUpdates(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.apply(batch)
+			checkGrowthState(t, "batch", cl, o, res)
+			onLayout("batch")
+			if err := cl.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			if info := cl.Info(); info.Rebuilds != 1 || info.IncrementalRebuilds != 0 {
+				t.Fatalf("Rebuilds=%d IncrementalRebuilds=%d, want one full rebuild", info.Rebuilds, info.IncrementalRebuilds)
+			}
+			checkRestored(t, "rebuild", cl, o)
+			onLayout("rebuilt")
+
+			// A snapshot this binary writes has no layout in its manifest;
+			// the reopened cluster reads it back from the blobs.
+			if _, err := cl.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if cl, err = OpenCluster(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			checkRestored(t, "reopen", cl, o)
+			onLayout("reopened")
+		})
+	}
+}
+
+// writeHandBuiltSnapshot prepares g on a 4-rank 2×2 grid with the given
+// schedule and options and publishes it under dir as base snapshot 0, with
+// extra merged into its manifest.
+func writeHandBuiltSnapshot(t *testing.T, dir string, g *Graph, summa bool, opt core.Options, extra map[string]any) {
+	t.Helper()
+	const ranks = 4
 	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
 	blobs := make([][]byte, ranks)
-	_, err = w.Run(func(c *mpi.Comm) (any, error) {
+	_, err := w.Run(func(c *mpi.Comm) (any, error) {
 		var gin *Graph
 		if c.Rank() == 0 {
 			gin = g
@@ -214,7 +296,7 @@ func TestOpenClusterSquareSUMMA(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := core.PrepareGrid(c, d, 2, 2, true, core.Options{})
+		pr, err := core.PrepareGrid(c, d, 2, 2, summa, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -235,45 +317,34 @@ func TestOpenClusterSquareSUMMA(t *testing.T) {
 		}
 	}
 	if err := sw.Commit(snapshot.Manifest{
-		Ranks: ranks, SUMMA: true, QR: 2, QC: 2,
-		Triangles: CountSequential(g), BaseM: g.NumEdges(), Kind: snapshot.KindBase,
+		Ranks: ranks, Triangles: CountSequential(g), BaseM: g.NumEdges(), Kind: snapshot.KindBase,
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	cl, err := OpenCluster(dir, Options{})
+	if len(extra) == 0 {
+		return
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "snap-*", "MANIFEST.json"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("manifest of the hand-built snapshot: %v %v", paths, err)
+	}
+	raw, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	o := newGrowOracle(g)
-	checkRestored(t, "square SUMMA restore", cl, o)
-	onSUMMA := func(tag string) {
-		t.Helper()
-		if m := cl.metaNow(); !m.SUMMA || m.QR != 2 || m.QC != 2 {
-			t.Fatalf("%s: layout SUMMA=%v %d×%d, want SUMMA on 2×2", tag, m.SUMMA, m.QR, m.QC)
-		}
-	}
-	onSUMMA("restored")
-
-	// Enough churn that the rebuild runs the full pipeline, which re-derives
-	// the grid and schedule from the resident state.
-	rng := rand.New(rand.NewSource(38))
-	batch := churnBatch(rng, o, 2*incrementalFraction*float64(g.N)/float64(g.NumEdges()))
-	res, err := cl.ApplyUpdates(batch)
-	if err != nil {
+	fields := map[string]any{}
+	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	o.apply(batch)
-	checkGrowthState(t, "square SUMMA batch", cl, o, res)
-	if err := cl.Rebuild(); err != nil {
+	for k, v := range extra {
+		fields[k] = v
+	}
+	if raw, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}
-	if info := cl.Info(); info.Rebuilds != 1 || info.IncrementalRebuilds != 0 {
-		t.Fatalf("Rebuilds=%d IncrementalRebuilds=%d, want one full rebuild", info.Rebuilds, info.IncrementalRebuilds)
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	checkRestored(t, "square SUMMA rebuild", cl, o)
-	onSUMMA("rebuilt")
 }
 
 // TestClusterSnapshotRestore is the deterministic core of the durability

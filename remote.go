@@ -54,7 +54,7 @@ var ErrDegraded = errors.New("tc2d: cluster is degraded, waiting for workers")
 
 // CoordinatorOptions parameterizes the worker-facing half of a coordinator
 // cluster; Options keeps parameterizing everything else (world size via
-// Ranks, enumeration rule, PersistDir). The zero value listens on an
+// Ranks, PersistDir). The zero value listens on an
 // ephemeral loopback port and waits up to a minute for workers.
 type CoordinatorOptions struct {
 	// Listen is the TCP address workers dial. Default "127.0.0.1:0"; the
@@ -329,8 +329,8 @@ func NewClusterCoordinatorRMAT(params RMATParams, scale, edgeFactor int, seed ui
 // newest valid snapshot chain on them, replays the WAL tail through write
 // epochs, and resumes serving with the restored counters. Exactly like
 // OpenCluster, a corrupt newest snapshot falls back to the previous one,
-// ErrNoSnapshot means an empty directory, and opt.Ranks/opt.Enumeration
-// conflicting with the manifest are errors.
+// ErrNoSnapshot means an empty directory, and an opt.Ranks conflicting with
+// the manifest is an error.
 func OpenClusterCoordinator(dir string, opt Options, copt CoordinatorOptions) (*Cluster, error) {
 	return openCluster(dir, opt, copt.newEngine)
 }

@@ -552,7 +552,7 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { eng.close() })
-		return newClusterOn(eng, res, ranks, opt.Enumeration)
+		return newClusterOn(eng, res, ranks)
 	}
 	local := newSide((*resolvedOptions).newLocalEngine)
 	var stopWorkers []context.CancelFunc
@@ -570,7 +570,7 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 	restore := func(useDelta, final bool) func(*side) any {
 		return func(s *side) any {
 			blobs := s.blobs[useDelta]
-			return &wireRestore{Delta: useDelta, Final: final, Ranks: ranks, Track: true,
+			return &wireRestore{Delta: useDelta, Final: final, Track: true,
 				fetch: func(rank int) ([]byte, error) { return blobs[rank], nil }}
 		}
 	}
@@ -581,7 +581,7 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		args func(*side) any
 	}{
 		{opBuild, func(*side) any {
-			return &wireBuild{graph: g, Track: true, Enumeration: opt.Enumeration}
+			return &wireBuild{graph: g, Track: true}
 		}},
 		{opCount, count},
 		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 2, V: 777, Op: UpdateInsert}})},
@@ -653,7 +653,7 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 
 	// A chain that does not decode is ErrSnapshotCorrupt from either engine,
 	// whichever process detected it, and leaves the resident state serving.
-	bad := []*snapshot.Manifest{{AppliedSeq: 9, Ranks: ranks, Enum: int(opt.Enumeration)}}
+	bad := []*snapshot.Manifest{{AppliedSeq: 9, Ranks: ranks}}
 	garbage := func(*snapshot.Manifest, int) ([]byte, error) { return []byte("not a snapshot blob"), nil }
 	for j, s := range sides {
 		if err := s.cl.restoreChain(bad, garbage, true); !errors.Is(err, ErrSnapshotCorrupt) {
