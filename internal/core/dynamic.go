@@ -474,10 +474,10 @@ func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
 }
 
 // kernel builds the kernel of one count over p, sized for the state as it is
-// now.
+// now. The caller releases it when the count's steps are done.
 func (p *Prepared) kernel(opt Options) *kernel {
 	maxURow, keyRange := p.kernelSizing()
-	return newKernel(keyRange, maxURow, opt)
+	return newKernel(keyRange, p.blk.nCols, maxURow, opt)
 }
 
 // longestURow scans the resident U blocks for the longest row — the quantity

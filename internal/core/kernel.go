@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	mathbits "math/bits"
+	"sync"
+
 	"tc2d/internal/hashset"
 	"tc2d/internal/obs"
 )
@@ -21,6 +25,7 @@ type kernelCounters struct {
 // below floor, the row's minimum (§5.2 early break); NoEarlyBreak walks the
 // whole column. The walk adds the looked-up bit to a register instead of
 // branching on it, and the probe count comes from where the walk stopped.
+// A row with a key in the bitmap's top word goes to rowHub instead.
 func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 	tcols := task.row(a)
 	if len(tcols) == 0 {
@@ -35,6 +40,10 @@ func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 	floor := urow[0] // rows are sorted ascending
 	if kn.noEarlyBreak {
 		floor = 0
+	}
+	if urow[len(urow)-1] >= kn.hubBase {
+		kn.rowHub(tcols, urow, floor, l)
+		return
 	}
 	bits := kn.bits
 	built := false
@@ -72,6 +81,98 @@ func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 	kn.kc.triangles += int64(hits)
 	kn.kc.probes += int64(probes)
 	kn.kc.mapTasks += int64(tasks)
+}
+
+// rowHub is rowBitmap for a row with a key in the bitmap's top word, the
+// hub word: under the degree relabeling (§5.3) the hubs hold the highest
+// keys, so on a skewed graph most columns end in it. A column whose
+// second-highest key lies in the hub word has those keys counted 64 at a
+// time through its hub mask — popcount(mask & hub word) hits and
+// popcount(mask & keys ≥ floor) probes, exactly what walking them would have
+// found — and only its keys below the word are walked. Any other column is
+// walked whole, as in rowBitmap.
+func (kn *kernel) rowHub(tcols, urow []int32, floor int32, l *cscBlock) {
+	bits, hub := kn.bits, kn.hubBase
+	above := ^uint64(0) // the top word's keys ≥ floor
+	if floor > hub {
+		above <<= uint32(floor - hub)
+	}
+	var top uint64
+	built := false
+	var hits uint64
+	var probes, hubProbes, tasks int
+	for _, b := range tcols {
+		col := l.col(b)
+		if len(col) == 0 {
+			continue
+		}
+		tasks++
+		if !built {
+			for _, k := range urow {
+				bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
+			}
+			top = bits[len(bits)-1]
+			built = true
+		}
+		start := len(col) - 1
+		if start > 0 && col[start-1] >= hub {
+			m := kn.hubs[b]
+			if m == 0 { // the column's first hub row this step
+				m = kn.hubMask(b, col)
+			}
+			hits += uint64(mathbits.OnesCount64(m & top))
+			hubProbes += mathbits.OnesCount64(m & above)
+			start -= mathbits.OnesCount64(m)
+		}
+		i := start
+		for ; i >= 0; i-- {
+			k := col[i]
+			if k < floor {
+				break
+			}
+			hits += bits[uint32(k)>>6] >> (uint32(k) & 63) & 1
+		}
+		probes += start - i
+	}
+	if built {
+		for _, k := range urow {
+			bits[uint32(k)>>6] = 0
+		}
+	}
+	kn.kc.triangles += int64(hits)
+	kn.kc.probes += int64(probes + hubProbes)
+	kn.kc.mapTasks += int64(tasks)
+	kn.hubProbes += int64(hubProbes)
+}
+
+// hubMask records and returns the hub mask of L column b: bit k − hubBase
+// for each of its keys k in the hub word. Only columns with at least two
+// such keys get one, so a recorded mask is never zero, and zero marks a
+// column not yet met this step.
+func (kn *kernel) hubMask(b int32, col []int32) uint64 {
+	hub := kn.hubBase
+	var m uint64
+	for i := len(col) - 1; i >= 0 && col[i] >= hub; i-- {
+		d := uint32(col[i] - hub)
+		if d >= 64 {
+			panic(fmt.Errorf("core: L column %d holds key %d, beyond the bitmap", b, col[i]))
+		}
+		m |= 1 << d
+	}
+	kn.hubs[b] = m
+	kn.hubsSet = true
+	return m
+}
+
+// clearHubs ends a compute step: the next step's L block has other columns,
+// so the masks this one recorded are zeroed, and hubs is all-zero between
+// steps, as bits is between rows. Clearing the whole array costs less than
+// keeping a list of the columns that have a mask.
+func (kn *kernel) clearHubs() {
+	if kn.hubsSet {
+		clear(kn.hubs)
+		kn.hubsSet = false
+	}
 }
 
 // rowProbing is rowBitmap for the NoDirectHash ablation (§7.3): the same
@@ -112,17 +213,28 @@ func (kn *kernel) rowProbing(a int32, task, u *csrBlock, l *cscBlock) {
 
 // kernel is the state of the kernel for one count (or one IntersectPairs
 // call), reused across all its steps on the rank's own goroutine: the
-// intersection map of the row in hand, the counters, and the routine the
-// count's options select — chosen here, once, so the per-element loops read
-// no option.
+// intersection map of the row in hand, the hub masks of the step in hand,
+// the counters, and the routine the count's options select — chosen here,
+// once, so the per-element loops read no option.
 type kernel struct {
 	// bits is the direct-addressed map of the paper's §5.2 direct hashing,
 	// made unconditional: one bit per key of the operand's local key range,
 	// so every row is collision-free. All-zero between rows.
 	bits []uint64
+	// hubBase is the first key of the bitmap's top word, the hub word. hubs
+	// holds, per L column of the current step, the column's hub mask or 0
+	// until rowHub first needs it; hubsSet tells whether any is recorded.
+	hubBase int32
+	hubs    []uint64
+	hubsSet bool
+	// scratch holds bits and hubs, drawn from scratchPool and returned by
+	// release.
+	scratch *kernelScratch
 	// set is the probing table of the NoDirectHash ablation; nil otherwise.
 	set *hashset.Set
 	kc  kernelCounters
+	// hubProbes is the part of kc.probes the hub masks answered.
+	hubProbes int64
 
 	probing      bool // NoDirectHash: rowProbing instead of rowBitmap
 	noEarlyBreak bool
@@ -134,12 +246,22 @@ type kernel struct {
 	steps *obs.Counter
 }
 
+// kernelScratch is the working memory of one kernel at a time. Whenever it
+// is in the pool, bits and hubs are all-zero over their whole capacity.
+type kernelScratch struct{ bits, hubs []uint64 }
+
+// scratchPool recycles kernel scratch across counts and write passes, so a
+// read allocates neither the bitmap nor the masks. Concurrent read epochs
+// each draw their own.
+var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+
 // newKernel builds the kernel of one count: a bitmap of one bit per key
-// below keyRange or, for the ablation, a probing table of 8× the longest
-// U-block row (load factor at most 1/8). A count builds its kernel through
-// Prepared.kernel, from the sizing of the state at that moment — never cached
-// across counts, so the bitmap follows elastic growth.
-func newKernel(keyRange int32, maxURow int64, opt Options) *kernel {
+// below keyRange and a hub mask per L column (nCols of them) or, for the
+// ablation, a probing table of 8× the longest U-block row (load factor at
+// most 1/8). A count builds its kernel through Prepared.kernel, from the
+// sizing of the state at that moment, so the bitmap follows elastic growth;
+// the memory comes from scratchPool and goes back through release.
+func newKernel(keyRange, nCols int32, maxURow int64, opt Options) *kernel {
 	kn := &kernel{
 		probing:      opt.NoDirectHash,
 		noEarlyBreak: opt.NoEarlyBreak,
@@ -149,10 +271,31 @@ func newKernel(keyRange int32, maxURow int64, opt Options) *kernel {
 	}
 	if kn.probing {
 		kn.set = hashset.New(int(8 * maxURow))
-	} else {
-		kn.bits = make([]uint64, (int(keyRange)+63)/64)
+		return kn
 	}
+	words := (int(keyRange) + 63) / 64
+	s := scratchPool.Get().(*kernelScratch)
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	}
+	if cap(s.hubs) < int(nCols) {
+		s.hubs = make([]uint64, nCols)
+	}
+	kn.scratch = s
+	kn.bits, kn.hubs = s.bits[:words], s.hubs[:nCols]
+	kn.hubBase = int32(64 * (words - 1))
 	return kn
+}
+
+// release returns the kernel's scratch to the pool; the kernel must not run
+// again. A kernel that panicked is never released, so no bitmap left dirty
+// mid-row is handed out again.
+func (kn *kernel) release() {
+	if kn.scratch != nil {
+		kn.clearHubs()
+		scratchPool.Put(kn.scratch)
+		kn.scratch, kn.bits, kn.hubs = nil, nil, nil
+	}
 }
 
 // run executes one compute step's kernel over the current operand blocks.
@@ -177,6 +320,7 @@ func (kn *kernel) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock
 	for _, a := range rows {
 		kn.rowBitmap(a, task, u, l)
 	}
+	kn.clearHubs()
 }
 
 // Pair is one intersection of the write path: two ascending lists of global
@@ -190,13 +334,15 @@ type Pair struct{ A, B []int32 }
 //
 // The bitmap is sized for the current vertex count (after any GrowTo): every
 // entry of a column class y lists labels ≡ y mod qc, so label / qc is a
-// collision-free key below ⌈n/qc⌉.
+// collision-free key below ⌈n/qc⌉. It is drawn from the count kernel's
+// scratch pool and returned to it.
 func (p *Prepared) IntersectPairs(pairs []Pair, hit func(i int, w int32)) int64 {
 	qc := int32(p.blk.qc)
-	kn := newKernel(numWithResidue(p.n, p.blk.qc, 0), 0, Options{})
+	kn := newKernel(numWithResidue(p.n, p.blk.qc, 0), 0, 0, Options{})
 	for i := range pairs {
 		kn.pairBitmap(i, &pairs[i], qc, hit)
 	}
+	kn.release()
 	return kn.kc.probes
 }
 

@@ -15,7 +15,10 @@ import (
 // rank of a 4-rank Cannon grid — rank 0's task block against its own U and L
 // blocks, the operands it holds at step 0 — on a skewed (RMAT scale 14) and
 // a flat (Erdős–Rényi, same size) graph. ns/probe is the cost of one bitmap
-// lookup with everything around it amortised in; a step must not allocate.
+// lookup with everything around it amortised in; tasks/op against probes/op
+// splits the step into per-task and per-probe work, and hub-share is the
+// fraction of the probes the hub masks answered 64 keys at a time. A step
+// must not allocate (TestKernelStepAllocatesNothing).
 func BenchmarkKernelStep(b *testing.B) {
 	er, err := rmat.ErdosRenyi(1<<14, 16<<14, 1)
 	if err != nil {
@@ -30,20 +33,9 @@ func BenchmarkKernelStep(b *testing.B) {
 		g    *graph.Graph
 	}{{"rmat-s14", rm}, {"er-s14", er}} {
 		b.Run(in.name, func(b *testing.B) {
-			var prep *Prepared
-			_, err := mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
-				p, err := prepareOn(c, in.g, 0, 0, EnumJIK)
-				if c.Rank() == 0 {
-					prep = p
-				}
-				return nil, err
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			prep := rankZero(b, in.g)
 			blk := prep.blk
-			maxURow, keyRange := prep.kernelSizing()
-			kn := newKernel(keyRange, maxURow, Options{})
+			kn := prep.kernel(Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -54,7 +46,43 @@ func BenchmarkKernelStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kc.probes), "ns/probe")
 			b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
 			b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
+			b.ReportMetric(float64(kc.mapTasks)/float64(b.N), "tasks/op")
+			b.ReportMetric(float64(kn.hubProbes)/float64(kc.probes), "hub-share")
 		})
+	}
+}
+
+// rankZero prepares g on a 4-rank Cannon grid and returns rank 0's state.
+func rankZero(tb testing.TB, g *graph.Graph) *Prepared {
+	tb.Helper()
+	var prep *Prepared
+	_, err := mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+		p, err := prepareOn(c, g, 0, 0, EnumJIK)
+		if c.Rank() == 0 {
+			prep = p
+		}
+		return nil, err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prep
+}
+
+// TestKernelStepAllocatesNothing holds BenchmarkKernelStep to its promise:
+// once a kernel has run one step, a compute step — the hub masks included —
+// allocates nothing.
+func TestKernelStepAllocatesNothing(t *testing.T) {
+	prep := rankZero(t, mustRMAT(t, rmat.G500, 12, 16, 1))
+	blk := prep.blk
+	kn := prep.kernel(Options{})
+	step := func() { kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0]) }
+	step()
+	if kn.hubProbes == 0 {
+		t.Fatal("the step answered no probe from the hub masks")
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("a compute step allocated %v times", allocs)
 	}
 }
 

@@ -8,23 +8,32 @@ import (
 
 // TestKernelRowMatchesMapOracle checks both row routines against a map
 // oracle on random rows whose keys straddle the bitmap's word boundaries
-// (63/64, 127/128), with empty U rows, empty task rows, empty columns and
-// columns entirely below the row minimum in the mix — and, after every row,
-// that the bitmap is all-zero again: a stale bit would silently inflate
-// later rows. Every trial also runs one pair of IntersectPairs' routine,
-// held to the same oracle and the same clean bitmap.
+// (63/64, 127/128, 191/192), with empty U rows, empty task rows, empty
+// columns and columns entirely below the row minimum in the mix — and, after
+// every row, that the bitmap is all-zero again: a stale bit would silently
+// inflate later rows. The key range ends in a partial top word, the hub word
+// of rowHub: U rows and L columns put two or more keys in it or none, row
+// minima fall below it and inside it, and single-hub-key columns, which
+// take the plain walk, are in the mix. Each trial's rows are one step: the
+// columns' masks are shared by its rows, and after clearHubs, which ends
+// every step of run, the masks must be all-zero again before the kernel
+// goes back to the pool. Every trial also runs one pair of IntersectPairs'
+// routine, held to the same oracle and the same clean bitmap.
 func TestKernelRowMatchesMapOracle(t *testing.T) {
-	const keyRange = 130 // three words, the last one partial
+	const keyRange = 250 // four words, the top one partial: keys 192..249
+	const hubBase = 64 * (keyRange / 64)
 	rng := rand.New(rand.NewSource(7))
-	boundary := []int32{0, 63, 64, 127, 128, 129}
-	randList := func(n int, lo int32) []int32 {
+	boundary := []int32{0, 63, 64, 127, 128, 191, 192, 193, 249}
+	// randList draws n distinct keys in [lo, hi), a third of them from the
+	// word boundaries when those fall in range.
+	randList := func(n int, lo, hi int32) []int32 {
 		seen := map[int32]bool{}
 		for len(seen) < n {
-			k := lo + rng.Int31n(keyRange-lo)
+			k := lo + rng.Int31n(hi-lo)
 			if rng.Intn(3) == 0 {
 				k = boundary[rng.Intn(len(boundary))]
 			}
-			if k >= lo {
+			if k >= lo && k < hi {
 				seen[k] = true
 			}
 		}
@@ -35,18 +44,39 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	for trial := 0; trial < 300; trial++ {
+	// hubList is randList below the hub word plus hubs keys in it.
+	hubList := func(below, hubs int) []int32 {
+		var out []int32
+		if below > 0 {
+			out = randList(below, 0, hubBase)
+		}
+		return append(out, randList(hubs, hubBase, keyRange)...)
+	}
+	hubRows, hubCols, floorInHub := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
 		const rows, cols = 4, 6
 		var taskPairs, uPairs, lPairs []int32
 		for a := int32(0); a < rows; a++ {
-			if rng.Intn(5) > 0 { // else: empty U row
-				lo := int32(0)
-				if rng.Intn(2) == 0 {
-					lo = 64 // leaves room for columns entirely below the minimum
-				}
-				for _, k := range randList(1+rng.Intn(20), lo) {
-					uPairs = append(uPairs, a, k)
-				}
+			var urow []int32
+			switch rng.Intn(6) {
+			case 0: // empty U row
+			case 1: // anywhere in the range
+				urow = randList(1+rng.Intn(20), 0, keyRange)
+			case 2: // above 64: room for columns entirely below the minimum
+				urow = randList(1+rng.Intn(20), 64, keyRange)
+			case 3: // no key in the hub word
+				urow = randList(1+rng.Intn(20), 0, hubBase)
+			case 4: // hub keys, minimum below the hub word
+				urow = hubList(1+rng.Intn(15), 2+rng.Intn(20))
+			default: // every key in the hub word: the minimum inside it
+				urow = randList(2+rng.Intn(20), hubBase, keyRange)
+				floorInHub++
+			}
+			if len(urow) > 0 && urow[len(urow)-1] >= hubBase {
+				hubRows++
+			}
+			for _, k := range urow {
+				uPairs = append(uPairs, a, k)
 			}
 			for b := int32(0); b < cols; b++ {
 				if rng.Intn(3) > 0 { // all six misses leave the task row empty
@@ -55,18 +85,25 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 			}
 		}
 		for b := int32(0); b < cols; b++ {
-			switch rng.Intn(4) {
+			var col []int32
+			switch rng.Intn(6) {
 			case 0: // empty column
 			case 1: // every key below 64
-				for _, k := range randList(1+rng.Intn(10), 0) {
-					if k < 64 {
-						lPairs = append(lPairs, b, k)
-					}
-				}
-			default:
-				for _, k := range randList(1+rng.Intn(30), 0) {
-					lPairs = append(lPairs, b, k)
-				}
+				col = randList(1+rng.Intn(10), 0, 64)
+			case 2: // anywhere in the range
+				col = randList(1+rng.Intn(30), 0, keyRange)
+			case 3: // two or more hub keys over keys below the word
+				col = hubList(rng.Intn(20), 2+rng.Intn(30))
+			case 4: // a single hub key: the plain walk
+				col = hubList(rng.Intn(20), 1)
+			default: // the whole hub word
+				col = randList(keyRange-hubBase, hubBase, keyRange)
+			}
+			if len(col) >= 2 && col[len(col)-2] >= hubBase {
+				hubCols++
+			}
+			for _, k := range col {
+				lPairs = append(lPairs, b, k)
 			}
 		}
 		task := csrFromPairs(rows, taskPairs)
@@ -75,8 +112,8 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 		l := cscBlock{rows: lc.rows, xadj: lc.xadj, adj: lc.adj}
 
 		for _, noEarlyBreak := range []bool{false, true} {
-			bitmap := newKernel(keyRange, u.maxRow(), Options{NoEarlyBreak: noEarlyBreak})
-			probing := newKernel(keyRange, u.maxRow(), Options{NoDirectHash: true, NoEarlyBreak: noEarlyBreak})
+			bitmap := newKernel(keyRange, cols, u.maxRow(), Options{NoEarlyBreak: noEarlyBreak})
+			probing := newKernel(keyRange, cols, u.maxRow(), Options{NoDirectHash: true, NoEarlyBreak: noEarlyBreak})
 			var want kernelCounters
 			for a := int32(0); a < rows; a++ {
 				urow := u.row(a)
@@ -110,6 +147,13 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 						trial, a, noEarlyBreak, bitmap.kc, probing.kc, want)
 				}
 			}
+			bitmap.clearHubs()
+			for b, m := range bitmap.hubs {
+				if m != 0 {
+					t.Fatalf("trial %d: hub mask of column %d = %#x after the step", trial, b, m)
+				}
+			}
+			bitmap.release()
 		}
 
 		// The write path's pair routine on the same kind of lists, as labels
@@ -120,13 +164,13 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 			if rng.Intn(6) == 0 {
 				return nil
 			}
-			keys := randList(1+rng.Intn(30), lo)
+			keys := randList(1+rng.Intn(30), lo, keyRange)
 			for i := range keys {
 				keys[i] = keys[i]*qc + class
 			}
 			return keys
 		}
-		pr := Pair{A: labels(int32(64 * rng.Intn(2))), B: labels(0)}
+		pr := Pair{A: labels(int32(64 * rng.Intn(4))), B: labels(0)}
 		if rng.Intn(8) == 0 && len(pr.A) > 0 && pr.A[0] > class {
 			pr.B = []int32{class} // entirely below A's minimum
 		}
@@ -143,7 +187,7 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 				wantHits++
 			}
 		}
-		w := newKernel(keyRange, 0, Options{})
+		w := newKernel(keyRange, 0, 0, Options{})
 		var hits int64
 		w.pairBitmap(trial, &pr, qc, func(i int, v int32) {
 			if i != trial || !inA[v] {
@@ -159,6 +203,10 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 		if hits != wantHits || w.kc.probes != wantProbes {
 			t.Fatalf("trial %d: pair %v ∩ %v: %d hits, %d probes; oracle %d, %d", trial, pr.A, pr.B, hits, w.kc.probes, wantHits, wantProbes)
 		}
+	}
+	t.Logf("%d rows with hub keys (%d with the minimum in the hub word), %d columns with hub masks", hubRows, floorInHub, hubCols)
+	if hubRows < 400 || floorInHub < 100 || hubCols < 400 {
+		t.Fatalf("the trials reached the hub path too rarely: %d hub rows, %d minima in the hub word, %d hub columns", hubRows, floorInHub, hubCols)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // only) or SUMMA's broadcasts — and with it which of the two snapshot kinds
 // the state is written as.
 //
-// The state is read-only during counting — the kernel bitmaps are per-call,
-// and the operand blobs that travel are the resident blocks' own bytes, read
+// The state is read-only during counting — each count's kernel works in
+// scratch of its own, a bitmap and hub masks drawn from a pool and returned
+// when the count ends, and the operand blobs that travel are the resident blocks' own bytes, read
 // in place by every rank they reach — so repeated queries against the same
 // Prepared value are independent and return identical counts.
 type Prepared struct {
@@ -151,8 +152,9 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // The count runs under the rule the state was prepared for; opt.Enumeration
 // is not read. The call is repeatable: the resident blocks are not mutated.
 //
-// CountPrepared is strictly read-only against the Prepared state (the
-// kernel bitmaps are per-call; the operand blobs are the resident bytes,
+// CountPrepared is strictly read-only against the Prepared state (each
+// count's kernel scratch is its own while the count runs, drawn from a pool
+// and returned when its steps end; the operand blobs are the resident bytes,
 // which other ranks read in place), so any number of CountPrepared epochs
 // may run concurrently over the same state as World.RunRead epochs. The write-path operations — Splice,
 // EnsureAdjacency, AdjustTotals, SetLabels, and the delta package's

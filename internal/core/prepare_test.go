@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"tc2d/internal/dgraph"
@@ -49,6 +51,74 @@ func TestPrepareThenCountRepeatable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentReadEpochsShareNoScratch runs two CountPrepared epochs at
+// once as World.RunRead epochs over the same resident state. Every rank of
+// both epochs waits for all the others before it counts, so both epochs'
+// kernels are live together. Each must return, rank by rank, the Result an
+// exclusive epoch returns (the wall-clock kernel time aside), and two
+// kernels live at once must hold distinct scratch; under -race, a shared
+// bitmap is also a reported race.
+func TestConcurrentReadEpochsShareNoScratch(t *testing.T) {
+	const p = 4
+	g := mustRMAT(t, rmat.G500, 12, 16, 1)
+	// A compute slot for every rank of both epochs, so the ranks parked at
+	// the rendezvous do not starve the others.
+	w := mpi.NewWorld(p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 2 * p})
+	defer w.Close()
+	preps := make([]*Prepared, p)
+	if _, err := w.Run(func(c *mpi.Comm) (any, error) {
+		prep, err := prepareOn(c, g, 0, 0, EnumJIK)
+		preps[c.Rank()] = prep
+		return nil, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	counts := func(results []any) []Result {
+		out := make([]Result, len(results))
+		for r, v := range results {
+			out[r] = *v.(*Result)
+			out[r].LocalKernelTime = 0
+		}
+		return out
+	}
+	want, err := w.Run(func(c *mpi.Comm) (any, error) { return CountPrepared(c, preps[c.Rank()], Options{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		var rendezvous, done sync.WaitGroup
+		rendezvous.Add(2 * p)
+		var got [2][]any
+		var errs [2]error
+		for e := range got {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				got[e], errs[e] = w.RunRead(func(c *mpi.Comm) (any, error) {
+					rendezvous.Done()
+					rendezvous.Wait()
+					return CountPrepared(c, preps[c.Rank()], Options{})
+				})
+			}()
+		}
+		done.Wait()
+		for e := range got {
+			if errs[e] != nil {
+				t.Fatalf("round %d epoch %d: %v", round, e, errs[e])
+			}
+			if !reflect.DeepEqual(counts(got[e]), counts(want)) {
+				t.Fatalf("round %d epoch %d: %+v, exclusive epoch %+v", round, e, counts(got[e]), counts(want))
+			}
+		}
+	}
+	a, b := preps[0].kernel(Options{}), preps[0].kernel(Options{})
+	if &a.bits[0] == &b.bits[0] || &a.hubs[0] == &b.hubs[0] {
+		t.Fatal("two live kernels share scratch")
+	}
+	a.release()
+	b.release()
 }
 
 func TestPreparedAcrossEpochs(t *testing.T) {
