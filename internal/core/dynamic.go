@@ -474,10 +474,13 @@ func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
 }
 
 // kernel builds the kernel of one count over p, sized for the state as it is
-// now. The caller releases it when the count's steps are done.
+// now. Its hub window ends at ⌈baseN/L⌉, the end of the last build's keys,
+// where the degree order put the hubs: vertices that arrived since then hold
+// the keys above it. The caller releases the kernel when the count's steps
+// are done.
 func (p *Prepared) kernel(opt Options) *kernel {
 	maxURow, keyRange := p.kernelSizing()
-	return newKernel(keyRange, p.blk.nCols, maxURow, opt)
+	return newKernel(keyRange, numWithResidue(p.baseN, p.blk.L, 0), p.blk.nCols, maxURow, opt)
 }
 
 // longestURow scans the resident U blocks for the longest row — the quantity

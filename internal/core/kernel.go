@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	mathbits "math/bits"
 	"sync"
 
@@ -23,9 +22,8 @@ type kernelCounters struct {
 //
 // Columns are ascending, so each is walked backwards down to the first key
 // below floor, the row's minimum (§5.2 early break); NoEarlyBreak walks the
-// whole column. The walk adds the looked-up bit to a register instead of
-// branching on it, and the probe count comes from where the walk stopped.
-// A row with a key in the bitmap's top word goes to rowHub instead.
+// whole column. A row with two or more keys in the hub window or above it
+// goes to rowHub instead.
 func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 	tcols := task.row(a)
 	if len(tcols) == 0 {
@@ -41,7 +39,7 @@ func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 	if kn.noEarlyBreak {
 		floor = 0
 	}
-	if urow[len(urow)-1] >= kn.hubBase {
+	if len(urow) > 1 && urow[len(urow)-2] >= kn.hubLo {
 		kn.rowHub(tcols, urow, floor, l)
 		return
 	}
@@ -56,48 +54,46 @@ func (kn *kernel) rowBitmap(a int32, task, u *csrBlock, l *cscBlock) {
 		}
 		tasks++
 		if !built {
-			for _, k := range urow {
-				bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
-			}
+			mark(bits, urow)
 			built = true
 		}
-		i := len(col) - 1
-		for ; i >= 0; i-- {
-			k := col[i]
-			if k < floor {
-				break
-			}
-			hits += bits[uint32(k)>>6] >> (uint32(k) & 63) & 1
-		}
+		var i int
+		hits, i = walk(bits, col, len(col)-1, floor, hits)
 		probes += len(col) - 1 - i
 	}
 	if built {
-		// A stale bit would inflate every later row: clear exactly the
-		// words this row set.
-		for _, k := range urow {
-			bits[uint32(k)>>6] = 0
-		}
+		unmark(bits, urow)
 	}
 	kn.kc.triangles += int64(hits)
 	kn.kc.probes += int64(probes)
 	kn.kc.mapTasks += int64(tasks)
 }
 
-// rowHub is rowBitmap for a row with a key in the bitmap's top word, the
-// hub word: under the degree relabeling (§5.3) the hubs hold the highest
-// keys, so on a skewed graph most columns end in it. A column whose
-// second-highest key lies in the hub word has those keys counted 64 at a
-// time through its hub mask — popcount(mask & hub word) hits and
-// popcount(mask & keys ≥ floor) probes, exactly what walking them would have
-// found — and only its keys below the word are walked. Any other column is
-// walked whole, as in rowBitmap.
+// rowHub is rowBitmap for a row with two or more keys in the hub window or
+// above it.
+//
+// The degree relabeling (§5.3) gives the hubs the highest labels of the
+// last build, so on a skewed graph most columns end in the same keys: the
+// hub window, the 64 keys [hubLo, hubLo+64) at the top of the build's key
+// range. A column with at least two keys in the window has them counted 64
+// at a time through its hub mask — popcount(mask & window) hits and
+// popcount(mask & window keys ≥ floor) probes, exactly what walking them
+// would have found — and only its other keys are walked: those above the
+// window first (vertices that arrived since the build), then those below.
+// The popcounts count the keys the walk would have probed, so a row gives
+// the same counters on either routine. Rows with fewer such keys stay on
+// rowBitmap's plain walk: on a skewed graph the masks answer as many probes
+// without them, and on a flat graph, where the masks answer almost none,
+// a single key would put the window tests on ten times as many rows.
 func (kn *kernel) rowHub(tcols, urow []int32, floor int32, l *cscBlock) {
-	bits, hub := kn.bits, kn.hubBase
-	above := ^uint64(0) // the top word's keys ≥ floor
-	if floor > hub {
-		above <<= uint32(floor - hub)
+	bits, hubLo := kn.bits, kn.hubLo
+	hubHi := hubLo + 64
+	over := max(floor, hubHi) // the walk above the window stops below it
+	above := ^uint64(0)       // the window's keys ≥ floor
+	if floor > hubLo {
+		above <<= uint32(floor - hubLo)
 	}
-	var top uint64
+	var window uint64
 	built := false
 	var hits uint64
 	var probes, hubProbes, tasks int
@@ -108,36 +104,35 @@ func (kn *kernel) rowHub(tcols, urow []int32, floor int32, l *cscBlock) {
 		}
 		tasks++
 		if !built {
-			for _, k := range urow {
-				bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
-			}
-			top = bits[len(bits)-1]
+			mark(bits, urow)
+			window = kn.readWindow()
 			built = true
 		}
-		start := len(col) - 1
-		if start > 0 && col[start-1] >= hub {
+		end := len(col) - 1 // the last key the walk counts as its probe
+		i := end
+		if col[i] >= hubHi { // keys above the window
+			hits, i = walk(bits, col, i, over, hits)
+			if i >= 0 && col[i] >= hubHi { // the walk reached the floor
+				probes += end - i
+				continue
+			}
+		}
+		if i > 0 && col[i-1] >= hubLo {
 			m := kn.hubs[b]
-			if m == 0 { // the column's first hub row this step
+			if m == 0 { // the column's first row this step
 				m = kn.hubMask(b, col)
 			}
-			hits += uint64(mathbits.OnesCount64(m & top))
+			hits += uint64(mathbits.OnesCount64(m & window))
 			hubProbes += mathbits.OnesCount64(m & above)
-			start -= mathbits.OnesCount64(m)
+			n := mathbits.OnesCount64(m)
+			i -= n
+			end -= n
 		}
-		i := start
-		for ; i >= 0; i-- {
-			k := col[i]
-			if k < floor {
-				break
-			}
-			hits += bits[uint32(k)>>6] >> (uint32(k) & 63) & 1
-		}
-		probes += start - i
+		hits, i = walk(bits, col, i, floor, hits)
+		probes += end - i
 	}
 	if built {
-		for _, k := range urow {
-			bits[uint32(k)>>6] = 0
-		}
+		unmark(bits, urow)
 	}
 	kn.kc.triangles += int64(hits)
 	kn.kc.probes += int64(probes + hubProbes)
@@ -145,19 +140,54 @@ func (kn *kernel) rowHub(tcols, urow []int32, floor int32, l *cscBlock) {
 	kn.hubProbes += int64(hubProbes)
 }
 
-// hubMask records and returns the hub mask of L column b: bit k − hubBase
-// for each of its keys k in the hub word. Only columns with at least two
-// such keys get one, so a recorded mask is never zero, and zero marks a
-// column not yet met this step.
-func (kn *kernel) hubMask(b int32, col []int32) uint64 {
-	hub := kn.hubBase
-	var m uint64
-	for i := len(col) - 1; i >= 0 && col[i] >= hub; i-- {
-		d := uint32(col[i] - hub)
-		if d >= 64 {
-			panic(fmt.Errorf("core: L column %d holds key %d, beyond the bitmap", b, col[i]))
+// walk looks col[i], col[i-1], … up in bits down to the first key below
+// floor, adding every hit to hits, and returns hits and the index it stopped
+// at. It adds the looked-up bit instead of branching on it; the caller
+// counts the probes from where it stopped.
+func walk(bits []uint64, col []int32, i int, floor int32, hits uint64) (uint64, int) {
+	for ; i >= 0; i-- {
+		k := col[i]
+		if k < floor {
+			break
 		}
-		m |= 1 << d
+		hits += bits[uint32(k)>>6] >> (uint32(k) & 63) & 1
+	}
+	return hits, i
+}
+
+// mark sets the bits of a U row's keys.
+func mark(bits []uint64, urow []int32) {
+	for _, k := range urow {
+		bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
+	}
+}
+
+// unmark clears exactly the words mark set: a stale bit would inflate every
+// later row.
+func unmark(bits []uint64, urow []int32) {
+	for _, k := range urow {
+		bits[uint32(k)>>6] = 0
+	}
+}
+
+// readWindow returns the bitmap's bits of the hub window, key hubLo in bit 0.
+func (kn *kernel) readWindow() uint64 {
+	w, s := kn.hubLo>>6, uint32(kn.hubLo)&63
+	if s == 0 {
+		return kn.bits[w]
+	}
+	return kn.bits[w]>>s | kn.bits[w+1]<<(64-s)
+}
+
+// hubMask records and returns the hub mask of L column b: bit k − hubLo for
+// each of its keys k in the hub window. Only columns with at least two such
+// keys get one, so a recorded mask is never zero, and zero marks a column
+// not yet met this step.
+func (kn *kernel) hubMask(b int32, col []int32) uint64 {
+	lo := kn.hubLo
+	var m uint64
+	for i := len(col) - 1; i >= 0 && col[i] >= lo; i-- {
+		m |= 1 << uint32(col[i]-lo) // 0 for a key above the window
 	}
 	kn.hubs[b] = m
 	kn.hubsSet = true
@@ -221,10 +251,10 @@ type kernel struct {
 	// made unconditional: one bit per key of the operand's local key range,
 	// so every row is collision-free. All-zero between rows.
 	bits []uint64
-	// hubBase is the first key of the bitmap's top word, the hub word. hubs
-	// holds, per L column of the current step, the column's hub mask or 0
-	// until rowHub first needs it; hubsSet tells whether any is recorded.
-	hubBase int32
+	// hubLo is the first key of the hub window. hubs holds, per L column of
+	// the current step, the column's hub mask or 0 until a row first needs
+	// it; hubsSet tells whether any is recorded.
+	hubLo   int32
 	hubs    []uint64
 	hubsSet bool
 	// scratch holds bits and hubs, drawn from scratchPool and returned by
@@ -256,12 +286,14 @@ type kernelScratch struct{ bits, hubs []uint64 }
 var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
 // newKernel builds the kernel of one count: a bitmap of one bit per key
-// below keyRange and a hub mask per L column (nCols of them) or, for the
-// ablation, a probing table of 8× the longest U-block row (load factor at
-// most 1/8). A count builds its kernel through Prepared.kernel, from the
-// sizing of the state at that moment, so the bitmap follows elastic growth;
-// the memory comes from scratchPool and goes back through release.
-func newKernel(keyRange, nCols int32, maxURow int64, opt Options) *kernel {
+// below keyRange and a hub mask per L column (nCols of them), with the hub
+// window on the 64 keys below hubEnd, the end of the degree-ordered keys —
+// or, for the ablation, a probing table of 8× the longest U-block row (load
+// factor at most 1/8). A count builds its kernel through Prepared.kernel,
+// from the sizing of the state at that moment, so the bitmap follows
+// elastic growth; the memory comes from scratchPool and goes back through
+// release.
+func newKernel(keyRange, hubEnd, nCols int32, maxURow int64, opt Options) *kernel {
 	kn := &kernel{
 		probing:      opt.NoDirectHash,
 		noEarlyBreak: opt.NoEarlyBreak,
@@ -283,7 +315,7 @@ func newKernel(keyRange, nCols int32, maxURow int64, opt Options) *kernel {
 	}
 	kn.scratch = s
 	kn.bits, kn.hubs = s.bits[:words], s.hubs[:nCols]
-	kn.hubBase = int32(64 * (words - 1))
+	kn.hubLo = max(0, min(hubEnd, keyRange)-64)
 	return kn
 }
 
@@ -338,7 +370,8 @@ type Pair struct{ A, B []int32 }
 // scratch pool and returned to it.
 func (p *Prepared) IntersectPairs(pairs []Pair, hit func(i int, w int32)) int64 {
 	qc := int32(p.blk.qc)
-	kn := newKernel(numWithResidue(p.n, p.blk.qc, 0), 0, 0, Options{})
+	keyRange := numWithResidue(p.n, p.blk.qc, 0)
+	kn := newKernel(keyRange, keyRange, 0, 0, Options{})
 	for i := range pairs {
 		kn.pairBitmap(i, &pairs[i], qc, hit)
 	}

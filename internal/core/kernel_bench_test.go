@@ -14,11 +14,13 @@ import (
 // BenchmarkKernelStep measures the kernel alone: one compute step of one
 // rank of a 4-rank Cannon grid — rank 0's task block against its own U and L
 // blocks, the operands it holds at step 0 — on a skewed (RMAT scale 14) and
-// a flat (Erdős–Rényi, same size) graph. ns/probe is the cost of one bitmap
-// lookup with everything around it amortised in; tasks/op against probes/op
-// splits the step into per-task and per-probe work, and hub-share is the
-// fraction of the probes the hub masks answered 64 keys at a time. A step
-// must not allocate (TestKernelStepAllocatesNothing).
+// a flat (Erdős–Rényi, same size) graph, and on the skewed graph with 37
+// isolated vertices more (a key range that ends mid-word) and after one
+// vertex arrival (a key above the hub window). ns/probe is the cost of one
+// bitmap lookup with everything around it amortised in; tasks/op against
+// probes/op splits the step into per-task and per-probe work, and hub-share
+// is the fraction of the probes the hub masks answered 64 keys at a time. A
+// step must not allocate (TestKernelStepAllocatesNothing).
 func BenchmarkKernelStep(b *testing.B) {
 	er, err := rmat.ErdosRenyi(1<<14, 16<<14, 1)
 	if err != nil {
@@ -28,14 +30,11 @@ func BenchmarkKernelStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, in := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"rmat-s14", rm}, {"er-s14", er}} {
-		b.Run(in.name, func(b *testing.B) {
-			prep := rankZero(b, in.g)
-			blk := prep.blk
-			kn := prep.kernel(Options{})
+	states := append(skewedStates(b, rm), kernelState{"er", rankZero(b, er)})
+	for _, st := range states {
+		b.Run(st.name, func(b *testing.B) {
+			blk := st.prep.blk
+			kn := st.prep.kernel(Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -50,6 +49,28 @@ func BenchmarkKernelStep(b *testing.B) {
 			b.ReportMetric(float64(kn.hubProbes)/float64(kc.probes), "hub-share")
 		})
 	}
+}
+
+// kernelState is rank 0's resident state of a kernel input.
+type kernelState struct {
+	name string
+	prep *Prepared
+}
+
+// skewedStates prepares the skewed graph g three ways: as it is ("rmat");
+// with 37 isolated vertices more, so the key range ends mid-word and the
+// hub window straddles a word boundary ("rmat+37"); and as built, then
+// grown by one vertex, whose key lies above the window ("rmat-grown").
+func skewedStates(tb testing.TB, g *graph.Graph) []kernelState {
+	wide, err := graph.FromEdges(g.N+37, g.Edges())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	grown := rankZero(tb, g)
+	if err := grown.GrowTo(int64(g.N) + 1); err != nil {
+		tb.Fatal(err)
+	}
+	return []kernelState{{"rmat", rankZero(tb, g)}, {"rmat+37", rankZero(tb, wide)}, {"rmat-grown", grown}}
 }
 
 // rankZero prepares g on a 4-rank Cannon grid and returns rank 0's state.
@@ -83,6 +104,40 @@ func TestKernelStepAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("a compute step allocated %v times", allocs)
+	}
+}
+
+// TestHubWindowStaysOnTheHubs checks that the hub window follows the degree
+// order, not the bitmap's words: on a key range that ends mid-word, and
+// after a vertex arrival puts a key above the window, the hub masks answer
+// as large a share of a skewed graph's probes as on the graph as built. The
+// arrival changes nothing else: the step's counters are the built state's.
+func TestHubWindowStaysOnTheHubs(t *testing.T) {
+	states := skewedStates(t, mustRMAT(t, rmat.G500, 12, 16, 1))
+	var built kernelCounters
+	var builtShare float64
+	for _, st := range states {
+		blk := st.prep.blk
+		kn := st.prep.kernel(Options{})
+		kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
+		kn.release()
+		share := float64(kn.hubProbes) / float64(kn.kc.probes)
+		t.Logf("%s: %+v, hub share %.3f", st.name, kn.kc, share)
+		switch st.name {
+		case "rmat":
+			built, builtShare = kn.kc, share
+			if share < 0.5 {
+				t.Errorf("%s: the hub masks answered %.3f of the probes", st.name, share)
+			}
+		case "rmat-grown":
+			if kn.kc != built || share != builtShare {
+				t.Errorf("%s: %+v, hub share %.3f; as built %+v, %.3f", st.name, kn.kc, share, built, builtShare)
+			}
+		default:
+			if share < 0.9*builtShare {
+				t.Errorf("%s: hub share %.3f, against %.3f as built", st.name, share, builtShare)
+			}
+		}
 	}
 }
 

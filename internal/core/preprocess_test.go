@@ -203,7 +203,7 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 // runCrafted runs one compute step of the kernel opt selects over hand-built
 // blocks whose keys are all below 64.
 func runCrafted(task, u *csrBlock, l *cscBlock, opt Options) kernelCounters {
-	kn := newKernel(64, l.rows, u.maxRow(), opt)
+	kn := newKernel(64, 64, l.rows, u.maxRow(), opt)
 	kn.run(task, task.nonEmptyRows(nil), u, l)
 	return kn.kc
 }
