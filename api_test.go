@@ -1,9 +1,18 @@
 package tc2d
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"tc2d/internal/aop"
+	"tc2d/internal/dgraph"
+	"tc2d/internal/havoq"
+	"tc2d/internal/mpi"
 )
 
 func k4(t *testing.T) *Graph {
@@ -136,5 +145,119 @@ func TestReadWriteEdgeList(t *testing.T) {
 	}
 	if g.NumEdges() != 6 {
 		t.Fatalf("M=%d", g.NumEdges())
+	}
+}
+
+// graphHash is the SHA-256 of g's row pointers and adjacency.
+func graphHash(g *Graph) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(mpi.Int64sToBytes(g.Xadj))
+	h.Write(mpi.Int32sToBytes(g.Adj))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestCountLeavesGraphUntouched: the scatter lends every rank a read-only
+// view of the caller's rows instead of a copy, so nothing downstream may
+// write them — not a one-shot count on either schedule, not a cluster's
+// build, writes and full rebuild, not a 1D baseline's degree relabeling.
+func TestCountLeavesGraphUntouched(t *testing.T) {
+	g, err := GenerateRMAT(G500, 9, 8, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graphHash(g)
+	check := func(after string) {
+		t.Helper()
+		if graphHash(g) != want {
+			t.Fatalf("the caller's graph changed after %s", after)
+		}
+	}
+	for _, p := range []int{4, 6} {
+		if _, err := Count(g, Options{Ranks: p}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Count on %d ranks", p))
+	}
+
+	cl, err := NewCluster(g, Options{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(3))
+	oracle := newEdgeOracle(g)
+	for b := 0; b < 3; b++ {
+		batch := randomBatch(rng, oracle, 40, 40)
+		if _, err := cl.ApplyUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
+		oracle.apply(batch)
+	}
+	cl.sched.gate.Lock()
+	err = cl.rebuildFullLocked()
+	cl.sched.gate.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cl.Count(QueryOptions{}); err != nil || res.Triangles != CountSequential(oracle.graph(t)) {
+		t.Fatalf("count after the rebuild: %v, %v", res, err)
+	}
+	check("a cluster's build, three update batches and a full rebuild")
+
+	for name, count := range map[string]func(c *mpi.Comm, in *dgraph.Dist1D) error{
+		"AOP": func(c *mpi.Comm, in *dgraph.Dist1D) error { _, err := aop.CountAOP(c, in); return err },
+		"Havoq": func(c *mpi.Comm, in *dgraph.Dist1D) error {
+			_, err := havoq.Count(c, in, havoq.Options{})
+			return err
+		},
+	} {
+		_, err := mpi.Run(4, Options{}.mpiConfig(), func(c *mpi.Comm) (any, error) {
+			in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+			if err != nil {
+				return nil, err
+			}
+			return nil, count(c, in)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name)
+	}
+}
+
+// TestCountAllocationBudget keeps the one-shot path lean: Count on 4 ranks
+// — the world, the scatter, the preprocessing and the count — may allocate
+// at most 36 bytes per directed adjacency entry of an RMAT scale-12 graph,
+// all ranks together. The scattered rows are the caller's, the relabel
+// rewrites the cyclic block it owns and the 2D exchange ships local
+// indices, one row header per group.
+func TestCountAllocationBudget(t *testing.T) {
+	const budget = 36 // bytes per directed adjacency entry
+	g, err := GenerateRMAT(G500, 12, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() {
+		if _, err := Count(g, Options{Ranks: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count() // warm the runtime: goroutine stacks, pools
+	// TotalAlloc is the whole process's: what other tests left running can
+	// only add to it, so the least of a few counts is the count's own.
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		count()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	perEntry := float64(least) / float64(len(g.Adj))
+	t.Logf("Count allocated %.1f B per directed adjacency entry (%d entries)", perEntry, len(g.Adj))
+	if perEntry > budget {
+		t.Errorf("Count allocated %.1f B per directed adjacency entry, budget %d", perEntry, budget)
 	}
 }

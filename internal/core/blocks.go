@@ -110,30 +110,67 @@ func prefixSum(x []int32) {
 	}
 }
 
+// PartError reports a part of the 2D redistribution that is not a sequence
+// of well-formed groups (see routePairs) for the receiving rank. The part
+// came off the wire, so the build fails instead of indexing out of range.
+type PartError struct {
+	Src    int    // the rank the part came from
+	Word   int    // offset of the offending group in the part, in words
+	Reason string // what is wrong with it
+}
+
+func (e *PartError) Error() string {
+	return fmt.Sprintf("core: 2D redistribution part from rank %d, word %d: %s", e.Src, e.Word, e.Reason)
+}
+
+func partError(src, word int, reason string, args ...any) error {
+	return &PartError{Src: src, Word: word, Reason: fmt.Sprintf(reason, args...)}
+}
+
 // buildBlocks is the block builder of the 2D redistribution: from the
-// received directed pairs (wv, wu) — wv in this rank's row class mod qr, wu
-// in its column class mod qc — it forms the U block (CSR, rows wv/qr →
-// sorted wu/qc, the pairs with wu > wv), the L block (CSC, columns wu/qc →
-// sorted wv/qr, the pairs with wu < wv) and the task block of the
-// enumeration rule, by count → prefix-sum → place with every array
-// allocated once at its final size. The pairs are bucketed on the
-// coordinate that will be the VALUE (U by column, L by row) and transposed
-// into place, which sorts each list; the ⟨j,i,k⟩ task block is the L block
-// transposed once more, the ⟨i,j,k⟩ one a copy of the U block (a copy, not
-// an alias: the write path splices task and operand blocks in place, each
-// anywhere inside its own array's capacity).
-func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock) {
+// received groups [row, count, entries…] — each entry a local column, ≥ 0
+// for a U entry and complemented for an L entry — it forms the U block
+// (CSR, rows → sorted columns), the L block (CSC, columns → sorted rows)
+// and the task block of the enumeration rule, by count → prefix-sum →
+// place with every array allocated once at its final size. The entries are
+// bucketed on the coordinate that will be the VALUE (U by column, L by row)
+// and transposed into place, which sorts each list; the ⟨j,i,k⟩ task block
+// is the L block transposed once more, the ⟨i,j,k⟩ one a copy of the U
+// block (a copy, not an alias: the write path splices task and operand
+// blocks in place, each anywhere inside its own array's capacity).
+//
+// The counting sweep checks every group against nRows × nCols and returns a
+// *PartError at the first that does not fit; no array is sized from a
+// header before the entries it counts have been seen.
+func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock, err error) {
 	// Count the bucket sizes; they size every block.
 	uByCol := make([]int32, nCols+1)
 	lByRow := make([]int32, nRows+1)
-	for _, part := range got {
-		for i := 0; i+1 < len(part); i += 2 {
-			wv, wu := part[i], part[i+1]
-			if wu > wv {
-				uByCol[wu/qc+1]++
-			} else {
-				lByRow[wv/qr+1]++
+	for src, part := range got {
+		for i := 0; i < len(part); {
+			if len(part)-i < 2 {
+				return task, u, l, partError(src, i, "truncated group header")
 			}
+			lr, k := part[i], part[i+1]
+			if uint32(lr) >= uint32(nRows) {
+				return task, u, l, partError(src, i, "row %d outside [0, %d)", lr, nRows)
+			}
+			if k < 0 || int(k) > len(part)-i-2 {
+				return task, u, l, partError(src, i, "count %d, %d words left", k, len(part)-i-2)
+			}
+			nl := int32(0)
+			for _, e := range part[i+2 : i+2+int(k)] {
+				if e < -nCols || e >= nCols {
+					return task, u, l, partError(src, i, "entry %d outside [%d, %d)", e, -nCols, nCols)
+				}
+				if e >= 0 {
+					uByCol[e+1]++
+				} else {
+					nl++
+				}
+			}
+			lByRow[lr+1] += nl
+			i += 2 + int(k)
 		}
 	}
 	prefixSum(uByCol)
@@ -153,18 +190,23 @@ func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (t
 	copy(colNext, uByCol)
 	copy(rowNext, lByRow)
 	for _, part := range got {
-		for i := 0; i+1 < len(part); i += 2 {
-			wv, wu := part[i], part[i+1]
-			lr, lc := wv/qr, wu/qc
-			if wu > wv {
-				uRowOf[colNext[lc]] = lr
-				colNext[lc]++
-				u.xadj[lr+1]++
-			} else {
-				rowBkt.adj[rowNext[lr]] = lc
-				rowNext[lr]++
-				l.xadj[lc+1]++
+		for i := 0; i < len(part); {
+			lr, k := part[i], int(part[i+1])
+			next, nu := rowNext[lr], int32(0)
+			for _, e := range part[i+2 : i+2+k] {
+				if e >= 0 {
+					uRowOf[colNext[e]] = lr
+					colNext[e]++
+					nu++
+				} else {
+					rowBkt.adj[next] = ^e
+					next++
+					l.xadj[^e+1]++
+				}
 			}
+			rowNext[lr] = next
+			u.xadj[lr+1] += nu
+			i += 2 + k
 		}
 	}
 	prefixSum(u.xadj)
@@ -185,7 +227,7 @@ func buildBlocks(got [][]int32, qr, qc, nRows, nCols int32, enum Enumeration) (t
 		copy(rowNext, task.xadj)
 		transposeInto(l.xadj, l.adj, rowNext, task.adj)
 	}
-	return task, u, l
+	return task, u, l, nil
 }
 
 // maxRow returns the longest row of b.

@@ -168,10 +168,36 @@ func prepareEpoch(tb testing.TB, w *mpi.World, ins []*dgraph.Dist1D) {
 	}
 }
 
+// routedWords runs the pipeline up to the all-to-all of the 2D build and
+// returns the words it delivered, all ranks together: what the 2D exchange
+// sends.
+func routedWords(tb testing.TB, w *mpi.World, ins []*dgraph.Dist1D) int64 {
+	words := make([]int64, len(ins))
+	_, err := w.Run(func(c *mpi.Comm) (any, error) {
+		var ops int64
+		rl := degreeRelabel(c, cyclicRedistribute(c, ins[c.Rank()], &ops), &ops)
+		qr, qc := mpi.FactorGrid(c.Size())
+		for _, part := range routePairs(c, qr, qc, rl, &ops) {
+			words[c.Rank()] += int64(len(part))
+		}
+		return nil, nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sum int64
+	for _, n := range words {
+		sum += n
+	}
+	return sum
+}
+
 // BenchmarkPrepare measures one preprocessing epoch — cyclic redistribution,
 // degree relabeling, 2D block build — on RMAT scale 14 over 4 ranks: the
 // part of a one-shot count, a cluster build and a full staleness rebuild
-// that is not the kernel.
+// that is not the kernel. Per directed adjacency entry it reports the bytes
+// an epoch allocates (alloc-B/entry) and the bytes the 2D exchange sends
+// (route-B/entry).
 func BenchmarkPrepare(b *testing.B) {
 	g, err := rmat.G500.Generate(14, 16, 1)
 	if err != nil {
@@ -179,20 +205,28 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 	w, ins := scatterWorld(b, g, 4)
 	defer w.Close()
+	entries := float64(len(g.Adj))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		prepareEpoch(b, w, ins)
 	}
-	b.ReportMetric(float64(len(g.Adj)), "entries")
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	b.ReportMetric(entries, "entries")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/entries, "alloc-B/entry")
+	b.ReportMetric(float64(4*routedWords(b, w, ins))/entries, "route-B/entry")
 }
 
 // TestPrepareAllocationBudget keeps the preprocessing diet from regressing:
-// one Prepare epoch may allocate at most 48 bytes per directed adjacency
+// one Prepare epoch may allocate at most 34 bytes per directed adjacency
 // entry, all ranks together (the append-grown pair-list pipeline it replaced
-// took about 200). The resident blocks themselves are ~10 of those bytes.
+// took about 200, the pair-list exchange about 38). The resident blocks
+// themselves are ~10 of those bytes.
 func TestPrepareAllocationBudget(t *testing.T) {
-	const budget = 48 // bytes per directed adjacency entry
+	const budget = 34 // bytes per directed adjacency entry
 	g := mustRMAT(t, rmat.G500, 12, 16, 1)
 	w, ins := scatterWorld(t, g, 4)
 	defer w.Close()

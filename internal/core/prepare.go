@@ -125,7 +125,9 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	d1 := cyclicRedistribute(c, in, &preOps)
 	rl := degreeRelabel(c, d1, &preOps)
 	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
-	prep.blk = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps)
+	if prep.blk, err = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps); err != nil {
+		return nil, err
+	}
 
 	// The global reductions of the graph invariants.
 	sums := c.AllreduceInt64s([]int64{preOps, localDirected, wedgesLocal}, mpi.OpSum)

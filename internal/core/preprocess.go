@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
 )
@@ -97,10 +99,11 @@ type relabeled struct {
 // sort (dgraph.DegreeLabels): ties within a degree are broken by current id,
 // making the permutation deterministic. Vertices stay on their ranks — only
 // the labels change — because step (iii) redistributes by the 2D pattern
-// anyway.
+// anyway. in is the block cyclicRedistribute made, which nothing else
+// holds, so its adjacency is relabeled in place and becomes rl.adj.
 func degreeRelabel(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *relabeled {
-	labels, newAdj := dgraph.DegreeLabels(c, in, ops)
-	return &relabeled{n: in.N, labels: labels, xadj: in.Xadj, adj: newAdj}
+	labels := dgraph.DegreeLabels(c, in, in.Adj, ops)
+	return &relabeled{n: in.N, labels: labels, xadj: in.Xadj, adj: in.Adj}
 }
 
 // blocks is the per-rank state after the 2D cyclic redistribution onto a
@@ -161,32 +164,69 @@ func (b *blocks) dims(n int64) (nRows, nCols int32) {
 
 // routePairs is the sending half of the 2D redistribution: every directed
 // pair (w_v → w_u) of the relabeled graph goes to the grid rank at (w_v mod
-// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the grid's row-major
-// numbering. A counting pass sizes each destination
-// buffer exactly; the buffers are handed to the all-to-all, and the received
-// ones (indexed by source rank) returned.
+// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the grid's
+// row-major numbering — in local indices, one group per (vertex,
+// destination):
+//
+//	[w_v div qr, count, entries…]
+//
+// each entry the local column w_u div qc, complemented (^) when the pair is
+// an L entry (w_u ≤ w_v). The division that picks an entry's destination
+// also yields its index, and the receiver divides nothing (buildBlocks).
+// A counting pass sizes each destination buffer exactly; the buffers are
+// handed to the all-to-all, and the received ones (indexed by source rank)
+// returned.
 func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) [][]int32 {
 	sendbuf := make([][]int32, c.Size())
-	qr, qc := int32(gridRows), int32(gridCols) // 32-bit divides in the per-entry loops
+	// Unsigned 32-bit divides in the per-entry loops: labels are
+	// non-negative, and one DIV gives quotient and remainder.
+	qr, qc := uint32(gridRows), uint32(gridCols)
+	cnt := make([]int32, qc) // the current vertex's entries per column residue
 	need := make([]int, len(sendbuf))
 	for lv, wv := range rl.labels {
-		base := wv % qr * qc
-		for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
-			need[base+wu%qc] += 2
+		base := uint32(wv) % qr * qc
+		countResidues(rl.adj[rl.xadj[lv]:rl.xadj[lv+1]], qc, cnt)
+		for r, k := range cnt {
+			if k > 0 {
+				need[base+uint32(r)] += 2 + int(k)
+			}
 		}
 	}
 	for dst := range sendbuf {
 		sendbuf[dst] = make([]int32, 0, need[dst])
 	}
+	at := make([]int, qc) // the current vertex's next entry slot per residue
 	for lv, wv := range rl.labels {
-		base := wv % qr * qc
-		for _, wu := range rl.adj[rl.xadj[lv]:rl.xadj[lv+1]] {
-			dst := base + wu%qc
-			sendbuf[dst] = append(sendbuf[dst], wv, wu)
+		row := rl.adj[rl.xadj[lv]:rl.xadj[lv+1]]
+		lr, base := int32(uint32(wv)/qr), uint32(wv)%qr*qc
+		countResidues(row, qc, cnt)
+		for r, k := range cnt {
+			if k > 0 {
+				dst := base + uint32(r)
+				buf := append(sendbuf[dst], lr, k)
+				at[r] = len(buf)
+				sendbuf[dst] = buf[:len(buf)+int(k)]
+			}
+		}
+		for _, wu := range row {
+			lc, r := int32(uint32(wu)/qc), uint32(wu)%qc
+			if wu <= wv {
+				lc = ^lc
+			}
+			sendbuf[base+r][at[r]] = lc
+			at[r]++
 		}
 	}
 	*ops += int64(len(rl.adj))
 	return c.AlltoallvInt32(sendbuf)
+}
+
+// countResidues sets cnt[r] to the number of entries of row ≡ r (mod q).
+func countResidues(row []int32, q uint32, cnt []int32) {
+	clear(cnt)
+	for _, w := range row {
+		cnt[uint32(w)%q]++
+	}
 }
 
 // build2D implements steps (iii)+(iv): every directed pair (w_v → w_u) of
@@ -203,27 +243,46 @@ func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) 
 // local row of an L entry with L/qr — so a class is every (L/qc)-th value of
 // the U rows (every (L/qr)-th of the L columns), still ascending. On a
 // square grid the split is the identity.
-func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumeration, ops *int64) *blocks {
-	qr, qc := grid.Rows(), grid.Cols()
-	got := routePairs(c, qr, qc, rl, ops)
+//
+// A part that is not well-formed for this rank fails the build on every
+// rank: the ranks agree on it in the allreduce that sizes maxURow, so none
+// is left waiting.
+func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumeration, ops *int64) (*blocks, error) {
+	got := routePairs(c, grid.Rows(), grid.Cols(), rl, ops)
+	return blocksOf(c, grid.Rows(), grid.Cols(), rl.n, got, bcast, enum, ops)
+}
 
-	blk := newBlocks(qr, qc, c.Rank(), rl.n, bcast)
-	var maxRow int64
-	task, u, l := buildBlocks(got, int32(qr), int32(qc), blk.nRows, blk.nCols, enum)
-	*ops += u.nnz() + int64(len(l.adj))
-	blk.task = task
-	blk.taskRows = task.nonEmptyRows(nil)
-	for i, b := range splitClasses(u, int32(blk.L/qc)) {
-		if b.nnz() > 0 || !bcast {
-			blk.u[i] = b
-			maxRow = max(maxRow, b.maxRow())
+// blocksOf is the receiving half of build2D: the blocks of this rank of a
+// qr × qc grid over n vertices, from the parts routePairs delivered.
+func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum Enumeration, ops *int64) (*blocks, error) {
+	blk := newBlocks(qr, qc, c.Rank(), n, bcast)
+	var maxRow, failed int64
+	task, u, l, err := buildBlocks(got, blk.nRows, blk.nCols, enum)
+	if err != nil {
+		failed = 1
+	} else {
+		*ops += u.nnz() + int64(len(l.adj))
+		blk.task = task
+		blk.taskRows = task.nonEmptyRows(nil)
+		for i, b := range splitClasses(u, int32(blk.L/qc)) {
+			if b.nnz() > 0 || !bcast {
+				blk.u[i] = b
+				maxRow = max(maxRow, b.maxRow())
+			}
+		}
+		for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
+			if b.nnz() > 0 || !bcast {
+				blk.l[i] = cscBlock(b)
+			}
 		}
 	}
-	for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
-		if b.nnz() > 0 || !bcast {
-			blk.l[i] = cscBlock(b)
-		}
+	agreed := c.AllreduceInt64s([]int64{maxRow, failed}, mpi.OpMax)
+	if err != nil {
+		return nil, err
 	}
-	blk.maxURow = c.AllreduceInt64(maxRow, mpi.OpMax)
-	return blk
+	if agreed[1] != 0 {
+		return nil, fmt.Errorf("core: another rank received a malformed 2D redistribution part")
+	}
+	blk.maxURow = agreed[0]
+	return blk, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -148,7 +149,10 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 		var ops int64
 		d1 := cyclicRedistribute(c, in, &ops)
 		rl := degreeRelabel(c, d1, &ops)
-		blk := build2D(c, grid, rl, false, EnumJIK, &ops)
+		blk, err := build2D(c, grid, rl, false, EnumJIK, &ops)
+		if err != nil {
+			return nil, err
+		}
 		ublk, lblk := &blk.u[0], &blk.l[0]
 
 		// Task pattern must equal the L pattern for JIK.
@@ -198,6 +202,148 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 	if uTot != g.NumEdges() || lTot != g.NumEdges() {
 		t.Fatalf("U nnz %d, L nnz %d, want %d each", uTot, lTot, g.NumEdges())
 	}
+}
+
+// TestBuildBlocksRejectsMalformed: every way a received part can fail to be
+// a sequence of groups for the receiving rank is a *PartError naming the
+// group, never a panic.
+func TestBuildBlocksRejectsMalformed(t *testing.T) {
+	const nRows, nCols = 2, 3
+	_, u, l, err := buildBlocks([][]int32{{0, 2, 1, ^2}, {1, 0}}, nRows, nCols, EnumJIK)
+	if err != nil || u.nnz() != 1 || len(l.adj) != 1 {
+		t.Fatalf("a well-formed part gives U nnz %d, L nnz %d, %v", u.nnz(), len(l.adj), err)
+	}
+	for _, tc := range []struct {
+		name string
+		part []int32
+		word int
+		want string
+	}{
+		{"truncated group header", []int32{0}, 0, "truncated group header"},
+		{"truncated after a group", []int32{0, 1, 1, 1}, 3, "truncated group header"},
+		{"count past the end", []int32{0, 3, 1, 2}, 0, "count 3, 2 words left"},
+		{"negative count", []int32{0, -1, 1}, 0, "count -1"},
+		{"row past the block", []int32{0, 1, 1, nRows, 1, 0}, 3, "row 2 outside [0, 2)"},
+		{"negative row", []int32{-1, 1, 0}, 0, "row -1 outside"},
+		{"column past the block", []int32{0, 1, nCols}, 0, "entry 3 outside [-3, 3)"},
+		{"complemented column past the block", []int32{1, 1, ^nCols}, 0, "entry -4 outside"},
+	} {
+		_, _, _, err := buildBlocks([][]int32{{}, tc.part}, nRows, nCols, EnumJIK)
+		var pe *PartError
+		if !errors.As(err, &pe) || pe.Src != 1 || pe.Word != tc.word || !strings.Contains(pe.Reason, tc.want) {
+			t.Errorf("%s: error %v, want a PartError from rank 1 at word %d containing %q", tc.name, err, tc.word, tc.want)
+		}
+	}
+}
+
+// TestBuild2DFailsOnEveryRank: a malformed part on one rank fails the 2D
+// build on all of them — the receiver with its PartError, the others with
+// an error of their own — and no rank is left waiting in a collective.
+func TestBuild2DFailsOnEveryRank(t *testing.T) {
+	g := mustRMAT(t, rmat.G500, 6, 4, 1)
+	errs := make([]error, 4)
+	_, err := mpi.Run(len(errs), testCfg(), func(c *mpi.Comm) (any, error) {
+		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+		if err != nil {
+			return nil, err
+		}
+		var ops int64
+		rl := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		got := routePairs(c, 2, 2, rl, &ops)
+		if c.Rank() == 2 {
+			got[0] = append(got[0], 0) // a lone word: a truncated group
+		}
+		_, errs[c.Rank()] = blocksOf(c, 2, 2, rl.n, got, false, EnumJIK, &ops)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PartError
+	if !errors.As(errs[2], &pe) || pe.Src != 0 {
+		t.Errorf("rank 2: %v, want a PartError for the part from rank 0", errs[2])
+	}
+	for _, r := range []int{0, 1, 3} {
+		if errs[r] == nil {
+			t.Errorf("rank %d built its blocks while rank 2 failed", r)
+		}
+	}
+}
+
+// FuzzBuildBlocks: whatever two parts arrive at the 2D build, buildBlocks
+// returns a *PartError or blocks that round-trip through decodeCSRBlob, each
+// held in an array of exactly its blob's size, with no more entries than
+// the parts have words — never a panic, never an allocation sized by a
+// header instead of by the entries seen.
+func FuzzBuildBlocks(f *testing.F) {
+	g, err := rmat.G500.Generate(6, 4, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var parts [][]byte
+	var dims [2]uint16
+	_, err = mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+		if err != nil {
+			return nil, err
+		}
+		var ops int64
+		rl := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		got := routePairs(c, 2, 2, rl, &ops)
+		if c.Rank() == 1 {
+			blk := newBlocks(2, 2, 1, rl.n, false)
+			dims = [2]uint16{uint16(blk.nRows), uint16(blk.nCols)}
+			for _, part := range got[:2] {
+				parts = append(parts, mpi.Int32sToBytes(part))
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parts[0], parts[1], dims[0], dims[1], false)
+	f.Add(parts[0], parts[1], dims[0], dims[1], true)
+	f.Add(parts[0][:len(parts[0])-4], parts[1], dims[0], dims[1], false)
+	f.Add(parts[0], parts[1], dims[0]-1, dims[1]-1, false)
+	f.Fuzz(func(t *testing.T, a, b []byte, nRows, nCols uint16, ijk bool) {
+		got := [][]int32{mpi.BytesToInt32s(a[:len(a)&^3]), mpi.BytesToInt32s(b[:len(b)&^3])}
+		rows, cols := int32(nRows%1024), int32(nCols%1024)
+		enum := EnumJIK
+		if ijk {
+			enum = EnumIJK
+		}
+		task, u, l, err := buildBlocks(got, rows, cols, enum)
+		if err != nil {
+			if pe := (*PartError)(nil); !errors.As(err, &pe) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if words := len(got[0]) + len(got[1]); u.nnz()+int64(len(l.adj)) > int64(words) {
+			t.Fatalf("%d U and %d L entries from %d words", u.nnz(), len(l.adj), words)
+		}
+		want := int64(len(l.adj)) // the ⟨j,i,k⟩ task block is L transposed
+		if ijk {
+			want = u.nnz()
+		}
+		if task.nnz() != want {
+			t.Fatalf("task block of %d entries, want %d", task.nnz(), want)
+		}
+		for _, b := range []struct {
+			blk       *csrBlock
+			kind, dim int32
+		}{{&task, kindU, rows}, {&u, kindU, rows}, {l.byCols(), kindL, cols}} {
+			blob := b.blk.blob()
+			xadj, adj, err := decodeCSRBlob(blob, b.kind, b.dim)
+			if err != nil || !slices.Equal(xadj, b.blk.xadj) || !slices.Equal(adj, b.blk.adj) {
+				t.Fatalf("kind %d block does not round-trip: %v", b.kind, err)
+			}
+			if cap(b.blk.buf) != len(blob)/4 {
+				t.Fatalf("kind %d block of %d words held in %d", b.kind, len(blob)/4, cap(b.blk.buf))
+			}
+		}
+	})
 }
 
 // runCrafted runs one compute step of the kernel opt selects over hand-built

@@ -2,7 +2,6 @@ package delta
 
 import (
 	"fmt"
-	"slices"
 
 	"tc2d/internal/core"
 	"tc2d/internal/dgraph"
@@ -65,10 +64,9 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	}
 	got := c.AlltoallvInt32(send)
 	beg, end := dgraph.BlockRange(c.Rank(), n, p)
+	// The rows stay in arrival order: the pipeline's output does not
+	// depend on the order inside a row (core's TestPrepareIgnoresRowOrder).
 	dist := dgraph.AssembleRows(n, beg, end, got)
-	for v := beg; v < end; v++ {
-		slices.Sort(dist.Neighbors(v))
-	}
 
 	// (2) The ordinary pipeline, same grid shape and enumeration.
 	np, err := core.PrepareGrid(c, dist, qr, qc, summa, core.Options{Enumeration: prep.Enumeration()})

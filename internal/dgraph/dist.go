@@ -23,7 +23,10 @@ type Dist1D struct {
 	VBeg int32   // first owned vertex (global id)
 	VEnd int32   // one past the last owned vertex
 	Xadj []int64 // local row pointers, length VEnd-VBeg+1
-	Adj  []int32 // neighbor lists in global ids, sorted per vertex
+	// Adj holds the neighbor lists in global ids, sorted per vertex except
+	// in a block AssembleRows built (arrival order). A scattered block's
+	// Adj is the caller's graph, lent read-only (see ScatterGraph).
+	Adj []int32
 }
 
 // NumLocal returns the number of locally owned vertices.
@@ -96,6 +99,12 @@ func AssembleRows(n int64, beg, end int32, got [][]int32) *Dist1D {
 
 // ScatterGraph distributes a full graph held at root into 1D blocks. Other
 // ranks pass g == nil.
+//
+// Only the rebased row pointers are new: every rank's Adj is a view of g's
+// own rows, lent read-only — on the in-process transport the receivers read
+// the root's array itself, and a socket transport copies it onto the wire —
+// so g must not change while a block lives, and no consumer of a scattered
+// block may write its Adj (TestCountLeavesGraphUntouched).
 func ScatterGraph(c *mpi.Comm, root int, g *graph.Graph) (*Dist1D, error) {
 	p := c.Size()
 	// Broadcast the vertex count first, even on the error path: if the
@@ -117,19 +126,20 @@ func ScatterGraph(c *mpi.Comm, root int, g *graph.Graph) (*Dist1D, error) {
 	if c.Rank() == root {
 		for r := 0; r < p; r++ {
 			rb, re := BlockRange(r, n, p)
-			// Pack [xadj-rebased..., adj...] as int64 header + int32 list.
-			deg := make([]int64, re-rb+1)
+			lo, hi := g.Xadj[rb], g.Xadj[re]
+			xadj := make([]int64, re-rb+1)
 			for v := rb; v < re; v++ {
-				deg[v-rb+1] = deg[v-rb] + int64(g.Degree(v))
+				xadj[v-rb+1] = g.Xadj[v+1] - lo
 			}
-			adj := g.Adj[g.Xadj[rb]:g.Xadj[re]]
+			// Capped at the block's end, so not even an append reaches
+			// the next block's rows.
+			adj := g.Adj[lo:hi:hi]
 			if r == root {
-				out.Xadj = deg
-				out.Adj = append([]int32(nil), adj...)
+				out.Xadj, out.Adj = xadj, adj
 				continue
 			}
-			c.SendInt64s(r, 11, deg)
-			c.SendInt32s(r, 12, adj)
+			c.SendOwn(r, 11, mpi.Int64sAsBytes(xadj))
+			c.SendOwn(r, 12, mpi.Int32sAsBytes(adj))
 		}
 	} else {
 		out.Xadj = c.RecvInt64s(root, 11)

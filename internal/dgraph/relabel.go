@@ -14,9 +14,13 @@ import (
 // exclusive scan over per-degree histograms plus an all-to-all
 // request/response that resolves remote neighbours' labels.
 //
+// The relabeled adjacency is written into newAdj, which must have
+// len(in.Adj) entries and may be in.Adj itself: entry i is read before it
+// is written, so a caller that owns its block relabels it in place.
+//
 // ops, when non-nil, accumulates the number of adjacency-entry operations
 // performed (the preprocessing op count reported in the paper's Figure 2).
-func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj []int32) {
+func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels []int32) {
 	var dummy int64
 	if ops == nil {
 		ops = &dummy
@@ -91,12 +95,11 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 	for r := range answers {
 		copy(flat[base[r]:base[r+1]], answers[r])
 	}
-	newAdj = make([]int32, len(in.Adj))
 	for i, u := range in.Adj {
 		newAdj[i] = flat[asks.pos(u)]
 	}
 	*ops += int64(len(in.Adj))
-	return labels, newAdj
+	return labels
 }
 
 // RelabelByDegree relabels the graph in non-decreasing degree order and
@@ -104,9 +107,12 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 // BlockRange(r): after this call, ids themselves encode the degree order
 // (u > v implies deg(u) >= deg(v)) and BlockOwner answers ownership queries.
 // The 1D baseline algorithms (Havoq-style wedge checking, AOP, Surrogate,
-// OPT-PSP) all start from this form.
+// OPT-PSP) all start from this form. in is only read — it may be a block
+// ScatterGraph lent from the caller's graph — so the labels go to an array
+// of their own.
 func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
-	labels, newAdj := DegreeLabels(c, in, nil)
+	newAdj := make([]int32, len(in.Adj))
+	labels := DegreeLabels(c, in, newAdj, nil)
 	p := c.Size()
 	nloc := int(in.VEnd - in.VBeg)
 

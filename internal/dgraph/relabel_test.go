@@ -25,7 +25,7 @@ func TestDegreeLabelsPermutationAndOrder(t *testing.T) {
 				return nil, err
 			}
 			var ops int64
-			labels, _ := DegreeLabels(c, in, &ops)
+			labels := DegreeLabels(c, in, make([]int32, len(in.Adj)), &ops)
 			if ops == 0 {
 				t.Errorf("p=%d rank %d: no ops recorded", p, c.Rank())
 			}

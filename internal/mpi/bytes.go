@@ -67,6 +67,15 @@ func Int64sToBytes(v []int64) []byte {
 	return b
 }
 
+// Int64sAsBytes reinterprets v as its byte payload without copying; the
+// result aliases v.
+func Int64sAsBytes(v []int64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
+}
+
 // BytesToInt64s reinterprets b as []int64, copying only if misaligned.
 func BytesToInt64s(b []byte) []int64 {
 	if len(b)%8 != 0 {
