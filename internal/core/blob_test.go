@@ -42,8 +42,9 @@ func moved(before, after map[string]uintptr) (gone, stayed int64) {
 // that allocates or moves a resident block — the pipeline on both schedules
 // (and the broadcast one forced onto a square grid) with both enumeration
 // rules, GrowTo beyond and within an array's capacity, a splice that outgrows
-// its blocks and one that shrinks them past their slack bound, the mirror,
-// snapshot decode and delta replay, both rebuilds — and checks after each
+// its blocks and one that shrinks them past their slack bound, the ⟨i,j,k⟩
+// state's conversion, snapshot decode and delta replay, both rebuilds — and
+// checks after each
 // that every created block is its own blob (core.OwnBlobs): what a count
 // ships is the resident bytes as they stand. The differential tests check
 // the counts over the same paths.
@@ -102,6 +103,11 @@ func TestResidentBlocksAreTheirBlobs(t *testing.T) {
 					run  func() (*core.Prepared, int64, error)
 				}{
 					{"Prepare", func() (*core.Prepared, int64, error) { return prep, 1, nil }},
+					// The writes below need the ⟨j,i,k⟩ task block.
+					{"ConvertToJIK", func() (*core.Prepared, int64, error) {
+						prep.ConvertToJIK()
+						return prep, 1, nil
+					}},
 					// Freshly prepared blocks have no room: growing moves them.
 					{"GrowTo beyond capacity", func() (*core.Prepared, int64, error) {
 						before := blockArrays(prep)

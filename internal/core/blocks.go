@@ -8,8 +8,7 @@ import (
 
 // csrBlock is a sparse block stored by rows with int32 local indices: row a
 // holds the sorted local column values adj[xadj[a]:xadj[a+1]]. It represents
-// a U block (rows j → keys k), a task block (rows a → cols b) or the row
-// mirror.
+// a U block (rows j → keys k) or a task block (rows a → cols b).
 //
 // A resident block is its own §5.2 blob (see blobMagic for the layout): buf
 // is one int32 array holding the header, xadj and adj, the last two views
@@ -249,8 +248,8 @@ func (b *csrBlock) maxRow() int64 {
 //
 // Every resident block is stored this way (csrBlock.buf), so a block is
 // shipped as its resident bytes and decoded by pointer arithmetic into them.
-// The kind tells the operands apart: U, and the task block and mirror, which
-// never travel, are stored by rows; L by columns.
+// The kind tells the operands apart: U, and the task block, which never
+// travels, are stored by rows; L by columns.
 const (
 	blobMagic = int32(0x7C2D)
 	kindU     = int32(0)

@@ -237,6 +237,11 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		return fmt.Errorf("core: delta blob version %d, this binary reads %d", v, preparedDeltaVersion)
 	}
 	kind, enum := d.kindEnum()
+	if d.err == nil && enum == EnumJIK {
+		// A delta written after a restore converted a legacy ⟨i,j,k⟩ state
+		// hangs off that state's base: convert it the same way first.
+		p.ConvertToJIK()
+	}
 	if d.err == nil && (kind != p.stateKind() || enum != p.enum) {
 		return fmt.Errorf("core: delta blob kind/enum (%d,%d) does not match resident state (%d,%d)", kind, enum, p.stateKind(), p.enum)
 	}
@@ -339,6 +344,5 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	p.m, p.wedges = m, wedges
 	p.labelBeg, p.labels = labelBeg, labels
 	p.SetDegreeDirty(dirty)
-	p.mirror = nil // rebuilt lazily; rows may have changed
 	return nil
 }

@@ -28,8 +28,9 @@ func disjoint(p *core.Prepared, when string) error {
 }
 
 // TestResidentArraysDisjoint walks a Prepared value through every way its
-// arrays come into being — the pipeline, elastic growth, in-place splices,
-// the mirror, snapshot decode and delta replay, both rebuilds — on both
+// arrays come into being — the pipeline, the ⟨i,j,k⟩ state's conversion,
+// elastic growth, in-place splices, snapshot decode and delta replay, both
+// rebuilds — on both
 // enumeration rules and grid kinds, checking after each that no two resident
 // arrays overlap anywhere within their capacities.
 func TestResidentArraysDisjoint(t *testing.T) {
@@ -74,9 +75,13 @@ func TestResidentArraysDisjoint(t *testing.T) {
 				}
 				prep.EnableSnapshotTracking()
 				base := core.EncodePrepared(prep)
+				prep.ConvertToJIK()
+				if err := disjoint(prep, "ConvertToJIK"); err != nil {
+					return nil, err
+				}
 
-				// GrowTo, EnsureAdjacency and Splice, twice so the second
-				// splice works inside the slack the first one left.
+				// GrowTo and Splice, twice so the second splice works inside
+				// the slack the first one left.
 				for round, b := range [][]delta.Update{batch, {{U: 1, V: n + 9, Op: delta.OpInsert}, {U: 2, V: n + 1, Op: delta.OpInsert}}} {
 					if _, err := delta.Apply(c, prep, b); err != nil {
 						return nil, err

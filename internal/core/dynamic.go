@@ -44,87 +44,110 @@ func (p *Prepared) Labels() (beg int32, labels []int32) { return p.labelBeg, p.l
 // composition deep no matter how many rebuilds have run.
 func (p *Prepared) SetLabels(beg int32, labels []int32) { p.labelBeg, p.labels = beg, labels }
 
-// EnsureAdjacency builds the row-adjacency mirror from the resident blocks
-// if it does not exist yet. Purely local work (no communication).
-//
-// A mirror row is the row's L part (labels below the row vertex) followed
-// by its U part (labels above). Rows are counted, then the L columns are
-// transposed in — ascending, see transposeInto; a row's L entries all sit in
-// one class — and the U rows appended. An L key k of class t is the row label
-// k·L + t, a U key k of class t the column label k·L + t. Only a rank holding
-// several U classes has to sort, and only the U parts.
-func (p *Prepared) EnsureAdjacency() {
-	if p.mirror != nil {
-		return
-	}
-	lay := p.blk
-	qr, qc, L := p.gridMods()
-	nRows := lay.nRows
-	nnz := 0
-	for i := range lay.u {
-		nnz += len(lay.u[i].adj)
-	}
-	for i := range lay.l {
-		nnz += len(lay.l[i].adj)
-	}
-	blk := newBlock(kindU, nRows, nnz, 0)
-	// Class i of the L blocks holds the row labels k·L + i·qr + row, so
-	// local rows k·(L/qr) + i.
-	step := L / qr
-	for i, b := range lay.l {
-		for _, k := range b.adj {
-			blk.xadj[k*step+int32(i)+1]++
-		}
-	}
-	for _, b := range lay.u {
-		for a := int32(0); a < b.rows; a++ {
-			blk.xadj[a+1] += b.xadj[a+1] - b.xadj[a]
-		}
-	}
-	prefixSum(blk.xadj)
-	next := slices.Clone(blk.xadj[:nRows])
-	for i, b := range lay.l {
-		for j := int32(0); j < b.rows; j++ {
-			for _, k := range b.col(j) {
-				r := k*step + int32(i)
-				blk.adj[next[r]] = j*qc + int32(lay.col)
-				next[r]++
-			}
-		}
-	}
-	var uBeg []int32 // where each row's U part starts, if it needs sorting
-	if len(lay.u) > 1 {
-		uBeg = slices.Clone(next)
-	}
-	for i, b := range lay.u {
-		t := int32(i)*qc + int32(lay.col)
-		for a := int32(0); a < b.rows; a++ {
-			for _, k := range b.row(a) {
-				blk.adj[next[a]] = k*L + t
-				next[a]++
-			}
-		}
-	}
-	for a, beg := range uBeg {
-		slices.Sort(blk.adj[beg:blk.xadj[a+1]])
-	}
-	p.mirror = &blk
+// Row is v's row of this rank's block: v's neighbours in the column residue
+// class, as column keys (label = key·qc + col), read in place in sorted
+// parts. The L part (below v) is v's ⟨j,i,k⟩ task row; the U part (above v)
+// is v's row in each U class i, whose key k is column key k·(L/qc) + i. A
+// Row names the row, not its entries: after a Splice it reads the new row.
+// A KeyRow is the other kind: a row's column keys, in any order.
+type Row struct {
+	blk  *blocks
+	a    int32   // the local row
+	keys []int32 // a KeyRow's keys; blk is nil
 }
 
-// AdjRow returns the mirror row of global label v: v's neighbours in this
-// rank's column residue class, as sorted global labels. v must belong to
-// this rank's row residue class. The slice aliases resident state: read
-// only, and the next Splice overwrites it in place — copy what must outlive
-// the splice.
-func (p *Prepared) AdjRow(v int32) []int32 {
-	return p.mirror.row(v / int32(p.blk.qr))
+// AdjRow returns the row of global label v, which must belong to this rank's
+// row residue class, on a state laid out for the ⟨j,i,k⟩ rule (ConvertToJIK).
+func (p *Prepared) AdjRow(v int32) Row { return Row{blk: p.blk, a: v / int32(p.blk.qr)} }
+
+// KeyRow is a row given as its column keys in any order, such as one shipped
+// from another rank of the grid column (AppendKeys). It has no labels.
+func KeyRow(keys []int32) Row { return Row{keys: keys} }
+
+// parts calls f on each part of r, the L part first: entries e that stand
+// for the column keys e·mul + add, ascending unless r is a KeyRow.
+func (r Row) parts(f func(keys []int32, mul, add int32)) {
+	if r.blk == nil {
+		f(r.keys, 1, 0)
+		return
+	}
+	f(r.blk.task.row(r.a), 1, 0)
+	for i := range r.blk.u {
+		if u := &r.blk.u[i]; u.xadj != nil { // uncreated: no entries
+			f(u.row(r.a), int32(r.blk.L/r.blk.qc), int32(i))
+		}
+	}
+}
+
+// Len returns the number of entries of r.
+func (r Row) Len() (n int) {
+	r.parts(func(keys []int32, _, _ int32) { n += len(keys) })
+	return n
+}
+
+// AppendKeys appends the column keys of r to buf, part by part.
+func (r Row) AppendKeys(buf []int32) []int32 { return r.appendAs(buf, 1, 0) }
+
+// AppendLabels appends the global labels of r, not a KeyRow, to buf, part by
+// part.
+func (r Row) AppendLabels(buf []int32) []int32 {
+	return r.appendAs(buf, int32(r.blk.qc), int32(r.blk.col))
+}
+
+// appendAs appends key·m + c for every column key of r.
+func (r Row) appendAs(buf []int32, m, c int32) []int32 {
+	r.parts(func(keys []int32, mul, add int32) {
+		for _, e := range keys {
+			buf = append(buf, (e*mul+add)*m+c)
+		}
+	})
+	return buf
 }
 
 // HasEdgeLocal reports whether the directed entry (v → u) is present in
-// this rank's block; v must be row-class and u column-class local.
+// this rank's block; v must be row-class and u column-class local. It
+// searches the one part of v's row that can hold u.
 func (p *Prepared) HasEdgeLocal(v, u int32) bool {
-	_, ok := slices.BinarySearch(p.AdjRow(v), u)
+	b := p.blk
+	a, qc, L := v/int32(b.qr), int32(b.qc), int32(b.L)
+	var row []int32
+	key := u / qc
+	if u < v {
+		row = b.task.row(a)
+	} else if cls := &b.u[u%L/qc]; cls.xadj != nil {
+		row, key = cls.row(a), u/L
+	}
+	_, ok := slices.BinarySearch(row, key)
 	return ok
+}
+
+// ConvertToJIK lays a state built for the ⟨i,j,k⟩ rule (task block = the U
+// pattern) out for the ⟨j,i,k⟩ one (task block = the L classes by rows),
+// which the write path reads rows by. Restores convert legacy states; only
+// the one-shot ablation still builds them. Local and exclusive, like Splice.
+func (p *Prepared) ConvertToJIK() {
+	if p.enum == EnumJIK {
+		return
+	}
+	// Column j of L class i holds keys k of local rows k·(L/qr) + i.
+	b, step := p.blk, int32(p.blk.L/p.blk.qr)
+	var ents []int64 // packed like classEdits: row-major when sorted
+	for i, l := range b.l {
+		for j := int32(0); j < l.rows; j++ {
+			for _, k := range l.col(j) {
+				ents = append(ents, int64(k*step+int32(i))<<32|int64(j))
+			}
+		}
+	}
+	slices.Sort(ents)
+	b.task = newBlock(kindU, b.nRows, len(ents), 0)
+	for x, e := range ents {
+		b.task.xadj[editRow(e)+1]++
+		b.task.adj[x] = editVal(e)
+	}
+	prefixSum(b.task.xadj)
+	b.taskRows = b.task.nonEmptyRows(b.taskRows)
+	p.enum = EnumJIK
 }
 
 // AdjustTotals folds a batch's edge-count and wedge-count deltas into the
@@ -173,9 +196,9 @@ type editPoint struct {
 // class, one slot per class mod L; empty between splices), and the edit
 // points of the block being spliced.
 type spliceScratch struct {
-	u, l         []classEdits
-	task, mirror classEdits
-	points       []editPoint
+	u, l   []classEdits
+	task   classEdits
+	points []editPoint
 
 	movedBytes, reallocs *obs.Counter
 }
@@ -331,11 +354,11 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 // full insertion and deletion lists (canonical label pairs, wa < wb) are
 // presented to every rank; each rank splices exactly the directed entries
 // its blocks own — the U entry at the (wa → wb) owner and the L entry at
-// the (wb → wa) owner — keeping the task block, the doubly-sparse row
-// list, the row mirror and the kernel-sizing maximum row length in sync.
-// Every block is spliced in place (spliceCSR): slices handed out earlier —
-// AdjRow — are overwritten, not merely outdated. The only communication is
-// one allreduce refreshing the maximum row length.
+// the (wb → wa) owner — keeping the task block, the doubly-sparse row list
+// and the kernel-sizing maximum row length in sync; the task block must be
+// the ⟨j,i,k⟩ one (ConvertToJIK). Every block is spliced in place
+// (spliceCSR). The only communication is one allreduce refreshing the
+// maximum row length.
 func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	if len(ins) == 0 && len(del) == 0 {
 		return
@@ -344,40 +367,27 @@ func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
 	p.blk.maxURow = c.AllreduceInt64(p.blk.longestURow(), mpi.OpMax)
 }
 
-// gridMods returns the residue moduli entries are placed by — rows mod qr,
-// columns mod qc, operand classes mod L — as int32, for the per-entry loops.
-func (p *Prepared) gridMods() (qr, qc, L int32) {
-	return int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
-}
-
 // routeEdits files the directed entries of edges that this rank owns into
 // the scratch edit lists of the blocks holding them.
 func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 	sc := &p.splice
-	qr, qc, L := p.gridMods()
+	qr, qc, L := int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
 	x, y := rank/qc, rank%qc
 	for _, e := range edges {
 		wa, wb := e[0], e[1]
 		if wa%qr == x && wb%qc == y { // U entry (wa → wb), class wb mod L
 			sc.u[wb%L].add(del, wa/qr, wb/L)
-			sc.mirror.add(del, wa/qr, wb)
-			if p.enum == EnumIJK {
-				sc.task.add(del, wa/qr, wb/qc)
-			}
 		}
-		if wb%qr == x && wa%qc == y { // L entry (wb → wa), CSC by column, class wb mod L
+		if wb%qr == x && wa%qc == y { // L entry (wb → wa), CSC by column, class wb mod L; task row wb/qr
 			sc.l[wb%L].add(del, wa/qc, wb/L)
-			sc.mirror.add(del, wb/qr, wa)
-			if p.enum == EnumJIK {
-				sc.task.add(del, wb/qr, wa/qc)
-			}
+			sc.task.add(del, wb/qr, wa/qc)
 		}
 	}
 }
 
 // spliceBlocks routes the batch and splices every resident block of this
 // rank: the operand blocks class by class (creating a block at its first
-// edit), the task block with its row list, and the mirror if built.
+// edit), and the task block with its row list.
 func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
 	sc, blk := &p.splice, p.blk
 	if sc.u == nil {
@@ -419,9 +429,6 @@ func (p *Prepared) spliceBlocks(rank int, ins, del [][2]int32) {
 	}
 	sc.spliceCSR(&blk.task, &sc.task)
 	blk.taskRows = blk.task.nonEmptyRows(blk.taskRows)
-	if p.mirror != nil {
-		sc.spliceCSR(p.mirror, &sc.mirror)
-	}
 	sc.reset()
 }
 
@@ -448,7 +455,6 @@ func (sc *spliceScratch) reset() {
 		sc.l[t].reset()
 	}
 	sc.task.reset()
-	sc.mirror.reset()
 	sc.points = keep(sc.points)
 }
 

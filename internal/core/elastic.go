@@ -105,12 +105,12 @@ func (b *blocks) grow(n int64) {
 }
 
 // GrowTo extends the vertex space to newN ids, admitting the overflow region
-// [p.N(), newN) into every resident block: the U/L/task blocks (and, when
-// built, the row mirror) gain empty rows and columns for the new
-// residue-class locals, and the global N every later query reports moves to
-// newN. No data moves between ranks and no relabeling happens — overflow
-// labels are the identity — so the call is purely local compute. Every rank
-// must call it with the same newN, inside an exclusive write epoch.
+// [p.N(), newN) into every resident block: the U/L/task blocks gain empty
+// rows and columns for the new residue-class locals, and the global N every
+// later query reports moves to newN. No data moves between ranks and no
+// relabeling happens — overflow labels are the identity — so the call is
+// purely local compute. Every rank must call it with the same newN, inside
+// an exclusive write epoch.
 func (p *Prepared) GrowTo(newN int64) error {
 	if newN <= p.n {
 		return nil
@@ -119,9 +119,6 @@ func (p *Prepared) GrowTo(newN int64) error {
 		return fmt.Errorf("core: vertex space of %d ids exceeds the int32 label range", newN)
 	}
 	p.blk.grow(newN)
-	if p.mirror != nil {
-		growCSRRows(p.mirror, p.blk.nRows)
-	}
 	p.n = newN
 	p.version++
 	return nil

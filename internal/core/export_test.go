@@ -14,7 +14,7 @@ type ArraySpan struct {
 }
 
 // OwnBlobs checks that every created block of p — the U and L classes, the
-// empty blocks uncreated classes travel as, the task block and the mirror —
+// empty blocks uncreated classes travel as, and the task block —
 // has this rank's dimension and is its own §5.2 blob: its resident bytes
 // decode to views that alias the block's own xadj and adj, under a header
 // holding the block's dimension and entry count.
@@ -50,14 +50,11 @@ func OwnBlobs(p *Prepared) error {
 	for i := range b.l {
 		errs = append(errs, own(fmt.Sprint("l", i*b.qr+b.row), b.l[i].byCols(), kindL, b.nCols))
 	}
-	if p.mirror != nil {
-		errs = append(errs, own("mirror", p.mirror, kindU, b.nRows))
-	}
 	return errors.Join(errs...)
 }
 
 // ResidentSpans lists the storage of every array resident on p — blocks,
-// row lists, mirror, label map, splice scratch — for the external tests,
+// row lists, label map, splice scratch — for the external tests,
 // which can reach internal/delta. Arrays without storage are left out.
 func ResidentSpans(p *Prepared) []ArraySpan {
 	var out []ArraySpan
@@ -84,9 +81,6 @@ func ResidentSpans(p *Prepared) []ArraySpan {
 	}
 	i32("emptyU", b.emptyU.buf)
 	i32("emptyL", b.emptyL.buf)
-	if m := p.mirror; m != nil {
-		i32("mirror", m.buf)
-	}
 	i32("labels", p.labels)
 	sc := &p.splice
 	for t := range sc.u {
@@ -94,7 +88,6 @@ func ResidentSpans(p *Prepared) []ArraySpan {
 		edits(fmt.Sprint("scratch.l", t), &sc.l[t])
 	}
 	edits("scratch.task", &sc.task)
-	edits("scratch.mirror", &sc.mirror)
 	add("scratch.points", unsafe.Pointer(unsafe.SliceData(sc.points)), unsafe.Sizeof(editPoint{})*uintptr(cap(sc.points)))
 	return out
 }

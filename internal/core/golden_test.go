@@ -118,7 +118,7 @@ func readGolden(t *testing.T) map[string]goldenEntry {
 // sort every list, and the labels depend only on degrees and cyclic ids —
 // so a graph whose every row is shuffled must give the recorded bytes on
 // every golden world. delta.Rebuild relies on it: the rows it reassembles
-// arrive in whatever order the mirrors' slices land.
+// arrive in whatever order the ranks' row slices land.
 func TestPrepareIgnoresRowOrder(t *testing.T) {
 	want := readGolden(t)
 	rng := rand.New(rand.NewSource(5))

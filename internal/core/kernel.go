@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	mathbits "math/bits"
 	"sync"
 
@@ -355,52 +356,64 @@ func (kn *kernel) run(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock
 	kn.clearHubs()
 }
 
-// Pair is one intersection of the write path: two ascending lists of global
-// labels of one column residue class — mirror rows (Prepared.AdjRow), or such
-// a row shipped in from another rank of the same grid column.
-type Pair struct{ A, B []int32 }
+// Pair is one intersection of the write path, in one column residue class:
+// row A, this rank's or a KeyRow shipped in from another rank of the grid
+// column, and the row of label B, which this rank holds.
+type Pair struct {
+	A Row
+	B int32
+}
 
 // IntersectPairs intersects every pair on the count kernel's bitmap, on the
 // calling rank's goroutine: hit(i, w) receives every label w common to
 // pairs[i].A and pairs[i].B, in pair order. Returns the bitmap lookups made.
 //
-// The bitmap is sized for the current vertex count (after any GrowTo): every
-// entry of a column class y lists labels ≡ y mod qc, so label / qc is a
-// collision-free key below ⌈n/qc⌉. It is drawn from the count kernel's
-// scratch pool and returned to it.
+// The bitmap is sized for the current vertex count (after any GrowTo): the
+// column keys of a column class are collision-free and below ⌈n/qc⌉. It is
+// drawn from the count kernel's scratch pool and returned to it.
 func (p *Prepared) IntersectPairs(pairs []Pair, hit func(i int, w int32)) int64 {
-	qc := int32(p.blk.qc)
 	keyRange := numWithResidue(p.n, p.blk.qc, 0)
 	kn := newKernel(keyRange, keyRange, 0, 0, Options{})
 	for i := range pairs {
-		kn.pairBitmap(i, &pairs[i], qc, hit)
+		kn.pairBitmap(i, pairs[i].A, p.AdjRow(pairs[i].B), int32(p.blk.qc), int32(p.blk.col), hit)
 	}
 	kn.release()
 	return kn.kc.probes
 }
 
-// pairBitmap is rowBitmap for pair i of IntersectPairs: mark A's keys
-// (label / qc) in the bitmap, walk B backwards down to A's minimum — the same
-// early break — handing every common label to hit, then clear exactly the
-// words A set. Every lookup is one probe.
-func (kn *kernel) pairBitmap(i int, pr *Pair, qc int32, hit func(i int, w int32)) {
-	a, b := pr.A, pr.B
-	if len(a) == 0 || len(b) == 0 {
-		return
-	}
+// pairBitmap is rowBitmap for pair i of IntersectPairs: mark the keys of
+// row a, walk each part of row b backwards down to a's minimum (the early
+// break, whose probes do not depend on how the rows are split into parts),
+// handing the label of every common key to hit, and clear the words a set.
+// Every lookup is one probe.
+func (kn *kernel) pairBitmap(i int, a, b Row, qc, col int32, hit func(i int, w int32)) {
 	bits := kn.bits
-	for _, v := range a {
-		k := uint32(v / qc)
-		bits[k>>6] |= 1 << (k & 63)
-	}
-	j := len(b) - 1
-	for ; j >= 0 && b[j] >= a[0]; j-- {
-		if k := uint32(b[j] / qc); bits[k>>6]>>(k&63)&1 != 0 {
-			hit(i, b[j])
+	floor := int32(math.MaxInt32) // above every key: an empty A probes nothing
+	a.parts(func(keys []int32, mul, add int32) {
+		for _, e := range keys {
+			k := e*mul + add
+			floor = min(floor, k)
+			bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
 		}
-	}
-	for _, v := range a {
-		bits[uint32(v/qc)>>6] = 0
-	}
-	kn.kc.probes += int64(len(b) - 1 - j)
+	})
+	probes := 0
+	b.parts(func(keys []int32, mul, add int32) {
+		x := len(keys) - 1
+		for ; x >= 0; x-- {
+			k := keys[x]*mul + add
+			if k < floor {
+				break
+			}
+			if bits[uint32(k)>>6]>>(uint32(k)&63)&1 != 0 {
+				hit(i, k*qc+col)
+			}
+		}
+		probes += len(keys) - 1 - x
+	})
+	a.parts(func(keys []int32, mul, add int32) {
+		for _, e := range keys {
+			bits[uint32(e*mul+add)>>6] = 0
+		}
+	})
+	kn.kc.probes += int64(probes)
 }

@@ -252,15 +252,14 @@ type hotChurn struct {
 	edges   [][2]int32        // the same pairs, for picking deletions
 }
 
-// newHotChurn prepares g on 4 ranks (Cannon, with mirrors) and reads the
-// hot-set edges back out of the mirrors.
+// newHotChurn prepares g on 4 ranks (Cannon) and reads the hot-set edges
+// back out of the blocks' rows.
 func newHotChurn(tb testing.TB, g *graph.Graph, seed int64) ([]*Prepared, *hotChurn) {
 	tb.Helper()
 	preps := make([]*Prepared, 4)
 	_, err := mpi.Run(len(preps), testCfg(), func(c *mpi.Comm) (any, error) {
 		p, err := prepareOn(c, g, 0, 0, EnumJIK)
 		if err == nil {
-			p.EnsureAdjacency()
 			preps[c.Rank()] = p
 		}
 		return nil, err
@@ -280,7 +279,7 @@ func newHotChurn(tb testing.TB, g *graph.Graph, seed int64) ([]*Prepared, *hotCh
 			if int(v)%qr != rank/qc {
 				continue
 			}
-			for _, u := range p.AdjRow(v) {
+			for _, u := range p.AdjRow(v).AppendLabels(nil) {
 				if e := [2]int32{v, u}; v < u && isHot[u] && !h.present[e] {
 					h.present[e] = true
 					h.edges = append(h.edges, e)
@@ -327,7 +326,7 @@ func spliceAll(preps []*Prepared, ins, del [][2]int32) {
 }
 
 // BenchmarkSplice measures the resident write alone: 512-update hot-set
-// batches spliced into the U, L, task and mirror blocks of all four ranks of
+// batches spliced into the U, L and task blocks of all four ranks of
 // an RMAT scale 14 graph, reported per batch per rank.
 func BenchmarkSplice(b *testing.B) {
 	g, err := rmat.G500.Generate(14, 16, 1)

@@ -23,7 +23,8 @@ import (
 // which ends every step of run, the masks must be all-zero again before the
 // kernel goes back to the pool. Every trial also runs one pair of
 // IntersectPairs' routine, held to the same oracle and the same clean
-// bitmap.
+// bitmap: A keys in any order, B a row of blocks whose
+// L part and two U classes each hold part of it.
 func TestKernelRowMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range []struct{ keyRange, hubEnd int32 }{
@@ -193,41 +194,54 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 				bitmap.release()
 			}
 
-			// The write path's pair routine on the same kind of lists, as
-			// labels of column class 2 of 3 (key = label / 3): empty sides,
-			// B entirely below A's minimum and keys on the word boundaries
-			// in the mix.
+			// The write path's pair routine on the same kind of lists, in
+			// column class 2 of 3 (label = key·3 + 2), on a 1×3 grid with
+			// L = 6: B's keys below its split point are its L part, those
+			// above it its U part, which U class key%2 holds as key/2.
+			// Empty sides, B entirely below A's minimum and keys on the word
+			// boundaries are in the mix.
 			const qc, class = 3, 2
-			labels := func(lo int32) []int32 {
+			keysOf := func(lo int32) []int32 {
 				if rng.Intn(6) == 0 {
 					return nil
 				}
-				keys := randList(1+rng.Intn(30), lo, keyRange)
-				for i := range keys {
-					keys[i] = keys[i]*qc + class
+				return randList(1+rng.Intn(30), lo, keyRange)
+			}
+			aKeys, bKeys := keysOf(int32(64*rng.Intn(4))), keysOf(0)
+			if rng.Intn(8) == 0 && len(aKeys) > 0 && aKeys[0] > 0 {
+				bKeys = []int32{0} // entirely below A's minimum
+			}
+			rng.Shuffle(len(aKeys), func(i, j int) { aKeys[i], aKeys[j] = aKeys[j], aKeys[i] })
+			split := rng.Int31n(keyRange + 1)
+			var lPart []int32
+			uParts := [2][]int32{}
+			for _, k := range bKeys {
+				if k < split {
+					lPart = append(lPart, 0, k)
+				} else {
+					uParts[k%2] = append(uParts[k%2], 0, k/2)
 				}
-				return keys
 			}
-			pr := Pair{A: labels(int32(64 * rng.Intn(4))), B: labels(0)}
-			if rng.Intn(8) == 0 && len(pr.A) > 0 && pr.A[0] > class {
-				pr.B = []int32{class} // entirely below A's minimum
-			}
+			blk := &blocks{qr: 1, qc: qc, L: 2 * qc, col: class, task: csrFromPairs(1, lPart),
+				u: []csrBlock{csrFromPairs(1, uParts[0]), csrFromPairs(1, uParts[1])}}
 			inA := map[int32]bool{}
-			for _, v := range pr.A {
-				inA[v] = true
+			minA := keyRange
+			for _, k := range aKeys {
+				inA[k*qc+class] = true
+				minA = min(minA, k)
 			}
 			var wantHits, wantProbes int64
-			for _, v := range pr.B {
-				if len(pr.A) > 0 && v >= pr.A[0] {
+			for _, k := range bKeys {
+				if k >= minA {
 					wantProbes++
 				}
-				if inA[v] {
+				if inA[k*qc+class] {
 					wantHits++
 				}
 			}
 			w := newKernel(keyRange, keyRange, 0, 0, Options{})
 			var hits int64
-			w.pairBitmap(trial, &pr, qc, func(i int, v int32) {
+			w.pairBitmap(trial, KeyRow(aKeys), Row{blk: blk}, qc, class, func(i int, v int32) {
 				if i != trial || !inA[v] {
 					t.Fatalf("%v trial %d: hit(%d, %d) is not a common label of pair %d", sz, trial, i, v, trial)
 				}
@@ -239,7 +253,7 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 				}
 			}
 			if hits != wantHits || w.kc.probes != wantProbes {
-				t.Fatalf("%v trial %d: pair %v ∩ %v: %d hits, %d probes; oracle %d, %d", sz, trial, pr.A, pr.B, hits, w.kc.probes, wantHits, wantProbes)
+				t.Fatalf("%v trial %d: pair %v ∩ %v: %d hits, %d probes; oracle %d, %d", sz, trial, aKeys, bKeys, hits, w.kc.probes, wantHits, wantProbes)
 			}
 			w.release()
 		}

@@ -47,8 +47,8 @@ func (e Enumeration) String() string {
 // the paper's full configuration (all optimizations on, ⟨j,i,k⟩).
 type Options struct {
 	// Enumeration selects ⟨j,i,k⟩ (default) or ⟨i,j,k⟩. Only PrepareGrid
-	// reads it: the prepared state records the rule, and every later count,
-	// snapshot and rebuild of that state runs under it.
+	// reads it: the prepared state records the rule, and every later count
+	// and snapshot of that state runs under it. Writes need ⟨j,i,k⟩.
 	Enumeration Enumeration
 	// NoDoublySparse disables the DCSR-style non-empty-row lists that skip
 	// vertices whose local task/U rows are empty (§5.2 "doubly sparse

@@ -10,8 +10,6 @@ package core
 //
 // Deliberately NOT serialized:
 //
-//   - the row-adjacency mirror: EnsureAdjacency rebuilds it lazily and
-//     locally from the blocks, so persisting it would only bloat snapshots;
 //   - the doubly-sparse non-empty-row lists: recomputed at decode time;
 //   - the preprocessing op count (PreOps): it describes the pipeline run
 //     that built the state, and a restore runs no pipeline — a decoded
@@ -254,8 +252,8 @@ func (d *decoder) classList(L, q, res int, read func(i int)) {
 // and the write path rely on (blocks.check) — blobs also arrive over the
 // network, from a follower's bootstrap and the coordinator's restore, so a
 // malformed one is an error, never a panic. The decoded value reports zero
-// preprocessing cost (no pipeline ran) and rebuilds its row mirror lazily on
-// first use.
+// preprocessing cost (no pipeline ran). A legacy ⟨i,j,k⟩ state decodes as
+// written, so its delta chain replays; the restore then converts it.
 func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedMagic {
@@ -364,7 +362,7 @@ func checkLabels(beg int32, labels []int32, baseN int64, rank, size int) error {
 
 // checkDirty verifies a decoded degree-dirty set: ascending, as the encoders
 // write it, and every label in the vertex space [0, n) — the incremental
-// rebuild reads the mirror row of each.
+// rebuild reads the row of each.
 func checkDirty(dirty []int32, n int64) error {
 	for i, v := range dirty {
 		if v < 0 || int64(v) >= n {

@@ -45,16 +45,6 @@ type Prepared struct {
 	labels   []int32 // final label of cyclic id labelBeg+i
 	labelBeg int32   // first cyclic id owned by this rank
 
-	// mirror is the row-major view of this rank's block of the (relabeled)
-	// adjacency matrix in global labels: local row v div qr holds the
-	// neighbours of row-class vertex v that fall in this rank's column
-	// residue class, sorted ascending. The blocks store the same entries
-	// split into U and L operand classes in local indices; the mirror is the
-	// one place a whole row can be read or probed directly. It exists only
-	// on clusters that take updates — built lazily by EnsureAdjacency — and
-	// is spliced in lockstep with the blocks.
-	mirror *csrBlock
-
 	// Churn tracking (see dirty.go): degreeDirty is the replicated set of
 	// labels whose degree changed since the last rebuild fold; snap records
 	// the rows/columns/label slots this rank rewrote since the last
@@ -159,7 +149,7 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // and returned when its steps end; the operand blobs are the resident bytes,
 // which other ranks read in place), so any number of CountPrepared epochs
 // may run concurrently over the same state as World.RunRead epochs. The write-path operations — Splice,
-// EnsureAdjacency, AdjustTotals, SetLabels, and the delta package's
+// ConvertToJIK, AdjustTotals, SetLabels, and the delta package's
 // Apply/Rebuild built on them — are exclusive and must not overlap any
 // CountPrepared epoch; the cluster scheduler enforces this split.
 func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {

@@ -24,10 +24,10 @@ func packEdge(a, b int32) int64 {
 // same slice or nil). The returned Result is identical on every rank and
 // reports zero preprocessing operations: the pipeline never re-runs.
 //
-// Apply mutates the resident blocks in place (GrowTo, EnsureAdjacency,
-// Splice, AdjustTotals), so it must run as an exclusive write epoch
-// (World.Run) — never concurrently with CountPrepared read epochs over the
-// same state.
+// Apply mutates the resident blocks in place (GrowTo, Splice,
+// AdjustTotals), so it must run as an exclusive write epoch (World.Run) —
+// never concurrently with CountPrepared read epochs over the same state. An
+// ⟨i,j,k⟩ state has no rows to read: Apply returns ErrIJKLayout.
 //
 // The epoch's phases: broadcast the batch; run the vertex-admission
 // pre-pass (allocate OpAddVertices ranges above every id the batch
@@ -35,7 +35,7 @@ func packEdge(a, b int32) int64 {
 // resident blocks to the new space); resolve current labels of the batch
 // endpoints through the retained cyclic/relabel maps (overflow ids resolve
 // to themselves); expand each OpRemoveVertex into deletions of its full
-// adjacency, gathered from the owning grid row's mirrors; validate each
+// adjacency, gathered from the owning grid row's blocks; validate each
 // edge update at the rank owning its U-side entry (inserts of present
 // edges and deletes of absent ones become skips, consistently on every
 // rank); capture pre-splice degrees for the wedge delta; run the deletion
@@ -43,6 +43,9 @@ func packEdge(a, b int32) int64 {
 // insertion delta pass against the new graph; reduce the discovery
 // buckets and fold the weighted formula into the resident totals.
 func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
+	if prep.Enumeration() != core.EnumJIK {
+		return nil, ErrIJKLayout
+	}
 	p := c.Size()
 	baseN := prep.BaseN()
 	qr, qc, _ := prep.GridShape()
@@ -167,8 +170,6 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 		}
 	}
 
-	prep.EnsureAdjacency()
-
 	// Expand vertex removals: every rank needs the full adjacency of each
 	// removed label to build the identical deletion list.
 	var remIdx []int
@@ -290,7 +291,7 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	d0 := make([]int64, len(affected))
 	for idx, w := range affected {
 		if int(w)%qr == x {
-			d0[idx] = int64(len(prep.AdjRow(w)))
+			d0[idx] = int64(prep.AdjRow(w).Len())
 		}
 	}
 	d0 = c.AllreduceInt64s(d0, mpi.OpSum)
@@ -328,9 +329,9 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 
 // gatherRows returns every label's full adjacency, identical on every rank:
 // the ranks of the label's grid row each hold one column-class slice of it
-// and replicate their slices to all ranks through the sparse all-to-all. A
-// row is its slices in rank order, so it is not sorted. Every rank must call
-// it with the same labels.
+// and replicate their slices, in labels, to all ranks through the sparse
+// all-to-all. A row is its slices in rank order, each in part order, so it
+// is not sorted. Every rank must call it with the same labels.
 func gatherRows(c *mpi.Comm, prep *core.Prepared, labels []int32) [][]int32 {
 	qr, qc, _ := prep.GridShape()
 	x := c.Rank() / qc
@@ -339,13 +340,13 @@ func gatherRows(c *mpi.Comm, prep *core.Prepared, labels []int32) [][]int32 {
 		if int(w)%qr != x {
 			continue
 		}
-		row := prep.AdjRow(w)
-		if len(row) == 0 {
+		l := prep.AdjRow(w).Len()
+		if l == 0 {
 			continue
 		}
 		for dst := range send {
-			send[dst] = append(send[dst], int32(k), int32(len(row)))
-			send[dst] = append(send[dst], row...)
+			send[dst] = append(send[dst], int32(k), int32(l))
+			send[dst] = prep.AdjRow(w).AppendLabels(send[dst])
 		}
 	}
 	rows := make([][]int32, len(labels))
@@ -372,9 +373,9 @@ func labelOf(verts []int32, resolved []int64, v int32) int32 {
 // on every rank.
 //
 // For marked edge (a, b) and each grid column class, the rank holding row a
-// in that class ships the row to the rank holding row b (same grid column,
-// grid row b mod qr), where the two rows become one pair of
-// core.Prepared.IntersectPairs — the count kernel's bitmap intersection.
+// in that class ships the row, as column keys, to the rank holding row b
+// (same grid column, grid row b mod qr), where the two rows become one pair
+// of core.Prepared.IntersectPairs — the count kernel's bitmap intersection.
 // Third vertices are partitioned by column residue, so the union over classes
 // covers each one exactly once. Rows whose endpoints share a grid row pair up
 // locally; all cross-row traffic travels through one sparse all-to-all. The
@@ -401,8 +402,8 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 		}
 		row := prep.AdjRow(e[0])
 		dst := br*qc + y
-		send[dst] = append(send[dst], int32(i), int32(len(row)))
-		send[dst] = append(send[dst], row...)
+		send[dst] = append(send[dst], int32(i), int32(row.Len()))
+		send[dst] = row.AppendKeys(send[dst])
 	}
 	got := c.AlltoallvSparseInt32(send)
 	// This rank's pairs — locally intersectable marked edges plus the rows
@@ -411,14 +412,14 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 	of := make([][2]int32, 0, ours)
 	for _, e := range marked {
 		if br := int(e[1]) % qr; int(e[0])%qr == br && br == x {
-			pairs = append(pairs, core.Pair{A: prep.AdjRow(e[0]), B: prep.AdjRow(e[1])})
+			pairs = append(pairs, core.Pair{A: prep.AdjRow(e[0]), B: e[1]})
 			of = append(of, e)
 		}
 	}
 	for _, buf := range got {
 		for i := 0; i < len(buf); {
 			e, l := marked[buf[i]], int(buf[i+1])
-			pairs = append(pairs, core.Pair{A: buf[i+2 : i+2+l], B: prep.AdjRow(e[1])})
+			pairs = append(pairs, core.Pair{A: core.KeyRow(buf[i+2 : i+2+l]), B: e[1]})
 			of = append(of, e)
 			i += 2 + l
 		}

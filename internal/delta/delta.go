@@ -26,7 +26,7 @@
 // (core.Prepared.GrowTo — overflow labels are the identity, so nothing
 // moves), and the batch then proceeds as usual. OpRemoveVertex drops a
 // vertex and all its incident edges as one batch op: the owning grid row
-// gathers the vertex's full adjacency from the row mirrors, the incident
+// gathers the vertex's full adjacency from its blocks, the incident
 // edges join the deletion list, and the existing incident-triangle delta
 // pass prices them exactly. Only ids that never existed (negative, or a
 // removal naming an id outside the space) are rejected, with
@@ -57,6 +57,10 @@ import (
 // maps it to a 400) use it to distinguish malformed input from legitimate
 // vertex arrival.
 var ErrVertexRange = errors.New("delta: vertex id out of range")
+
+// ErrIJKLayout marks a write to a state laid out for the ⟨i,j,k⟩ rule, which
+// has no ⟨j,i,k⟩ task block to read rows from (restores convert such states).
+var ErrIJKLayout = errors.New("delta: state is laid out for the ⟨i,j,k⟩ rule and takes no writes")
 
 // Op selects the kind of one update.
 type Op int8

@@ -61,7 +61,6 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	p := c.Size()
 	r := c.Rank()
 	n := prep.N()
-	prep.EnsureAdjacency()
 	qr, qc, _ := prep.GridShape()
 	x := r / qc
 
@@ -74,7 +73,7 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 	deg := make([]int64, len(dirty))
 	for i, w := range dirty {
 		if int(w)%qr == x {
-			deg[i] = int64(len(prep.AdjRow(w)))
+			deg[i] = int64(prep.AdjRow(w).Len())
 		}
 	}
 	if len(deg) > 0 {

@@ -16,10 +16,10 @@ import (
 // effectiveness degrade; a rebuild restores them without tearing down the
 // world or the transport.
 //
-// Three steps, all SPMD: (1) every rank routes its partial mirror rows to
-// the 1D block owners of the row vertices, reassembling a Dist1D over the
-// current label space; (2) the ordinary PrepareGrid pipeline runs on it, on
-// the same grid shape, schedule and enumeration rule; (3) the fresh
+// Three steps, all SPMD: (1) every rank routes its partial rows to the 1D
+// block owners of the row vertices, reassembling a Dist1D over the current
+// label space; (2) the ordinary PrepareGrid pipeline runs on it, on the same
+// grid shape and schedule, under the ⟨j,i,k⟩ rule; (3) the fresh
 // permutation — which maps the previous label space — is composed with the
 // retained one through a sparse request/response, so the returned state
 // routes original vertex ids directly, no matter how many rebuilds have
@@ -28,17 +28,16 @@ import (
 // incrementally maintained ones.
 //
 // Like Apply, Rebuild must run as an exclusive write epoch (World.Run): it
-// reads the retained label maps and mirror while replacement state is
+// reads the retained label maps and blocks while replacement state is
 // under construction, and the caller swaps the returned state in — neither
 // may race a CountPrepared read epoch.
 func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	p := c.Size()
 	n := prep.N()
 	qr, qc, summa := prep.GridShape()
-	prep.EnsureAdjacency()
 
 	// (1) Reassemble the current graph as a 1D block distribution over the
-	// current labels: each rank's mirror holds one column-class slice of
+	// current labels: each rank's blocks hold one column-class slice of
 	// each of its rows, routed to the block owner of the row vertex.
 	// Counting pre-pass so each destination buffer is allocated exactly
 	// once instead of growing through repeated appends.
@@ -46,21 +45,21 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	need := make([]int, p)
 	x := c.Rank() / qc
 	for la := int32(x); int64(la) < n; la += int32(qr) {
-		if row := prep.AdjRow(la); len(row) > 0 {
-			need[dgraph.BlockOwner(la, n, p)] += 2 + len(row)
+		if l := prep.AdjRow(la).Len(); l > 0 {
+			need[dgraph.BlockOwner(la, n, p)] += 2 + l
 		}
 	}
 	for dst := range send {
 		send[dst] = make([]int32, 0, need[dst])
 	}
 	for la := int32(x); int64(la) < n; la += int32(qr) {
-		row := prep.AdjRow(la)
-		if len(row) == 0 {
+		l := prep.AdjRow(la).Len()
+		if l == 0 {
 			continue
 		}
 		dst := dgraph.BlockOwner(la, n, p)
-		send[dst] = append(send[dst], la, int32(len(row)))
-		send[dst] = append(send[dst], row...)
+		send[dst] = append(send[dst], la, int32(l))
+		send[dst] = prep.AdjRow(la).AppendLabels(send[dst])
 	}
 	got := c.AlltoallvInt32(send)
 	beg, end := dgraph.BlockRange(c.Rank(), n, p)
@@ -68,8 +67,8 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	// depend on the order inside a row (core's TestPrepareIgnoresRowOrder).
 	dist := dgraph.AssembleRows(n, beg, end, got)
 
-	// (2) The ordinary pipeline, same grid shape and enumeration.
-	np, err := core.PrepareGrid(c, dist, qr, qc, summa, core.Options{Enumeration: prep.Enumeration()})
+	// (2) The ordinary pipeline, same grid shape.
+	np, err := core.PrepareGrid(c, dist, qr, qc, summa, core.Options{})
 	if err != nil {
 		return nil, err
 	}

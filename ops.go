@@ -372,10 +372,7 @@ func rebuildIncOp(c *mpi.Comm, pr *core.Prepared) (*opReply, error) {
 
 // rebuildFullOp swaps the rank's state for a freshly prepared one. The
 // replacement shares nothing with what any snapshot captured, so it needs its
-// own dirty tracking (b.Track). It also gets its row mirror here rather than
-// on the next write: a rebuild reads the old state's mirror, so the rank had
-// one before the swap, and its resident size should not depend on whether the
-// last epoch happened to be a rebuild.
+// own dirty tracking (b.Track).
 func rebuildFullOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 	pr, err := st.get(c.Rank())
 	if err != nil {
@@ -389,7 +386,6 @@ func rebuildFullOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 		np.EnableSnapshotTracking()
 	}
 	st.put(c.Rank(), np)
-	np.EnsureAdjacency()
 	return reply0(c, np, opReply{}), nil
 }
 
@@ -453,6 +449,9 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 		}
 		return nil, err
 	}
+	// The write path reads rows by the ⟨j,i,k⟩ rule; a delta snapshot of the
+	// converted state replays by converting its base the same way.
+	pr.ConvertToJIK()
 	// Track dirtiness from the restored state on, so the next snapshot can
 	// continue the chain as a delta.
 	if r.Track {

@@ -195,11 +195,12 @@ func TestClusterKillRecoverySingleRank(t *testing.T) {
 
 // TestOpenClusterKeepsBlobLayout: the rank blobs are the only record of a
 // state's grid, schedule and enumeration rule, so a directory written with a
-// layout NewCluster no longer builds still opens on that layout and keeps it
-// through a batch, a full rebuild and a snapshot-and-reopen. The inputs are
-// hand-built: a 4-rank SUMMA world on 2×2 (square rank counts now always run
-// Cannon), and a Cannon 2×2 ⟨i,j,k⟩ world (clusters now always run ⟨j,i,k⟩)
-// whose manifest still carries the legacy enum/summa/qr/qc keys.
+// grid and schedule NewCluster no longer builds still opens on them and keeps
+// them through a batch, a full rebuild and a snapshot-and-reopen. The inputs
+// are hand-built: a 4-rank SUMMA world on 2×2 (square rank counts now always
+// run Cannon), and a Cannon 2×2 ⟨i,j,k⟩ world whose manifest still carries
+// the legacy enum/summa/qr/qc keys. The write path reads rows from the
+// ⟨j,i,k⟩ task block, so the ⟨i,j,k⟩ state is ⟨j,i,k⟩ from the open on.
 func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -232,9 +233,9 @@ func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 					t.Fatal(err)
 				}
 				qr, qc, summa := pr.GridShape()
-				if qr != 2 || qc != 2 || summa != tc.summa || pr.Enumeration() != tc.enum {
+				if qr != 2 || qc != 2 || summa != tc.summa || pr.Enumeration() != core.EnumJIK {
 					t.Fatalf("%s: layout %d×%d SUMMA=%v %v, want 2×2 SUMMA=%v %v",
-						tag, qr, qc, summa, pr.Enumeration(), tc.summa, tc.enum)
+						tag, qr, qc, summa, pr.Enumeration(), tc.summa, core.EnumJIK)
 				}
 			}
 			o := newGrowOracle(g)
