@@ -72,10 +72,6 @@ func (p *Prepared) EnableSnapshotTracking() {
 	}
 }
 
-// SnapshotTrackingEnabled reports whether splices are being recorded for
-// delta snapshot encoding.
-func (p *Prepared) SnapshotTrackingEnabled() bool { return p.snap != nil }
-
 // ResetSnapshotDirty clears the since-last-snapshot dirty set. The snapshot
 // layer calls it after the delta (or base) blob it drained the set into has
 // been durably committed.
@@ -92,24 +88,6 @@ func (p *Prepared) MarkLabelSlot(i int32) {
 	if p.snap != nil {
 		p.snap.slots[i] = struct{}{}
 	}
-}
-
-// SnapshotDirtyCounts reports the size of the since-last-snapshot set: the
-// number of dirty block rows/columns and rewritten label slots. Zero/zero on
-// clusters without tracking.
-func (p *Prepared) SnapshotDirtyCounts() (rows, slots int) {
-	s := p.snap
-	if s == nil {
-		return 0, 0
-	}
-	rows = len(s.tRows)
-	for _, set := range s.u {
-		rows += len(set)
-	}
-	for _, set := range s.l {
-		rows += len(set)
-	}
-	return rows, len(s.slots)
 }
 
 // MarkDegreeDirty records labels whose degree changed since the last

@@ -47,15 +47,6 @@ type VertexSpace struct {
 // OverflowN returns the size of the overflow region.
 func (s VertexSpace) OverflowN() int64 { return s.N - s.BaseN }
 
-// OverflowFraction returns the fraction of the id space living in the
-// overflow region — the layout-staleness signal vertex growth contributes.
-func (s VertexSpace) OverflowFraction() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return float64(s.N-s.BaseN) / float64(s.N)
-}
-
 // BaseN returns the vertex count at the last build (the extent of the
 // cyclic/relabel maps).
 func (p *Prepared) BaseN() int64 { return p.baseN }

@@ -73,13 +73,6 @@ func FromEdges(n int32, edges []Edge) (*Graph, error) {
 	return out, nil
 }
 
-// FromSortedAdjacency builds a Graph directly from pre-validated CSR arrays.
-// The caller asserts the invariants (sorted, symmetric, simple); Validate can
-// check them.
-func FromSortedAdjacency(n int32, xadj []int64, adj []int32) *Graph {
-	return &Graph{N: n, Xadj: xadj, Adj: adj}
-}
-
 // Permute relabels the graph: vertex v becomes perm[v]. The result has
 // sorted adjacency lists. perm must be a bijection on [0, N).
 func (g *Graph) Permute(perm []int32) (*Graph, error) {

@@ -69,14 +69,6 @@ func (g *Graph) MaxDegree() int32 {
 	return dmax
 }
 
-// AvgDegree returns the average vertex degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.N == 0 {
-		return 0
-	}
-	return float64(len(g.Adj)) / float64(g.N)
-}
-
 // Validate checks the structural invariants of the CSR representation:
 // monotone row pointers, in-range sorted strictly-increasing adjacency lists,
 // no self loops, and symmetry. It is O(m log d) and intended for tests.
@@ -162,13 +154,4 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return edges
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		N:    g.N,
-		Xadj: append([]int64(nil), g.Xadj...),
-		Adj:  append([]int32(nil), g.Adj...),
-	}
 }

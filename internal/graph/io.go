@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -75,72 +74,4 @@ func ReadEdgeList(r io.Reader, n int32) (*Graph, error) {
 		return nil, fmt.Errorf("graph: edge references vertex %d >= n=%d", maxID, n)
 	}
 	return FromEdges(n, edges)
-}
-
-const binMagic = uint32(0x54433244) // "TC2D"
-
-// WriteBinary writes the graph in a compact binary format: magic, version,
-// n (int32), nnz (int64), xadj, adj — all little-endian.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := make([]byte, 4+4+4+8)
-	binary.LittleEndian.PutUint32(hdr[0:], binMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], 1)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(g.N))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(g.Adj)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, x := range g.Xadj {
-		binary.LittleEndian.PutUint64(buf, uint64(x))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, a := range g.Adj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(a))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, 4+4+4+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
-		return nil, fmt.Errorf("graph: unsupported version %d", v)
-	}
-	n := int32(binary.LittleEndian.Uint32(hdr[8:]))
-	nnz := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	if n < 0 || nnz < 0 {
-		return nil, fmt.Errorf("graph: corrupt header (n=%d nnz=%d)", n, nnz)
-	}
-	g := &Graph{N: n, Xadj: make([]int64, n+1), Adj: make([]int32, nnz)}
-	buf := make([]byte, 8)
-	for i := range g.Xadj {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		g.Xadj[i] = int64(binary.LittleEndian.Uint64(buf))
-	}
-	for i := range g.Adj {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, err
-		}
-		g.Adj[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: binary file failed validation: %w", err)
-	}
-	return g, nil
 }

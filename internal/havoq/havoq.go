@@ -42,10 +42,6 @@ type Result struct {
 	BytesQueried int64
 }
 
-const (
-	tagDead = 41
-)
-
 // Count runs the Havoq-style baseline over the calling rank's share of the
 // graph. All ranks must call it collectively.
 func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {

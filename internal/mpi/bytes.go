@@ -124,9 +124,6 @@ func BytesToFloat64s(b []byte) []float64 {
 	return out
 }
 
-// SendInt32s sends a typed payload; the slice is copied.
-func (c *Comm) SendInt32s(dst, tag int, v []int32) { c.SendOwn(dst, tag, Int32sToBytes(v)) }
-
 // RecvInt32s receives a typed payload.
 func (c *Comm) RecvInt32s(src, tag int) []int32 { return BytesToInt32s(c.Recv(src, tag)) }
 

@@ -11,7 +11,7 @@ const (
 	tagGatherv
 	tagAlltoallv
 	tagScan
-	tagAllgatherv
+	_ // unused; holds tagSparse and tagBarrier at their wire values
 	tagSparse
 	tagBarrier // dissemination barrier on process-spanning worlds
 )
@@ -202,14 +202,9 @@ func (c *Comm) AllreduceFloat64s(v []float64, op Op) []float64 {
 	return BytesToFloat64s(c.Bcast(0, payload))
 }
 
-// AllreduceFloat64 is the scalar convenience form of AllreduceFloat64s.
-func (c *Comm) AllreduceFloat64(v float64, op Op) float64 {
-	return c.AllreduceFloat64s([]float64{v}, op)[0]
-}
-
 // Gatherv gathers one byte payload per rank onto root, indexed by source
 // rank. Non-root ranks receive nil. data is copied (callers may pass a
-// ByteSendBufs buffer and recycle it afterwards); the root may recycle the
+// GetByteBuf buffer and recycle it afterwards); the root may recycle the
 // returned parts with RecycleByteBufs once it has copied out of them —
 // unless it reinterpreted them in place (BytesToInt64s and friends alias
 // the payload), in which case they stay alive with the typed view.
@@ -232,53 +227,11 @@ func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 	return out
 }
 
-// AllgatherInt64s gathers each rank's slice and returns the concatenation (in
-// rank order) on every rank. The staged payload and the root's gathered
-// parts are dead once flattened, so they cycle through the byte pool.
-func (c *Comm) AllgatherInt64s(v []int64) []int64 {
-	payload := Int64sToBytes(v)
-	parts := c.Gatherv(0, payload)
-	RecycleByteBuf(payload)
-	var flat []byte
-	if c.rank == 0 {
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		flat = make([]byte, 0, total)
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-		RecycleByteBufs(parts)
-	}
-	return BytesToInt64s(c.Bcast(0, flat))
-}
-
-// AllgatherFloat64s gathers each rank's slice, concatenated in rank order.
-func (c *Comm) AllgatherFloat64s(v []float64) []float64 {
-	payload := Float64sToBytes(v)
-	parts := c.Gatherv(0, payload)
-	RecycleByteBuf(payload)
-	var flat []byte
-	if c.rank == 0 {
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		flat = make([]byte, 0, total)
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-		RecycleByteBufs(parts)
-	}
-	return BytesToFloat64s(c.Bcast(0, flat))
-}
-
 // Alltoallv performs a personalized all-to-all exchange: send[d] goes to rank
 // d; the result's entry [s] is the payload received from rank s. This is the
 // p point-to-point send/receive formulation the paper uses (cost ≥ p + m/p).
 // Ownership of the send payloads transfers to the runtime — they may come
-// from ByteSendBufs, in which case receivers that copy out of the results
+// from GetByteBuf, in which case receivers that copy out of the results
 // and recycle them (RecycleByteBufs) close the pool cycle. Results that
 // are reinterpreted in place must NOT be recycled while the view lives.
 func (c *Comm) Alltoallv(send [][]byte) [][]byte {
@@ -387,36 +340,17 @@ func (c *Comm) AlltoallvSparseInt32(send [][]int32) [][]int32 {
 	return out
 }
 
-// ExscanInt64 returns the exclusive prefix sum of v over ranks: rank r gets
-// sum of v over ranks 0..r-1 (0 on rank 0). Implemented with a Hillis–Steele
-// distance-doubling sweep, so its depth is ceil(log2 p) rounds.
-func (c *Comm) ExscanInt64(v int64) int64 {
-	p := c.world.size
-	incl := v
-	for d := 1; d < p; d <<= 1 {
-		var got []int64
-		// Post the send first, then receive: both directions are disjoint
-		// rank pairs so the buffered mailboxes absorb the exchange.
-		if c.rank+d < p {
-			c.SendInt64s(c.rank+d, tagScan, []int64{incl})
-		}
-		if c.rank-d >= 0 {
-			got = c.RecvInt64s(c.rank-d, tagScan)
-		}
-		if got != nil {
-			incl += got[0]
-		}
-	}
-	return incl - v
-}
-
-// ExscanInt64s is the vector form of ExscanInt64 (elementwise exclusive
-// prefix sums over ranks).
+// ExscanInt64s returns the elementwise exclusive prefix sums of v over
+// ranks: rank r gets the sum of v over ranks 0..r-1 (zeros on rank 0).
+// Implemented with a Hillis–Steele distance-doubling sweep, so its depth is
+// ceil(log2 p) rounds.
 func (c *Comm) ExscanInt64s(v []int64) []int64 {
 	p := c.world.size
 	incl := append([]int64(nil), v...)
 	for d := 1; d < p; d <<= 1 {
 		var got []int64
+		// Post the send first, then receive: both directions are disjoint
+		// rank pairs so the buffered mailboxes absorb the exchange.
 		if c.rank+d < p {
 			c.SendInt64s(c.rank+d, tagScan, incl)
 		}

@@ -57,9 +57,6 @@ func NewGrid(c *Comm, qr, qc int) (*Grid, error) {
 	return &Grid{c: c, qr: qr, qc: qc, row: c.Rank() / qc, col: c.Rank() % qc}, nil
 }
 
-// Comm returns the underlying communicator.
-func (g *Grid) Comm() *Comm { return g.c }
-
 // Rows returns qr.
 func (g *Grid) Rows() int { return g.qr }
 

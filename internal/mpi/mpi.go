@@ -2,9 +2,9 @@
 //
 // It provides the subset of MPI that distributed graph algorithms need:
 // ranks with private memory, tagged point-to-point messages, the classic
-// collectives (barrier, broadcast, reduce, allreduce, gather, allgather,
-// all-to-all), prefix scans, and a 2D Cartesian grid helper for Cannon-style
-// shift patterns.
+// collectives (barrier, broadcast, reduce, allreduce, gather, all-to-all),
+// prefix scans, and a 2D Cartesian grid helper for Cannon-style shift
+// patterns.
 //
 // Ranks are goroutines. Nothing is shared between ranks except the message
 // transport; every Send copies its payload (or takes ownership with the
@@ -287,9 +287,6 @@ func NewWorld(p int, cfg Config) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // RankFunc is the body executed by every rank of an SPMD run.
 type RankFunc func(c *Comm) (any, error)
 
@@ -307,7 +304,6 @@ func (e *RankPanicError) Error() string {
 // job is one epoch's unit of work, shared by that epoch's rank workers.
 type job struct {
 	fn      RankFunc
-	ep      *epochState
 	results []any
 	errs    []error
 	wg      *sync.WaitGroup
@@ -404,19 +400,6 @@ func (w *World) RunEpochAt(id int, read bool, fn RankFunc) ([]any, error) {
 	return w.runEpoch(id, fn, epochWrite)
 }
 
-// LocalRanks returns the global ranks hosted by this process (all ranks on
-// single-process worlds). The returned slice must not be modified.
-func (w *World) LocalRanks() []int {
-	if w.local != nil {
-		return w.local
-	}
-	all := make([]int, w.size)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
 // epochKind distinguishes exclusive (write) epochs from concurrent read
 // epochs in the published metrics.
 type epochKind int
@@ -481,7 +464,7 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 	results := make([]any, w.size)
 	errs := make([]error, w.size)
 	comms := make([]*Comm, w.size)
-	j := job{fn: fn, ep: ep, results: results, errs: errs, wg: &sync.WaitGroup{}}
+	j := job{fn: fn, results: results, errs: errs, wg: &sync.WaitGroup{}}
 	spawn := func(r int) {
 		comms[r] = &Comm{world: w, rank: r, ep: ep, mark: start}
 		go j.run(comms[r])
@@ -636,9 +619,6 @@ func (c *Comm) Stats() Stats {
 	c.charge()
 	return c.stats
 }
-
-// Model returns the world's communication cost model.
-func (c *Comm) Model() CostModel { return c.world.model }
 
 // charge books the wall time since mark — the running stretch so far — as
 // local work on the virtual clock.

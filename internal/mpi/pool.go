@@ -60,19 +60,6 @@ func GetByteBuf(n int) []byte {
 	return b[:n]
 }
 
-// ByteSendBufs returns p empty byte send buffers drawn from the byte pool,
-// ready to fill with append and hand to Alltoallv, AlltoallvSparse or
-// Gatherv. Ownership follows the collective's contract: Alltoallv takes
-// the buffers (they become the receivers' payloads), Gatherv copies and
-// the caller may recycle afterwards.
-func ByteSendBufs(p int) [][]byte {
-	out := make([][]byte, p)
-	for i := range out {
-		out[i] = GetByteBuf(0)
-	}
-	return out
-}
-
 // RecycleByteBuf returns one dead byte buffer to the pool.
 func RecycleByteBuf(b []byte) {
 	if cap(b) == 0 {

@@ -44,7 +44,7 @@ func TestTCPCollectives(t *testing.T) {
 		if len(got) != 3 || got[0] != 9 {
 			t.Errorf("rank %d: bcast %v", c.Rank(), got)
 		}
-		ex := c.ExscanInt64(1)
+		ex := c.ExscanInt64s([]int64{1})[0]
 		if ex != int64(c.Rank()) {
 			t.Errorf("rank %d: exscan %d", c.Rank(), ex)
 		}

@@ -230,19 +230,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments (or, negative v, decrements) the gauge.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -29,33 +29,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestGaugeConcurrentAdd checks the gauge's add loop under contention with
-// mixed signs.
-func TestGaugeConcurrentAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("obs_test_gauge", "test gauge")
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if w%2 == 0 {
-					g.Add(2)
-				} else {
-					g.Add(-1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	want := float64(workers/2*per*2 - workers/2*per)
-	if got := g.Value(); got != want {
-		t.Fatalf("gauge = %v, want %v", got, want)
-	}
-}
-
 // TestConcurrentSnapshot races Snapshot/Expose against live mutation: the
 // point is that -race stays quiet and every observed value is one the
 // counter actually passed through (monotone).

@@ -24,7 +24,7 @@
 //     never partially loaded.
 //   - The WAL is rotated at every snapshot: segment wal-<base>.log starts
 //     empty when the snapshot covering the first <base> batches commits, so
-//     a snapshot supersedes all older segments (Prune deletes them).
+//     a snapshot supersedes all older segments (PruneChains deletes them).
 //   - A torn record at the tail of the NEWEST segment is a crash artifact:
 //     Replay truncates it and recovery proceeds from the last complete
 //     record. Corruption anywhere else (an older segment, a sequence gap)
@@ -406,39 +406,13 @@ func Remove(dir string, seq uint64) error {
 	return os.RemoveAll(filepath.Join(dir, snapDirName(seq)))
 }
 
-// Prune enforces the retention policy after a successful snapshot: keep the
-// newest `keep` snapshots, delete older ones, and delete every WAL segment
-// fully superseded by the oldest retained snapshot. Segment wal-<base>
-// holds records with seq in (base, nextBase], so it is deletable exactly
-// when the NEXT segment's base is ≤ the oldest retained seq — judging by
-// the segment's own base would be wrong if a crash between snapshot commit
-// and WAL rotation left no boundary at that snapshot. The newest segment
-// and temp directories of crashed snapshot attempts are handled too.
-func Prune(dir string, keep int) error {
-	seqs, err := List(dir)
-	if err != nil {
-		return err
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	var oldestKept uint64
-	if len(seqs) > keep {
-		for _, seq := range seqs[:len(seqs)-keep] {
-			if err := os.RemoveAll(filepath.Join(dir, snapDirName(seq))); err != nil {
-				return err
-			}
-		}
-		oldestKept = seqs[len(seqs)-keep]
-	} else if len(seqs) > 0 {
-		oldestKept = seqs[0]
-	}
-	return cleanSegments(dir, oldestKept)
-}
-
-// cleanSegments deletes WAL segments fully superseded by the oldest
-// retained snapshot (see Prune for the boundary rule) and sweeps temp
-// directories of crashed snapshot attempts.
+// cleanSegments deletes every WAL segment fully superseded by the oldest
+// retained snapshot and sweeps temp directories of crashed snapshot
+// attempts. Segment wal-<base> holds records with seq in (base, nextBase],
+// so it is deletable exactly when the NEXT segment's base is ≤ the oldest
+// retained seq — judging by the segment's own base would be wrong if a
+// crash between snapshot commit and WAL rotation left no boundary at that
+// snapshot. The newest segment always survives.
 func cleanSegments(dir string, oldestKept uint64) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -164,9 +164,6 @@ func (w *WAL) Rotate(newBase uint64) error {
 	return nil
 }
 
-// Seq returns the last appended (or replay-seeded) sequence number.
-func (w *WAL) Seq() uint64 { return w.seq }
-
 // Stats reports the records and bytes appended through this handle.
 func (w *WAL) Stats() (records, bytes int64) { return w.records, w.bytes }
 

@@ -40,7 +40,6 @@ type clusterMetrics struct {
 	absorbed      *obs.Counter
 	deferred      *obs.Counter
 	coalesceSize  *obs.Histogram
-	rebuilds      *obs.Counter
 
 	// Rebuild mode split and the incremental mode's savings: rebuildsBy is
 	// keyed by mode label (incremental, full); savedOps accumulates the
@@ -135,8 +134,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 			"Caller batches deferred to a later drain by a cross-batch conflict."),
 		coalesceSize: reg.Histogram("tc_sched_coalesce_batches",
 			"Caller batches absorbed per write epoch.", batchBuckets),
-		rebuilds: reg.Counter("tc_cluster_rebuilds_total",
-			"Staleness (or explicit) rebuilds of the resident blocks."),
 		rebuildsBy: make(map[string]*obs.Counter, len(rebuildModes)),
 		rebuildSavedOps: reg.Counter("tc_rebuild_saved_ops_total",
 			"Preprocessing operations incremental rebuilds avoided versus the last full build."),
@@ -287,11 +284,9 @@ func (m *clusterMetrics) observeOp(op string, start time.Time, err error) {
 	m.queries[op].Inc()
 }
 
-// observeRebuild records one completed rebuild: the unlabeled legacy
-// counter, the per-mode counter, and — for incremental rebuilds — the
-// saved-ops and moved-rows accumulators.
+// observeRebuild records one completed rebuild: the per-mode counter and —
+// for incremental rebuilds — the saved-ops and moved-rows accumulators.
 func (m *clusterMetrics) observeRebuild(mode string, savedOps int64, movedRows int) {
-	m.rebuilds.Inc()
 	m.rebuildsBy[mode].Inc()
 	if mode == "incremental" {
 		if savedOps > 0 {

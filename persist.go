@@ -719,7 +719,7 @@ func (cl *Cluster) restoreDir(res *resolvedOptions, dir string) error {
 // or the base itself — whose longer WAL tail replays the difference. With
 // prune, a rejected candidate is deleted once a fallback remains, so the
 // retention policy never counts a known-corrupt snapshot toward its quota
-// (keeping it could evict the valid fallback on the next Prune; its data
+// (keeping it could evict the valid fallback on the next prune; its data
 // fails its checksums, so nothing recoverable is lost), while a sole corrupt
 // snapshot is kept for post-mortem. Only damage walks on: a lost worker or a
 // degraded world is not a data problem and aborts the walk.
