@@ -301,6 +301,18 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+func TestReadEdgeListRejectsMaxInt32ID(t *testing.T) {
+	// Inferring n as max id + 1 would overflow int32.
+	_, err := ReadEdgeList(strings.NewReader("0 2147483647\n"), 0)
+	if err == nil || !strings.Contains(err.Error(), "2147483647") || !strings.Contains(err.Error(), "int32 limit") {
+		t.Fatalf("err = %v, want one naming id 2147483647 and the int32 limit", err)
+	}
+	// With an explicit n it is an out-of-range id, as before.
+	if _, err := ReadEdgeList(strings.NewReader("0 2147483647\n"), 5); err == nil || !strings.Contains(err.Error(), ">= n=5") {
+		t.Fatalf("explicit n: err = %v, want the out-of-range error", err)
+	}
+}
+
 func TestStats(t *testing.T) {
 	g := k4(t)
 	if g.MaxDegree() != 3 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -69,6 +70,9 @@ func ReadEdgeList(r io.Reader, n int32) (*Graph, error) {
 		return nil, err
 	}
 	if n <= 0 {
+		if maxID == math.MaxInt32 {
+			return nil, fmt.Errorf("graph: vertex id %d needs a vertex count above the int32 limit %d", maxID, math.MaxInt32)
+		}
 		n = maxID + 1
 	} else if maxID >= n {
 		return nil, fmt.Errorf("graph: edge references vertex %d >= n=%d", maxID, n)

@@ -4,9 +4,19 @@
 // distributed ranks can each generate their slice of the edge list without
 // communication, exactly as the paper does ("our algorithm creates these
 // synthetic graphs as input to each run").
+//
+// The whole-graph generators, Generate and ErdosRenyi, fill their edge list
+// in GOMAXPROCS contiguous chunks on as many goroutines and build the graph
+// with graph.FromEdges; the result does not depend on GOMAXPROCS. EdgesSlice
+// and ERSlice stay sequential: each rank of a distributed run calls them
+// under its own compute slot.
 package rmat
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+
 	"tc2d/internal/graph"
 )
 
@@ -97,24 +107,50 @@ func scramble(v int32, scale int, seed uint64) int32 {
 // EdgesSlice generates edges [lo, hi) of the edge list (each rank of a
 // distributed run generates its own slice). Vertex labels are scrambled.
 func (p Params) EdgesSlice(scale int, seed uint64, lo, hi int64) []graph.Edge {
-	edges := make([]graph.Edge, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		e := p.Edge(scale, seed, i)
+	edges := make([]graph.Edge, hi-lo)
+	p.fill(edges, scale, seed, lo)
+	return edges
+}
+
+// fill writes edges [lo, lo+len(dst)) of the edge list into dst.
+func (p Params) fill(dst []graph.Edge, scale int, seed uint64, lo int64) {
+	for k := range dst {
+		e := p.Edge(scale, seed, lo+int64(k))
 		e.U = scramble(e.U, scale, seed+0x5bd1e995)
 		e.V = scramble(e.V, scale, seed+0x5bd1e995)
-		edges = append(edges, e)
+		dst[k] = e
 	}
-	return edges
 }
 
 // Generate builds the full undirected simple graph for an RMAT instance:
 // n = 2^scale vertices and edgeFactor*n generated edges (duplicates and self
 // loops are removed by the builder, so the final edge count is lower).
 func (p Params) Generate(scale, edgeFactor int, seed uint64) (*graph.Graph, error) {
+	if scale < 0 || scale > 30 || edgeFactor < 0 {
+		return nil, fmt.Errorf("rmat: scale %d or edge factor %d out of range", scale, edgeFactor)
+	}
 	n := int32(1) << uint(scale)
-	m := int64(edgeFactor) * int64(n)
-	edges := p.EdgesSlice(scale, seed, 0, m)
+	edges := make([]graph.Edge, int64(edgeFactor)*int64(n))
+	fillParallel(edges, func(dst []graph.Edge, lo int64) { p.fill(dst, scale, seed, lo) })
 	return graph.FromEdges(n, edges)
+}
+
+// fillParallel splits edges into GOMAXPROCS contiguous chunks and runs fill
+// on each in its own goroutine, passing the chunk and the index of its first
+// edge; it returns when every chunk is filled.
+func fillParallel(edges []graph.Edge, fill func(dst []graph.Edge, lo int64)) {
+	m := int64(len(edges))
+	chunks := min(int64(runtime.GOMAXPROCS(0)), m)
+	var wg sync.WaitGroup
+	for c := int64(0); c < chunks; c++ {
+		lo, hi := m*c/chunks, m*(c+1)/chunks
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(edges[lo:hi], lo)
+		}()
+	}
+	wg.Wait()
 }
 
 // Note: scramble is NOT a bijection of the masked domain in general (it is a
@@ -127,18 +163,28 @@ func (p Params) Generate(scale, edgeFactor int, seed uint64) (*graph.Graph, erro
 // over n vertices: both endpoints uniform, counter-addressable like the RMAT
 // stream so distributed ranks generate disjoint slices.
 func ERSlice(n int64, seed uint64, lo, hi int64) []graph.Edge {
-	edges := make([]graph.Edge, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		r := newRNG(seed, uint64(i))
+	edges := make([]graph.Edge, hi-lo)
+	erFill(edges, n, seed, lo)
+	return edges
+}
+
+// erFill writes samples [lo, lo+len(dst)) of the stream into dst.
+func erFill(dst []graph.Edge, n int64, seed uint64, lo int64) {
+	for k := range dst {
+		r := newRNG(seed, uint64(lo+int64(k)))
 		u := int32(r.next() % uint64(n))
 		v := int32(r.next() % uint64(n))
-		edges = append(edges, graph.Edge{U: u, V: v})
+		dst[k] = graph.Edge{U: u, V: v}
 	}
-	return edges
 }
 
 // ErdosRenyi generates a G(n, m)-style random simple graph: m edge samples
 // with both endpoints uniform (duplicates/self loops removed by the builder).
 func ErdosRenyi(n int32, m int64, seed uint64) (*graph.Graph, error) {
-	return graph.FromEdges(n, ERSlice(int64(n), seed, 0, m))
+	if n < 0 || m < 0 || (n == 0 && m > 0) {
+		return nil, fmt.Errorf("rmat: %d edge samples over %d vertices", m, n)
+	}
+	edges := make([]graph.Edge, m)
+	fillParallel(edges, func(dst []graph.Edge, lo int64) { erFill(dst, int64(n), seed, lo) })
+	return graph.FromEdges(n, edges)
 }

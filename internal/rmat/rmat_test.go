@@ -1,6 +1,10 @@
 package rmat
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +115,30 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
+func TestGeneratorsRejectBadSizes(t *testing.T) {
+	// Each would panic: a negative make, or a sample modulo zero vertices
+	// inside a fill goroutine, where the caller cannot recover it.
+	for _, scale := range []int{-1, 31} {
+		if _, err := G500.Generate(scale, 16, 1); err == nil {
+			t.Errorf("Generate(scale %d): no error", scale)
+		}
+	}
+	if _, err := G500.Generate(4, -1, 1); err == nil {
+		t.Error("Generate(edge factor -1): no error")
+	}
+	for _, c := range []struct {
+		n int32
+		m int64
+	}{{0, 5}, {-1, 5}, {4, -1}} {
+		if _, err := ErdosRenyi(c.n, c.m, 1); err == nil {
+			t.Errorf("ErdosRenyi(%d, %d): no error", c.n, c.m)
+		}
+	}
+	if g, err := ErdosRenyi(0, 0, 1); err != nil || g.N != 0 {
+		t.Errorf("ErdosRenyi(0, 0) = %v, %v; want the empty graph", g, err)
+	}
+}
+
 func TestERSliceCompose(t *testing.T) {
 	whole := ERSlice(100, 3, 0, 60)
 	head := ERSlice(100, 3, 0, 20)
@@ -158,4 +186,75 @@ func TestRNGUniformish(t *testing.T) {
 	if mean < 0.45 || mean > 0.55 {
 		t.Fatalf("mean %v far from 0.5", mean)
 	}
+}
+
+// graphHash is a SHA-256 of a graph's N, Xadj and Adj.
+func graphHash(g *graph.Graph) string {
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, g.N)
+	binary.Write(h, binary.LittleEndian, g.Xadj)
+	binary.Write(h, binary.LittleEndian, g.Adj)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The G500 s12 (edge factor 16, seed 1) and ER 4096×65536 (seed 1) graphs as
+// the sequential sort-based builder produced them.
+const (
+	g500S12Hash = "675d228566762c96fd767a232e30a1617b94d4595e7f9944997315b79aecb659"
+	er4096Hash  = "fab871a373b10668a9ac353cb07203abcdcf48d925ab281b7a86fbaed767558e"
+)
+
+func TestParallelGenerationIndependentOfGOMAXPROCS(t *testing.T) {
+	const scale, ef = 12, 16
+	n, m := int32(1)<<scale, int64(ef)<<scale
+	rmatRef, err := graph.FromEdges(n, G500.EdgesSlice(scale, 1, 0, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	erRef, err := graph.FromEdges(n, ERSlice(int64(n), 1, 0, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := graphHash(rmatRef); h != g500S12Hash {
+		t.Fatalf("G500 s12 seed 1 hashes to %s, want %s", h, g500S12Hash)
+	}
+	if h := graphHash(erRef); h != er4096Hash {
+		t.Fatalf("ER 4096x65536 seed 1 hashes to %s, want %s", h, er4096Hash)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		g, err := G500.Generate(scale, ef, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := graphHash(g); h != g500S12Hash {
+			t.Errorf("GOMAXPROCS=%d: Generate hashes to %s, want %s", procs, h, g500S12Hash)
+		}
+		g, err = ErdosRenyi(n, m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := graphHash(g); h != er4096Hash {
+			t.Errorf("GOMAXPROCS=%d: ErdosRenyi hashes to %s, want %s", procs, h, er4096Hash)
+		}
+	}
+}
+
+// BenchmarkGenerate generates the RMAT s16 graph (edge factor 16, seed 1):
+// the edge list on GOMAXPROCS goroutines, then the builder.
+func BenchmarkGenerate(b *testing.B) {
+	const scale, ef = 16, 16
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		if _, err := G500.Generate(scale, ef, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(ef<<scale)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/edge")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/edge")
 }
