@@ -57,11 +57,13 @@ type ClusterInfo struct {
 	// serve queries (internal epochs, like the write path's base count,
 	// are excluded): concurrent identical queries share one epoch's
 	// result, so Queries / ReadEpochs is the read-coalescing factor,
-	// always ≥ 1 once a query has completed. WriteEpochs
-	// counts write epochs; CoalescedBatches the caller batches they
-	// absorbed, so CoalescedBatches / WriteEpochs is the write-coalescing
-	// factor. QueueDepth is the number of ApplyUpdates callers currently
-	// enqueued or in flight.
+	// always ≥ 1 once a query has completed. WriteEpochs counts write
+	// epochs, a follower's replicated applies included; it reads the
+	// tc_sched_write_epochs_total series of Options.Metrics.
+	// CoalescedBatches counts the caller batches they absorbed, so
+	// CoalescedBatches / WriteEpochs is the write-coalescing factor.
+	// QueueDepth is the number of ApplyUpdates callers currently enqueued
+	// or in flight.
 	ReadEpochs       int64
 	WriteEpochs      int64
 	CoalescedBatches int64
@@ -114,10 +116,6 @@ type Cluster struct {
 	// meta caches the graph metadata of the newest rank-0 op reply.
 	metaMu sync.Mutex
 	meta   wireMeta
-
-	// logf, when non-nil, receives non-fatal diagnostics
-	// (CoordinatorOptions.Logf on coordinator clusters).
-	logf func(format string, args ...any)
 
 	queries     atomic.Int64
 	readEpochs  atomic.Int64
@@ -264,7 +262,7 @@ func newClusterOn(eng engine, res *resolvedOptions, ranks int) *Cluster {
 	}
 	cl.lastTri.Store(-1)
 	if rb, ok := eng.(*remoteBackend); ok {
-		cl.remote, cl.logf = rb, rb.logf
+		cl.remote = rb
 	}
 	return cl
 }
@@ -509,7 +507,7 @@ func (cl *Cluster) Info() ClusterInfo {
 		Rebuilds:            cl.rebuilds.Load(),
 		IncrementalRebuilds: cl.incRebuilds.Load(),
 		ReadEpochs:          cl.readEpochs.Load(),
-		WriteEpochs:         cl.sched.writeEpochs.Load(),
+		WriteEpochs:         int64(cl.metrics.writeEpochs.Value()),
 		CoalescedBatches:    cl.sched.absorbed.Load(),
 		QueueDepth:          cl.sched.depth.Load(),
 		MapTasks:            cl.mapTasks.Load(),

@@ -210,17 +210,16 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 	return f, nil
 }
 
-// chainBlobs is the prefetched blob set of one bootstrap: every chain
-// member's per-rank payloads, fetched (and CRC-verified) before any
-// resident state is touched, keyed by the manifest's sequence.
-type chainBlobs map[uint64][][]byte
+// chainBlobs is the prefetched blob set of one bootstrap, fetched (and
+// CRC-verified) before any resident state is touched: chainBlobs[rank] is
+// that rank's blobs of the chain, base first.
+type chainBlobs [][][]byte
 
-func (b chainBlobs) fetch(m *snapshot.Manifest, rank int) ([]byte, error) {
-	blobs, ok := b[m.AppliedSeq]
-	if !ok || rank < 0 || rank >= len(blobs) {
-		return nil, fmt.Errorf("tc2d: bootstrap blob for snapshot %d rank %d was not prefetched", m.AppliedSeq, rank)
+func (b chainBlobs) fetch(rank int) ([][]byte, error) {
+	if rank < 0 || rank >= len(b) {
+		return nil, fmt.Errorf("tc2d: bootstrap blobs of rank %d were not prefetched", rank)
 	}
-	return blobs[rank], nil
+	return b[rank], nil
 }
 
 // adoptChain installs a prefetched chain as the follower cluster's resident
@@ -258,17 +257,15 @@ func (f *Follower) fetchChain(ctx context.Context) ([]*snapshot.Manifest, chainB
 	if err != nil {
 		return nil, nil, err
 	}
-	blobs := make(chainBlobs, len(chain))
+	blobs := make(chainBlobs, term.Ranks)
 	for _, m := range chain {
-		per := make([][]byte, m.Ranks)
-		for r := 0; r < m.Ranks; r++ {
+		for r := range blobs {
 			blob, err := f.client.RankBlob(ctx, m, r)
 			if err != nil {
 				return nil, nil, err
 			}
-			per[r] = blob
+			blobs[r] = append(blobs[r], blob)
 		}
-		blobs[m.AppliedSeq] = per
 	}
 	return chain, blobs, nil
 }
@@ -391,7 +388,7 @@ func (f *Follower) applyFrame(frame *repl.Frame) error {
 		}
 		cl.commitApply(res)
 		cl.updates.Add(1)
-		cl.sched.writeEpochs.Add(1)
+		cl.metrics.writeEpochs.Inc()
 		f.appliedSeq.Store(frame.Records[i].Seq)
 		f.applied.Add(1)
 	}

@@ -144,6 +144,35 @@ func TestFollowerConvergesDifferential(t *testing.T) {
 	}
 }
 
+// A follower's replicated batches are write epochs on both of its surfaces:
+// Info().WriteEpochs (tcd's /stats) and tc_sched_write_epochs_total
+// (/metrics) read one count.
+func TestFollowerWriteEpochsReachMetrics(t *testing.T) {
+	primary, _, hs, _ := newReplPrimary(t, 6, Options{Ranks: 4})
+	f, err := OpenFollower(hs.URL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitFollowerReady(t, f)
+	const batches = 5
+	for b := int32(0); b < batches; b++ {
+		if _, err := primary.ApplyUpdates([]EdgeUpdate{{U: 64 + b, V: 70 + b, Op: UpdateInsert}}); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	waitConverged(t, primary, f)
+	if got := f.Info().AppliedBatches; got != batches {
+		t.Fatalf("follower applied %d batches, want %d", got, batches)
+	}
+	if got := f.Cluster().Info().WriteEpochs; got != batches {
+		t.Errorf("Info().WriteEpochs = %d, want %d", got, batches)
+	}
+	if got := f.Metrics().Snapshot()["tc_sched_write_epochs_total"]; got != batches {
+		t.Errorf("tc_sched_write_epochs_total = %v, want %d", got, batches)
+	}
+}
+
 // Followers reject writes locally: every mutation surface must return
 // ErrFollowerReadOnly instead of forking the replica from the stream.
 func TestFollowerReadOnly(t *testing.T) {

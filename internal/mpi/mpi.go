@@ -117,30 +117,43 @@ type message struct {
 // epochs each hold their own epochState, so a message sent in one epoch
 // can never be received by another.
 //
-// On socket worlds the namespace also carries an abort channel: when the
-// wire fails, every blocked Recv of every in-flight epoch must unwind (the
-// missing messages will never arrive), so the wire closes abort and
-// receivers panic with ErrPeerLost, which the epoch machinery converts into
-// a per-rank error. Retiring an errored epoch closes it too, so a reader
-// stuck on the epoch's full mailbox drops the frame instead.
+// The namespace also carries an abort channel. When a rank fails or the
+// wire of a socket world does, messages its peers wait for will never
+// arrive, so abort closes: ranks blocked in Recv, in SendOwn on a full
+// mailbox or in the shared-memory Barrier unwind with the cause (errAborted
+// or ErrPeerLost) as their error, and a socket reader stuck on the epoch's
+// full mailbox drops the frame.
 type epochState struct {
 	id      int
 	mail    [][]chan message // mail[dst][src]
 	barrier barrierState
-	abort   chan struct{} // non-nil only on socket worlds
-	aborted bool          // guarded by World.epochMu
+	abort   chan struct{}
+	aborted bool  // guarded by World.epochMu
+	cause   error // why abort closed; written before it closes
 }
 
-// stop closes abort once; the caller holds World.epochMu.
-func (ep *epochState) stop() {
-	if ep.abort != nil && !ep.aborted {
+// errAborted is the cause a rank unwinds with when another rank of its epoch
+// failed first; runEpoch reports the failed rank's error instead.
+var errAborted = errors.New("mpi: epoch aborted by a failed rank")
+
+// stop closes abort once, recording cause; the caller holds World.epochMu.
+func (ep *epochState) stop(cause error) {
+	if !ep.aborted {
 		ep.aborted = true
+		ep.cause = cause
 		close(ep.abort)
 	}
 }
 
+// unwind is the panic of a rank whose blocking primitive saw abort close; it
+// first retakes the slot the primitive released, which job.run gives back.
+func (c *Comm) unwind(what string) {
+	c.acquire()
+	panic(fmt.Errorf("mpi: rank %d %s aborted: %w", c.rank, what, c.ep.cause))
+}
+
 func newEpochState(p, pairCap int) *epochState {
-	ep := &epochState{}
+	ep := &epochState{abort: make(chan struct{})}
 	ep.mail = make([][]chan message, p)
 	for d := range ep.mail {
 		ep.mail[d] = make([]chan message, p)
@@ -148,7 +161,7 @@ func newEpochState(p, pairCap int) *epochState {
 			ep.mail[d][s] = make(chan message, pairCap)
 		}
 	}
-	ep.barrier.init(p)
+	ep.barrier.size = p
 	return ep
 }
 
@@ -160,20 +173,16 @@ func (w *World) getEpochState(id int) *epochState {
 		ep = newEpochState(w.size, w.pairCap)
 	}
 	ep.id = id
-	ep.aborted = false
-	if w.proc != nil {
-		ep.abort = make(chan struct{})
-	}
 	return ep
 }
 
-// putEpochState returns a namespace to the pool. Only error-free epochs
-// recycle: a correct SPMD epoch consumes every message it sends (so the
-// mailboxes are empty and no transport goroutine still holds a reference),
-// while an errored epoch may have undelivered messages or late socket
-// frames in flight — its namespace is dropped for the GC instead. The
-// emptiness scan is a cheap belt-and-suspenders check on top of that
-// contract.
+// putEpochState returns a namespace to the pool. Only error-free epochs that
+// never aborted recycle: a correct SPMD epoch consumes every message it
+// sends (so the mailboxes are empty and no transport goroutine still holds a
+// reference) and leaves abort open, while an errored epoch may have
+// undelivered messages or late socket frames in flight — its namespace is
+// dropped for the GC instead. The emptiness scan is a cheap
+// belt-and-suspenders check on top of that contract.
 func (w *World) putEpochState(ep *epochState) {
 	for _, row := range ep.mail {
 		for _, ch := range row {
@@ -313,16 +322,22 @@ func (j job) run(c *Comm) {
 	defer j.wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
-			// A lost peer process is an expected failure mode, not a bug in
-			// the rank body: surface it as a plain typed error rather than a
+			// An aborted epoch is an expected failure mode, not a bug in the
+			// rank body: surface it as a plain typed error rather than a
 			// panic wrapper so callers can errors.Is(err, ErrPeerLost).
-			if err, ok := v.(error); ok && errors.Is(err, ErrPeerLost) {
-				j.errs[c.rank] = err
-				return
+			err, ok := v.(error)
+			if !ok || !errors.Is(err, ErrPeerLost) && !errors.Is(err, errAborted) {
+				buf := make([]byte, 16<<10)
+				err = &RankPanicError{Rank: c.rank, Value: v, Stack: string(buf[:runtime.Stack(buf, false)])}
 			}
-			buf := make([]byte, 16<<10)
-			n := runtime.Stack(buf, false)
-			j.errs[c.rank] = &RankPanicError{Rank: c.rank, Value: v, Stack: string(buf[:n])}
+			j.errs[c.rank] = err
+		}
+		// The first failure aborts the epoch, so peers blocked on this rank
+		// unwind instead of waiting for messages it will never send.
+		if j.errs[c.rank] != nil {
+			c.world.epochMu.Lock()
+			c.ep.stop(errAborted)
+			c.world.epochMu.Unlock()
 		}
 	}()
 	c.acquire()
@@ -334,8 +349,9 @@ func (j job) run(c *Comm) {
 
 // Run executes fn on every rank concurrently — one exclusive SPMD epoch —
 // and returns the per-rank results once all ranks finish. If any rank
-// returns an error or panics, Run returns the first such error (by rank
-// order) alongside the partial results.
+// returns an error or panics, the epoch aborts: ranks blocked on a message,
+// a full mailbox or a barrier unwind. Run then returns the first error (by
+// rank order) that is not such an unwinding, alongside the partial results.
 //
 // Run may be called repeatedly on the same world: the world (transport,
 // sockets, cost model) stays resident between epochs, and every epoch
@@ -454,7 +470,7 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		// registration would miss this epoch: abort it at birth so its
 		// receives unwind instead of waiting for frames that never come.
 		if w.regStop {
-			ep.stop()
+			ep.stop(ErrPeerLost)
 		}
 		w.regCond.Broadcast()
 	}
@@ -504,29 +520,29 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		}
 	}
 
-	// Deregister before any recycling. An error-free epoch consumed every
-	// message sent to it; an errored one may still have frames on the wire,
-	// so its id is retired and its abort closed: socket readers drop its
-	// late frames instead of parking for a registration that never comes.
+	// The root cause: the first error by rank order, unless it is a rank
+	// unwound by another's failure.
 	var err error
 	for _, e := range errs {
-		if e != nil {
+		if e != nil && (err == nil || errors.Is(err, errAborted) && !errors.Is(e, errAborted)) {
 			err = e
-			break
 		}
 	}
+	// Deregister before any recycling. An error-free epoch consumed every
+	// message sent to it; an errored one may still have frames on the wire,
+	// so its id is retired: socket readers drop its late frames instead of
+	// parking for a registration that never comes.
 	w.epochMu.Lock()
 	delete(w.active, id)
 	if err != nil && w.proc != nil {
 		w.retired[id] = true
-		ep.stop()
 	}
+	recycle := err == nil && !ep.aborted
 	w.epochMu.Unlock()
-	if err != nil {
-		return results, err
+	if recycle {
+		w.putEpochState(ep)
 	}
-	w.putEpochState(ep)
-	return results, nil
+	return results, err
 }
 
 // Epochs returns how many epochs (Run and RunRead) have started on this
@@ -710,7 +726,11 @@ func (c *Comm) SendOwn(dst, tag int, data []byte) {
 	case c.ep.mail[dst][c.rank] <- msg:
 	default: // mailbox full
 		c.release()
-		c.ep.mail[dst][c.rank] <- msg
+		select {
+		case c.ep.mail[dst][c.rank] <- msg:
+		case <-c.ep.abort:
+			c.unwind(fmt.Sprintf("send to %d", dst))
+		}
 		c.acquire()
 	}
 }
@@ -729,19 +749,14 @@ func (c *Comm) Recv(src, tag int) []byte {
 	default:
 		// Not delivered yet: block without the slot. A message already in
 		// the mailbox was taken above, so a racing abort can never discard
-		// data the peer managed to send. abort is nil off socket worlds and
-		// then never fires.
-		lost := false
+		// data the peer managed to send.
 		c.release()
 		select {
 		case msg = <-c.ep.mail[c.rank][src]:
 		case <-c.ep.abort:
-			lost = true
+			c.unwind(fmt.Sprintf("recv from %d", src))
 		}
 		c.acquire()
-		if lost {
-			panic(fmt.Errorf("mpi: rank %d recv from %d aborted: %w", c.rank, src, ErrPeerLost))
-		}
 	}
 	if msg.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, msg.tag))
@@ -779,7 +794,10 @@ func (c *Comm) Barrier() {
 		return
 	}
 	c.release()
-	t := c.ep.barrier.wait(c.vt)
+	t, ok := c.ep.barrier.wait(c.vt, c.ep.abort)
+	if !ok {
+		c.unwind("barrier")
+	}
 	c.acquire()
 	c.advanceComm(t + float64(depth)*c.world.model.Alpha)
 }
@@ -802,41 +820,34 @@ func (c *Comm) disseminationBarrier(p int) {
 }
 
 // barrierState is a reusable counting barrier that also computes the maximum
-// virtual time across entrants.
+// virtual time across entrants. Each generation's waiters block on its own
+// channel, which the last entrant closes, so they can select on abort too.
 type barrierState struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   int
-	maxVT float64
-	outVT float64
+	mu           sync.Mutex
+	size, count  int
+	maxVT, outVT float64
+	done         chan struct{} // the current generation's; nil until its first entrant
 }
 
-func (b *barrierState) init(size int) {
-	b.size = size
-	b.cond = sync.NewCond(&b.mu)
-}
-
-// wait blocks until all ranks arrive and returns the maximum entrant vt.
-func (b *barrierState) wait(vt float64) float64 {
+// wait blocks until all ranks arrive and returns the maximum entrant vt, or
+// reports false once abort closes first. outVT is stable until this rank
+// enters the next generation, which cannot complete without it.
+func (b *barrierState) wait(vt float64, abort <-chan struct{}) (float64, bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if vt > b.maxVT {
-		b.maxVT = vt
+	if b.done == nil {
+		b.done = make(chan struct{})
 	}
-	b.count++
-	if b.count == b.size {
-		b.outVT = b.maxVT
-		b.maxVT = 0
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return b.outVT
+	done := b.done
+	b.maxVT = max(b.maxVT, vt)
+	if b.count++; b.count == b.size {
+		b.outVT, b.maxVT, b.count, b.done = b.maxVT, 0, 0, nil
+		close(done)
 	}
-	gen := b.gen
-	for gen == b.gen {
-		b.cond.Wait()
+	b.mu.Unlock()
+	select {
+	case <-done:
+		return b.outVT, true
+	case <-abort:
+		return 0, false
 	}
-	return b.outVT
 }

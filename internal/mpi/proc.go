@@ -250,7 +250,7 @@ func (t *procWire) fail(err error) {
 	t.w.regStop = true
 	t.w.regCond.Broadcast()
 	for _, ep := range t.w.active {
-		ep.stop()
+		ep.stop(ErrPeerLost)
 	}
 	t.w.epochMu.Unlock()
 }

@@ -1,14 +1,14 @@
 package tc2d
 
 // The epoch-op table. Everything a resident cluster does on its ranks —
-// build, count, apply, the two rebuilds, snapshot encode and reset, restore —
-// is one entry of ops, defined once as a function over (the rank's
+// build, count, apply, the two rebuilds, snapshot encode, restore — is one
+// entry of ops, defined once as a function over (the rank's
 // communicator, the rank-resident store, typed args) → reply. Both engines
 // run the same entry: the in-process engine hands the typed args to every
 // rank goroutine by pointer (cluster.go), the coordinator ships the op name
 // with the args in their wire form and the worker's dispatch decodes them and
-// calls the same function (remote.go, worker.go). A ninth op is one new entry
-// here and nothing anywhere else.
+// calls the same function (remote.go, worker.go). An eighth op is one new
+// entry here and nothing anywhere else.
 
 import (
 	"bytes"
@@ -32,9 +32,8 @@ const (
 	opApply       = "apply"        // one coalesced write super-batch
 	opRebuildInc  = "rebuild_inc"  // incremental (churn-proportional) rebuild
 	opRebuildFull = "rebuild_full" // full-pipeline rebuild
-	opEncodeSnap  = "encode_snap"  // encode per-rank snapshot blobs
-	opSnapDone    = "snap_done"    // snapshot published: reset dirty tracking
-	opRestore     = "restore"      // install one snapshot-chain member
+	opEncodeSnap  = "encode_snap"  // encode per-rank snapshot blobs, reset dirty tracking
+	opRestore     = "restore"      // install one snapshot chain
 )
 
 // Typed failures of the dispatch seam, so a caller (or a test) can tell a
@@ -74,16 +73,15 @@ type wireBuild struct {
 // wireSnap parameterizes opEncodeSnap.
 type wireSnap struct{ Delta bool }
 
-// wireRestore parameterizes one opRestore epoch (one snapshot-chain member).
+// wireRestore parameterizes opRestore, which installs a whole snapshot chain
+// in one epoch.
 type wireRestore struct {
-	Delta bool // apply a delta blob onto the chain restored so far
-	Final bool // last chain member: enable tracking, install
-	Track bool
+	Track bool // enable snapshot dirty tracking on the restored state
 
-	// fetch yields one rank's verified blob of this chain member. In-process
-	// every rank calls it from its own goroutine (parallel file reads); on
-	// the wire the blobs are the rank-addressed payloads.
-	fetch func(rank int) ([]byte, error)
+	// fetch yields one rank's verified blobs of the chain, base first. In
+	// process every rank calls it from its own goroutine (parallel file
+	// reads); on the wire a rank's blobs are its payload, one gob [][]byte.
+	fetch func(rank int) ([][]byte, error)
 }
 
 // wireMeta is the graph metadata rank 0 piggybacks on its epoch replies. The
@@ -157,20 +155,13 @@ func gobDecode(b []byte, v any) error {
 // ranks run concurrently, so the maps are lock-guarded; a given rank's
 // entries are only ever touched by that rank's epoch goroutine.
 type rankStore struct {
-	mu   sync.RWMutex
-	prep map[int]*core.Prepared
-	// staged holds a restore chain under construction, so a failed restore
-	// never disturbs what prep serves (see restoreOp).
-	staged  map[int]*core.Prepared
+	mu      sync.RWMutex
+	prep    map[int]*core.Prepared
 	metrics *obs.Registry
 }
 
 func newRankStore(reg *obs.Registry) *rankStore {
-	return &rankStore{
-		prep:    make(map[int]*core.Prepared),
-		staged:  make(map[int]*core.Prepared),
-		metrics: reg,
-	}
+	return &rankStore{prep: make(map[int]*core.Prepared), metrics: reg}
 }
 
 func (st *rankStore) get(rank int) (*core.Prepared, error) {
@@ -188,20 +179,6 @@ func (st *rankStore) put(rank int, pr *core.Prepared) {
 	st.mu.Lock()
 	st.prep[rank] = pr
 	st.mu.Unlock()
-}
-
-// stage replaces rank's restore-in-progress state (nil discards it) and
-// returns what was staged before.
-func (st *rankStore) stage(rank int, pr *core.Prepared) *core.Prepared {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old := st.staged[rank]
-	if pr == nil {
-		delete(st.staged, rank)
-	} else {
-		st.staged[rank] = pr
-	}
-	return old
 }
 
 // epochOp is one entry of the op table.
@@ -267,7 +244,6 @@ var ops = map[string]epochOp{
 	opRebuildInc:  bareOp(false, rebuildIncOp),
 	opRebuildFull: gobOp(false, rebuildFullOp),
 	opEncodeSnap:  gobOp(true, encodeSnapOp),
-	opSnapDone:    bareOp(true, snapDoneOp),
 	opRestore:     restoreEntry(),
 }
 
@@ -389,8 +365,12 @@ func rebuildFullOp(c *mpi.Comm, st *rankStore, b *wireBuild) (*opReply, error) {
 	return reply0(c, np, opReply{}), nil
 }
 
-// encodeSnapOp encodes the rank's snapshot blob, full or delta; every rank
-// answers and the caller writes the files.
+// encodeSnapOp encodes the rank's snapshot blob, full or delta, and resets
+// the dirty row/label sets the blob consumed, so the next delta carries only
+// churn from here on; every rank answers and the caller writes the files. It
+// runs as a read epoch: the caller's gate excludes writers, and readers never
+// touch the tracking maps. A snapshot that is not published after this epoch
+// makes the caller's next snapshot a base, which needs no dirty sets.
 func encodeSnapOp(c *mpi.Comm, st *rankStore, s *wireSnap) (*opReply, error) {
 	pr, err := st.get(c.Rank())
 	if err != nil {
@@ -402,42 +382,21 @@ func encodeSnapOp(c *mpi.Comm, st *rankStore, s *wireSnap) (*opReply, error) {
 	} else {
 		rep.Blob = core.EncodePrepared(pr)
 	}
+	pr.ResetSnapshotDirty()
 	return rep, nil
 }
 
-// snapDoneOp resets the dirty row/label sets a published snapshot consumed,
-// so the next delta carries only churn from here on. It runs as a read epoch:
-// the caller's gate excludes writers, and readers never touch the tracking
-// maps.
-func snapDoneOp(_ *mpi.Comm, pr *core.Prepared) (*opReply, error) {
-	pr.ResetSnapshotDirty()
-	return nil, nil
-}
-
-// restoreOp installs one snapshot-chain member: a full base, or a delta
-// applied onto the chain restored by the previous restore epochs. The chain
-// is assembled in the store's staging area and only the Final member — once
-// every rank has agreed that its whole chain decoded — replaces the resident
+// restoreOp installs one snapshot chain in one epoch: every rank decodes its
+// base and applies each delta onto it locally, and only once every rank has
+// agreed that its whole chain decoded does any rank replace its resident
 // state, so a restore that fails anywhere leaves all ranks serving what they
 // served before.
 func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	rank := c.Rank()
-	pr := st.stage(rank, nil)
-	blob, err := r.fetch(rank)
-	switch {
-	case err != nil:
-	case !r.Delta:
-		pr, err = core.DecodePrepared(blob, rank, c.Size())
-	case pr == nil:
-		err = fmt.Errorf("%w: rank %d has no restored base to apply a delta to", errNoResident, rank)
-	default:
-		err = core.ApplyPreparedDelta(pr, blob, rank, c.Size())
-	}
-	if !r.Final {
-		if err == nil {
-			st.stage(rank, pr)
-		}
-		return nil, err
+	var pr *core.Prepared
+	blobs, err := r.fetch(rank)
+	if err == nil {
+		pr, err = decodeChain(blobs, rank, c.Size())
 	}
 	ok := int64(1)
 	if err != nil {
@@ -461,18 +420,33 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	return reply0(c, pr, opReply{}), nil
 }
 
-// restoreEntry is gobOp plus the blobs as rank-addressed payloads.
+// decodeChain rebuilds one rank's state from its chain blobs: the base, then
+// every delta in application order.
+func decodeChain(blobs [][]byte, rank, ranks int) (*core.Prepared, error) {
+	if len(blobs) == 0 {
+		return nil, errors.New("tc2d: restore of an empty snapshot chain")
+	}
+	pr, err := core.DecodePrepared(blobs[0], rank, ranks)
+	for i := 1; err == nil && i < len(blobs); i++ {
+		if err = core.ApplyPreparedDelta(pr, blobs[i], rank, ranks); err != nil {
+			err = fmt.Errorf("chain member %d of %d: %w", i+1, len(blobs), err)
+		}
+	}
+	return pr, err
+}
+
+// restoreEntry is gobOp plus each rank's chain blobs as its payload.
 func restoreEntry() epochOp {
 	op := gobOp(false, restoreOp)
 	op.encode = func(args any, ranks int) ([]byte, map[int][]byte, error) {
 		r := args.(*wireRestore)
 		perRank := make(map[int][]byte, ranks)
 		for rank := 0; rank < ranks; rank++ {
-			blob, err := r.fetch(rank)
+			blobs, err := r.fetch(rank)
 			if err != nil {
 				return nil, nil, err
 			}
-			perRank[rank] = blob
+			perRank[rank] = gobEncode(blobs)
 		}
 		return gobEncode(r), perRank, nil
 	}
@@ -482,7 +456,11 @@ func restoreEntry() epochOp {
 		if err != nil {
 			return nil, err
 		}
-		args.(*wireRestore).fetch = func(int) ([]byte, error) { return mine, nil }
+		var blobs [][]byte
+		if err := gobDecode(mine, &blobs); err != nil {
+			return nil, err
+		}
+		args.(*wireRestore).fetch = func(int) ([][]byte, error) { return blobs, nil }
 		return args, nil
 	}
 	return op

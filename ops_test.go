@@ -70,7 +70,9 @@ func TestDispatchRejectsUndecodableArgs(t *testing.T) {
 		{opApply, []byte{2, 0, 0, 0, 1}, nil}, // claims two updates, carries a fragment
 		{opRebuildFull, garbage, nil},
 		{opEncodeSnap, garbage, nil},
-		{opRestore, garbage, []byte("blob")},
+		{opRestore, garbage, gobEncode([][]byte{[]byte("blob")})},
+		{opRestore, gobEncode(&wireRestore{}), garbage}, // the args decode, the shipped chain does not
+		{opRestore, gobEncode(&wireRestore{}), nil},
 	}
 	st := builtStore(t)
 	before, _ := st.get(0)
@@ -105,9 +107,6 @@ func TestDispatchRejectsRankWithoutState(t *testing.T) {
 		{opRebuildInc, nil},
 		{opRebuildFull, enc(opRebuildFull, &wireBuild{})},
 		{opEncodeSnap, enc(opEncodeSnap, &wireSnap{})},
-		{opSnapDone, nil},
-		// A delta chain member with no base restored before it.
-		{opRestore, gobEncode(&wireRestore{Delta: true, Final: true})},
 	}
 	for _, tc := range cases {
 		st := newRankStore(nil)

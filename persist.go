@@ -125,9 +125,10 @@ type persister struct {
 	// Delta-chain state. baseSeq/haveBase name the base snapshot the chain
 	// hangs off; chainLen counts the deltas since it; churnBase the
 	// effective edge mutations since it (never reset by delta snapshots —
-	// it is the compaction trigger's currency). forceBase is set by a full
-	// rebuild: the replacement state shares nothing with what the chain
-	// captured, so the next snapshot must be a fresh base.
+	// it is the compaction trigger's currency). forceBase makes the next
+	// snapshot a fresh base: a full rebuild swapped in state the chain never
+	// captured, or an unpublished snapshot's encode epoch reset the dirty
+	// sets the next delta needs.
 	baseSeq   uint64
 	haveBase  bool
 	chainLen  int
@@ -136,15 +137,18 @@ type persister struct {
 	deltas    int64 // delta snapshots written by this process
 }
 
+// commitSnapshot publishes a snapshot whose blobs are written; a variable so
+// tests can fail a commit after the encode epoch.
+var commitSnapshot = (*snapshot.Writer).Commit
+
 // snapshotChainLimit caps how many delta snapshots may chain off one base
 // before the next snapshot compacts the chain into a fresh base. Restores
 // replay the whole chain, so the limit bounds both restore work and the
 // blast radius of a corrupt chain member.
 const snapshotChainLimit = 4
 
-// noteFullRebuild marks that the resident state was swapped wholesale: the
-// next snapshot must be a base.
-func (p *persister) noteFullRebuild() {
+// needBase makes the next snapshot a base.
+func (p *persister) needBase() {
 	p.mu.Lock()
 	p.forceBase = true
 	p.mu.Unlock()
@@ -455,7 +459,8 @@ func (cl *Cluster) snapshotShared(parent *obs.Span) (*SnapshotInfo, error) {
 	// Every rank encodes its blob inside one read epoch; the files are
 	// written here, concurrently, to this process's disk — on a coordinator
 	// that is what keeps the durable state with the coordinator and makes
-	// worker recovery and replacement possible.
+	// worker recovery and replacement possible. The epoch also resets the
+	// ranks' dirty sets: from here on, a failure makes the next one a base.
 	encodeSpan := parent.StartChild("encode_write")
 	var bytes int64
 	replies, err := cl.run(opEncodeSnap, &wireSnap{Delta: useDelta})
@@ -480,6 +485,7 @@ func (cl *Cluster) snapshotShared(parent *obs.Span) (*SnapshotInfo, error) {
 	encodeSpan.End()
 	if err != nil {
 		w.Abort()
+		p.needBase()
 		return nil, err
 	}
 	tri := cl.lastTri.Load()
@@ -498,18 +504,13 @@ func (cl *Cluster) snapshotShared(parent *obs.Span) (*SnapshotInfo, error) {
 		m.ChurnSinceBase = churnBase
 	}
 	commitSpan := parent.StartChild("commit")
-	if err := w.Commit(m); err != nil {
+	if err := commitSnapshot(w, m); err != nil {
 		commitSpan.End()
 		w.Abort()
+		p.needBase()
 		return nil, err
 	}
 	commitSpan.End()
-	// The snapshot is durable: the dirty row/label sets it consumed reset. A
-	// failure there is not fatal — the next delta merely carries stale
-	// dirtiness, i.e. is larger than necessary.
-	if _, rerr := cl.run(opSnapDone, nil); rerr != nil && cl.logf != nil {
-		cl.logf("tc2d: snapshot dirty-reset epoch failed (next delta will over-approximate): %v", rerr)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rotateSpan := parent.StartChild("rotate")
@@ -732,11 +733,10 @@ func (cl *Cluster) restoreNewest(dir string, prune bool) (m *snapshot.Manifest, 
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoSnapshot, dir)
 	}
 	load := func(seq uint64) (*snapshot.Manifest, error) { return snapshot.Load(dir, seq) }
-	fetch := func(cm *snapshot.Manifest, rank int) ([]byte, error) { return snapshot.ReadRank(dir, cm, rank) }
 	for i := len(seqs) - 1; i >= 0; i-- {
 		if m, err = load(seqs[i]); err == nil {
 			if chain, err = loadChain(m, load); err == nil {
-				if err = cl.restoreChain(chain, fetch, true); err == nil {
+				if err = cl.restoreChain(chain, readChain(dir, chain), true); err == nil {
 					return m, chain, nil
 				}
 			}
@@ -751,36 +751,41 @@ func (cl *Cluster) restoreNewest(dir string, prune bool) (m *snapshot.Manifest, 
 	return nil, nil, err
 }
 
+// readChain is the restore fetch of a chain on disk under dir: one rank's
+// verified blobs of it, base first.
+func readChain(dir string, chain []*snapshot.Manifest) func(rank int) ([][]byte, error) {
+	return func(rank int) (blobs [][]byte, err error) {
+		blobs = make([][]byte, len(chain))
+		for i, m := range chain {
+			if blobs[i], err = snapshot.ReadRank(dir, m, rank); err != nil {
+				return nil, err
+			}
+		}
+		return blobs, nil
+	}
+}
+
 // restoreChain installs one validated chain (base manifest first, deltas in
-// application order, the terminal last) through the restore op, one exclusive
-// epoch per member; nothing replaces the resident state until the terminal
-// installed on every rank. fetch returns the verified blob of one chain
-// member for one rank — disk for a restore, the primary's HTTP surface for a
+// application order, the terminal last) through the restore op, in one
+// exclusive epoch; nothing replaces the resident state unless every rank
+// decoded its whole chain. fetch returns one rank's verified blobs of the
+// chain, base first — disk for a restore, the primary's HTTP surface for a
 // follower bootstrap. track enables dirty-row tracking for clusters that
 // will write delta snapshots of their own (followers don't). Any failure
 // that is not a lost worker or a degraded world means the chain cannot be
 // trusted and surfaces as ErrSnapshotCorrupt, whichever process detected it.
-func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), track bool) error {
+func (cl *Cluster) restoreChain(chain []*snapshot.Manifest, fetch func(rank int) ([][]byte, error), track bool) error {
 	term := chain[len(chain)-1]
 	if term.Ranks != cl.ranks {
 		return fmt.Errorf("tc2d: snapshot %d is of a %d-rank world, this cluster runs %d ranks: %w",
 			term.AppliedSeq, term.Ranks, cl.ranks, ErrSnapshotCorrupt)
 	}
-	for i, m := range chain {
-		_, err := cl.run(opRestore, &wireRestore{
-			Delta: i > 0, Final: m == term,
-			Track: track,
-			fetch: func(rank int) ([]byte, error) { return fetch(m, rank) },
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrWorkerLost), errors.Is(err, ErrDegraded), errors.Is(err, ErrSnapshotCorrupt):
-			return err
-		default:
-			return fmt.Errorf("%w: restoring snapshot %d: %v", ErrSnapshotCorrupt, m.AppliedSeq, err)
-		}
+	_, err := cl.run(opRestore, &wireRestore{Track: track, fetch: fetch})
+	switch {
+	case err == nil, errors.Is(err, ErrWorkerLost), errors.Is(err, ErrDegraded), errors.Is(err, ErrSnapshotCorrupt):
+		return err
 	}
-	return nil
+	return fmt.Errorf("%w: restoring snapshot %d: %v", ErrSnapshotCorrupt, term.AppliedSeq, err)
 }
 
 // replayWAL re-applies every WAL record after seq through the apply op,

@@ -762,3 +762,127 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotAfterFailedCommitIsBase: the encode epoch resets the ranks'
+// dirty sets, so when a snapshot's commit fails after that epoch the next
+// snapshot must be a base (a delta would lack the churn the failed one
+// captured), and the cluster restored from it must match the oracle.
+func TestSnapshotAfterFailedCommitIsBase(t *testing.T) {
+	dir := t.TempDir()
+	g, err := GenerateRMAT(G500, 8, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, NoWALSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	oracle := newEdgeOracle(g)
+	write := func(batch []EdgeUpdate) {
+		t.Helper()
+		if _, err := cl.ApplyUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
+		oracle.apply(batch)
+	}
+	write([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 0, V: 2, Op: UpdateInsert}})
+	if info, err := cl.Snapshot(); err != nil || info.Kind != snapshot.KindDelta {
+		t.Fatalf("first snapshot after the base: %+v, err=%v, want a delta", info, err)
+	}
+
+	write([]EdgeUpdate{{U: 3, V: 4, Op: UpdateInsert}, {U: 4, V: 5, Op: UpdateInsert}, {U: 3, V: 5, Op: UpdateInsert}})
+	commitSnapshot = func(*snapshot.Writer, snapshot.Manifest) error { return errors.New("injected commit failure") }
+	_, err = cl.Snapshot()
+	commitSnapshot = (*snapshot.Writer).Commit
+	if err == nil {
+		t.Fatal("snapshot with a failing commit succeeded")
+	}
+	info, err := cl.Snapshot()
+	if err != nil || info.Kind != snapshot.KindBase {
+		t.Fatalf("snapshot after the failed commit: %+v, err=%v, want a base", info, err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cl2, err := OpenCluster(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	got, err := cl2.Count(QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := CountSequential(oracle.graph(t)); got.Triangles != want {
+		t.Fatalf("restored count %d, oracle %d", got.Triangles, want)
+	}
+}
+
+// TestSnapshotAndRestoreEpochs: a snapshot is one read epoch, and restoring a
+// base + two-delta chain with an empty WAL tail is one write epoch, read off
+// tc_mpi_epochs_total.
+func TestSnapshotAndRestoreEpochs(t *testing.T) {
+	dir := t.TempDir()
+	g, err := GenerateRMAT(G500, 8, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, NoWALSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	epochs := func(cl *Cluster, kind string) float64 {
+		return cl.Metrics().Snapshot()[`tc_mpi_epochs_total{kind="`+kind+`"}`]
+	}
+	var info *SnapshotInfo
+	for i, batch := range [][]EdgeUpdate{
+		{{U: 0, V: 1, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}},
+		{{U: 0, V: 2, Op: UpdateInsert}, {U: 3, V: 4, Op: UpdateInsert}},
+	} {
+		if _, err := cl.ApplyUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
+		reads, writes := epochs(cl, "read"), epochs(cl, "write")
+		if info, err = cl.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if got := epochs(cl, "read") - reads; got != 1 {
+			t.Errorf("snapshot %d ran %v read epochs, want 1", i, got)
+		}
+		if got := epochs(cl, "write") - writes; got != 0 {
+			t.Errorf("snapshot %d ran %v write epochs, want 0", i, got)
+		}
+	}
+	if info.Kind != snapshot.KindDelta || info.ChainLen != 2 {
+		t.Fatalf("newest snapshot %+v, want the second delta of a chain", info)
+	}
+	want, err := cl.Count(QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cl2, err := OpenCluster(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	if got := epochs(cl2, "write"); got != 1 {
+		t.Errorf("OpenCluster over a base + 2-delta chain ran %v write epochs, want 1", got)
+	}
+	if ri := cl2.Info().Persist; !ri.Enabled || ri.ReplayedBatches != 0 {
+		t.Errorf("restore replayed a WAL tail: %+v", ri)
+	}
+	got, err := cl2.Count(QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Triangles != want.Triangles {
+		t.Fatalf("restored count %d, want %d", got.Triangles, want.Triangles)
+	}
+}

@@ -567,13 +567,18 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		blobs map[bool][][]byte
 	}
 	sides := []*side{{cl: local, blobs: map[bool][][]byte{}}, {cl: coord, blobs: map[bool][][]byte{}}}
-	restore := func(useDelta, final bool) func(*side) any {
-		return func(s *side) any {
-			blobs := s.blobs[useDelta]
-			return &wireRestore{Delta: useDelta, Final: final, Track: true,
-				fetch: func(rank int) ([]byte, error) { return blobs[rank], nil }}
+	// chainOf is the restore fetch of the base + delta chain a side encoded,
+	// with rank bad's delta swapped for garbage when bad is a rank.
+	chainOf := func(s *side, bad int) func(int) ([][]byte, error) {
+		return func(rank int) ([][]byte, error) {
+			delta := s.blobs[true][rank]
+			if rank == bad {
+				delta = []byte("not a snapshot delta")
+			}
+			return [][]byte{s.blobs[false][rank], delta}, nil
 		}
 	}
+	restore := func(s *side) any { return &wireRestore{Track: true, fetch: chainOf(s, -1)} }
 	fixed := func(args any) func(*side) any { return func(*side) any { return args } }
 	count := fixed(nil)
 	steps := []struct {
@@ -586,7 +591,6 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		{opCount, count},
 		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 2, V: 777, Op: UpdateInsert}})},
 		{opEncodeSnap, fixed(&wireSnap{})},
-		{opSnapDone, fixed(nil)},
 		{opApply, fixed([]delta.Update{{U: 0, V: 501, Op: UpdateDelete}, {U: 1200, V: 1300, Op: UpdateInsert}, {U: 1200, V: 1400, Op: UpdateInsert}, {U: 1300, V: 1400, Op: UpdateInsert}})},
 		{opEncodeSnap, fixed(&wireSnap{Delta: true})},
 		{opCount, count},
@@ -594,8 +598,7 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		{opCount, count},
 		{opRebuildFull, fixed(&wireBuild{Track: true})},
 		{opCount, count},
-		{opRestore, restore(false, false)},
-		{opRestore, restore(true, true)},
+		{opRestore, restore},
 		{opCount, count},
 	}
 	covered := map[string]bool{}
@@ -651,17 +654,47 @@ func opTableEnginesAgree(t *testing.T, slots int) {
 		}
 	}
 
-	// A chain that does not decode is ErrSnapshotCorrupt from either engine,
-	// whichever process detected it, and leaves the resident state serving.
-	bad := []*snapshot.Manifest{{AppliedSeq: 9, Ranks: ranks}}
-	garbage := func(*snapshot.Manifest, int) ([]byte, error) { return []byte("not a snapshot blob"), nil }
+	// Move both sides past the chain, so a restore that installed any part of
+	// it would change the count.
+	grow := []delta.Update{{U: 1200, V: 1500, Op: UpdateInsert}, {U: 1300, V: 1500, Op: UpdateInsert}, {U: 1400, V: 1500, Op: UpdateInsert}}
+	var served int64
 	for j, s := range sides {
-		if err := s.cl.restoreChain(bad, garbage, true); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("side %d: restoring a garbage chain: err=%v, want ErrSnapshotCorrupt", j, err)
+		if _, err := s.cl.run(opApply, grow); err != nil {
+			t.Fatalf("side %d: apply past the chain: %v", j, err)
 		}
 		rep, err := s.cl.run0(opCount, count(nil))
-		if err != nil || rep.Count.Triangles != counts[1] {
-			t.Fatalf("side %d: count after the failed restore: %v, err=%v, want %d", j, rep, err, counts[1])
+		if err != nil || rep.Count.Triangles == counts[1] {
+			t.Fatalf("side %d: count past the chain: %v, err=%v, want other than %d", j, rep, err, counts[1])
+		}
+		served = rep.Count.Triangles
+	}
+
+	// A chain that does not decode is ErrSnapshotCorrupt from either engine,
+	// whichever process detected it, and leaves the resident state serving.
+	// Both a chain that decodes nowhere and one whose base decodes on every
+	// rank but whose delta is garbage on one rank alone are refused whole.
+	bad := []*snapshot.Manifest{{AppliedSeq: 9, Ranks: ranks}}
+	garbage := func(int) ([][]byte, error) { return [][]byte{[]byte("not a snapshot blob")}, nil }
+	badDelta := []*snapshot.Manifest{
+		{AppliedSeq: 9, Ranks: ranks, Kind: snapshot.KindBase},
+		{AppliedSeq: 10, Ranks: ranks, Kind: snapshot.KindDelta, ParentSeq: 9, ChainLen: 1},
+	}
+	for j, s := range sides {
+		for _, tc := range []struct {
+			name  string
+			chain []*snapshot.Manifest
+			fetch func(int) ([][]byte, error)
+		}{
+			{"garbage chain", bad, garbage},
+			{"chain with one garbage delta", badDelta, chainOf(s, ranks-1)},
+		} {
+			if err := s.cl.restoreChain(tc.chain, tc.fetch, true); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("side %d: restoring a %s: err=%v, want ErrSnapshotCorrupt", j, tc.name, err)
+			}
+			rep, err := s.cl.run0(opCount, count(nil))
+			if err != nil || rep.Count.Triangles != served {
+				t.Fatalf("side %d: count after restoring a %s: %v, err=%v, want %d", j, tc.name, rep, err, served)
+			}
 		}
 	}
 	// A world that lost a worker is not a data problem: the same restore then

@@ -77,9 +77,8 @@ type scheduler struct {
 	closing   bool
 	drainedCh chan struct{} // closed when writeLoop has fully drained and exited
 
-	depth       atomic.Int64 // write callers enqueued or in flight
-	writeEpochs atomic.Int64 // write epochs run
-	absorbed    atomic.Int64 // caller batches those epochs carried
+	depth    atomic.Int64 // write callers enqueued or in flight
+	absorbed atomic.Int64 // caller batches the write epochs carried
 }
 
 func newScheduler() *scheduler {
@@ -421,7 +420,6 @@ func (cl *Cluster) applyMerged(accepted []*writeReq, entries []mergedEntry) {
 		failAll(err)
 		return
 	}
-	cl.sched.writeEpochs.Add(1)
 	cl.sched.absorbed.Add(int64(len(accepted)))
 	cl.updates.Add(int64(len(accepted)))
 	cl.metrics.writeEpochs.Inc()

@@ -213,7 +213,7 @@ func (cl *Cluster) rebuildFullLocked() error {
 	cl.metrics.observeRebuild("full", 0, 0)
 	// Delta snapshots cannot express the swap: the next one must be a base.
 	if cl.persist != nil {
-		cl.persist.noteFullRebuild()
+		cl.persist.needBase()
 	}
 	cl.syncGraphMetrics()
 	return nil
