@@ -486,7 +486,7 @@ func (p *Prepared) kernelSizing() (maxURow int64, keyRange int32) {
 // are done.
 func (p *Prepared) kernel(opt Options) *kernel {
 	maxURow, keyRange := p.kernelSizing()
-	return newKernel(keyRange, numWithResidue(p.baseN, p.blk.L, 0), p.blk.nCols, maxURow, opt)
+	return newKernel(keyRange, numWithResidue(p.baseN, p.blk.L, 0), p.blk.nCols, maxURow, &p.scratch, opt)
 }
 
 // longestURow scans the resident U blocks for the longest row — the quantity

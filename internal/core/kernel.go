@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	mathbits "math/bits"
-	"sync"
+	"sync/atomic"
 
 	"tc2d/internal/hashset"
 	"tc2d/internal/obs"
@@ -258,9 +258,9 @@ type kernel struct {
 	hubLo   int32
 	hubs    []uint64
 	hubsSet bool
-	// scratch holds bits and hubs, drawn from scratchPool and returned by
-	// release.
+	// scratch holds bits and hubs, taken from slot and put back by release.
 	scratch *kernelScratch
+	slot    *atomic.Pointer[kernelScratch]
 	// set is the probing table of the NoDirectHash ablation; nil otherwise.
 	set *hashset.Set
 	kc  kernelCounters
@@ -278,13 +278,17 @@ type kernel struct {
 }
 
 // kernelScratch is the working memory of one kernel at a time. Whenever it
-// is in the pool, bits and hubs are all-zero over their whole capacity.
+// is in its slot, bits and hubs are all-zero over their whole capacity.
 type kernelScratch struct{ bits, hubs []uint64 }
 
-// scratchPool recycles kernel scratch across counts and write passes, so a
-// read allocates neither the bitmap nor the masks. Concurrent read epochs
-// each draw their own.
-var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+// reserveScratch fills the kernel slot of a state just built, so its kernel
+// scratch is resident with its blocks from the start: a bitmap over the
+// write path's ⌈n/qc⌉ keys (at least the count's ⌈n/L⌉) and a hub mask per
+// L column.
+func (p *Prepared) reserveScratch() {
+	words := (int(numWithResidue(p.n, p.blk.qc, 0)) + 63) / 64
+	p.scratch.Store(&kernelScratch{bits: make([]uint64, words), hubs: make([]uint64, p.blk.nCols)})
+}
 
 // newKernel builds the kernel of one count: a bitmap of one bit per key
 // below keyRange and a hub mask per L column (nCols of them), with the hub
@@ -292,9 +296,12 @@ var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // or, for the ablation, a probing table of 8× the longest U-block row (load
 // factor at most 1/8). A count builds its kernel through Prepared.kernel,
 // from the sizing of the state at that moment, so the bitmap follows
-// elastic growth; the memory comes from scratchPool and goes back through
-// release.
-func newKernel(keyRange, hubEnd, nCols int32, maxURow int64, opt Options) *kernel {
+// elastic growth. The memory comes from slot, a one-scratch cache that
+// release refills, so a read allocates neither the bitmap nor the masks; a
+// concurrent kernel that finds the slot empty allocates its own. Unlike a
+// sync.Pool, the slot drops nothing at random under the race detector and
+// keeps its scratch across collections.
+func newKernel(keyRange, hubEnd, nCols int32, maxURow int64, slot *atomic.Pointer[kernelScratch], opt Options) *kernel {
 	kn := &kernel{
 		probing:      opt.NoDirectHash,
 		noEarlyBreak: opt.NoEarlyBreak,
@@ -307,26 +314,29 @@ func newKernel(keyRange, hubEnd, nCols int32, maxURow int64, opt Options) *kerne
 		return kn
 	}
 	words := (int(keyRange) + 63) / 64
-	s := scratchPool.Get().(*kernelScratch)
+	s := slot.Swap(nil)
+	if s == nil {
+		s = new(kernelScratch)
+	}
 	if cap(s.bits) < words {
 		s.bits = make([]uint64, words)
 	}
 	if cap(s.hubs) < int(nCols) {
 		s.hubs = make([]uint64, nCols)
 	}
-	kn.scratch = s
+	kn.scratch, kn.slot = s, slot
 	kn.bits, kn.hubs = s.bits[:words], s.hubs[:nCols]
 	kn.hubLo = max(0, min(hubEnd, keyRange)-64)
 	return kn
 }
 
-// release returns the kernel's scratch to the pool; the kernel must not run
-// again. A kernel that panicked is never released, so no bitmap left dirty
+// release puts the kernel's scratch back in its slot; the kernel must not
+// run again. A kernel that panicked is never released, so no bitmap left dirty
 // mid-row is handed out again.
 func (kn *kernel) release() {
 	if kn.scratch != nil {
 		kn.clearHubs()
-		scratchPool.Put(kn.scratch)
+		kn.slot.Store(kn.scratch)
 		kn.scratch, kn.bits, kn.hubs = nil, nil, nil
 	}
 }
@@ -370,10 +380,10 @@ type Pair struct {
 //
 // The bitmap is sized for the current vertex count (after any GrowTo): the
 // column keys of a column class are collision-free and below ⌈n/qc⌉. It is
-// drawn from the count kernel's scratch pool and returned to it.
+// taken from the count kernel's scratch slot and put back.
 func (p *Prepared) IntersectPairs(pairs []Pair, hit func(i int, w int32)) int64 {
 	keyRange := numWithResidue(p.n, p.blk.qc, 0)
-	kn := newKernel(keyRange, keyRange, 0, 0, Options{})
+	kn := newKernel(keyRange, keyRange, 0, 0, &p.scratch, Options{})
 	for i := range pairs {
 		kn.pairBitmap(i, pairs[i].A, p.AdjRow(pairs[i].B), int32(p.blk.qc), int32(p.blk.col), hit)
 	}

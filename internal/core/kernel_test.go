@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -150,8 +151,8 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 			l := cscBlock{rows: lc.rows, xadj: lc.xadj, adj: lc.adj}
 
 			for _, noEarlyBreak := range []bool{false, true} {
-				bitmap := newKernel(keyRange, sz.hubEnd, cols, u.maxRow(), Options{NoEarlyBreak: noEarlyBreak})
-				probing := newKernel(keyRange, sz.hubEnd, cols, u.maxRow(), Options{NoDirectHash: true, NoEarlyBreak: noEarlyBreak})
+				bitmap := newKernel(keyRange, sz.hubEnd, cols, u.maxRow(), new(atomic.Pointer[kernelScratch]), Options{NoEarlyBreak: noEarlyBreak})
+				probing := newKernel(keyRange, sz.hubEnd, cols, u.maxRow(), new(atomic.Pointer[kernelScratch]), Options{NoDirectHash: true, NoEarlyBreak: noEarlyBreak})
 				var want kernelCounters
 				for a := int32(0); a < rows; a++ {
 					urow := u.row(a)
@@ -239,7 +240,7 @@ func TestKernelRowMatchesMapOracle(t *testing.T) {
 					wantHits++
 				}
 			}
-			w := newKernel(keyRange, keyRange, 0, 0, Options{})
+			w := newKernel(keyRange, keyRange, 0, 0, new(atomic.Pointer[kernelScratch]), Options{})
 			var hits int64
 			w.pairBitmap(trial, KeyRow(aKeys), Row{blk: blk}, qc, class, func(i int, v int32) {
 				if i != trial || !inA[v] {

@@ -339,6 +339,7 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	}
 	blk.taskRows = blk.task.nonEmptyRows(nil)
 	p.blk = blk
+	p.reserveScratch()
 	return p, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
@@ -17,10 +18,11 @@ import (
 // the state is written as.
 //
 // The state is read-only during counting — each count's kernel works in
-// scratch of its own, a bitmap and hub masks drawn from a pool and returned
-// when the count ends, and the operand blobs that travel are the resident blocks' own bytes, read
-// in place by every rank they reach — so repeated queries against the same
-// Prepared value are independent and return identical counts.
+// scratch of its own, a bitmap and hub masks taken from a one-scratch cache
+// and put back when the count ends, and the operand blobs that travel are
+// the resident blocks' own bytes, read in place by every rank they reach —
+// so repeated queries against the same Prepared value are independent and
+// return identical counts.
 type Prepared struct {
 	enum Enumeration
 
@@ -52,8 +54,10 @@ type Prepared struct {
 	degreeDirty map[int32]struct{}
 	snap        *snapDirty
 
-	// Working memory and counters of Splice (see dynamic.go).
-	splice spliceScratch
+	// Working memory and counters of Splice (see dynamic.go), and the
+	// kernel's cached scratch (see newKernel).
+	splice  spliceScratch
+	scratch atomic.Pointer[kernelScratch]
 }
 
 // N returns the global vertex count.
@@ -124,6 +128,7 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	prep.preOps = sums[0]
 	prep.m = sums[1] / 2
 	prep.wedges = sums[2]
+	prep.reserveScratch()
 	return prep, nil
 }
 
@@ -145,10 +150,11 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // is not read. The call is repeatable: the resident blocks are not mutated.
 //
 // CountPrepared is strictly read-only against the Prepared state (each
-// count's kernel scratch is its own while the count runs, drawn from a pool
-// and returned when its steps end; the operand blobs are the resident bytes,
-// which other ranks read in place), so any number of CountPrepared epochs
-// may run concurrently over the same state as World.RunRead epochs. The write-path operations — Splice,
+// count's kernel scratch is its own while the count runs, taken from a
+// one-scratch cache and put back when its steps end; the operand blobs are
+// the resident bytes, which other ranks read in place), so any number of
+// CountPrepared epochs may run concurrently over the same state as
+// World.RunRead epochs. The write-path operations — Splice,
 // ConvertToJIK, AdjustTotals, SetLabels, and the delta package's
 // Apply/Rebuild built on them — are exclusive and must not overlap any
 // CountPrepared epoch; the cluster scheduler enforces this split.

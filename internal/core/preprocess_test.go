@@ -6,6 +6,7 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tc2d/internal/dgraph"
@@ -349,7 +350,7 @@ func FuzzBuildBlocks(f *testing.F) {
 // runCrafted runs one compute step of the kernel opt selects over hand-built
 // blocks whose keys are all below 64.
 func runCrafted(task, u *csrBlock, l *cscBlock, opt Options) kernelCounters {
-	kn := newKernel(64, 64, l.rows, u.maxRow(), opt)
+	kn := newKernel(64, 64, l.rows, u.maxRow(), new(atomic.Pointer[kernelScratch]), opt)
 	kn.run(task, task.nonEmptyRows(nil), u, l)
 	return kn.kc
 }

@@ -142,7 +142,7 @@ func (o *operands) arrive(t int) {
 // lcm(qr, qc) compute steps — √p on the square grid — each multiplying the
 // task block by one class of U and L operands, whichever way the schedule
 // brings them here. It returns the kernel counters and the per-step kernel
-// compute times; the kernel's scratch goes back to the pool when the steps
+// compute times; the kernel's scratch goes back to its slot when the steps
 // are done.
 func (p *Prepared) countSteps(c *mpi.Comm, grid *mpi.Grid, opt Options) (kernelCounters, []float64) {
 	blk := p.blk

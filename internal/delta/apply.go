@@ -19,29 +19,30 @@ func packEdge(a, b int32) int64 {
 }
 
 // Apply runs one canonicalized update batch against resident state as a
-// single SPMD epoch. Every rank calls it with its own Prepared state; the
-// batch slice is read on rank 0 and broadcast (other ranks may pass the
-// same slice or nil). The returned Result is identical on every rank and
-// reports zero preprocessing operations: the pipeline never re-runs.
+// single SPMD epoch. Every rank calls it with its own Prepared state and
+// the same batch, which every engine already hands to every rank; ranks may
+// share one slice, so Apply only reads it. The returned Result is identical
+// on every rank and reports zero preprocessing operations: the pipeline
+// never re-runs.
 //
 // Apply mutates the resident blocks in place (GrowTo, Splice,
 // AdjustTotals), so it must run as an exclusive write epoch (World.Run) —
 // never concurrently with CountPrepared read epochs over the same state. An
 // ⟨i,j,k⟩ state has no rows to read: Apply returns ErrIJKLayout.
 //
-// The epoch's phases: broadcast the batch; run the vertex-admission
-// pre-pass (allocate OpAddVertices ranges above every id the batch
-// references, take the max new id over edges, allreduce, and grow the
-// resident blocks to the new space); resolve current labels of the batch
-// endpoints through the retained cyclic/relabel maps (overflow ids resolve
-// to themselves); expand each OpRemoveVertex into deletions of its full
-// adjacency, gathered from the owning grid row's blocks; validate each
-// edge update at the rank owning its U-side entry (inserts of present
-// edges and deletes of absent ones become skips, consistently on every
-// rank); capture pre-splice degrees for the wedge delta; run the deletion
-// delta pass against the old graph; splice all blocks in place; run the
-// insertion delta pass against the new graph; reduce the discovery
-// buckets and fold the weighted formula into the resident totals.
+// The epoch's phases: run the vertex-admission pre-pass (allocate
+// OpAddVertices ranges above every id the batch references, take the max
+// new id over edges, allreduce, and grow the resident blocks to the new
+// space); resolve current labels of the batch endpoints through the
+// retained cyclic/relabel maps (overflow ids resolve to themselves); expand
+// each OpRemoveVertex into deletions of its full adjacency, gathered from
+// the owning grid row's blocks; validate each edge update at the rank
+// owning its U-side entry (inserts of present edges and deletes of absent
+// ones become skips, consistently on every rank); capture pre-splice
+// degrees for the wedge delta; run the deletion delta pass against the old
+// graph; splice all blocks in place; run the insertion delta pass against
+// the new graph; reduce the discovery buckets and fold the weighted formula
+// into the resident totals.
 func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	if prep.Enumeration() != core.EnumJIK {
 		return nil, ErrIJKLayout
@@ -51,28 +52,19 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	qr, qc, _ := prep.GridShape()
 	x, y := c.Rank()/qc, c.Rank()%qc
 
-	// Broadcast the canonical batch as (u, v, op) triples.
-	var enc []int32
-	if c.Rank() == 0 {
-		enc = make([]int32, 0, 3*len(batch))
-		for _, upd := range batch {
-			enc = append(enc, upd.U, upd.V, int32(upd.Op))
-		}
-	}
-	enc = mpi.BytesToInt32s(c.Bcast(0, mpi.Int32sToBytes(enc)))
-	nb := len(enc) / 3
+	nb := len(batch)
 
-	// Vertex-admission pre-pass: deterministic over the broadcast batch.
+	// Vertex-admission pre-pass: deterministic over the batch.
 	// Explicit growth allocates contiguous ranges ABOVE every id the
 	// batch's edges reference, so AddVertices callers always receive fresh
 	// ids even when another coalesced batch names raw high ids.
 	oldN := prep.N()
 	bases := make([]int64, nb)
 	removedOrig := map[int32]struct{}{}
-	for i := 0; i < nb; i++ {
+	for i, upd := range batch {
 		bases[i] = -1
-		u := enc[3*i]
-		if Op(enc[3*i+2]) != OpRemoveVertex {
+		u := upd.U
+		if upd.Op != OpRemoveVertex {
 			continue
 		}
 		if u < 0 || int64(u) >= oldN {
@@ -81,9 +73,9 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 		removedOrig[u] = struct{}{}
 	}
 	cursor := oldN
-	for i := 0; i < nb; i++ {
-		u, v, op := enc[3*i], enc[3*i+1], Op(enc[3*i+2])
-		if op != OpInsert && op != OpDelete {
+	for _, upd := range batch {
+		u, v := upd.U, upd.V
+		if upd.Op != OpInsert && upd.Op != OpDelete {
 			continue
 		}
 		if u < 0 || v < 0 {
@@ -101,10 +93,10 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 			cursor = e
 		}
 	}
-	for i := 0; i < nb; i++ {
-		if Op(enc[3*i+2]) == OpAddVertices {
+	for i, upd := range batch {
+		if upd.Op == OpAddVertices {
 			bases[i] = cursor
-			cursor += int64(enc[3*i])
+			cursor += int64(upd.U)
 		}
 	}
 	newN := c.AllreduceInt64(cursor, mpi.OpMax)
@@ -123,12 +115,12 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// (-1)-initialized vector completes every rank's view. Overflow ids
 	// (>= baseN) are their own labels — every rank fills them locally.
 	verts := make([]int32, 0, 2*nb)
-	for i := 0; i < nb; i++ {
-		switch Op(enc[3*i+2]) {
+	for _, upd := range batch {
+		switch upd.Op {
 		case OpInsert, OpDelete:
-			verts = append(verts, enc[3*i], enc[3*i+1])
+			verts = append(verts, upd.U, upd.V)
 		case OpRemoveVertex:
-			verts = append(verts, enc[3*i])
+			verts = append(verts, upd.U)
 		}
 	}
 	slices.Sort(verts)
@@ -150,21 +142,21 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	resolved := c.AllreduceInt64s(req, mpi.OpMax)
 
 	// The labeled batch, canonical in label space (la < lb) for edge
-	// entries, aligned with the broadcast order. Vertex entries keep their
+	// entries, aligned with the batch order. Vertex entries keep their
 	// removal label in edges[i][0].
 	edges := make([][2]int32, nb)
 	ops := make([]Op, nb)
-	for i := 0; i < nb; i++ {
-		ops[i] = Op(enc[3*i+2])
+	for i, upd := range batch {
+		ops[i] = upd.Op
 		switch ops[i] {
 		case OpInsert, OpDelete:
-			la, lb := labelOf(verts, resolved, enc[3*i]), labelOf(verts, resolved, enc[3*i+1])
+			la, lb := labelOf(verts, resolved, upd.U), labelOf(verts, resolved, upd.V)
 			if la > lb {
 				la, lb = lb, la
 			}
 			edges[i] = [2]int32{la, lb}
 		case OpRemoveVertex:
-			edges[i] = [2]int32{labelOf(verts, resolved, enc[3*i]), -1}
+			edges[i] = [2]int32{labelOf(verts, resolved, upd.U), -1}
 		default:
 			edges[i] = [2]int32{-1, -1}
 		}

@@ -21,7 +21,7 @@
 //
 // Vertex elasticity rides the same machinery. Edges naming ids beyond the
 // current vertex space are not errors: a vertex-admission pre-pass
-// (deterministic scan of the broadcast batch plus a max-allreduce) sizes
+// (deterministic scan of the batch plus a max-allreduce) sizes
 // the new space, every rank grows its resident blocks locally
 // (core.Prepared.GrowTo — overflow labels are the identity, so nothing
 // moves), and the batch then proceeds as usual. OpRemoveVertex drops a
@@ -34,11 +34,12 @@
 // malformed batch.
 //
 // Communication follows Sanders & Uhl's communication-efficiency
-// principle: the batch is broadcast once, each directed entry is spliced
-// on the rank that already owns its block (the 2D cyclic placement
-// depends only on labels, which updates never change — no data moves
-// between ranks), and the delta passes ship only the adjacency rows of
-// batch endpoints, through the sparse all-to-all collective.
+// principle: every rank already holds the batch, so it never travels; each
+// directed entry is spliced on the rank that already owns its block (the
+// 2D cyclic placement depends only on labels, which updates never change —
+// no data moves between ranks), and the delta passes ship only the
+// adjacency rows of batch endpoints, through the sparse all-to-all
+// collective.
 package delta
 
 import (

@@ -11,7 +11,9 @@ import (
 // fails the epoch on every world instead of hanging it, Run reports
 // the failed rank's error rather than the peer's unwinding, and the world
 // runs its next epoch normally. The failing rank is rank 1, so the unwound
-// peer, rank 0, comes first in rank order.
+// peer, rank 0, comes first in rank order. On the split worlds the peer
+// lives in another process, which learns of the failure from an abort
+// frame.
 func TestFailedRankAbortsEpoch(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	const pairCap = 4
@@ -42,8 +44,23 @@ func TestFailedRankAbortsEpoch(t *testing.T) {
 		}, true},
 		{"barrier", func(c *Comm, _ int) { c.Barrier() }, false},
 	}
+	// procRun runs each epoch on both endpoints of a 2-process world and
+	// returns the root cause: an endpoint's error that is not an unwinding.
+	procRun := func(t *testing.T, p int, localA, localB []int) func(RankFunc) error {
+		wa, wb := twoProcWorlds(t, p, localA, localB)
+		id := 0
+		return func(fn RankFunc) error {
+			id++
+			_, _, ea, eb := runBoth(wa, wb, id, false, fn)
+			if ea == nil || errors.Is(ea, ErrAborted) && eb != nil {
+				return eb
+			}
+			return ea
+		}
+	}
 	// worlds each run one epoch of body and return its error. In the proc
-	// world ranks 0 and 1 share a process and rank 2 lives in the other.
+	// world ranks 0 and 1 share a process and rank 2 lives in the other; the
+	// split worlds put ranks 0 and 1 in different processes, each way round.
 	worlds := []struct {
 		name string
 		proc bool
@@ -62,18 +79,9 @@ func TestFailedRankAbortsEpoch(t *testing.T) {
 			t.Cleanup(func() { w.Close() })
 			return func(fn RankFunc) error { _, err := w.Run(fn); return err }
 		}},
-		{"proc", true, func(t *testing.T) func(RankFunc) error {
-			wa, wb := twoProcWorlds(t, 3, []int{0, 1}, []int{2})
-			id := 0
-			return func(fn RankFunc) error {
-				id++
-				_, _, ea, eb := runBoth(wa, wb, id, false, fn)
-				if eb != nil {
-					return eb
-				}
-				return ea
-			}
-		}},
+		{"proc", true, func(t *testing.T) func(RankFunc) error { return procRun(t, 3, []int{0, 1}, []int{2}) }},
+		{"split", true, func(t *testing.T) func(RankFunc) error { return procRun(t, 2, []int{0}, []int{1}) }},
+		{"split_reversed", true, func(t *testing.T) func(RankFunc) error { return procRun(t, 2, []int{1}, []int{0}) }},
 	}
 	for _, wd := range worlds {
 		for _, w := range waits {

@@ -14,6 +14,7 @@ const (
 	_ // unused; holds tagSparse and tagBarrier at their wire values
 	tagSparse
 	tagBarrier // dissemination barrier on process-spanning worlds
+	tagAbort   // a rank of another process failed in the frame's epoch
 )
 
 // Op identifies a reduction operator.

@@ -120,7 +120,7 @@ type message struct {
 // The namespace also carries an abort channel. When a rank fails or the
 // wire of a socket world does, messages its peers wait for will never
 // arrive, so abort closes: ranks blocked in Recv, in SendOwn on a full
-// mailbox or in the shared-memory Barrier unwind with the cause (errAborted
+// mailbox or in the shared-memory Barrier unwind with the cause (ErrAborted
 // or ErrPeerLost) as their error, and a socket reader stuck on the epoch's
 // full mailbox drops the frame.
 type epochState struct {
@@ -132,9 +132,10 @@ type epochState struct {
 	cause   error // why abort closed; written before it closes
 }
 
-// errAborted is the cause a rank unwinds with when another rank of its epoch
-// failed first; runEpoch reports the failed rank's error instead.
-var errAborted = errors.New("mpi: epoch aborted by a failed rank")
+// ErrAborted is the cause a rank unwinds with when another rank of its epoch
+// failed first, in this process or another; runEpoch reports the failed
+// rank's error instead when it ran here.
+var ErrAborted = errors.New("mpi: epoch aborted by a failed rank")
 
 // stop closes abort once, recording cause; the caller holds World.epochMu.
 func (ep *epochState) stop(cause error) {
@@ -165,33 +166,16 @@ func newEpochState(p, pairCap int) *epochState {
 	return ep
 }
 
-// getEpochState recycles a namespace from the pool (the p×p channel matrix
-// is the read hot path's only per-epoch allocation) or builds a fresh one.
-func (w *World) getEpochState(id int) *epochState {
-	ep, _ := w.epPool.Get().(*epochState)
-	if ep == nil {
-		ep = newEpochState(w.size, w.pairCap)
-	}
-	ep.id = id
-	return ep
-}
-
-// putEpochState returns a namespace to the pool. Only error-free epochs that
-// never aborted recycle: a correct SPMD epoch consumes every message it
-// sends (so the mailboxes are empty and no transport goroutine still holds a
-// reference) and leaves abort open, while an errored epoch may have
-// undelivered messages or late socket frames in flight — its namespace is
-// dropped for the GC instead. The emptiness scan is a cheap
-// belt-and-suspenders check on top of that contract.
-func (w *World) putEpochState(ep *epochState) {
+// drained reports whether every mailbox of the namespace is empty.
+func (ep *epochState) drained() bool {
 	for _, row := range ep.mail {
 		for _, ch := range row {
 			if len(ch) != 0 {
-				return
+				return false
 			}
 		}
 	}
-	w.epPool.Put(ep)
+	return true
 }
 
 // World owns the transport and synchronization state for an SPMD runtime.
@@ -227,8 +211,8 @@ type World struct {
 
 	epochMu sync.RWMutex
 	active  map[int]*epochState // in-flight epochs by id (socket routing)
-	retired map[int]bool        // errored epochs' ids: readers drop their late frames
-	epPool  sync.Pool           // recycled epochStates (error-free epochs only)
+	retired map[int]bool        // errored or aborted epochs' ids: readers drop their late frames
+	free    []*epochState       // recycled namespaces of error-free epochs
 	regCond *sync.Cond          // socket worlds: signals epoch registration (epochMu)
 	regStop bool                // socket worlds: wire failed or world closing (epochMu)
 
@@ -326,18 +310,23 @@ func (j job) run(c *Comm) {
 			// rank body: surface it as a plain typed error rather than a
 			// panic wrapper so callers can errors.Is(err, ErrPeerLost).
 			err, ok := v.(error)
-			if !ok || !errors.Is(err, ErrPeerLost) && !errors.Is(err, errAborted) {
+			if !ok || !errors.Is(err, ErrPeerLost) && !errors.Is(err, ErrAborted) {
 				buf := make([]byte, 16<<10)
 				err = &RankPanicError{Rank: c.rank, Value: v, Stack: string(buf[:runtime.Stack(buf, false)])}
 			}
 			j.errs[c.rank] = err
 		}
 		// The first failure aborts the epoch, so peers blocked on this rank
-		// unwind instead of waiting for messages it will never send.
+		// unwind instead of waiting for messages it will never send — in
+		// other processes too, which learn of it from an abort frame.
 		if j.errs[c.rank] != nil {
 			c.world.epochMu.Lock()
-			c.ep.stop(errAborted)
+			first := !c.ep.aborted
+			c.ep.stop(ErrAborted)
 			c.world.epochMu.Unlock()
+			if first && c.world.local != nil {
+				c.world.proc.abort(c.rank, c.ep.id)
+			}
 		}
 	}()
 	c.acquire()
@@ -398,7 +387,9 @@ func (w *World) RunRead(fn RankFunc) ([]any, error) {
 // namespace: a coordinator allocates ids and each process calls RunEpochAt
 // with that id. read selects the concurrent (RunRead) or exclusive (Run)
 // scheduling group. On single-process worlds it behaves like Run/RunRead
-// with a caller-chosen id; ids must never repeat while an epoch is live.
+// with a caller-chosen id; ids must never repeat while an epoch is live,
+// and on a socket world an id whose epoch failed or aborted is retired for
+// good: an epoch that reuses it is aborted at birth.
 //
 // Only the ranks local to this process execute; results and errors for
 // remote ranks are nil in the returned slice.
@@ -458,13 +449,25 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 		}
 	}
 
-	ep := w.getEpochState(id)
 	w.epochMu.Lock()
 	if w.active[id] != nil {
 		w.epochMu.Unlock()
 		return nil, fmt.Errorf("mpi: epoch id %d already in flight", id)
 	}
+	// Recycle a namespace (the p×p channel matrix is the read hot path's
+	// only per-epoch allocation) or build a fresh one.
+	var ep *epochState
+	if n := len(w.free); n > 0 {
+		ep, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		ep = newEpochState(w.size, w.pairCap)
+	}
+	ep.id = id
 	w.active[id] = ep
+	if w.retired[id] {
+		// Another process's rank failed in this epoch before it started here.
+		ep.stop(ErrAborted)
+	}
 	if w.regCond != nil {
 		// Wire failure between the downErr check above and this
 		// registration would miss this epoch: abort it at birth so its
@@ -524,24 +527,27 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 	// unwound by another's failure.
 	var err error
 	for _, e := range errs {
-		if e != nil && (err == nil || errors.Is(err, errAborted) && !errors.Is(e, errAborted)) {
+		if e != nil && (err == nil || errors.Is(err, ErrAborted) && !errors.Is(e, ErrAborted)) {
 			err = e
 		}
 	}
-	// Deregister before any recycling. An error-free epoch consumed every
-	// message sent to it; an errored one may still have frames on the wire,
-	// so its id is retired: socket readers drop its late frames instead of
-	// parking for a registration that never comes.
+	// Deregister, and recycle the namespace only after an error-free epoch
+	// that never aborted: a correct SPMD epoch consumes every message it
+	// sends (so the mailboxes are empty and no transport goroutine still
+	// holds a reference) and leaves abort open. An errored one may still
+	// have frames on the wire, so its id is retired — socket readers drop
+	// its late frames instead of parking for a registration that never
+	// comes — and its namespace is left to the GC. The emptiness scan is a
+	// cheap belt-and-suspenders check on top of that contract.
 	w.epochMu.Lock()
 	delete(w.active, id)
-	if err != nil && w.proc != nil {
+	if (err != nil || ep.aborted) && w.proc != nil {
 		w.retired[id] = true
 	}
-	recycle := err == nil && !ep.aborted
-	w.epochMu.Unlock()
-	if recycle {
-		w.putEpochState(ep)
+	if err == nil && !ep.aborted && ep.drained() {
+		w.free = append(w.free, ep)
 	}
+	w.epochMu.Unlock()
 	return results, err
 }
 

@@ -214,9 +214,9 @@ func TestGatherv(t *testing.T) {
 // frames: a coordinator and its workers may run binaries built from
 // different trees, and a shifted tag would misroute their collectives.
 func TestCollectiveTagsStable(t *testing.T) {
-	if tagSparse != collTagBase+7 || tagBarrier != collTagBase+8 {
-		t.Fatalf("tagSparse=collTagBase+%d tagBarrier=collTagBase+%d, want +7 and +8",
-			tagSparse-collTagBase, tagBarrier-collTagBase)
+	if tagSparse != collTagBase+7 || tagBarrier != collTagBase+8 || tagAbort != collTagBase+9 {
+		t.Fatalf("tagSparse=collTagBase+%d tagBarrier=collTagBase+%d tagAbort=collTagBase+%d, want +7, +8 and +9",
+			tagSparse-collTagBase, tagBarrier-collTagBase, tagAbort-collTagBase)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -194,10 +195,10 @@ type procPeer struct {
 // of the epoch it belongs to, so overlapping epochs can never cross.
 const procFrameHeader = 4 + 4 + 4 + 4 + 4 + 8
 
-// maxFrameBytes caps one frame's payload (the ceiling internal/repl uses
-// for its records). The length travels as a uint32 a peer supplies: senders
-// refuse a larger payload instead of letting the length wrap, read loops
-// fail the world before allocating.
+// maxFrameBytes caps one frame's payload (the ceiling of a WAL record's
+// payload, maxRecBytes in internal/snapshot). The length travels as a uint32
+// a peer supplies: senders refuse a larger payload instead of letting the
+// length wrap, read loops fail the world before allocating.
 const maxFrameBytes = 1 << 30
 
 func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
@@ -221,6 +222,17 @@ func (pl *procPeer) writeFrame(src, dst, epoch int, m message) error {
 	}
 	// Flush eagerly: the receiver may be blocked on exactly this message.
 	return pl.wtr.Flush()
+}
+
+// abort tells every peer process that local rank src failed in epoch: one
+// frame on each link, on the reserved tag, which the peer's reader turns
+// into a stop of that epoch.
+func (t *procWire) abort(src, epoch int) {
+	for _, pl := range t.links {
+		if dst := slices.Index(t.route[src], pl); dst >= 0 {
+			t.send(src, dst, epoch, message{tag: tagAbort})
+		}
+	}
 }
 
 // send writes one frame; any failure declares the world down and comes
@@ -309,6 +321,21 @@ func (w *World) waitEpoch(id int) *epochState {
 	return w.active[id]
 }
 
+// stopRemote stops epoch id after a rank of another process failed in it. An
+// id not registered here belongs to an epoch that has not started yet or has
+// ended; retiring it aborts the first at birth and drops late frames of
+// either.
+func (w *World) stopRemote(id int) {
+	w.epochMu.Lock()
+	defer w.epochMu.Unlock()
+	if ep := w.active[id]; ep != nil {
+		ep.stop(ErrAborted)
+		return
+	}
+	w.retired[id] = true
+	w.regCond.Broadcast()
+}
+
 func (t *procWire) readLoop(pl *procPeer) {
 	defer t.wg.Done()
 	r := bufio.NewReaderSize(pl.conn, 1<<16)
@@ -349,6 +376,10 @@ func (t *procWire) readLoop(pl *procPeer) {
 		if dst < 0 || dst >= t.w.size || src < 0 || src >= t.w.size || t.route[dst][src] != pl {
 			t.fail(fmt.Errorf("mpi: proc frame %d<-%d on a link that does not carry it", dst, src))
 			return
+		}
+		if m.tag == tagAbort {
+			t.w.stopRemote(epoch)
+			continue
 		}
 		ep := t.w.waitEpoch(epoch)
 		if ep == nil {

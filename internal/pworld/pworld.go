@@ -131,6 +131,7 @@ type wireMsg struct {
 	PerRank  map[int][]byte
 	Err      string
 	PeerLost bool
+	Aborted  bool // the worker's ranks unwound because another worker's rank failed
 
 	// down / leave / evict
 	Reason string
@@ -185,6 +186,7 @@ type call struct {
 	need     map[int]bool
 	payloads map[int][]byte
 	err      error
+	aborted  bool // err is a worker's unwinding, not the failure that caused it
 	done     chan struct{}
 }
 
@@ -601,8 +603,9 @@ func (c *Coordinator) noteEpochDone(m *member, msg *wireMsg) {
 	for r, b := range msg.PerRank {
 		cl.payloads[r] = b
 	}
-	if msg.Err != "" && cl.err == nil {
+	if msg.Err != "" && (cl.err == nil || cl.aborted && !msg.Aborted) {
 		cl.err = fmt.Errorf("worker %d epoch %d: %s", m.id, msg.Epoch, msg.Err)
+		cl.aborted = msg.Aborted
 	}
 	if len(cl.need) == 0 {
 		close(cl.done)

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,5 +378,48 @@ func TestConcurrentJoinsStartOneBuild(t *testing.T) {
 		cancel()
 		wg.Wait()
 		c.Close()
+	}
+}
+
+// TestFailedRankErrorWinsOverUnwinding: a rank that fails in one worker
+// aborts its epoch in the other worker too, and Run reports the failed
+// rank's error, not the other worker's unwinding — even though the unwinding
+// worker reports first: rank 2 holds its worker's report back. The world
+// then runs its next epoch normally.
+func TestFailedRankErrorWinsOverUnwinding(t *testing.T) {
+	c := startCoordinator(t, 4, nil)
+	dispatch := func(cm *mpi.Comm, op string, _, _ []byte) ([]byte, error) {
+		if op != "fail" {
+			return nil, nil
+		}
+		switch cm.Rank() {
+		case 3:
+			time.Sleep(20 * time.Millisecond) // let the peers block first
+			return nil, errors.New("rank 3 gives up")
+		case 2:
+			time.Sleep(300 * time.Millisecond)
+		default:
+			cm.Recv(3, 7) // ranks 0 and 1 live in the other worker
+		}
+		return nil, nil
+	}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		go RunWorker(ctx, WorkerConfig{
+			Coordinator: c.ln.Addr().String(),
+			Ranks:       2,
+			Format:      1,
+			MPI:         mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 2},
+			Dispatch:    dispatch,
+			Logf:        t.Logf,
+		})
+	}
+	waitReady(t, c, true)
+	if _, err := c.Run(false, "fail", nil, nil); err == nil || !strings.Contains(err.Error(), "rank 3 gives up") {
+		t.Fatalf("Run error %v, want rank 3's", err)
+	}
+	if _, err := c.Run(false, "ok", nil, nil); err != nil {
+		t.Fatalf("next epoch: %v", err)
 	}
 }

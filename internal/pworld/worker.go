@@ -419,6 +419,7 @@ func (wk *worker) runEpoch(m *wireMsg) {
 	if err != nil {
 		done.Err = err.Error()
 		done.PeerLost = errors.Is(err, mpi.ErrPeerLost)
+		done.Aborted = errors.Is(err, mpi.ErrAborted)
 		wk.send(done)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
@@ -129,7 +128,7 @@ func (c *Client) RankBlob(ctx context.Context, m *snapshot.Manifest, rank int) (
 	if err != nil {
 		return nil, err
 	}
-	if got := crc32.Checksum(payload, crcTable); got != m.RankFiles[rank].CRC {
+	if !m.RankFiles[rank].Matches(payload) {
 		return nil, fmt.Errorf("repl: snapshot %d rank %d blob checksum mismatch in transit: %w",
 			m.AppliedSeq, rank, snapshot.ErrCorrupt)
 	}

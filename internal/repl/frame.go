@@ -7,9 +7,9 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"tc2d/internal/snapshot"
 )
@@ -21,17 +21,17 @@ import (
 //	[u32 magic][u32 version][u64 committed][u32 count]
 //	count × [u32 plen][u64 seq][payload][u32 crc32c(seq ∥ payload)]
 //
-// Every record keeps the same checksum the WAL stored, so a follower
-// verifies end-to-end integrity (disk → primary → wire → apply) and a
-// decode error rejects the WHOLE frame before any record is applied.
+// A frame record is the WAL record without its magic: the record body that
+// snapshot.AppendRecordBody writes and snapshot.ParseRecordBody checks, the
+// one definition of that format. Every record keeps the checksum the WAL
+// stored, so a follower verifies end-to-end integrity (disk → primary → wire
+// → apply) and a decode error rejects the WHOLE frame before any record is
+// applied.
 const (
 	frameMagic   = uint32(0x54435246) // "TCRF"
 	FrameVersion = 1
 	frameHdrLen  = 20
-	maxFrameRec  = 1 << 30
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame is one decoded batch of the replication stream. Committed is the
 // primary's committed sequence number when the frame was cut; an empty
@@ -46,7 +46,7 @@ type Frame struct {
 func (f *Frame) Encode() []byte {
 	n := frameHdrLen
 	for _, r := range f.Records {
-		n += 16 + len(r.Payload)
+		n += snapshot.RecordBodyOverhead + len(r.Payload)
 	}
 	b := make([]byte, 0, n)
 	b = binary.LittleEndian.AppendUint32(b, frameMagic)
@@ -54,12 +54,7 @@ func (f *Frame) Encode() []byte {
 	b = binary.LittleEndian.AppendUint64(b, f.Committed)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Records)))
 	for _, r := range f.Records {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Payload)))
-		b = binary.LittleEndian.AppendUint64(b, r.Seq)
-		b = append(b, r.Payload...)
-		var seqb [8]byte
-		binary.LittleEndian.PutUint64(seqb[:], r.Seq)
-		b = binary.LittleEndian.AppendUint32(b, crc32.Update(crc32.Update(0, crcTable, seqb[:]), crcTable, r.Payload))
+		b = snapshot.AppendRecordBody(b, r.Seq, r.Payload)
 	}
 	return b
 }
@@ -78,31 +73,17 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	f := &Frame{Committed: binary.LittleEndian.Uint64(b[8:])}
 	count := int(binary.LittleEndian.Uint32(b[16:]))
 	off := frameHdrLen
-	var prev uint64
 	for i := 0; i < count; i++ {
-		if len(b)-off < 16 {
-			return nil, fmt.Errorf("repl: frame truncated at record %d/%d", i, count)
+		rec, n, err := snapshot.ParseRecordBody(b[off:])
+		if err != nil {
+			return nil, fmt.Errorf("repl: frame record %d/%d: %w", i, count, err)
 		}
-		plen := int(binary.LittleEndian.Uint32(b[off:]))
-		if plen < 0 || plen > maxFrameRec || len(b)-off < 16+plen {
-			return nil, fmt.Errorf("repl: frame record %d length %d overruns frame", i, plen)
+		if i > 0 && rec.Seq != f.Records[i-1].Seq+1 {
+			return nil, fmt.Errorf("repl: frame record seq %d after %d (gap)", rec.Seq, f.Records[i-1].Seq)
 		}
-		seq := binary.LittleEndian.Uint64(b[off+4:])
-		payload := b[off+12 : off+12+plen]
-		crc := binary.LittleEndian.Uint32(b[off+12+plen:])
-		var seqb [8]byte
-		binary.LittleEndian.PutUint64(seqb[:], seq)
-		if crc32.Update(crc32.Update(0, crcTable, seqb[:]), crcTable, payload) != crc {
-			return nil, fmt.Errorf("repl: frame record %d (seq %d) checksum mismatch", i, seq)
-		}
-		if i > 0 && seq != prev+1 {
-			return nil, fmt.Errorf("repl: frame record seq %d after %d (gap)", seq, prev)
-		}
-		prev = seq
-		p := make([]byte, plen)
-		copy(p, payload)
-		f.Records = append(f.Records, snapshot.Record{Seq: seq, Payload: p})
-		off += 16 + plen
+		rec.Payload = bytes.Clone(rec.Payload)
+		f.Records = append(f.Records, rec)
+		off += n
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("repl: %d trailing bytes after frame", len(b)-off)

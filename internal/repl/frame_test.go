@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -38,6 +39,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	got, err = DecodeFrame(empty.Encode())
 	if err != nil || got.Committed != 42 || len(got.Records) != 0 {
 		t.Fatalf("empty frame: %+v err=%v", got, err)
+	}
+}
+
+// goldenFrame is testFrame() as frames were encoded before they shared the
+// WAL's record codec. The bytes must never change: a follower and its
+// primary may run binaries built from different trees.
+const goldenFrame = "4652435401000000070000000000000003000000050000000500000000000000616c706861a1256a72000000000600000000000000a9ca4d3f14000000070000000000000067616d6d612d6c6f6e6765722d7061796c6f6164326db804"
+
+func TestFrameGoldenBytes(t *testing.T) {
+	golden, err := hex.DecodeString(goldenFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := testFrame().Encode(); !bytes.Equal(b, golden) {
+		t.Fatalf("frame bytes changed:\n got %x\nwant %x", b, golden)
+	}
+	f, err := DecodeFrame(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Encode(), golden) {
+		t.Fatal("the golden frame does not decode to itself")
 	}
 }
 

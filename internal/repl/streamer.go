@@ -40,9 +40,9 @@ func NewStreamer(src Source) *Streamer { return &Streamer{src: src} }
 
 // Frame returns the next frame after sequence `after`: up to maxRecords
 // records / ~maxBytes of payload (<= 0 for the defaults). When the
-// follower is caught up it blocks up to maxWait for new commits and then
-// returns an empty frame carrying the current committed sequence — the
-// heartbeat that lets followers bound wall-clock staleness.
+// follower is caught up it first blocks up to maxWait for new commits, then
+// reads the log once; a frame with no records carries the current committed
+// sequence — the heartbeat that lets followers bound wall-clock staleness.
 func (s *Streamer) Frame(ctx context.Context, after uint64, maxRecords, maxBytes int, maxWait time.Duration) (*Frame, error) {
 	if maxRecords <= 0 {
 		maxRecords = 4096
@@ -50,24 +50,17 @@ func (s *Streamer) Frame(ctx context.Context, after uint64, maxRecords, maxBytes
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
 	}
-	dir := s.src.WALDir()
-	recs, gone, err := snapshot.ReadAfter(dir, after, maxRecords, maxBytes)
+	if maxWait > 0 && s.src.CommittedSeq() <= after {
+		wctx, cancel := context.WithTimeout(ctx, maxWait)
+		s.src.WaitCommitted(wctx, after)
+		cancel()
+	}
+	recs, gone, err := snapshot.ReadAfter(s.src.WALDir(), after, maxRecords, maxBytes)
 	if err != nil {
 		return nil, err
 	}
 	if gone {
 		return nil, ErrGone
-	}
-	if len(recs) == 0 && maxWait > 0 {
-		wctx, cancel := context.WithTimeout(ctx, maxWait)
-		s.src.WaitCommitted(wctx, after)
-		cancel()
-		if recs, gone, err = snapshot.ReadAfter(dir, after, maxRecords, maxBytes); err != nil {
-			return nil, err
-		}
-		if gone {
-			return nil, ErrGone
-		}
 	}
 	f := &Frame{Committed: s.src.CommittedSeq(), Records: recs}
 	// An appended-but-not-yet-published record can land in the tail read;

@@ -67,6 +67,11 @@ type RankFile struct {
 	CRC  uint32 `json:"crc32c"`
 }
 
+// Matches reports whether payload, a rank blob without its frame, carries rf's checksum.
+func (rf RankFile) Matches(payload []byte) bool {
+	return crc32.Checksum(payload, crcTable) == rf.CRC
+}
+
 // Manifest describes one snapshot. It is written last, after every rank
 // blob has been synced, so its presence certifies the snapshot directory.
 type Manifest struct {
@@ -418,18 +423,15 @@ func cleanSegments(dir string, oldestKept uint64) error {
 	if err != nil {
 		return err
 	}
-	var bases []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() && strings.HasSuffix(name, tmpSuffix) {
-			os.RemoveAll(filepath.Join(dir, name))
-			continue
-		}
-		if base, ok := parseSeq(name, walPrefix, walSuffix); ok && !e.IsDir() {
-			bases = append(bases, base)
+		if e.IsDir() && strings.HasSuffix(e.Name(), tmpSuffix) {
+			os.RemoveAll(filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	bases, err := segments(dir)
+	if err != nil {
+		return err
+	}
 	for i := 0; i+1 < len(bases); i++ {
 		if bases[i+1] <= oldestKept {
 			if err := os.Remove(filepath.Join(dir, walFileName(bases[i]))); err != nil {

@@ -1,11 +1,16 @@
 package snapshot
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -14,7 +19,8 @@ import (
 // The write-ahead log. One segment file per snapshot interval:
 // wal-<base>.log holds the records with sequence numbers > base, where base
 // is the AppliedSeq of the snapshot at whose commit the segment was opened
-// (the very first segment has base 0). Records are framed as
+// (the very first segment has base 0). A record is recMagic followed by the
+// record body (AppendRecordBody):
 //
 //	[u32 magic][u32 payload len][u64 seq][payload][u32 crc32c(seq ∥ payload)]
 //
@@ -26,8 +32,10 @@ const (
 	walMagic    = uint32(0x5443574C) // "TCWL"
 	recMagic    = uint32(0x54435245) // "TCRE"
 	walHdrLen   = 16
-	recHdrLen   = 16
-	maxRecBytes = 1 << 30 // sanity bound while scanning: a length field past this is corruption, not a record
+	recHdrLen   = 16      // magic, payload length, seq
+	maxRecBytes = 1 << 30 // a length field past this is corruption, not a record
+
+	RecordBodyOverhead = 16 // a record body's bytes besides its payload: length, seq, crc
 )
 
 // WAL is the open, appendable tail segment of the log.
@@ -101,14 +109,8 @@ func (w *WAL) Append(seq uint64, payload []byte) error {
 	if seq != w.seq+1 {
 		return fmt.Errorf("snapshot: WAL append seq %d after %d", seq, w.seq)
 	}
-	rec := make([]byte, 0, recHdrLen+len(payload)+4)
-	rec = appendU32(rec, recMagic)
-	rec = appendU32(rec, uint32(len(payload)))
-	rec = appendU64(rec, seq)
-	rec = append(rec, payload...)
-	var seqb []byte
-	seqb = appendU64(seqb, seq)
-	rec = appendU32(rec, crc32Concat(seqb, payload))
+	rec := appendU32(make([]byte, 0, recHdrLen+len(payload)+4), recMagic)
+	rec = AppendRecordBody(rec, seq, payload)
 	var t0 time.Time
 	if w.onAppend != nil {
 		t0 = time.Now()
@@ -180,9 +182,54 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// crc32Concat checksums the concatenation a ∥ b without materializing it.
-func crc32Concat(a, b []byte) uint32 {
-	return crc32.Update(crc32.Update(0, crcTable, a), crcTable, b)
+// Record is one WAL record: a committed batch's sequence number and payload.
+type Record struct {
+	Seq     uint64
+	Payload []byte
+}
+
+// The record body's parse failures.
+var (
+	ErrShortRecord    = errors.New("snapshot: record truncated")
+	ErrRecordChecksum = errors.New("snapshot: record checksum mismatch")
+)
+
+// AppendRecordBody appends the body of record (seq, payload) to b:
+//
+//	[u32 payload len][u64 seq][payload][u32 crc32c(seq ∥ payload)]
+//
+// A WAL record is recMagic and then the body; a replication frame carries
+// the body alone, so both keep the checksum the WAL stored.
+func AppendRecordBody(b []byte, seq uint64, payload []byte) []byte {
+	b = appendU32(b, uint32(len(payload)))
+	b = appendU64(b, seq)
+	b = append(b, payload...)
+	return appendU32(b, crc32.Checksum(b[len(b)-len(payload)-8:], crcTable))
+}
+
+// ParseRecordBody parses the record body at the head of b and returns its
+// length. The payload aliases b. It fails with ErrShortRecord when b ends
+// before the body does and with ErrRecordChecksum when the checksum does
+// not match.
+func ParseRecordBody(b []byte) (rec Record, n int, err error) {
+	if len(b) < RecordBodyOverhead || readU32(b) > maxRecBytes || int(readU32(b)) > len(b)-RecordBodyOverhead {
+		return rec, 0, ErrShortRecord
+	}
+	plen := int(readU32(b))
+	if crc32.Checksum(b[4:12+plen], crcTable) != readU32(b[12+plen:]) {
+		return rec, 0, ErrRecordChecksum
+	}
+	return Record{Seq: readU64(b[4:]), Payload: b[12 : 12+plen]}, RecordBodyOverhead + plen, nil
+}
+
+// parseRecord parses the WAL record at the head of b: recMagic, then the
+// body. ok is false for a truncated or checksum-failing record.
+func parseRecord(b []byte) (rec Record, n int, ok bool) {
+	if len(b) < 4 || readU32(b) != recMagic {
+		return rec, 0, false
+	}
+	rec, n, err := ParseRecordBody(b[4:])
+	return rec, 4 + n, err == nil
 }
 
 // Replay scans the WAL segments under dir in base order and invokes fn for
@@ -190,17 +237,71 @@ func crc32Concat(a, b []byte) uint32 {
 // must be contiguous from `after`; a gap, or corruption anywhere but the
 // tail of the newest segment, fails with ErrCorrupt. A torn or corrupt
 // tail on the newest segment — the signature of a crash mid-append — is
-// TRUNCATED in place, and replay ends at the last complete record. Replay
-// returns the last sequence delivered (== after when the log holds nothing
-// newer) and the base of the newest segment (haveSegments reports whether
-// any segment exists at all).
+// TRUNCATED in place, and replay ends at the last complete record. The
+// payload fn receives is valid only during the call. Replay returns the
+// last sequence delivered (== after when the log holds nothing newer) and
+// the base of the newest segment (haveSegments reports whether any segment
+// exists at all).
 func Replay(dir string, after uint64, fn func(seq uint64, payload []byte) error) (last, newestBase uint64, haveSegments bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return after, 0, false, nil
-		}
+	bases, err := segments(dir)
+	if err != nil || len(bases) == 0 {
 		return after, 0, false, err
+	}
+	w := walker{last: after, after: after, repair: true, fn: func(seq uint64, payload []byte) (bool, error) {
+		return true, fn(seq, payload)
+	}}
+	err = w.walk(dir, bases)
+	return w.last, bases[len(bases)-1], true, err
+}
+
+// ReadAfter reads committed WAL records with sequence numbers > after from
+// the segments under dir, in order, up to maxRecords records or ~maxBytes of
+// payload (whichever comes first; <= 0 means unbounded, and the first
+// available record is always returned even when larger than maxBytes). The
+// payloads are private copies.
+//
+// Unlike Replay this is a LIVE tail: the primary may be appending to — or
+// rotating — the newest segment while we scan it, so an incomplete or
+// checksum-failing record at the newest segment's tail simply ends the read
+// (it is the write in flight, never truncated from here). Corruption or a
+// sequence gap anywhere else still fails with ErrCorrupt: acked records are
+// missing and the reader must not skip over them.
+//
+// gone reports that records in (after, oldest segment base] have been
+// pruned by snapshot retention — the caller holds state too old to catch up
+// from the log and must re-bootstrap from a snapshot.
+func ReadAfter(dir string, after uint64, maxRecords, maxBytes int) (recs []Record, gone bool, err error) {
+	bases, err := segments(dir)
+	if err != nil || len(bases) == 0 {
+		return nil, false, err
+	}
+	if after < bases[0] {
+		return nil, true, nil
+	}
+	// Segment wal-<b>.log holds records with seq > b; start at the largest
+	// base <= after and take every later segment.
+	start := sort.Search(len(bases), func(i int) bool { return bases[i] > after })
+	size := 0
+	w := walker{last: after, after: after, fn: func(seq uint64, payload []byte) (bool, error) {
+		recs = append(recs, Record{Seq: seq, Payload: bytes.Clone(payload)})
+		size += len(payload)
+		return (maxRecords <= 0 || len(recs) < maxRecords) && (maxBytes <= 0 || size < maxBytes), nil
+	}}
+	err = w.walk(dir, bases[start-1:])
+	if errors.Is(err, fs.ErrNotExist) {
+		// Retention removed a segment after the listing: whatever it held
+		// past `after` is unrecoverable from the log.
+		return recs, true, nil
+	}
+	return recs, false, err
+}
+
+// segments lists the bases of the WAL segments under dir, ascending; a
+// missing directory holds none.
+func segments(dir string) ([]uint64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
 	var bases []uint64
 	for _, e := range entries {
@@ -208,77 +309,151 @@ func Replay(dir string, after uint64, fn func(seq uint64, payload []byte) error)
 			bases = append(bases, base)
 		}
 	}
-	if len(bases) == 0 {
-		return after, 0, false, nil
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	newestBase = bases[len(bases)-1]
+	slices.Sort(bases)
+	return bases, nil
+}
 
-	last = after
+// walker is the one reader of WAL segments, under Replay and ReadAfter. It
+// checks each segment's header, then reads the records in order through a
+// buffered reader, one at a time, checks every checksum and hands fn every
+// record with seq > after; their sequence numbers must run on from after.
+// fn's payload is valid only during the call; fn returns false to end the
+// walk after that record.
+type walker struct {
+	after, last uint64 // last: the last record delivered
+	// repair is Replay's handling of a bad newest segment: remove one too
+	// short for its header, truncate a torn tail. A live tail (ReadAfter)
+	// stops there and changes nothing.
+	repair bool
+	fn     func(seq uint64, payload []byte) (more bool, err error)
+	r      *bufio.Reader
+	buf    []byte // the record in hand
+}
+
+func (w *walker) walk(dir string, bases []uint64) error {
 	for i, base := range bases {
-		isNewest := i == len(bases)-1
-		path := filepath.Join(dir, walFileName(base))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return last, newestBase, true, fmt.Errorf("wal segment %x: %w (%v)", base, ErrCorrupt, err)
-		}
-		if isNewest && len(raw) < walHdrLen {
-			// A crash during rotation: CreateWAL creates the successor file
-			// and only then writes and syncs its 16-byte header, so a
-			// too-short newest segment never held a synced record. Remove
-			// the artifact; the reopening WAL recreates the segment (same
-			// base) with a proper header.
-			if err := os.Remove(path); err != nil {
-				return last, newestBase, true, err
-			}
-			return last, newestBase, true, nil
-		}
-		if len(raw) < walHdrLen || readU32(raw) != walMagic {
-			return last, newestBase, true, fmt.Errorf("wal segment %x: bad header: %w", base, ErrCorrupt)
-		}
-		if v := readU32(raw[4:]); v != FormatVersion {
-			return last, newestBase, true, fmt.Errorf("wal segment %x: format version %d, this binary reads %d: %w",
-				base, v, FormatVersion, ErrCorrupt)
-		}
-		if hb := readU64(raw[8:]); hb != base {
-			return last, newestBase, true, fmt.Errorf("wal segment %x: header claims base %x: %w", base, hb, ErrCorrupt)
-		}
-		off := walHdrLen
-		for off < len(raw) {
-			rec, n, ok := parseRecord(raw[off:])
-			if !ok {
-				if !isNewest {
-					return last, newestBase, true, fmt.Errorf("wal segment %x: corrupt record at offset %d in a non-tail segment: %w",
-						base, off, ErrCorrupt)
-				}
-				// A bad record at the end of the newest segment is a torn
-				// tail (crash mid-append) ONLY if nothing valid follows it.
-				// A complete record found beyond the damage means acked
-				// batches would be silently lost by truncating — that is
-				// mid-segment corruption, refused loudly.
-				if recoverableBeyond(raw[off:], last) {
-					return last, newestBase, true, fmt.Errorf("wal segment %x: corrupt record at offset %d with valid records beyond it: %w",
-						base, off, ErrCorrupt)
-				}
-				if err := os.Truncate(path, int64(off)); err != nil {
-					return last, newestBase, true, err
-				}
-				return last, newestBase, true, nil
-			}
-			if rec.seq <= after {
-				// Covered by the snapshot already.
-			} else if rec.seq != last+1 {
-				return last, newestBase, true, fmt.Errorf("wal: record seq %d after %d (gap): %w", rec.seq, last, ErrCorrupt)
-			} else {
-				if err := fn(rec.seq, rec.payload); err != nil {
-					return last, newestBase, true, err
-				}
-				last = rec.seq
-			}
-			off += n
+		more, err := w.segment(filepath.Join(dir, walFileName(base)), base, i == len(bases)-1)
+		if err != nil || !more {
+			return err
 		}
 	}
-	return last, newestBase, true, nil
+	return nil
+}
+
+// segment walks one segment; more reports whether the walk goes on.
+func (w *walker) segment(path string, base uint64, newest bool) (more bool, err error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return false, fmt.Errorf("wal segment %x: %w (%w)", base, ErrCorrupt, err)
+	}
+	if size := st.Size(); size < walHdrLen {
+		if !newest {
+			return false, fmt.Errorf("wal segment %x: short header in a non-tail segment: %w", base, ErrCorrupt)
+		}
+		// A crash during rotation, or a rotation in flight: CreateWAL creates
+		// the successor file and only then writes and syncs its 16-byte
+		// header, so a too-short newest segment never held a synced record.
+		// Replay removes the artifact; the reopening WAL recreates the
+		// segment (same base) with a proper header.
+		if w.repair {
+			return false, os.Remove(path)
+		}
+		return false, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return false, fmt.Errorf("wal segment %x: %w (%w)", base, ErrCorrupt, err)
+	}
+	defer f.Close()
+	w.r = bufio.NewReader(f)
+	if err := w.read(walHdrLen); err != nil {
+		return false, fmt.Errorf("wal segment %x: %w (%w)", base, ErrCorrupt, err)
+	}
+	if magic, v, hb := readU32(w.buf), readU32(w.buf[4:]), readU64(w.buf[8:]); magic != walMagic || v != FormatVersion || hb != base {
+		return false, fmt.Errorf("wal segment %x: bad header (magic %x, format version %d, base %x; this binary reads version %d): %w",
+			base, magic, v, hb, FormatVersion, ErrCorrupt)
+	}
+	// Read no further than the size seen above: the bytes appended since
+	// are the next read's. A length field is believed only as far as the
+	// segment reaches.
+	for off, size := int64(walHdrLen), st.Size(); off < size; {
+		rec, n, ok := Record{}, 0, false
+		if rest := size - off; rest >= recHdrLen+4 {
+			head, err := w.r.Peek(recHdrLen)
+			if err == nil && int64(readU32(head[4:]))+recHdrLen+4 <= rest {
+				err = w.read(recHdrLen + int(readU32(head[4:])) + 4)
+				rec, n, ok = parseRecord(w.buf)
+			}
+			if err != nil {
+				return false, fmt.Errorf("wal segment %x: %w (%w)", base, ErrCorrupt, err)
+			}
+		}
+		if !ok && !newest {
+			return false, fmt.Errorf("wal segment %x: corrupt record at offset %d in a non-tail segment: %w",
+				base, off, ErrCorrupt)
+		}
+		if !ok {
+			return false, w.tornTail(path, base, off)
+		}
+		off += int64(n)
+		if rec.Seq <= w.after {
+			continue // covered by the snapshot already
+		}
+		if rec.Seq != w.last+1 {
+			return false, fmt.Errorf("wal: record seq %d after %d (gap): %w", rec.Seq, w.last, ErrCorrupt)
+		}
+		more, err := w.fn(rec.Seq, rec.Payload)
+		if err != nil {
+			return false, err
+		}
+		w.last = rec.Seq
+		if !more {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// read reads the next n bytes of the segment into buf.
+func (w *walker) read(n int) error {
+	w.buf = slices.Grow(w.buf[:0], n)[:n]
+	_, err := io.ReadFull(w.r, w.buf)
+	return err
+}
+
+// tornTail handles a bad record at offset off of the newest segment. A live
+// tail stops there: it is the append in flight, or a torn tail the next
+// Replay truncates. Replay truncates it — the signature of a crash
+// mid-append — only if nothing valid follows it: a complete record beyond
+// the damage means truncating would silently lose acked batches. That is
+// mid-segment corruption, refused loudly.
+func (w *walker) tornTail(path string, base uint64, off int64) error {
+	if !w.repair {
+		return nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("wal segment %x: %w (%w)", base, ErrCorrupt, err)
+	}
+	if recoverableBeyond(raw[off:], w.last) {
+		return fmt.Errorf("wal segment %x: corrupt record at offset %d with valid records beyond it: %w",
+			base, off, ErrCorrupt)
+	}
+	return os.Truncate(path, off)
+}
+
+// recoverableBeyond reports whether a complete, checksum-valid record with
+// a plausible later sequence number exists anywhere past the damage at the
+// head of b — the signature of mid-segment corruption (bit rot) rather
+// than a torn tail, whose garbage extends to end of file. The CRC makes a
+// false positive on torn-tail garbage astronomically unlikely.
+func recoverableBeyond(b []byte, lastSeq uint64) bool {
+	for off := 1; off+recHdrLen+4 <= len(b); off++ {
+		if rec, _, ok := parseRecord(b[off:]); ok && rec.Seq > lastSeq {
+			return true
+		}
+	}
+	return false
 }
 
 // RemoveBootArtifacts clears the leftovers of a first boot that crashed
@@ -317,44 +492,4 @@ func RemoveBootArtifacts(dir string) error {
 		}
 	}
 	return nil
-}
-
-type walRecord struct {
-	seq     uint64
-	payload []byte
-}
-
-// recoverableBeyond reports whether a complete, checksum-valid record with
-// a plausible later sequence number exists anywhere past the damage at the
-// head of b — the signature of mid-segment corruption (bit rot) rather
-// than a torn tail, whose garbage extends to end of file. The CRC makes a
-// false positive on torn-tail garbage astronomically unlikely.
-func recoverableBeyond(b []byte, lastSeq uint64) bool {
-	for off := 1; off+recHdrLen+4 <= len(b); off++ {
-		if rec, _, ok := parseRecord(b[off:]); ok && rec.seq > lastSeq {
-			return true
-		}
-	}
-	return false
-}
-
-// parseRecord decodes one record from the head of b, returning its total
-// framed length. ok is false for a truncated or checksum-failing record.
-func parseRecord(b []byte) (rec walRecord, n int, ok bool) {
-	if len(b) < recHdrLen+4 || readU32(b) != recMagic {
-		return rec, 0, false
-	}
-	plen := int(readU32(b[4:]))
-	if plen < 0 || plen > maxRecBytes || len(b) < recHdrLen+plen+4 {
-		return rec, 0, false
-	}
-	rec.seq = readU64(b[8:])
-	rec.payload = b[recHdrLen : recHdrLen+plen]
-	crc := readU32(b[recHdrLen+plen:])
-	var seqb []byte
-	seqb = appendU64(seqb, rec.seq)
-	if crc32Concat(seqb, rec.payload) != crc {
-		return rec, 0, false
-	}
-	return rec, recHdrLen + plen + 4, true
 }
