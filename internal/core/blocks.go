@@ -287,16 +287,17 @@ func decodeCSRBlob(b []byte, kind, dim int32) (xadj, adj []int32, err error) {
 }
 
 // Base tags for the naive (non-blob) block transfer: header, xadj and adj
-// travel as three separate messages per hop (U uses tagHdr..tagHdr+2, L uses
-// tagHdr+10..tagHdr+12).
+// travel as three separate messages per hop (the U operand uses
+// tagHdr..tagHdr+2, the L operand tagHdr+10..tagHdr+12).
 const tagHdr = 25
 
-// sendBlockNaive ships a block as three messages with element-wise encoding —
-// the baseline the single-blob optimization is measured against (§5.2). The
-// encode loop runs between messages, so the runtime charges it as local
-// work, mirroring MPI pack/unpack cost.
-func sendBlockNaive(c *mpi.Comm, dst int, baseTag int, kind, dim int32, xadj, adj []int32) {
-	hdr := encodeInt32sSlow([]int32{blobMagic, kind, dim, int32(len(adj))})
+// sendBlockNaive ships a U block as three messages with element-wise
+// encoding — the baseline the single-blob optimization is measured against
+// (§5.2). The shift schedules move nothing else: their L operands are U
+// blocks too. The encode loop runs between messages, so the runtime charges
+// it as local work, mirroring MPI pack/unpack cost.
+func sendBlockNaive(c *mpi.Comm, dst int, baseTag int, xadj, adj []int32) {
+	hdr := encodeInt32sSlow([]int32{blobMagic, kindU, int32(len(xadj) - 1), int32(len(adj))})
 	xb := encodeInt32sSlow(xadj)
 	ab := encodeInt32sSlow(adj)
 	c.SendOwn(dst, baseTag+0, hdr)
@@ -304,12 +305,12 @@ func sendBlockNaive(c *mpi.Comm, dst int, baseTag int, kind, dim int32, xadj, ad
 	c.SendOwn(dst, baseTag+2, ab)
 }
 
-func recvBlockNaive(c *mpi.Comm, src int, baseTag int, wantKind int32) (dim int32, xadj, adj []int32) {
+func recvBlockNaive(c *mpi.Comm, src int, baseTag int) (dim int32, xadj, adj []int32) {
 	hb := c.Recv(src, baseTag+0)
 	xb := c.Recv(src, baseTag+1)
 	ab := c.Recv(src, baseTag+2)
 	hdr := decodeInt32sSlow(hb)
-	if hdr[0] != blobMagic || hdr[1] != wantKind {
+	if hdr[0] != blobMagic || hdr[1] != kindU {
 		panic("core: corrupt naive block")
 	}
 	return hdr[2], decodeInt32sSlow(xb), decodeInt32sSlow(ab)

@@ -113,7 +113,10 @@ func compatOracle(t *testing.T, man compatManifest) (before, after int64) {
 // blob decodes, re-encodes to the same bytes and counts the oracle's
 // triangles; every delta applies on top, after which the state encodes to the
 // bytes the parent's live state encoded to and counts the oracle's triangles
-// of the updated graph.
+// of the updated graph. A ⟨j,i,k⟩ Cannon state drops the L block of its blob,
+// so it is compared in the parent's kind, with the L block it reads from the
+// transposed rank (parentBlob); it must round-trip in its own kind byte for
+// byte, and its L operands must be the reference ones (CheckLOperands).
 func TestDecodeParentBlobs(t *testing.T) {
 	man := readCompatManifest(t)
 	if len(man.Configs) != 6 {
@@ -126,39 +129,68 @@ func TestDecodeParentBlobs(t *testing.T) {
 			enum = EnumIJK
 		}
 		name := cfg.Name + "-" + cfg.Enum
-		results, err := mpi.Run(cfg.Ranks, testCfg(), func(c *mpi.Comm) (any, error) {
-			base := compatBlob(t, cfg, c.Rank(), "base")
-			prep, err := DecodePrepared(base, c.Rank(), c.Size())
+		w := mpi.NewWorld(cfg.Ranks, testCfg())
+		preps := make([]*Prepared, cfg.Ranks)
+		// restored checks the restored states, the hashes of their blobs in the
+		// parent's kind against want (nil: the base blobs), and counts them.
+		restored := func(restore func(c *mpi.Comm) error, want []string) (int64, error) {
+			if _, err := w.Run(func(c *mpi.Comm) (any, error) { return nil, restore(c) }); err != nil {
+				return 0, err
+			}
+			if enum == EnumJIK && !preps[0].bcast {
+				if _, err := w.RunRead(func(c *mpi.Comm) (any, error) { return nil, CheckLOperands(c, preps) }); err != nil {
+					return 0, err
+				}
+			}
+			results, err := w.RunRead(func(c *mpi.Comm) (any, error) {
+				prep := preps[c.Rank()]
+				blob, err := parentBlob(c, prep)
+				if err != nil {
+					return nil, err
+				}
+				if want == nil {
+					if !bytes.Equal(blob, compatBlob(t, cfg, c.Rank(), "base")) {
+						return nil, fmt.Errorf("rank %d: base blob does not re-encode to itself", c.Rank())
+					}
+				} else if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != want[c.Rank()] {
+					return nil, fmt.Errorf("rank %d: base+delta encodes to %s, the parent's live state to %s", c.Rank(), hex.EncodeToString(sum[:]), want[c.Rank()])
+				}
+				own := EncodePrepared(prep)
+				again, err := DecodePrepared(own, c.Rank(), c.Size())
+				if err != nil {
+					return nil, fmt.Errorf("rank %d: own blob: %w", c.Rank(), err)
+				}
+				if !bytes.Equal(EncodePrepared(again), own) {
+					return nil, fmt.Errorf("rank %d: kind %d blob does not round-trip", c.Rank(), own[8])
+				}
+				res, err := CountPrepared(c, prep, Options{Enumeration: enum})
+				if err != nil {
+					return nil, err
+				}
+				return res.Triangles, nil
+			})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			if !bytes.Equal(EncodePrepared(prep), base) {
-				return nil, fmt.Errorf("rank %d: base blob does not re-encode to itself", c.Rank())
-			}
-			opt := Options{Enumeration: enum}
-			before, err := CountPrepared(c, prep, opt)
-			if err != nil {
-				return nil, err
-			}
-			if err := ApplyPreparedDelta(prep, compatBlob(t, cfg, c.Rank(), "delta"), c.Rank(), c.Size()); err != nil {
-				return nil, err
-			}
-			sum := sha256.Sum256(EncodePrepared(prep))
-			if got := hex.EncodeToString(sum[:]); got != cfg.AfterSHA256[c.Rank()] {
-				return nil, fmt.Errorf("rank %d: base+delta encodes to %s, the parent's live state to %s", c.Rank(), got, cfg.AfterSHA256[c.Rank()])
-			}
-			after, err := CountPrepared(c, prep, opt)
-			if err != nil {
-				return nil, err
-			}
-			return [2]int64{before.Triangles, after.Triangles}, nil
-		})
+			return results[0].(int64), nil
+		}
+		before, err := restored(func(c *mpi.Comm) (err error) {
+			preps[c.Rank()], err = DecodePrepared(compatBlob(t, cfg, c.Rank(), "base"), c.Rank(), c.Size())
+			return err
+		}, nil)
+		var after int64
+		if err == nil {
+			after, err = restored(func(c *mpi.Comm) error {
+				return ApplyPreparedDelta(preps[c.Rank()], compatBlob(t, cfg, c.Rank(), "delta"), c.Rank(), c.Size())
+			}, cfg.AfterSHA256)
+		}
+		w.Close()
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if got := results[0].([2]int64); got != [2]int64{wantBefore, wantAfter} {
-			t.Errorf("%s: restored states count %d and %d triangles, the oracle %d and %d", name, got[0], got[1], wantBefore, wantAfter)
+		if before != wantBefore || after != wantAfter {
+			t.Errorf("%s: restored states count %d and %d triangles, the oracle %d and %d", name, before, after, wantBefore, wantAfter)
 		}
 	}
 }
@@ -170,13 +202,52 @@ type compatSeed struct {
 	rank, size  int
 }
 
+// compatSeeds lists the corpus pairs, then for every ⟨j,i,k⟩ Cannon rank a
+// pair in the Cannon kind, which keeps no L block: the decoded corpus base
+// re-encoded, and the delta of one deletion from its U block.
 func compatSeeds(tb testing.TB) (seeds []compatSeed) {
-	for _, cfg := range readCompatManifest(tb).Configs {
+	man := readCompatManifest(tb)
+	for _, cfg := range man.Configs {
 		for r := 0; r < cfg.Ranks; r++ {
 			seeds = append(seeds, compatSeed{compatBlob(tb, cfg, r, "base"), compatBlob(tb, cfg, r, "delta"), r, cfg.Ranks})
 		}
 	}
+	for _, cfg := range man.Configs {
+		if cfg.Name != "cannon4" || cfg.Enum != EnumJIK.String() {
+			continue
+		}
+		for r := 0; r < cfg.Ranks; r++ {
+			p, err := DecodePrepared(compatBlob(tb, cfg, r, "base"), r, cfg.Ranks)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			base := EncodePrepared(p)
+			if base[8] != kindCannonState {
+				tb.Fatalf("rank %d: a ⟨j,i,k⟩ Cannon state encodes in kind %d", r, base[8])
+			}
+			p.EnableSnapshotTracking()
+			b := p.blk
+			a := int32(0)
+			for len(b.u[0].row(a)) == 0 {
+				a++
+			}
+			wa, wb := a*int32(b.qr)+int32(b.row), b.u[0].row(a)[0]*int32(b.L)+int32(b.col)
+			p.spliceBlocks(r, nil, [][2]int32{{wa, wb}})
+			seeds = append(seeds, compatSeed{base, EncodePreparedDelta(p), r, cfg.Ranks})
+		}
+	}
 	return seeds
+}
+
+// reencodes reports whether got is what an accepted blob must re-encode to:
+// the blob itself, or for a ⟨j,i,k⟩ Cannon blob with its L block, the blob
+// in the Cannon kind, which ends where the L block, the last, began.
+func reencodes(got, blob []byte) bool {
+	if bytes.Equal(got, blob) {
+		return true
+	}
+	return len(got) < len(blob) && blob[8] == kindCannonLState && got[8] == kindCannonState &&
+		bytes.Equal(got[:8], blob[:8]) && bytes.Equal(got[9:], blob[9:len(got)])
 }
 
 // allocatedBy runs fn and returns the bytes the process allocated meanwhile.
@@ -208,9 +279,10 @@ func checkDecoded(t *testing.T, p *Prepared, rank, size int) []byte {
 }
 
 // FuzzDecodePrepared: any byte string is either rejected with an error or
-// decodes to a state that re-encodes to exactly those bytes and passes the
-// sizing check — never a panic, and never more memory than a multiple of the
-// input (every length field is checked against the bytes that are left).
+// decodes to a state that re-encodes to exactly those bytes (reencodes) and
+// passes the sizing check — never a panic, and never more memory than a
+// multiple of the input (every length field is checked against the bytes
+// that are left).
 func FuzzDecodePrepared(f *testing.F) {
 	for _, s := range compatSeeds(f) {
 		f.Add(s.base, uint8(s.rank), uint8(s.size))
@@ -230,7 +302,7 @@ func FuzzDecodePrepared(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := checkDecoded(t, p, int(rank), int(size)); !bytes.Equal(got, blob) {
+		if got := checkDecoded(t, p, int(rank), int(size)); !reencodes(got, blob) {
 			t.Fatal("accepted blob does not re-encode to itself")
 		}
 	})

@@ -10,8 +10,15 @@ import (
 // a valid state to damage.
 func corpusState(t testing.TB, name string, rank int) (p *Prepared, size int) {
 	t.Helper()
+	return corpusStateOf(t, name, EnumJIK, rank)
+}
+
+// corpusStateOf is corpusState for either rule; on Cannon only the ⟨i,j,k⟩
+// state keeps an L block to damage.
+func corpusStateOf(t testing.TB, name string, enum Enumeration, rank int) (p *Prepared, size int) {
+	t.Helper()
 	for _, cfg := range readCompatManifest(t).Configs {
-		if cfg.Name == name && cfg.Enum == "jik" {
+		if cfg.Name == name && cfg.Enum == enum.String() {
 			p, err := DecodePrepared(compatBlob(t, cfg, rank, "base"), rank, cfg.Ranks)
 			if err != nil {
 				t.Fatal(err)
@@ -37,7 +44,7 @@ func blobWalk(blob []byte) (gridAt, nuAt, firstID, secondID int) {
 	d.i32s()
 	d.i32s()
 	gridAt = d.off
-	if kind == kindCannonState {
+	if kind != kindSUMMAState {
 		return gridAt, 0, 0, 0
 	}
 	d.off += 3*4 + 8 + 2*4
@@ -75,6 +82,7 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 		bytes  func(blob []byte) // or damage the encoded blob
 		want   string            // substring of the error
 		kinds  []string          // corpus configurations it applies to
+		ijk    bool              // damages the L block, which on Cannon only the ⟨i,j,k⟩ state keeps
 	}
 	both := []string{"cannon4", "summa2x3"}
 	cases := []craft{
@@ -89,7 +97,7 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 		{name: "row pointers decrease", mutate: func(p *Prepared) {
 			b := p.blk.l[0].byCols()
 			b.xadj[midRow(b)] = -1
-		}, want: "decrease", kinds: both},
+		}, want: "decrease", kinds: both, ijk: true},
 		{name: "task row pointers decrease", mutate: func(p *Prepared) {
 			b := &p.blk.task
 			b.xadj[midRow(b)] = b.xadj[b.rows] + 1
@@ -103,7 +111,7 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 		{name: "L key at the bitmap length", mutate: func(p *Prepared) {
 			_, keyRange := p.kernelSizing()
 			p.blk.l[0].adj[0] = keyRange
-		}, want: "L class", kinds: both},
+		}, want: "L class", kinds: both, ijk: true},
 		{name: "task column outside the block", mutate: func(p *Prepared) { p.blk.task.adj[0] = p.blk.nCols }, want: "task block", kinds: both},
 		{name: "maxURow below the longest row", mutate: func(p *Prepared) { p.blk.maxURow = p.blk.longestURow() - 1 }, want: "maxURow", kinds: both},
 		{name: "maxURow above the key range", mutate: func(p *Prepared) {
@@ -125,7 +133,8 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 		}, want: "degree-dirty label", kinds: both},
 		{name: "padding not zero", bytes: func(blob []byte) { blob[11] = 1 }, want: "padding", kinds: both},
 		{name: "enumeration unknown", bytes: func(blob []byte) { blob[9] = 7 }, want: "enumeration", kinds: both},
-		{name: "state kind unknown", bytes: func(blob []byte) { blob[8] = 2 }, want: "kind", kinds: both},
+		{name: "state kind unknown", bytes: func(blob []byte) { blob[8] = 3 }, want: "kind", kinds: both},
+		{name: "Cannon kind without L laid out for ijk", bytes: func(blob []byte) { blob[9] = byte(EnumIJK) }, want: "no L block", kinds: []string{"cannon4"}},
 
 		{name: "grid of another world", bytes: func(blob []byte) {
 			at, _, _, _ := blobWalk(blob)
@@ -168,7 +177,11 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 	for _, tc := range cases {
 		for _, kind := range tc.kinds {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				p, size := corpusState(t, kind, 1)
+				enum := EnumJIK
+				if tc.ijk && kind == "cannon4" {
+					enum = EnumIJK
+				}
+				p, size := corpusStateOf(t, kind, enum, 1)
 				if tc.mutate != nil {
 					tc.mutate(p)
 				}

@@ -104,8 +104,9 @@ func (e *encoder) rowset(b *csrBlock, dirty map[int32]struct{}) {
 // EncodePreparedDelta serializes the state changed since the last committed
 // snapshot. Valid only when snapshot tracking is enabled (the durability
 // layer guarantees that). Read-only against the state, like EncodePrepared.
-// The two kinds order their rowsets differently (see stateKind): the Cannon
-// kind U, L, task; the SUMMA kind task, then the touched classes by id.
+// The kinds order their rowsets differently (see stateKind): the Cannon
+// kinds U, the L block where the state keeps it, task; the SUMMA kind task,
+// then the touched classes by id.
 func EncodePreparedDelta(p *Prepared) []byte {
 	s := p.snap
 	if s == nil {
@@ -141,7 +142,9 @@ func EncodePreparedDelta(p *Prepared) []byte {
 		e.i32(blk.nRows)
 		e.i32(blk.nCols)
 		e.rowset(&blk.u[0], s.u[0])
-		e.rowset(blk.l[0].byCols(), s.l[0])
+		if len(blk.l) > 0 {
+			e.rowset(blk.l[0].byCols(), s.l[0])
+		}
 		e.rowset(&blk.task, s.tRows)
 		return e.b
 	}
@@ -237,12 +240,19 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		return fmt.Errorf("core: delta blob version %d, this binary reads %d", v, preparedDeltaVersion)
 	}
 	kind, enum := d.kindEnum()
+	if d.err == nil {
+		if err := checkKind(kind, enum); err != nil {
+			return fmt.Errorf("core: delta blob: %w", err)
+		}
+	}
 	if d.err == nil && enum == EnumJIK {
 		// A delta written after a restore converted a legacy ⟨i,j,k⟩ state
 		// hangs off that state's base: convert it the same way first.
 		p.ConvertToJIK()
 	}
-	if d.err == nil && (kind != p.stateKind() || enum != p.enum) {
+	// Either Cannon kind replays onto a shift state: a delta written before
+	// the state dropped its L block carries the L rows too.
+	if d.err == nil && ((kind == kindSUMMAState) != p.bcast || enum != p.enum) {
 		return fmt.Errorf("core: delta blob kind/enum (%d,%d) does not match resident state (%d,%d)", kind, enum, p.stateKind(), p.enum)
 	}
 
@@ -325,7 +335,13 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		})
 	} else {
 		d.replaceRows(&blk.u[0])
-		d.replaceRows(blk.l[0].byCols())
+		if kind == kindCannonLState {
+			if len(blk.l) > 0 {
+				d.replaceRows(blk.l[0].byCols())
+			} else {
+				d.deltaRowset() // rows of the L block a ⟨j,i,k⟩ shift state no longer keeps
+			}
+		}
 		d.replaceRows(&blk.task)
 	}
 	if d.err != nil {

@@ -123,8 +123,9 @@ func (p *Prepared) HasEdgeLocal(v, u int32) bool {
 
 // ConvertToJIK lays a state built for the ⟨i,j,k⟩ rule (task block = the U
 // pattern) out for the ⟨j,i,k⟩ one (task block = the L classes by rows),
-// which the write path reads rows by. Restores convert legacy states; only
-// the one-shot ablation still builds them. Local and exclusive, like Splice.
+// which the write path reads rows by; a shift state then drops its L block
+// (keepsL). Restores convert legacy states; only the one-shot ablation still
+// builds them. Local and exclusive, like Splice.
 func (p *Prepared) ConvertToJIK() {
 	if p.enum == EnumJIK {
 		return
@@ -148,6 +149,9 @@ func (p *Prepared) ConvertToJIK() {
 	prefixSum(b.task.xadj)
 	b.taskRows = b.task.nonEmptyRows(b.taskRows)
 	p.enum = EnumJIK
+	if !keepsL(p.bcast, p.enum) {
+		b.l = nil
+	}
 }
 
 // AdjustTotals folds a batch's edge-count and wedge-count deltas into the
@@ -353,10 +357,11 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 // Splice applies the effective, validated batch to the resident state. The
 // full insertion and deletion lists (canonical label pairs, wa < wb) are
 // presented to every rank; each rank splices exactly the directed entries
-// its blocks own — the U entry at the (wa → wb) owner and the L entry at
-// the (wb → wa) owner — keeping the task block, the doubly-sparse row list
-// and the kernel-sizing maximum row length in sync; the task block must be
-// the ⟨j,i,k⟩ one (ConvertToJIK). Every block is spliced in place
+// its blocks own — the U entry at the (wa → wb) owner, and the (wb → wa)
+// entry at its owner, in the task row and, where the state keeps one, the L
+// class — keeping the doubly-sparse row list and the kernel-sizing maximum
+// row length in sync; the task block must be the ⟨j,i,k⟩ one
+// (ConvertToJIK). Every block is spliced in place
 // (spliceCSR). The only communication is one allreduce refreshing the
 // maximum row length.
 func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
@@ -373,14 +378,17 @@ func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 	sc := &p.splice
 	qr, qc, L := int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
 	x, y := rank/qc, rank%qc
+	hasL := len(p.blk.l) > 0
 	for _, e := range edges {
 		wa, wb := e[0], e[1]
 		if wa%qr == x && wb%qc == y { // U entry (wa → wb), class wb mod L
 			sc.u[wb%L].add(del, wa/qr, wb/L)
 		}
-		if wb%qr == x && wa%qc == y { // L entry (wb → wa), CSC by column, class wb mod L; task row wb/qr
-			sc.l[wb%L].add(del, wa/qc, wb/L)
+		if wb%qr == x && wa%qc == y { // L entry (wb → wa): task row wb/qr; CSC by column, class wb mod L
 			sc.task.add(del, wb/qr, wa/qc)
+			if hasL {
+				sc.l[wb%L].add(del, wa/qc, wb/L)
+			}
 		}
 	}
 }

@@ -23,8 +23,9 @@ const goldenPath = "testdata/prepare_golden.json"
 
 // goldenEntry is what one (graph, world, enumeration) run of the pipeline
 // must reproduce: the SHA-256 of every rank's EncodePrepared blob — labels,
-// U/L/task blocks and maxURow, bit for bit — and an upper bound on the
-// preprocessing op count.
+// U/L/task blocks and maxURow, bit for bit; for a Cannon state that keeps no
+// L block, of the blob with the L block it reads (parentBlob) — and an upper
+// bound on the preprocessing op count.
 type goldenEntry struct {
 	PreOps int64    `json:"pre_ops"`
 	Ranks  []string `json:"ranks"`
@@ -86,7 +87,14 @@ func prepareHashes(g *graph.Graph, p, qr, qc int, enum Enumeration) (goldenEntry
 		if err != nil {
 			return nil, err
 		}
-		sum := sha256.Sum256(EncodePrepared(prep))
+		if qr == 0 && len(prep.blk.l) != 0 && enum == EnumJIK {
+			return nil, fmt.Errorf("rank %d: a ⟨j,i,k⟩ shift state keeps %d L classes", c.Rank(), len(prep.blk.l))
+		}
+		blob, err := parentBlob(c, prep)
+		if err != nil {
+			return nil, err
+		}
+		sum := sha256.Sum256(blob)
 		return goldenEntry{PreOps: prep.PreOps(), Ranks: []string{hex.EncodeToString(sum[:])}}, nil
 	})
 	if err != nil {
@@ -146,7 +154,9 @@ func TestPrepareIgnoresRowOrder(t *testing.T) {
 // TestPrepareGolden is the differential test of the preprocessing pipeline:
 // testdata/prepare_golden.json was recorded from the pair-list/sort pipeline
 // this one replaced, and every rank's resident state must still serialize to
-// the same bytes. Preprocessing op counts may only fall.
+// the same bytes — a Cannon state that keeps no L block with the L block it
+// reads from the transposed rank, in the snapshot kind the file was recorded
+// in. Preprocessing op counts may only fall.
 func TestPrepareGolden(t *testing.T) {
 	got := make(map[string]goldenEntry)
 	for gname, g := range goldenGraphs(t) {

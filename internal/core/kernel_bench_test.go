@@ -12,11 +12,11 @@ import (
 )
 
 // BenchmarkKernelStep measures the kernel alone: one compute step of one
-// rank of a 4-rank Cannon grid — rank 0's task block against its own U and L
-// blocks, the operands it holds at step 0 — on a skewed (RMAT scale 14) and
-// a flat (Erdős–Rényi, same size) graph, and on the skewed graph with 37
-// isolated vertices more (a key range that ends mid-word) and after one
-// vertex arrival (a key above the hub window). ns/probe is the cost of one
+// rank of a 4-rank Cannon grid — rank 0's task block against its own U
+// block in both roles, the operands it holds at step 0 (stepZero) — on a
+// skewed (RMAT scale 14) and a flat (Erdős–Rényi, same size) graph, and on
+// the skewed graph with 37 isolated vertices more (a key range that ends
+// mid-word) and after one vertex arrival (a key above the hub window). ns/probe is the cost of one
 // bitmap lookup with everything around it amortised in; tasks/op against
 // probes/op splits the step into per-task and per-probe work, and hub-share
 // is the fraction of the probes the hub masks answered 64 keys at a time. A
@@ -33,12 +33,12 @@ func BenchmarkKernelStep(b *testing.B) {
 	states := append(skewedStates(b, rm), kernelState{"er", rankZero(b, er)})
 	for _, st := range states {
 		b.Run(st.name, func(b *testing.B) {
-			blk := st.prep.blk
+			blk, l := stepZero(st.prep)
 			kn := st.prep.kernel(Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
+				kn.run(&blk.task, blk.taskRows, &blk.u[0], l)
 			}
 			b.StopTimer()
 			kc := kn.kc
@@ -73,6 +73,12 @@ func skewedStates(tb testing.TB, g *graph.Graph) []kernelState {
 	return []kernelState{{"rmat", rankZero(tb, g)}, {"rmat+37", rankZero(tb, wide)}, {"rmat-grown", grown}}
 }
 
+// stepZero returns the blocks of rank 0 of a Cannon grid and its L operand
+// at step 0: L_{0,0}, which is its own U block.
+func stepZero(p *Prepared) (*blocks, *cscBlock) {
+	return p.blk, (*cscBlock)(&p.blk.u[0])
+}
+
 // rankZero prepares g on a 4-rank Cannon grid and returns rank 0's state.
 func rankZero(tb testing.TB, g *graph.Graph) *Prepared {
 	tb.Helper()
@@ -95,9 +101,9 @@ func rankZero(tb testing.TB, g *graph.Graph) *Prepared {
 // allocates nothing.
 func TestKernelStepAllocatesNothing(t *testing.T) {
 	prep := rankZero(t, mustRMAT(t, rmat.G500, 12, 16, 1))
-	blk := prep.blk
+	blk, l := stepZero(prep)
 	kn := prep.kernel(Options{})
-	step := func() { kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0]) }
+	step := func() { kn.run(&blk.task, blk.taskRows, &blk.u[0], l) }
 	step()
 	if kn.hubProbes == 0 {
 		t.Fatal("the step answered no probe from the hub masks")
@@ -117,9 +123,9 @@ func TestHubWindowStaysOnTheHubs(t *testing.T) {
 	var built kernelCounters
 	var builtShare float64
 	for _, st := range states {
-		blk := st.prep.blk
+		blk, l := stepZero(st.prep)
 		kn := st.prep.kernel(Options{})
-		kn.run(&blk.task, blk.taskRows, &blk.u[0], &blk.l[0])
+		kn.run(&blk.task, blk.taskRows, &blk.u[0], l)
 		kn.release()
 		share := float64(kn.hubProbes) / float64(kn.kc.probes)
 		t.Logf("%s: %+v, hub share %.3f", st.name, kn.kc, share)

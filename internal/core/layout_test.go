@@ -23,28 +23,45 @@ func sameBlock(a, b *csrBlock) bool {
 	return a.rows == b.rows && slices.Equal(a.xadj, b.xadj) && slices.Equal(a.adj, b.adj)
 }
 
-// sameLayout compares the resident arrays of two states on the same rank.
-func sameLayout(a, b *Prepared) error {
-	x, y := a.blk, b.blk
+// sameLayout compares the resident arrays the shift and the broadcast state
+// of one rank share: all but the L block, which only the broadcast state
+// keeps (see transposedL).
+func sameLayout(shift, bcast *Prepared) error {
+	x, y := shift.blk, bcast.blk
 	switch {
-	case len(x.u) != 1 || len(y.u) != 1 || len(x.l) != 1 || len(y.l) != 1:
-		return fmt.Errorf("a square grid holds %d/%d and %d/%d operand classes, want one of each", len(x.u), len(x.l), len(y.u), len(y.l))
+	case len(x.u) != 1 || len(y.u) != 1 || len(x.l) != 0 || len(y.l) != 1:
+		return fmt.Errorf("a square grid holds %d/%d U and %d/%d L classes, want 1/1 and 0/1", len(x.u), len(y.u), len(x.l), len(y.l))
 	case x.nRows != y.nRows || x.nCols != y.nCols || x.maxURow != y.maxURow:
 		return fmt.Errorf("dimensions %d×%d maxURow %d vs %d×%d maxURow %d", x.nRows, x.nCols, x.maxURow, y.nRows, y.nCols, y.maxURow)
 	case !sameBlock(&x.task, &y.task) || !slices.Equal(x.taskRows, y.taskRows):
 		return fmt.Errorf("task blocks differ")
 	case !sameBlock(&x.u[0], &y.u[0]):
 		return fmt.Errorf("U blocks differ")
-	case !sameBlock(x.l[0].byCols(), y.l[0].byCols()):
-		return fmt.Errorf("L blocks differ")
+	}
+	return nil
+}
+
+// transposedL holds the L blocks of the broadcast states on a q × q grid to
+// what the shift states read in their place: L_{x,y} of rank (x,y) must be
+// the U block of rank (y,x), list for list. It reads every rank's state, so
+// it runs between epochs.
+func transposedL(shift, bcast []*Prepared, q int) error {
+	for x := 0; x < q; x++ {
+		for y := 0; y < q; y++ {
+			if !sameBlock(bcast[x*q+y].blk.l[0].byCols(), &shift[y*q+x].blk.u[0]) {
+				return fmt.Errorf("L_{%d,%d} of the broadcast state is not the U block of shift rank (%d,%d)", x, y, y, x)
+			}
+		}
 	}
 	return nil
 }
 
 // TestSquareGridOneLayout: on a square grid the shift schedule and the
 // (forced) broadcast schedule run over the very same resident arrays — what
-// the blocks/summaBlocks fork used to store twice — and stay that way under
-// the write path: same task/U/L arrays after Prepare and after each of 50
+// the blocks/summaBlocks fork used to store twice — but for the L blocks,
+// which the shift schedule reads from the transposed ranks' U blocks, and
+// stay that way under the write path: same task and U arrays, and each
+// broadcast L_{x,y} the shift U_{y,x}, after Prepare and after each of 50
 // mixed update batches with a vertex-space growth in the middle, and equal
 // Triangles, Probes and MapTasks whenever both are counted.
 func TestSquareGridOneLayout(t *testing.T) {
@@ -85,6 +102,10 @@ func TestSquareGridOneLayout(t *testing.T) {
 			}
 			return nil, sameLayout(shift[r], bcast[r])
 		})
+		if err := transposedL(shift, bcast, q); err != nil {
+			w.Close()
+			t.Fatalf("p=%d prepare: %v", p, err)
+		}
 		compare := func(when string) {
 			t.Helper()
 			res := run(when, func(c *mpi.Comm) (any, error) {
@@ -156,6 +177,10 @@ func TestSquareGridOneLayout(t *testing.T) {
 				}
 				return nil, sameLayout(shift[c.Rank()], bcast[c.Rank()])
 			})
+			if err := transposedL(shift, bcast, q); err != nil {
+				w.Close()
+				t.Fatalf("p=%d batch %d: %v", p, batch, err)
+			}
 			if batch%10 == 9 {
 				compare(fmt.Sprint("batch ", batch))
 			}

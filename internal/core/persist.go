@@ -2,7 +2,7 @@ package core
 
 // Snapshot serialization of the resident per-rank state. EncodePrepared
 // flattens everything a Prepared value needs to serve queries and updates
-// after a restart — the U/L/task CSR blocks (either snapshot kind), the retained
+// after a restart — the task and operand CSR blocks (see stateKind), the retained
 // relabel permutation and its cyclic origin, the elastic vertex-space
 // descriptor and the maintained edge/wedge totals — into one deterministic
 // little-endian blob; DecodePrepared rebuilds the identical state on the
@@ -31,8 +31,9 @@ const (
 	preparedMagic   = uint32(0x54435052) // "TCPR"
 	preparedVersion = uint32(2)
 
-	kindCannonState = byte(0)
-	kindSUMMAState  = byte(1)
+	kindCannonLState = byte(0)
+	kindSUMMAState   = byte(1)
+	kindCannonState  = byte(2)
 )
 
 type encoder struct{ b []byte }
@@ -137,16 +138,36 @@ func (d *decoder) csr(kind int32) csrBlock {
 	return b
 }
 
-// stateKind names the snapshot kind the state is written as. There are two
-// because there were two layouts; both now describe the one blocks struct,
-// and stay so that every snapshot ever written still restores: the Cannon
-// kind holds the single U and L blocks of the shift schedule bare, the SUMMA
-// kind lists the created operand classes of the broadcast schedule by id.
+// stateKind names the snapshot kind the state is written as. There are three
+// because the layout changed twice; all describe the one blocks struct, and
+// stay so that every snapshot ever written still restores. The Cannon kind
+// holds the task block and the single U block of the shift schedule bare;
+// the Cannon-with-L kind adds the L block after them, as every shift state
+// was written before its L operand became the transposed rank's U block, and
+// as a state laid out for ⟨i,j,k⟩, which keeps its L (keepsL), still is. The
+// SUMMA kind lists the created operand classes of the broadcast schedule by
+// id.
 func (p *Prepared) stateKind() byte {
-	if p.bcast {
+	switch {
+	case p.bcast:
 		return kindSUMMAState
+	case len(p.blk.l) > 0:
+		return kindCannonLState
 	}
 	return kindCannonState
+}
+
+// checkKind refuses a state kind this binary does not know, and a Cannon
+// state laid out for ⟨i,j,k⟩ without its L block, which it could not convert
+// (ConvertToJIK).
+func checkKind(kind byte, enum Enumeration) error {
+	switch {
+	case kind > kindCannonState:
+		return fmt.Errorf("unknown state kind %d", kind)
+	case kind == kindCannonState && enum == EnumIJK:
+		return fmt.Errorf("state kind %d holds no L block, which the %v layout needs", kind, enum)
+	}
+	return nil
 }
 
 // EncodePrepared serializes the resident state of one rank. It only reads
@@ -188,7 +209,9 @@ func EncodePrepared(p *Prepared) []byte {
 	e.csr(&blk.task)
 	if !p.bcast {
 		e.csr(&blk.u[0])
-		e.csr(blk.l[0].byCols())
+		if len(blk.l) > 0 {
+			e.csr(blk.l[0].byCols())
+		}
 		return e.b
 	}
 	e.classList(len(blk.u), func(i int) {
@@ -253,7 +276,8 @@ func (d *decoder) classList(L, q, res int, read func(i int)) {
 // network, from a follower's bootstrap and the coordinator's restore, so a
 // malformed one is an error, never a panic. The decoded value reports zero
 // preprocessing cost (no pipeline ran). A legacy ⟨i,j,k⟩ state decodes as
-// written, so its delta chain replays; the restore then converts it.
+// written, so its delta chain replays; the restore then converts it. The L
+// block of a legacy ⟨j,i,k⟩ Cannon state is checked and dropped (keepsL).
 func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedMagic {
@@ -263,6 +287,11 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 		return nil, fmt.Errorf("core: prepared blob version %d, this binary reads %d", v, preparedVersion)
 	}
 	kind, enum := d.kindEnum()
+	if d.err == nil {
+		if err := checkKind(kind, enum); err != nil {
+			return nil, fmt.Errorf("core: prepared blob: %w", err)
+		}
+	}
 
 	p := &Prepared{enum: enum, bcast: kind == kindSUMMAState}
 	p.n = d.i64()
@@ -291,7 +320,7 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	// position on it the blob's.
 	var qr, qc int
 	switch kind {
-	case kindCannonState:
+	case kindCannonLState, kindCannonState:
 		q, x, y, n := int(d.i32()), int(d.i32()), int(d.i32()), d.i64()
 		if d.err == nil && (q < 1 || q*q != size || x != rank/q || y != rank%q) {
 			return nil, fmt.Errorf("core: prepared blob is for rank (%d,%d) of a %d×%d grid, decoding on rank %d of %d",
@@ -301,14 +330,12 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 			d.fail(fmt.Sprintf("blocks built over %d vertices, state has %d", n, p.n))
 		}
 		qr, qc = q, q
-	case kindSUMMAState:
+	default:
 		var L int
 		qr, qc, L = int(d.i32()), int(d.i32()), int(d.i32())
 		if d.err == nil && (qr < 1 || qc < 1 || qr*qc != size || L != lcm(qr, qc)) {
 			return nil, fmt.Errorf("core: prepared blob is for a %d×%d SUMMA grid with %d classes, world has %d ranks", qr, qc, L, size)
 		}
-	default:
-		return nil, fmt.Errorf("core: prepared blob has unknown state kind %d", kind)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -321,12 +348,15 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 			nRows, nCols, rank, qr, qc, p.n)
 	}
 	blk.task = d.csr(kindU)
-	if p.bcast {
+	switch kind {
+	case kindSUMMAState:
 		d.classList(blk.L, qc, blk.col, func(i int) { blk.u[i] = d.csr(kindU) })
 		d.classList(blk.L, qr, blk.row, func(i int) { blk.l[i] = cscBlock(d.csr(kindL)) })
-	} else {
+	default:
 		blk.u[0] = d.csr(kindU)
-		blk.l[0] = cscBlock(d.csr(kindL))
+		if kind == kindCannonLState {
+			blk.l[0] = cscBlock(d.csr(kindL))
+		}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -336,6 +366,9 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	}
 	if err := blk.check(p.n); err != nil {
 		return nil, err
+	}
+	if !keepsL(p.bcast, p.enum) {
+		blk.l = nil
 	}
 	blk.taskRows = blk.task.nonEmptyRows(nil)
 	p.blk = blk

@@ -14,8 +14,8 @@ import (
 // epoch's Comm so it can serve repeated CountPrepared calls. There is one
 // layout (blocks) for every grid; bcast records which of the two schedules
 // moves the operand blocks of a count over it — Cannon's shifts (square grids
-// only) or SUMMA's broadcasts — and with it which of the two snapshot kinds
-// the state is written as.
+// only), whose L operands are the transposed ranks' U blocks, or SUMMA's
+// broadcasts — and with it which snapshot kinds the state is written as.
 //
 // The state is read-only during counting — each count's kernel works in
 // scratch of its own, a bitmap and hub masks taken from a one-scratch cache
@@ -148,6 +148,8 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // with its own Prepared state from the same Prepare and identical options.
 // The count runs under the rule the state was prepared for; opt.Enumeration
 // is not read. The call is repeatable: the resident blocks are not mutated.
+// An operand that arrives from another rank and does not decode for this one
+// fails the call with an error naming the rank, the step and the operand.
 //
 // CountPrepared is strictly read-only against the Prepared state (each
 // count's kernel scratch is its own while the count runs, taken from a
@@ -177,7 +179,11 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	rankSpan.SetAttr("rank", c.Rank())
 	opt.Trace = rankSpan
 
-	kc, perShift := prep.countSteps(c, grid, opt)
+	kc, perShift, err := prep.countSteps(c, grid, opt)
+	if err != nil {
+		rankSpan.End()
+		return nil, err
+	}
 
 	// Each rank contributes its local counters, so the registry totals are
 	// the global sums without double counting the (identical) allreduced

@@ -15,8 +15,9 @@ import (
 //        degree order, with an all-to-all exchange to resolve the new labels
 //        of remote neighbours;
 //   (iii)+(iv) 2D cyclic redistribution that forms, on every grid rank, the
-//        upper-triangular block U_{x,y} (CSR), the lower-triangular block
-//        L_{x,y} (CSC) and the task block (CSR), in local indices.
+//        upper-triangular block U_{x,y} (CSR) and the task block (CSR), in
+//        local indices, plus the lower-triangular block L_{x,y} (CSC) where
+//        the schedule needs one of its own (keepsL).
 
 // numWithResidue counts integers in [0,n) congruent to r mod q.
 func numWithResidue(n int64, q, r int) int32 {
@@ -114,14 +115,16 @@ func degreeRelabel(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *relabeled {
 // L = lcm(qr, qc), with k div L stored as the intersection key so that the
 // two operands of a step agree on local indices. This rank owns the U
 // classes ≡ col (mod qc) and the L classes ≡ row (mod qr): u[i] holds class
-// i·qc + col, l[i] class i·qr + row. On a square grid L = q and each slice
-// has length 1 — the blocks U_{x,y} and L_{x,y} of §5.1.
+// i·qc + col, l[i] class i·qr + row. On a square grid L = q and u has length
+// 1 — the block U_{x,y} of §5.1 — and l is empty unless the state is laid
+// out for ⟨i,j,k⟩ (keepsL): the shift schedule reads L_{x,y} as rank
+// (y,x)'s U block.
 //
 // A block whose xadj is nil has not been created: the broadcast schedule
 // builds only the classes that have an entry (its snapshot kind lists the
 // classes that exist) and Splice creates one at its first insertion; a
-// created block stays, even emptied. The shift schedule's single blocks
-// always exist.
+// created block stays, even emptied. The shift schedule's blocks always
+// exist.
 type blocks struct {
 	qr, qc, L    int
 	row, col     int
@@ -143,7 +146,7 @@ type blocks struct {
 
 // newBlocks returns the empty layout of world rank `rank` on a qr × qc grid
 // over n vertices for the schedule bcast selects: geometry set, no class
-// created.
+// created, room for the L classes whether or not the state keeps them.
 func newBlocks(qr, qc, rank int, n int64, bcast bool) *blocks {
 	L := lcm(qr, qc)
 	b := &blocks{qr: qr, qc: qc, L: L, row: rank / qc, col: rank % qc,
@@ -252,8 +255,17 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumer
 	return blocksOf(c, grid.Rows(), grid.Cols(), rl.n, got, bcast, enum, ops)
 }
 
+// keepsL reports whether a state of the given schedule and rule holds L
+// classes of its own. The broadcast schedule does: its L classes travel. A
+// shift state does not, as L_{x,y} is rank (y,x)'s U block, list for list;
+// only while it is laid out for ⟨i,j,k⟩ does it keep the block, from which
+// ConvertToJIK builds the ⟨j,i,k⟩ task block without communication.
+func keepsL(bcast bool, enum Enumeration) bool { return bcast || enum == EnumIJK }
+
 // blocksOf is the receiving half of build2D: the blocks of this rank of a
-// qr × qc grid over n vertices, from the parts routePairs delivered.
+// qr × qc grid over n vertices, from the parts routePairs delivered. The L
+// block is built either way — the ⟨j,i,k⟩ task block is its transpose — and
+// dropped unless the state keeps it.
 func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum Enumeration, ops *int64) (*blocks, error) {
 	blk := newBlocks(qr, qc, c.Rank(), n, bcast)
 	var maxRow, failed int64
@@ -270,9 +282,13 @@ func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum 
 				maxRow = max(maxRow, b.maxRow())
 			}
 		}
-		for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
-			if b.nnz() > 0 || !bcast {
-				blk.l[i] = cscBlock(b)
+		if !keepsL(bcast, enum) {
+			blk.l = nil
+		} else {
+			for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
+				if b.nnz() > 0 || !bcast {
+					blk.l[i] = cscBlock(b)
+				}
 			}
 		}
 	}

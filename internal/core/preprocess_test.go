@@ -128,9 +128,10 @@ func TestDegreeRelabelOrder(t *testing.T) {
 	}
 }
 
-// TestBuild2DBlockInvariants checks steps (iii)+(iv): the U/L/task blocks
+// TestBuild2DBlockInvariants checks steps (iii)+(iv): the U and task blocks
 // jointly contain every directed edge exactly once with consistent local
-// indexing.
+// indexing — the ⟨j,i,k⟩ task block holds the L entries, by rows — and a
+// shift state keeps no L block.
 func TestBuild2DBlockInvariants(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 8, 8, 7)
 	p := 9
@@ -154,11 +155,8 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		ublk, lblk := &blk.u[0], &blk.l[0]
-
-		// Task pattern must equal the L pattern for JIK.
-		if blk.task.nnz() != int64(len(lblk.adj)) {
-			t.Errorf("rank %d: task nnz %d != L nnz %d", c.Rank(), blk.task.nnz(), len(lblk.adj))
+		if len(blk.l) != 0 {
+			t.Errorf("rank %d: the shift schedule keeps %d L classes", c.Rank(), len(blk.l))
 		}
 		// Doubly-sparse list covers exactly the non-empty rows.
 		count := 0
@@ -170,26 +168,16 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 		if count != len(blk.taskRows) {
 			t.Errorf("rank %d: %d non-empty rows, list has %d", c.Rank(), count, len(blk.taskRows))
 		}
-		// U rows and L columns must be sorted ascending.
-		for a := int32(0); a < ublk.rows; a++ {
-			row := ublk.row(a)
-			for i := 1; i < len(row); i++ {
-				if row[i-1] >= row[i] {
-					t.Errorf("rank %d: U row %d unsorted", c.Rank(), a)
+		// U rows and task rows must be sorted ascending.
+		for name, b := range map[string]*csrBlock{"U": &blk.u[0], "task": &blk.task} {
+			for a := int32(0); a < b.rows; a++ {
+				if row := b.row(a); !slices.IsSorted(row) || len(slices.Compact(slices.Clone(row))) != len(row) {
+					t.Errorf("rank %d: %s row %d not strictly ascending", c.Rank(), name, a)
 					break
 				}
 			}
 		}
-		for b := int32(0); b < lblk.rows; b++ {
-			col := lblk.col(b)
-			for i := 1; i < len(col); i++ {
-				if col[i-1] >= col[i] {
-					t.Errorf("rank %d: L col %d unsorted", c.Rank(), b)
-					break
-				}
-			}
-		}
-		return []int64{ublk.nnz(), int64(len(lblk.adj))}, nil
+		return []int64{blk.u[0].nnz(), blk.task.nnz()}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +189,7 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 		lTot += v[1]
 	}
 	if uTot != g.NumEdges() || lTot != g.NumEdges() {
-		t.Fatalf("U nnz %d, L nnz %d, want %d each", uTot, lTot, g.NumEdges())
+		t.Fatalf("U nnz %d, task (L) nnz %d, want %d each", uTot, lTot, g.NumEdges())
 	}
 }
 
@@ -448,7 +436,7 @@ func FuzzDecodeCSRBlob(f *testing.F) {
 	}
 	var seeds [][]byte
 	_, err = mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
-		p, err := prepareOn(c, g, 0, 0, EnumJIK)
+		p, err := prepareOn(c, g, 0, 0, EnumIJK) // keeps its L block
 		if c.Rank() == 1 {
 			seeds = [][]byte{slices.Clone(p.blk.u[0].blob()), slices.Clone(p.blk.l[0].byCols().blob())}
 		}

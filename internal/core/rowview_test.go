@@ -11,9 +11,10 @@ import (
 )
 
 // rowOracle lists this rank's (local row, label) entries straight from the
-// block definitions — every U and L entry converted back to global labels —
-// and sorts them with a comparison sort.
-func rowOracle(p *Prepared) [][2]int32 {
+// block definitions — every U entry and every entry of the L classes ls
+// (lClasses) converted back to global labels — and sorts them with a
+// comparison sort.
+func rowOracle(p *Prepared, ls []cscBlock) [][2]int32 {
 	var out [][2]int32
 	b := p.blk
 	qr, qc, L := int32(b.qr), int32(b.qc), int32(b.L)
@@ -25,7 +26,7 @@ func rowOracle(p *Prepared) [][2]int32 {
 			}
 		}
 	}
-	for i, l := range b.l {
+	for i, l := range ls {
 		t := int32(i*b.qr + b.row)
 		for j := int32(0); j < l.rows; j++ {
 			for _, k := range l.col(j) {
@@ -40,8 +41,12 @@ func rowOracle(p *Prepared) [][2]int32 {
 // checkRowView holds every local row of p's view to rowOracle: its entries,
 // as labels, are the oracle's row; Len counts them; each part ascends, as
 // the early break of IntersectPairs needs; and HasEdgeLocal finds every
-// entry and none of a sample of absent column-class labels.
-func checkRowView(p *Prepared, rng *rand.Rand) error {
+// entry and none of a sample of absent column-class labels. Collective.
+func checkRowView(c *mpi.Comm, p *Prepared, rng *rand.Rand) error {
+	ls, err := lClasses(c, p)
+	if err != nil {
+		return err
+	}
 	b := p.blk
 	qr, qc := int32(b.qr), int32(b.qc)
 	var got [][2]int32
@@ -61,7 +66,7 @@ func checkRowView(p *Prepared, rng *rand.Rand) error {
 		}
 	}
 	slices.SortFunc(got, cmpPair)
-	want := rowOracle(p)
+	want := rowOracle(p, ls)
 	if !slices.Equal(got, want) {
 		return fmt.Errorf("the view has %d entries in row-major order, the blocks define %d", len(got), len(want))
 	}
@@ -103,7 +108,7 @@ func TestRowViewMatchesBlocks(t *testing.T) {
 					return nil, err
 				}
 				prep.ConvertToJIK()
-				if err := checkRowView(prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
+				if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
 					t.Errorf("%s rank %d: %v", name, c.Rank(), err)
 				}
 				return nil, nil

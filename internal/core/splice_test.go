@@ -351,7 +351,7 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 			if c.AllreduceInt64(created, mpi.OpSum) == 0 {
 				return nil, fmt.Errorf("%v: the inserts created no bucket on any rank; the case is not exercised", enum)
 			}
-			if err := checkRowView(prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
+			if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
 				return nil, fmt.Errorf("%v rank %d: after the splice: %w", enum, c.Rank(), err)
 			}
 			return nil, prep.ValidateKernelSizing()

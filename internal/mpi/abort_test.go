@@ -13,7 +13,8 @@ import (
 // runs its next epoch normally. The failing rank is rank 1, so the unwound
 // peer, rank 0, comes first in rank order. On the split worlds the peer
 // lives in another process, which learns of the failure from an abort
-// frame.
+// frame — also when that frame queues on the link behind frames for a full
+// mailbox whose rank waits on the failed one (the last case).
 func TestFailedRankAbortsEpoch(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	const pairCap = 4
@@ -121,4 +122,34 @@ func TestFailedRankAbortsEpoch(t *testing.T) {
 			}
 		}
 	}
+	// Ranks {0,1} | {2}: rank 1 floods rank 2, which waits on rank 0, past
+	// its mailbox, so the abort frame of rank 0 follows 40 frames of rank 1
+	// on the one link between the processes.
+	t.Run("proc/error_behind_a_full_mailbox", func(t *testing.T) {
+		wa, wb := twoProcWorlds(t, 3, []int{0, 1}, []int{2})
+		body := func(c *Comm) (any, error) {
+			switch c.Rank() {
+			case 0:
+				time.Sleep(20 * time.Millisecond) // let the flood fill the mailbox
+				return nil, boom
+			case 1:
+				for i := 0; i < 40; i++ {
+					c.Send(2, 9, []byte{byte(i)})
+				}
+			case 2:
+				c.Recv(0, 7)
+			}
+			return nil, nil
+		}
+		_, _, ea, eb := runBoth(wa, wb, 1, false, body)
+		if ea != boom || !errors.Is(eb, ErrAborted) {
+			t.Fatalf("epoch errors %v / %v, want rank 0's and an unwinding", ea, eb)
+		}
+		// Both Close calls must return; the second world may report the EOF
+		// of the link the first one closed.
+		if err := wa.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wb.Close()
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -125,5 +126,44 @@ func TestTCPFrameLengthIsBounded(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("Close reported no transport failure after a forged length")
+	}
+}
+
+// TestProcMailboxOverflowIsBounded: a socket reader queues the frames for a
+// full mailbox instead of blocking on it, but only overflowFactor mailboxes'
+// worth: past that the receiver is not keeping up with its sender, and the
+// world fails, unwinding the ranks that wait with ErrPeerLost. Ranks {0,2} |
+// {1}: rank 0 floods rank 1, which waits on rank 2.
+func TestProcMailboxOverflowIsBounded(t *testing.T) {
+	watchdog(t, 60*time.Second)
+	ca, cb := net.Pipe()
+	cfg := Config{Model: ZeroCostModel(), PairCap: 1}
+	wa, err := NewProcWorld(3, []int{0, 2}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := NewProcWorld(3, []int{1}, []ProcLink{{Conn: cb, Ranks: []int{0, 2}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wa.Close(); wb.Close() })
+	_, _, ea, eb := runBoth(wa, wb, 1, false, func(c *Comm) (any, error) {
+		switch c.Rank() {
+		case 0:
+			for i := 0; i <= overflowFactor*cfg.PairCap+cfg.PairCap; i++ {
+				c.Send(1, 9, []byte{byte(i)})
+			}
+		case 1:
+			c.Recv(2, 7)
+		case 2:
+			c.Recv(1, 7)
+		}
+		return nil, nil
+	})
+	if !errors.Is(ea, ErrPeerLost) || !errors.Is(eb, ErrPeerLost) {
+		t.Fatalf("epoch errors %v / %v, want ErrPeerLost on both sides", ea, eb)
+	}
+	if err := wb.proc.downErr(); err == nil || !strings.Contains(err.Error(), "does not take them") {
+		t.Fatalf("world B is down with %v, want the overflow named", err)
 	}
 }

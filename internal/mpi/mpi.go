@@ -50,6 +50,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tc2d/internal/obs"
@@ -121,8 +122,13 @@ type message struct {
 // wire of a socket world does, messages its peers wait for will never
 // arrive, so abort closes: ranks blocked in Recv, in SendOwn on a full
 // mailbox or in the shared-memory Barrier unwind with the cause (ErrAborted
-// or ErrPeerLost) as their error, and a socket reader stuck on the epoch's
-// full mailbox drops the frame.
+// or ErrPeerLost) as their error.
+//
+// A socket reader never blocks on a mailbox: the link it reads may carry
+// the very frame — another rank's data, or an abort — that the mailbox's
+// rank is waiting for. A frame for a full mailbox queues in the mailbox's
+// overflow instead, which its receiver moves in, oldest first, as it takes
+// messages out (see deliver and refill).
 type epochState struct {
 	id      int
 	mail    [][]chan message // mail[dst][src]
@@ -130,6 +136,10 @@ type epochState struct {
 	abort   chan struct{}
 	aborted bool  // guarded by World.epochMu
 	cause   error // why abort closed; written before it closes
+
+	overMu sync.Mutex
+	over   map[[2]int][]message // frames behind full mailboxes, by (dst, src), in arrival order
+	overN  atomic.Int64         // frames in over
 }
 
 // ErrAborted is the cause a rank unwinds with when another rank of its epoch
@@ -166,8 +176,61 @@ func newEpochState(p, pairCap int) *epochState {
 	return ep
 }
 
+// deliver puts a frame from the wire in mailbox mail[dst][src] without
+// blocking: behind the mailbox's overflow when that holds frames, in the
+// mailbox when it has room, else at the end of the overflow. It reports
+// false, keeping nothing, when the overflow already holds limit frames: the
+// receiver does not keep up with its sender.
+func (ep *epochState) deliver(dst, src int, m message, limit int) bool {
+	ep.overMu.Lock()
+	defer ep.overMu.Unlock()
+	key := [2]int{dst, src}
+	q := ep.over[key]
+	if len(q) == 0 {
+		select {
+		case ep.mail[dst][src] <- m:
+			return true
+		default:
+		}
+	}
+	if len(q) >= limit {
+		return false
+	}
+	if ep.over == nil {
+		ep.over = make(map[[2]int][]message)
+	}
+	ep.over[key] = append(q, m)
+	ep.overN.Add(1)
+	return true
+}
+
+// refill moves the overflow of mailbox mail[dst][src] into it, oldest first,
+// while it has room. Only the mailbox's receiver calls it, after taking a
+// message out, so a mailbox with an overflow is full whenever its receiver
+// waits on it, and messages keep their order.
+func (ep *epochState) refill(dst, src int) {
+	ep.overMu.Lock()
+	defer ep.overMu.Unlock()
+	key := [2]int{dst, src}
+	q := ep.over[key]
+	for ; len(q) > 0; q = q[1:] {
+		select {
+		case ep.mail[dst][src] <- q[0]:
+			q[0] = message{}
+			ep.overN.Add(-1)
+		default:
+			ep.over[key] = q
+			return
+		}
+	}
+	delete(ep.over, key)
+}
+
 // drained reports whether every mailbox of the namespace is empty.
 func (ep *epochState) drained() bool {
+	if ep.overN.Load() != 0 {
+		return false
+	}
 	for _, row := range ep.mail {
 		for _, ch := range row {
 			if len(ch) != 0 {
@@ -763,6 +826,9 @@ func (c *Comm) Recv(src, tag int) []byte {
 			c.unwind(fmt.Sprintf("recv from %d", src))
 		}
 		c.acquire()
+	}
+	if c.ep.overN.Load() != 0 {
+		c.ep.refill(c.rank, src)
 	}
 	if msg.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, msg.tag))

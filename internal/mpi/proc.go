@@ -385,13 +385,16 @@ func (t *procWire) readLoop(pl *procPeer) {
 		if ep == nil {
 			continue // late frame of a retired epoch, or the world is stopping
 		}
-		select {
-		case ep.mail[dst][src] <- m:
-		case <-ep.abort:
-			// Epoch aborted or retired while its mailbox was full: its
-			// ranks are not receiving. Drop the frame and move on.
-		case <-t.done:
+		if !ep.deliver(dst, src, m, overflowFactor*t.w.pairCap) {
+			t.fail(fmt.Errorf("mpi: proc read: rank %d holds %d frames from rank %d beyond its mailbox in epoch %d and does not take them",
+				dst, overflowFactor*t.w.pairCap, src, epoch))
 			return
 		}
 	}
 }
+
+// overflowFactor bounds, in mailbox capacities (Config.PairCap), how many
+// frames one mailbox of a socket world may hold beyond its capacity before
+// the world fails: the senders of a correct SPMD program run ahead of their
+// receivers by a bounded skew.
+const overflowFactor = 256

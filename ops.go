@@ -276,7 +276,7 @@ func buildEntry() epochOp {
 	op.encode = func(args any, _ int) ([]byte, map[int][]byte, error) {
 		b := args.(*wireBuild)
 		var perRank map[int][]byte
-		if b.RMAT == nil {
+		if b.RMAT == nil && b.graph != nil {
 			perRank = map[int][]byte{0: gobEncode(b.graph)}
 		}
 		return gobEncode(b), perRank, nil

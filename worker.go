@@ -76,6 +76,20 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	})
 }
 
+// decodeArgs looks an op up in the table and decodes its args from their
+// wire form; an unknown name and args that do not decode are typed errors.
+func decodeArgs(name string, common, mine []byte) (epochOp, any, error) {
+	op, ok := ops[name]
+	if !ok {
+		return op, nil, fmt.Errorf("%w: %q", errUnknownOp, name)
+	}
+	args, err := op.decode(common, mine)
+	if err != nil {
+		return op, nil, fmt.Errorf("%w: %s: %v", errBadOpArgs, name, err)
+	}
+	return op, args, nil
+}
+
 // dispatch executes one epoch operation for one locally hosted rank: look the
 // name up in the op table, decode the args from their wire form, run the
 // entry — the very function the in-process engine runs — and encode the
@@ -83,13 +97,9 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 // resident state are typed errors; none of them runs any part of an op body
 // against resident state.
 func (st *rankStore) dispatch(c *mpi.Comm, name string, common, mine []byte) ([]byte, error) {
-	op, ok := ops[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errUnknownOp, name)
-	}
-	args, err := op.decode(common, mine)
+	op, args, err := decodeArgs(name, common, mine)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", errBadOpArgs, name, err)
+		return nil, err
 	}
 	rep, err := op.run(c, st, args)
 	if err != nil || rep == nil {
