@@ -142,7 +142,7 @@ func EncodePreparedDelta(p *Prepared) []byte {
 		e.i32(blk.nRows)
 		e.i32(blk.nCols)
 		e.rowset(&blk.u[0], s.u[0])
-		if len(blk.l) > 0 {
+		if blk.hasL() {
 			e.rowset(blk.l[0].byCols(), s.l[0])
 		}
 		e.rowset(&blk.task, s.tRows)
@@ -336,7 +336,7 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	} else {
 		d.replaceRows(&blk.u[0])
 		if kind == kindCannonLState {
-			if len(blk.l) > 0 {
+			if blk.hasL() {
 				d.replaceRows(blk.l[0].byCols())
 			} else {
 				d.deltaRowset() // rows of the L block a ⟨j,i,k⟩ shift state no longer keeps

@@ -378,7 +378,9 @@ func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 	sc := &p.splice
 	qr, qc, L := int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
 	x, y := rank/qc, rank%qc
-	hasL := len(p.blk.l) > 0
+	// A state without L classes files no L edits: spliceBlocks would range
+	// over none of them, so the check only spares filling unused lists.
+	hasL := p.blk.hasL()
 	for _, e := range edges {
 		wa, wb := e[0], e[1]
 		if wa%qr == x && wb%qc == y { // U entry (wa → wb), class wb mod L

@@ -151,7 +151,7 @@ func (p *Prepared) stateKind() byte {
 	switch {
 	case p.bcast:
 		return kindSUMMAState
-	case len(p.blk.l) > 0:
+	case p.blk.hasL():
 		return kindCannonLState
 	}
 	return kindCannonState
@@ -209,7 +209,7 @@ func EncodePrepared(p *Prepared) []byte {
 	e.csr(&blk.task)
 	if !p.bcast {
 		e.csr(&blk.u[0])
-		if len(blk.l) > 0 {
+		if blk.hasL() {
 			e.csr(blk.l[0].byCols())
 		}
 		return e.b

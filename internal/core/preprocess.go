@@ -159,6 +159,11 @@ func newBlocks(qr, qc, rank int, n int64, bcast bool) *blocks {
 	return b
 }
 
+// hasL reports whether this rank holds L classes of its own. keepsL decides
+// it where the layout is built, decoded or converted; every other site asks
+// the blocks.
+func (b *blocks) hasL() bool { return len(b.l) > 0 }
+
 // dims returns the row and column dimension of this rank's blocks over n
 // vertices.
 func (b *blocks) dims(n int64) (nRows, nCols int32) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -165,5 +166,103 @@ func TestProcMailboxOverflowIsBounded(t *testing.T) {
 	}
 	if err := wb.proc.downErr(); err == nil || !strings.Contains(err.Error(), "does not take them") {
 		t.Fatalf("world B is down with %v, want the overflow named", err)
+	}
+}
+
+// TestProcMailboxOverflowKeepsEveryFrame: with a one-frame mailbox, a
+// sender in another process runs bursts ahead of its receiver, so the
+// socket reader queues most frames in the overflow while the receiver takes
+// them out. Every frame must arrive, in send order, and none may be left in
+// the overflow behind an empty mailbox, which would park the receiver for
+// good. Bursts stay well inside the overflow bound: the receiver acknowledges
+// each one.
+func TestProcMailboxOverflowKeepsEveryFrame(t *testing.T) {
+	watchdog(t, 60*time.Second)
+	const rounds, burst = 100, 64
+	ca, cb := net.Pipe()
+	cfg := Config{Model: ZeroCostModel(), PairCap: 1}
+	wa, err := NewProcWorld(2, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := NewProcWorld(2, []int{1}, []ProcLink{{Conn: cb, Ranks: []int{0}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wa.Close(); wb.Close() })
+	_, _, ea, eb := runBoth(wa, wb, 1, false, func(c *Comm) (any, error) {
+		var buf [4]byte
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < burst; i++ {
+				seq := uint32(r*burst + i)
+				if c.Rank() == 0 {
+					binary.LittleEndian.PutUint32(buf[:], seq)
+					c.Send(1, 9, buf[:])
+				} else if got := binary.LittleEndian.Uint32(c.Recv(0, 9)); got != seq {
+					return nil, fmt.Errorf("frame %d arrived as frame %d", got, seq)
+				}
+			}
+			if c.Rank() == 0 {
+				c.Recv(1, 8)
+			} else {
+				c.Send(0, 8, nil)
+			}
+		}
+		return nil, nil
+	})
+	if ea != nil || eb != nil {
+		t.Fatalf("epoch errors %v / %v", ea, eb)
+	}
+}
+
+// TestProcAbortedEpochDropsFrames: once an epoch has aborted, a socket
+// reader drops the frames a remote sender that has not heard of the abort
+// keeps sending, rather than queueing them until the overflow bound fails
+// the whole world. Ranks {0} | {1,2}: rank 1 fails, rank 2 holds the epoch
+// open until rank 0 has flooded rank 1 past the bound, and rank 0 then
+// waits and unwinds. The next epoch runs normally.
+func TestProcAbortedEpochDropsFrames(t *testing.T) {
+	watchdog(t, 60*time.Second)
+	ca, cb := net.Pipe()
+	cfg := Config{Model: ZeroCostModel(), PairCap: 1, ComputeSlots: 2}
+	wa, err := NewProcWorld(3, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1, 2}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := NewProcWorld(3, []int{1, 2}, []ProcLink{{Conn: cb, Ranks: []int{0}}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wa.Close(); wb.Close() })
+	boom := errors.New("boom")
+	failed, flooded := make(chan struct{}), make(chan struct{})
+	_, _, ea, eb := runBoth(wa, wb, 1, false, func(c *Comm) (any, error) {
+		switch c.Rank() {
+		case 0:
+			defer close(flooded) // also when a send fails
+			<-failed
+			time.Sleep(10 * time.Millisecond) // let rank 1's failure close the abort
+			for i := 0; i < 2*(overflowFactor+1)*cfg.PairCap; i++ {
+				c.Send(1, 9, []byte{byte(i)})
+			}
+			c.Recv(1, 7)
+		case 1:
+			close(failed)
+			return nil, boom
+		case 2:
+			<-flooded
+		}
+		return nil, nil
+	})
+	if !errors.Is(ea, ErrAborted) || eb != boom {
+		t.Fatalf("epoch errors %v / %v, want an unwinding and rank 1's (wire A: %v, B: %v)",
+			ea, eb, wa.proc.downErr(), wb.proc.downErr())
+	}
+	_, _, ea, eb = runBoth(wa, wb, 2, false, func(c *Comm) (any, error) {
+		c.Barrier()
+		return nil, nil
+	})
+	if ea != nil || eb != nil {
+		t.Fatalf("next epoch errors %v / %v", ea, eb)
 	}
 }

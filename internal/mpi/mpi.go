@@ -178,9 +178,16 @@ func newEpochState(p, pairCap int) *epochState {
 
 // deliver puts a frame from the wire in mailbox mail[dst][src] without
 // blocking: behind the mailbox's overflow when that holds frames, in the
-// mailbox when it has room, else at the end of the overflow. It reports
-// false, keeping nothing, when the overflow already holds limit frames: the
-// receiver does not keep up with its sender.
+// mailbox when it has room, else at the end of the overflow. A frame that
+// would queue after the epoch aborted is dropped, as nobody will take it.
+// It reports false, keeping nothing, when the overflow already holds limit
+// frames: the receiver does not keep up with its sender.
+//
+// The receiver takes messages without overMu and refills only when it then
+// sees overN set, so a take can fall between the failed send and the
+// append. The refill after the append moves the frame into the room that
+// take freed; a take after the append sees overN set and refills itself.
+// Either way the mailbox is full whenever its overflow holds frames.
 func (ep *epochState) deliver(dst, src int, m message, limit int) bool {
 	ep.overMu.Lock()
 	defer ep.overMu.Unlock()
@@ -193,6 +200,11 @@ func (ep *epochState) deliver(dst, src int, m message, limit int) bool {
 		default:
 		}
 	}
+	select {
+	case <-ep.abort:
+		return true
+	default:
+	}
 	if len(q) >= limit {
 		return false
 	}
@@ -201,21 +213,26 @@ func (ep *epochState) deliver(dst, src int, m message, limit int) bool {
 	}
 	ep.over[key] = append(q, m)
 	ep.overN.Add(1)
+	ep.refillLocked(key)
 	return true
 }
 
 // refill moves the overflow of mailbox mail[dst][src] into it, oldest first,
-// while it has room. Only the mailbox's receiver calls it, after taking a
-// message out, so a mailbox with an overflow is full whenever its receiver
-// waits on it, and messages keep their order.
+// while it has room. The mailbox's receiver calls it after taking a message
+// out while overN is set, and deliver after every append, so messages keep
+// their order and none stays behind a mailbox with room.
 func (ep *epochState) refill(dst, src int) {
 	ep.overMu.Lock()
 	defer ep.overMu.Unlock()
-	key := [2]int{dst, src}
+	ep.refillLocked([2]int{dst, src})
+}
+
+// refillLocked is refill for a caller that holds overMu.
+func (ep *epochState) refillLocked(key [2]int) {
 	q := ep.over[key]
 	for ; len(q) > 0; q = q[1:] {
 		select {
-		case ep.mail[dst][src] <- q[0]:
+		case ep.mail[key[0]][key[1]] <- q[0]:
 			q[0] = message{}
 			ep.overN.Add(-1)
 		default:

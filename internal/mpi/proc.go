@@ -396,5 +396,10 @@ func (t *procWire) readLoop(pl *procPeer) {
 // overflowFactor bounds, in mailbox capacities (Config.PairCap), how many
 // frames one mailbox of a socket world may hold beyond its capacity before
 // the world fails: the senders of a correct SPMD program run ahead of their
-// receivers by a bounded skew.
+// receivers by a bounded skew. The bound counts frames, not bytes: what the
+// overflow holds in memory is up to that many frames of up to maxFrameBytes
+// each, and the socket no longer slows a sender whose receiver lags. The
+// bound is loose on purpose: the coordinator-and-workers benchmark workload
+// (PairCap 16) never queues a single frame in an overflow, so only a sender
+// that never waits for its receiver reaches it.
 const overflowFactor = 256
