@@ -299,8 +299,8 @@ func (p *Prepared) reserveScratch() {
 // elastic growth. The memory comes from slot, a one-scratch cache that
 // release refills, so a read allocates neither the bitmap nor the masks; a
 // concurrent kernel that finds the slot empty allocates its own. Unlike a
-// sync.Pool, the slot drops nothing at random under the race detector and
-// keeps its scratch across collections.
+// pool, the slot drops nothing at random under the race detector and keeps
+// its scratch across collections.
 func newKernel(keyRange, hubEnd, nCols int32, maxURow int64, slot *atomic.Pointer[kernelScratch], opt Options) *kernel {
 	kn := &kernel{
 		probing:      opt.NoDirectHash,

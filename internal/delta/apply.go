@@ -321,28 +321,41 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 
 // gatherRows returns every label's full adjacency, identical on every rank:
 // the ranks of the label's grid row each hold one column-class slice of it
-// and replicate their slices, in labels, to all ranks through the sparse
+// and replicate their slices, in labels, to all ranks through the
 // all-to-all. A row is its slices in rank order, each in part order, so it
 // is not sorted. Every rank must call it with the same labels.
 func gatherRows(c *mpi.Comm, prep *core.Prepared, labels []int32) [][]int32 {
 	qr, qc, _ := prep.GridShape()
 	x := c.Rank() / qc
-	send := mpi.SendBufs(c.Size())
+	need := 0
+	for _, w := range labels {
+		if int(w)%qr == x {
+			if l := prep.AdjRow(w).Len(); l > 0 {
+				need += 2 + l
+			}
+		}
+	}
+	mine := make([]int32, 0, need)
 	for k, w := range labels {
 		if int(w)%qr != x {
 			continue
 		}
-		l := prep.AdjRow(w).Len()
-		if l == 0 {
-			continue
+		if l := prep.AdjRow(w).Len(); l > 0 {
+			mine = append(mine, int32(k), int32(l))
+			mine = prep.AdjRow(w).AppendLabels(mine)
 		}
-		for dst := range send {
-			send[dst] = append(send[dst], int32(k), int32(l))
-			send[dst] = prep.AdjRow(w).AppendLabels(send[dst])
+	}
+	// The receivers own what they get, so each other rank gets a copy.
+	send := make([][]int32, c.Size())
+	for dst := range send {
+		if dst == c.Rank() {
+			send[dst] = mine
+		} else {
+			send[dst] = slices.Clone(mine)
 		}
 	}
 	rows := make([][]int32, len(labels))
-	for _, buf := range c.AlltoallvSparseInt32(send) {
+	for _, buf := range c.AlltoallvInt32(send) {
 		for i := 0; i < len(buf); {
 			k, l := buf[i], int(buf[i+1])
 			rows[k] = append(rows[k], buf[i+2:i+2+l]...)
@@ -370,34 +383,43 @@ func labelOf(verts []int32, resolved []int64, v int32) int32 {
 // of core.Prepared.IntersectPairs — the count kernel's bitmap intersection.
 // Third vertices are partitioned by column residue, so the union over classes
 // covers each one exactly once. Rows whose endpoints share a grid row pair up
-// locally; all cross-row traffic travels through one sparse all-to-all. The
-// second result is the bitmap lookups made.
+// locally; all cross-row traffic travels through one all-to-all. The second
+// result is the bitmap lookups made.
 func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y int) ([3]int64, int64) {
 	var cnt [3]int64
 	if len(marked) == 0 {
 		return cnt, 0
 	}
 	mset := make([]int64, len(marked)) // sorted packed pairs: the membership test of hit
-	send := mpi.SendBufs(c.Size())
 	for i, e := range marked {
 		mset[i] = packEdge(e[0], e[1])
 	}
 	slices.Sort(mset)
+	// Row a of a cross-row edge travels to the rank holding row b: size
+	// every send buffer first, then fill it.
 	ours := 0 // this rank's pairs: one per marked edge whose row b it holds
-	for i, e := range marked {
+	need := make([]int, c.Size())
+	for _, e := range marked {
 		ar, br := int(e[0])%qr, int(e[1])%qr
 		if br == x {
 			ours++
+		} else if ar == x {
+			need[br*qc+y] += 2 + prep.AdjRow(e[0]).Len()
 		}
-		if ar == br || ar != x {
-			continue
-		}
-		row := prep.AdjRow(e[0])
-		dst := br*qc + y
-		send[dst] = append(send[dst], int32(i), int32(row.Len()))
-		send[dst] = row.AppendKeys(send[dst])
 	}
-	got := c.AlltoallvSparseInt32(send)
+	send := make([][]int32, c.Size())
+	for dst := range send {
+		send[dst] = make([]int32, 0, need[dst])
+	}
+	for i, e := range marked {
+		if ar, br := int(e[0])%qr, int(e[1])%qr; ar == x && br != x {
+			row := prep.AdjRow(e[0])
+			dst := br*qc + y
+			send[dst] = append(send[dst], int32(i), int32(row.Len()))
+			send[dst] = row.AppendKeys(send[dst])
+		}
+	}
+	got := c.AlltoallvInt32(send)
 	// This rank's pairs — locally intersectable marked edges plus the rows
 	// shipped in for cross-row edges — and the marked edge of each.
 	pairs := make([]core.Pair, 0, ours)

@@ -21,7 +21,7 @@ import (
 // label space; (2) the ordinary PrepareGrid pipeline runs on it, on the same
 // grid shape and schedule, under the ⟨j,i,k⟩ rule; (3) the fresh
 // permutation — which maps the previous label space — is composed with the
-// retained one through a sparse request/response, so the returned state
+// retained one through a request/response, so the returned state
 // routes original vertex ids directly, no matter how many rebuilds have
 // run. The triangle count is untouched (same graph, new layout); edge and
 // wedge totals are recomputed by the pipeline and verified against the
@@ -98,35 +98,46 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 	if int64(r) < n {
 		nloc = int((n - int64(r) + int64(p) - 1) / int64(p))
 	}
-	req := mpi.SendBufs(p)
-	slots := make([][]int32, p)
-	for lv := 0; lv < nloc; lv++ {
+	// Slot lv asks the owner of its old label's cyclic id for the label's
+	// new label. A counting pass sizes every request buffer; the answers
+	// come back in request order, so a second walk of the slots reads them.
+	oldLabel := func(lv int) int32 {
 		w := int32(int64(r) + int64(p)*int64(lv)) // identity for overflow ids
 		if int64(w) < oldBase {
 			w = oldLabels[lv]
 		}
-		dst := dgraph.BlockOwner(core.CyclicID(offsets, w, p), n, p)
-		req[dst] = append(req[dst], w)
-		slots[dst] = append(slots[dst], int32(lv))
+		return w
 	}
-	asked := c.AlltoallvSparseInt32(req)
+	ownerOf := func(w int32) int { return dgraph.BlockOwner(core.CyclicID(offsets, w, p), n, p) }
+	clear(need)
+	for lv := 0; lv < nloc; lv++ {
+		need[ownerOf(oldLabel(lv))]++
+	}
+	req := make([][]int32, p)
+	for dst := range req {
+		req[dst] = make([]int32, 0, need[dst])
+	}
+	for lv := 0; lv < nloc; lv++ {
+		w := oldLabel(lv)
+		dst := ownerOf(w)
+		req[dst] = append(req[dst], w)
+	}
+	asked := c.AlltoallvInt32(req)
 	resp := make([][]int32, p)
 	for src, ws := range asked {
-		if len(ws) == 0 {
-			continue
-		}
 		out := make([]int32, len(ws))
 		for j, w := range ws {
 			out[j] = newLabels[core.CyclicID(offsets, w, p)-newBeg]
 		}
 		resp[src] = out
 	}
-	answers := c.AlltoallvSparseInt32(resp)
+	answers := c.AlltoallvInt32(resp)
 	composed := make([]int32, nloc)
-	for dst := range slots {
-		for j, lv := range slots[dst] {
-			composed[lv] = answers[dst][j]
-		}
+	clear(need)
+	for lv := range composed {
+		dst := ownerOf(oldLabel(lv))
+		composed[lv] = answers[dst][need[dst]]
+		need[dst]++
 	}
 	np.SetLabels(int32(offsets[r]), composed)
 	np.SetSpaceVersion(prep.Space().Version + 1)

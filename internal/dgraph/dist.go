@@ -264,9 +264,5 @@ func Gather1D(c *mpi.Comm, root int, d *Dist1D) (*graph.Graph, error) {
 	for r := 0; r < c.Size(); r++ {
 		g.Adj = append(g.Adj, mpi.BytesToInt32s(adjParts[r])...)
 	}
-	// Both part sets are fully copied out (degrees into Xadj, adjacency into
-	// Adj), so their wire buffers go back to the send pool.
-	mpi.RecycleByteBufs(degParts)
-	mpi.RecycleByteBufs(adjParts)
 	return g, nil
 }

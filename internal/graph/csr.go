@@ -69,12 +69,16 @@ func (g *Graph) MaxDegree() int32 {
 	return dmax
 }
 
-// Validate checks the structural invariants of the CSR representation:
-// monotone row pointers, in-range sorted strictly-increasing adjacency lists,
-// no self loops, and symmetry. It is O(m log d) and intended for tests.
-func (g *Graph) Validate() error {
-	if int32(len(g.Xadj)) != g.N+1 {
-		return fmt.Errorf("graph: xadj length %d, want %d", len(g.Xadj), g.N+1)
+// CheckShape checks in one linear pass that g's CSR arrays fit together:
+// N ≥ 0, N+1 row pointers from 0 to len(Adj) that never decrease, and every
+// neighbor in [0, N). It reads no row's order, so a graph that passes may
+// still have unsorted rows, self loops or one-way edges (see Validate).
+func CheckShape(g *Graph) error {
+	if g.N < 0 {
+		return fmt.Errorf("graph: %d vertices", g.N)
+	}
+	if len(g.Xadj) != int(g.N)+1 {
+		return fmt.Errorf("graph: xadj length %d, want %d", len(g.Xadj), int64(g.N)+1)
 	}
 	if g.Xadj[0] != 0 {
 		return fmt.Errorf("graph: xadj[0] = %d, want 0", g.Xadj[0])
@@ -86,11 +90,25 @@ func (g *Graph) Validate() error {
 		if g.Xadj[v] > g.Xadj[v+1] {
 			return fmt.Errorf("graph: xadj not monotone at %d", v)
 		}
+	}
+	for _, u := range g.Adj {
+		if u < 0 || u >= g.N {
+			return fmt.Errorf("graph: neighbor %d outside [0, %d)", u, g.N)
+		}
+	}
+	return nil
+}
+
+// Validate checks the structural invariants of the CSR representation:
+// CheckShape, then sorted strictly-increasing adjacency lists, no self
+// loops, and symmetry. It is O(m log d) and intended for tests.
+func (g *Graph) Validate() error {
+	if err := CheckShape(g); err != nil {
+		return err
+	}
+	for v := int32(0); v < g.N; v++ {
 		row := g.Neighbors(v)
 		for i, u := range row {
-			if u < 0 || u >= g.N {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, u)
-			}
 			if u == v {
 				return fmt.Errorf("graph: self loop at %d", v)
 			}

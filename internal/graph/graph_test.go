@@ -230,6 +230,22 @@ func TestPropertyBuildInvariants(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMalformed: arrays that do not fit together are an
+// error, never a panic.
+func TestValidateRejectsMalformed(t *testing.T) {
+	for _, g := range []*Graph{
+		{N: -1},
+		{N: 3},
+		{N: 3, Xadj: []int64{0, 5, 5, 5}, Adj: []int32{1}},
+		{N: 2, Xadj: []int64{0, 2, 1}, Adj: []int32{1}},
+		{N: 2, Xadj: []int64{0, 1, 2}, Adj: []int32{1, 2}},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", g)
+		}
+	}
+}
+
 func TestPropertyPermutePreservesTriangles(t *testing.T) {
 	// Triangle census is invariant under relabeling; check via degree sum
 	// and a brute-force count on small graphs.

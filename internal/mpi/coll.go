@@ -11,8 +11,8 @@ const (
 	tagGatherv
 	tagAlltoallv
 	tagScan
-	_ // unused; holds tagSparse and tagBarrier at their wire values
-	tagSparse
+	_          // two retired tags: the blanks keep tagBarrier and tagAbort
+	_          // at their wire values
 	tagBarrier // dissemination barrier on process-spanning worlds
 	tagAbort   // a rank of another process failed in the frame's epoch
 )
@@ -204,11 +204,8 @@ func (c *Comm) AllreduceFloat64s(v []float64, op Op) []float64 {
 }
 
 // Gatherv gathers one byte payload per rank onto root, indexed by source
-// rank. Non-root ranks receive nil. data is copied (callers may pass a
-// GetByteBuf buffer and recycle it afterwards); the root may recycle the
-// returned parts with RecycleByteBufs once it has copied out of them —
-// unless it reinterpreted them in place (BytesToInt64s and friends alias
-// the payload), in which case they stay alive with the typed view.
+// rank. Non-root ranks receive nil. data is copied, so the caller may
+// reuse it.
 func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 	p := c.world.size
 	if c.rank != root {
@@ -216,9 +213,8 @@ func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 		return nil
 	}
 	out := make([][]byte, p)
-	buf := GetByteBuf(len(data))
-	copy(buf, data)
-	out[root] = buf
+	out[root] = make([]byte, len(data))
+	copy(out[root], data)
 	for r := 0; r < p; r++ {
 		if r == root {
 			continue
@@ -231,10 +227,8 @@ func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 // Alltoallv performs a personalized all-to-all exchange: send[d] goes to rank
 // d; the result's entry [s] is the payload received from rank s. This is the
 // p point-to-point send/receive formulation the paper uses (cost ≥ p + m/p).
-// Ownership of the send payloads transfers to the runtime — they may come
-// from GetByteBuf, in which case receivers that copy out of the results
-// and recycle them (RecycleByteBufs) close the pool cycle. Results that
-// are reinterpreted in place must NOT be recycled while the view lives.
+// Ownership of the send payloads transfers to the runtime and on to the
+// receivers: the sender must not touch them after the call.
 func (c *Comm) Alltoallv(send [][]byte) [][]byte {
 	p := c.world.size
 	if len(send) != p {
@@ -261,8 +255,9 @@ func (c *Comm) Alltoallv(send [][]byte) [][]byte {
 // to the wire as is, reinterpreted as bytes, so on the in-process transport
 // the receiver's slice IS the sender's array. Callers must neither read nor
 // write a buffer after the call (the entries are nilled), and must size the
-// buffers themselves — nothing here is pooled. The returned slices belong to
-// the caller, who may overwrite them.
+// buffers themselves: a receiver keeps the sender's whole array, spare
+// capacity included. The returned slices belong to the caller, who may
+// overwrite them.
 func (c *Comm) AlltoallvInt32(send [][]int32) [][]int32 {
 	p := c.world.size
 	bufs := make([][]byte, p)
@@ -274,69 +269,6 @@ func (c *Comm) AlltoallvInt32(send [][]int32) [][]int32 {
 	out := make([][]int32, p)
 	for s := range got {
 		out[s] = BytesToInt32s(got[s])
-	}
-	return out
-}
-
-// AlltoallvSparse is a personalized all-to-all for sparse communication
-// patterns: semantically identical to Alltoallv, but only non-empty payloads
-// travel the wire. The exchange runs in two phases. First the p×p send-count
-// matrix is allreduced along the log-depth reduction tree (each rank
-// contributes its own row), which tells every rank exactly which sources
-// will address it. Then payloads move point-to-point, skipping empty
-// (src, dst) pairs entirely. When a batch of updates touches only k « p²
-// block pairs — the routing pattern of the dynamic-update subsystem — this
-// replaces p per-rank messages with k total, at the cost of one small
-// allreduce. nil entries in the result mark sources that sent nothing.
-// Ownership of the send payloads transfers to the runtime.
-func (c *Comm) AlltoallvSparse(send [][]byte) [][]byte {
-	p := c.world.size
-	if len(send) != p {
-		panic(fmt.Sprintf("mpi: AlltoallvSparse needs %d send buffers, got %d", p, len(send)))
-	}
-	counts := make([]int64, p*p)
-	for d, buf := range send {
-		counts[c.rank*p+d] = int64(len(buf))
-	}
-	counts = c.AllreduceInt64s(counts, OpSum)
-
-	recv := make([][]byte, p)
-	recv[c.rank] = send[c.rank]
-	// Same staggered pairing as Alltoallv so no receiver becomes a hot spot.
-	for r := 1; r < p; r++ {
-		dst := (c.rank + r) % p
-		if len(send[dst]) > 0 {
-			c.SendOwn(dst, tagSparse, send[dst])
-		}
-	}
-	for r := 1; r < p; r++ {
-		src := (c.rank - r + p) % p
-		if counts[src*p+c.rank] > 0 {
-			recv[src] = c.Recv(src, tagSparse)
-		}
-	}
-	return recv
-}
-
-// AlltoallvSparseInt32 is AlltoallvSparse over int32 payloads. It takes
-// ownership of the send buffers: their contents are copied to the wire
-// staging and the buffers recycled into the send pool (see SendBufs), so
-// callers must not read them after the call.
-func (c *Comm) AlltoallvSparseInt32(send [][]int32) [][]int32 {
-	p := c.world.size
-	bufs := make([][]byte, p)
-	for d := range send {
-		if len(send[d]) > 0 {
-			bufs[d] = Int32sToBytes(send[d])
-		}
-	}
-	recycleSendBufs(send)
-	got := c.AlltoallvSparse(bufs)
-	out := make([][]int32, p)
-	for s := range got {
-		if got[s] != nil {
-			out[s] = BytesToInt32s(got[s])
-		}
 	}
 	return out
 }

@@ -775,11 +775,9 @@ func (c *Comm) chargeComm(d float64) {
 }
 
 // Send sends a tagged message to dst. The payload is copied, so the caller
-// may reuse data immediately. The wire copy is drawn from the byte pool:
-// receivers that recycle consumed payloads (RecycleByteBufs) keep the
-// staging allocation of every copying send at its high-water mark.
+// may reuse data immediately.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	buf := GetByteBuf(len(data))
+	buf := make([]byte, len(data))
 	copy(buf, data)
 	c.SendOwn(dst, tag, buf)
 }

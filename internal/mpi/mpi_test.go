@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -214,40 +216,73 @@ func TestGatherv(t *testing.T) {
 // frames: a coordinator and its workers may run binaries built from
 // different trees, and a shifted tag would misroute their collectives.
 func TestCollectiveTagsStable(t *testing.T) {
-	if tagSparse != collTagBase+7 || tagBarrier != collTagBase+8 || tagAbort != collTagBase+9 {
-		t.Fatalf("tagSparse=collTagBase+%d tagBarrier=collTagBase+%d tagAbort=collTagBase+%d, want +7, +8 and +9",
-			tagSparse-collTagBase, tagBarrier-collTagBase, tagAbort-collTagBase)
+	if tagBarrier != collTagBase+8 || tagAbort != collTagBase+9 {
+		t.Fatalf("tagBarrier=collTagBase+%d tagAbort=collTagBase+%d, want +8 and +9",
+			tagBarrier-collTagBase, tagAbort-collTagBase)
 	}
 }
 
 func TestAlltoallv(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 7} {
-		p := p
-		mustRun(t, p, testCfg(), func(c *Comm) (any, error) {
-			send := make([][]byte, p)
-			for d := 0; d < p; d++ {
-				// Distinct length and content per (src,dst) pair.
-				send[d] = make([]byte, c.Rank()+2*d+1)
-				for i := range send[d] {
-					send[d][i] = byte(c.Rank()*16 + d)
-				}
-			}
-			got := c.Alltoallv(send)
-			for s := 0; s < p; s++ {
-				wantLen := s + 2*c.Rank() + 1
-				if len(got[s]) != wantLen {
-					t.Errorf("p=%d rank=%d from %d: len %d want %d", p, c.Rank(), s, len(got[s]), wantLen)
-					continue
-				}
-				for _, b := range got[s] {
-					if b != byte(s*16+c.Rank()) {
-						t.Errorf("p=%d rank=%d from %d: byte %d", p, c.Rank(), s, b)
+	for _, p := range []int{1, 2, 4, 5, 7, 8} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			mustRun(t, p, testCfg(), func(c *Comm) (any, error) {
+				send := make([][]byte, p)
+				for d := 0; d < p; d++ {
+					// Distinct length and content per (src,dst) pair.
+					send[d] = make([]byte, c.Rank()+2*d+1)
+					for i := range send[d] {
+						send[d][i] = byte(c.Rank()*16 + d)
 					}
 				}
-			}
-			return nil, nil
+				got := c.Alltoallv(send)
+				for s := 0; s < p; s++ {
+					wantLen := s + 2*c.Rank() + 1
+					if len(got[s]) != wantLen {
+						t.Errorf("p=%d rank=%d from %d: len %d want %d", p, c.Rank(), s, len(got[s]), wantLen)
+						continue
+					}
+					for _, b := range got[s] {
+						if b != byte(s*16+c.Rank()) {
+							t.Errorf("p=%d rank=%d from %d: byte %d", p, c.Rank(), s, b)
+						}
+					}
+				}
+				return nil, checkSparseAlltoallv(c)
+			})
 		})
 	}
+}
+
+// sparsePattern builds a deterministic sparse send pattern of nil, empty
+// and non-empty payloads: rank r sends to r+1 (ring) and rank 0 also to
+// every odd rank; the other even destinations get an empty slice, the other
+// odd ones nil.
+func sparsePattern(rank, p int) [][]int32 {
+	send := make([][]int32, p)
+	for d := 0; d < p; d += 2 {
+		send[d] = []int32{}
+	}
+	next := (rank + 1) % p
+	send[next] = append(send[next], int32(rank), int32(rank*10))
+	if rank == 0 {
+		for d := 1; d < p; d += 2 {
+			send[d] = append(send[d], int32(100+d))
+		}
+	}
+	return send
+}
+
+// checkSparseAlltoallv runs AlltoallvInt32 over sparsePattern and checks
+// that every rank receives from each source what that source built for it.
+func checkSparseAlltoallv(c *Comm) error {
+	p := c.Size()
+	got := c.AlltoallvInt32(sparsePattern(c.Rank(), p))
+	for s := 0; s < p; s++ {
+		if want := sparsePattern(s, p)[c.Rank()]; !slices.Equal(got[s], want) {
+			return fmt.Errorf("rank %d from %d: got %v, want %v", c.Rank(), s, got[s], want)
+		}
+	}
+	return nil
 }
 
 func TestAlltoallvBackToBack(t *testing.T) {

@@ -97,6 +97,18 @@ func TestProcWorldCollectives(t *testing.T) {
 	}
 }
 
+// TestProcWorldAlltoallv: the all-to-all delivers nil, empty and non-empty
+// payloads across the process boundary, as on the other transports.
+func TestProcWorldAlltoallv(t *testing.T) {
+	wa, wb := twoProcWorlds(t, 5, []int{0, 1, 3}, []int{2, 4})
+	_, _, ea, eb := runBoth(wa, wb, 1, false, func(c *Comm) (any, error) {
+		return nil, checkSparseAlltoallv(c)
+	})
+	if ea != nil || eb != nil {
+		t.Fatalf("epoch errors: %v / %v", ea, eb)
+	}
+}
+
 func TestProcWorldConcurrentReadEpochs(t *testing.T) {
 	wa, wb := twoProcWorlds(t, 2, []int{0}, []int{1})
 	fn := func(c *Comm) (any, error) {

@@ -72,6 +72,9 @@ func TestTCPAlltoallv(t *testing.T) {
 				t.Errorf("from %d: %v", s, got[s])
 			}
 		}
+		if err := checkSparseAlltoallv(c); err != nil {
+			t.Error(err)
+		}
 		return nil, nil
 	})
 }

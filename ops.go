@@ -20,6 +20,7 @@ import (
 	"tc2d/internal/core"
 	"tc2d/internal/delta"
 	"tc2d/internal/dgraph"
+	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
@@ -289,7 +290,12 @@ func buildEntry() epochOp {
 		}
 		b := args.(*wireBuild)
 		b.graph = new(Graph)
-		return b, gobDecode(mine, b.graph)
+		if err := gobDecode(mine, b.graph); err != nil {
+			return nil, err
+		}
+		// The linear shape check, not Validate: its symmetry pass searches
+		// a row per entry.
+		return b, graph.CheckShape(b.graph)
 	}
 	return op
 }

@@ -65,10 +65,14 @@ type opArgs struct {
 func undecodableArgs() []opArgs {
 	garbage := []byte{0xff, 0x00, 0x13, 0x37, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	okBuild, _, _ := ops[opBuild].encode(&wireBuild{RMAT: &wireRMAT{}}, 1)
+	graphBuild, _, _ := ops[opBuild].encode(&wireBuild{}, 1)
 	return []opArgs{
 		{opBuild, garbage, nil},
 		{opBuild, nil, nil},
 		{opBuild, okBuild, garbage}, // the args decode, the shipped graph does not
+		// The shipped graphs decode, but their arrays do not fit together.
+		{opBuild, graphBuild, gobEncode(&Graph{N: 3, Xadj: []int64{0, 5, 5, 5}, Adj: []int32{1}})},
+		{opBuild, graphBuild, gobEncode(&Graph{N: -1})},
 		{opCount, garbage, nil},
 		{opApply, garbage, nil},
 		{opApply, []byte{2, 0, 0, 0, 1}, nil}, // claims two updates, carries a fragment
