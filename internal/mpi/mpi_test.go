@@ -247,6 +247,19 @@ func TestAlltoallv(t *testing.T) {
 						}
 					}
 				}
+				return nil, nil
+			})
+		})
+	}
+}
+
+// TestAlltoallvSparseMatchesDense sends a pattern of nil, empty and
+// non-empty payloads through AlltoallvInt32 and checks each rank receives
+// exactly what a dense reference (the sender's own pattern) says.
+func TestAlltoallvSparseMatchesDense(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 5, 7, 8} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			mustRun(t, p, testCfg(), func(c *Comm) (any, error) {
 				return nil, checkSparseAlltoallv(c)
 			})
 		})
