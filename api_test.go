@@ -229,12 +229,13 @@ func TestCountLeavesGraphUntouched(t *testing.T) {
 
 // TestCountAllocationBudget keeps the one-shot path lean: Count on 4 ranks
 // — the world, the scatter, the preprocessing and the count — may allocate
-// at most 36 bytes per directed adjacency entry of an RMAT scale-12 graph,
-// all ranks together. The scattered rows are the caller's, the relabel
-// rewrites the cyclic block it owns and the 2D exchange ships local
-// indices, one row header per group.
+// at most 27 bytes per directed adjacency entry of an RMAT scale-12 graph,
+// all ranks together. The scattered rows are the caller's, the cyclic
+// step's received chunks are the 1D block the relabel rewrites in place,
+// the 2D exchange ships local indices, one column header per group, and
+// the 2D build writes straight into the blocks a rank keeps.
 func TestCountAllocationBudget(t *testing.T) {
-	const budget = 36 // bytes per directed adjacency entry
+	const budget = 27 // bytes per directed adjacency entry
 	g, err := GenerateRMAT(G500, 12, 16, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tc2d/internal/mpi"
 )
@@ -89,10 +90,8 @@ func (b *cscBlock) byCols() *csrBlock { return (*csrBlock)(b) }
 // adj[xadj[i]:xadj[i+1]] — into lists keyed by those values: entry (i, v)
 // is written as i at out[next[v]], and next[v] advances. The lists are
 // swept in ascending i, so every output list comes out ascending whatever
-// the order inside the input lists: bucketing entries by one coordinate and
-// transposing yields sorted rows without a comparison sort (the two passes
-// of an LSD radix sort on (row, column)). next holds each output list's
-// write position and is consumed.
+// the order inside the input lists. next holds each output list's write
+// position and is consumed.
 func transposeInto(xadj, adj, next, out []int32) {
 	for i := 0; i+1 < len(xadj); i++ {
 		for _, v := range adj[xadj[i]:xadj[i+1]] {
@@ -102,6 +101,18 @@ func transposeInto(xadj, adj, next, out []int32) {
 	}
 }
 
+// transpose returns the block of the given kind with dim lists that holds
+// b transposed, its lists ascending.
+func transpose(b *csrBlock, kind, dim int32) csrBlock {
+	t := newBlock(kind, dim, len(b.adj), 0)
+	for _, v := range b.adj {
+		t.xadj[v+1]++
+	}
+	prefixSum(t.xadj)
+	transposeInto(b.xadj, b.adj, slices.Clone(t.xadj[:dim]), t.adj)
+	return t
+}
+
 // prefixSum turns per-list counts stored at x[i+1] into list offsets.
 func prefixSum(x []int32) {
 	for i := 1; i < len(x); i++ {
@@ -109,122 +120,126 @@ func prefixSum(x []int32) {
 	}
 }
 
-// PartError reports a part of the 2D redistribution that is not a sequence
-// of well-formed groups (see routePairs) for the receiving rank. The part
-// came off the wire, so the build fails instead of indexing out of range.
+// The exchanges of preprocessing whose parts the receiver checks.
+const (
+	exchCyclic = "cyclic redistribution"
+	exch2D     = "2D redistribution"
+)
+
+// PartError reports a received part of a preprocessing exchange that is not
+// well-formed for the receiving rank: a part of the cyclic redistribution
+// that is not a sequence of chunks of its 1D block (see
+// cyclicBlock.degrees), or a part of the 2D redistribution that is not a
+// sequence of groups of its blocks (see routePairs). The part came off the
+// wire, so the build fails instead of indexing out of range.
 type PartError struct {
-	Src    int    // the rank the part came from
-	Word   int    // offset of the offending group in the part, in words
-	Reason string // what is wrong with it
+	Exchange string // the exchange the part belongs to
+	Src      int    // the rank the part came from
+	Word     int    // offset of the offending chunk or group in the part, in words
+	Reason   string // what is wrong with it
 }
 
 func (e *PartError) Error() string {
-	return fmt.Sprintf("core: 2D redistribution part from rank %d, word %d: %s", e.Src, e.Word, e.Reason)
+	return fmt.Sprintf("core: %s part from rank %d, word %d: %s", e.Exchange, e.Src, e.Word, e.Reason)
 }
 
-func partError(src, word int, reason string, args ...any) error {
-	return &PartError{Src: src, Word: word, Reason: fmt.Sprintf(reason, args...)}
+func partError(exchange string, src, word int, reason string, args ...any) error {
+	return &PartError{Exchange: exchange, Src: src, Word: word, Reason: fmt.Sprintf(reason, args...)}
 }
 
 // buildBlocks is the block builder of the 2D redistribution: from the
-// received groups [row, count, entries…] — each entry a local column, ≥ 0
+// received groups [column, count, entries…] — each entry a local row, ≥ 0
 // for a U entry and complemented for an L entry — it forms the U block
-// (CSR, rows → sorted columns), the L block (CSC, columns → sorted rows)
-// and the task block of the enumeration rule, by count → prefix-sum →
-// place with every array allocated once at its final size. The entries are
-// bucketed on the coordinate that will be the VALUE (U by column, L by row)
-// and transposed into place, which sorts each list; the ⟨j,i,k⟩ task block
-// is the L block transposed once more, the ⟨i,j,k⟩ one a copy of the U
-// block (a copy, not an alias: the write path splices task and operand
-// blocks in place, each anywhere inside its own array's capacity).
+// (CSR, rows → sorted columns), the task block of the enumeration rule and,
+// when keepL is set, the L block (CSC, columns → sorted rows), with every
+// array allocated once at its final size.
 //
-// The counting sweep checks every group against nRows × nCols and returns a
-// *PartError at the first that does not fit; no array is sized from a
+// A counting sweep sizes the rows and records where each column's group
+// lies; then the columns are visited in ascending order and each is
+// appended to the rows it has entries in, U rows for U entries and rows of
+// the L pattern for L entries. So every row comes out ascending, with no
+// comparison sort and no intermediate bucket array, whatever the order
+// inside a group. The L pattern by rows is the ⟨j,i,k⟩ task block; the
+// ⟨i,j,k⟩ one is a copy of the U block (a copy, not an alias: the write
+// path splices task and operand blocks in place, each anywhere inside its
+// own array's capacity). The L block is the L pattern transposed once.
+//
+// The counting sweep checks every group against nRows × nCols — a column
+// must arrive in one group — and the placing sweep refuses an entry
+// repeated in a group, as the row it lands in then ends in its column
+// already. A malformed group is a *PartError; no array is sized from a
 // header before the entries it counts have been seen.
-func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration) (task, u csrBlock, l cscBlock, err error) {
-	// Count the bucket sizes; they size every block.
-	uByCol := make([]int32, nCols+1)
-	lByRow := make([]int32, nRows+1)
+func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration, keepL bool) (task, u csrBlock, l cscBlock, err error) {
+	// Row lengths, U and L apart, and where each column's group lies.
+	uNext, lNext := make([]int32, nRows+1), make([]int32, nRows+1)
+	type groupAt struct{ src, word int32 } // src+1; 0 while the column has none
+	at := make([]groupAt, nCols)
 	for src, part := range got {
 		for i := 0; i < len(part); {
 			if len(part)-i < 2 {
-				return task, u, l, partError(src, i, "truncated group header")
+				return task, u, l, partError(exch2D, src, i, "truncated group header")
 			}
-			lr, k := part[i], part[i+1]
-			if uint32(lr) >= uint32(nRows) {
-				return task, u, l, partError(src, i, "row %d outside [0, %d)", lr, nRows)
+			lc, k := part[i], part[i+1]
+			if uint32(lc) >= uint32(nCols) {
+				return task, u, l, partError(exch2D, src, i, "column %d outside [0, %d)", lc, nCols)
 			}
 			if k < 0 || int(k) > len(part)-i-2 {
-				return task, u, l, partError(src, i, "count %d, %d words left", k, len(part)-i-2)
+				return task, u, l, partError(exch2D, src, i, "count %d, %d words left", k, len(part)-i-2)
 			}
-			nl := int32(0)
+			if first := at[lc]; first.src != 0 {
+				return task, u, l, partError(exch2D, src, i, "column %d sent twice, first by rank %d at word %d", lc, first.src-1, first.word)
+			}
+			at[lc] = groupAt{int32(src) + 1, int32(i)}
 			for _, e := range part[i+2 : i+2+int(k)] {
-				if e < -nCols || e >= nCols {
-					return task, u, l, partError(src, i, "entry %d outside [%d, %d)", e, -nCols, nCols)
+				if e < -nRows || e >= nRows {
+					return task, u, l, partError(exch2D, src, i, "entry %d outside [%d, %d)", e, -nRows, nRows)
 				}
 				if e >= 0 {
-					uByCol[e+1]++
+					uNext[e+1]++
 				} else {
-					nl++
+					lNext[^e+1]++
 				}
 			}
-			lByRow[lr+1] += nl
 			i += 2 + int(k)
 		}
 	}
-	prefixSum(uByCol)
-	prefixSum(lByRow)
-	nU, nL := int(uByCol[nCols]), int(lByRow[nRows])
-	u = newBlock(kindU, nRows, nU, 0)
-	l = cscBlock(newBlock(kindL, nCols, nL, 0))
-	// The L entries bucketed by row have the ⟨j,i,k⟩ task block's shape;
-	// only its rows are unsorted until it is refilled from the finished L.
-	rowBkt := newBlock(kindU, nRows, nL, 0)
-	copy(rowBkt.xadj, lByRow)
+	prefixSum(uNext)
+	prefixSum(lNext)
+	u = newBlock(kindU, nRows, int(uNext[nRows]), 0)
+	lRows := newBlock(kindU, nRows, int(lNext[nRows]), 0) // the L pattern by rows
+	copy(u.xadj, uNext)
+	copy(lRows.xadj, lNext)
 
-	// Place into the buckets, in arrival order, counting the final list
-	// sizes in the same sweep.
-	uRowOf := make([]int32, nU) // U entries by column, holding rows
-	colNext, rowNext := make([]int32, nCols), make([]int32, nRows)
-	copy(colNext, uByCol)
-	copy(rowNext, lByRow)
-	for _, part := range got {
-		for i := 0; i < len(part); {
-			lr, k := part[i], int(part[i+1])
-			next, nu := rowNext[lr], int32(0)
-			for _, e := range part[i+2 : i+2+k] {
-				if e >= 0 {
-					uRowOf[colNext[e]] = lr
-					colNext[e]++
-					nu++
-				} else {
-					rowBkt.adj[next] = ^e
-					next++
-					l.xadj[^e+1]++
-				}
+	// Append the columns in ascending order to their rows; uNext and lNext
+	// hold each row's write position.
+	for lc, g := range at {
+		if g.src == 0 {
+			continue
+		}
+		part := got[g.src-1][g.word:]
+		for _, e := range part[2 : 2+part[1]] {
+			b, next := &u, uNext
+			if e < 0 {
+				b, next, e = &lRows, lNext, ^e
 			}
-			rowNext[lr] = next
-			u.xadj[lr+1] += nu
-			i += 2 + k
+			w := next[e]
+			if w > b.xadj[e] && b.adj[w-1] == int32(lc) {
+				return task, u, l, partError(exch2D, int(g.src-1), int(g.word), "row %d repeated in column %d", e, lc)
+			}
+			b.adj[w] = int32(lc)
+			next[e]++
 		}
 	}
-	prefixSum(u.xadj)
-	prefixSum(l.xadj)
-
-	// Transpose the buckets into the sorted blocks.
-	copy(rowNext, u.xadj)
-	transposeInto(uByCol, uRowOf, rowNext, u.adj)
-	copy(colNext, l.xadj)
-	transposeInto(rowBkt.xadj, rowBkt.adj, colNext, l.adj)
 
 	if enum == EnumIJK {
-		task = newBlock(kindU, nRows, nU, 0)
+		task = newBlock(kindU, nRows, len(u.adj), 0)
 		copy(task.xadj, u.xadj)
 		copy(task.adj, u.adj)
 	} else {
-		task = rowBkt
-		copy(rowNext, task.xadj)
-		transposeInto(l.xadj, l.adj, rowNext, task.adj)
+		task = lRows
+	}
+	if keepL {
+		l = cscBlock(transpose(&lRows, kindL, nCols))
 	}
 	return task, u, l, nil
 }

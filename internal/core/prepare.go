@@ -116,9 +116,11 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	wedgesLocal := localWedges(in)
 
 	var preOps int64
-	d1 := cyclicRedistribute(c, in, &preOps)
-	rl := degreeRelabel(c, d1, &preOps)
-	prep.labels, prep.labelBeg = rl.labels, d1.VBeg
+	rl, err := degreeRelabel(c, cyclicRedistribute(c, in, &preOps), &preOps)
+	if err != nil {
+		return nil, err
+	}
+	prep.labels, prep.labelBeg = rl.labels, rl.beg
 	if prep.blk, err = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps); err != nil {
 		return nil, err
 	}

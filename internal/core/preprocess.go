@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 
 	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
@@ -18,6 +19,14 @@ import (
 //        upper-triangular block U_{x,y} (CSR) and the task block (CSR), in
 //        local indices, plus the lower-triangular block L_{x,y} (CSC) where
 //        the schedule needs one of its own (keepsL).
+//
+// Each step allocates only what the next one keeps. The chunks the cyclic
+// all-to-all delivers are the 1D block: step (ii) reads the degrees off
+// their headers and relabels them in place, and step (iii) routes the pairs
+// straight from them. The 2D exchange is sent from the column side, so a
+// receiver gets every column of its blocks as one group and builds the rows
+// it keeps, already sorted, in one sweep over the columns in ascending
+// order, with no temporary block between.
 
 // numWithResidue counts integers in [0,n) congruent to r mod q.
 func numWithResidue(n int64, q, r int) int32 {
@@ -51,10 +60,21 @@ func CyclicID(offset []int64, v int32, p int) int32 {
 	return int32(offset[r] + int64(q))
 }
 
+// cyclicBlock is this rank's 1D block after step (i), the cyclic ids [beg,
+// end) of an n-vertex graph, held as the parts the all-to-all delivered,
+// indexed by source rank: each part a sequence of chunks [id, count,
+// neighbours…] with every owned id in one chunk. The chunks are the block —
+// nothing copies them into one array — and the steps after it walk them.
+type cyclicBlock struct {
+	n        int64
+	beg, end int32
+	parts    [][]int32
+}
+
 // cyclicRedistribute implements step (i): vertex v moves to rank v mod p and
 // is relabeled to CyclicID(v), which makes every rank's ownership a
 // contiguous range again.
-func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *dgraph.Dist1D {
+func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *cyclicBlock {
 	p := c.Size()
 	n := in.N
 	offset := CyclicOffsets(n, p)
@@ -79,32 +99,105 @@ func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *dgraph.Dist
 		sendbuf[dst] = buf
 	}
 	*ops += int64(len(in.Adj)) + int64(in.NumLocal())
-	got := c.AlltoallvInt32(sendbuf)
+	return &cyclicBlock{n: n, beg: int32(offset[c.Rank()]), end: int32(offset[c.Rank()+1]),
+		parts: c.AlltoallvInt32(sendbuf)}
+}
 
-	out := dgraph.AssembleRows(n, int32(offset[c.Rank()]), int32(offset[c.Rank()+1]), got)
-	*ops += int64(len(out.Adj))
-	return out
+// degrees is the degree pass over the chunks: the degree of every owned id,
+// by local index, read off the chunk headers, and the number of neighbour
+// entries. The parts came off the wire, so it checks them first: every id
+// lies in [beg, end) and arrives once, every count fits its part, and every
+// neighbour id lies in [0, n); the first chunk that does not is a
+// *PartError. An owned id no chunk names keeps degree 0.
+func (b *cyclicBlock) degrees() (deg []int32, entries int64, err error) {
+	deg = make([]int32, b.end-b.beg)
+	for i := range deg {
+		deg[i] = -1
+	}
+	for src, part := range b.parts {
+		for i := 0; i < len(part); {
+			if len(part)-i < 2 {
+				return nil, 0, partError(exchCyclic, src, i, "truncated chunk header")
+			}
+			id, k := part[i], part[i+1]
+			if id < b.beg || id >= b.end {
+				return nil, 0, partError(exchCyclic, src, i, "id %d outside [%d, %d)", id, b.beg, b.end)
+			}
+			if deg[id-b.beg] >= 0 {
+				return nil, 0, partError(exchCyclic, src, i, "id %d arrives twice", id)
+			}
+			if k < 0 || int(k) > len(part)-i-2 {
+				return nil, 0, partError(exchCyclic, src, i, "count %d, %d words left", k, len(part)-i-2)
+			}
+			for _, u := range part[i+2 : i+2+int(k)] {
+				if u < 0 || int64(u) >= b.n {
+					return nil, 0, partError(exchCyclic, src, i, "neighbour %d outside [0, %d)", u, b.n)
+				}
+			}
+			deg[id-b.beg] = k
+			entries += int64(k)
+			i += 2 + int(k)
+		}
+	}
+	for i, d := range deg {
+		deg[i] = max(d, 0)
+	}
+	return deg, entries, nil
+}
+
+// chunks ranges over the chunks of the block: each owned id with its
+// neighbour list, a view into the part it arrived in. The parts must have
+// passed degrees.
+func (b *cyclicBlock) chunks() iter.Seq2[int32, []int32] {
+	return func(yield func(int32, []int32) bool) {
+		for _, part := range b.parts {
+			for i := 0; i < len(part); {
+				k := int(part[i+1])
+				if !yield(part[i], part[i+2:i+2+k]) {
+					return
+				}
+				i += 2 + k
+			}
+		}
+	}
+}
+
+// neighbours ranges over the neighbour lists of the block's chunks.
+func (b *cyclicBlock) neighbours() iter.Seq[[]int32] {
+	return func(yield func([]int32) bool) {
+		for _, row := range b.chunks() {
+			if !yield(row) {
+				return
+			}
+		}
+	}
 }
 
 // relabeled holds the graph after the degree relabeling of step (ii): the
-// same vertices stay on the same ranks, but every id (owned and neighbour)
-// is replaced by its position in the global non-decreasing-degree order.
+// same vertices stay on the same ranks, in the same chunks, but every id
+// (owned and neighbour) is replaced by its position in the global
+// non-decreasing-degree order — the owned ones by labels, the neighbours in
+// the chunks themselves.
 type relabeled struct {
-	n      int64
-	labels []int32 // new label of local vertex lv
-	xadj   []int64
-	adj    []int32 // neighbour lists in new labels
+	*cyclicBlock
+	labels []int32 // new label of cyclic id beg+i
 }
 
 // degreeRelabel implements step (ii) via the shared distributed counting
 // sort (dgraph.DegreeLabels): ties within a degree are broken by current id,
 // making the permutation deterministic. Vertices stay on their ranks — only
 // the labels change — because step (iii) redistributes by the 2D pattern
-// anyway. in is the block cyclicRedistribute made, which nothing else
-// holds, so its adjacency is relabeled in place and becomes rl.adj.
-func degreeRelabel(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *relabeled {
-	labels := dgraph.DegreeLabels(c, in, in.Adj, ops)
-	return &relabeled{n: in.N, labels: labels, xadj: in.Xadj, adj: in.Adj}
+// anyway. The chunks of in, which nothing else holds, are relabeled in
+// place. Chunks that fail the degree pass on one rank fail the step on
+// every rank: the ranks agree on it in DegreeLabels' first allreduce.
+func degreeRelabel(c *mpi.Comm, in *cyclicBlock, ops *int64) (*relabeled, error) {
+	deg, entries, bad := in.degrees()
+	*ops += entries
+	labels, err := dgraph.DegreeLabels(c, in.n, in.beg, deg, in.neighbours(), bad, ops)
+	if err != nil {
+		return nil, err
+	}
+	return &relabeled{cyclicBlock: in, labels: labels}, nil
 }
 
 // blocks is the per-rank state after the 2D cyclic redistribution onto a
@@ -170,18 +263,20 @@ func (b *blocks) dims(n int64) (nRows, nCols int32) {
 	return numWithResidue(n, b.qr, b.row), numWithResidue(n, b.qc, b.col)
 }
 
-// routePairs is the sending half of the 2D redistribution: every directed
-// pair (w_v → w_u) of the relabeled graph goes to the grid rank at (w_v mod
-// qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod qc), the grid's
-// row-major numbering — in local indices, one group per (vertex,
-// destination):
+// routePairs is the sending half of the 2D redistribution, from the column
+// side: every directed pair (w_v → w_u) of the relabeled graph goes to the
+// grid rank at (w_v mod qr, w_u mod qc) — rank (w_v mod qr)·qc + (w_u mod
+// qc), the grid's row-major numbering — and the owner of w_u sends it, in
+// local indices, one group per (vertex, destination):
 //
-//	[w_v div qr, count, entries…]
+//	[w_u div qc, count, entries…]
 //
-// each entry the local column w_u div qc, complemented (^) when the pair is
-// an L entry (w_u ≤ w_v). The division that picks an entry's destination
-// also yields its index, and the receiver divides nothing (buildBlocks).
-// A counting pass sizes each destination buffer exactly; the buffers are
+// each entry the local row w_v div qr, complemented (^) when the pair is an
+// L entry (w_v ≥ w_u). The graph is symmetric, so every pair a rank's
+// blocks hold still arrives, once; a column's entries for one rank arrive
+// in one group, which lets the receiver sort nothing (buildBlocks). The
+// division that picks an entry's destination also yields its index. A
+// counting pass sizes each destination buffer exactly; the buffers are
 // handed to the all-to-all, and the received ones (indexed by source rank)
 // returned.
 func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) [][]int32 {
@@ -189,43 +284,45 @@ func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) 
 	// Unsigned 32-bit divides in the per-entry loops: labels are
 	// non-negative, and one DIV gives quotient and remainder.
 	qr, qc := uint32(gridRows), uint32(gridCols)
-	cnt := make([]int32, qc) // the current vertex's entries per column residue
+	cnt := make([]int32, qr) // the current vertex's entries per row residue
 	need := make([]int, len(sendbuf))
-	for lv, wv := range rl.labels {
-		base := uint32(wv) % qr * qc
-		countResidues(rl.adj[rl.xadj[lv]:rl.xadj[lv+1]], qc, cnt)
+	var entries int64
+	for id, row := range rl.chunks() {
+		col := uint32(rl.labels[id-rl.beg]) % qc
+		countResidues(row, qr, cnt)
 		for r, k := range cnt {
 			if k > 0 {
-				need[base+uint32(r)] += 2 + int(k)
+				need[uint32(r)*qc+col] += 2 + int(k)
 			}
 		}
+		entries += int64(len(row))
 	}
 	for dst := range sendbuf {
 		sendbuf[dst] = make([]int32, 0, need[dst])
 	}
-	at := make([]int, qc) // the current vertex's next entry slot per residue
-	for lv, wv := range rl.labels {
-		row := rl.adj[rl.xadj[lv]:rl.xadj[lv+1]]
-		lr, base := int32(uint32(wv)/qr), uint32(wv)%qr*qc
-		countResidues(row, qc, cnt)
+	at := make([]int, qr) // the current vertex's next entry slot per residue
+	for id, row := range rl.chunks() {
+		wu := rl.labels[id-rl.beg]
+		lc, col := int32(uint32(wu)/qc), uint32(wu)%qc
+		countResidues(row, qr, cnt)
 		for r, k := range cnt {
 			if k > 0 {
-				dst := base + uint32(r)
-				buf := append(sendbuf[dst], lr, k)
+				dst := uint32(r)*qc + col
+				buf := append(sendbuf[dst], lc, k)
 				at[r] = len(buf)
 				sendbuf[dst] = buf[:len(buf)+int(k)]
 			}
 		}
-		for _, wu := range row {
-			lc, r := int32(uint32(wu)/qc), uint32(wu)%qc
-			if wu <= wv {
-				lc = ^lc
+		for _, wv := range row {
+			lr, r := int32(uint32(wv)/qr), uint32(wv)%qr
+			if wv >= wu {
+				lr = ^lr
 			}
-			sendbuf[base+r][at[r]] = lc
+			sendbuf[r*qc+col][at[r]] = lr
 			at[r]++
 		}
 	}
-	*ops += int64(len(rl.adj))
+	*ops += entries
 	return c.AlltoallvInt32(sendbuf)
 }
 
@@ -264,21 +361,27 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumer
 // classes of its own. The broadcast schedule does: its L classes travel. A
 // shift state does not, as L_{x,y} is rank (y,x)'s U block, list for list;
 // only while it is laid out for ⟨i,j,k⟩ does it keep the block, from which
-// ConvertToJIK builds the ⟨j,i,k⟩ task block without communication.
+// ConvertToJIK builds the ⟨j,i,k⟩ task block without communication. Only a
+// state that keeps L builds it: buildBlocks transposes the L pattern once.
 func keepsL(bcast bool, enum Enumeration) bool { return bcast || enum == EnumIJK }
 
 // blocksOf is the receiving half of build2D: the blocks of this rank of a
-// qr × qc grid over n vertices, from the parts routePairs delivered. The L
-// block is built either way — the ⟨j,i,k⟩ task block is its transpose — and
-// dropped unless the state keeps it.
+// qr × qc grid over n vertices, from the parts routePairs delivered. The U
+// and task blocks are built straight into the arrays the state keeps, and
+// the L block only when the state keeps it.
 func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum Enumeration, ops *int64) (*blocks, error) {
 	blk := newBlocks(qr, qc, c.Rank(), n, bcast)
 	var maxRow, failed int64
-	task, u, l, err := buildBlocks(got, blk.nRows, blk.nCols, enum)
+	keepL := keepsL(bcast, enum)
+	task, u, l, err := buildBlocks(got, blk.nRows, blk.nCols, enum, keepL)
 	if err != nil {
 		failed = 1
 	} else {
-		*ops += u.nnz() + int64(len(l.adj))
+		nL := task.nnz() // the ⟨j,i,k⟩ task block is the L pattern
+		if enum == EnumIJK {
+			nL = int64(len(l.adj))
+		}
+		*ops += u.nnz() + nL
 		blk.task = task
 		blk.taskRows = task.nonEmptyRows(nil)
 		for i, b := range splitClasses(u, int32(blk.L/qc)) {
@@ -287,7 +390,7 @@ func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum 
 				maxRow = max(maxRow, b.maxRow())
 			}
 		}
-		if !keepsL(bcast, enum) {
+		if !keepL {
 			blk.l = nil
 		} else {
 			for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {

@@ -36,22 +36,33 @@ func TestCyclicRedistributeInvariants(t *testing.T) {
 			if ops <= 0 {
 				t.Errorf("rank %d: no ops counted", c.Rank())
 			}
-			// Local shape invariants.
-			if out.VEnd < out.VBeg {
-				t.Errorf("rank %d: empty-inverted range", c.Rank())
+			// Local shape invariants: the chunks name every owned id once
+			// and account for every word of the parts.
+			deg, entries, err := out.degrees()
+			if err != nil {
+				return nil, err
 			}
-			if int64(len(out.Adj)) != out.Xadj[out.VEnd-out.VBeg] {
-				t.Errorf("rank %d: xadj/adj mismatch", c.Rank())
+			if int(out.end-out.beg) != len(deg) {
+				t.Errorf("rank %d: range [%d, %d) for %d degrees", c.Rank(), out.beg, out.end, len(deg))
+			}
+			var chunks, words int64
+			for range out.chunks() {
+				chunks++
+			}
+			for _, part := range out.parts {
+				words += int64(len(part))
+			}
+			if chunks != int64(len(deg)) || words != entries+2*chunks {
+				t.Errorf("rank %d: %d chunks of %d entries in %d words for %d ids", c.Rank(), chunks, entries, words, len(deg))
 			}
 			// Degree multiset must be preserved: sum of degrees and sum
 			// of squared degrees are permutation invariants.
 			var s1, s2 int64
-			for lv := int32(0); lv < out.NumLocal(); lv++ {
-				d := out.Xadj[lv+1] - out.Xadj[lv]
-				s1 += d
-				s2 += d * d
+			for _, d := range deg {
+				s1 += int64(d)
+				s2 += int64(d) * int64(d)
 			}
-			return []int64{s1, s2, int64(out.NumLocal())}, nil
+			return []int64{s1, s2, int64(len(deg))}, nil
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
@@ -93,12 +104,14 @@ func TestDegreeRelabelOrder(t *testing.T) {
 			return nil, err
 		}
 		var ops int64
-		d1 := cyclicRedistribute(c, in, &ops)
-		rl := degreeRelabel(c, d1, &ops)
+		rl, err := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		if err != nil {
+			return nil, err
+		}
 		// Report (newLabel, degree) pairs for all local vertices.
 		out := make([]int64, 0, 2*len(rl.labels))
-		for lv, w := range rl.labels {
-			out = append(out, int64(w), rl.xadj[lv+1]-rl.xadj[lv])
+		for id, row := range rl.chunks() {
+			out = append(out, int64(rl.labels[id-rl.beg]), int64(len(row)))
 		}
 		return out, nil
 	})
@@ -149,8 +162,10 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 			return nil, err
 		}
 		var ops int64
-		d1 := cyclicRedistribute(c, in, &ops)
-		rl := degreeRelabel(c, d1, &ops)
+		rl, err := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		if err != nil {
+			return nil, err
+		}
 		blk, err := build2D(c, grid, rl, false, EnumJIK, &ops)
 		if err != nil {
 			return nil, err
@@ -193,12 +208,157 @@ func TestBuild2DBlockInvariants(t *testing.T) {
 	}
 }
 
+// TestCyclicPartsRejectMalformed: every way a received part of the cyclic
+// redistribution can fail to be a sequence of chunks of the receiving
+// rank's 1D block is a *PartError naming the chunk, never a panic.
+func TestCyclicPartsRejectMalformed(t *testing.T) {
+	const n = 10
+	blk := func(part []int32) *cyclicBlock {
+		return &cyclicBlock{n: n, beg: 3, end: 6, parts: [][]int32{{3, 2, 0, 9}, part}}
+	}
+	deg, entries, err := blk([]int32{5, 0, 4, 1, 7}).degrees()
+	if err != nil || !slices.Equal(deg, []int32{2, 1, 0}) || entries != 3 {
+		t.Fatalf("well-formed parts give degrees %v, %d entries, %v", deg, entries, err)
+	}
+	if deg, _, err := blk(nil).degrees(); err != nil || !slices.Equal(deg, []int32{2, 0, 0}) {
+		t.Fatalf("ids no chunk names give degrees %v, %v; want 0", deg, err)
+	}
+	for _, tc := range []struct {
+		name string
+		part []int32
+		word int
+		want string
+	}{
+		{"truncated chunk header", []int32{4}, 0, "truncated chunk header"},
+		{"truncated after a chunk", []int32{4, 1, 0, 5}, 3, "truncated chunk header"},
+		{"id below the block", []int32{2, 0}, 0, "id 2 outside [3, 6)"},
+		{"id past the block", []int32{4, 0, 6, 0}, 2, "id 6 outside [3, 6)"},
+		{"id twice in one part", []int32{4, 0, 4, 1, 0}, 2, "id 4 arrives twice"},
+		{"id twice across parts", []int32{3, 0}, 0, "id 3 arrives twice"},
+		{"count past the end", []int32{4, 2, 0}, 0, "count 2, 1 words left"},
+		{"negative count", []int32{4, -1}, 0, "count -1"},
+		{"neighbour past n", []int32{4, 1, n}, 0, "neighbour 10 outside [0, 10)"},
+		{"negative neighbour", []int32{4, 2, 0, -1}, 0, "neighbour -1 outside"},
+	} {
+		_, _, err := blk(tc.part).degrees()
+		var pe *PartError
+		if !errors.As(err, &pe) || pe.Exchange != exchCyclic || pe.Src != 1 || pe.Word != tc.word || !strings.Contains(pe.Reason, tc.want) {
+			t.Errorf("%s: error %v, want a cyclic PartError from rank 1 at word %d containing %q", tc.name, err, tc.word, tc.want)
+		}
+	}
+}
+
+// TestCyclicPartsFailEveryRank: a malformed chunk on one rank fails the
+// degree relabel on all of them — the receiver with its PartError, the
+// others with an error of their own — and no rank is left waiting in a
+// collective.
+func TestCyclicPartsFailEveryRank(t *testing.T) {
+	g := mustRMAT(t, rmat.G500, 6, 4, 1)
+	errs := make([]error, 4)
+	_, err := mpi.Run(len(errs), testCfg(), func(c *mpi.Comm) (any, error) {
+		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+		if err != nil {
+			return nil, err
+		}
+		var ops int64
+		d1 := cyclicRedistribute(c, in, &ops)
+		if c.Rank() == 2 {
+			d1.parts[0] = append(d1.parts[0], d1.beg) // a lone word: a truncated chunk
+		}
+		_, errs[c.Rank()] = degreeRelabel(c, d1, &ops)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PartError
+	if !errors.As(errs[2], &pe) || pe.Exchange != exchCyclic || pe.Src != 0 {
+		t.Errorf("rank 2: %v, want a cyclic PartError for the part from rank 0", errs[2])
+	}
+	for _, r := range []int{0, 1, 3} {
+		if errs[r] == nil {
+			t.Errorf("rank %d relabeled its block while rank 2 failed", r)
+		}
+	}
+}
+
+// FuzzCyclicParts: whatever two parts arrive at the cyclic step, the degree
+// pass returns a *PartError or degrees that account for every word of the
+// parts, and the chunk walk the later steps run yields every id once, in
+// range, with its degree's worth of neighbours in [0, n) — never a panic.
+func FuzzCyclicParts(f *testing.F) {
+	g, err := rmat.G500.Generate(6, 4, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var parts [][]byte
+	var beg, end int32
+	_, err = mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+		if err != nil {
+			return nil, err
+		}
+		var ops int64
+		d1 := cyclicRedistribute(c, in, &ops)
+		if c.Rank() == 1 {
+			beg, end = d1.beg, d1.end
+			for _, part := range d1.parts[:2] {
+				parts = append(parts, mpi.Int32sToBytes(part))
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := uint16(g.N)
+	f.Add(parts[0], parts[1], n, uint16(beg), uint16(end-beg))
+	f.Add(parts[0][:len(parts[0])-4], parts[1], n, uint16(beg), uint16(end-beg))
+	f.Add(parts[0], parts[1], n/2, uint16(beg), uint16(end-beg))
+	f.Add(parts[0], parts[1], n, uint16(beg)+1, uint16(end-beg)-1)
+	f.Fuzz(func(t *testing.T, a, b []byte, n, beg, size uint16) {
+		blk := &cyclicBlock{n: int64(n % 1024), parts: [][]int32{mpi.BytesToInt32s(a[:len(a)&^3]), mpi.BytesToInt32s(b[:len(b)&^3])}}
+		blk.beg = int32(beg) % int32(blk.n+1)
+		blk.end = blk.beg + int32(size)%(int32(blk.n)-blk.beg+1)
+		deg, entries, err := blk.degrees()
+		if err != nil {
+			if pe := (*PartError)(nil); !errors.As(err, &pe) || pe.Exchange != exchCyclic {
+				t.Fatalf("not a cyclic PartError: %v", err)
+			}
+			return
+		}
+		var sum, chunks int64
+		for _, d := range deg {
+			if d < 0 {
+				t.Fatalf("negative degree %d", d)
+			}
+			sum += int64(d)
+		}
+		seen := make([]bool, len(deg))
+		for id, row := range blk.chunks() {
+			if id < blk.beg || id >= blk.end || seen[id-blk.beg] || int32(len(row)) != deg[id-blk.beg] {
+				t.Fatalf("chunk of id %d with %d neighbours in [%d, %d)", id, len(row), blk.beg, blk.end)
+			}
+			seen[id-blk.beg] = true
+			for _, u := range row {
+				if u < 0 || int64(u) >= blk.n {
+					t.Fatalf("neighbour %d outside [0, %d)", u, blk.n)
+				}
+			}
+			chunks++
+		}
+		if words := int64(len(blk.parts[0]) + len(blk.parts[1])); sum != entries || words != entries+2*chunks {
+			t.Fatalf("degrees sum to %d, %d entries, %d chunks in %d words", sum, entries, chunks, words)
+		}
+	})
+}
+
 // TestBuildBlocksRejectsMalformed: every way a received part can fail to be
 // a sequence of groups for the receiving rank is a *PartError naming the
 // group, never a panic.
 func TestBuildBlocksRejectsMalformed(t *testing.T) {
 	const nRows, nCols = 2, 3
-	_, u, l, err := buildBlocks([][]int32{{0, 2, 1, ^2}, {1, 0}}, nRows, nCols, EnumJIK)
+	_, u, l, err := buildBlocks([][]int32{{0, 2, 1, ^1}, {1, 0}}, nRows, nCols, EnumJIK, true)
 	if err != nil || u.nnz() != 1 || len(l.adj) != 1 {
 		t.Fatalf("a well-formed part gives U nnz %d, L nnz %d, %v", u.nnz(), len(l.adj), err)
 	}
@@ -210,17 +370,20 @@ func TestBuildBlocksRejectsMalformed(t *testing.T) {
 	}{
 		{"truncated group header", []int32{0}, 0, "truncated group header"},
 		{"truncated after a group", []int32{0, 1, 1, 1}, 3, "truncated group header"},
-		{"count past the end", []int32{0, 3, 1, 2}, 0, "count 3, 2 words left"},
+		{"count past the end", []int32{0, 3, 1, 0}, 0, "count 3, 2 words left"},
 		{"negative count", []int32{0, -1, 1}, 0, "count -1"},
-		{"row past the block", []int32{0, 1, 1, nRows, 1, 0}, 3, "row 2 outside [0, 2)"},
-		{"negative row", []int32{-1, 1, 0}, 0, "row -1 outside"},
-		{"column past the block", []int32{0, 1, nCols}, 0, "entry 3 outside [-3, 3)"},
-		{"complemented column past the block", []int32{1, 1, ^nCols}, 0, "entry -4 outside"},
+		{"column past the block", []int32{0, 1, 1, nCols, 1, 0}, 3, "column 3 outside [0, 3)"},
+		{"negative column", []int32{-1, 1, 0}, 0, "column -1 outside"},
+		{"column sent twice", []int32{2, 1, 1, 2, 1, 0}, 3, "column 2 sent twice, first by rank 1 at word 0"},
+		{"entry past the block", []int32{0, 1, nRows}, 0, "entry 2 outside [-2, 2)"},
+		{"complemented entry past the block", []int32{1, 1, ^nRows}, 0, "entry -3 outside"},
+		{"a repeated entry in one group", []int32{1, 0, 2, 3, 1, 0, 1}, 2, "row 1 repeated in column 2"},
+		{"a repeated L entry in one group", []int32{2, 2, ^0, ^0}, 0, "row 0 repeated in column 2"},
 	} {
-		_, _, _, err := buildBlocks([][]int32{{}, tc.part}, nRows, nCols, EnumJIK)
+		_, _, _, err := buildBlocks([][]int32{{}, tc.part}, nRows, nCols, EnumJIK, true)
 		var pe *PartError
-		if !errors.As(err, &pe) || pe.Src != 1 || pe.Word != tc.word || !strings.Contains(pe.Reason, tc.want) {
-			t.Errorf("%s: error %v, want a PartError from rank 1 at word %d containing %q", tc.name, err, tc.word, tc.want)
+		if !errors.As(err, &pe) || pe.Exchange != exch2D || pe.Src != 1 || pe.Word != tc.word || !strings.Contains(pe.Reason, tc.want) {
+			t.Errorf("%s: error %v, want a 2D PartError from rank 1 at word %d containing %q", tc.name, err, tc.word, tc.want)
 		}
 	}
 }
@@ -237,7 +400,10 @@ func TestBuild2DFailsOnEveryRank(t *testing.T) {
 			return nil, err
 		}
 		var ops int64
-		rl := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		rl, err := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		if err != nil {
+			return nil, err
+		}
 		got := routePairs(c, 2, 2, rl, &ops)
 		if c.Rank() == 2 {
 			got[0] = append(got[0], 0) // a lone word: a truncated group
@@ -249,8 +415,8 @@ func TestBuild2DFailsOnEveryRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pe *PartError
-	if !errors.As(errs[2], &pe) || pe.Src != 0 {
-		t.Errorf("rank 2: %v, want a PartError for the part from rank 0", errs[2])
+	if !errors.As(errs[2], &pe) || pe.Exchange != exch2D || pe.Src != 0 {
+		t.Errorf("rank 2: %v, want a 2D PartError for the part from rank 0", errs[2])
 	}
 	for _, r := range []int{0, 1, 3} {
 		if errs[r] == nil {
@@ -260,10 +426,11 @@ func TestBuild2DFailsOnEveryRank(t *testing.T) {
 }
 
 // FuzzBuildBlocks: whatever two parts arrive at the 2D build, buildBlocks
-// returns a *PartError or blocks that round-trip through decodeCSRBlob, each
-// held in an array of exactly its blob's size, with no more entries than
-// the parts have words — never a panic, never an allocation sized by a
-// header instead of by the entries seen.
+// returns a *PartError or blocks whose every row is strictly ascending and
+// that round-trip through decodeCSRBlob, each held in an array of exactly
+// its blob's size, with no more entries than the parts have words — never a
+// panic, never an allocation sized by a header instead of by the entries
+// seen.
 func FuzzBuildBlocks(f *testing.F) {
 	g, err := rmat.G500.Generate(6, 4, 1)
 	if err != nil {
@@ -277,7 +444,10 @@ func FuzzBuildBlocks(f *testing.F) {
 			return nil, err
 		}
 		var ops int64
-		rl := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		rl, err := degreeRelabel(c, cyclicRedistribute(c, in, &ops), &ops)
+		if err != nil {
+			return nil, err
+		}
 		got := routePairs(c, 2, 2, rl, &ops)
 		if c.Rank() == 1 {
 			blk := newBlocks(2, 2, 1, rl.n, false)
@@ -291,38 +461,54 @@ func FuzzBuildBlocks(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(parts[0], parts[1], dims[0], dims[1], false)
-	f.Add(parts[0], parts[1], dims[0], dims[1], true)
-	f.Add(parts[0][:len(parts[0])-4], parts[1], dims[0], dims[1], false)
-	f.Add(parts[0], parts[1], dims[0]-1, dims[1]-1, false)
-	f.Fuzz(func(t *testing.T, a, b []byte, nRows, nCols uint16, ijk bool) {
+	f.Add(parts[0], parts[1], dims[0], dims[1], false, false)
+	f.Add(parts[0], parts[1], dims[0], dims[1], true, true)
+	f.Add(parts[0], parts[1], dims[0], dims[1], false, true)
+	f.Add(parts[0][:len(parts[0])-4], parts[1], dims[0], dims[1], false, false)
+	f.Add(parts[0], parts[1], dims[0]-1, dims[1]-1, false, true)
+	f.Add(parts[0], parts[0], dims[0], dims[1], false, false)
+	f.Fuzz(func(t *testing.T, a, b []byte, nRows, nCols uint16, ijk, keepL bool) {
 		got := [][]int32{mpi.BytesToInt32s(a[:len(a)&^3]), mpi.BytesToInt32s(b[:len(b)&^3])}
 		rows, cols := int32(nRows%1024), int32(nCols%1024)
 		enum := EnumJIK
 		if ijk {
 			enum = EnumIJK
 		}
-		task, u, l, err := buildBlocks(got, rows, cols, enum)
+		task, u, l, err := buildBlocks(got, rows, cols, enum, keepL)
 		if err != nil {
-			if pe := (*PartError)(nil); !errors.As(err, &pe) {
-				t.Fatalf("untyped error %v", err)
+			if pe := (*PartError)(nil); !errors.As(err, &pe) || pe.Exchange != exch2D {
+				t.Fatalf("not a 2D PartError: %v", err)
 			}
 			return
 		}
-		if words := len(got[0]) + len(got[1]); u.nnz()+int64(len(l.adj)) > int64(words) {
-			t.Fatalf("%d U and %d L entries from %d words", u.nnz(), len(l.adj), words)
+		nL := int64(len(l.adj))
+		if !ijk {
+			nL = task.nnz() // the ⟨j,i,k⟩ task block is the L pattern
+			if keepL && int64(len(l.adj)) != nL {
+				t.Fatalf("L block of %d entries, task block of %d", len(l.adj), nL)
+			}
+		} else if task.nnz() != u.nnz() {
+			t.Fatalf("⟨i,j,k⟩ task block of %d entries, U of %d", task.nnz(), u.nnz())
 		}
-		want := int64(len(l.adj)) // the ⟨j,i,k⟩ task block is L transposed
-		if ijk {
-			want = u.nnz()
+		if words := len(got[0]) + len(got[1]); u.nnz()+nL > int64(words) {
+			t.Fatalf("%d U and %d L entries from %d words", u.nnz(), nL, words)
 		}
-		if task.nnz() != want {
-			t.Fatalf("task block of %d entries, want %d", task.nnz(), want)
-		}
-		for _, b := range []struct {
+		type built struct {
 			blk       *csrBlock
 			kind, dim int32
-		}{{&task, kindU, rows}, {&u, kindU, rows}, {l.byCols(), kindL, cols}} {
+		}
+		blks := []built{{&task, kindU, rows}, {&u, kindU, rows}}
+		if keepL {
+			blks = append(blks, built{l.byCols(), kindL, cols})
+		} else if l.buf != nil {
+			t.Fatalf("an L block of %d entries built while not kept", len(l.adj))
+		}
+		for _, b := range blks {
+			for a := int32(0); a < b.blk.rows; a++ {
+				if row := b.blk.row(a); !slices.IsSorted(row) || len(slices.Compact(slices.Clone(row))) != len(row) {
+					t.Fatalf("kind %d block: list %d %v not strictly ascending", b.kind, a, row)
+				}
+			}
 			blob := b.blk.blob()
 			xadj, adj, err := decodeCSRBlob(blob, b.kind, b.dim)
 			if err != nil || !slices.Equal(xadj, b.blk.xadj) || !slices.Equal(adj, b.blk.adj) {

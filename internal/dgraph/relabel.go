@@ -1,45 +1,61 @@
 package dgraph
 
 import (
+	"fmt"
+	"iter"
 	"slices"
 	"sort"
 
 	"tc2d/internal/mpi"
 )
 
-// DegreeLabels computes, for a 1D block-distributed graph, the new label of
-// every local vertex under the global non-decreasing-degree order (ties
-// broken by current id), and rewrites the local adjacency lists into new
-// labels. It is the distributed counting sort of the paper's §5.3: a vector
+// DegreeLabels computes, for the 1D block of an n-vertex graph that starts
+// at vertex beg and holds len(deg) vertices, the new label of every local
+// vertex under the global non-decreasing-degree order (ties broken by
+// current id), and rewrites the block's adjacency into new labels in place.
+// It is the distributed counting sort of the paper's §5.3: a vector
 // exclusive scan over per-degree histograms plus an all-to-all
 // request/response that resolves remote neighbours' labels.
 //
-// The relabeled adjacency is written into newAdj, which must have
-// len(in.Adj) entries and may be in.Adj itself: entry i is read before it
-// is written, so a caller that owns its block relabels it in place.
+// deg[lv] is the degree of local vertex beg+lv. spans yields the block's
+// neighbour ids, every entry once, in spans of any size and order — only
+// the entries matter, not which vertex they belong to — and is ranged over
+// twice: once to collect the ids to resolve, once to overwrite each entry
+// with its label. A caller that must keep its adjacency hands over a copy.
+//
+// bad is this rank's verdict on its own block, checked by the caller before
+// the call: when it is non-nil, deg and spans are not read, and the ranks
+// agree on the failure in the first allreduce, beside the maximum degree,
+// so every rank returns an error and none waits in a later collective.
 //
 // ops, when non-nil, accumulates the number of adjacency-entry operations
 // performed (the preprocessing op count reported in the paper's Figure 2).
-func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels []int32) {
+func DegreeLabels(c *mpi.Comm, n int64, beg int32, deg []int32, spans iter.Seq[[]int32], bad error, ops *int64) ([]int32, error) {
 	var dummy int64
 	if ops == nil {
 		ops = &dummy
 	}
 	p := c.Size()
-	nloc := int(in.VEnd - in.VBeg)
+	nloc := len(deg)
 
-	// Local degrees and maximum.
-	var dmaxLoc int64
-	deg := make([]int32, nloc)
-	for lv := 0; lv < nloc; lv++ {
-		d := in.Xadj[lv+1] - in.Xadj[lv]
-		deg[lv] = int32(d)
-		if d > dmaxLoc {
-			dmaxLoc = d
+	// Local maximum degree, and this rank's failure flag.
+	var dmaxLoc, failed int64
+	if bad != nil {
+		failed = 1
+	} else {
+		for _, d := range deg {
+			dmaxLoc = max(dmaxLoc, int64(d))
 		}
+		*ops += int64(nloc)
 	}
-	*ops += int64(nloc)
-	dmax := c.AllreduceInt64(dmaxLoc, mpi.OpMax)
+	agreed := c.AllreduceInt64s([]int64{dmaxLoc, failed}, mpi.OpMax)
+	if bad != nil {
+		return nil, bad
+	}
+	if agreed[1] != 0 {
+		return nil, fmt.Errorf("dgraph: another rank holds a malformed 1D block")
+	}
+	dmax := agreed[0]
 
 	// Histogram, exscan over ranks, global totals (cost dmax·log p, §5.4).
 	hist := make([]int64, dmax+1)
@@ -49,14 +65,13 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels [
 	before := c.ExscanInt64s(hist)
 	tot := c.AllreduceInt64s(hist, mpi.OpSum)
 
-	labels = make([]int32, nloc)
+	labels := make([]int32, nloc)
 	degStart := make([]int64, dmax+2)
 	for d := int64(0); d <= dmax; d++ {
 		degStart[d+1] = degStart[d] + tot[d]
 	}
 	seen := make([]int64, dmax+1)
-	for lv := 0; lv < nloc; lv++ {
-		d := deg[lv]
+	for lv, d := range deg {
 		labels[lv] = int32(degStart[d] + before[d] + seen[d])
 		seen[d]++
 	}
@@ -66,16 +81,20 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels [
 	// scanning the bitmap emits them already sorted — and the position of
 	// id u among ALL marked ids indexes the answers laid end to end in owner
 	// order: no request list is sorted, searched or kept.
-	asks := newIDSet(in.N)
+	asks := newIDSet(n)
 	base := make([]int32, p+1) // marked ids below owner r's range
 	reqs := make([][]int32, p)
-	for _, u := range in.Adj {
-		asks.add(u)
+	var entries int64
+	for span := range spans {
+		for _, u := range span {
+			asks.add(u)
+		}
+		entries += int64(len(span))
 	}
-	*ops += int64(len(in.Adj))
+	*ops += entries
 	asks.index()
 	for r := 0; r < p; r++ {
-		beg, end := BlockRange(r, in.N, p)
+		beg, end := BlockRange(r, n, p)
 		base[r+1] = asks.pos(end)
 		reqs[r] = asks.appendRange(make([]int32, 0, base[r+1]-base[r]), beg, end)
 	}
@@ -84,7 +103,7 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels [
 	for r := range asked {
 		out := make([]int32, len(asked[r]))
 		for i, u := range asked[r] {
-			out[i] = labels[u-in.VBeg]
+			out[i] = labels[u-beg]
 		}
 		*ops += int64(len(out))
 		resp[r] = out
@@ -95,11 +114,22 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels [
 	for r := range answers {
 		copy(flat[base[r]:base[r+1]], answers[r])
 	}
-	for i, u := range in.Adj {
-		newAdj[i] = flat[asks.pos(u)]
+	for span := range spans {
+		for i, u := range span {
+			span[i] = flat[asks.pos(u)]
+		}
 	}
-	*ops += int64(len(in.Adj))
-	return labels
+	*ops += entries
+	return labels, nil
+}
+
+// Degrees returns the degree of every local vertex, by local index.
+func (d *Dist1D) Degrees() []int32 {
+	deg := make([]int32, d.NumLocal())
+	for lv := range deg {
+		deg[lv] = int32(d.Xadj[lv+1] - d.Xadj[lv])
+	}
+	return deg
 }
 
 // RelabelByDegree relabels the graph in non-decreasing degree order and
@@ -108,11 +138,12 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, newAdj []int32, ops *int64) (labels [
 // (u > v implies deg(u) >= deg(v)) and BlockOwner answers ownership queries.
 // The 1D baseline algorithms (Havoq-style wedge checking, AOP, Surrogate,
 // OPT-PSP) all start from this form. in is only read — it may be a block
-// ScatterGraph lent from the caller's graph — so the labels go to an array
-// of their own.
+// ScatterGraph lent from the caller's graph — so the labels are written
+// into a copy of its adjacency.
 func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
-	newAdj := make([]int32, len(in.Adj))
-	labels := DegreeLabels(c, in, newAdj, nil)
+	newAdj := slices.Clone(in.Adj)
+	// No rank reports a bad block, so the call cannot fail.
+	labels, _ := DegreeLabels(c, in.N, in.VBeg, in.Degrees(), slices.Values([][]int32{newAdj}), nil, nil)
 	p := c.Size()
 	nloc := int(in.VEnd - in.VBeg)
 

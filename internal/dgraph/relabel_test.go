@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"slices"
 	"testing"
 
 	"tc2d/internal/graph"
@@ -25,7 +26,10 @@ func TestDegreeLabelsPermutationAndOrder(t *testing.T) {
 				return nil, err
 			}
 			var ops int64
-			labels := DegreeLabels(c, in, make([]int32, len(in.Adj)), &ops)
+			labels, err := DegreeLabels(c, in.N, in.VBeg, in.Degrees(), slices.Values([][]int32{slices.Clone(in.Adj)}), nil, &ops)
+			if err != nil {
+				return nil, err
+			}
 			if ops == 0 {
 				t.Errorf("p=%d rank %d: no ops recorded", p, c.Rank())
 			}
