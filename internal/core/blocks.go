@@ -149,27 +149,24 @@ func partError(exchange string, src, word int, reason string, args ...any) error
 
 // buildBlocks is the block builder of the 2D redistribution: from the
 // received groups [column, count, entries…] — each entry a local row, ≥ 0
-// for a U entry and complemented for an L entry — it forms the U block
-// (CSR, rows → sorted columns), the task block of the enumeration rule and,
-// when keepL is set, the L block (CSC, columns → sorted rows), with every
-// array allocated once at its final size.
+// for a U entry and complemented for an L entry — it forms the U block and
+// the L pattern, both by rows (CSR, rows → sorted columns), with every array
+// allocated once at its final size. The L pattern is the ⟨j,i,k⟩ task block,
+// and transposed the L block (blocksOf).
 //
 // A counting sweep sizes the rows and records where each column's group
 // lies; then the columns are visited in ascending order and each is
 // appended to the rows it has entries in, U rows for U entries and rows of
 // the L pattern for L entries. So every row comes out ascending, with no
 // comparison sort and no intermediate bucket array, whatever the order
-// inside a group. The L pattern by rows is the ⟨j,i,k⟩ task block; the
-// ⟨i,j,k⟩ one is a copy of the U block (a copy, not an alias: the write
-// path splices task and operand blocks in place, each anywhere inside its
-// own array's capacity). The L block is the L pattern transposed once.
+// inside a group.
 //
 // The counting sweep checks every group against nRows × nCols — a column
 // must arrive in one group — and the placing sweep refuses an entry
 // repeated in a group, as the row it lands in then ends in its column
 // already. A malformed group is a *PartError; no array is sized from a
 // header before the entries it counts have been seen.
-func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration, keepL bool) (task, u csrBlock, l cscBlock, err error) {
+func buildBlocks(got [][]int32, nRows, nCols int32) (u, lRows csrBlock, err error) {
 	// Row lengths, U and L apart, and where each column's group lies.
 	uNext, lNext := make([]int32, nRows+1), make([]int32, nRows+1)
 	type groupAt struct{ src, word int32 } // src+1; 0 while the column has none
@@ -177,22 +174,22 @@ func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration, keepL bool
 	for src, part := range got {
 		for i := 0; i < len(part); {
 			if len(part)-i < 2 {
-				return task, u, l, partError(exch2D, src, i, "truncated group header")
+				return u, lRows, partError(exch2D, src, i, "truncated group header")
 			}
 			lc, k := part[i], part[i+1]
 			if uint32(lc) >= uint32(nCols) {
-				return task, u, l, partError(exch2D, src, i, "column %d outside [0, %d)", lc, nCols)
+				return u, lRows, partError(exch2D, src, i, "column %d outside [0, %d)", lc, nCols)
 			}
 			if k < 0 || int(k) > len(part)-i-2 {
-				return task, u, l, partError(exch2D, src, i, "count %d, %d words left", k, len(part)-i-2)
+				return u, lRows, partError(exch2D, src, i, "count %d, %d words left", k, len(part)-i-2)
 			}
 			if first := at[lc]; first.src != 0 {
-				return task, u, l, partError(exch2D, src, i, "column %d sent twice, first by rank %d at word %d", lc, first.src-1, first.word)
+				return u, lRows, partError(exch2D, src, i, "column %d sent twice, first by rank %d at word %d", lc, first.src-1, first.word)
 			}
 			at[lc] = groupAt{int32(src) + 1, int32(i)}
 			for _, e := range part[i+2 : i+2+int(k)] {
 				if e < -nRows || e >= nRows {
-					return task, u, l, partError(exch2D, src, i, "entry %d outside [%d, %d)", e, -nRows, nRows)
+					return u, lRows, partError(exch2D, src, i, "entry %d outside [%d, %d)", e, -nRows, nRows)
 				}
 				if e >= 0 {
 					uNext[e+1]++
@@ -206,7 +203,7 @@ func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration, keepL bool
 	prefixSum(uNext)
 	prefixSum(lNext)
 	u = newBlock(kindU, nRows, int(uNext[nRows]), 0)
-	lRows := newBlock(kindU, nRows, int(lNext[nRows]), 0) // the L pattern by rows
+	lRows = newBlock(kindU, nRows, int(lNext[nRows]), 0)
 	copy(u.xadj, uNext)
 	copy(lRows.xadj, lNext)
 
@@ -224,24 +221,13 @@ func buildBlocks(got [][]int32, nRows, nCols int32, enum Enumeration, keepL bool
 			}
 			w := next[e]
 			if w > b.xadj[e] && b.adj[w-1] == int32(lc) {
-				return task, u, l, partError(exch2D, int(g.src-1), int(g.word), "row %d repeated in column %d", e, lc)
+				return u, lRows, partError(exch2D, int(g.src-1), int(g.word), "row %d repeated in column %d", e, lc)
 			}
 			b.adj[w] = int32(lc)
 			next[e]++
 		}
 	}
-
-	if enum == EnumIJK {
-		task = newBlock(kindU, nRows, len(u.adj), 0)
-		copy(task.xadj, u.xadj)
-		copy(task.adj, u.adj)
-	} else {
-		task = lRows
-	}
-	if keepL {
-		l = cscBlock(transpose(&lRows, kindL, nCols))
-	}
-	return task, u, l, nil
+	return u, lRows, nil
 }
 
 // maxRow returns the longest row of b.

@@ -109,53 +109,76 @@ func compatOracle(t *testing.T, man compatManifest) (before, after int64) {
 	return before, seqtc.Count(g2)
 }
 
-// TestDecodeParentBlobs restores what the parent commit wrote: every base
-// blob decodes, re-encodes to the same bytes and counts the oracle's
-// triangles; every delta applies on top, after which the state encodes to the
-// bytes the parent's live state encoded to and counts the oracle's triangles
-// of the updated graph. A ⟨j,i,k⟩ Cannon state drops the L block of its blob,
-// so it is compared in the parent's kind, with the L block it reads from the
-// transposed rank (parentBlob); it must round-trip in its own kind byte for
-// byte, and its L operands must be the reference ones (CheckLOperands).
+// TestDecodeParentBlobs restores what the parent commit wrote, through
+// DecodeChain: every ⟨j,i,k⟩ base blob decodes, re-encodes to the same bytes
+// and counts the oracle's triangles; base and delta decode to a state that
+// encodes to the bytes the parent's live state encoded to and counts the
+// oracle's triangles of the updated graph. A ⟨j,i,k⟩ Cannon state drops the
+// L block of its blob, so it is compared in the parent's kind, with the L
+// block it reads from the transposed rank (parentBlob); it must round-trip
+// in its own kind byte for byte, and its L operands must be the reference
+// ones (CheckLOperands). An ⟨i,j,k⟩ chain is converted to ⟨j,i,k⟩ as it
+// decodes, so base and base+delta must encode to their ⟨j,i,k⟩ twin's
+// bytes.
 func TestDecodeParentBlobs(t *testing.T) {
 	man := readCompatManifest(t)
 	if len(man.Configs) != 6 {
 		t.Fatalf("corpus lists %d configurations, want 6", len(man.Configs))
 	}
 	wantBefore, wantAfter := compatOracle(t, man)
+	twins := make(map[string][][]byte) // name/chain → the ⟨j,i,k⟩ states' blobs, by rank
 	for _, cfg := range man.Configs {
-		enum := EnumJIK
-		if cfg.Enum == EnumIJK.String() {
-			enum = EnumIJK
-		}
 		name := cfg.Name + "-" + cfg.Enum
+		jik := cfg.Enum == EnumJIK.String()
 		w := mpi.NewWorld(cfg.Ranks, testCfg())
 		preps := make([]*Prepared, cfg.Ranks)
-		// restored checks the restored states, the hashes of their blobs in the
-		// parent's kind against want (nil: the base blobs), and counts them.
-		restored := func(restore func(c *mpi.Comm) error, want []string) (int64, error) {
-			if _, err := w.Run(func(c *mpi.Comm) (any, error) { return nil, restore(c) }); err != nil {
+		// restored decodes every rank's chain — the base, and for chain
+		// "delta" the delta after it — checks the states, the hashes of
+		// their blobs in the parent's kind against want (nil: the base
+		// blobs) or their twins', and counts them.
+		restored := func(chain string, want []string) (int64, error) {
+			key := cfg.Name + "/" + chain
+			if jik {
+				twins[key] = make([][]byte, cfg.Ranks)
+			} else if twins[key] == nil {
+				return 0, fmt.Errorf("no ⟨j,i,k⟩ twin decoded before")
+			}
+			twin := twins[key]
+			if _, err := w.Run(func(c *mpi.Comm) (any, error) {
+				blobs := [][]byte{compatBlob(t, cfg, c.Rank(), "base")}
+				if chain == "delta" {
+					blobs = append(blobs, compatBlob(t, cfg, c.Rank(), "delta"))
+				}
+				var err error
+				preps[c.Rank()], err = DecodeChain(blobs, c.Rank(), c.Size())
+				return nil, err
+			}); err != nil {
 				return 0, err
 			}
-			if enum == EnumJIK && !preps[0].bcast {
+			if !preps[0].bcast {
 				if _, err := w.RunRead(func(c *mpi.Comm) (any, error) { return nil, CheckLOperands(c, preps) }); err != nil {
 					return 0, err
 				}
 			}
 			results, err := w.RunRead(func(c *mpi.Comm) (any, error) {
 				prep := preps[c.Rank()]
-				blob, err := parentBlob(c, prep)
-				if err != nil {
+				own := EncodePrepared(prep)
+				if !jik {
+					if !bytes.Equal(own, twin[c.Rank()]) {
+						return nil, fmt.Errorf("rank %d: the %s chain does not decode to its ⟨j,i,k⟩ twin", c.Rank(), chain)
+					}
+				} else if blob, err := parentBlob(c, prep); err != nil {
 					return nil, err
-				}
-				if want == nil {
+				} else if want == nil {
 					if !bytes.Equal(blob, compatBlob(t, cfg, c.Rank(), "base")) {
 						return nil, fmt.Errorf("rank %d: base blob does not re-encode to itself", c.Rank())
 					}
 				} else if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != want[c.Rank()] {
 					return nil, fmt.Errorf("rank %d: base+delta encodes to %s, the parent's live state to %s", c.Rank(), hex.EncodeToString(sum[:]), want[c.Rank()])
 				}
-				own := EncodePrepared(prep)
+				if jik {
+					twin[c.Rank()] = own
+				}
 				again, err := DecodePrepared(own, c.Rank(), c.Size())
 				if err != nil {
 					return nil, fmt.Errorf("rank %d: own blob: %w", c.Rank(), err)
@@ -163,7 +186,7 @@ func TestDecodeParentBlobs(t *testing.T) {
 				if !bytes.Equal(EncodePrepared(again), own) {
 					return nil, fmt.Errorf("rank %d: kind %d blob does not round-trip", c.Rank(), own[8])
 				}
-				res, err := CountPrepared(c, prep, Options{Enumeration: enum})
+				res, err := CountPrepared(c, prep, Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -174,15 +197,10 @@ func TestDecodeParentBlobs(t *testing.T) {
 			}
 			return results[0].(int64), nil
 		}
-		before, err := restored(func(c *mpi.Comm) (err error) {
-			preps[c.Rank()], err = DecodePrepared(compatBlob(t, cfg, c.Rank(), "base"), c.Rank(), c.Size())
-			return err
-		}, nil)
+		before, err := restored("base", nil)
 		var after int64
 		if err == nil {
-			after, err = restored(func(c *mpi.Comm) error {
-				return ApplyPreparedDelta(preps[c.Rank()], compatBlob(t, cfg, c.Rank(), "delta"), c.Rank(), c.Size())
-			}, cfg.AfterSHA256)
+			after, err = restored("delta", cfg.AfterSHA256)
 		}
 		w.Close()
 		if err != nil {
@@ -202,9 +220,12 @@ type compatSeed struct {
 	rank, size  int
 }
 
-// compatSeeds lists the corpus pairs, then for every ⟨j,i,k⟩ Cannon rank a
-// pair in the Cannon kind, which keeps no L block: the decoded corpus base
-// re-encoded, and the delta of one deletion from its U block.
+// compatSeeds lists the corpus pairs, then for every cannon4 rank a pair
+// whose delta is the one this binary writes, in the Cannon kind, after one
+// deletion from the U block of the state the corpus base decodes to: for
+// ⟨j,i,k⟩ over that state re-encoded, which keeps no L block; for ⟨i,j,k⟩
+// over the legacy base itself, so the delta is one written after a
+// conversion.
 func compatSeeds(tb testing.TB) (seeds []compatSeed) {
 	man := readCompatManifest(tb)
 	for _, cfg := range man.Configs {
@@ -213,17 +234,20 @@ func compatSeeds(tb testing.TB) (seeds []compatSeed) {
 		}
 	}
 	for _, cfg := range man.Configs {
-		if cfg.Name != "cannon4" || cfg.Enum != EnumJIK.String() {
+		if cfg.Name != "cannon4" {
 			continue
 		}
 		for r := 0; r < cfg.Ranks; r++ {
-			p, err := DecodePrepared(compatBlob(tb, cfg, r, "base"), r, cfg.Ranks)
+			base := compatBlob(tb, cfg, r, "base")
+			p, err := DecodePrepared(base, r, cfg.Ranks)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			base := EncodePrepared(p)
-			if base[8] != kindCannonState {
-				tb.Fatalf("rank %d: a ⟨j,i,k⟩ Cannon state encodes in kind %d", r, base[8])
+			if cfg.Enum == EnumJIK.String() {
+				base = EncodePrepared(p)
+			}
+			if got := EncodePrepared(p); got[8] != kindCannonState || got[9] != byte(EnumJIK) {
+				tb.Fatalf("%s rank %d: a decoded Cannon state encodes in kind %d for rule %d", cfg.Enum, r, got[8], got[9])
 			}
 			p.EnableSnapshotTracking()
 			b := p.blk
@@ -279,10 +303,12 @@ func checkDecoded(t *testing.T, p *Prepared, rank, size int) []byte {
 }
 
 // FuzzDecodePrepared: any byte string is either rejected with an error or
-// decodes to a state that re-encodes to exactly those bytes (reencodes) and
-// passes the sizing check — never a panic, and never more memory than a
-// multiple of the input (every length field is checked against the bytes
-// that are left).
+// decodes to a state that passes the sizing check and round-trips
+// (checkDecoded) — never a panic, and never more memory than a multiple of
+// the input (every length field is checked against the bytes that are
+// left). An accepted blob re-encodes to exactly its own bytes (reencodes),
+// but for a legacy ⟨i,j,k⟩ one, which decodes converted: that re-encodes in
+// the Cannon or the SUMMA kind for ⟨j,i,k⟩.
 func FuzzDecodePrepared(f *testing.F) {
 	for _, s := range compatSeeds(f) {
 		f.Add(s.base, uint8(s.rank), uint8(s.size))
@@ -302,18 +328,23 @@ func FuzzDecodePrepared(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := checkDecoded(t, p, int(rank), int(size)); !reencodes(got, blob) {
-			t.Fatal("accepted blob does not re-encode to itself")
+		got := checkDecoded(t, p, int(rank), int(size))
+		if blob[9] != byte(EnumIJK) {
+			if !reencodes(got, blob) {
+				t.Fatal("accepted blob does not re-encode to itself")
+			}
+		} else if got[9] != byte(EnumJIK) || (got[8] != kindCannonState && got[8] != kindSUMMAState) {
+			t.Fatalf("accepted ⟨i,j,k⟩ blob re-encodes in kind %d for rule %d", got[8], got[9])
 		}
 	})
 }
 
-// FuzzApplyPreparedDelta replays arbitrary bytes as a delta onto a corpus
-// base state: an error, or a state with the same property — never a panic.
-// Vertex growth is the one thing a delta legitimately buys with O(1) bytes
-// (empty rows for every admitted id), so inputs announcing more than 2^16
-// new ids are skipped rather than given the memory; everything else must
-// stay proportional to the blob plus the state it patches.
+// FuzzApplyPreparedDelta restores the chain of a corpus base and arbitrary
+// bytes as its delta (DecodeChain): an error, or a state with the property
+// of checkDecoded — never a panic. Vertex growth is the one thing a delta
+// legitimately buys with O(1) bytes (empty rows for every admitted id), so
+// inputs announcing more than 2^16 new ids are skipped rather than given the
+// memory; everything else must stay proportional to the two blobs.
 func FuzzApplyPreparedDelta(f *testing.F) {
 	seeds := compatSeeds(f)
 	for i, s := range seeds {
@@ -329,19 +360,18 @@ func FuzzApplyPreparedDelta(f *testing.F) {
 	f.Add(EncodePreparedDelta(hostile), uint8(1))
 	f.Fuzz(func(t *testing.T, blob []byte, which uint8) {
 		s := seeds[int(which)%len(seeds)]
-		p, err := DecodePrepared(s.base, s.rank, s.size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const nAt = 12 // magic, version, kind word, then n
+		const nAt = 12 // magic, version, kind word, then n, in either blob
 		if len(blob) >= nAt+8 {
-			if n := int64(binary.LittleEndian.Uint64(blob[nAt:])); n > p.n+1<<16 {
+			n, baseN := int64(binary.LittleEndian.Uint64(blob[nAt:])), int64(binary.LittleEndian.Uint64(s.base[nAt:]))
+			if n > baseN+1<<16 {
 				t.Skip("announces more growth than the harness grants memory for")
 			}
 		}
-		alloc := allocatedBy(func() { err = ApplyPreparedDelta(p, blob, s.rank, s.size) })
+		var p *Prepared
+		var err error
+		alloc := allocatedBy(func() { p, err = DecodeChain([][]byte{s.base, blob}, s.rank, s.size) })
 		if limit := uint64(64*(len(blob)+len(s.base)) + 8<<20); alloc > limit {
-			t.Fatalf("replaying %d bytes onto a %d-byte state allocated %d", len(blob), len(s.base), alloc)
+			t.Fatalf("restoring %d bytes onto a %d-byte base allocated %d", len(blob), len(s.base), alloc)
 		}
 		if err == nil {
 			checkDecoded(t, p, s.rank, s.size)

@@ -2,22 +2,22 @@ package core_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tc2d/internal/core"
 	"tc2d/internal/delta"
-	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
 	"tc2d/internal/rmat"
 )
 
-// TestIJKStateConvertsToJIK: a state built for the ⟨i,j,k⟩ rule refuses
-// writes with delta.ErrIJKLayout; converted, it is byte for byte the state
-// the pipeline builds for ⟨j,i,k⟩ and takes writes; and a delta snapshot
-// written after the conversion replays onto the ⟨i,j,k⟩ base it hangs off,
-// to the live state's bytes. Cannon and SUMMA grids.
+// TestIJKStateConvertsToJIK: a legacy ⟨i,j,k⟩ base blob of the compat
+// corpus (testdata/compat, over RMAT s8/ef8/seed 3) decodes to a ⟨j,i,k⟩
+// state that takes writes, and the delta snapshot written after them
+// replays onto the legacy base it hangs off, to the live state's bytes.
+// Cannon, SUMMA and SUMMA forced onto a square grid.
 func TestIJKStateConvertsToJIK(t *testing.T) {
 	g, err := rmat.G500.Generate(8, 8, 3)
 	if err != nil {
@@ -35,43 +35,24 @@ func TestIJKStateConvertsToJIK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []struct {
-		p, qr, qc int
-		bcast     bool
-	}{{4, 2, 2, false}, {6, 2, 3, true}} {
-		name := fmt.Sprintf("%dx%d-bcast=%v", w.qr, w.qc, w.bcast)
+		name string
+		p    int
+	}{{"cannon4", 4}, {"summa2x3", 6}, {"forcesumma2x2", 4}} {
 		_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
-			prepare := func(enum core.Enumeration) (*core.Prepared, error) {
-				in, err := dgraph.ScatterInput{Graph: g}.Build(c)
-				if err != nil {
-					return nil, err
-				}
-				return core.PrepareGrid(c, in, w.qr, w.qc, w.bcast, core.Options{Enumeration: enum})
-			}
-			prep, err := prepare(core.EnumIJK)
+			base, err := os.ReadFile(filepath.Join("testdata", "compat", fmt.Sprintf("%s-ijk.r%d.base", w.name, c.Rank())))
 			if err != nil {
 				return nil, err
 			}
-			jik, err := prepare(core.EnumJIK)
+			prep, err := core.DecodePrepared(base, c.Rank(), c.Size())
 			if err != nil {
 				return nil, err
-			}
-			if _, err := delta.Apply(c, prep, batch); !errors.Is(err, delta.ErrIJKLayout) {
-				return nil, fmt.Errorf("Apply on an ⟨i,j,k⟩ state: %v, want ErrIJKLayout", err)
-			}
-			base := core.EncodePrepared(prep)
-			prep.ConvertToJIK()
-			if !bytes.Equal(core.EncodePrepared(prep), core.EncodePrepared(jik)) {
-				return nil, fmt.Errorf("rank %d: the converted state does not encode as the ⟨j,i,k⟩ build", c.Rank())
 			}
 			prep.EnableSnapshotTracking()
 			if _, err := delta.Apply(c, prep, batch); err != nil {
 				return nil, err
 			}
-			twin, err := core.DecodePrepared(base, c.Rank(), c.Size())
+			twin, err := core.DecodeChain([][]byte{base, core.EncodePreparedDelta(prep)}, c.Rank(), c.Size())
 			if err != nil {
-				return nil, err
-			}
-			if err := core.ApplyPreparedDelta(twin, core.EncodePreparedDelta(prep), c.Rank(), c.Size()); err != nil {
 				return nil, err
 			}
 			if !bytes.Equal(core.EncodePrepared(twin), core.EncodePrepared(prep)) {
@@ -80,7 +61,7 @@ func TestIJKStateConvertsToJIK(t *testing.T) {
 			return nil, nil
 		})
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", w.name, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +120,27 @@ func TestCountBothEnumerations(t *testing.T) {
 			if res.Triangles != want {
 				t.Errorf("enum=%v p=%d: %d want %d", enum, p, res.Triangles, want)
 			}
+		}
+	}
+}
+
+// TestPrepareGridRefusesIJK: a resident state is laid out for ⟨j,i,k⟩, on
+// either schedule, so PrepareGrid refuses the ⟨i,j,k⟩ rule on every rank
+// before any exchange, with an error that names the one entry counting
+// under it.
+func TestPrepareGridRefusesIJK(t *testing.T) {
+	g := mustRMAT(t, rmat.G500, 6, 4, 1)
+	for _, bcast := range []bool{false, true} {
+		_, err := mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
+			in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+			if err != nil {
+				return nil, err
+			}
+			_, err = PrepareGrid(c, in, 2, 2, bcast, Options{Enumeration: EnumIJK})
+			return nil, err
+		})
+		if err == nil || !strings.Contains(err.Error(), "CountGrid") {
+			t.Errorf("bcast=%v: PrepareGrid under ⟨i,j,k⟩: %v, want an error naming CountGrid", bcast, err)
 		}
 	}
 }

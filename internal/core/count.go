@@ -15,6 +15,9 @@ import (
 //
 // It is a thin composition of the build-once / query-many layers: one
 // PrepareGrid (preprocessing) followed by one CountPrepared (counting). It is
+// also the one place opt.Enumeration is read: its state, built for that
+// rule, serves this count and is dropped, so an ⟨i,j,k⟩ state never leaves
+// it (§7.3's ablation compares the rules). It is
 // also the one place the phases are fenced by barriers and timed on the
 // virtual clock, so its Result is the only one that carries modeled times.
 // Callers that issue many queries against the same graph should prepare once
@@ -22,7 +25,7 @@ import (
 func CountGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Options) (*Result, error) {
 	c.Barrier()
 	t0, s0 := c.Time(), c.Stats()
-	prep, err := PrepareGrid(c, in, qr, qc, bcast, opt)
+	prep, err := prepareGrid(c, in, qr, qc, bcast, opt.Enumeration)
 	if err != nil {
 		return nil, err
 	}

@@ -6,28 +6,51 @@ import (
 	"testing"
 )
 
-// corpusState decodes rank `rank` of a compat-corpus configuration (jik):
-// a valid state to damage.
-func corpusState(t testing.TB, name string, rank int) (p *Prepared, size int) {
-	t.Helper()
-	return corpusStateOf(t, name, EnumJIK, rank)
-}
-
-// corpusStateOf is corpusState for either rule; on Cannon only the ⟨i,j,k⟩
-// state keeps an L block to damage.
-func corpusStateOf(t testing.TB, name string, enum Enumeration, rank int) (p *Prepared, size int) {
+// corpusBase returns the base blob of rank `rank` of a ⟨j,i,k⟩ compat-corpus
+// configuration and the configuration's world size.
+func corpusBase(t testing.TB, name string, rank int) (blob []byte, size int) {
 	t.Helper()
 	for _, cfg := range readCompatManifest(t).Configs {
-		if cfg.Name == name && cfg.Enum == enum.String() {
-			p, err := DecodePrepared(compatBlob(t, cfg, rank, "base"), rank, cfg.Ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, cfg.Ranks
+		if cfg.Name == name && cfg.Enum == EnumJIK.String() {
+			return compatBlob(t, cfg, rank, "base"), cfg.Ranks
 		}
 	}
 	t.Fatalf("no corpus configuration %q", name)
 	return nil, 0
+}
+
+// corpusState decodes rank `rank` of a ⟨j,i,k⟩ compat-corpus configuration:
+// a valid state to damage.
+func corpusState(t testing.TB, name string, rank int) (p *Prepared, size int) {
+	t.Helper()
+	blob, size := corpusBase(t, name, rank)
+	p, err := DecodePrepared(blob, rank, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, size
+}
+
+// damageCannonL applies damage to the L block of a Cannon-with-L base blob,
+// the kind every corpus Cannon blob is in, in place. The L block, the last,
+// follows the grid, the block header, the task block and the U block.
+func damageCannonL(blob []byte, damage func(l *csrBlock)) {
+	at, _, _, _ := blobWalk(blob)
+	d := &decoder{b: blob, off: at + 3*4 + 8 + 8 + 2*4}
+	d.csr(kindU)
+	d.csr(kindU)
+	lAt := d.off
+	l := d.csr(kindL)
+	if d.err != nil || blob[8] != kindCannonLState {
+		panic("core: not a Cannon-with-L blob") // a bug in the test
+	}
+	damage(&l)
+	for i, v := range l.xadj {
+		putI32(blob, lAt+8+4*i, v)
+	}
+	for i, v := range l.adj {
+		putI32(blob, lAt+12+4*len(l.xadj)+4*i, v)
+	}
 }
 
 // blobWalk returns the byte offsets of a base blob's Cannon block header (q)
@@ -74,15 +97,18 @@ func midRow(b *csrBlock) int32 { return b.rows / 2 }
 // TestDecodeRejectsInvalidBlocks crafts one blob per rule the decoder
 // enforces — everything the kernel's bitmap, the splice's binary searches and
 // the class-indexed layout take for granted — and requires a typed error
-// naming the rule, never a panic, from both snapshot kinds.
+// naming the rule, never a panic, from every snapshot kind. An L block is
+// damaged in a SUMMA state's L class, and in the Cannon case in the corpus
+// blob's own bytes: a Cannon state keeps no L block, but the decoder checks
+// the one a legacy blob carries before it drops it.
 func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 	type craft struct {
 		name   string
-		mutate func(p *Prepared) // damage the state, then encode
-		bytes  func(blob []byte) // or damage the encoded blob
-		want   string            // substring of the error
-		kinds  []string          // corpus configurations it applies to
-		ijk    bool              // damages the L block, which on Cannon only the ⟨i,j,k⟩ state keeps
+		mutate func(p *Prepared)                 // damage the state, then encode
+		bytes  func(blob []byte)                 // or damage the encoded blob
+		l      func(l *csrBlock, keyRange int32) // or damage the L block
+		want   string                            // substring of the error
+		kinds  []string                          // corpus configurations it applies to
 	}
 	both := []string{"cannon4", "summa2x3"}
 	cases := []craft{
@@ -94,10 +120,7 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 			b.adj = b.adj[:b.xadj[b.rows]]
 		}, want: "lists", kinds: both},
 		{name: "row pointers start above 0", mutate: func(p *Prepared) { p.blk.u[0].xadj[0] = 1 }, want: "row pointers", kinds: both},
-		{name: "row pointers decrease", mutate: func(p *Prepared) {
-			b := p.blk.l[0].byCols()
-			b.xadj[midRow(b)] = -1
-		}, want: "decrease", kinds: both, ijk: true},
+		{name: "row pointers decrease", l: func(l *csrBlock, _ int32) { l.xadj[midRow(l)] = -1 }, want: "decrease", kinds: both},
 		{name: "task row pointers decrease", mutate: func(p *Prepared) {
 			b := &p.blk.task
 			b.xadj[midRow(b)] = b.xadj[b.rows] + 1
@@ -108,10 +131,7 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 			adj[len(adj)-1] = keyRange
 		}, want: "U class", kinds: both},
 		{name: "U key negative", mutate: func(p *Prepared) { p.blk.u[0].adj[0] = -1 }, want: "U class", kinds: both},
-		{name: "L key at the bitmap length", mutate: func(p *Prepared) {
-			_, keyRange := p.kernelSizing()
-			p.blk.l[0].adj[0] = keyRange
-		}, want: "L class", kinds: both, ijk: true},
+		{name: "L key at the bitmap length", l: func(l *csrBlock, keyRange int32) { l.adj[0] = keyRange }, want: "L class", kinds: both},
 		{name: "task column outside the block", mutate: func(p *Prepared) { p.blk.task.adj[0] = p.blk.nCols }, want: "task block", kinds: both},
 		{name: "maxURow below the longest row", mutate: func(p *Prepared) { p.blk.maxURow = p.blk.longestURow() - 1 }, want: "maxURow", kinds: both},
 		{name: "maxURow above the key range", mutate: func(p *Prepared) {
@@ -177,15 +197,19 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 	for _, tc := range cases {
 		for _, kind := range tc.kinds {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				enum := EnumJIK
-				if tc.ijk && kind == "cannon4" {
-					enum = EnumIJK
-				}
-				p, size := corpusStateOf(t, kind, enum, 1)
+				p, size := corpusState(t, kind, 1)
+				_, keyRange := p.kernelSizing()
 				if tc.mutate != nil {
 					tc.mutate(p)
 				}
+				if tc.l != nil && p.bcast {
+					tc.l(p.blk.l[0].byCols(), keyRange)
+				}
 				blob := EncodePrepared(p)
+				if tc.l != nil && !p.bcast {
+					blob, _ = corpusBase(t, kind, 1)
+					damageCannonL(blob, func(l *csrBlock) { tc.l(l, keyRange) })
+				}
 				if tc.bytes != nil {
 					tc.bytes(blob)
 				}
@@ -202,11 +226,11 @@ func TestDecodeRejectsInvalidBlocks(t *testing.T) {
 }
 
 // TestApplyDeltaRejectsInvalidBlocks does the same for the delta decoder: a
-// replay that would leave a block violating a rule is refused.
+// chain whose replay would leave a block violating a rule is refused.
 func TestApplyDeltaRejectsInvalidBlocks(t *testing.T) {
 	// deltaOf deletes one owned U entry from a tracked twin of the base
 	// state, lets damage loose on the twin, and encodes its delta.
-	deltaOf := func(t *testing.T, kind string, damage func(p *Prepared, row int32)) (base *Prepared, size int, delta []byte) {
+	deltaOf := func(t *testing.T, kind string, damage func(p *Prepared, row int32)) (base []byte, size int, delta []byte) {
 		live, size := corpusState(t, kind, 1)
 		live.EnableSnapshotTracking()
 		blk := live.blk
@@ -219,7 +243,7 @@ func TestApplyDeltaRejectsInvalidBlocks(t *testing.T) {
 		wb := u.row(a)[0]*int32(blk.L) + int32(blk.col) // class index 0 is class `col`
 		live.spliceBlocks(1, nil, [][2]int32{{wa, wb}})
 		damage(live, a)
-		base, _ = corpusState(t, kind, 1)
+		base, _ = corpusBase(t, kind, 1)
 		return base, size, EncodePreparedDelta(live)
 	}
 	for _, kind := range []string{"cannon4", "summa2x3"} {
@@ -251,7 +275,7 @@ func TestApplyDeltaRejectsInvalidBlocks(t *testing.T) {
 		} {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
 				base, size, delta := deltaOf(t, kind, tc.damage)
-				err := ApplyPreparedDelta(base, delta, 1, size)
+				_, err := DecodeChain([][]byte{base, delta}, 1, size)
 				switch {
 				case tc.want == "" && err != nil:
 					t.Fatalf("undamaged delta refused: %v", err)
@@ -286,7 +310,7 @@ func TestApplyDeltaRejectsInvalidBlocks(t *testing.T) {
 		t.Fatalf("walked the delta to offset %d (err %v), not to a one-class U list", d.off, d.err)
 	}
 	putI32(delta, d.off+4, getI32(delta, d.off+4)+1)
-	if err := ApplyPreparedDelta(base, delta, 1, size); err == nil || !strings.Contains(err.Error(), "operand class") {
+	if _, err := DecodeChain([][]byte{base, delta}, 1, size); err == nil || !strings.Contains(err.Error(), "operand class") {
 		t.Fatalf("delta naming another rank's class: %v", err)
 	}
 }

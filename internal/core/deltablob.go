@@ -6,8 +6,8 @@ package core
 // dozen bytes), the rewritten label slots, the degree-dirty set, and full
 // replacements for exactly the block rows/columns the splices since then
 // touched (drained from the snapDirty set Splice maintains, see dirty.go).
-// ApplyPreparedDelta replays a blob onto the state the parent snapshot
-// decoded to, so a base blob plus its delta chain reproduces the resident
+// DecodeChain replays a blob onto the state the parent snapshot decoded to
+// (applyDelta), so a base blob plus its delta chain reproduces the resident
 // state byte-for-byte.
 //
 // Like the base payload this is framing-free: CRC framing, manifest chaining
@@ -105,8 +105,8 @@ func (e *encoder) rowset(b *csrBlock, dirty map[int32]struct{}) {
 // snapshot. Valid only when snapshot tracking is enabled (the durability
 // layer guarantees that). Read-only against the state, like EncodePrepared.
 // The kinds order their rowsets differently (see stateKind): the Cannon
-// kinds U, the L block where the state keeps it, task; the SUMMA kind task,
-// then the touched classes by id.
+// kind U, then task (the read-only Cannon kind with L has the L block's
+// between them); the SUMMA kind task, then the touched classes by id.
 func EncodePreparedDelta(p *Prepared) []byte {
 	s := p.snap
 	if s == nil {
@@ -115,7 +115,7 @@ func EncodePreparedDelta(p *Prepared) []byte {
 	e := &encoder{b: make([]byte, 0, 256)}
 	e.u32(preparedDeltaMagic)
 	e.u32(preparedDeltaVersion)
-	e.b = append(e.b, p.stateKind(), byte(p.enum), 0, 0)
+	e.b = append(e.b, p.stateKind(), byte(EnumJIK), 0, 0)
 
 	blk := p.blk
 	e.i64(p.n)
@@ -142,9 +142,6 @@ func EncodePreparedDelta(p *Prepared) []byte {
 		e.i32(blk.nRows)
 		e.i32(blk.nCols)
 		e.rowset(&blk.u[0], s.u[0])
-		if blk.hasL() {
-			e.rowset(blk.l[0].byCols(), s.l[0])
-		}
 		e.rowset(&blk.task, s.tRows)
 		return e.b
 	}
@@ -225,35 +222,36 @@ func (d *decoder) replaceRows(b *csrBlock) {
 	}
 }
 
-// ApplyPreparedDelta replays a delta blob onto the resident state of rank
-// `rank` in a world of `size` ranks — the state its parent snapshot decoded
-// to. Purely local. A malformed blob is an error, never a panic, and the
-// replayed state is verified like a decoded one (blocks.check). On error the
-// state may be partially mutated; the restore path discards the attempt and
-// re-decodes from scratch.
-func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
+// applyDelta replays a delta blob onto the resident state of rank `rank` in
+// a world of `size` ranks — the state its parent snapshot decoded to, in the
+// legacy ⟨i,j,k⟩ layout when ijk is set — and reports the layout it leaves.
+// A ⟨j,i,k⟩ delta onto an ⟨i,j,k⟩ state was written after a restore
+// converted that state, so the state converts first. Purely local. A
+// malformed blob is an error, never a panic, and the replayed state is
+// verified like a decoded one (blocks.check). On error the state may be
+// partially mutated; DecodeChain then drops it.
+func (p *Prepared) applyDelta(blob []byte, rank, size int, ijk bool) (bool, error) {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedDeltaMagic {
-		return fmt.Errorf("core: delta blob has magic %#x, want %#x", magic, preparedDeltaMagic)
+		return ijk, fmt.Errorf("core: delta blob has magic %#x, want %#x", magic, preparedDeltaMagic)
 	}
 	if v := d.u32(); d.err == nil && v != preparedDeltaVersion {
-		return fmt.Errorf("core: delta blob version %d, this binary reads %d", v, preparedDeltaVersion)
+		return ijk, fmt.Errorf("core: delta blob version %d, this binary reads %d", v, preparedDeltaVersion)
 	}
 	kind, enum := d.kindEnum()
 	if d.err == nil {
 		if err := checkKind(kind, enum); err != nil {
-			return fmt.Errorf("core: delta blob: %w", err)
+			return ijk, fmt.Errorf("core: delta blob: %w", err)
 		}
 	}
-	if d.err == nil && enum == EnumJIK {
-		// A delta written after a restore converted a legacy ⟨i,j,k⟩ state
-		// hangs off that state's base: convert it the same way first.
-		p.ConvertToJIK()
+	if d.err == nil && ijk && enum == EnumJIK {
+		p.convertToJIK()
+		ijk = false
 	}
 	// Either Cannon kind replays onto a shift state: a delta written before
 	// the state dropped its L block carries the L rows too.
-	if d.err == nil && ((kind == kindSUMMAState) != p.bcast || enum != p.enum) {
-		return fmt.Errorf("core: delta blob kind/enum (%d,%d) does not match resident state (%d,%d)", kind, enum, p.stateKind(), p.enum)
+	if d.err == nil && ((kind == kindSUMMAState) != p.bcast || (enum == EnumIJK) != ijk) {
+		return ijk, fmt.Errorf("core: delta blob of kind %d for %v does not match the resident state", kind, enum)
 	}
 
 	n := d.i64()
@@ -263,23 +261,23 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	wedges := d.i64()
 	maxURow := d.i64()
 	if d.err != nil {
-		return d.err
+		return ijk, d.err
 	}
 	if n < p.n || n > math.MaxInt32 || baseN < 1 || baseN > n {
-		return fmt.Errorf("core: delta blob has impossible vertex space n=%d baseN=%d over resident n=%d", n, baseN, p.n)
+		return ijk, fmt.Errorf("core: delta blob has impossible vertex space n=%d baseN=%d over resident n=%d", n, baseN, p.n)
 	}
 
 	labelBeg := d.i32()
 	labelLen := d.i32()
 	slots := d.vgaps()
 	if d.err != nil {
-		return d.err
+		return ijk, d.err
 	}
 	if int(labelLen) < len(p.labels) {
-		return fmt.Errorf("core: delta blob shrinks the label map (%d -> %d)", len(p.labels), labelLen)
+		return ijk, fmt.Errorf("core: delta blob shrinks the label map (%d -> %d)", len(p.labels), labelLen)
 	}
 	if labelLen != numWithResidue(baseN, size, rank) {
-		return fmt.Errorf("core: delta blob label map of %d slots does not cover base region %d on rank %d of %d", labelLen, baseN, rank, size)
+		return ijk, fmt.Errorf("core: delta blob label map of %d slots does not cover base region %d on rank %d of %d", labelLen, baseN, rank, size)
 	}
 	labels := make([]int32, labelLen)
 	copy(labels, p.labels)
@@ -289,15 +287,15 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	for _, slot := range slots {
 		val := int32(d.vi())
 		if d.err != nil {
-			return d.err
+			return ijk, d.err
 		}
 		if slot < 0 || slot >= labelLen {
-			return fmt.Errorf("core: delta blob patches label slot %d of %d", slot, labelLen)
+			return ijk, fmt.Errorf("core: delta blob patches label slot %d of %d", slot, labelLen)
 		}
 		labels[slot] = val
 	}
 	if err := checkLabels(labelBeg, labels, baseN, rank, size); err != nil {
-		return err
+		return ijk, err
 	}
 	dirty := d.vgaps()
 	if d.err == nil {
@@ -312,10 +310,10 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	}
 	nRows, nCols := d.i32(), d.i32()
 	if d.err != nil {
-		return d.err
+		return ijk, d.err
 	}
 	if wantRows, wantCols := blk.dims(n); nRows != wantRows || nCols != wantCols {
-		return fmt.Errorf("core: delta blob dimensions %d×%d do not match rank (%d,%d) of a %d×%d grid over %d vertices",
+		return ijk, fmt.Errorf("core: delta blob dimensions %d×%d do not match rank (%d,%d) of a %d×%d grid over %d vertices",
 			nRows, nCols, blk.row, blk.col, blk.qr, blk.qc, n)
 	}
 	blk.grow(n)
@@ -336,7 +334,7 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	} else {
 		d.replaceRows(&blk.u[0])
 		if kind == kindCannonLState {
-			if blk.hasL() {
+			if ijk {
 				d.replaceRows(blk.l[0].byCols())
 			} else {
 				d.deltaRowset() // rows of the L block a ⟨j,i,k⟩ shift state no longer keeps
@@ -345,14 +343,14 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 		d.replaceRows(&blk.task)
 	}
 	if d.err != nil {
-		return d.err
+		return ijk, d.err
 	}
 	if d.off != len(d.b) {
-		return fmt.Errorf("core: delta blob has %d trailing bytes", len(d.b)-d.off)
+		return ijk, fmt.Errorf("core: delta blob has %d trailing bytes", len(d.b)-d.off)
 	}
 	blk.maxURow = maxURow
 	if err := blk.check(n); err != nil {
-		return err
+		return ijk, err
 	}
 	blk.taskRows = blk.task.nonEmptyRows(nil)
 
@@ -360,5 +358,5 @@ func ApplyPreparedDelta(p *Prepared, blob []byte, rank, size int) error {
 	p.m, p.wedges = m, wedges
 	p.labelBeg, p.labels = labelBeg, labels
 	p.SetDegreeDirty(dirty)
-	return nil
+	return ijk, nil
 }

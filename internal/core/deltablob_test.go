@@ -83,11 +83,8 @@ func deltaRoundTrip(t *testing.T, p int, summa bool) {
 	w2 := mpi.NewWorld(p, mpi.Config{Model: mpi.DefaultCostModel(), ComputeSlots: 1})
 	defer w2.Close()
 	results, err := w2.Run(func(c *mpi.Comm) (any, error) {
-		prep, err := DecodePrepared(baseBlobs[c.Rank()], c.Rank(), p)
+		prep, err := DecodeChain([][]byte{baseBlobs[c.Rank()], deltaBlobs[c.Rank()]}, c.Rank(), p)
 		if err != nil {
-			return nil, err
-		}
-		if err := ApplyPreparedDelta(prep, deltaBlobs[c.Rank()], c.Rank(), p); err != nil {
 			return nil, err
 		}
 		if !bytes.Equal(EncodePrepared(prep), wantBlobs[c.Rank()]) {
@@ -134,11 +131,8 @@ func TestPreparedDeltaEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := DecodePrepared(base, 0, 1)
+	prep, err := DecodeChain([][]byte{base, delta}, 0, 1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyPreparedDelta(prep, delta, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(EncodePrepared(prep), want) {
@@ -184,21 +178,19 @@ func TestApplyPreparedDeltaRejectsDamage(t *testing.T) {
 		"basekind":  base, // a base blob is not a delta blob
 	}
 	for name, b := range cases {
-		prep, err := DecodePrepared(base, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ApplyPreparedDelta(prep, b, 0, 1); err == nil {
+		if _, err := DecodeChain([][]byte{base, b}, 0, 1); err == nil {
 			t.Errorf("%s: apply succeeded, want error", name)
 		}
 	}
 
-	// Wrong grid position: the blob describes rank 0 of a 1-rank world.
+	// Wrong grid position: the delta describes rank 0 of a 1-rank world.
+	// The base's grid would fail the chain first, so the delta is replayed
+	// onto the state its base decodes to.
 	prep, err := DecodePrepared(base, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyPreparedDelta(prep, delta, 0, 4); err == nil {
+	if _, err := prep.applyDelta(delta, 0, 4, false); err == nil {
 		t.Error("apply on a 4-rank world of a 1-rank delta succeeded")
 	}
 }

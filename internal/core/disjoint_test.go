@@ -28,11 +28,10 @@ func disjoint(p *core.Prepared, when string) error {
 }
 
 // TestResidentArraysDisjoint walks a Prepared value through every way its
-// arrays come into being — the pipeline, the ⟨i,j,k⟩ state's conversion,
-// elastic growth, in-place splices, snapshot decode and delta replay, both
-// rebuilds — on both
-// enumeration rules and grid kinds, checking after each that no two resident
-// arrays overlap anywhere within their capacities.
+// arrays come into being — the pipeline, elastic growth, in-place splices,
+// snapshot decode and delta replay, both rebuilds — on both grid kinds,
+// checking after each that no two resident arrays overlap anywhere within
+// their capacities.
 func TestResidentArraysDisjoint(t *testing.T) {
 	g, err := rmat.G500.Generate(8, 8, 3)
 	if err != nil {
@@ -53,73 +52,67 @@ func TestResidentArraysDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []struct{ p, qr, qc int }{{4, 0, 0}, {9, 0, 0}, {6, 2, 3}} {
-		for _, enum := range []core.Enumeration{core.EnumJIK, core.EnumIJK} {
-			name := fmt.Sprintf("p%d-%dx%d-%v", w.p, w.qr, w.qc, enum)
-			_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
-				in, err := dgraph.ScatterInput{Graph: g}.Build(c)
-				if err != nil {
-					return nil, err
-				}
-				opt := core.Options{Enumeration: enum}
-				var prep *core.Prepared
-				if w.qr > 0 {
-					prep, err = core.PrepareGrid(c, in, w.qr, w.qc, true, opt)
-				} else {
-					prep, err = core.Prepare(c, in, opt)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if err := disjoint(prep, "Prepare"); err != nil {
-					return nil, err
-				}
-				prep.EnableSnapshotTracking()
-				base := core.EncodePrepared(prep)
-				prep.ConvertToJIK()
-				if err := disjoint(prep, "ConvertToJIK"); err != nil {
-					return nil, err
-				}
-
-				// GrowTo and Splice, twice so the second splice works inside
-				// the slack the first one left.
-				for round, b := range [][]delta.Update{batch, {{U: 1, V: n + 9, Op: delta.OpInsert}, {U: 2, V: n + 1, Op: delta.OpInsert}}} {
-					if _, err := delta.Apply(c, prep, b); err != nil {
-						return nil, err
-					}
-					if err := disjoint(prep, fmt.Sprintf("Apply %d", round)); err != nil {
-						return nil, err
-					}
-				}
-
-				twin, err := core.DecodePrepared(base, c.Rank(), c.Size())
-				if err != nil {
-					return nil, err
-				}
-				if err := disjoint(twin, "DecodePrepared"); err != nil {
-					return nil, err
-				}
-				if err := core.ApplyPreparedDelta(twin, core.EncodePreparedDelta(prep), c.Rank(), c.Size()); err != nil {
-					return nil, err
-				}
-				if err := disjoint(twin, "ApplyPreparedDelta"); err != nil {
-					return nil, err
-				}
-
-				if _, err := delta.RebuildIncremental(c, prep); err != nil {
-					return nil, err
-				}
-				if err := disjoint(prep, "RebuildIncremental"); err != nil {
-					return nil, err
-				}
-				fresh, err := delta.Rebuild(c, prep)
-				if err != nil {
-					return nil, err
-				}
-				return nil, disjoint(fresh, "Rebuild")
-			})
+		name := fmt.Sprintf("p%d-%dx%d", w.p, w.qr, w.qc)
+		_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
+			in, err := dgraph.ScatterInput{Graph: g}.Build(c)
 			if err != nil {
-				t.Errorf("%s: %v", name, err)
+				return nil, err
 			}
+			var prep *core.Prepared
+			if w.qr > 0 {
+				prep, err = core.PrepareGrid(c, in, w.qr, w.qc, true, core.Options{})
+			} else {
+				prep, err = core.Prepare(c, in, core.Options{})
+			}
+			if err != nil {
+				return nil, err
+			}
+			if err := disjoint(prep, "Prepare"); err != nil {
+				return nil, err
+			}
+			prep.EnableSnapshotTracking()
+			base := core.EncodePrepared(prep)
+
+			// GrowTo and Splice, twice so the second splice works inside
+			// the slack the first one left.
+			for round, b := range [][]delta.Update{batch, {{U: 1, V: n + 9, Op: delta.OpInsert}, {U: 2, V: n + 1, Op: delta.OpInsert}}} {
+				if _, err := delta.Apply(c, prep, b); err != nil {
+					return nil, err
+				}
+				if err := disjoint(prep, fmt.Sprintf("Apply %d", round)); err != nil {
+					return nil, err
+				}
+			}
+
+			twin, err := core.DecodePrepared(base, c.Rank(), c.Size())
+			if err != nil {
+				return nil, err
+			}
+			if err := disjoint(twin, "DecodePrepared"); err != nil {
+				return nil, err
+			}
+			twin, err = core.DecodeChain([][]byte{base, core.EncodePreparedDelta(prep)}, c.Rank(), c.Size())
+			if err != nil {
+				return nil, err
+			}
+			if err := disjoint(twin, "DecodeChain"); err != nil {
+				return nil, err
+			}
+
+			if _, err := delta.RebuildIncremental(c, prep); err != nil {
+				return nil, err
+			}
+			if err := disjoint(prep, "RebuildIncremental"); err != nil {
+				return nil, err
+			}
+			fresh, err := delta.Rebuild(c, prep)
+			if err != nil {
+				return nil, err
+			}
+			return nil, disjoint(fresh, "Rebuild")
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -57,7 +57,8 @@ type Row struct {
 }
 
 // AdjRow returns the row of global label v, which must belong to this rank's
-// row residue class, on a state laid out for the ⟨j,i,k⟩ rule (ConvertToJIK).
+// row residue class. Its L part is the ⟨j,i,k⟩ task row, the task block of
+// every state PrepareGrid or DecodeChain returns.
 func (p *Prepared) AdjRow(v int32) Row { return Row{blk: p.blk, a: v / int32(p.blk.qr)} }
 
 // KeyRow is a row given as its column keys in any order, such as one shipped
@@ -119,39 +120,6 @@ func (p *Prepared) HasEdgeLocal(v, u int32) bool {
 	}
 	_, ok := slices.BinarySearch(row, key)
 	return ok
-}
-
-// ConvertToJIK lays a state built for the ⟨i,j,k⟩ rule (task block = the U
-// pattern) out for the ⟨j,i,k⟩ one (task block = the L classes by rows),
-// which the write path reads rows by; a shift state then drops its L block
-// (keepsL). Restores convert legacy states; only the one-shot ablation still
-// builds them. Local and exclusive, like Splice.
-func (p *Prepared) ConvertToJIK() {
-	if p.enum == EnumJIK {
-		return
-	}
-	// Column j of L class i holds keys k of local rows k·(L/qr) + i.
-	b, step := p.blk, int32(p.blk.L/p.blk.qr)
-	var ents []int64 // packed like classEdits: row-major when sorted
-	for i, l := range b.l {
-		for j := int32(0); j < l.rows; j++ {
-			for _, k := range l.col(j) {
-				ents = append(ents, int64(k*step+int32(i))<<32|int64(j))
-			}
-		}
-	}
-	slices.Sort(ents)
-	b.task = newBlock(kindU, b.nRows, len(ents), 0)
-	for x, e := range ents {
-		b.task.xadj[editRow(e)+1]++
-		b.task.adj[x] = editVal(e)
-	}
-	prefixSum(b.task.xadj)
-	b.taskRows = b.task.nonEmptyRows(b.taskRows)
-	p.enum = EnumJIK
-	if !keepsL(p.bcast, p.enum) {
-		b.l = nil
-	}
 }
 
 // AdjustTotals folds a batch's edge-count and wedge-count deltas into the
@@ -358,10 +326,9 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 // full insertion and deletion lists (canonical label pairs, wa < wb) are
 // presented to every rank; each rank splices exactly the directed entries
 // its blocks own — the U entry at the (wa → wb) owner, and the (wb → wa)
-// entry at its owner, in the task row and, where the state keeps one, the L
-// class — keeping the doubly-sparse row list and the kernel-sizing maximum
-// row length in sync; the task block must be the ⟨j,i,k⟩ one
-// (ConvertToJIK). Every block is spliced in place
+// entry at its owner, in the ⟨j,i,k⟩ task row and, under the broadcast
+// schedule, the L class — keeping the doubly-sparse row list and the
+// kernel-sizing maximum row length in sync. Every block is spliced in place
 // (spliceCSR). The only communication is one allreduce refreshing the
 // maximum row length.
 func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
@@ -378,9 +345,9 @@ func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 	sc := &p.splice
 	qr, qc, L := int32(p.blk.qr), int32(p.blk.qc), int32(p.blk.L)
 	x, y := rank/qc, rank%qc
-	// A state without L classes files no L edits: spliceBlocks would range
-	// over none of them, so the check only spares filling unused lists.
-	hasL := p.blk.hasL()
+	// A shift state has no L classes and files no L edits: spliceBlocks
+	// would range over none of them, so the check only spares filling
+	// unused lists.
 	for _, e := range edges {
 		wa, wb := e[0], e[1]
 		if wa%qr == x && wb%qc == y { // U entry (wa → wb), class wb mod L
@@ -388,7 +355,7 @@ func (p *Prepared) routeEdits(rank int32, edges [][2]int32, del bool) {
 		}
 		if wb%qr == x && wa%qc == y { // L entry (wb → wa): task row wb/qr; CSC by column, class wb mod L
 			sc.task.add(del, wb/qr, wa/qc)
-			if hasL {
+			if p.bcast {
 				sc.l[wb%L].add(del, wa/qc, wb/L)
 			}
 		}

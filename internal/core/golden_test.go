@@ -23,9 +23,10 @@ const goldenPath = "testdata/prepare_golden.json"
 
 // goldenEntry is what one (graph, world, enumeration) run of the pipeline
 // must reproduce: the SHA-256 of every rank's EncodePrepared blob — labels,
-// U/L/task blocks and maxURow, bit for bit; for a Cannon state that keeps no
-// L block, of the blob with the L block it reads (parentBlob) — and an upper
-// bound on the preprocessing op count.
+// U/L/task blocks and maxURow, bit for bit; for a Cannon state, which keeps
+// no L block, of the blob with the L block it reads (parentBlob); with the
+// rule byte of the rule the state was built for — and an upper bound on the
+// preprocessing op count.
 type goldenEntry struct {
 	PreOps int64    `json:"pre_ops"`
 	Ranks  []string `json:"ranks"`
@@ -68,17 +69,18 @@ var goldenWorlds = []struct {
 	{"cannon9", 9, 0, 0},
 }
 
-// prepareOn scatters g and runs the pipeline on this rank: the SUMMA one on a
-// qr × qc grid, the Cannon one when qr is 0.
+// prepareOn scatters g and runs the pipeline on this rank for the given
+// rule: the SUMMA one on a qr × qc grid, the Cannon one when qr is 0.
 func prepareOn(c *mpi.Comm, g *graph.Graph, qr, qc int, enum Enumeration) (*Prepared, error) {
 	in, err := dgraph.ScatterInput{Graph: g}.Build(c)
 	if err != nil {
 		return nil, err
 	}
-	if qr > 0 {
-		return PrepareGrid(c, in, qr, qc, true, Options{Enumeration: enum})
+	bcast := qr > 0
+	if !bcast {
+		qr, qc = mpi.FactorGrid(c.Size())
 	}
-	return Prepare(c, in, Options{Enumeration: enum})
+	return prepareGrid(c, in, qr, qc, bcast, enum)
 }
 
 func prepareHashes(g *graph.Graph, p, qr, qc int, enum Enumeration) (goldenEntry, error) {
@@ -87,13 +89,14 @@ func prepareHashes(g *graph.Graph, p, qr, qc int, enum Enumeration) (goldenEntry
 		if err != nil {
 			return nil, err
 		}
-		if qr == 0 && len(prep.blk.l) != 0 && enum == EnumJIK {
-			return nil, fmt.Errorf("rank %d: a ⟨j,i,k⟩ shift state keeps %d L classes", c.Rank(), len(prep.blk.l))
+		if qr == 0 && len(prep.blk.l) != 0 {
+			return nil, fmt.Errorf("rank %d: a shift state keeps %d L classes", c.Rank(), len(prep.blk.l))
 		}
 		blob, err := parentBlob(c, prep)
 		if err != nil {
 			return nil, err
 		}
+		blob[9] = byte(enum) // encoders write the ⟨j,i,k⟩ rule byte only
 		sum := sha256.Sum256(blob)
 		return goldenEntry{PreOps: prep.PreOps(), Ranks: []string{hex.EncodeToString(sum[:])}}, nil
 	})

@@ -228,11 +228,7 @@ func TestCreatedEmptyClassStaysEncoded(t *testing.T) {
 			for name, restore := range map[string]func() (*Prepared, error){
 				"base": func() (*Prepared, error) { return DecodePrepared(live, c.Rank(), c.Size()) },
 				"base+delta": func() (*Prepared, error) {
-					twin, err := DecodePrepared(base, c.Rank(), c.Size())
-					if err != nil {
-						return nil, err
-					}
-					return twin, ApplyPreparedDelta(twin, EncodePreparedDelta(prep), c.Rank(), c.Size())
+					return DecodeChain([][]byte{base, EncodePreparedDelta(prep)}, c.Rank(), c.Size())
 				},
 			} {
 				twin, err := restore()

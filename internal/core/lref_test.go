@@ -84,8 +84,8 @@ func refL(p *Prepared) csrBlock {
 // rank's state, ⟨j,i,k⟩ shift states all; the epoch only reads them.
 func CheckLOperands(c *mpi.Comm, preps []*Prepared) error {
 	p := preps[c.Rank()]
-	if p.bcast || p.enum != EnumJIK {
-		return fmt.Errorf("rank %d: not a ⟨j,i,k⟩ shift state", c.Rank())
+	if p.bcast {
+		return fmt.Errorf("rank %d: not a shift state", c.Rank())
 	}
 	if len(p.blk.l) != 0 {
 		return fmt.Errorf("rank %d: a shift state keeps %d L classes", c.Rank(), len(p.blk.l))

@@ -9,14 +9,17 @@
 //  2. Distributed counting sort that relabels vertices in non-decreasing
 //     degree order (step ii), including the neighbour-label exchange.
 //  3. 2D cyclic redistribution of the upper/lower triangular matrices and
-//     construction of the per-rank task, U (CSR) and L (CSC) blocks
-//     (steps iii and iv).
+//     construction of the per-rank task and U (CSR) blocks, plus the L
+//     (CSC) blocks where SUMMA's broadcasts move them (steps iii and iv).
 //  4. Triangle counting over √p Cannon-style shifts with the bitmap-based
 //     ⟨j,i,k⟩ intersection kernel and the paper's four optimizations.
 //  5. Global reduction of the triangle count.
 //
 // Every optimization from §5.2 of the paper is individually toggleable via
-// Options so the §7.3 ablation experiments can be reproduced.
+// Options so the §7.3 ablation experiments can be reproduced. The resident
+// state that serves repeated counts and writes (PrepareGrid, DecodeChain) is
+// always laid out for ⟨j,i,k⟩; the ⟨i,j,k⟩ rule is a one-shot CountGrid
+// option.
 package core
 
 import "tc2d/internal/obs"
@@ -46,9 +49,9 @@ func (e Enumeration) String() string {
 // Options configures the distributed counting algorithm. The zero value is
 // the paper's full configuration (all optimizations on, ⟨j,i,k⟩).
 type Options struct {
-	// Enumeration selects ⟨j,i,k⟩ (default) or ⟨i,j,k⟩. Only PrepareGrid
-	// reads it: the prepared state records the rule, and every later count
-	// and snapshot of that state runs under it. Writes need ⟨j,i,k⟩.
+	// Enumeration selects ⟨j,i,k⟩ (default) or ⟨i,j,k⟩. Only CountGrid
+	// reads it, for the one count it builds a state for; PrepareGrid
+	// refuses ⟨i,j,k⟩, as every resident state is laid out for ⟨j,i,k⟩.
 	Enumeration Enumeration
 	// NoDoublySparse disables the DCSR-style non-empty-row lists that skip
 	// vertices whose local task/U rows are empty (§5.2 "doubly sparse

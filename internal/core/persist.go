@@ -5,8 +5,8 @@ package core
 // after a restart — the task and operand CSR blocks (see stateKind), the retained
 // relabel permutation and its cyclic origin, the elastic vertex-space
 // descriptor and the maintained edge/wedge totals — into one deterministic
-// little-endian blob; DecodePrepared rebuilds the identical state on the
-// same rank of an identically shaped world.
+// little-endian blob; DecodeChain rebuilds the identical state on the same
+// rank of an identically shaped world.
 //
 // Deliberately NOT serialized:
 //
@@ -23,8 +23,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 const (
@@ -138,28 +140,23 @@ func (d *decoder) csr(kind int32) csrBlock {
 	return b
 }
 
-// stateKind names the snapshot kind the state is written as. There are three
-// because the layout changed twice; all describe the one blocks struct, and
-// stay so that every snapshot ever written still restores. The Cannon kind
-// holds the task block and the single U block of the shift schedule bare;
-// the Cannon-with-L kind adds the L block after them, as every shift state
-// was written before its L operand became the transposed rank's U block, and
-// as a state laid out for ⟨i,j,k⟩, which keeps its L (keepsL), still is. The
-// SUMMA kind lists the created operand classes of the broadcast schedule by
-// id.
+// stateKind names the snapshot kind the state is written as: the Cannon
+// kind, the task block and the single U block of the shift schedule, or the
+// SUMMA kind, which lists the created operand classes of the broadcast
+// schedule by id. Both describe the one blocks struct. A third kind, the
+// Cannon kind with the L block after the U block, is read and never
+// written: every shift state was written so before its L operand became the
+// transposed rank's U block.
 func (p *Prepared) stateKind() byte {
-	switch {
-	case p.bcast:
+	if p.bcast {
 		return kindSUMMAState
-	case p.blk.hasL():
-		return kindCannonLState
 	}
 	return kindCannonState
 }
 
 // checkKind refuses a state kind this binary does not know, and a Cannon
-// state laid out for ⟨i,j,k⟩ without its L block, which it could not convert
-// (ConvertToJIK).
+// state written for ⟨i,j,k⟩ without the L block its conversion reads
+// (convertToJIK).
 func checkKind(kind byte, enum Enumeration) error {
 	switch {
 	case kind > kindCannonState:
@@ -178,7 +175,7 @@ func EncodePrepared(p *Prepared) []byte {
 	e := &encoder{b: make([]byte, 0, 1024)}
 	e.u32(preparedMagic)
 	e.u32(preparedVersion)
-	e.b = append(e.b, p.stateKind(), byte(p.enum), 0, 0)
+	e.b = append(e.b, p.stateKind(), byte(EnumJIK), 0, 0)
 
 	e.i64(p.n)
 	e.i64(p.baseN)
@@ -209,9 +206,6 @@ func EncodePrepared(p *Prepared) []byte {
 	e.csr(&blk.task)
 	if !p.bcast {
 		e.csr(&blk.u[0])
-		if blk.hasL() {
-			e.csr(blk.l[0].byCols())
-		}
 		return e.b
 	}
 	e.classList(len(blk.u), func(i int) {
@@ -269,31 +263,63 @@ func (d *decoder) classList(L, q, res int, read func(i int)) {
 	}
 }
 
-// DecodePrepared rebuilds the resident state of rank `rank` in a world of
-// `size` ranks from an EncodePrepared blob, verifying that the blob targets
-// exactly that grid position and that its blocks keep every bound the kernel
-// and the write path rely on (blocks.check) — blobs also arrive over the
-// network, from a follower's bootstrap and the coordinator's restore, so a
-// malformed one is an error, never a panic. The decoded value reports zero
-// preprocessing cost (no pipeline ran). A legacy ⟨i,j,k⟩ state decodes as
-// written, so its delta chain replays; the restore then converts it. The L
-// block of a legacy ⟨j,i,k⟩ Cannon state is checked and dropped (keepsL).
+// DecodeChain rebuilds the resident state of rank `rank` in a world of
+// `size` ranks from its snapshot chain: an EncodePrepared blob, then every
+// EncodePreparedDelta blob in application order. Every blob must target
+// exactly that grid position, and the state keep every bound the kernel and
+// the write path rely on (blocks.check) after each of them — blobs also
+// arrive over the network, from a follower's bootstrap and the
+// coordinator's restore, so a malformed one is an error, never a panic. The
+// decoded value reports zero preprocessing cost (no pipeline ran).
+//
+// The state comes out laid out for ⟨j,i,k⟩, as PrepareGrid builds it. A
+// chain an older binary wrote for ⟨i,j,k⟩ is replayed in the layout it was
+// written in and converted once (convertToJIK): before the first delta
+// written after such a conversion, which is a ⟨j,i,k⟩ one, or at the end.
+// The L block of a legacy ⟨j,i,k⟩ Cannon state is checked and dropped.
+func DecodeChain(blobs [][]byte, rank, size int) (*Prepared, error) {
+	if len(blobs) == 0 {
+		return nil, errors.New("core: empty snapshot chain")
+	}
+	p, ijk, err := decodePrepared(blobs[0], rank, size)
+	for i := 1; err == nil && i < len(blobs); i++ {
+		if ijk, err = p.applyDelta(blobs[i], rank, size, ijk); err != nil {
+			err = fmt.Errorf("chain member %d of %d: %w", i+1, len(blobs), err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ijk {
+		p.convertToJIK()
+	}
+	return p, nil
+}
+
+// DecodePrepared is DecodeChain of a base blob alone.
 func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
+	return DecodeChain([][]byte{blob}, rank, size)
+}
+
+// decodePrepared decodes a base blob in the layout it was written in, and
+// reports whether that is the legacy ⟨i,j,k⟩ one (task block = U, L kept).
+func decodePrepared(blob []byte, rank, size int) (p *Prepared, ijk bool, err error) {
 	d := &decoder{b: blob}
 	if magic := d.u32(); d.err == nil && magic != preparedMagic {
-		return nil, fmt.Errorf("core: prepared blob has magic %#x, want %#x", magic, preparedMagic)
+		return nil, false, fmt.Errorf("core: prepared blob has magic %#x, want %#x", magic, preparedMagic)
 	}
 	if v := d.u32(); d.err == nil && v != preparedVersion {
-		return nil, fmt.Errorf("core: prepared blob version %d, this binary reads %d", v, preparedVersion)
+		return nil, false, fmt.Errorf("core: prepared blob version %d, this binary reads %d", v, preparedVersion)
 	}
 	kind, enum := d.kindEnum()
 	if d.err == nil {
 		if err := checkKind(kind, enum); err != nil {
-			return nil, fmt.Errorf("core: prepared blob: %w", err)
+			return nil, false, fmt.Errorf("core: prepared blob: %w", err)
 		}
 	}
+	ijk = enum == EnumIJK
 
-	p := &Prepared{enum: enum, bcast: kind == kindSUMMAState}
+	p = &Prepared{bcast: kind == kindSUMMAState}
 	p.n = d.i64()
 	p.baseN = d.i64()
 	p.version = d.i64()
@@ -303,16 +329,16 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	p.labels = d.i32s()
 	dirty := d.i32s()
 	if d.err != nil {
-		return nil, d.err
+		return nil, false, d.err
 	}
 	if p.n < 1 || p.n > math.MaxInt32 || p.baseN < 1 || p.baseN > p.n {
-		return nil, fmt.Errorf("core: prepared blob has impossible vertex space n=%d baseN=%d", p.n, p.baseN)
+		return nil, false, fmt.Errorf("core: prepared blob has impossible vertex space n=%d baseN=%d", p.n, p.baseN)
 	}
 	if err := checkLabels(p.labelBeg, p.labels, p.baseN, rank, size); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := checkDirty(dirty, p.n); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	p.SetDegreeDirty(dirty)
 
@@ -323,7 +349,7 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	case kindCannonLState, kindCannonState:
 		q, x, y, n := int(d.i32()), int(d.i32()), int(d.i32()), d.i64()
 		if d.err == nil && (q < 1 || q*q != size || x != rank/q || y != rank%q) {
-			return nil, fmt.Errorf("core: prepared blob is for rank (%d,%d) of a %d×%d grid, decoding on rank %d of %d",
+			return nil, false, fmt.Errorf("core: prepared blob is for rank (%d,%d) of a %d×%d grid, decoding on rank %d of %d",
 				x, y, q, q, rank, size)
 		}
 		if d.err == nil && n != p.n {
@@ -334,17 +360,17 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 		var L int
 		qr, qc, L = int(d.i32()), int(d.i32()), int(d.i32())
 		if d.err == nil && (qr < 1 || qc < 1 || qr*qc != size || L != lcm(qr, qc)) {
-			return nil, fmt.Errorf("core: prepared blob is for a %d×%d SUMMA grid with %d classes, world has %d ranks", qr, qc, L, size)
+			return nil, false, fmt.Errorf("core: prepared blob is for a %d×%d SUMMA grid with %d classes, world has %d ranks", qr, qc, L, size)
 		}
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, false, d.err
 	}
 	blk := newBlocks(qr, qc, rank, p.n, p.bcast)
 	blk.maxURow = d.i64()
 	nRows, nCols := d.i32(), d.i32()
 	if d.err == nil && (nRows != blk.nRows || nCols != blk.nCols) {
-		return nil, fmt.Errorf("core: prepared blob dimensions %d×%d do not match rank %d of a %d×%d grid over %d vertices",
+		return nil, false, fmt.Errorf("core: prepared blob dimensions %d×%d do not match rank %d of a %d×%d grid over %d vertices",
 			nRows, nCols, rank, qr, qc, p.n)
 	}
 	blk.task = d.csr(kindU)
@@ -355,25 +381,52 @@ func DecodePrepared(blob []byte, rank, size int) (*Prepared, error) {
 	default:
 		blk.u[0] = d.csr(kindU)
 		if kind == kindCannonLState {
-			blk.l[0] = cscBlock(d.csr(kindL))
+			blk.l = []cscBlock{cscBlock(d.csr(kindL))}
 		}
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, false, d.err
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("core: prepared blob has %d trailing bytes", len(d.b)-d.off)
+		return nil, false, fmt.Errorf("core: prepared blob has %d trailing bytes", len(d.b)-d.off)
 	}
 	if err := blk.check(p.n); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if !keepsL(p.bcast, p.enum) {
+	if !p.bcast && !ijk {
 		blk.l = nil
 	}
 	blk.taskRows = blk.task.nonEmptyRows(nil)
 	p.blk = blk
 	p.reserveScratch()
-	return p, nil
+	return p, ijk, nil
+}
+
+// convertToJIK lays a legacy state decoded in the ⟨i,j,k⟩ layout (task
+// block = the U pattern, L kept) out for ⟨j,i,k⟩ (task block = the L
+// classes by rows); a shift state then drops its L block. Local.
+func (p *Prepared) convertToJIK() {
+	// Column j of L class i holds keys k of local rows k·(L/qr) + i.
+	b, step := p.blk, int32(p.blk.L/p.blk.qr)
+	var ents []int64 // packed like classEdits: row-major when sorted
+	for i, l := range b.l {
+		for j := int32(0); j < l.rows; j++ {
+			for _, k := range l.col(j) {
+				ents = append(ents, int64(k*step+int32(i))<<32|int64(j))
+			}
+		}
+	}
+	slices.Sort(ents)
+	b.task = newBlock(kindU, b.nRows, len(ents), 0)
+	for x, e := range ents {
+		b.task.xadj[editRow(e)+1]++
+		b.task.adj[x] = editVal(e)
+	}
+	prefixSum(b.task.xadj)
+	b.taskRows = b.task.nonEmptyRows(b.taskRows)
+	if !p.bcast {
+		b.l = nil
+	}
 }
 
 // checkLabels verifies a decoded label map against the base region [0, baseN)

@@ -24,8 +24,6 @@ import (
 // so repeated queries against the same Prepared value are independent and
 // return identical counts.
 type Prepared struct {
-	enum Enumeration
-
 	blk   *blocks
 	bcast bool
 
@@ -74,9 +72,6 @@ func (p *Prepared) Wedges() int64 { return p.wedges }
 // preprocessing phase that built this state.
 func (p *Prepared) PreOps() int64 { return p.preOps }
 
-// Enumeration returns the enumeration rule the task block was built for.
-func (p *Prepared) Enumeration() Enumeration { return p.enum }
-
 // localWedges sums d(v)·(d(v)-1)/2 over the locally owned vertices of the
 // original (pre-relabeling) distribution; degrees are invariant under the
 // relabelings, so this is the graph's true wedge count.
@@ -91,13 +86,24 @@ func localWedges(in *dgraph.Dist1D) int64 {
 
 // PrepareGrid runs the preprocessing phase once — cyclic redistribution,
 // degree relabeling, 2D block construction — and returns the resident
-// per-rank state for a qr × qc process grid. bcast selects how a count moves
-// the operand blocks: Cannon's shifts (false; the grid must be square) or
+// per-rank state for a qr × qc process grid, laid out for the ⟨j,i,k⟩ rule,
+// the one the write path reads rows by. bcast selects how a count moves the
+// operand blocks: Cannon's shifts (false; the grid must be square) or
 // SUMMA's broadcasts (true; any grid that tiles the world). Every rank of the
 // communicator must call it with its own input share and identical
 // arguments. The returned state may then serve any number of CountPrepared
-// calls, including from later epochs of the same world.
+// calls, including from later epochs of the same world. opt.Enumeration must
+// be ⟨j,i,k⟩: only the one-shot CountGrid counts under ⟨i,j,k⟩.
 func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Options) (*Prepared, error) {
+	if opt.Enumeration != EnumJIK {
+		return nil, fmt.Errorf("core: a resident state is laid out for ⟨j,i,k⟩; the %v rule counts only through CountGrid", opt.Enumeration)
+	}
+	return prepareGrid(c, in, qr, qc, bcast, EnumJIK)
+}
+
+// prepareGrid is PrepareGrid for either rule. An ⟨i,j,k⟩ state, whose task
+// block is its U block, serves CountGrid's one count and nothing else.
+func prepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, enum Enumeration) (*Prepared, error) {
 	if !bcast && qr != qc {
 		return nil, fmt.Errorf("core: the shift schedule needs a square grid, got %d×%d for %d ranks", qr, qc, c.Size())
 	}
@@ -111,7 +117,7 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 	if in.N < 1 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
-	prep := &Prepared{enum: opt.Enumeration, bcast: bcast, n: in.N, baseN: in.N}
+	prep := &Prepared{bcast: bcast, n: in.N, baseN: in.N}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -121,7 +127,7 @@ func PrepareGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, bcast bool, opt Opt
 		return nil, err
 	}
 	prep.labels, prep.labelBeg = rl.labels, rl.beg
-	if prep.blk, err = build2D(c, grid, rl, bcast, opt.Enumeration, &preOps); err != nil {
+	if prep.blk, err = build2D(c, grid, rl, bcast, enum, &preOps); err != nil {
 		return nil, err
 	}
 
@@ -148,8 +154,9 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // PreOps == 0 (the preprocessing cost lives on the Prepared value) and no
 // modeled times, which only CountGrid measures. Every rank must call it
 // with its own Prepared state from the same Prepare and identical options.
-// The count runs under the rule the state was prepared for; opt.Enumeration
-// is not read. The call is repeatable: the resident blocks are not mutated.
+// The count runs under the rule the task block was built for, ⟨j,i,k⟩ on
+// every state PrepareGrid or DecodeChain returns; opt.Enumeration is not
+// read. The call is repeatable: the resident blocks are not mutated.
 // An operand that arrives from another rank and does not decode for this one
 // fails the call with an error naming the rank, the step and the operand.
 //
@@ -158,8 +165,8 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 // one-scratch cache and put back when its steps end; the operand blobs are
 // the resident bytes, which other ranks read in place), so any number of
 // CountPrepared epochs may run concurrently over the same state as
-// World.RunRead epochs. The write-path operations — Splice,
-// ConvertToJIK, AdjustTotals, SetLabels, and the delta package's
+// World.RunRead epochs. The write-path operations — Splice, GrowTo,
+// AdjustTotals, SetLabels, and the delta package's
 // Apply/Rebuild built on them — are exclusive and must not overlap any
 // CountPrepared epoch; the cluster scheduler enforces this split.
 func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {

@@ -17,8 +17,8 @@ import (
 //        of remote neighbours;
 //   (iii)+(iv) 2D cyclic redistribution that forms, on every grid rank, the
 //        upper-triangular block U_{x,y} (CSR) and the task block (CSR), in
-//        local indices, plus the lower-triangular block L_{x,y} (CSC) where
-//        the schedule needs one of its own (keepsL).
+//        local indices, plus the lower-triangular block L_{x,y} (CSC) under
+//        the broadcast schedule, the one whose L blocks travel.
 //
 // Each step allocates only what the next one keeps. The chunks the cyclic
 // all-to-all delivers are the 1D block: step (ii) reads the degrees off
@@ -209,9 +209,8 @@ func degreeRelabel(c *mpi.Comm, in *cyclicBlock, ops *int64) (*relabeled, error)
 // two operands of a step agree on local indices. This rank owns the U
 // classes ≡ col (mod qc) and the L classes ≡ row (mod qr): u[i] holds class
 // i·qc + col, l[i] class i·qr + row. On a square grid L = q and u has length
-// 1 — the block U_{x,y} of §5.1 — and l is empty unless the state is laid
-// out for ⟨i,j,k⟩ (keepsL): the shift schedule reads L_{x,y} as rank
-// (y,x)'s U block.
+// 1 — the block U_{x,y} of §5.1 — and l is empty: the shift schedule reads
+// L_{x,y} as rank (y,x)'s U block.
 //
 // A block whose xadj is nil has not been created: the broadcast schedule
 // builds only the classes that have an entry (its snapshot kind lists the
@@ -239,23 +238,18 @@ type blocks struct {
 
 // newBlocks returns the empty layout of world rank `rank` on a qr × qc grid
 // over n vertices for the schedule bcast selects: geometry set, no class
-// created, room for the L classes whether or not the state keeps them.
+// created, and room for L classes under the broadcast schedule only.
 func newBlocks(qr, qc, rank int, n int64, bcast bool) *blocks {
 	L := lcm(qr, qc)
-	b := &blocks{qr: qr, qc: qc, L: L, row: rank / qc, col: rank % qc,
-		u: make([]csrBlock, L/qc), l: make([]cscBlock, L/qr)}
+	b := &blocks{qr: qr, qc: qc, L: L, row: rank / qc, col: rank % qc, u: make([]csrBlock, L/qc)}
 	b.nRows, b.nCols = b.dims(n)
 	if bcast {
+		b.l = make([]cscBlock, L/qr)
 		b.emptyU = emptyBlock(kindU, b.nRows)
 		b.emptyL = cscBlock(emptyBlock(kindL, b.nCols))
 	}
 	return b
 }
-
-// hasL reports whether this rank holds L classes of its own. keepsL decides
-// it where the layout is built, decoded or converted; every other site asks
-// the blocks.
-func (b *blocks) hasL() bool { return len(b.l) > 0 }
 
 // dims returns the row and column dimension of this rank's blocks over n
 // vertices.
@@ -357,44 +351,35 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, bcast bool, enum Enumer
 	return blocksOf(c, grid.Rows(), grid.Cols(), rl.n, got, bcast, enum, ops)
 }
 
-// keepsL reports whether a state of the given schedule and rule holds L
-// classes of its own. The broadcast schedule does: its L classes travel. A
-// shift state does not, as L_{x,y} is rank (y,x)'s U block, list for list;
-// only while it is laid out for ⟨i,j,k⟩ does it keep the block, from which
-// ConvertToJIK builds the ⟨j,i,k⟩ task block without communication. Only a
-// state that keeps L builds it: buildBlocks transposes the L pattern once.
-func keepsL(bcast bool, enum Enumeration) bool { return bcast || enum == EnumIJK }
-
 // blocksOf is the receiving half of build2D: the blocks of this rank of a
 // qr × qc grid over n vertices, from the parts routePairs delivered. The U
-// and task blocks are built straight into the arrays the state keeps, and
-// the L block only when the state keeps it.
+// block and the L pattern are built straight into arrays the state keeps:
+// the task block is the L pattern, or under ⟨i,j,k⟩ the U block itself,
+// which is safe as an ⟨i,j,k⟩ state is never written. Only the broadcast
+// schedule, whose L classes travel, transposes the L pattern into them.
 func blocksOf(c *mpi.Comm, qr, qc int, n int64, got [][]int32, bcast bool, enum Enumeration, ops *int64) (*blocks, error) {
 	blk := newBlocks(qr, qc, c.Rank(), n, bcast)
 	var maxRow, failed int64
-	keepL := keepsL(bcast, enum)
-	task, u, l, err := buildBlocks(got, blk.nRows, blk.nCols, enum, keepL)
+	u, lRows, err := buildBlocks(got, blk.nRows, blk.nCols)
 	if err != nil {
 		failed = 1
 	} else {
-		nL := task.nnz() // the ⟨j,i,k⟩ task block is the L pattern
+		*ops += u.nnz() + lRows.nnz()
+		blk.task = lRows
 		if enum == EnumIJK {
-			nL = int64(len(l.adj))
+			blk.task = u
 		}
-		*ops += u.nnz() + nL
-		blk.task = task
-		blk.taskRows = task.nonEmptyRows(nil)
+		blk.taskRows = blk.task.nonEmptyRows(nil)
 		for i, b := range splitClasses(u, int32(blk.L/qc)) {
 			if b.nnz() > 0 || !bcast {
 				blk.u[i] = b
 				maxRow = max(maxRow, b.maxRow())
 			}
 		}
-		if !keepL {
-			blk.l = nil
-		} else {
-			for i, b := range splitClasses(csrBlock(l), int32(blk.L/qr)) {
-				if b.nnz() > 0 || !bcast {
+		if bcast {
+			l := transpose(&lRows, kindL, blk.nCols)
+			for i, b := range splitClasses(l, int32(blk.L/qr)) {
+				if b.nnz() > 0 {
 					blk.l[i] = cscBlock(b)
 				}
 			}

@@ -358,9 +358,9 @@ func FuzzCyclicParts(f *testing.F) {
 // group, never a panic.
 func TestBuildBlocksRejectsMalformed(t *testing.T) {
 	const nRows, nCols = 2, 3
-	_, u, l, err := buildBlocks([][]int32{{0, 2, 1, ^1}, {1, 0}}, nRows, nCols, EnumJIK, true)
-	if err != nil || u.nnz() != 1 || len(l.adj) != 1 {
-		t.Fatalf("a well-formed part gives U nnz %d, L nnz %d, %v", u.nnz(), len(l.adj), err)
+	u, l, err := buildBlocks([][]int32{{0, 2, 1, ^1}, {1, 0}}, nRows, nCols)
+	if err != nil || u.nnz() != 1 || l.nnz() != 1 {
+		t.Fatalf("a well-formed part gives U nnz %d, L nnz %d, %v", u.nnz(), l.nnz(), err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -380,7 +380,7 @@ func TestBuildBlocksRejectsMalformed(t *testing.T) {
 		{"a repeated entry in one group", []int32{1, 0, 2, 3, 1, 0, 1}, 2, "row 1 repeated in column 2"},
 		{"a repeated L entry in one group", []int32{2, 2, ^0, ^0}, 0, "row 0 repeated in column 2"},
 	} {
-		_, _, _, err := buildBlocks([][]int32{{}, tc.part}, nRows, nCols, EnumJIK, true)
+		_, _, err := buildBlocks([][]int32{{}, tc.part}, nRows, nCols)
 		var pe *PartError
 		if !errors.As(err, &pe) || pe.Exchange != exch2D || pe.Src != 1 || pe.Word != tc.word || !strings.Contains(pe.Reason, tc.want) {
 			t.Errorf("%s: error %v, want a 2D PartError from rank 1 at word %d containing %q", tc.name, err, tc.word, tc.want)
@@ -461,48 +461,32 @@ func FuzzBuildBlocks(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(parts[0], parts[1], dims[0], dims[1], false, false)
-	f.Add(parts[0], parts[1], dims[0], dims[1], true, true)
-	f.Add(parts[0], parts[1], dims[0], dims[1], false, true)
-	f.Add(parts[0][:len(parts[0])-4], parts[1], dims[0], dims[1], false, false)
-	f.Add(parts[0], parts[1], dims[0]-1, dims[1]-1, false, true)
-	f.Add(parts[0], parts[0], dims[0], dims[1], false, false)
-	f.Fuzz(func(t *testing.T, a, b []byte, nRows, nCols uint16, ijk, keepL bool) {
+	f.Add(parts[0], parts[1], dims[0], dims[1])
+	f.Add(parts[1], parts[0], dims[0], dims[1])
+	f.Add(parts[0], []byte(nil), dims[0], dims[1])
+	f.Add(parts[0][:len(parts[0])-4], parts[1], dims[0], dims[1])
+	f.Add(parts[0], parts[1], dims[0]-1, dims[1]-1)
+	f.Add(parts[0], parts[0], dims[0], dims[1])
+	f.Fuzz(func(t *testing.T, a, b []byte, nRows, nCols uint16) {
 		got := [][]int32{mpi.BytesToInt32s(a[:len(a)&^3]), mpi.BytesToInt32s(b[:len(b)&^3])}
 		rows, cols := int32(nRows%1024), int32(nCols%1024)
-		enum := EnumJIK
-		if ijk {
-			enum = EnumIJK
-		}
-		task, u, l, err := buildBlocks(got, rows, cols, enum, keepL)
+		u, lRows, err := buildBlocks(got, rows, cols)
 		if err != nil {
 			if pe := (*PartError)(nil); !errors.As(err, &pe) || pe.Exchange != exch2D {
 				t.Fatalf("not a 2D PartError: %v", err)
 			}
 			return
 		}
-		nL := int64(len(l.adj))
-		if !ijk {
-			nL = task.nnz() // the ⟨j,i,k⟩ task block is the L pattern
-			if keepL && int64(len(l.adj)) != nL {
-				t.Fatalf("L block of %d entries, task block of %d", len(l.adj), nL)
-			}
-		} else if task.nnz() != u.nnz() {
-			t.Fatalf("⟨i,j,k⟩ task block of %d entries, U of %d", task.nnz(), u.nnz())
+		if words := len(got[0]) + len(got[1]); u.nnz()+lRows.nnz() > int64(words) {
+			t.Fatalf("%d U and %d L entries from %d words", u.nnz(), lRows.nnz(), words)
 		}
-		if words := len(got[0]) + len(got[1]); u.nnz()+nL > int64(words) {
-			t.Fatalf("%d U and %d L entries from %d words", u.nnz(), nL, words)
-		}
+		// The broadcast schedule's L block is the L pattern transposed.
+		l := transpose(&lRows, kindL, cols)
 		type built struct {
 			blk       *csrBlock
 			kind, dim int32
 		}
-		blks := []built{{&task, kindU, rows}, {&u, kindU, rows}}
-		if keepL {
-			blks = append(blks, built{l.byCols(), kindL, cols})
-		} else if l.buf != nil {
-			t.Fatalf("an L block of %d entries built while not kept", len(l.adj))
-		}
+		blks := []built{{&u, kindU, rows}, {&lRows, kindU, rows}, {&l, kindL, cols}}
 		for _, b := range blks {
 			for a := int32(0); a < b.blk.rows; a++ {
 				if row := b.blk.row(a); !slices.IsSorted(row) || len(slices.Compact(slices.Clone(row))) != len(row) {
@@ -622,7 +606,7 @@ func FuzzDecodeCSRBlob(f *testing.F) {
 	}
 	var seeds [][]byte
 	_, err = mpi.Run(4, testCfg(), func(c *mpi.Comm) (any, error) {
-		p, err := prepareOn(c, g, 0, 0, EnumIJK) // keeps its L block
+		p, err := prepareOn(c, g, 2, 2, EnumJIK) // a SUMMA state keeps its L classes
 		if c.Rank() == 1 {
 			seeds = [][]byte{slices.Clone(p.blk.u[0].blob()), slices.Clone(p.blk.l[0].byCols().blob())}
 		}

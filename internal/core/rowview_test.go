@@ -95,27 +95,23 @@ func checkRowView(c *mpi.Comm, p *Prepared, rng *rand.Rand) error {
 // TestRowViewMatchesBlocks checks the row view (AdjRow, HasEdgeLocal)
 // against the definition of a row on every schedule shape: one class per
 // rank (Cannon), several U classes (4×2), several L classes (2×4), several
-// of both (2×3), and one grid row (1×5). A state built for ⟨i,j,k⟩ is
-// converted first, as a restore converts it.
+// of both (2×3), and one grid row (1×5).
 func TestRowViewMatchesBlocks(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 9, 8, 5)
 	for _, w := range []struct{ p, qr, qc int }{{4, 0, 0}, {9, 0, 0}, {6, 2, 3}, {8, 4, 2}, {8, 2, 4}, {5, 1, 5}} {
-		for _, enum := range []Enumeration{EnumJIK, EnumIJK} {
-			name := fmt.Sprintf("p%d-%dx%d-%v", w.p, w.qr, w.qc, enum)
-			_, err := mpi.Run(w.p, testCfg(), func(c *mpi.Comm) (any, error) {
-				prep, err := prepareOn(c, g, w.qr, w.qc, enum)
-				if err != nil {
-					return nil, err
-				}
-				prep.ConvertToJIK()
-				if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
-					t.Errorf("%s rank %d: %v", name, c.Rank(), err)
-				}
-				return nil, nil
-			})
+		name := fmt.Sprintf("p%d-%dx%d", w.p, w.qr, w.qc)
+		_, err := mpi.Run(w.p, testCfg(), func(c *mpi.Comm) (any, error) {
+			prep, err := prepareOn(c, g, w.qr, w.qc, EnumJIK)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				return nil, err
 			}
+			if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
+				t.Errorf("%s rank %d: %v", name, c.Rank(), err)
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

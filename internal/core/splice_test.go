@@ -322,8 +322,7 @@ func createdClasses(b *blocks) (n int) {
 
 // TestSpliceCreatesSUMMABuckets inserts edges whose operand classes a rank
 // holds no bucket for yet: the splice must create them, and the row view
-// must read exactly what the spliced blocks define. A state built for
-// ⟨i,j,k⟩ is converted first, as a restore converts it.
+// must read exactly what the spliced blocks define.
 func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 	// One edge only: degree relabeling gives its endpoints the two top
 	// labels, so no label pair two or more apart exists yet.
@@ -338,26 +337,23 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 			ins = append(ins, [2]int32{a, b})
 		}
 	}
-	for _, enum := range []Enumeration{EnumJIK, EnumIJK} {
-		_, err := mpi.Run(6, testCfg(), func(c *mpi.Comm) (any, error) {
-			prep, err := prepareOn(c, g, 2, 3, enum)
-			if err != nil {
-				return nil, err
-			}
-			prep.ConvertToJIK()
-			before := createdClasses(prep.blk)
-			prep.Splice(c, ins, nil)
-			created := int64(createdClasses(prep.blk) - before)
-			if c.AllreduceInt64(created, mpi.OpSum) == 0 {
-				return nil, fmt.Errorf("%v: the inserts created no bucket on any rank; the case is not exercised", enum)
-			}
-			if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
-				return nil, fmt.Errorf("%v rank %d: after the splice: %w", enum, c.Rank(), err)
-			}
-			return nil, prep.ValidateKernelSizing()
-		})
+	_, err = mpi.Run(6, testCfg(), func(c *mpi.Comm) (any, error) {
+		prep, err := prepareOn(c, g, 2, 3, EnumJIK)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
+		before := createdClasses(prep.blk)
+		prep.Splice(c, ins, nil)
+		created := int64(createdClasses(prep.blk) - before)
+		if c.AllreduceInt64(created, mpi.OpSum) == 0 {
+			return nil, fmt.Errorf("the inserts created no bucket on any rank; the case is not exercised")
+		}
+		if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
+			return nil, fmt.Errorf("rank %d: after the splice: %w", c.Rank(), err)
+		}
+		return nil, prep.ValidateKernelSizing()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,8 +27,7 @@ func packEdge(a, b int32) int64 {
 //
 // Apply mutates the resident blocks in place (GrowTo, Splice,
 // AdjustTotals), so it must run as an exclusive write epoch (World.Run) —
-// never concurrently with CountPrepared read epochs over the same state. An
-// ⟨i,j,k⟩ state has no rows to read: Apply returns ErrIJKLayout.
+// never concurrently with CountPrepared read epochs over the same state.
 //
 // The epoch's phases: run the vertex-admission pre-pass (allocate
 // OpAddVertices ranges above every id the batch references, take the max
@@ -44,9 +43,6 @@ func packEdge(a, b int32) int64 {
 // the new graph; reduce the discovery buckets and fold the weighted formula
 // into the resident totals.
 func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
-	if prep.Enumeration() != core.EnumJIK {
-		return nil, ErrIJKLayout
-	}
 	p := c.Size()
 	baseN := prep.BaseN()
 	qr, qc, _ := prep.GridShape()

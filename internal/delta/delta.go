@@ -59,10 +59,6 @@ import (
 // vertex arrival.
 var ErrVertexRange = errors.New("delta: vertex id out of range")
 
-// ErrIJKLayout marks a write to a state laid out for the ⟨i,j,k⟩ rule, which
-// has no ⟨j,i,k⟩ task block to read rows from (restores convert such states).
-var ErrIJKLayout = errors.New("delta: state is laid out for the ⟨i,j,k⟩ rule and takes no writes")
-
 // Op selects the kind of one update.
 type Op int8
 

@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // FormatVersion is the snapshot format this package writes. Decoding a
@@ -262,19 +263,26 @@ func (w *Writer) Commit(m Manifest) error {
 	if err := os.Rename(w.tmp, w.final); err != nil {
 		return err
 	}
-	syncDir(w.dir)
-	return nil
+	return syncDir(w.dir)
 }
 
 // Abort discards an unfinished snapshot attempt.
 func (w *Writer) Abort() { os.RemoveAll(w.tmp) }
 
-// syncDir fsyncs a directory (best effort — not all filesystems support it).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory, so that the names created or renamed in it
+// are durable. A filesystem that cannot sync a directory answers EINVAL,
+// which is tolerated: there is nothing more to make durable there. Any
+// other error, opening the directory included, is returned.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	defer d.Close() // opened only to sync
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
+		return err
+	}
+	return nil
 }
 
 // List returns the sequence numbers of the published snapshots under dir,

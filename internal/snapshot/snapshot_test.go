@@ -452,3 +452,16 @@ func TestRemoveBootArtifacts(t *testing.T) {
 		t.Fatal("RemoveBootArtifacts over a published snapshot succeeded")
 	}
 }
+
+// TestSyncDirReportsErrors: a directory that cannot be opened is an error,
+// so Commit and CreateWAL never report a name durable that may not be; a
+// real directory syncs.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Error("syncDir of a missing directory succeeded")
+	}
+	if err := syncDir(dir); err != nil {
+		t.Errorf("syncDir of a directory: %v", err)
+	}
+}

@@ -93,7 +93,10 @@ func CreateWAL(dir string, base, lastSeq uint64, syncEach bool) (*WAL, error) {
 			f.Close()
 			return nil, err
 		}
-		syncDir(dir)
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return nil, err
+		}
 	} else if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err

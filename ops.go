@@ -402,7 +402,7 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	var pr *core.Prepared
 	blobs, err := r.fetch(rank)
 	if err == nil {
-		pr, err = decodeChain(blobs, rank, c.Size())
+		pr, err = core.DecodeChain(blobs, rank, c.Size())
 	}
 	ok := int64(1)
 	if err != nil {
@@ -414,9 +414,6 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 		}
 		return nil, err
 	}
-	// The write path reads rows by the ⟨j,i,k⟩ rule; a delta snapshot of the
-	// converted state replays by converting its base the same way.
-	pr.ConvertToJIK()
 	// Track dirtiness from the restored state on, so the next snapshot can
 	// continue the chain as a delta.
 	if r.Track {
@@ -424,21 +421,6 @@ func restoreOp(c *mpi.Comm, st *rankStore, r *wireRestore) (*opReply, error) {
 	}
 	st.put(rank, pr)
 	return reply0(c, pr, opReply{}), nil
-}
-
-// decodeChain rebuilds one rank's state from its chain blobs: the base, then
-// every delta in application order.
-func decodeChain(blobs [][]byte, rank, ranks int) (*core.Prepared, error) {
-	if len(blobs) == 0 {
-		return nil, errors.New("tc2d: restore of an empty snapshot chain")
-	}
-	pr, err := core.DecodePrepared(blobs[0], rank, ranks)
-	for i := 1; err == nil && i < len(blobs); i++ {
-		if err = core.ApplyPreparedDelta(pr, blobs[i], rank, ranks); err != nil {
-			err = fmt.Errorf("chain member %d of %d: %w", i+1, len(blobs), err)
-		}
-	}
-	return pr, err
 }
 
 // restoreEntry is gobOp plus each rank's chain blobs as its payload.

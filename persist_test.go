@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -198,28 +199,30 @@ func TestClusterKillRecoverySingleRank(t *testing.T) {
 // grid and schedule NewCluster no longer builds still opens on them and keeps
 // them through a batch, a full rebuild and a snapshot-and-reopen. The inputs
 // are hand-built: a 4-rank SUMMA world on 2×2 (square rank counts now always
-// run Cannon), and a Cannon 2×2 ⟨i,j,k⟩ world whose manifest still carries
-// the legacy enum/summa/qr/qc keys. The write path reads rows from the
-// ⟨j,i,k⟩ task block, so the ⟨i,j,k⟩ state is ⟨j,i,k⟩ from the open on.
+// run Cannon), and the Cannon 2×2 ⟨i,j,k⟩ base blobs of the core package's
+// compat corpus, which an older binary wrote, under a manifest that still
+// carries the legacy enum/summa/qr/qc keys. The restore converts the ⟨i,j,k⟩
+// state, so both are ⟨j,i,k⟩ states from the open on.
 func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 	cases := []struct {
 		name   string
 		summa  bool
-		enum   core.Enumeration
-		legacy map[string]any // extra manifest keys, as older binaries wrote them
+		seed   uint64                                // of the RMAT s8/ef8 graph
+		blobs  func(t *testing.T, g *Graph) [][]byte // per rank
+		legacy map[string]any                        // extra manifest keys, as older binaries wrote them
 	}{
-		{name: "summa2x2_jik", summa: true, enum: core.EnumJIK},
-		{name: "cannon2x2_ijk", summa: false, enum: core.EnumIJK,
-			legacy: map[string]any{"enum": int(core.EnumIJK), "summa": false, "qr": 2, "qc": 2}},
+		{name: "summa2x2_jik", summa: true, seed: 37, blobs: summa2x2Blobs},
+		{name: "cannon2x2_ijk", summa: false, seed: 3, blobs: compatBlobs("cannon4-ijk"),
+			legacy: map[string]any{"enum": 1, "summa": false, "qr": 2, "qc": 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := GenerateRMAT(G500, 8, 8, 37)
+			g, err := GenerateRMAT(G500, 8, 8, tc.seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			writeHandBuiltSnapshot(t, dir, g, tc.summa, core.Options{Enumeration: tc.enum}, tc.legacy)
+			writeHandBuiltSnapshot(t, dir, g, tc.blobs(t, g), tc.legacy)
 
 			cl, err := OpenCluster(dir, Options{})
 			if err != nil {
@@ -233,9 +236,8 @@ func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 					t.Fatal(err)
 				}
 				qr, qc, summa := pr.GridShape()
-				if qr != 2 || qc != 2 || summa != tc.summa || pr.Enumeration() != core.EnumJIK {
-					t.Fatalf("%s: layout %d×%d SUMMA=%v %v, want 2×2 SUMMA=%v %v",
-						tag, qr, qc, summa, pr.Enumeration(), tc.summa, core.EnumJIK)
+				if qr != 2 || qc != 2 || summa != tc.summa {
+					t.Fatalf("%s: layout %d×%d SUMMA=%v, want 2×2 SUMMA=%v", tag, qr, qc, summa, tc.summa)
 				}
 			}
 			o := newGrowOracle(g)
@@ -280,10 +282,9 @@ func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 	}
 }
 
-// writeHandBuiltSnapshot prepares g on a 4-rank 2×2 grid with the given
-// schedule and options and publishes it under dir as base snapshot 0, with
-// extra merged into its manifest.
-func writeHandBuiltSnapshot(t *testing.T, dir string, g *Graph, summa bool, opt core.Options, extra map[string]any) {
+// summa2x2Blobs prepares g on a 4-rank 2×2 SUMMA grid and returns every
+// rank's EncodePrepared blob.
+func summa2x2Blobs(t *testing.T, g *Graph) [][]byte {
 	t.Helper()
 	const ranks = 4
 	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
@@ -297,7 +298,7 @@ func writeHandBuiltSnapshot(t *testing.T, dir string, g *Graph, summa bool, opt 
 		if err != nil {
 			return nil, err
 		}
-		pr, err := core.PrepareGrid(c, d, 2, 2, summa, opt)
+		pr, err := core.PrepareGrid(c, d, 2, 2, true, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -308,6 +309,32 @@ func writeHandBuiltSnapshot(t *testing.T, dir string, g *Graph, summa bool, opt 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return blobs
+}
+
+// compatBlobs returns the base blobs of 4-rank configuration name of the
+// core package's compat corpus, which were written over the RMAT s8/ef8/seed 3
+// graph.
+func compatBlobs(name string) func(t *testing.T, g *Graph) [][]byte {
+	return func(t *testing.T, _ *Graph) [][]byte {
+		t.Helper()
+		blobs := make([][]byte, 4)
+		for r := range blobs {
+			b, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "compat", name+".r"+strconv.Itoa(r)+".base"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs[r] = b
+		}
+		return blobs
+	}
+}
+
+// writeHandBuiltSnapshot publishes the rank blobs of graph g under dir as
+// base snapshot 0, with extra merged into its manifest.
+func writeHandBuiltSnapshot(t *testing.T, dir string, g *Graph, blobs [][]byte, extra map[string]any) {
+	t.Helper()
+	ranks := len(blobs)
 	sw, err := snapshot.NewWriter(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -766,57 +793,92 @@ func FuzzDecodeBatch(f *testing.F) {
 // TestSnapshotAfterFailedCommitIsBase: the encode epoch resets the ranks'
 // dirty sets, so when a snapshot's commit fails after that epoch the next
 // snapshot must be a base (a delta would lack the churn the failed one
-// captured), and the cluster restored from it must match the oracle.
+// captured), and the cluster restored from it must match the oracle. The
+// commit fails before it publishes anything, or after its rename, as when
+// the directory sync that makes the new name durable fails: either way the
+// WAL is kept, so a crash right after the failed commit (a copy of the
+// directory, reopened) restores every acknowledged write.
 func TestSnapshotAfterFailedCommitIsBase(t *testing.T) {
-	dir := t.TempDir()
-	g, err := GenerateRMAT(G500, 8, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, NoWALSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	oracle := newEdgeOracle(g)
-	write := func(batch []EdgeUpdate) {
-		t.Helper()
-		if _, err := cl.ApplyUpdates(batch); err != nil {
-			t.Fatal(err)
-		}
-		oracle.apply(batch)
-	}
-	write([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 0, V: 2, Op: UpdateInsert}})
-	if info, err := cl.Snapshot(); err != nil || info.Kind != snapshot.KindDelta {
-		t.Fatalf("first snapshot after the base: %+v, err=%v, want a delta", info, err)
-	}
+	for _, tc := range []struct {
+		name   string
+		commit func(*snapshot.Writer, snapshot.Manifest) error
+	}{
+		{"before publishing", func(*snapshot.Writer, snapshot.Manifest) error {
+			return errors.New("injected commit failure")
+		}},
+		{"after the rename", func(w *snapshot.Writer, m snapshot.Manifest) error {
+			if err := w.Commit(m); err != nil {
+				return err
+			}
+			return errors.New("injected directory sync failure")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g, err := GenerateRMAT(G500, 8, 8, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := NewCluster(g, Options{Ranks: 4, PersistDir: dir, NoWALSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			oracle := newEdgeOracle(g)
+			write := func(batch []EdgeUpdate) {
+				t.Helper()
+				if _, err := cl.ApplyUpdates(batch); err != nil {
+					t.Fatal(err)
+				}
+				oracle.apply(batch)
+			}
+			restoresOracle := func(tag, dir string) {
+				t.Helper()
+				re, err := OpenCluster(dir, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				defer re.Close()
+				got, err := re.Count(QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := CountSequential(oracle.graph(t)); got.Triangles != want {
+					t.Fatalf("%s: restored count %d, oracle %d", tag, got.Triangles, want)
+				}
+			}
+			write([]EdgeUpdate{{U: 0, V: 1, Op: UpdateInsert}, {U: 1, V: 2, Op: UpdateInsert}, {U: 0, V: 2, Op: UpdateInsert}})
+			if info, err := cl.Snapshot(); err != nil || info.Kind != snapshot.KindDelta {
+				t.Fatalf("first snapshot after the base: %+v, err=%v, want a delta", info, err)
+			}
 
-	write([]EdgeUpdate{{U: 3, V: 4, Op: UpdateInsert}, {U: 4, V: 5, Op: UpdateInsert}, {U: 3, V: 5, Op: UpdateInsert}})
-	commitSnapshot = func(*snapshot.Writer, snapshot.Manifest) error { return errors.New("injected commit failure") }
-	_, err = cl.Snapshot()
-	commitSnapshot = (*snapshot.Writer).Commit
-	if err == nil {
-		t.Fatal("snapshot with a failing commit succeeded")
-	}
-	info, err := cl.Snapshot()
-	if err != nil || info.Kind != snapshot.KindBase {
-		t.Fatalf("snapshot after the failed commit: %+v, err=%v, want a base", info, err)
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
+			write([]EdgeUpdate{{U: 3, V: 4, Op: UpdateInsert}, {U: 4, V: 5, Op: UpdateInsert}, {U: 3, V: 5, Op: UpdateInsert}})
+			commitSnapshot = tc.commit
+			_, err = cl.Snapshot()
+			commitSnapshot = (*snapshot.Writer).Commit
+			if err == nil {
+				t.Fatal("snapshot with a failing commit succeeded")
+			}
+			before := CountSequential(oracle.graph(t))
+			write([]EdgeUpdate{{U: 6, V: 7, Op: UpdateInsert}, {U: 7, V: 8, Op: UpdateInsert}, {U: 6, V: 8, Op: UpdateInsert}})
+			if CountSequential(oracle.graph(t)) == before {
+				t.Fatal("the write after the failed commit adds no triangle; the WAL's part is not exercised")
+			}
+			crashed := t.TempDir()
+			if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			restoresOracle("crash after the failed commit", crashed)
 
-	cl2, err := OpenCluster(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	got, err := cl2.Count(QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := CountSequential(oracle.graph(t)); got.Triangles != want {
-		t.Fatalf("restored count %d, oracle %d", got.Triangles, want)
+			info, err := cl.Snapshot()
+			if err != nil || info.Kind != snapshot.KindBase {
+				t.Fatalf("snapshot after the failed commit: %+v, err=%v, want a base", info, err)
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restoresOracle("reopen", dir)
+		})
 	}
 }
 
