@@ -45,8 +45,8 @@ func deltaRoundTrip(t *testing.T, p int, summa bool) {
 		if err := prep.GrowTo(prep.N() + 5); err != nil {
 			return nil, err
 		}
-		prep.Splice(c, [][2]int32{{3, 12}, {5, 13}, {11, 14}}, nil)
-		prep.Splice(c, [][2]int32{{1, 15}}, [][2]int32{{3, 12}})
+		splice(c, prep, [][2]int32{{3, 12}, {5, 13}, {11, 14}}, nil)
+		splice(c, prep, [][2]int32{{1, 15}}, [][2]int32{{3, 12}})
 		_, labels := prep.Labels()
 		if len(labels) >= 2 {
 			labels[0], labels[1] = labels[1], labels[0]
@@ -159,7 +159,7 @@ func TestApplyPreparedDeltaRejectsDamage(t *testing.T) {
 		if err := prep.GrowTo(prep.N() + 5); err != nil {
 			return nil, err
 		}
-		prep.Splice(c, [][2]int32{{0, 12}, {2, 13}}, nil)
+		splice(c, prep, [][2]int32{{0, 12}, {2, 13}}, nil)
 		prep.MarkDegreeDirty([]int32{1, 5})
 		delta = EncodePreparedDelta(prep)
 		return nil, nil

@@ -20,7 +20,6 @@ package core
 import (
 	"slices"
 
-	"tc2d/internal/mpi"
 	"tc2d/internal/obs"
 )
 
@@ -327,17 +326,27 @@ func (sc *spliceScratch) spliceCSR(b *csrBlock, ed *classEdits) {
 // presented to every rank; each rank splices exactly the directed entries
 // its blocks own — the U entry at the (wa → wb) owner, and the (wb → wa)
 // entry at its owner, in the ⟨j,i,k⟩ task row and, under the broadcast
-// schedule, the L class — keeping the doubly-sparse row list and the
-// kernel-sizing maximum row length in sync. Every block is spliced in place
-// (spliceCSR). The only communication is one allreduce refreshing the
-// maximum row length.
-func (p *Prepared) Splice(c *mpi.Comm, ins, del [][2]int32) {
+// schedule, the L class — keeping the doubly-sparse row list in sync. Every
+// block is spliced in place (spliceCSR).
+//
+// Splice does not communicate, so it leaves the kernel-sizing maximum row
+// length to the write epoch: it returns a value whose maximum over the ranks
+// is the new maxURow — this rank's longest U row, or the replicated maxURow
+// itself when the batch is empty — and the epoch must reduce it and store
+// the result with SetMaxURow before it ends. Until then maxURow is this
+// rank's old value. Only the NoDirectHash kernel and the state codecs read
+// it; the delta passes (IntersectPairs) do not.
+func (p *Prepared) Splice(rank int, ins, del [][2]int32) (longestURow int64) {
 	if len(ins) == 0 && len(del) == 0 {
-		return
+		return p.blk.maxURow
 	}
-	p.spliceBlocks(c.Rank(), ins, del)
-	p.blk.maxURow = c.AllreduceInt64(p.blk.longestURow(), mpi.OpMax)
+	p.spliceBlocks(rank, ins, del)
+	return p.blk.longestURow()
 }
+
+// SetMaxURow stores the maximum over all ranks of what Splice returned:
+// the exact, replicated maxURow.
+func (p *Prepared) SetMaxURow(longest int64) { p.blk.maxURow = longest }
 
 // routeEdits files the directed entries of edges that this rank owns into
 // the scratch edit lists of the blocks holding them.
@@ -442,7 +451,7 @@ func (sc *spliceScratch) reset() {
 // past it), and the resident maxURow (the probing-table size of the
 // NoDirectHash ablation) is at least the longest local U row. GrowTo
 // preserves both for free (it only appends empty rows and raises n), and
-// Splice refreshes maxURow with an allreduce after every mutation. Local
+// every write epoch that splices stores the agreed maxURow (SetMaxURow). Local
 // work; maxURow is replicated, so the bounds hold globally when they hold on
 // every rank.
 func (p *Prepared) ValidateKernelSizing() error {

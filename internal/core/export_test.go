@@ -4,7 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"unsafe"
+
+	"tc2d/internal/mpi"
 )
+
+// MaxURow returns p's resident maxURow and the longest U row of its own
+// blocks.
+func MaxURow(p *Prepared) (resident, longest int64) { return p.blk.maxURow, p.blk.longestURow() }
+
+// splice runs Splice on this rank and agrees on maxURow with the others, as
+// a write epoch does. Every rank must call it with the same lists.
+func splice(c *mpi.Comm, p *Prepared, ins, del [][2]int32) {
+	p.SetMaxURow(c.AllreduceInt64(p.Splice(c.Rank(), ins, del), mpi.OpMax))
+}
 
 // ArraySpan is the storage one resident array may write to: its backing
 // array from the first element to capacity.

@@ -173,7 +173,7 @@ func TestSquareGridOneLayout(t *testing.T) {
 					if err := prep.GrowTo(int64(n)); err != nil {
 						return nil, err
 					}
-					prep.Splice(c, ins, del)
+					splice(c, prep, ins, del)
 				}
 				return nil, sameLayout(shift[c.Rank()], bcast[c.Rank()])
 			})
@@ -212,12 +212,12 @@ func TestCreatedEmptyClassStaysEncoded(t *testing.T) {
 			base := EncodePrepared(prep)
 			prep.EnableSnapshotTracking()
 			never := createdClasses(prep.blk)
-			prep.Splice(c, edge, nil)
+			splice(c, prep, edge, nil)
 			created := createdClasses(prep.blk) - never
 			if c.AllreduceInt64(int64(created), mpi.OpSum) == 0 {
 				return nil, fmt.Errorf("the insert created no class on any rank; the case is not exercised")
 			}
-			prep.Splice(c, nil, edge)
+			splice(c, prep, nil, edge)
 			if got := createdClasses(prep.blk) - never; got != created {
 				return nil, fmt.Errorf("rank %d: emptying the classes left %d of %d created", c.Rank(), got, created)
 			}

@@ -270,7 +270,8 @@ func (b *blocks) dims(n int64) (nRows, nCols int32) {
 // blocks hold still arrives, once; a column's entries for one rank arrive
 // in one group, which lets the receiver sort nothing (buildBlocks). The
 // division that picks an entry's destination also yields its index. A
-// counting pass sizes each destination buffer exactly; the buffers are
+// counting pass sizes each destination buffer exactly and keeps each
+// vertex's entries per row residue for the fill pass; the buffers are
 // handed to the all-to-all, and the received ones (indexed by source rank)
 // returned.
 func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) [][]int32 {
@@ -278,12 +279,17 @@ func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) 
 	// Unsigned 32-bit divides in the per-entry loops: labels are
 	// non-negative, and one DIV gives quotient and remainder.
 	qr, qc := uint32(gridRows), uint32(gridCols)
-	cnt := make([]int32, qr) // the current vertex's entries per row residue
+	// The entries of owned id beg+i per row residue r, counted once by the
+	// sizing pass and read again by the fill pass: cnts[i·qr + r].
+	cnts := make([]int32, len(rl.labels)*int(qr))
 	need := make([]int, len(sendbuf))
 	var entries int64
 	for id, row := range rl.chunks() {
 		col := uint32(rl.labels[id-rl.beg]) % qc
-		countResidues(row, qr, cnt)
+		cnt := cnts[int(id-rl.beg)*int(qr):][:qr]
+		for _, w := range row {
+			cnt[uint32(w)%qr]++
+		}
 		for r, k := range cnt {
 			if k > 0 {
 				need[uint32(r)*qc+col] += 2 + int(k)
@@ -298,8 +304,7 @@ func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) 
 	for id, row := range rl.chunks() {
 		wu := rl.labels[id-rl.beg]
 		lc, col := int32(uint32(wu)/qc), uint32(wu)%qc
-		countResidues(row, qr, cnt)
-		for r, k := range cnt {
+		for r, k := range cnts[int(id-rl.beg)*int(qr):][:qr] {
 			if k > 0 {
 				dst := uint32(r)*qc + col
 				buf := append(sendbuf[dst], lc, k)
@@ -318,14 +323,6 @@ func routePairs(c *mpi.Comm, gridRows, gridCols int, rl *relabeled, ops *int64) 
 	}
 	*ops += entries
 	return c.AlltoallvInt32(sendbuf)
-}
-
-// countResidues sets cnt[r] to the number of entries of row ≡ r (mod q).
-func countResidues(row []int32, q uint32, cnt []int32) {
-	clear(cnt)
-	for _, w := range row {
-		cnt[uint32(w)%q]++
-	}
 }
 
 // build2D implements steps (iii)+(iv): every directed pair (w_v → w_u) of

@@ -343,7 +343,7 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 			return nil, err
 		}
 		before := createdClasses(prep.blk)
-		prep.Splice(c, ins, nil)
+		splice(c, prep, ins, nil)
 		created := int64(createdClasses(prep.blk) - before)
 		if c.AllreduceInt64(created, mpi.OpSum) == 0 {
 			return nil, fmt.Errorf("the inserts created no bucket on any rank; the case is not exercised")

@@ -29,19 +29,30 @@ func packEdge(a, b int32) int64 {
 // AdjustTotals), so it must run as an exclusive write epoch (World.Run) —
 // never concurrently with CountPrepared read epochs over the same state.
 //
-// The epoch's phases: run the vertex-admission pre-pass (allocate
-// OpAddVertices ranges above every id the batch references, take the max
-// new id over edges, allreduce, and grow the resident blocks to the new
-// space); resolve current labels of the batch endpoints through the
-// retained cyclic/relabel maps (overflow ids resolve to themselves); expand
-// each OpRemoveVertex into deletions of its full adjacency, gathered from
-// the owning grid row's blocks; validate each edge update at the rank
-// owning its U-side entry (inserts of present edges and deletes of absent
-// ones become skips, consistently on every rank); capture pre-splice
-// degrees for the wedge delta; run the deletion delta pass against the old
-// graph; splice all blocks in place; run the insertion delta pass against
-// the new graph; reduce the discovery buckets and fold the weighted formula
-// into the resident totals.
+// The batch fixes every input of the epoch, so its agreement takes three
+// reductions, each fusing what the batch already determines:
+//
+//  1. MAX: the current labels of the batch's endpoints, resolved through
+//     the retained cyclic/relabel maps (overflow ids resolve to
+//     themselves), with the new vertex bound as one more lane — every rank
+//     derives the same bound, allocating OpAddVertices ranges above every
+//     id the batch references. Every rank then grows its resident blocks to
+//     the new space.
+//  2. SUM: the validity of each edge update, adjudicated by the rank owning
+//     its U-side entry (inserts of present edges and deletes of absent ones
+//     become skips, consistently on every rank), with the pre-splice degree
+//     partials of every label the batch can touch, from which the wedge
+//     delta reads the labels the effective updates do touch. An
+//     OpRemoveVertex expands into deletions of its full adjacency, gathered
+//     from the owning grid row's blocks before this round (one all-to-all),
+//     so its neighbours are among those labels.
+//  3. SUM and MAX: the discovery buckets of the deletion pass, run against
+//     the old graph, and of the insertion pass, run against the spliced
+//     one (one all-to-all each), with the probes and each rank's longest U
+//     row, which becomes the replicated maxURow. The insertion pass does
+//     not read maxURow.
+//
+// The weighted formula over the buckets then moves the resident totals.
 func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	p := c.Size()
 	baseN := prep.BaseN()
@@ -95,21 +106,11 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 			cursor += int64(upd.U)
 		}
 	}
-	newN := c.AllreduceInt64(cursor, mpi.OpMax)
-	if newN > math.MaxInt32 {
-		return nil, fmt.Errorf("delta: batch grows the vertex space to %d ids, beyond the int32 label range: %w", newN, ErrVertexRange)
-	}
-	if newN > oldN {
-		if err := prep.GrowTo(newN); err != nil {
-			return nil, err
-		}
-	}
 
-	// Resolve the current label of every distinct batch vertex. Base-region
-	// ids go through the retained permutation: the block owner of the
-	// vertex's cyclic id holds its slot, and a single max-allreduce over a
-	// (-1)-initialized vector completes every rank's view. Overflow ids
-	// (>= baseN) are their own labels — every rank fills them locally.
+	// Round 1. Base-region ids go through the retained permutation: the
+	// block owner of the vertex's cyclic id holds its slot, and the others
+	// leave the lane at -1. Overflow ids (>= baseN) are their own labels —
+	// every rank fills them locally.
 	verts := make([]int32, 0, 2*nb)
 	for _, upd := range batch {
 		switch upd.Op {
@@ -123,7 +124,7 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	verts = slices.Compact(verts)
 	offsets := core.CyclicOffsets(baseN, p)
 	labelBeg, labels := prep.Labels()
-	req := make([]int64, len(verts))
+	req := make([]int64, len(verts)+1)
 	for idx, v := range verts {
 		if int64(v) >= baseN {
 			req[idx] = int64(v) // overflow: identity label
@@ -135,16 +136,24 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 			req[idx] = int64(labels[v1-labelBeg])
 		}
 	}
+	req[len(verts)] = cursor
 	resolved := c.AllreduceInt64s(req, mpi.OpMax)
+	newN := resolved[len(verts)]
+	if newN > math.MaxInt32 {
+		return nil, fmt.Errorf("delta: batch grows the vertex space to %d ids, beyond the int32 label range: %w", newN, ErrVertexRange)
+	}
+	if newN > oldN {
+		if err := prep.GrowTo(newN); err != nil {
+			return nil, err
+		}
+	}
 
 	// The labeled batch, canonical in label space (la < lb) for edge
 	// entries, aligned with the batch order. Vertex entries keep their
 	// removal label in edges[i][0].
 	edges := make([][2]int32, nb)
-	ops := make([]Op, nb)
 	for i, upd := range batch {
-		ops[i] = upd.Op
-		switch ops[i] {
+		switch upd.Op {
 		case OpInsert, OpDelete:
 			la, lb := labelOf(verts, resolved, upd.U), labelOf(verts, resolved, upd.V)
 			if la > lb {
@@ -162,8 +171,8 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// removed label to build the identical deletion list.
 	var remIdx []int
 	var remLabels []int32
-	for i := 0; i < nb; i++ {
-		if ops[i] == OpRemoveVertex {
+	for i, upd := range batch {
+		if upd.Op == OpRemoveVertex {
 			remIdx = append(remIdx, i)
 			remLabels = append(remLabels, edges[i][0])
 		}
@@ -191,27 +200,44 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 		}
 	}
 
-	// Validate edge entries: the owner of the directed (la → lb) entry
-	// adjudicates. Vertex entries are always effective by construction.
-	valid := make([]int64, nb)
-	for i := range valid {
-		if ops[i] != OpInsert && ops[i] != OpDelete {
-			valid[i] = 1
+	// Round 2. Every label the batch can touch: the endpoints of its edge
+	// updates and of its removals' deletions.
+	cand := make([]int32, 0, 2*(nb+len(removalDels)))
+	for i, upd := range batch {
+		if upd.Op == OpInsert || upd.Op == OpDelete {
+			cand = append(cand, edges[i][0], edges[i][1])
+		}
+	}
+	for _, e := range removalDels {
+		cand = append(cand, e[0], e[1])
+	}
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	// Lane i < nb is edge update i's validity: the owner of the directed
+	// (la → lb) entry adds 1, plus 1 when the update is effective, so 0
+	// means no rank adjudicated it. Vertex entries are effective by
+	// construction and decided locally. Lane nb + j is this rank's partial
+	// degree of cand[j]: each grid row's ranks hold disjoint column classes.
+	lanes := make([]int64, nb+len(cand))
+	for i, upd := range batch {
+		if upd.Op != OpInsert && upd.Op != OpDelete {
 			continue
 		}
-		valid[i] = -1
 		la, lb := edges[i][0], edges[i][1]
 		if int(la)%qr == x && int(lb)%qc == y {
-			exists := prep.HasEdgeLocal(la, lb)
-			ok := exists == (ops[i] == OpDelete)
-			if ok {
-				valid[i] = 1
-			} else {
-				valid[i] = 0
+			lanes[i] = 1
+			if prep.HasEdgeLocal(la, lb) == (upd.Op == OpDelete) {
+				lanes[i] = 2
 			}
 		}
 	}
-	valid = c.AllreduceInt64s(valid, mpi.OpMax)
+	for j, w := range cand {
+		if int(w)%qr == x {
+			lanes[nb+j] = int64(prep.AdjRow(w).Len())
+		}
+	}
+	lanes = c.AllreduceInt64s(lanes, mpi.OpSum)
+	valid, d0 := lanes[:nb], lanes[nb:]
 
 	r := &Result{
 		Effective:       make([]bool, nb),
@@ -222,25 +248,36 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 		GrownTo:         newN,
 		VertexBase:      -1,
 	}
-	var ins, dels [][2]int32
-	for i := 0; i < nb; i++ {
+	// Sized for every edge update taking effect.
+	var nIns, nDel int
+	for _, upd := range batch {
+		switch upd.Op {
+		case OpInsert:
+			nIns++
+		case OpDelete:
+			nDel++
+		}
+	}
+	ins := make([][2]int32, 0, nIns)
+	dels := make([][2]int32, 0, nDel+len(removalDels))
+	for i, upd := range batch {
 		switch {
-		case valid[i] < 0:
-			return nil, fmt.Errorf("delta: update %d had no adjudicating rank", i)
-		case ops[i] == OpAddVertices:
+		case upd.Op == OpAddVertices:
 			r.Effective[i] = true
 			if r.VertexBase < 0 {
 				r.VertexBase = bases[i]
 			}
-		case ops[i] == OpRemoveVertex:
+		case upd.Op == OpRemoveVertex:
 			r.Effective[i] = true
 		case valid[i] == 0:
-			if ops[i] == OpInsert {
+			return nil, fmt.Errorf("delta: update %d had no adjudicating rank", i)
+		case valid[i] == 1:
+			if upd.Op == OpInsert {
 				r.SkippedExisting++
 			} else {
 				r.SkippedMissing++
 			}
-		case ops[i] == OpInsert:
+		case upd.Op == OpInsert:
 			ins = append(ins, edges[i])
 			r.Effective[i] = true
 		default:
@@ -252,14 +289,11 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	r.Inserted = len(ins)
 	r.Deleted = len(dels)
 
-	// Wedge delta: pre-splice degrees of the affected vertices (each grid
-	// row's ranks hold disjoint column-class partials) plus the net
-	// incident update count give the exact new wedge total. Every rank
-	// derives the identical delta from the reduced degrees.
-	// One sort of (label, sign) words — bit 0 set for an insertion —
-	// groups every endpoint's updates together.
-	var affected []int32 // ascending
-	var net []int64      // net incident updates of affected[i]
+	// Wedge delta: the pre-splice degree of every affected label plus its
+	// net incident update count give the exact new wedge total; every rank
+	// derives the identical delta. One sort of (label, sign) words — bit 0
+	// set for an insertion — groups every endpoint's updates together, and
+	// the affected labels, ascending, are a subsequence of cand.
 	touched := make([]int64, 0, 2*(len(ins)+len(dels)))
 	for _, e := range ins {
 		touched = append(touched, int64(e[0])<<1|1, int64(e[1])<<1|1)
@@ -268,25 +302,21 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 		touched = append(touched, int64(e[0])<<1, int64(e[1])<<1)
 	}
 	slices.Sort(touched)
-	for _, t := range touched {
-		w := int32(t >> 1)
-		if n := len(affected); n == 0 || affected[n-1] != w {
-			affected = append(affected, w)
-			net = append(net, 0)
-		}
-		net[len(net)-1] += 2*(t&1) - 1
-	}
-	d0 := make([]int64, len(affected))
-	for idx, w := range affected {
-		if int(w)%qr == x {
-			d0[idx] = int64(prep.AdjRow(w).Len())
-		}
-	}
-	d0 = c.AllreduceInt64s(d0, mpi.OpSum)
+	affected := make([]int32, 0, min(len(touched), len(cand)))
 	var dWedges int64
-	for idx, old := range d0 {
-		new_ := old + net[idx]
+	for k, j := 0, 0; k < len(touched); {
+		w := int32(touched[k] >> 1)
+		var net int64
+		for ; k < len(touched) && int32(touched[k]>>1) == w; k++ {
+			net += 2*(touched[k]&1) - 1
+		}
+		for cand[j] != w {
+			j++
+		}
+		old := d0[j]
+		new_ := old + net
 		dWedges += new_*(new_-1)/2 - old*(old-1)/2
+		affected = append(affected, w)
 	}
 
 	// The affected set is replicated and is exactly the batch's degree
@@ -296,14 +326,17 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	// Deletion pass against the old graph, splice, insertion pass against
 	// the new graph.
 	dCnt, dProbes := deltaPass(c, prep, dels, qr, qc, x, y)
-	prep.Splice(c, ins, dels)
+	longest := prep.Splice(c.Rank(), ins, dels)
 	iCnt, iProbes := deltaPass(c, prep, ins, qr, qc, x, y)
 
-	sums := c.AllreduceInt64s([]int64{
+	// Round 3.
+	sums := c.AllreduceLanes([]int64{
 		dCnt[0], dCnt[1], dCnt[2],
 		iCnt[0], iCnt[1], iCnt[2],
 		dProbes + iProbes,
-	}, mpi.OpSum)
+		longest,
+	}, roundThree)
+	prep.SetMaxURow(sums[7])
 	if sums[1]%2 != 0 || sums[2]%3 != 0 || sums[4]%2 != 0 || sums[5]%3 != 0 {
 		return nil, fmt.Errorf("delta: discovery buckets not divisible (%v) — resident state inconsistent", sums[:6])
 	}
@@ -314,6 +347,10 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	r.M, r.Wedges = prep.M(), prep.Wedges()
 	return r, nil
 }
+
+// roundThree is the operator of each lane of Apply's last reduction: six
+// discovery buckets and the probes summed, the longest U row maximized.
+var roundThree = []mpi.Op{mpi.OpSum, mpi.OpSum, mpi.OpSum, mpi.OpSum, mpi.OpSum, mpi.OpSum, mpi.OpSum, mpi.OpMax}
 
 // gatherRows returns every label's full adjacency, identical on every rank:
 // the ranks of the label's grid row each hold one column-class slice of it

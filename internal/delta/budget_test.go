@@ -19,15 +19,60 @@ import (
 // together, averaged over the window. Nothing on the path is pooled, so
 // the race detector sees the same figure.
 func TestApplyAllocationBudget(t *testing.T) {
-	const budget = 400 << 10 // bytes per batch: ~353 KB measured, ~16 % headroom
+	const budget = 346 << 10 // bytes per batch: ~308 KB measured, ~15 % headroom
 	const warmup, batches = 8, 32
-	g, err := rmat.G500.Generate(12, 16, 1)
+	w, preps, churn := hotWorld(t, 12)
+	defer w.Close()
+	for i := 0; i < warmup; i++ {
+		applyBatch(t, w, preps, churn.next(t))
+	}
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < batches; i++ {
+		batch := churn.next(t)
+		runtime.ReadMemStats(&before)
+		applyBatch(t, w, preps, batch)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	perBatch := float64(total) / batches
+	t.Logf("Apply allocated %.0f B per 512-update batch over %d batches", perBatch, batches)
+	if perBatch > budget {
+		t.Errorf("Apply allocated %.0f B per 512-update batch, budget %d", perBatch, budget)
+	}
+}
+
+// BenchmarkApply pushes 512-update hot-set batches through Apply on RMAT
+// scale 14 with 4 ranks, after warm-up batches: B/op and allocs/op are all
+// ranks together, msgs/batch the messages one epoch sends.
+func BenchmarkApply(b *testing.B) {
+	w, preps, churn := hotWorld(b, 14)
+	defer w.Close()
+	for i := 0; i < 8; i++ {
+		applyBatch(b, w, preps, churn.next(b))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := churn.next(b)
+		b.StartTimer()
+		msgs += applyBatch(b, w, preps, batch)
+	}
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/batch")
+}
+
+// hotWorld prepares RMAT at the given scale on a standing world of 4 ranks
+// and returns it with a hot-set churn over the graph.
+func hotWorld(tb testing.TB, scale int) (*mpi.World, []*core.Prepared, *hotChurn) {
+	tb.Helper()
+	g, err := rmat.G500.Generate(scale, 16, 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	const ranks = 4
 	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: ranks})
-	defer w.Close()
 	preps := make([]*core.Prepared, ranks)
 	_, err = w.Run(func(c *mpi.Comm) (any, error) {
 		var gin *graph.Graph
@@ -42,36 +87,28 @@ func TestApplyAllocationBudget(t *testing.T) {
 		return nil, err
 	})
 	if err != nil {
-		t.Fatal(err)
+		w.Close()
+		tb.Fatal(err)
 	}
-	churn := newHotChurn(g, 1)
-	apply := func(batch []Update) {
-		t.Helper()
-		_, err := w.Run(func(c *mpi.Comm) (any, error) {
-			_, err := Apply(c, preps[c.Rank()], batch)
-			return nil, err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	return w, preps, newHotChurn(g, 1)
+}
+
+// applyBatch applies one batch on every rank and returns the messages the
+// epoch sent, summed over the ranks.
+func applyBatch(tb testing.TB, w *mpi.World, preps []*core.Prepared, batch []Update) int64 {
+	tb.Helper()
+	res, err := w.Run(func(c *mpi.Comm) (any, error) {
+		_, err := Apply(c, preps[c.Rank()], batch)
+		return c.Stats().MsgsSent, err
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for i := 0; i < warmup; i++ {
-		apply(churn.next(t))
+	var msgs int64
+	for _, m := range res {
+		msgs += m.(int64)
 	}
-	var total uint64
-	var before, after runtime.MemStats
-	for i := 0; i < batches; i++ {
-		batch := churn.next(t)
-		runtime.ReadMemStats(&before)
-		apply(batch)
-		runtime.ReadMemStats(&after)
-		total += after.TotalAlloc - before.TotalAlloc
-	}
-	perBatch := float64(total) / batches
-	t.Logf("Apply allocated %.0f B per 512-update batch over %d batches", perBatch, batches)
-	if perBatch > budget {
-		t.Errorf("Apply allocated %.0f B per 512-update batch, budget %d", perBatch, budget)
-	}
+	return msgs
 }
 
 // hotChurn draws update batches that churn the edges among a hot set of
@@ -102,8 +139,8 @@ func newHotChurn(g *graph.Graph, seed int64) *hotChurn {
 }
 
 // next returns the next batch, canonicalized, and records it as applied.
-func (h *hotChurn) next(t *testing.T) []Update {
-	t.Helper()
+func (h *hotChurn) next(tb testing.TB) []Update {
+	tb.Helper()
 	var batch []Update
 	for len(batch) < 256 && len(h.edges) > 0 {
 		i := h.rng.Intn(len(h.edges))
@@ -128,7 +165,7 @@ func (h *hotChurn) next(t *testing.T) []Update {
 	}
 	canon, _, err := Canonicalize(batch, h.n)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return canon
 }

@@ -21,7 +21,8 @@
 //
 // Vertex elasticity rides the same machinery. Edges naming ids beyond the
 // current vertex space are not errors: a vertex-admission pre-pass
-// (deterministic scan of the batch plus a max-allreduce) sizes
+// (deterministic scan of the batch, agreed on as one lane of the
+// max-allreduce that resolves the batch's labels) sizes
 // the new space, every rank grows its resident blocks locally
 // (core.Prepared.GrowTo — overflow labels are the identity, so nothing
 // moves), and the batch then proceeds as usual. OpRemoveVertex drops a

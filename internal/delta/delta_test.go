@@ -2,6 +2,8 @@ package delta
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"tc2d/internal/core"
@@ -100,18 +102,26 @@ type script struct {
 	skippedMissing  int
 }
 
-// applyScripts drives Apply over a standing world and cross-checks every
-// batch against a sequential oracle maintained on a mutable edge set.
-func applyScripts(t *testing.T, ranks, qr, qc int, summa bool, n int32, start []graph.Edge, scripts []script) {
+// grid is a world for the differential scripts: its size, its process
+// grid and schedule, and whether its ranks talk over loopback TCP.
+type grid struct {
+	ranks, qr, qc int
+	summa, tcp    bool
+}
+
+// prepareOn prepares g0 on a standing world of the grid's shape.
+func prepareOn(t *testing.T, gr grid, g0 *graph.Graph) (*mpi.World, []*core.Prepared) {
 	t.Helper()
-	g0, err := graph.FromEdges(n, start)
-	if err != nil {
-		t.Fatal(err)
+	cfg := mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	w := mpi.NewWorld(gr.ranks, cfg)
+	if gr.tcp {
+		var err error
+		if w, err = mpi.NewTCPWorld(gr.ranks, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
-	defer w.Close()
-	preps := make([]*core.Prepared, ranks)
-	_, err = w.Run(func(c *mpi.Comm) (any, error) {
+	preps := make([]*core.Prepared, gr.ranks)
+	_, err := w.Run(func(c *mpi.Comm) (any, error) {
 		var gin *graph.Graph
 		if c.Rank() == 0 {
 			gin = g0
@@ -120,12 +130,28 @@ func applyScripts(t *testing.T, ranks, qr, qc int, summa bool, n int32, start []
 		if err != nil {
 			return nil, err
 		}
-		preps[c.Rank()], err = core.PrepareGrid(c, d, qr, qc, summa, core.Options{})
+		preps[c.Rank()], err = core.PrepareGrid(c, d, gr.qr, gr.qc, gr.summa, core.Options{})
 		return nil, err
 	})
 	if err != nil {
+		w.Close()
 		t.Fatal(err)
 	}
+	return w, preps
+}
+
+// applyScripts drives Apply over a standing world and cross-checks every
+// batch against a sequential oracle maintained on a mutable edge set and
+// vertex count: triangles, M, wedges, the grown vertex space, and a recount
+// over the spliced blocks.
+func applyScripts(t *testing.T, gr grid, n int32, start []graph.Edge, scripts []script) {
+	t.Helper()
+	g0, err := graph.FromEdges(n, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, preps := prepareOn(t, gr, g0)
+	defer w.Close()
 
 	edges := map[[2]int32]bool{}
 	for _, e := range start {
@@ -160,15 +186,35 @@ func applyScripts(t *testing.T, ranks, qr, qc int, summa bool, n int32, start []
 		if err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
-		// Mutate the oracle edge set the same way.
+		// Mutate the oracle the same way: edges naming ids beyond the space
+		// grow it, growth ranges follow, a removal drops every incident edge.
+		grown := n
 		for _, upd := range canon {
-			k := [2]int32{upd.U, upd.V}
-			if upd.Op == OpInsert && !edges[k] {
-				edges[k] = true
-			} else if upd.Op == OpDelete && edges[k] {
-				delete(edges, k)
+			if upd.Op == OpInsert || upd.Op == OpDelete {
+				grown = max(grown, upd.V+1) // canonical: U < V
 			}
 		}
+		for _, upd := range canon {
+			k := [2]int32{upd.U, upd.V}
+			switch upd.Op {
+			case OpInsert:
+				edges[k] = true
+			case OpDelete:
+				delete(edges, k)
+			case OpAddVertices:
+				grown += upd.U
+			case OpRemoveVertex:
+				for e := range edges {
+					if e[0] == upd.U || e[1] == upd.U {
+						delete(edges, e)
+					}
+				}
+			}
+		}
+		if res.GrownTo != int64(grown) {
+			t.Errorf("batch %d: grown to %d, oracle %d", bi, res.GrownTo, grown)
+		}
+		n = grown
 		gm := oracle()
 		want := seqtc.Count(gm)
 		running += res.DeltaTriangles
@@ -221,25 +267,114 @@ func lifecycleScripts() (int32, []graph.Edge, []script) {
 			{U: 6, V: 4, Op: OpInsert},
 			{U: 1, V: 6, Op: OpDelete},
 		}, inserted: 2, deleted: 1, skippedMissing: 1},
+		// Every kind of entry at once: grow the space by two ids above the
+		// edge (5, 8), which itself names an id beyond it; remove vertex 4,
+		// dropping 3-4, 4-5 and 4-6 and the triangles 3-4-5 and 3-4-6, so
+		// the degrees of its neighbours enter the wedge delta; insert a
+		// present edge and delete an absent one; and one effective insert
+		// and delete besides.
+		{batch: []Update{
+			{U: 2, Op: OpAddVertices},
+			{U: 4, Op: OpRemoveVertex},
+			{U: 3, V: 5, Op: OpInsert},
+			{U: 0, V: 1, Op: OpDelete},
+			{U: 1, V: 3, Op: OpInsert},
+			{U: 1, V: 2, Op: OpDelete},
+			{U: 5, V: 8, Op: OpInsert},
+		}, inserted: 2, deleted: 4, skippedExisting: 1, skippedMissing: 1},
 		// Tear everything down.
 		{batch: []Update{
-			{U: 1, V: 2, Op: OpDelete}, {U: 0, V: 2, Op: OpDelete},
-			{U: 3, V: 4, Op: OpDelete}, {U: 4, V: 5, Op: OpDelete},
-			{U: 3, V: 5, Op: OpDelete}, {U: 6, V: 3, Op: OpDelete},
-			{U: 6, V: 4, Op: OpDelete},
-		}, deleted: 7},
+			{U: 0, V: 2, Op: OpDelete}, {U: 3, V: 5, Op: OpDelete},
+			{U: 6, V: 3, Op: OpDelete}, {U: 1, V: 3, Op: OpDelete},
+			{U: 5, V: 8, Op: OpDelete},
+		}, deleted: 5},
 	}
 	return 8, start, scripts
 }
 
 func TestApplyLifecycleCannon(t *testing.T) {
 	n, start, scripts := lifecycleScripts()
-	for _, ranks := range []int{1, 4} {
-		q := 1
-		if ranks == 4 {
-			q = 2
+	for _, gr := range []grid{{ranks: 1, qr: 1, qc: 1}, {ranks: 4, qr: 2, qc: 2}, {ranks: 4, qr: 2, qc: 2, tcp: true}} {
+		applyScripts(t, gr, n, start, scripts)
+	}
+}
+
+// TestApplyEpochMessages pins the messages of one write epoch with inserts
+// and deletes, summed over the ranks: three allreduces of 2(p−1) messages
+// each (a binomial reduce and a broadcast) and the two delta passes'
+// all-to-alls of p(p−1) — 42 at p = 4.
+func TestApplyEpochMessages(t *testing.T) {
+	const n = int32(64)
+	var start []graph.Edge
+	for v := int32(0); v < n; v++ {
+		start = append(start, graph.Edge{U: v, V: (v + 1) % n})
+	}
+	g0, err := graph.FromEdges(n, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, _, err := Canonicalize([]Update{
+		{U: 0, V: 2, Op: OpInsert}, {U: 7, V: 9, Op: OpInsert},
+		{U: 20, V: 21, Op: OpDelete}, {U: 40, V: 41, Op: OpDelete},
+	}, int64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range []grid{
+		{ranks: 1, qr: 1, qc: 1}, {ranks: 4, qr: 2, qc: 2}, {ranks: 9, qr: 3, qc: 3},
+		{ranks: 6, qr: 2, qc: 3, summa: true},
+	} {
+		w, preps := prepareOn(t, gr, g0)
+		res, err := w.Run(func(c *mpi.Comm) (any, error) {
+			r, err := Apply(c, preps[c.Rank()], canon)
+			if err == nil && (r.Inserted != 2 || r.Deleted != 2) {
+				err = fmt.Errorf("rank %d: %d inserted and %d deleted, want 2 and 2", c.Rank(), r.Inserted, r.Deleted)
+			}
+			return c.Stats().MsgsSent, err
+		})
+		w.Close()
+		if err != nil {
+			t.Fatalf("%+v: %v", gr, err)
 		}
-		applyScripts(t, ranks, q, q, false, n, start, scripts)
+		var msgs int64
+		for _, m := range res {
+			msgs += m.(int64)
+		}
+		p := int64(gr.ranks)
+		if want := 3*2*(p-1) + 2*p*(p-1); msgs != want {
+			t.Errorf("%+v: the epoch sent %d messages, want %d", gr, msgs, want)
+		}
+	}
+}
+
+// TestApplyNeedsAnAdjudicator damages every rank's label map so that the
+// batch's endpoints resolve to a label no grid row holds: no rank owns the
+// update's entry, and Apply fails on every rank instead of guessing.
+func TestApplyNeedsAnAdjudicator(t *testing.T) {
+	n, start, _ := lifecycleScripts()
+	g0, err := graph.FromEdges(n, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, preps := prepareOn(t, grid{ranks: 4, qr: 2, qc: 2}, g0)
+	defer w.Close()
+	for _, prep := range preps {
+		beg, labels := prep.Labels()
+		bad := make([]int32, len(labels))
+		for i := range bad {
+			bad[i] = -1
+		}
+		prep.SetLabels(beg, bad)
+	}
+	errs := make([]error, len(preps))
+	w.Run(func(c *mpi.Comm) (any, error) {
+		_, errs[c.Rank()] = Apply(c, preps[c.Rank()], []Update{{U: 1, V: 2, Op: OpInsert}})
+		return nil, nil
+	})
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "no adjudicating rank") {
+			t.Errorf("rank %d: err=%v, want the update to have no adjudicating rank", r, err)
+		}
 	}
 }
 
@@ -363,6 +498,7 @@ func TestRebuildComposesLabels(t *testing.T) {
 
 func TestApplyLifecycleSUMMA(t *testing.T) {
 	n, start, scripts := lifecycleScripts()
-	applyScripts(t, 2, 1, 2, true, n, start, scripts)
-	applyScripts(t, 6, 2, 3, true, n, start, scripts)
+	for _, gr := range []grid{{ranks: 2, qr: 1, qc: 2, summa: true}, {ranks: 6, qr: 2, qc: 3, summa: true}} {
+		applyScripts(t, gr, n, start, scripts)
+	}
 }

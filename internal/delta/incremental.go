@@ -160,8 +160,8 @@ func RebuildIncremental(c *mpi.Comm, prep *core.Prepared) (*RebuildStats, error)
 		if len(ins) != len(dels) {
 			return nil, fmt.Errorf("delta: incremental rebuild produced %d inserts vs %d deletes — permutation not edge-preserving", len(ins), len(dels))
 		}
+		prep.SetMaxURow(c.AllreduceInt64(prep.Splice(r, ins, dels), mpi.OpMax))
 	}
-	prep.Splice(c, ins, dels)
 
 	// Fold the label map over the full space. Cyclic slot i of rank r is id
 	// r + p·i whatever the space size, so the rewrite is purely local: old

@@ -39,28 +39,8 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(op))
 }
 
-func reduceInt64(op Op, dst, src []int64) {
-	switch op {
-	case OpSum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	}
-}
-
-func reduceFloat64(op Op, dst, src []float64) {
+// fold reduces src into dst elementwise with op.
+func fold[T int64 | float64](op Op, dst, src []T) {
 	switch op {
 	case OpSum:
 		for i, v := range src {
@@ -127,12 +107,14 @@ func childrenOf(r, p int) []int {
 	return kids
 }
 
-// ReduceInt64s reduces elementwise onto root along a binomial tree. Every
-// rank contributes v (unchanged); root receives the reduction, other ranks
-// receive nil.
-func (c *Comm) ReduceInt64s(root int, v []int64, op Op) []int64 {
+// reduce folds every rank's vector onto root along a binomial tree. acc is
+// this rank's accumulator, a copy of its vector in bytes, and combine folds
+// a child's vector, as received, into it. Root gets its accumulator back,
+// the other ranks nil. The accumulator is the only copy of the vector a
+// rank makes: a rank hands it to its parent as it lies (SendOwn) and never
+// touches it again, and the parent only reads it.
+func (c *Comm) reduce(root int, acc []byte, combine func(acc, other []byte)) []byte {
 	p := c.world.size
-	acc := append([]int64(nil), v...)
 	if p == 1 {
 		return acc
 	}
@@ -141,28 +123,58 @@ func (c *Comm) ReduceInt64s(root int, v []int64, op Op) []int64 {
 	// Receive children in reverse order (deepest subtree last finished is
 	// irrelevant for correctness; order only matters for determinism).
 	for i := len(kids) - 1; i >= 0; i-- {
-		other := c.RecvInt64s(absRank(kids[i], root, p), tagReduce)
+		other := c.Recv(absRank(kids[i], root, p), tagReduce)
 		if len(other) != len(acc) {
 			panic("mpi: reduce length mismatch")
 		}
-		reduceInt64(op, acc, other)
+		combine(acc, other)
 	}
 	if rel != 0 {
-		c.SendInt64s(absRank(parentOf(rel), root, p), tagReduce, acc)
+		c.SendOwn(absRank(parentOf(rel), root, p), tagReduce, acc)
 		return nil
 	}
 	return acc
 }
 
+// allreduce is reduce to rank 0, then a broadcast of rank 0's accumulator as
+// it lies. Every rank's result is a vector of its own: rank 0 gets its
+// accumulator, and every other rank the copy the broadcast's Send made for
+// it. That is 2p−1 copies of the vector in all, and a rank may overwrite
+// its result.
+func (c *Comm) allreduce(acc []byte, combine func(acc, other []byte)) []byte {
+	return c.Bcast(0, c.reduce(0, acc, combine))
+}
+
+// ReduceInt64s reduces elementwise onto root along a binomial tree. Every
+// rank contributes v (unchanged); root receives the reduction, other ranks
+// receive nil.
+func (c *Comm) ReduceInt64s(root int, v []int64, op Op) []int64 {
+	return BytesToInt64s(c.reduce(root, Int64sToBytes(v), func(acc, other []byte) {
+		fold(op, BytesToInt64s(acc), BytesToInt64s(other))
+	}))
+}
+
 // AllreduceInt64s reduces elementwise across all ranks and returns the result
-// on every rank (reduce-to-0 then broadcast).
+// on every rank (reduce-to-0 then broadcast). v is unchanged, and each rank's
+// result is its own.
 func (c *Comm) AllreduceInt64s(v []int64, op Op) []int64 {
-	acc := c.ReduceInt64s(0, v, op)
-	var payload []byte
-	if c.rank == 0 {
-		payload = Int64sToBytes(acc)
+	return BytesToInt64s(c.allreduce(Int64sToBytes(v), func(acc, other []byte) {
+		fold(op, BytesToInt64s(acc), BytesToInt64s(other))
+	}))
+}
+
+// AllreduceLanes is AllreduceInt64s with an operator per lane: lane i
+// reduces with ops[i], so one collective carries sums and maxima together.
+func (c *Comm) AllreduceLanes(v []int64, ops []Op) []int64 {
+	if len(ops) != len(v) {
+		panic(fmt.Sprintf("mpi: AllreduceLanes has %d lanes and %d operators", len(v), len(ops)))
 	}
-	return BytesToInt64s(c.Bcast(0, payload))
+	return BytesToInt64s(c.allreduce(Int64sToBytes(v), func(acc, other []byte) {
+		a, o := BytesToInt64s(acc), BytesToInt64s(other)
+		for i, op := range ops {
+			fold(op, a[i:i+1], o[i:i+1])
+		}
+	}))
 }
 
 // AllreduceInt64 is the scalar convenience form of AllreduceInt64s.
@@ -170,37 +182,11 @@ func (c *Comm) AllreduceInt64(v int64, op Op) int64 {
 	return c.AllreduceInt64s([]int64{v}, op)[0]
 }
 
-// ReduceFloat64s reduces elementwise onto root along a binomial tree.
-func (c *Comm) ReduceFloat64s(root int, v []float64, op Op) []float64 {
-	p := c.world.size
-	acc := append([]float64(nil), v...)
-	if p == 1 {
-		return acc
-	}
-	rel := relRank(c.rank, root, p)
-	kids := childrenOf(rel, p)
-	for i := len(kids) - 1; i >= 0; i-- {
-		other := c.RecvFloat64s(absRank(kids[i], root, p), tagReduce)
-		if len(other) != len(acc) {
-			panic("mpi: reduce length mismatch")
-		}
-		reduceFloat64(op, acc, other)
-	}
-	if rel != 0 {
-		c.SendFloat64s(absRank(parentOf(rel), root, p), tagReduce, acc)
-		return nil
-	}
-	return acc
-}
-
 // AllreduceFloat64s reduces elementwise across all ranks, result everywhere.
 func (c *Comm) AllreduceFloat64s(v []float64, op Op) []float64 {
-	acc := c.ReduceFloat64s(0, v, op)
-	var payload []byte
-	if c.rank == 0 {
-		payload = Float64sToBytes(acc)
-	}
-	return BytesToFloat64s(c.Bcast(0, payload))
+	return BytesToFloat64s(c.allreduce(Float64sToBytes(v), func(acc, other []byte) {
+		fold(op, BytesToFloat64s(acc), BytesToFloat64s(other))
+	}))
 }
 
 // Gatherv gathers one byte payload per rank onto root, indexed by source

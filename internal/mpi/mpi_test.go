@@ -168,6 +168,80 @@ func TestAllreduceVector(t *testing.T) {
 	})
 }
 
+// TestAllreduceResultsAreOwned: every rank's AllreduceInt64s result is a
+// vector of its own, on every transport. A rank that overwrites its result
+// changes no other rank's result, its own input or a later collective; the
+// race detector also reports two ranks sharing one array. AllreduceLanes
+// rides the same path.
+func TestAllreduceResultsAreOwned(t *testing.T) {
+	fn := func(c *Comm) (any, error) {
+		p, r := int64(c.Size()), int64(c.Rank())
+		in := []int64{r, 1, -r, 1 << 40}
+		v := slices.Clone(in)
+		want := []int64{p * (p - 1) / 2, p, -p * (p - 1) / 2, p << 40}
+		got := c.AllreduceInt64s(v, OpSum)
+		if !slices.Equal(got, want) {
+			return nil, fmt.Errorf("rank %d: allreduce %v, want %v", r, got, want)
+		}
+		for i := range got {
+			got[i] += 1000 * (r + 1)
+		}
+		c.Barrier() // every rank has written its result
+		for i := range got {
+			if got[i] != want[i]+1000*(r+1) {
+				return nil, fmt.Errorf("rank %d: result %v changed by another rank", r, got)
+			}
+		}
+		if !slices.Equal(v, in) {
+			return nil, fmt.Errorf("rank %d: input %v changed to %v", r, in, v)
+		}
+		if again := c.AllreduceInt64s(v, OpSum); !slices.Equal(again, want) {
+			return nil, fmt.Errorf("rank %d: the next allreduce gave %v, want %v", r, again, want)
+		}
+		if lanes := c.AllreduceLanes([]int64{r, r, -r}, []Op{OpSum, OpMax, OpMin}); !slices.Equal(lanes, []int64{p * (p - 1) / 2, p - 1, 1 - p}) {
+			return nil, fmt.Errorf("rank %d: lanes %v", r, lanes)
+		}
+		return nil, nil
+	}
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		if _, err := Run(p, testCfg(), fn); err != nil {
+			t.Errorf("channel p=%d: %v", p, err)
+		}
+		tw, err := NewTCPWorld(p, testCfg())
+		if err != nil {
+			t.Fatalf("tcp p=%d: %v", p, err)
+		}
+		if _, err := tw.Run(fn); err != nil {
+			t.Errorf("tcp p=%d: %v", p, err)
+		}
+		tw.Close()
+		// Two processes, ranks interleaved; one rank needs no link.
+		var even, odd []int
+		for r := 0; r < p; r++ {
+			if r%2 == 0 {
+				even = append(even, r)
+			} else {
+				odd = append(odd, r)
+			}
+		}
+		if p == 1 {
+			pw, err := NewProcWorld(1, even, nil, testCfg())
+			if err != nil {
+				t.Fatalf("proc p=1: %v", err)
+			}
+			if _, err := pw.RunEpochAt(1, false, fn); err != nil {
+				t.Errorf("proc p=1: %v", err)
+			}
+			pw.Close()
+			continue
+		}
+		wa, wb := twoProcWorlds(t, p, even, odd)
+		if _, _, ea, eb := runBoth(wa, wb, 1, false, fn); ea != nil || eb != nil {
+			t.Errorf("proc p=%d: %v / %v", p, ea, eb)
+		}
+	}
+}
+
 func TestExscanVector(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 13} {
 		mustRun(t, p, testCfg(), func(c *Comm) (any, error) {
