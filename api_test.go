@@ -152,7 +152,7 @@ func TestReadWriteEdgeList(t *testing.T) {
 func graphHash(g *Graph) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(mpi.Int64sToBytes(g.Xadj))
-	h.Write(mpi.Int32sToBytes(g.Adj))
+	h.Write(mpi.Int32sAsBytes(g.Adj))
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum

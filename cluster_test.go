@@ -89,8 +89,9 @@ func TestClusterReuseSkipsPreprocessing(t *testing.T) {
 		t.Errorf("Info N=%d M=%d, one-shot N=%d M=%d", info.N, info.M, oneShot.N, oneShot.M)
 	}
 	// Prepare + 3 queries = 4 epochs on the resident world.
-	if e := eng.world.Epochs(); e != 4 {
-		t.Errorf("world ran %d epochs, want 4 (1 prepare + 3 queries)", e)
+	snap := cl.Metrics().Snapshot()
+	if e := snap[`tc_mpi_epochs_total{kind="read"}`] + snap[`tc_mpi_epochs_total{kind="write"}`]; e != 4 {
+		t.Errorf("world ran %v epochs, want 4 (1 prepare + 3 queries)", e)
 	}
 }
 

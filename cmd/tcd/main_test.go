@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func openWedge(t *testing.T, g *tc2d.Graph) (u, v int32) {
 		nb := g.Neighbors(w)
 		for i := range nb {
 			for _, b := range nb[i+1:] {
-				if !g.HasEdge(nb[i], b) {
+				if !slices.Contains(g.Neighbors(nb[i]), b) {
 					return nb[i], b
 				}
 			}

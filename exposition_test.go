@@ -1,4 +1,4 @@
-package obs
+package tc2d
 
 import (
 	"bufio"
@@ -8,44 +8,32 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
+
+	"tc2d/internal/obs"
 )
 
-// ParsedMetrics is the result of parsing a Prometheus text-exposition
-// payload with ParseExposition: every value line keyed by its full series
-// identity ("name" or `name{a="b"}`), plus the TYPE declared for each
-// family.
-type ParsedMetrics struct {
-	// Series maps the full series identity (including labels, exactly as
-	// exposed) to its value.
+// parsedMetrics is a Prometheus text-exposition payload parsed by
+// parseExposition: every value line keyed by its full series identity
+// ("name" or `name{a="b"}`, exactly as exposed), plus the TYPE declared for
+// each family.
+type parsedMetrics struct {
 	Series map[string]float64
-	// Types maps family name → declared TYPE (counter/gauge/histogram).
-	Types map[string]string
+	Types  map[string]string // family name → counter/gauge/histogram
 }
 
-// Has reports whether a series with the given identity was exposed.
-func (p *ParsedMetrics) Has(series string) bool {
+func (p *parsedMetrics) has(series string) bool {
 	_, ok := p.Series[series]
 	return ok
 }
 
-// Families returns the distinct family names that contributed at least one
+// families returns the distinct family names that contributed at least one
 // value line, attributing histogram _bucket/_sum/_count lines back to their
-// base family when it declared TYPE histogram.
-func (p *ParsedMetrics) Families() []string {
+// base family.
+func (p *parsedMetrics) families() []string {
 	seen := make(map[string]bool)
 	for id := range p.Series {
-		name := id
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			base := strings.TrimSuffix(name, suf)
-			if base != name && p.Types[base] == "histogram" {
-				name = base
-				break
-			}
-		}
-		seen[name] = true
+		seen[familyOf(p.Types, id)] = true
 	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {
@@ -55,24 +43,35 @@ func (p *ParsedMetrics) Families() []string {
 	return out
 }
 
-// ParseExposition parses and validates a Prometheus text-format (v0.0.4)
-// payload. It is deliberately minimal — it accepts the subset Expose
-// produces — but strict within it: it rejects value lines for families with
-// no preceding # TYPE, malformed label blocks, unparseable values, and
-// histograms whose cumulative buckets decrease or whose +Inf bucket
-// disagrees with _count. This is what the CI smoke test and the golden
-// tests run over a live /metrics body.
-func ParseExposition(r io.Reader) (*ParsedMetrics, error) {
-	p := &ParsedMetrics{
-		Series: make(map[string]float64),
-		Types:  make(map[string]string),
+// familyOf returns the declared family a series identity belongs to, or ""
+// when no # TYPE covers it.
+func familyOf(types map[string]string, id string) string {
+	name := id
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		name = name[:i]
 	}
-	helped := make(map[string]bool)
+	if _, ok := types[name]; ok {
+		return name
+	}
+	for _, suf := range []string{"_bucket", "_sum", "_count"} {
+		base := strings.TrimSuffix(name, suf)
+		if base != name && types[base] == "histogram" {
+			return base
+		}
+	}
+	return ""
+}
+
+// parseExposition parses and validates a Prometheus text-format (v0.0.4)
+// payload. It accepts only the subset obs.Registry.Expose produces, but is
+// strict within it: it rejects value lines for families with no preceding
+// # TYPE, malformed label blocks, unparseable values, and histograms whose
+// cumulative buckets decrease or whose +Inf bucket disagrees with _count.
+func parseExposition(r io.Reader) (*parsedMetrics, error) {
+	p := &parsedMetrics{Series: make(map[string]float64), Types: make(map[string]string)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
+	for lineno := 1; sc.Scan(); lineno++ {
 		line := sc.Text()
 		if line == "" {
 			continue
@@ -84,7 +83,6 @@ func ParseExposition(r io.Reader) (*ParsedMetrics, error) {
 			}
 			switch fields[1] {
 			case "HELP":
-				helped[fields[2]] = true
 			case "TYPE":
 				if len(fields) < 4 {
 					return nil, fmt.Errorf("line %d: TYPE without kind", lineno)
@@ -109,11 +107,7 @@ func ParseExposition(r io.Reader) (*ParsedMetrics, error) {
 		if _, dup := p.Series[id]; dup {
 			return nil, fmt.Errorf("line %d: duplicate series %q", lineno, id)
 		}
-		name := id
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		if !typedFamily(p.Types, name) {
+		if familyOf(p.Types, id) == "" {
 			return nil, fmt.Errorf("line %d: series %q has no # TYPE", lineno, id)
 		}
 		p.Series[id] = val
@@ -127,28 +121,10 @@ func ParseExposition(r io.Reader) (*ParsedMetrics, error) {
 	return p, nil
 }
 
-// typedFamily reports whether the series name belongs to a declared family,
-// accounting for histogram suffixes.
-func typedFamily(types map[string]string, name string) bool {
-	if _, ok := types[name]; ok {
-		return true
-	}
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		base := strings.TrimSuffix(name, suf)
-		if base != name && types[base] == "histogram" {
-			return true
-		}
-	}
-	return false
-}
-
 // parseValueLine splits `name{labels} value` into identity and value,
-// validating the label block's shape.
+// validating the label block's shape. Quoted label values may hold spaces,
+// so the value is what follows the closing brace, or the bare name.
 func parseValueLine(line string) (id string, val float64, err error) {
-	// The value is everything after the last space outside the label block;
-	// Expose never emits spaces inside label values' surrounding syntax
-	// except within quoted values, so scan from the right for a space that
-	// follows the closing brace (or the bare name).
 	close := strings.LastIndexByte(line, '}')
 	var namePart, valPart string
 	if close >= 0 {
@@ -165,7 +141,7 @@ func parseValueLine(line string) (id string, val float64, err error) {
 		namePart, valPart = line[:i], strings.TrimSpace(line[i+1:])
 	}
 	if open := strings.IndexByte(namePart, '{'); open >= 0 {
-		if close < 0 || close < open {
+		if close < open {
 			return "", 0, fmt.Errorf("unbalanced label block in %q", line)
 		}
 		if err := validateLabels(namePart[open+1 : close]); err != nil {
@@ -184,11 +160,11 @@ func parseValueLine(line string) (id string, val float64, err error) {
 func parseValue(s string) (float64, error) {
 	switch s {
 	case "+Inf":
-		return inf(1), nil
+		return math.Inf(1), nil
 	case "-Inf":
-		return inf(-1), nil
+		return math.Inf(-1), nil
 	case "NaN":
-		return nan(), nil
+		return math.NaN(), nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -203,8 +179,7 @@ func validateLabels(body string) error {
 	if body == "" {
 		return fmt.Errorf("empty label block")
 	}
-	i := 0
-	for i < len(body) {
+	for i := 0; i < len(body); {
 		eq := strings.IndexByte(body[i:], '=')
 		if eq <= 0 {
 			return fmt.Errorf("malformed label pair")
@@ -219,21 +194,17 @@ func validateLabels(body string) error {
 		if i >= len(body) || body[i] != '"' {
 			return fmt.Errorf("unquoted label value")
 		}
-		i++ // past opening quote
-		for {
+		for i++; ; i++ {
 			if i >= len(body) {
 				return fmt.Errorf("unterminated label value")
 			}
 			if body[i] == '\\' {
-				i += 2
-				continue
-			}
-			if body[i] == '"' {
+				i++
+			} else if body[i] == '"' {
 				break
 			}
-			i++
 		}
-		i++ // past closing quote
+		i++ // past the closing quote
 		if i < len(body) {
 			if body[i] != ',' {
 				return fmt.Errorf("junk after label value")
@@ -247,15 +218,11 @@ func validateLabels(body string) error {
 // validateHistograms checks, per histogram series, that cumulative bucket
 // counts are non-decreasing in le order and that the +Inf bucket equals the
 // _count series.
-func (p *ParsedMetrics) validateHistograms() error {
-	type bucket struct {
-		le  float64
-		val float64
-	}
+func (p *parsedMetrics) validateHistograms() error {
+	type bucket struct{ le, val float64 }
 	groups := make(map[string][]bucket) // family+base labels → buckets
 	for id, val := range p.Series {
-		name := id
-		labels := ""
+		name, labels := id, ""
 		if i := strings.IndexByte(id, '{'); i >= 0 {
 			name, labels = id[:i], id[i+1:len(id)-1]
 		}
@@ -290,12 +257,11 @@ func (p *ParsedMetrics) validateHistograms() error {
 			}
 		}
 		inf := bs[len(bs)-1]
-		if !isInf(inf.le) {
+		if !math.IsInf(inf.le, 1) {
 			return fmt.Errorf("histogram %s: missing +Inf bucket", key)
 		}
-		base := strings.TrimSuffix(key, "{}")
 		countID := strings.Replace(key, "{", "_count{", 1)
-		if base != key {
+		if base := strings.TrimSuffix(key, "{}"); base != key {
 			countID = base + "_count"
 		}
 		cnt, ok := p.Series[countID]
@@ -334,8 +300,77 @@ func splitLabelPairs(body string) []string {
 	return append(out, body[start:])
 }
 
-func inf(sign int) float64 { return math.Inf(sign) }
+// TestParserRejectsMalformed enumerates payloads the validator must refuse.
+func TestParserRejectsMalformed(t *testing.T) {
+	cases := map[string]string{
+		"no TYPE":          "orphan_metric 1\n",
+		"bad value":        "# TYPE m counter\nm abc\n",
+		"unbalanced brace": "# TYPE m counter\nm{a=\"b\" 1\n",
+		"unquoted label":   "# TYPE m counter\nm{a=b} 1\n",
+		"bad label name":   "# TYPE m counter\nm{a-b=\"c\"} 1\n",
+		"duplicate series": "# TYPE m counter\nm 1\nm 2\n",
+		"duplicate TYPE":   "# TYPE m counter\n# TYPE m gauge\nm 1\n",
+		"unknown TYPE":     "# TYPE m summary\nm 1\n",
+		"decreasing buckets": "# TYPE h histogram\n" +
+			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
+		"missing +Inf": "# TYPE h histogram\n" +
+			"h_bucket{le=\"1\"} 2\nh_sum 1\nh_count 2\n",
+		"bucket/count mismatch": "# TYPE h histogram\n" +
+			"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 5\n",
+	}
+	for name, payload := range cases {
+		if _, err := parseExposition(strings.NewReader(payload)); err == nil {
+			t.Errorf("%s: validator accepted %q", name, payload)
+		}
+	}
+}
 
-func nan() float64 { return math.NaN() }
+// TestParserAcceptsEscapes checks escaped label values and labeled
+// histograms survive the round trip through Expose, and that histogram
+// series count toward their one family.
+func TestParserAcceptsEscapes(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("esc_total", "t", obs.L("path", `a"b\c`)).Inc()
+	r.Histogram("lat_seconds", "t", []float64{0.1}, obs.L("op", "count")).Observe(0.05)
+	r.Histogram("lat_seconds", "t", nil, obs.L("op", "update")).Observe(5)
+	var sb strings.Builder
+	if _, err := r.Expose(&sb); err != nil {
+		t.Fatal(err)
+	}
+	p, err := parseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("escape round trip: %v\n%s", err, sb.String())
+	}
+	if !p.has(`esc_total{path="a\"b\\c"}`) || p.Series[`lat_seconds_bucket{op="count",le="0.1"}`] != 1 {
+		t.Fatalf("series: %v", p.Series)
+	}
+	if fams := p.families(); strings.Join(fams, " ") != "esc_total lat_seconds" {
+		t.Fatalf("families = %v", fams)
+	}
+}
 
-func isInf(v float64) bool { return math.IsInf(v, 1) }
+// TestExposeParsesWhileMutating races Expose against live mutation: every
+// payload taken mid-flight must still validate (no torn histogram).
+func TestExposeParsesWhileMutating(t *testing.T) {
+	r := obs.NewRegistry()
+	c := r.Counter("obs_snap_total", "t")
+	h := r.Histogram("obs_snap_seconds", "t", obs.DurationBuckets)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5000; i++ {
+			c.Inc()
+			h.Observe(0.01)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		var sb strings.Builder
+		if _, err := r.Expose(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseExposition(strings.NewReader(sb.String())); err != nil {
+			t.Fatalf("mid-flight exposition invalid: %v", err)
+		}
+	}
+	<-done
+}

@@ -12,7 +12,7 @@ import (
 )
 
 func testCfg() mpi.Config {
-	return mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	return mpi.Config{ComputeSlots: 4}
 }
 
 type variant func(*mpi.Comm, *dgraph.Dist1D) (*Result, error)

@@ -71,7 +71,7 @@ func TestResidentBlocksAreTheirBlobs(t *testing.T) {
 	}{{4, 2, 2, false}, {6, 2, 3, true}, {4, 2, 2, true}} {
 		name := fmt.Sprintf("%dx%d-bcast=%v", w.qr, w.qc, w.bcast)
 		fails := make([]error, w.p)
-		_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
+		_, err := mpi.Run(w.p, mpi.Config{ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
 			in, err := dgraph.ScatterInput{Graph: g}.Build(c)
 			if err != nil {
 				return nil, err

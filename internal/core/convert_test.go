@@ -38,7 +38,7 @@ func TestIJKStateConvertsToJIK(t *testing.T) {
 		name string
 		p    int
 	}{{"cannon4", 4}, {"summa2x3", 6}, {"forcesumma2x2", 4}} {
-		_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
+		_, err := mpi.Run(w.p, mpi.Config{ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
 			base, err := os.ReadFile(filepath.Join("testdata", "compat", fmt.Sprintf("%s-ijk.r%d.base", w.name, c.Rank())))
 			if err != nil {
 				return nil, err

@@ -14,15 +14,30 @@ import (
 )
 
 func testCfg() mpi.Config {
-	return mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	return mpi.Config{ComputeSlots: 4}
 }
 
-// countVia runs the distributed pipeline on p ranks over a full graph.
+// countGraph runs the distributed pipeline on a world of p ranks over the
+// full graph g and returns rank 0's Result.
+func countGraph(p int, g *graph.Graph, opt Options) (*Result, error) {
+	results, err := mpi.Run(p, testCfg(), func(c *mpi.Comm) (any, error) {
+		in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+		if err != nil {
+			return nil, err
+		}
+		return Count(c, in, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results[0].(*Result), nil
+}
+
 func countVia(t *testing.T, g *graph.Graph, p int, opt Options) *Result {
 	t.Helper()
-	res, err := CountGraph(p, testCfg(), dgraph.ScatterInput{Graph: g}, opt)
+	res, err := countGraph(p, g, opt)
 	if err != nil {
-		t.Fatalf("CountGraph(p=%d): %v", p, err)
+		t.Fatalf("countGraph(p=%d): %v", p, err)
 	}
 	return res
 }
@@ -230,9 +245,9 @@ func TestCountPropertyRandomGraphs(t *testing.T) {
 			return false
 		}
 		want := seqtc.Count(g)
-		res, err := CountGraph(9, testCfg(), dgraph.ScatterInput{Graph: g}, Options{})
+		res, err := countGraph(9, g, Options{})
 		if err != nil {
-			t.Logf("CountGraph: %v", err)
+			t.Logf("countGraph: %v", err)
 			return false
 		}
 		return res.Triangles == want
@@ -245,7 +260,7 @@ func TestCountPropertyRandomGraphs(t *testing.T) {
 func TestCountTinyGraphOnBigGrid(t *testing.T) {
 	// A graph smaller than the grid: most ranks own empty blocks.
 	g, _ := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	res, err := CountGraph(25, testCfg(), dgraph.ScatterInput{Graph: g}, Options{})
+	res, err := countGraph(25, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +271,7 @@ func TestCountTinyGraphOnBigGrid(t *testing.T) {
 
 func TestCountNonSquareWorld(t *testing.T) {
 	g, _ := graph.FromEdges(10, []graph.Edge{{U: 0, V: 1}})
-	_, err := CountGraph(6, testCfg(), dgraph.ScatterInput{Graph: g}, Options{})
+	_, err := countGraph(6, g, Options{})
 	if err == nil {
 		t.Fatal("expected error for non-square world size")
 	}
@@ -264,7 +279,7 @@ func TestCountNonSquareWorld(t *testing.T) {
 
 func TestResultInstrumentation(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 9, 8, 11)
-	res, err := CountGraph(9, testCfg(), dgraph.ScatterInput{Graph: g}, Options{TrackPerShift: true})
+	res, err := countGraph(9, g, Options{TrackPerShift: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,20 +63,3 @@ func Count(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Result, error) {
 	qr, qc := mpi.FactorGrid(c.Size())
 	return CountGrid(c, in, qr, qc, false, opt)
 }
-
-// CountGraph is a single-process convenience used by tests and the public
-// API: it spins up a world of p ranks over the given full graph and returns
-// rank 0's Result. cfg controls the runtime (cost model, compute slots).
-func CountGraph(p int, cfg mpi.Config, g dgraph.Input, opt Options) (*Result, error) {
-	results, err := mpi.Run(p, cfg, func(c *mpi.Comm) (any, error) {
-		in, err := g.Build(c)
-		if err != nil {
-			return nil, err
-		}
-		return Count(c, in, opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0].(*Result), nil
-}

@@ -53,7 +53,7 @@ func TestResidentArraysDisjoint(t *testing.T) {
 	}
 	for _, w := range []struct{ p, qr, qc int }{{4, 0, 0}, {9, 0, 0}, {6, 2, 3}} {
 		name := fmt.Sprintf("p%d-%dx%d", w.p, w.qr, w.qc)
-		_, err := mpi.Run(w.p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
+		_, err := mpi.Run(w.p, mpi.Config{ComputeSlots: 4}, func(c *mpi.Comm) (any, error) {
 			in, err := dgraph.ScatterInput{Graph: g}.Build(c)
 			if err != nil {
 				return nil, err

@@ -444,20 +444,6 @@ func (sc *spliceScratch) reset() {
 	sc.points = keep(sc.points)
 }
 
-// ValidateKernelSizing asserts the bounds a count sizes its kernel maps from,
-// re-deriving them from the resident blocks (blocks.check, the check every
-// decoded state passes): every intersection key is below the key range of the
-// CURRENT vertex count (the bitmap length — an out-of-range key would index
-// past it), and the resident maxURow (the probing-table size of the
-// NoDirectHash ablation) is at least the longest local U row. GrowTo
-// preserves both for free (it only appends empty rows and raises n), and
-// every write epoch that splices stores the agreed maxURow (SetMaxURow). Local
-// work; maxURow is replicated, so the bounds hold globally when they hold on
-// every rank.
-func (p *Prepared) ValidateKernelSizing() error {
-	return p.blk.check(p.n)
-}
-
 // kernelSizing returns what a count sizes its kernel maps from: the resident
 // maxURow and the intersection key range of the current vertex count — keys
 // are k div L, so ⌈n/L⌉ of them.

@@ -34,7 +34,7 @@ func TestShiftLOperandsMatchReference(t *testing.T) {
 	}{{"rmat", rm}, {"er", er}} {
 		for _, p := range []int{1, 4, 9, 16} {
 			name := fmt.Sprintf("%s/p=%d", gc.name, p)
-			w := mpi.NewWorld(p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+			w := mpi.NewWorld(p, mpi.Config{ComputeSlots: 4})
 			preps := make([]*core.Prepared, p)
 			write := func(when string, fn func(c *mpi.Comm, r int) error) {
 				t.Helper()

@@ -65,7 +65,7 @@ func TestConcurrentReadEpochsShareNoScratch(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 12, 16, 1)
 	// A compute slot for every rank of both epochs, so the ranks parked at
 	// the rendezvous do not starve the others.
-	w := mpi.NewWorld(p, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 2 * p})
+	w := mpi.NewWorld(p, mpi.Config{ComputeSlots: 2 * p})
 	defer w.Close()
 	preps := make([]*Prepared, p)
 	if _, err := w.Run(func(c *mpi.Comm) (any, error) {

@@ -303,7 +303,7 @@ func FuzzCyclicParts(f *testing.F) {
 		if c.Rank() == 1 {
 			beg, end = d1.beg, d1.end
 			for _, part := range d1.parts[:2] {
-				parts = append(parts, mpi.Int32sToBytes(part))
+				parts = append(parts, mpi.Int32sAsBytes(part))
 			}
 		}
 		return nil, nil
@@ -453,7 +453,7 @@ func FuzzBuildBlocks(f *testing.F) {
 			blk := newBlocks(2, 2, 1, rl.n, false)
 			dims = [2]uint16{uint16(blk.nRows), uint16(blk.nCols)}
 			for _, part := range got[:2] {
-				parts = append(parts, mpi.Int32sToBytes(part))
+				parts = append(parts, mpi.Int32sAsBytes(part))
 			}
 		}
 		return nil, nil

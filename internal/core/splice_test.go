@@ -351,7 +351,7 @@ func TestSpliceCreatesSUMMABuckets(t *testing.T) {
 		if err := checkRowView(c, prep, rand.New(rand.NewSource(int64(c.Rank())))); err != nil {
 			return nil, fmt.Errorf("rank %d: after the splice: %w", c.Rank(), err)
 		}
-		return nil, prep.ValidateKernelSizing()
+		return nil, prep.blk.check(prep.n)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func hotWorld(tb testing.TB, scale int) (*mpi.World, []*core.Prepared, *hotChurn
 		tb.Fatal(err)
 	}
 	const ranks = 4
-	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: ranks})
+	w := mpi.NewWorld(ranks, mpi.Config{ComputeSlots: ranks})
 	preps := make([]*core.Prepared, ranks)
 	_, err = w.Run(func(c *mpi.Comm) (any, error) {
 		var gin *graph.Graph

@@ -112,7 +112,7 @@ type grid struct {
 // prepareOn prepares g0 on a standing world of the grid's shape.
 func prepareOn(t *testing.T, gr grid, g0 *graph.Graph) (*mpi.World, []*core.Prepared) {
 	t.Helper()
-	cfg := mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	cfg := mpi.Config{ComputeSlots: 4}
 	w := mpi.NewWorld(gr.ranks, cfg)
 	if gr.tcp {
 		var err error
@@ -399,7 +399,7 @@ func TestRebuildComposesLabels(t *testing.T) {
 		ranks, qr, qc int
 		summa         bool
 	}{{4, 2, 2, false}, {6, 2, 3, true}} {
-		w := mpi.NewWorld(tc.ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+		w := mpi.NewWorld(tc.ranks, mpi.Config{ComputeSlots: 4})
 		preps := make([]*core.Prepared, tc.ranks)
 		_, err := w.Run(func(c *mpi.Comm) (any, error) {
 			var gin *graph.Graph

@@ -37,7 +37,7 @@ func twinRebuilds(t *testing.T, ranks, qr, qc int, summa bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+	w := mpi.NewWorld(ranks, mpi.Config{ComputeSlots: 4})
 	defer w.Close()
 	inc := make([]*core.Prepared, ranks)  // folded by RebuildIncremental
 	full := make([]*core.Prepared, ranks) // replaced by Rebuild

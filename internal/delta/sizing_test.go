@@ -26,7 +26,7 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ranks = 4
-	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+	w := mpi.NewWorld(ranks, mpi.Config{ComputeSlots: 4})
 	defer w.Close()
 	preps := make([]*core.Prepared, ranks)
 	_, err = w.Run(func(c *mpi.Comm) (any, error) {
@@ -48,8 +48,11 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 	want := seqtc.Count(g)
 	validate := func(stage string) {
 		t.Helper()
+		// A decode runs blocks.check, which re-derives the sizing bounds
+		// from the blocks.
 		_, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return nil, preps[c.Rank()].ValidateKernelSizing()
+			_, err := core.DecodePrepared(core.EncodePrepared(preps[c.Rank()]), c.Rank(), c.Size())
+			return nil, err
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)

@@ -1,6 +1,8 @@
 package dgraph
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"tc2d/internal/graph"
@@ -9,7 +11,50 @@ import (
 )
 
 func testCfg() mpi.Config {
-	return mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	return mpi.Config{ComputeSlots: 4}
+}
+
+// gather1D reassembles d into a full graph on rank 0 (nil elsewhere).
+func gather1D(c *mpi.Comm, d *Dist1D) (*graph.Graph, error) {
+	degs := make([]int64, d.NumLocal())
+	for v := range degs {
+		degs[v] = d.Xadj[v+1] - d.Xadj[v]
+	}
+	toRoot := func(b []byte) [][]byte {
+		send := make([][]byte, c.Size())
+		send[0] = b
+		return c.Alltoallv(send)
+	}
+	degParts := toRoot(mpi.Int64sToBytes(degs))
+	adjParts := toRoot(slices.Clone(mpi.Int32sAsBytes(d.Adj)))
+	if c.Rank() != 0 {
+		return nil, nil
+	}
+	g := &graph.Graph{N: int32(d.N), Xadj: make([]int64, 1, d.N+1)}
+	for r := range degParts {
+		for _, dg := range mpi.BytesToInt64s(degParts[r]) {
+			g.Xadj = append(g.Xadj, g.Xadj[len(g.Xadj)-1]+dg)
+		}
+		g.Adj = append(g.Adj, mpi.BytesToInt32s(adjParts[r])...)
+	}
+	return g, graph.CheckShape(g)
+}
+
+// wellFormed checks g as a simple undirected graph: its arrays fit together
+// and rebuilding it from its own edges gives it back, so every row is sorted,
+// loop-free and mirrored.
+func wellFormed(g *graph.Graph) error {
+	if err := graph.CheckShape(g); err != nil {
+		return err
+	}
+	ref, err := graph.FromEdges(g.N, g.Edges())
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(ref.Xadj, g.Xadj) || !slices.Equal(ref.Adj, g.Adj) {
+		return errors.New("graph differs from its rebuild from its own edges")
+	}
+	return nil
 }
 
 func TestBlockOwnerAndRangeConsistent(t *testing.T) {
@@ -52,7 +97,7 @@ func TestScatterGatherRoundtrip(t *testing.T) {
 			if d.NumLocal() < 0 || int64(len(d.Adj)) != d.Xadj[d.NumLocal()] {
 				t.Errorf("rank %d: inconsistent slice", c.Rank())
 			}
-			return Gather1D(c, 0, d)
+			return gather1D(c, d)
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
@@ -85,13 +130,13 @@ func TestGenerateRMAT1DConsistentAcrossWorldSizes(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return Gather1D(c, 0, d)
+			return gather1D(c, d)
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		g := results[0].(*graph.Graph)
-		if err := g.Validate(); err != nil {
+		if err := wellFormed(g); err != nil {
 			t.Fatalf("p=%d: gathered graph invalid: %v", p, err)
 		}
 		if ref == nil {
@@ -115,13 +160,13 @@ func TestGenerateER1D(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Gather1D(c, 0, d)
+		return gather1D(c, d)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := results[0].(*graph.Graph)
-	if err := g.Validate(); err != nil {
+	if err := wellFormed(g); err != nil {
 		t.Fatal(err)
 	}
 	if g.N != 256 || g.NumEdges() == 0 {
@@ -141,7 +186,7 @@ func TestRMATInputMatchesLocalGenerate(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Gather1D(c, 0, d)
+		return gather1D(c, d)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -236,33 +236,3 @@ func assemble1D(c *mpi.Comm, n int64, edges []graph.Edge) (*Dist1D, error) {
 	out.Adj = adj[:w:w]
 	return out, nil
 }
-
-// Gather1D reassembles a Dist1D into a full Graph on root (nil elsewhere).
-// Primarily for tests and small-scale validation.
-func Gather1D(c *mpi.Comm, root int, d *Dist1D) (*graph.Graph, error) {
-	degs := make([]int64, d.NumLocal())
-	for v := int32(0); v < d.NumLocal(); v++ {
-		degs[v] = d.Xadj[v+1] - d.Xadj[v]
-	}
-	degParts := c.Gatherv(root, mpi.Int64sToBytes(degs))
-	adjParts := c.Gatherv(root, mpi.Int32sToBytes(d.Adj))
-	if c.Rank() != root {
-		return nil, nil
-	}
-	g := &graph.Graph{N: int32(d.N), Xadj: make([]int64, d.N+1)}
-	at := int32(0)
-	for r := 0; r < c.Size(); r++ {
-		for _, dg := range mpi.BytesToInt64s(degParts[r]) {
-			g.Xadj[at+1] = g.Xadj[at] + dg
-			at++
-		}
-	}
-	if int64(at) != d.N {
-		return nil, fmt.Errorf("core: gathered %d vertices, want %d", at, d.N)
-	}
-	g.Adj = make([]int32, 0, g.Xadj[d.N])
-	for r := 0; r < c.Size(); r++ {
-		g.Adj = append(g.Adj, mpi.BytesToInt32s(adjParts[r])...)
-	}
-	return g, nil
-}

@@ -179,11 +179,3 @@ func (d *Dist1D) Above(v int32) []int32 {
 	i := sort.Search(len(row), func(i int) bool { return row[i] > v })
 	return row[i:]
 }
-
-// Below returns the prefix of the adjacency of local vertex v with ids less
-// than v.
-func (d *Dist1D) Below(v int32) []int32 {
-	row := d.Neighbors(v)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	return row[:i]
-}

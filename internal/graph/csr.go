@@ -51,13 +51,6 @@ func (g *Graph) NeighborsBelow(v int32) []int32 {
 	return row[:i]
 }
 
-// HasEdge reports whether the undirected edge (u, v) exists.
-func (g *Graph) HasEdge(u, v int32) bool {
-	row := g.Neighbors(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	return i < len(row) && row[i] == v
-}
-
 // MaxDegree returns the maximum vertex degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int32 {
 	var dmax int32
@@ -72,7 +65,7 @@ func (g *Graph) MaxDegree() int32 {
 // CheckShape checks in one linear pass that g's CSR arrays fit together:
 // N ≥ 0, N+1 row pointers from 0 to len(Adj) that never decrease, and every
 // neighbor in [0, N). It reads no row's order, so a graph that passes may
-// still have unsorted rows, self loops or one-way edges (see Validate).
+// still have unsorted rows, self loops or one-way edges.
 func CheckShape(g *Graph) error {
 	if g.N < 0 {
 		return fmt.Errorf("graph: %d vertices", g.N)
@@ -97,70 +90,6 @@ func CheckShape(g *Graph) error {
 		}
 	}
 	return nil
-}
-
-// Validate checks the structural invariants of the CSR representation:
-// CheckShape, then sorted strictly-increasing adjacency lists, no self
-// loops, and symmetry. It is O(m log d) and intended for tests.
-func (g *Graph) Validate() error {
-	if err := CheckShape(g); err != nil {
-		return err
-	}
-	for v := int32(0); v < g.N; v++ {
-		row := g.Neighbors(v)
-		for i, u := range row {
-			if u == v {
-				return fmt.Errorf("graph: self loop at %d", v)
-			}
-			if i > 0 && row[i-1] >= u {
-				return fmt.Errorf("graph: adjacency of %d not strictly increasing", v)
-			}
-		}
-	}
-	for v := int32(0); v < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
-			if !g.HasEdge(u, v) {
-				return fmt.Errorf("graph: edge (%d,%d) not symmetric", v, u)
-			}
-		}
-	}
-	return nil
-}
-
-// KCore returns the k-core of the graph — the maximal subgraph in which
-// every vertex has degree >= k — as a keep-mask over vertices, along with
-// the number of removed vertices. The 2-core (k=2) is the subgraph that can
-// contain triangles; the Havoq-style baseline prunes to it first.
-func (g *Graph) KCore(k int32) (keep []bool, removed int64) {
-	keep = make([]bool, g.N)
-	deg := make([]int32, g.N)
-	queue := make([]int32, 0, g.N)
-	for v := int32(0); v < g.N; v++ {
-		keep[v] = true
-		deg[v] = g.Degree(v)
-		if deg[v] < k {
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if !keep[v] {
-			continue
-		}
-		keep[v] = false
-		removed++
-		for _, u := range g.Neighbors(v) {
-			if !keep[u] {
-				continue
-			}
-			deg[u]--
-			if deg[u] < k {
-				queue = append(queue, u)
-			}
-		}
-	}
-	return keep, removed
 }
 
 // Edges returns the undirected edges as (u < v) pairs in row order.

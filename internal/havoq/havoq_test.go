@@ -11,7 +11,7 @@ import (
 )
 
 func testCfg() mpi.Config {
-	return mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	return mpi.Config{ComputeSlots: 4}
 }
 
 func countVia(t *testing.T, g *graph.Graph, p int, opt Options) *Result {
@@ -126,7 +126,7 @@ func TestTwoCoreMatchesSequentialKCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantRemoved := g.KCore(2)
+	_, wantRemoved := kCore(g, 2)
 	for _, p := range []int{1, 4, 7} {
 		res := countVia(t, g, p, Options{})
 		if res.Removed != wantRemoved {

@@ -18,7 +18,7 @@ import (
 func TestFailedRankAbortsEpoch(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	const pairCap = 4
-	cfg := Config{Model: ZeroCostModel(), ComputeSlots: 2, PairCap: pairCap}
+	cfg := Config{ComputeSlots: 2, PairCap: pairCap}
 	const failing = 1
 	boom := errors.New("rank gives up")
 	fails := []struct {

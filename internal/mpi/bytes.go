@@ -19,16 +19,6 @@ func aligned(b []byte, n uintptr) bool {
 	return uintptr(unsafe.Pointer(&b[0]))%n == 0
 }
 
-// Int32sToBytes copies v into a new byte slice (little-endian, native width).
-func Int32sToBytes(v []int32) []byte {
-	b := make([]byte, 4*len(v))
-	if len(v) > 0 {
-		src := unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
-		copy(b, src)
-	}
-	return b
-}
-
 // Int32sAsBytes reinterprets v as its byte payload without copying; the
 // result aliases v.
 func Int32sAsBytes(v []int32) []byte {
@@ -132,9 +122,3 @@ func (c *Comm) SendInt64s(dst, tag int, v []int64) { c.SendOwn(dst, tag, Int64sT
 
 // RecvInt64s receives a typed payload.
 func (c *Comm) RecvInt64s(src, tag int) []int64 { return BytesToInt64s(c.Recv(src, tag)) }
-
-// SendFloat64s sends a typed payload; the slice is copied.
-func (c *Comm) SendFloat64s(dst, tag int, v []float64) { c.SendOwn(dst, tag, Float64sToBytes(v)) }
-
-// RecvFloat64s receives a typed payload.
-func (c *Comm) RecvFloat64s(src, tag int) []float64 { return BytesToFloat64s(c.Recv(src, tag)) }

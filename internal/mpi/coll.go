@@ -8,11 +8,11 @@ const (
 	collTagBase = 1 << 28
 	tagBcast    = collTagBase + iota
 	tagReduce
-	tagGatherv
+	_ // retired tags: the blanks keep the later tags at their wire values
 	tagAlltoallv
 	tagScan
-	_          // two retired tags: the blanks keep tagBarrier and tagAbort
-	_          // at their wire values
+	_
+	_
 	tagBarrier // dissemination barrier on process-spanning worlds
 	tagAbort   // a rank of another process failed in the frame's epoch
 )
@@ -145,15 +145,6 @@ func (c *Comm) allreduce(acc []byte, combine func(acc, other []byte)) []byte {
 	return c.Bcast(0, c.reduce(0, acc, combine))
 }
 
-// ReduceInt64s reduces elementwise onto root along a binomial tree. Every
-// rank contributes v (unchanged); root receives the reduction, other ranks
-// receive nil.
-func (c *Comm) ReduceInt64s(root int, v []int64, op Op) []int64 {
-	return BytesToInt64s(c.reduce(root, Int64sToBytes(v), func(acc, other []byte) {
-		fold(op, BytesToInt64s(acc), BytesToInt64s(other))
-	}))
-}
-
 // AllreduceInt64s reduces elementwise across all ranks and returns the result
 // on every rank (reduce-to-0 then broadcast). v is unchanged, and each rank's
 // result is its own.
@@ -187,27 +178,6 @@ func (c *Comm) AllreduceFloat64s(v []float64, op Op) []float64 {
 	return BytesToFloat64s(c.allreduce(Float64sToBytes(v), func(acc, other []byte) {
 		fold(op, BytesToFloat64s(acc), BytesToFloat64s(other))
 	}))
-}
-
-// Gatherv gathers one byte payload per rank onto root, indexed by source
-// rank. Non-root ranks receive nil. data is copied, so the caller may
-// reuse it.
-func (c *Comm) Gatherv(root int, data []byte) [][]byte {
-	p := c.world.size
-	if c.rank != root {
-		c.Send(root, tagGatherv, data)
-		return nil
-	}
-	out := make([][]byte, p)
-	out[root] = make([]byte, len(data))
-	copy(out[root], data)
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = c.Recv(r, tagGatherv)
-	}
-	return out
 }
 
 // Alltoallv performs a personalized all-to-all exchange: send[d] goes to rank

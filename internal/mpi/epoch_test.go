@@ -44,8 +44,8 @@ func TestWorldMultipleEpochs(t *testing.T) {
 			}
 		}
 	}
-	if w.Epochs() != 3 {
-		t.Errorf("Epochs() = %d, want 3", w.Epochs())
+	if w.epochs != 3 {
+		t.Errorf("%d epochs, want 3", w.epochs)
 	}
 }
 

@@ -88,7 +88,7 @@ func forgeOversizedFrame(t *testing.T, conn net.Conn, id int) {
 // On a loopback world the same forged length fails the wire, and the rank
 // blocked in Recv unwinds with ErrPeerLost instead of waiting forever.
 func TestTCPFrameLengthIsBounded(t *testing.T) {
-	w, err := NewTCPWorld(2, Config{Model: ZeroCostModel(), ComputeSlots: 2})
+	w, err := NewTCPWorld(2, Config{ComputeSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTCPFrameLengthIsBounded(t *testing.T) {
 func TestProcMailboxOverflowIsBounded(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	ca, cb := net.Pipe()
-	cfg := Config{Model: ZeroCostModel(), PairCap: 1}
+	cfg := Config{PairCap: 1}
 	wa, err := NewProcWorld(3, []int{0, 2}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestProcMailboxOverflowKeepsEveryFrame(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	const rounds, burst = 100, 64
 	ca, cb := net.Pipe()
-	cfg := Config{Model: ZeroCostModel(), PairCap: 1}
+	cfg := Config{PairCap: 1}
 	wa, err := NewProcWorld(2, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestProcMailboxOverflowKeepsEveryFrame(t *testing.T) {
 func TestProcAbortedEpochDropsFrames(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	ca, cb := net.Pipe()
-	cfg := Config{Model: ZeroCostModel(), PairCap: 1, ComputeSlots: 2}
+	cfg := Config{PairCap: 1, ComputeSlots: 2}
 	wa, err := NewProcWorld(3, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1, 2}}}, cfg)
 	if err != nil {
 		t.Fatal(err)

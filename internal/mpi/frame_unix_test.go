@@ -39,7 +39,7 @@ func TestSendersRefuseOversizedPayload(t *testing.T) {
 		t.Errorf("proc send of an oversized payload: want ErrPeerLost naming the size, got %v", err)
 	}
 
-	w, err := NewTCPWorld(2, Config{Model: ZeroCostModel(), ComputeSlots: 2})
+	w, err := NewTCPWorld(2, Config{ComputeSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,10 +80,6 @@ func DefaultCostModel() CostModel {
 	return CostModel{Alpha: 2e-6, Beta: 6e9, Overhead: 5e-7}
 }
 
-// ZeroCostModel charges nothing for communication. Useful in unit tests that
-// only care about data movement semantics.
-func ZeroCostModel() CostModel { return CostModel{Alpha: 0, Beta: math.Inf(1), Overhead: 0} }
-
 // Config configures a World.
 type Config struct {
 	// Model is the communication cost model. The zero value means
@@ -631,14 +627,6 @@ func (w *World) runEpoch(id int, fn RankFunc, kind epochKind) ([]any, error) {
 	return results, err
 }
 
-// Epochs returns how many epochs (Run and RunRead) have started on this
-// world.
-func (w *World) Epochs() int {
-	w.lifeMu.Lock()
-	defer w.lifeMu.Unlock()
-	return w.epochs
-}
-
 // Close retires the world: it waits out every in-flight epoch (whose rank
 // workers have then all exited) and, for socket worlds, shuts the transport
 // down and releases the sockets. Close is idempotent and returns the
@@ -747,16 +735,6 @@ func (c *Comm) acquire() {
 	now := time.Now()
 	c.stats.WallComm += now.Sub(c.mark).Seconds()
 	c.mark = now
-}
-
-// Elapse charges d seconds of local work to the virtual clock without
-// executing anything: the tests' clock-injection hook.
-func (c *Comm) Elapse(d float64) {
-	if d < 0 {
-		panic("mpi: negative Elapse")
-	}
-	c.vt += d
-	c.stats.CompTime += d
 }
 
 // advanceComm moves the virtual clock to at least t and books the advance as

@@ -15,11 +15,11 @@ import (
 func twoProcWorlds(t *testing.T, p int, localA, localB []int) (*World, *World) {
 	t.Helper()
 	ca, cb := net.Pipe()
-	wa, err := NewProcWorld(p, localA, []ProcLink{{Conn: ca, Ranks: localB}}, Config{Model: ZeroCostModel()})
+	wa, err := NewProcWorld(p, localA, []ProcLink{{Conn: ca, Ranks: localB}}, Config{})
 	if err != nil {
 		t.Fatalf("proc world A: %v", err)
 	}
-	wb, err := NewProcWorld(p, localB, []ProcLink{{Conn: cb, Ranks: localA}}, Config{Model: ZeroCostModel()})
+	wb, err := NewProcWorld(p, localB, []ProcLink{{Conn: cb, Ranks: localA}}, Config{})
 	if err != nil {
 		t.Fatalf("proc world B: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestProcWorldConcurrentReadEpochs(t *testing.T) {
 
 func TestProcWorldPeerLostMidEpoch(t *testing.T) {
 	ca, cb := net.Pipe()
-	wa, err := NewProcWorld(2, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, Config{Model: ZeroCostModel()})
+	wa, err := NewProcWorld(2, []int{0}, []ProcLink{{Conn: ca, Ranks: []int{1}}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestProcLateFrameForRetiredEpoch(t *testing.T) {
 	})
 
 	t.Run("loopback", func(t *testing.T) {
-		w, err := NewTCPWorld(2, Config{Model: ZeroCostModel(), ComputeSlots: 2})
+		w, err := NewTCPWorld(2, Config{ComputeSlots: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

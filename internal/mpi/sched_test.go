@@ -46,8 +46,8 @@ func TestConcurrentReadEpochsIsolated(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if w.Epochs() != epochs {
-		t.Errorf("Epochs() = %d, want %d", w.Epochs(), epochs)
+	if w.epochs != epochs {
+		t.Errorf("%d epochs, want %d", w.epochs, epochs)
 	}
 }
 

@@ -94,7 +94,7 @@ func checkSlotRun(t *testing.T, name string, g *slotGauge, slots int, res []any,
 func TestSlotsBoundRunningRanks(t *testing.T) {
 	watchdog(t, 60*time.Second)
 	for _, slots := range []int{1, 2} {
-		cfg := Config{Model: ZeroCostModel(), ComputeSlots: slots}
+		cfg := Config{ComputeSlots: slots}
 
 		var g slotGauge
 		res, err := Run(4, cfg, slotBody(func(int) *slotGauge { return &g }))

@@ -112,7 +112,7 @@ func TestTCPVirtualTimeTravelsInFrames(t *testing.T) {
 	defer w.Close()
 	res, err := w.Run(func(c *Comm) (any, error) {
 		if c.Rank() == 0 {
-			c.Elapse(1.0)
+			c.elapse(1.0)
 			c.Send(1, 1, []byte{1})
 		} else {
 			c.Recv(0, 1)

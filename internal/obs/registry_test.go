@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -31,7 +32,8 @@ func TestCounterConcurrent(t *testing.T) {
 
 // TestConcurrentSnapshot races Snapshot/Expose against live mutation: the
 // point is that -race stays quiet and every observed value is one the
-// counter actually passed through (monotone).
+// counter actually passed through (monotone). The root package's
+// TestExposeParsesWhileMutating parses the payloads such a race exposes.
 func TestConcurrentSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("obs_snap_total", "t")
@@ -52,12 +54,8 @@ func TestConcurrentSnapshot(t *testing.T) {
 			t.Fatalf("snapshot went backwards: %v after %v", v, last)
 		}
 		last = v
-		var sb strings.Builder
-		if _, err := r.Expose(&sb); err != nil {
+		if _, err := r.Expose(io.Discard); err != nil {
 			t.Fatal(err)
-		}
-		if _, err := ParseExposition(strings.NewReader(sb.String())); err != nil {
-			t.Fatalf("mid-flight exposition invalid: %v", err)
 		}
 	}
 	<-done
@@ -167,5 +165,65 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(3, 4) != 0.75 {
 		t.Fatal("ratio arithmetic")
+	}
+}
+
+// TestExpositionGolden pins the exact text Expose emits for a small,
+// deterministic registry.
+func TestExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("tc_queries_total", "Queries served.", L("op", "count")).Add(4)
+	r.Counter("tc_queries_total", "Queries served.", L("op", "update")).Add(1)
+	r.Gauge("tc_graph_vertices", "Resident vertex count.").Set(1024)
+	h := r.Histogram("tc_query_seconds", "Query latency.", []float64{0.01, 0.1, 1})
+	h.Observe(0.005)
+	h.Observe(0.05)
+	h.Observe(0.05)
+	h.Observe(2.5)
+
+	const golden = `# HELP tc_queries_total Queries served.
+# TYPE tc_queries_total counter
+tc_queries_total{op="count"} 4
+tc_queries_total{op="update"} 1
+# HELP tc_graph_vertices Resident vertex count.
+# TYPE tc_graph_vertices gauge
+tc_graph_vertices 1024
+# HELP tc_query_seconds Query latency.
+# TYPE tc_query_seconds histogram
+tc_query_seconds_bucket{le="0.01"} 1
+tc_query_seconds_bucket{le="0.1"} 3
+tc_query_seconds_bucket{le="1"} 3
+tc_query_seconds_bucket{le="+Inf"} 4
+tc_query_seconds_sum 2.605
+tc_query_seconds_count 4
+`
+	var sb strings.Builder
+	n, err := r.Expose(&sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != golden {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), golden)
+	}
+	// 2 counters + 1 gauge + (4 buckets + sum + count)
+	if n != 9 {
+		t.Fatalf("series lines = %d, want 9", n)
+	}
+}
+
+// TestLabeledHistogramExposition checks the le label merges with series
+// labels and each labeled series gets its own _count.
+func TestLabeledHistogramExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("lat_seconds", "t", []float64{0.1}, L("op", "count")).Observe(0.05)
+	r.Histogram("lat_seconds", "t", nil, L("op", "update")).Observe(5)
+	var sb strings.Builder
+	if _, err := r.Expose(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{`lat_seconds_bucket{op="count",le="0.1"} 1`, `lat_seconds_count{op="update"} 1`} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition lacks %s:\n%s", line, sb.String())
+		}
 	}
 }

@@ -156,49 +156,3 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 	s.mu.Unlock()
 	return json.Marshal(out)
 }
-
-// Walk visits s and every descendant in depth-first order. Used by tests to
-// assert structural properties of a recorded trace.
-func (s *Span) Walk(fn func(depth int, sp *Span)) {
-	if s == nil {
-		return
-	}
-	s.walk(0, fn)
-}
-
-func (s *Span) walk(depth int, fn func(int, *Span)) {
-	fn(depth, s)
-	s.mu.Lock()
-	kids := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range kids {
-		c.walk(depth+1, fn)
-	}
-}
-
-// Find returns the first descendant span (depth-first, including s itself)
-// with the given name, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	var hit *Span
-	s.Walk(func(_ int, sp *Span) {
-		if hit == nil && sp.Name == name {
-			hit = sp
-		}
-	})
-	return hit
-}
-
-// FindAll returns every descendant span (including s itself) with the given
-// name, in depth-first order.
-func (s *Span) FindAll(name string) []*Span {
-	var hits []*Span
-	s.Walk(func(_ int, sp *Span) {
-		if sp.Name == name {
-			hits = append(hits, sp)
-		}
-	})
-	return hits
-}

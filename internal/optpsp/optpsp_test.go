@@ -11,7 +11,7 @@ import (
 )
 
 func testCfg() mpi.Config {
-	return mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4}
+	return mpi.Config{ComputeSlots: 4}
 }
 
 func countVia(t *testing.T, g *graph.Graph, p int, opt Options) *Result {

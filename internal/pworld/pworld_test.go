@@ -64,7 +64,6 @@ func startWorker(t *testing.T, c *Coordinator, ranks int) (context.CancelFunc, c
 			Coordinator: c.ln.Addr().String(),
 			Ranks:       ranks,
 			Format:      1,
-			MPI:         mpi.Config{Model: mpi.ZeroCostModel()},
 			Dispatch:    sumDispatch,
 			Logf:        t.Logf,
 		})
@@ -206,7 +205,6 @@ func TestLateDownSparesNextGeneration(t *testing.T) {
 		errCh <- RunWorker(ctx, WorkerConfig{
 			Coordinator: ln.Addr().String(),
 			Format:      1,
-			MPI:         mpi.Config{Model: mpi.ZeroCostModel()},
 			Dispatch:    sumDispatch,
 			Logf:        t.Logf,
 		})
@@ -353,7 +351,6 @@ func TestConcurrentJoinsStartOneBuild(t *testing.T) {
 				RunWorker(ctx, WorkerConfig{
 					Coordinator: c.ln.Addr().String(),
 					Format:      1,
-					MPI:         mpi.Config{Model: mpi.ZeroCostModel()},
 					Dispatch:    sumDispatch,
 					OnReady:     func([]int) { builds.Add(1) },
 				})
@@ -410,7 +407,7 @@ func TestFailedRankErrorWinsOverUnwinding(t *testing.T) {
 			Coordinator: c.ln.Addr().String(),
 			Ranks:       2,
 			Format:      1,
-			MPI:         mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 2},
+			MPI:         mpi.Config{ComputeSlots: 2},
 			Dispatch:    dispatch,
 			Logf:        t.Logf,
 		})

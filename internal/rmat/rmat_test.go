@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,12 +69,29 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// wellFormed checks g as a simple undirected graph: its arrays fit together
+// and rebuilding it from its own edges gives it back, so every row is sorted,
+// loop-free and mirrored.
+func wellFormed(g *graph.Graph) error {
+	if err := graph.CheckShape(g); err != nil {
+		return err
+	}
+	ref, err := graph.FromEdges(g.N, g.Edges())
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(ref.Xadj, g.Xadj) || !slices.Equal(ref.Adj, g.Adj) {
+		return errors.New("graph differs from its rebuild from its own edges")
+	}
+	return nil
+}
+
 func TestGenerateValidSimpleGraph(t *testing.T) {
 	g, err := G500.Generate(10, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := wellFormed(g); err != nil {
 		t.Fatal(err)
 	}
 	if g.N != 1024 {
@@ -107,7 +126,7 @@ func TestErdosRenyi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := wellFormed(g); err != nil {
 		t.Fatal(err)
 	}
 	if g.N != 256 {

@@ -1,73 +1,14 @@
-// Package seqtc implements reference triangle counters: the list-based and
-// map-based sequential algorithms from Section 3 of the paper (both the
-// ⟨i,j,k⟩ and ⟨j,i,k⟩ enumeration rules). They serve as correctness oracles
-// for the distributed algorithm.
+// Package seqtc implements the sequential reference triangle counter: the
+// map-based ⟨j,i,k⟩ algorithm from Section 3 of the paper (CountMapJIK, and
+// Count, which degree-orders first), plus the per-vertex counts and edge
+// supports the public API reports. It is the correctness oracle for the
+// distributed algorithm.
 package seqtc
 
 import (
 	"tc2d/internal/graph"
 	"tc2d/internal/hashset"
 )
-
-// CountList counts triangles with sorted-list merge intersections under the
-// ⟨i,j,k⟩ rule: for every edge (i,j) with i<j, |N⁺(i) ∩ N⁺(j)| where
-// N⁺(v) = {w ∈ Adj(v) : w > v}.
-func CountList(g *graph.Graph) int64 {
-	var total int64
-	for i := int32(0); i < g.N; i++ {
-		ni := g.NeighborsAbove(i)
-		for _, j := range ni {
-			total += intersectSorted(ni, g.NeighborsAbove(j))
-		}
-	}
-	return total
-}
-
-// intersectSorted returns |a ∩ b| for ascending-sorted slices.
-func intersectSorted(a, b []int32) int64 {
-	var n int64
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		switch {
-		case a[x] < b[y]:
-			x++
-		case a[x] > b[y]:
-			y++
-		default:
-			n++
-			x++
-			y++
-		}
-	}
-	return n
-}
-
-// CountMapIJK counts with the map-based approach under ⟨i,j,k⟩: hash N⁺(i)
-// once per i and probe it with N⁺(j) for every j ∈ N⁺(i). Probes that hit
-// close a triangle (every hit k satisfies k > j > i automatically because it
-// lies in both suffix lists).
-func CountMapIJK(g *graph.Graph) int64 {
-	set := hashset.New(int(g.MaxDegree()) * 2)
-	var total int64
-	for i := int32(0); i < g.N; i++ {
-		ni := g.NeighborsAbove(i)
-		if len(ni) < 2 {
-			continue
-		}
-		set.Reset()
-		for _, k := range ni {
-			set.Insert(k)
-		}
-		for _, j := range ni {
-			for _, k := range g.NeighborsAbove(j) {
-				if set.Contains(k) {
-					total++
-				}
-			}
-		}
-	}
-	return total
-}
 
 // CountMapJIK counts with the map-based approach under ⟨j,i,k⟩, the paper's
 // preferred scheme: hash N⁺(j) once per j (with degree ordering this is the
@@ -105,21 +46,6 @@ func CountMapJIK(g *graph.Graph) int64 {
 func Count(g *graph.Graph) int64 {
 	ordered, _ := g.DegreeOrder()
 	return CountMapJIK(ordered)
-}
-
-// PerEdgeCounts returns, for every undirected edge (i<j) in row order of U,
-// the number of triangles the edge participates in that close above j — the
-// edge-support values a k-truss decomposition starts from. The slice is
-// indexed in the order produced by Graph.Edges.
-func PerEdgeCounts(g *graph.Graph) []int32 {
-	counts := make([]int32, 0, g.NumEdges())
-	for i := int32(0); i < g.N; i++ {
-		ni := g.NeighborsAbove(i)
-		for _, j := range ni {
-			counts = append(counts, int32(intersectSorted(ni, g.NeighborsAbove(j))))
-		}
-	}
-	return counts
 }
 
 // PerVertexCounts returns the number of triangles through each vertex (each

@@ -2,12 +2,77 @@ package seqtc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tc2d/internal/graph"
+	"tc2d/internal/hashset"
 	"tc2d/internal/rmat"
 )
+
+// CountList and CountMapIJK are the paper's other §3 counters, kept here as
+// oracles the production counter must agree with.
+
+// CountList counts triangles with sorted-list merge intersections under the
+// ⟨i,j,k⟩ rule: for every edge (i,j) with i<j, |N⁺(i) ∩ N⁺(j)| where
+// N⁺(v) = {w ∈ Adj(v) : w > v}.
+func CountList(g *graph.Graph) int64 {
+	var total int64
+	for i := int32(0); i < g.N; i++ {
+		ni := g.NeighborsAbove(i)
+		for _, j := range ni {
+			total += intersectSorted(ni, g.NeighborsAbove(j))
+		}
+	}
+	return total
+}
+
+// intersectSorted returns |a ∩ b| for ascending-sorted slices.
+func intersectSorted(a, b []int32) int64 {
+	var n int64
+	x, y := 0, 0
+	for x < len(a) && y < len(b) {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			n++
+			x++
+			y++
+		}
+	}
+	return n
+}
+
+// CountMapIJK counts with the map-based approach under ⟨i,j,k⟩: hash N⁺(i)
+// once per i and probe it with N⁺(j) for every j ∈ N⁺(i). Probes that hit
+// close a triangle (every hit k satisfies k > j > i automatically because it
+// lies in both suffix lists).
+func CountMapIJK(g *graph.Graph) int64 {
+	set := hashset.New(int(g.MaxDegree()) * 2)
+	var total int64
+	for i := int32(0); i < g.N; i++ {
+		ni := g.NeighborsAbove(i)
+		if len(ni) < 2 {
+			continue
+		}
+		set.Reset()
+		for _, k := range ni {
+			set.Insert(k)
+		}
+		for _, j := range ni {
+			for _, k := range g.NeighborsAbove(j) {
+				if set.Contains(k) {
+					total++
+				}
+			}
+		}
+	}
+	return total
+}
 
 func complete(t *testing.T, n int32) *graph.Graph {
 	t.Helper()
@@ -28,11 +93,11 @@ func brute(g *graph.Graph) int64 {
 	var c int64
 	for i := int32(0); i < g.N; i++ {
 		for j := i + 1; j < g.N; j++ {
-			if !g.HasEdge(i, j) {
+			if !slices.Contains(g.Neighbors(i), j) {
 				continue
 			}
 			for k := j + 1; k < g.N; k++ {
-				if g.HasEdge(i, k) && g.HasEdge(j, k) {
+				if slices.Contains(g.Neighbors(i), k) && slices.Contains(g.Neighbors(j), k) {
 					c++
 				}
 			}
@@ -134,25 +199,6 @@ func TestIntersectSorted(t *testing.T) {
 		if got := intersectSorted(c.a, c.b); got != c.want {
 			t.Errorf("intersect(%v,%v)=%d want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestPerEdgeCountsSum(t *testing.T) {
-	// Summing per-edge counts (k>j closures) counts each triangle once.
-	g, err := rmat.G500.Generate(9, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := PerEdgeCounts(g)
-	if int64(len(counts)) != g.NumEdges() {
-		t.Fatalf("%d counts for %d edges", len(counts), g.NumEdges())
-	}
-	var sum int64
-	for _, c := range counts {
-		sum += int64(c)
-	}
-	if want := CountList(g); sum != want {
-		t.Errorf("per-edge sum %d want %d", sum, want)
 	}
 }
 

@@ -255,8 +255,13 @@ func (w *Writer) Commit(m Manifest) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	// Publish: one atomic rename, then sync the parent directory so the
-	// new name itself is durable.
+	// Sync the temp directory so the rank files' and the manifest's entries
+	// are durable before the rename publishes them. Publish: one atomic
+	// rename, then sync the parent directory so the new name itself is
+	// durable.
+	if err := syncDir(w.tmp); err != nil {
+		return err
+	}
 	if err := os.RemoveAll(w.final); err != nil {
 		return err
 	}
@@ -272,8 +277,9 @@ func (w *Writer) Abort() { os.RemoveAll(w.tmp) }
 // syncDir fsyncs a directory, so that the names created or renamed in it
 // are durable. A filesystem that cannot sync a directory answers EINVAL,
 // which is tolerated: there is nothing more to make durable there. Any
-// other error, opening the directory included, is returned.
-func syncDir(dir string) error {
+// other error, opening the directory included, is returned. It is a
+// variable so that tests can record the order of directory syncs.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

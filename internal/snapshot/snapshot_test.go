@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -450,6 +451,27 @@ func TestRemoveBootArtifacts(t *testing.T) {
 	writeSnap(t, dir, 1, 1, func(int) []byte { return []byte{1} })
 	if err := RemoveBootArtifacts(dir); err == nil {
 		t.Fatal("RemoveBootArtifacts over a published snapshot succeeded")
+	}
+}
+
+// TestCommitSyncsTmpBeforeRename: Commit syncs the temp directory while it
+// is still unpublished, so the rank files' and the manifest's entries are
+// durable before the rename, and the parent only after the rename.
+func TestCommitSyncsTmpBeforeRename(t *testing.T) {
+	dir := t.TempDir()
+	final := filepath.Join(dir, snapDirName(7))
+	osSync := syncDir
+	t.Cleanup(func() { syncDir = osSync })
+	var synced []string
+	syncDir = func(d string) error {
+		_, err := os.Stat(final)
+		synced = append(synced, fmt.Sprintf("%s published=%v", d, err == nil))
+		return osSync(d)
+	}
+	writeSnap(t, dir, 7, 2, func(int) []byte { return []byte("blob") })
+	want := []string{final + tmpSuffix + " published=false", dir + " published=true"}
+	if !slices.Equal(synced, want) {
+		t.Fatalf("directory syncs %q, want %q", synced, want)
 	}
 }
 

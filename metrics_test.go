@@ -62,11 +62,11 @@ func TestClusterMetricsExposition(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Expose wrote no series")
 	}
-	p, err := obs.ParseExposition(bytes.NewReader(buf.Bytes()))
+	p, err := parseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("exposition did not validate: %v\n%s", err, buf.String())
 	}
-	fams := p.Families()
+	fams := p.families()
 	if len(fams) < 25 {
 		t.Errorf("exposed %d families, want >= 25: %v", len(fams), fams)
 	}
@@ -100,7 +100,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"tc_snapshot_seconds_count",
 		"tc_snapshot_last_seq",
 	} {
-		if !p.Has(series) {
+		if !p.has(series) {
 			t.Errorf("series %s missing from exposition", series)
 		}
 	}
@@ -115,7 +115,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 			t.Errorf("rank %d: comm + comp = %v s, want within 10%% of the %v s its epochs took", r, got, epochs)
 		}
 	}
-	if p.Has(`tc_mpi_rank_wall_comp_seconds_total{rank="0"}`) {
+	if p.has(`tc_mpi_rank_wall_comp_seconds_total{rank="0"}`) {
 		t.Error("tc_mpi_rank_wall_comp_seconds_total is still exposed beside tc_mpi_rank_comp_seconds_total")
 	}
 	if got := p.Series[`tc_queries_total{op="count"}`]; got != 2 {
@@ -179,34 +179,34 @@ func TestCountTracedSpanTree(t *testing.T) {
 	if res.Triangles != want.Triangles {
 		t.Fatalf("traced count %d != untraced %d", res.Triangles, want.Triangles)
 	}
-	root := tr.Span()
-	if root == nil || root.Name != "count" {
+	root := decodeSpans(t, tr.Span())
+	if root.Name != "count" {
 		t.Fatalf("root span = %+v, want name count", root)
 	}
-	adm, epoch := root.Find("admission"), root.Find("epoch")
+	adm, epoch := root.find("admission"), root.find("epoch")
 	if adm == nil || epoch == nil {
 		t.Fatal("trace lacks admission/epoch spans")
 	}
-	if sum := adm.Duration() + epoch.Duration(); sum > root.Duration()+time.Millisecond {
-		t.Errorf("admission+epoch = %v exceeds root wall %v", sum, root.Duration())
+	if sum := adm.duration() + epoch.duration(); sum > root.duration()+time.Millisecond {
+		t.Errorf("admission+epoch = %v exceeds root wall %v", sum, root.duration())
 	}
 
-	ranks := epoch.FindAll("rank")
+	ranks := epoch.findAll("rank")
 	if len(ranks) != 4 {
 		t.Fatalf("epoch has %d rank spans, want 4", len(ranks))
 	}
 	phases := []string{"align", "kernel", "shift", "bcast", "reduce"}
 	for i, rk := range ranks {
-		if rk.Duration() > epoch.Duration()+time.Millisecond {
-			t.Errorf("rank span %d (%v) exceeds epoch wall %v", i, rk.Duration(), epoch.Duration())
+		if rk.duration() > epoch.duration()+time.Millisecond {
+			t.Errorf("rank span %d (%v) exceeds epoch wall %v", i, rk.duration(), epoch.duration())
 		}
-		if len(rk.FindAll("kernel")) == 0 {
+		if len(rk.findAll("kernel")) == 0 {
 			t.Errorf("rank span %d has no kernel step spans", i)
 		}
 		var phaseSum time.Duration
 		for _, ph := range phases {
-			for _, sp := range rk.FindAll(ph) {
-				phaseSum += sp.Duration()
+			for _, sp := range rk.findAll(ph) {
+				phaseSum += sp.duration()
 			}
 		}
 		// Phase spans run back to back inside one rank goroutine: their sum
@@ -214,12 +214,12 @@ func TestCountTracedSpanTree(t *testing.T) {
 		// reads between spans), and — the useful direction — they must
 		// account for the bulk of it: large uninstrumented gaps would make
 		// the trace lie about where the time went.
-		if phaseSum > rk.Duration()+time.Millisecond {
-			t.Errorf("rank %d phase sum %v exceeds rank wall %v", i, phaseSum, rk.Duration())
+		if phaseSum > rk.duration()+time.Millisecond {
+			t.Errorf("rank %d phase sum %v exceeds rank wall %v", i, phaseSum, rk.duration())
 		}
-		if gap := rk.Duration() - phaseSum; gap > rk.Duration()/2+10*time.Millisecond {
+		if gap := rk.duration() - phaseSum; gap > rk.duration()/2+10*time.Millisecond {
 			t.Errorf("rank %d has %v of untraced time (rank wall %v, phases %v)",
-				i, gap, rk.Duration(), phaseSum)
+				i, gap, rk.duration(), phaseSum)
 		}
 	}
 
@@ -233,6 +233,50 @@ func TestCountTracedSpanTree(t *testing.T) {
 			t.Errorf("trace JSON lacks %s: %s", frag, raw)
 		}
 	}
+}
+
+// spanNode is a span as its JSON wire form renders it, the form tcd's
+// ?trace=1 answers with and the benchmark reads.
+type spanNode struct {
+	Name       string      `json:"name"`
+	DurationMS float64     `json:"duration_ms"`
+	Children   []*spanNode `json:"children"`
+}
+
+func decodeSpans(t *testing.T, s *obs.Span) *spanNode {
+	t.Helper()
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n *spanNode
+	if err := json.Unmarshal(raw, &n); err != nil || n == nil {
+		t.Fatalf("span JSON %s: %v", raw, err)
+	}
+	return n
+}
+
+func (n *spanNode) duration() time.Duration {
+	return time.Duration(n.DurationMS * float64(time.Millisecond))
+}
+
+// findAll returns every span of n's subtree named name, depth first.
+func (n *spanNode) findAll(name string) []*spanNode {
+	var hits []*spanNode
+	if n.Name == name {
+		hits = append(hits, n)
+	}
+	for _, c := range n.Children {
+		hits = append(hits, c.findAll(name)...)
+	}
+	return hits
+}
+
+func (n *spanNode) find(name string) *spanNode {
+	if hits := n.findAll(name); len(hits) > 0 {
+		return hits[0]
+	}
+	return nil
 }
 
 // TestApplyUpdatesTraced: the write path's trace brackets the shared
@@ -253,15 +297,15 @@ func TestApplyUpdatesTraced(t *testing.T) {
 	if res == nil {
 		t.Fatal("nil result from traced update")
 	}
-	root := tr.Span()
+	root := decodeSpans(t, tr.Span())
 	for _, name := range []string{"queue_wait", "write_epoch", "wal_append"} {
-		sp := root.Find(name)
+		sp := root.find(name)
 		if sp == nil {
 			t.Errorf("update trace lacks %s span", name)
 			continue
 		}
-		if sp.Duration() > root.Duration()+time.Millisecond {
-			t.Errorf("%s span %v exceeds trace wall %v", name, sp.Duration(), root.Duration())
+		if sp.duration() > root.duration()+time.Millisecond {
+			t.Errorf("%s span %v exceeds trace wall %v", name, sp.duration(), root.duration())
 		}
 	}
 }
@@ -287,9 +331,9 @@ func TestSnapshotTraced(t *testing.T) {
 	if info == nil || info.Seq == 0 && info.Bytes == 0 {
 		t.Fatalf("implausible snapshot info %+v", info)
 	}
-	root := tr.Span()
+	root := decodeSpans(t, tr.Span())
 	for _, name := range []string{"encode_write", "commit", "rotate"} {
-		if root.Find(name) == nil {
+		if root.find(name) == nil {
 			t.Errorf("snapshot trace lacks %s span", name)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // dispatch surfaces as the epoch's error (mpi.RankPanicError).
 func dispatchOnce(t *testing.T, st *rankStore, op string, common, mine []byte) ([]byte, error) {
 	t.Helper()
-	world := mpi.NewWorld(1, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 1})
+	world := mpi.NewWorld(1, mpi.Config{ComputeSlots: 1})
 	defer world.Close()
 	results, err := world.Run(func(c *mpi.Comm) (any, error) { return st.dispatch(c, op, common, mine) })
 	if err != nil {

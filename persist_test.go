@@ -287,7 +287,7 @@ func TestOpenClusterKeepsBlobLayout(t *testing.T) {
 func summa2x2Blobs(t *testing.T, g *Graph) [][]byte {
 	t.Helper()
 	const ranks = 4
-	w := mpi.NewWorld(ranks, mpi.Config{Model: mpi.ZeroCostModel(), ComputeSlots: 4})
+	w := mpi.NewWorld(ranks, mpi.Config{ComputeSlots: 4})
 	blobs := make([][]byte, ranks)
 	_, err := w.Run(func(c *mpi.Comm) (any, error) {
 		var gin *Graph
